@@ -137,6 +137,10 @@ func BuildHeron(s *sim.Scheduler, opt Options) (*core.Deployment, *tpcc.Dataset,
 // clients, a warmup, then a measurement window.
 func RunHeron(opt Options) (*HeronRun, error) {
 	s := sim.NewScheduler()
+	// Unwind the deployment's processes before handing memory back: a
+	// parked process pins its coroutine and everything its stack reaches.
+	defer releaseMemory()
+	defer s.Close()
 	d, _, err := BuildHeron(s, opt)
 	if err != nil {
 		return nil, err
@@ -200,7 +204,6 @@ func RunHeron(opt Options) (*HeronRun, error) {
 			run.StateTransfers += d.Replica(core.PartitionID(g), r).StateTransfers()
 		}
 	}
-	releaseMemory()
 	return run, nil
 }
 

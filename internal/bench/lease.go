@@ -197,6 +197,8 @@ func RunLeaseBench(o LeaseBenchOptions) (*LeaseResult, error) {
 // runLeaseBenchOnce runs the seeded workload with leases off or on.
 func runLeaseBenchOnce(o LeaseBenchOptions, on bool) (*LeaseRunStats, error) {
 	s := sim.NewScheduler()
+	defer releaseMemory()
+	defer s.Close()
 	layout := Layout(o.Partitions, o.Replicas)
 	cfg := core.DefaultConfig(multicast.DefaultConfig(layout))
 	cfg.StoreCapacity = o.Keys*store.SlotSize(8) + 1<<12
@@ -320,7 +322,6 @@ func runLeaseBenchOnce(o LeaseBenchOptions, on bool) (*LeaseRunStats, error) {
 		stats.Grants = mgr.Grants
 		stats.Revokes = mgr.Revokes
 	}
-	releaseMemory()
 	return stats, nil
 }
 

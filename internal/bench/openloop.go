@@ -327,6 +327,8 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer releaseMemory()
+	defer dc.Doms.Close()
 	// The outlier dump needs an armed ring; graft one on when the caller
 	// asked for dumps but supplied no recorder (recording is passive and
 	// never perturbs the simulation).
@@ -502,7 +504,6 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 		}
 		res.RebalancePlan = shadowRebalance(opts.Obs.Heat().Report(horizon), tick, horizon)
 	}
-	releaseMemory()
 	return res, nil
 }
 

@@ -17,6 +17,8 @@ import (
 // closed-loop clients wait for one reply per destination group.
 func RunRamcast(opt Options) (*HeronRun, error) {
 	s := sim.NewScheduler()
+	defer releaseMemory()
+	defer s.Close()
 	layout := Layout(opt.Warehouses, opt.Replicas)
 	fab := rdma.NewFabric(s, rdma.DefaultConfig())
 	if opt.Obs != nil {
@@ -117,6 +119,5 @@ func RunRamcast(opt Options) (*HeronRun, error) {
 		return nil, err
 	}
 	run.Throughput = Throughput(run.Completed, opt.Window)
-	releaseMemory()
 	return run, nil
 }

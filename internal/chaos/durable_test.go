@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"heron/internal/persist"
@@ -121,5 +122,20 @@ func TestDurableRunDeterministic(t *testing.T) {
 	a, b := enc(), enc()
 	if string(a) != string(b) {
 		t.Fatalf("same seed produced different durable reports:\n%s\n%s", a, b)
+	}
+}
+
+// TestRunReleasesItsProcs: a run's deployment — replicas, multicast
+// processes, checkpointers, clients parked mid-protocol at the horizon —
+// is unwound when Run returns, so back-to-back runs do not accumulate
+// parked goroutines.
+func TestRunReleasesItsProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rep := runDurable(t, 3, true)
+	if rep.Err != "" {
+		t.Fatal(rep.Err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after chaos.Run, %d before", after, before)
 	}
 }

@@ -152,6 +152,7 @@ func Run(opt Options) (*Report, error) {
 		return nil, fmt.Errorf("chaos: %d operations exceed the checker's 64-op bound", n)
 	}
 	s := sim.NewScheduler()
+	defer s.Close()
 	layout := make([][]rdma.NodeID, opt.Partitions)
 	id := rdma.NodeID(1)
 	for g := range layout {

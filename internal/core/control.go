@@ -56,6 +56,12 @@ type stWatch struct {
 func (r *Replica) runControl(p *sim.Proc) {
 	ep := r.tr.Endpoint(r.node.ID())
 	watches := make(map[int]*stWatch)
+	// busy is the loop's wake filter: false exactly when an iteration
+	// would find nothing — no ring to drain, no parked reply, no
+	// state-transfer request to watch or serve.
+	busy := func() bool {
+		return r.node.Crashed() || ep.Stirred() || len(r.gatedQ) > 0 || len(watches) > 0 || r.stActive()
+	}
 	for !r.node.Crashed() {
 		for {
 			msg, from, ok := ep.TryRecv(p)
@@ -74,8 +80,8 @@ func (r *Replica) runControl(p *sim.Proc) {
 			next = r.leaseExpire
 		}
 		wait := sim.Duration(next - p.Now())
-		if wait <= 0 || wait > 200*sim.Microsecond {
-			wait = 200 * sim.Microsecond
+		if wait <= 0 || wait > ctlPoll {
+			wait = ctlPoll
 		}
 		if ep.Pending() || r.gatedReady(p.Now()) {
 			// gatedReady: a holder frontier publish (WriteNotify broadcast)
@@ -84,8 +90,31 @@ func (r *Replica) runControl(p *sim.Proc) {
 			// poll timeout.
 			continue
 		}
-		r.node.WriteNotify().WaitTimeout(p, wait)
+		if wait < ctlPoll {
+			// A deadline of this loop's own (a watch, a lease expiry).
+			r.node.WriteNotify().WaitTimeout(p, wait)
+			continue
+		}
+		// Every remote WRITE into the node broadcasts WriteNotify, and
+		// nearly all of them are coordination words the executor waits on,
+		// not this loop. While busy() is false an iteration does nothing
+		// and waits ctlPoll again, which is exactly what WaitQuiet does
+		// without switching here.
+		r.node.WriteNotify().WaitQuiet(p, ctlPoll, busy)
 	}
+}
+
+// ctlPoll bounds how long the control loop sleeps without looking.
+const ctlPoll = 200 * sim.Microsecond
+
+// stActive reports whether any peer's state-transfer entry is in use.
+func (r *Replica) stActive() bool {
+	for q := range r.peers[r.part] {
+		if q != r.rank && r.readStEntry(q).status != stIdle {
+			return true
+		}
+	}
+	return false
 }
 
 // handleControl dispatches one control datagram.

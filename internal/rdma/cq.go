@@ -190,7 +190,7 @@ func (q *QP) PostRead(p *sim.Proc, cq *CQ, addr Addr, length int) (*ReadHandle, 
 			return
 		}
 		buf := make([]byte, length)
-		copy(buf, reg.buf[addr.Off:addr.Off+length])
+		copy(buf, reg.mem()[addr.Off:addr.Off+length])
 		cq.complete(h, buf, nil)
 	})
 	p.Sleep(q.cfg.PostOverhead)

@@ -86,7 +86,7 @@ func (q *QP) readCross(p *sim.Proc, addr Addr, length int) ([]byte, error) {
 		done := serve + q.bwTime(length)
 		remote.At(done, func() {
 			b := make([]byte, length)
-			copy(b, reg.buf[addr.Off:addr.Off+length])
+			copy(b, reg.mem()[addr.Off:addr.Off+length])
 			sim.CrossAt(remote, local, done+hop, func() {
 				copy(buf, b)
 				cw.complete()
@@ -112,7 +112,7 @@ func (q *QP) writeCross(p *sim.Proc, addr Addr, data []byte) error {
 		serve := q.remote.nic.admit(remote.Now(), q.cfg, len(buf))
 		commit := serve + q.bwTime(len(buf))
 		remote.At(commit, func() {
-			copy(reg.buf[addr.Off:addr.Off+len(buf)], buf)
+			copy(reg.mem()[addr.Off:addr.Off+len(buf)], buf)
 			q.remote.writeNotify.Broadcast()
 			sim.CrossAt(remote, local, commit+hop, func() { cw.complete() })
 		})
@@ -137,7 +137,7 @@ func (q *QP) postWriteCross(p *sim.Proc, addr Addr, data []byte) error {
 		serve := q.remote.nic.admit(remote.Now(), q.cfg, len(buf))
 		commit := serve + q.bwTime(len(buf))
 		remote.At(commit, func() {
-			copy(reg.buf[addr.Off:addr.Off+len(buf)], buf)
+			copy(reg.mem()[addr.Off:addr.Off+len(buf)], buf)
 			q.remote.writeNotify.Broadcast()
 		})
 	})
@@ -163,7 +163,7 @@ func (q *QP) casCross(p *sim.Proc, addr Addr, expect, swap uint64) (uint64, erro
 	sim.CrossAt(local, remote, start+hop, func() {
 		serve := q.remote.nic.admit(remote.Now(), q.cfg, 8)
 		remote.At(serve, func() {
-			word := reg.buf[addr.Off : addr.Off+8]
+			word := reg.mem()[addr.Off : addr.Off+8]
 			v := binary.LittleEndian.Uint64(word)
 			if v == expect {
 				binary.LittleEndian.PutUint64(word, swap)
@@ -219,7 +219,7 @@ func (q *QP) postReadCross(p *sim.Proc, cq *CQ, addr Addr, length int) (*ReadHan
 		done := serve + q.bwTime(length)
 		remote.At(done, func() {
 			b := make([]byte, length)
-			copy(b, reg.buf[addr.Off:addr.Off+length])
+			copy(b, reg.mem()[addr.Off:addr.Off+length])
 			sim.CrossAt(remote, local, done+hop, func() {
 				cq.complete(h, b, nil)
 			})

@@ -98,7 +98,7 @@ func TestCrossDomainVerbs(t *testing.T) {
 	if casOld != 0 {
 		t.Fatalf("CAS old = %d, want 0", casOld)
 	}
-	if v := binary.LittleEndian.Uint64(f.r2.buf[8:16]); v != 42 {
+	if v := binary.LittleEndian.Uint64(f.r2.mem()[8:16]); v != 42 {
 		t.Fatalf("CAS did not land: remote word = %d", v)
 	}
 	if posted == nil || !posted.Done() || posted.Err() != nil || string(posted.Data()) != "postpost" {

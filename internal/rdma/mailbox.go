@@ -34,6 +34,10 @@ type Mailbox struct {
 	// creditQP posts the consumer's head back to the producer.
 	creditQP   *QP
 	creditAddr Addr
+	// credit is returnCredit's payload scratch (QP.post copies it).
+	credit [8]byte
+	// ready is Recv's wake filter, built once.
+	ready func() bool
 }
 
 // MailboxWriter is the producer half of a Mailbox. The ring is single
@@ -49,6 +53,11 @@ type MailboxWriter struct {
 
 	// mu serializes Send across the producing node's processes.
 	mu *sim.Mutex
+	// word and rec are Send's scratch for the marker/tail words and the
+	// framed record: QP.post copies every payload before Send yields, and
+	// mu admits one Send at a time.
+	word [8]byte
+	rec  []byte
 }
 
 const (
@@ -66,11 +75,13 @@ var ErrMailboxFull = errors.New("rdma: mailbox full, consumer not draining")
 // Capacity is rounded up to a multiple of 8.
 func NewMailbox(consumer *Node, capacity int) *Mailbox {
 	capacity = (capacity + recordAlign - 1) &^ (recordAlign - 1)
-	return &Mailbox{
+	m := &Mailbox{
 		node: consumer,
 		reg:  consumer.RegisterRegion(mailboxHdr + capacity),
 		cap:  capacity,
 	}
+	m.ready = func() bool { return m.node.crashed || m.stirred() }
+	return m
 }
 
 // Connect returns the producer half for the given producer node. It
@@ -93,12 +104,12 @@ func (m *Mailbox) Connect(f *Fabric, producer NodeID) *MailboxWriter {
 
 // tailShadow reads the remotely-written tail from local memory.
 func (m *Mailbox) tailShadow() uint64 {
-	return binary.LittleEndian.Uint64(m.reg.buf[0:8])
+	return binary.LittleEndian.Uint64(m.reg.mem()[0:8])
 }
 
 // headShadow reads the consumer's credit from producer-local memory.
 func (w *MailboxWriter) headShadow() uint64 {
-	return binary.LittleEndian.Uint64(w.creditReg.buf[0:8])
+	return binary.LittleEndian.Uint64(w.creditReg.mem()[0:8])
 }
 
 // recordSpan returns the ring bytes a payload occupies.
@@ -136,7 +147,7 @@ func (w *MailboxWriter) Send(p *sim.Proc, payload []byte) error {
 	}
 
 	if wrap {
-		marker := make([]byte, 4)
+		marker := w.word[:4]
 		binary.LittleEndian.PutUint32(marker, wrapMarker)
 		if err := w.qp.PostWrite(p, w.addAddr(mailboxHdr+off), marker); err != nil {
 			return err
@@ -145,9 +156,13 @@ func (w *MailboxWriter) Send(p *sim.Proc, payload []byte) error {
 		off = 0
 	}
 
-	rec := make([]byte, span)
+	if cap(w.rec) < span {
+		w.rec = make([]byte, span)
+	}
+	rec := w.rec[:span]
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	copy(rec[4:], payload)
+	n := copy(rec[4:], payload)
+	clear(rec[4+n:]) // the padding must not carry an earlier record's bytes
 	if err := w.qp.PostWrite(p, w.addAddr(mailboxHdr+off), rec); err != nil {
 		return err
 	}
@@ -155,9 +170,8 @@ func (w *MailboxWriter) Send(p *sim.Proc, payload []byte) error {
 
 	// Publish the new tail. RC guarantees in-order placement, so the
 	// consumer never observes the tail ahead of the record bytes.
-	tailBuf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(tailBuf, w.tail)
-	return w.qp.PostWrite(p, w.addAddr(0), tailBuf)
+	binary.LittleEndian.PutUint64(w.word[:], w.tail)
+	return w.qp.PostWrite(p, w.addAddr(0), w.word[:])
 }
 
 // addAddr offsets the ring base address.
@@ -207,7 +221,7 @@ func (m *Mailbox) TryRecv(p *sim.Proc) ([]byte, bool) {
 			return nil, false
 		}
 		off := int(m.head % uint64(m.cap))
-		length := binary.LittleEndian.Uint32(m.reg.buf[mailboxHdr+off : mailboxHdr+off+4])
+		length := binary.LittleEndian.Uint32(m.reg.mem()[mailboxHdr+off : mailboxHdr+off+4])
 		if length == wrapMarker {
 			m.head += uint64(m.cap - off)
 			m.returnCredit(p)
@@ -222,7 +236,7 @@ func (m *Mailbox) TryRecv(p *sim.Proc) ([]byte, bool) {
 			return nil, false
 		}
 		payload := make([]byte, length)
-		copy(payload, m.reg.buf[mailboxHdr+off+4:mailboxHdr+off+4+int(length)])
+		copy(payload, m.reg.mem()[mailboxHdr+off+4:mailboxHdr+off+4+int(length)])
 		m.head += uint64(span)
 		m.returnCredit(p)
 		return payload, true
@@ -238,19 +252,25 @@ func (m *Mailbox) Recv(p *sim.Proc) ([]byte, error) {
 		if m.node.crashed {
 			return nil, fmt.Errorf("%w: node %d", ErrLocalFailure, m.node.id)
 		}
-		m.node.writeNotify.Wait(p)
+		m.node.writeNotify.WaitFor(p, m.ready)
 	}
 }
 
 // Pending reports whether a record is available without consuming it.
 func (m *Mailbox) Pending() bool { return m.tailShadow() > m.head }
 
+// stirred reports whether TryRecv would do anything at all: the published
+// tail is off the head — ahead of it (a record or wrap marker) or behind
+// it (a producer reset to adopt). While it is false TryRecv is a pure
+// no-op, which is what lets it filter a receiver's wakes.
+func (m *Mailbox) stirred() bool { return m.tailShadow() != m.head }
+
 // reset reinitializes the consumer half: the tail cell and the head
 // cursor return to zero, discarding whatever the ring holds. Called when
 // the link to the producer is re-established after faults.
 func (m *Mailbox) reset() {
 	for i := 0; i < mailboxHdr; i++ {
-		m.reg.buf[i] = 0
+		m.reg.mem()[i] = 0
 	}
 	m.head = 0
 }
@@ -259,8 +279,8 @@ func (m *Mailbox) reset() {
 // credit cell return to zero, matching a freshly reset consumer ring.
 func (w *MailboxWriter) reset() {
 	w.tail = 0
-	for i := range w.creditReg.buf {
-		w.creditReg.buf[i] = 0
+	for i := range w.creditReg.mem() {
+		w.creditReg.mem()[i] = 0
 	}
 }
 
@@ -269,10 +289,9 @@ func (m *Mailbox) returnCredit(p *sim.Proc) {
 	if m.creditQP == nil {
 		return // producer never connected; nothing to credit
 	}
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, m.head)
+	binary.LittleEndian.PutUint64(m.credit[:], m.head)
 	// Best effort: a dead producer no longer needs credit.
-	_ = m.creditQP.PostWrite(p, m.creditAddr, buf)
+	_ = m.creditQP.PostWrite(p, m.creditAddr, m.credit[:])
 }
 
 // Node returns the consumer node hosting the ring.

@@ -81,8 +81,8 @@ func (q *QP) region(addr Addr, length int) (*Region, error) {
 	if r == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoSuchRegion, addr)
 	}
-	if addr.Off < 0 || length < 0 || addr.Off+length > len(r.buf) {
-		return nil, fmt.Errorf("%w: %v len %d (region %d)", ErrOutOfBounds, addr, length, len(r.buf))
+	if addr.Off < 0 || length < 0 || addr.Off+length > r.size {
+		return nil, fmt.Errorf("%w: %v len %d (region %d)", ErrOutOfBounds, addr, length, r.size)
 	}
 	return r, nil
 }
@@ -187,7 +187,7 @@ func (q *QP) Read(p *sim.Proc, addr Addr, length int) ([]byte, error) {
 			failed = true
 			return
 		}
-		copy(buf, reg.buf[addr.Off:addr.Off+length])
+		copy(buf, reg.mem()[addr.Off:addr.Off+length])
 	})
 	p.Sleep(sim.Duration(done - p.Now()))
 	if failed {
@@ -281,7 +281,7 @@ func (q *QP) post(addr Addr, data []byte) (sim.Time, error) {
 			}
 			return
 		}
-		copy(reg.buf[addr.Off:addr.Off+len(buf)], buf)
+		copy(reg.mem()[addr.Off:addr.Off+len(buf)], buf)
 		q.remote.writeNotify.Broadcast()
 	})
 	return done, nil
@@ -323,7 +323,7 @@ func (q *QP) CompareAndSwap(p *sim.Proc, addr Addr, expect, swap uint64) (uint64
 			failed = true
 			return
 		}
-		word := reg.buf[addr.Off : addr.Off+8]
+		word := reg.mem()[addr.Off : addr.Off+8]
 		prev = binary.LittleEndian.Uint64(word)
 		if prev == expect {
 			binary.LittleEndian.PutUint64(word, swap)

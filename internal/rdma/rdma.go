@@ -339,7 +339,7 @@ func (n *Node) Scheduler() *sim.Scheduler { return n.sched }
 // memory and returns the region.
 func (n *Node) RegisterRegion(size int) *Region {
 	n.nextKey++
-	r := &Region{node: n, key: n.nextKey, buf: make([]byte, size)}
+	r := &Region{node: n, key: n.nextKey, size: size}
 	n.regions[n.nextKey] = r
 	return r
 }
@@ -348,21 +348,34 @@ func (n *Node) RegisterRegion(size int) *Region {
 type Region struct {
 	node *Node
 	key  RKey
-	buf  []byte
+	size int
+	// buf is nil until the region is first touched; use mem().
+	buf []byte
+}
+
+// mem returns the region's bytes, materializing them on first touch:
+// registered memory is demand-zeroed, so a large region that nobody
+// writes (a replica's 8 MB aux staging area outside a state transfer)
+// costs nothing to set up or to keep.
+func (r *Region) mem() []byte {
+	if r.buf == nil {
+		r.buf = make([]byte, r.size)
+	}
+	return r.buf
 }
 
 // Key returns the region's rkey.
 func (r *Region) Key() RKey { return r.key }
 
 // Len returns the region size in bytes.
-func (r *Region) Len() int { return len(r.buf) }
+func (r *Region) Len() int { return r.size }
 
 // Addr returns the fabric-wide address of offset off within the region.
 func (r *Region) Addr(off int) Addr { return Addr{Node: r.node.id, Key: r.key, Off: off} }
 
 // Bytes exposes the region's backing memory for local (same-node) access.
 // Local access is free: the host CPU reads and writes its own DRAM.
-func (r *Region) Bytes() []byte { return r.buf }
+func (r *Region) Bytes() []byte { return r.mem() }
 
 // Message is a two-sided SEND payload (control plane).
 type Message struct {

@@ -44,6 +44,8 @@ type Endpoint struct {
 	boxes []*Mailbox
 	from  []NodeID
 	next  int // round-robin cursor for fairness across rings
+	// ready is Recv's wake filter, built once: see Endpoint.Recv.
+	ready func() bool
 }
 
 // Fabric returns the underlying fabric.
@@ -60,6 +62,7 @@ func (t *Transport) Endpoint(id NodeID) *Endpoint {
 		panic(fmt.Sprintf("rdma: transport endpoint for unknown node %d", id))
 	}
 	ep := &Endpoint{t: t, node: n}
+	ep.ready = func() bool { return ep.node.crashed || ep.Stirred() }
 	t.points[id] = ep
 	return ep
 }
@@ -160,6 +163,13 @@ func (e *Endpoint) TryRecv(p *sim.Proc) (payload []byte, from NodeID, ok bool) {
 }
 
 // Recv blocks until a datagram arrives on any ring.
+//
+// The node's write-notify condition is broadcast by every WRITE that
+// lands anywhere in the node's memory, most of which are not ring tails.
+// The wait is therefore filtered: the receiver is resumed only when some
+// ring's tail has moved off its head (or the node crashed) — exactly the
+// states in which the TryRecv above would do anything (Mailbox.stirred) —
+// and every other wake is absorbed by the scheduler without a switch.
 func (e *Endpoint) Recv(p *sim.Proc) ([]byte, NodeID, error) {
 	for {
 		if pl, from, ok := e.TryRecv(p); ok {
@@ -168,7 +178,7 @@ func (e *Endpoint) Recv(p *sim.Proc) ([]byte, NodeID, error) {
 		if e.node.crashed {
 			return nil, 0, fmt.Errorf("%w: node %d", ErrLocalFailure, e.node.id)
 		}
-		e.node.writeNotify.Wait(p)
+		e.node.writeNotify.WaitFor(p, e.ready)
 	}
 }
 
@@ -188,7 +198,7 @@ func (e *Endpoint) RecvTimeout(p *sim.Proc, d sim.Duration) (payload []byte, fro
 		if remaining <= 0 {
 			return nil, 0, false
 		}
-		if !e.node.writeNotify.WaitTimeout(p, remaining) {
+		if !e.node.writeNotify.WaitForTimeout(p, remaining, e.ready) {
 			// Timed out; loop once more to drain anything that raced in.
 			if pl, f, got := e.TryRecv(p); got {
 				return pl, f, true
@@ -202,6 +212,19 @@ func (e *Endpoint) RecvTimeout(p *sim.Proc, d sim.Duration) (payload []byte, fro
 func (e *Endpoint) Pending() bool {
 	for _, mb := range e.boxes {
 		if mb.Pending() {
+			return true
+		}
+	}
+	return false
+}
+
+// Stirred reports whether TryRecv would do anything at all — deliver a
+// datagram, skip a wrap marker, or resynchronize a ring (Mailbox.stirred).
+// While it is false TryRecv is a no-op, so a poller may use it as a wake
+// filter; Pending is the narrower "a datagram is ready".
+func (e *Endpoint) Stirred() bool {
+	for _, mb := range e.boxes {
+		if mb.stirred() {
 			return true
 		}
 	}

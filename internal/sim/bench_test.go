@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // BenchmarkEventThroughput measures raw event scheduling + dispatch.
 func BenchmarkEventThroughput(b *testing.B) {
@@ -20,7 +23,8 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkProcSwitch measures process context-switch cost (sleep/wake).
+// BenchmarkProcSwitch measures process context-switch cost (sleep/wake):
+// one wake event and one coroutine round trip per operation.
 func BenchmarkProcSwitch(b *testing.B) {
 	s := NewScheduler()
 	s.Spawn("switcher", func(p *Proc) {
@@ -28,96 +32,55 @@ func BenchmarkProcSwitch(b *testing.B) {
 			p.Sleep(Microsecond)
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
 	}
 }
 
-// BenchmarkCondBroadcast measures wait/broadcast pairs.
+// BenchmarkCondBroadcast measures one broadcast reaching one waiter, per
+// wait form. "wake" and "timed" switch to the waiter every time (timed
+// also arms and cancels a timeout); "filtered" is the case the predicate
+// waits exist for — the waiter's predicate is false, so the broadcast
+// costs a wake event and a callback, and no switch to the waiter.
 func BenchmarkCondBroadcast(b *testing.B) {
-	s := NewScheduler()
-	c := NewCond(s)
-	s.Spawn("waiter", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			c.Wait(p)
-		}
-	})
-	s.Spawn("signaler", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(Microsecond)
-			c.Broadcast()
-		}
-	})
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
+	never := func() bool { return false }
+	for _, bc := range []struct {
+		name string
+		wait func(c *Cond, p *Proc)
+	}{
+		{"wake", func(c *Cond, p *Proc) { c.Wait(p) }},
+		{"timed", func(c *Cond, p *Proc) { c.WaitTimeout(p, Second) }},
+		{"filtered", func(c *Cond, p *Proc) { c.WaitFor(p, never) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := NewScheduler()
+			defer s.Close()
+			c := NewCond(s)
+			s.Spawn("waiter", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					bc.wait(c, p)
+				}
+			})
+			s.Spawn("signaler", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					p.Sleep(Microsecond)
+					c.Broadcast()
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := s.Run(); err != nil && !errors.Is(err, ErrDeadlock) {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 
-// Queue microbenchmarks. oldHeap reproduces the scheduler's previous
-// event queue — a plain binary heap of per-event allocations, no free
-// list, no same-time bucketing — so old and new can be compared like for
-// like (recorded numbers live in EXPERIMENTS.md).
-
-type oldEvent struct {
-	at  Time
-	seq uint64
-	fn  func()
-}
-
-type oldHeap struct {
-	evs []*oldEvent
-	seq uint64
-}
-
-func (h *oldHeap) push(at Time, fn func()) {
-	ev := &oldEvent{at: at, seq: h.seq, fn: fn}
-	h.seq++
-	h.evs = append(h.evs, ev)
-	i := len(h.evs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.evs[i], h.evs[parent] = h.evs[parent], h.evs[i]
-		i = parent
-	}
-}
-
-func (h *oldHeap) less(i, j int) bool {
-	a, b := h.evs[i], h.evs[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (h *oldHeap) pop() *oldEvent {
-	root := h.evs[0]
-	last := len(h.evs) - 1
-	h.evs[0] = h.evs[last]
-	h.evs[last] = nil
-	h.evs = h.evs[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.evs) && h.less(l, small) {
-			small = l
-		}
-		if r < len(h.evs) && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.evs[i], h.evs[small] = h.evs[small], h.evs[i]
-		i = small
-	}
-	return root
-}
+// Queue microbenchmarks. The binary heap the calendar queue replaced was
+// benchmarked against it here until PR 12; the last old-vs-new numbers
+// are recorded in EXPERIMENTS.md.
 
 var sinkTime Time
 
@@ -126,68 +89,35 @@ func nop() {}
 // Dense burst: many events at the same instant, the pattern produced by a
 // message fan-out or an open-loop arrival batch. The calendar queue turns
 // each push into an O(1) append on the live bucket.
-func BenchmarkQueueDenseBurstNew(b *testing.B) {
+func BenchmarkQueueDenseBurst(b *testing.B) {
 	const burst = 256
 	var q eventQueue
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		at := Time(i)
 		for j := 0; j < burst; j++ {
-			q.push(at, uint64(i*burst+j), nop)
+			q.push(at, event{seq: uint64(i*burst + j), fn: nop})
 		}
 		for q.len() > 0 {
-			ev := q.pop()
-			sinkTime = ev.at
-			q.recycle(ev)
-		}
-	}
-}
-
-func BenchmarkQueueDenseBurstOld(b *testing.B) {
-	const burst = 256
-	var h oldHeap
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		at := Time(i)
-		for j := 0; j < burst; j++ {
-			h.push(at, nop)
-		}
-		for len(h.evs) > 0 {
-			sinkTime = h.pop().at
+			sinkTime, _ = q.pop()
 		}
 	}
 }
 
 // Timer wheel: push/pop with strictly increasing times and a standing
 // population, the steady-state pattern of per-proc timers.
-func BenchmarkQueueTimerNew(b *testing.B) {
+func BenchmarkQueueTimer(b *testing.B) {
 	const standing = 1024
 	var q eventQueue
 	for j := 0; j < standing; j++ {
-		q.push(Time(j), uint64(j), nop)
+		q.push(Time(j), event{seq: uint64(j), fn: nop})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := q.pop()
-		sinkTime = ev.at
-		q.push(ev.at+standing, uint64(standing+i), nop)
-		q.recycle(ev)
-	}
-}
-
-func BenchmarkQueueTimerOld(b *testing.B) {
-	const standing = 1024
-	var h oldHeap
-	for j := 0; j < standing; j++ {
-		h.push(Time(j), nop)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := h.pop()
-		sinkTime = ev.at
-		h.push(ev.at+standing, nop)
+		at, _ := q.pop()
+		sinkTime = at
+		q.push(at+standing, event{seq: uint64(standing + i), fn: nop})
 	}
 }
 

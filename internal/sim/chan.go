@@ -5,15 +5,23 @@ package sim
 // available. It is the building block for mailbox-style communication in
 // the simulated message-passing network and for control-plane queues.
 type Chan[T any] struct {
+	// buf[head:] are the queued elements. The consumed prefix is reclaimed
+	// when the queue drains, so a channel that fills and empties in bursts
+	// keeps one backing array instead of walking it forward and
+	// reallocating on every burst.
 	buf    []T
+	head   int
 	nonEmp *Cond
 	closed bool
+	// ready is the receivers' wake filter, built once.
+	ready func() bool
 }
 
 // NewChan returns an empty queue bound to s.
 func NewChan[T any](s *Scheduler) *Chan[T] {
 	c := &Chan[T]{nonEmp: NewCond(s)}
 	c.nonEmp.Reason = "chan recv"
+	c.ready = func() bool { return c.head < len(c.buf) || c.closed }
 	return c
 }
 
@@ -49,43 +57,40 @@ func (c *Chan[T]) Closed() bool { return c.closed }
 // is available. The second result is false if the channel was closed and
 // drained.
 func (c *Chan[T]) Recv(p *Proc) (T, bool) {
-	for len(c.buf) == 0 {
-		if c.closed {
-			var zero T
-			return zero, false
-		}
-		c.nonEmp.Wait(p)
-	}
-	v := c.buf[0]
-	c.buf = c.buf[1:]
-	return v, true
+	c.nonEmp.WaitUntil(p, c.ready)
+	return c.TryRecv()
 }
 
 // RecvTimeout is like Recv but gives up after d, returning ok=false.
 func (c *Chan[T]) RecvTimeout(p *Proc, d Duration) (T, bool) {
-	ok := c.nonEmp.WaitUntilTimeout(p, d, func() bool { return len(c.buf) > 0 || c.closed })
-	if !ok || len(c.buf) == 0 {
-		var zero T
-		return zero, false
-	}
-	v := c.buf[0]
-	c.buf = c.buf[1:]
-	return v, true
+	c.nonEmp.WaitUntilTimeout(p, d, c.ready)
+	return c.TryRecv()
 }
 
 // TryRecv dequeues without blocking; ok=false when empty.
 func (c *Chan[T]) TryRecv() (T, bool) {
-	if len(c.buf) == 0 {
-		var zero T
+	var zero T
+	if c.head == len(c.buf) {
 		return zero, false
 	}
-	v := c.buf[0]
-	c.buf = c.buf[1:]
+	v := c.buf[c.head]
+	c.buf[c.head] = zero
+	c.head++
+	switch {
+	case c.head == len(c.buf):
+		c.buf, c.head = c.buf[:0], 0
+	case c.head >= 64 && 2*c.head >= len(c.buf):
+		// A queue that never drains (a backlogged pump) must not keep its
+		// consumed prefix: slide the live half down.
+		n := copy(c.buf, c.buf[c.head:])
+		clear(c.buf[n:])
+		c.buf, c.head = c.buf[:n], 0
+	}
 	return v, true
 }
 
 // Len returns the number of queued elements.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return len(c.buf) - c.head }
 
 // Close marks the channel closed; blocked receivers drain remaining
 // elements and then observe ok=false.

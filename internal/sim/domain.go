@@ -30,6 +30,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // crossEvent is an event scheduled into another domain, buffered in the
@@ -107,6 +108,13 @@ func (d *Domains) EventCount() uint64 {
 		n += m.eventCount
 	}
 	return n
+}
+
+// Close unwinds every live process of every domain (see Scheduler.Close).
+func (d *Domains) Close() {
+	for _, m := range d.members {
+		m.Close()
+	}
 }
 
 // Windows returns how many conservative windows (= barrier
@@ -220,12 +228,21 @@ func (d *Domains) runParallel(deadline Time) error {
 	n := len(d.members)
 	cmds := make([]chan Time, n)
 	done := make(chan int, n)
+	var workers sync.WaitGroup
 	for i, m := range d.members {
 		cmds[i] = make(chan Time)
+		workers.Add(1)
 		go func(m *Scheduler, cmd chan Time) {
+			defer workers.Done()
 			for end := range cmd {
-				m.windowErr = m.runLocal(end)
-				done <- m.domID
+				// A process that ends its goroutine (runtime.Goexit, e.g.
+				// t.FailNow in a test body) takes this worker with it: the
+				// barrier must still be released, with an error.
+				m.windowErr = fmt.Errorf("sim: domain %d: a process exited the window's goroutine", m.domID)
+				func() {
+					defer func() { done <- m.domID }()
+					m.windowErr = m.runLocal(end)
+				}()
 			}
 		}(m, cmds[i])
 	}
@@ -233,6 +250,7 @@ func (d *Domains) runParallel(deadline Time) error {
 		for _, c := range cmds {
 			close(c)
 		}
+		workers.Wait()
 	}()
 
 	for {
@@ -281,7 +299,7 @@ func (d *Domains) runSequential(deadline Time) error {
 		var best *Scheduler
 		var bestAt Time
 		for _, m := range d.members {
-			if at, ok := m.q.peek(); ok && (best == nil || at < bestAt) {
+			if at, ok := m.nextTime(); ok && (best == nil || at < bestAt) {
 				best, bestAt = m, at
 			}
 		}
@@ -291,17 +309,9 @@ func (d *Domains) runSequential(deadline Time) error {
 		if bestAt > deadline {
 			return nil
 		}
-		if best.fatalErr != nil {
-			return best.fatalErr
+		if _, err := best.execNext(deadline + 1); err != nil {
+			return err
 		}
-		ev := best.q.pop()
-		best.now = ev.at
-		best.eventCount++
-		if best.MaxEvents != 0 && best.eventCount > best.MaxEvents {
-			return fmt.Errorf("sim: domain %d exceeded MaxEvents=%d at t=%v", best.domID, best.MaxEvents, best.now)
-		}
-		ev.fn()
-		best.q.recycle(ev)
 		if best.fatalErr != nil {
 			return best.fatalErr
 		}
@@ -313,7 +323,7 @@ func (d *Domains) nextEventTime() (Time, bool) {
 	var min Time
 	any := false
 	for _, m := range d.members {
-		if at, ok := m.q.peek(); ok && (!any || at < min) {
+		if at, ok := m.nextTime(); ok && (!any || at < min) {
 			min, any = at, true
 		}
 	}

@@ -17,7 +17,7 @@ package sim
 type Mutex struct {
 	s       *Scheduler
 	owner   *Proc
-	waiters []*Proc
+	waiters waitList
 }
 
 // NewMutex returns an unlocked mutex bound to s.
@@ -30,11 +30,12 @@ func (m *Mutex) Lock(p *Proc) {
 		m.owner = p
 		return
 	}
-	m.waiters = append(m.waiters, p)
+	m.waiters.pushBack(p)
 	p.waitReason = "mutex"
 	p.doYield()
 	// Resumed either by a grant (owner == p) or by Kill (which panics
-	// out of doYield before reaching here).
+	// out of doYield before reaching here, and takes p off the list as it
+	// unwinds).
 }
 
 // Unlock releases the mutex held by p and hands it to the oldest live
@@ -42,20 +43,18 @@ func (m *Mutex) Lock(p *Proc) {
 // this makes deferred unlocks safe for waiters killed before their
 // grant. Unlocking a completely free mutex panics.
 func (m *Mutex) Unlock(p *Proc) {
-	if m.owner == nil && len(m.waiters) == 0 {
+	if m.owner == nil && m.waiters.head == nil {
 		panic("sim: unlock of unlocked Mutex")
 	}
 	if m.owner != p {
 		return
 	}
-	for len(m.waiters) > 0 {
-		next := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		if next.state == procDone || next.killed {
-			continue // killed while waiting; never grant
+	for next := m.waiters.popFront(); next != nil; next = m.waiters.popFront() {
+		if next.killed {
+			continue // killed while waiting, not yet unwound; never grant
 		}
 		m.owner = next
-		m.s.At(m.s.now, func() { m.s.step(next) })
+		m.s.wakeAt(m.s.now, next)
 		return
 	}
 	m.owner = nil

@@ -2,12 +2,15 @@
 //
 // All Heron protocol logic runs as cooperative processes (Proc) scheduled
 // over a virtual clock. Within one scheduler exactly one process executes
-// at a time; control is handed between the scheduler goroutine and process
-// goroutines through a strict handshake, so executions are fully
-// deterministic for a given sequence of Spawn/After calls. Virtual time is
-// advanced only by the event queue: a process gives up the CPU by
-// sleeping, waiting on a Cond, or exiting, never by blocking on real OS
-// primitives.
+// at a time; a process is a coroutine (iter.Pull) that the scheduler
+// resumes and that hands control straight back when it parks, so
+// executions are fully deterministic for a given sequence of Spawn/After
+// calls. Virtual time is advanced only by the event queue: a process
+// gives up the CPU by sleeping, waiting on a Cond, or exiting, never by
+// blocking on real OS primitives. The scheduler switches to a process
+// only when it has something to do: a parked wait's predicate is
+// evaluated by the wake event itself (see Cond), and a wait's timeout is
+// cancelled, not left to fire, once the wait is released.
 //
 // A Scheduler is also one domain of a parallel simulation (see domain.go):
 // independent partitions of a deployment can each own a scheduler, with
@@ -23,6 +26,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 	"sync"
 	"time"
@@ -55,10 +59,15 @@ var ErrDeadlock = errors.New("sim: deadlock: no pending events but processes are
 // value is not usable; call NewScheduler (standalone) or NewDomains
 // (parallel).
 type Scheduler struct {
-	now      Time
-	q        eventQueue
-	seq      uint64
-	procs    map[*Proc]struct{}
+	now Time
+	q   eventQueue
+	// timers holds the armed timeouts of parked waits; execNext merges it
+	// with q by (time, seq).
+	timers timerHeap
+	seq    uint64
+	// procs lists the live processes; a Proc knows its index, so exit is
+	// O(1) and Close unwinds in a deterministic order.
+	procs    []*Proc
 	running  bool
 	fatalErr error
 
@@ -92,9 +101,7 @@ type Scheduler struct {
 
 // NewScheduler returns an empty standalone scheduler with the clock at
 // zero.
-func NewScheduler() *Scheduler {
-	return &Scheduler{procs: make(map[*Proc]struct{})}
-}
+func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -110,7 +117,14 @@ func (s *Scheduler) At(at Time, fn func()) {
 		at = s.now
 	}
 	s.seq++
-	s.q.push(at, s.seq, fn)
+	s.q.push(at, event{seq: s.seq, fn: fn})
+}
+
+// wakeAt schedules a wake of p at absolute time at (>= now): the
+// closure-free form of At(at, func() { s.wake(p) }).
+func (s *Scheduler) wakeAt(at Time, p *Proc) {
+	s.seq++
+	s.q.push(at, event{seq: s.seq, p: p})
 }
 
 // After schedules fn to run d from now. Negative delays are clamped to 0.
@@ -132,8 +146,8 @@ const (
 	procDone
 )
 
-// Proc is a cooperative process. A Proc's body runs on its own goroutine
-// but only while the scheduler has handed it control; it must yield by
+// Proc is a cooperative process. A Proc's body runs as a coroutine that
+// executes only while the scheduler has resumed it; it must yield by
 // calling Sleep, a Cond wait, or returning. All Proc methods must be
 // called from the process's own body (they are not safe for use from
 // other goroutines or from plain events).
@@ -141,13 +155,16 @@ type Proc struct {
 	s     *Scheduler
 	name  string
 	state procState
+	idx   int // position in s.procs
 
-	// The handshake channels have capacity 1 so that handing the token
-	// over never parks the giving side: a context switch costs one park
-	// (the receiving side) instead of two. The strict alternation of
-	// scheduler and process keeps at most one token in flight.
-	resume chan struct{} // scheduler -> proc: you have the CPU
-	yield  chan struct{} // proc -> scheduler: I gave it back
+	// next resumes the body until it parks or returns and stop unwinds a
+	// parked body (both scheduler side); yield parks the body and
+	// reports false once stop was called. A hand-off is one direct
+	// coroutine switch each way, with no channel and no Go-scheduler
+	// round trip.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// waitReason says what a blocked process is waiting for; it feeds the
 	// deadlock report.
@@ -155,6 +172,65 @@ type Proc struct {
 
 	// killed requests the proc to stop at its next yield point.
 	killed bool
+
+	// Wait registration. A process parks on at most one thing at a time,
+	// so the waiter record lives in the Proc itself and a wait allocates
+	// nothing. wl is the Cond's or Mutex's list p is queued on (nil once
+	// released), linked through wprev/wnext. The rest describes a Cond
+	// wait: its cond and wake filter (see Cond.park), its deadline (which
+	// a filtered wake moves to now+quiet when quiet > 0, see WaitQuiet),
+	// and the armed timeout's (deadline, tseq) key and position in
+	// s.timers (tidx < 0: none armed).
+	wl           *waitList
+	wprev, wnext *Proc
+	cond         *Cond
+	pred         func() bool
+	deadline     Time
+	quiet        Duration
+	tseq         uint64
+	tidx         int
+	timedOut     bool
+}
+
+// noDeadline marks a wait without a timeout.
+const noDeadline = Time(1<<63 - 1)
+
+// waitList is an intrusive FIFO of parked processes: O(1) append, pop
+// and removal from the middle (a timed-out or killed waiter), order
+// preserved, no allocation.
+type waitList struct{ head, tail *Proc }
+
+func (l *waitList) pushBack(p *Proc) {
+	p.wl, p.wprev, p.wnext = l, l.tail, nil
+	if l.tail != nil {
+		l.tail.wnext = p
+	} else {
+		l.head = p
+	}
+	l.tail = p
+}
+
+func (l *waitList) remove(p *Proc) {
+	if p.wprev != nil {
+		p.wprev.wnext = p.wnext
+	} else {
+		l.head = p.wnext
+	}
+	if p.wnext != nil {
+		p.wnext.wprev = p.wprev
+	} else {
+		l.tail = p.wprev
+	}
+	p.wl, p.wprev, p.wnext = nil, nil, nil
+}
+
+// popFront removes and returns the oldest waiter, or nil.
+func (l *waitList) popFront() *Proc {
+	p := l.head
+	if p != nil {
+		l.remove(p)
+	}
+	return p
 }
 
 // Name returns the process's diagnostic name.
@@ -179,64 +255,103 @@ func (s *Scheduler) Spawn(name string, body func(p *Proc)) *Proc {
 
 // SpawnAfter creates a process whose body starts d from now.
 func (s *Scheduler) SpawnAfter(d Duration, name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		s:      s,
-		name:   name,
-		state:  procNew,
-		resume: make(chan struct{}, 1),
-		yield:  make(chan struct{}, 1),
-	}
-	s.procs[p] = struct{}{}
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedErr); !ok {
-					if s.fatalErr == nil {
-						s.fatalErr = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
-					}
-				}
-			}
-			p.state = procDone
-			delete(s.procs, p)
-			p.yield <- struct{}{}
-		}()
-		if p.killed {
-			panic(killedErr{p.name})
+	p := &Proc{s: s, name: name, state: procNew, idx: len(s.procs), tidx: -1}
+	s.procs = append(s.procs, p)
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
+		if !p.killed {
+			body(p)
 		}
-		body(p)
-	}()
-	s.After(d, func() { s.step(p) })
+	})
+	if d < 0 {
+		d = 0
+	}
+	s.wakeAt(s.now+Time(d), p)
 	return p
 }
 
-// step hands the CPU to p and blocks the scheduler until p yields it back.
+// exit is the body's deferred epilogue: it records a panic other than the
+// kill sentinel as the run's fatal error and retires the process.
+func (p *Proc) exit() {
+	if r := recover(); r != nil {
+		if _, ok := r.(killedErr); !ok && p.s.fatalErr == nil {
+			p.s.fatalErr = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
+		}
+	}
+	p.finish()
+}
+
+// finish marks p done and drops every registration it still holds — its
+// place on a Cond's or Mutex's wait list, its armed timeout, its slot in
+// the process table — so nothing later wakes, grants to, or evaluates the
+// predicate of a dead process. Idempotent.
+func (p *Proc) finish() {
+	if p.state == procDone {
+		return
+	}
+	p.state = procDone
+	if p.wl != nil {
+		p.wl.remove(p)
+	}
+	s := p.s
+	s.timers.cancel(p)
+	last := len(s.procs) - 1
+	s.procs[p.idx] = s.procs[last]
+	s.procs[p.idx].idx = p.idx
+	s.procs[last] = nil
+	s.procs = s.procs[:last]
+}
+
+// step hands the CPU to p and returns when p parks or finishes.
 func (s *Scheduler) step(p *Proc) {
 	if p.state == procDone {
 		return
 	}
 	p.state = procRunning
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
+}
+
+// wake executes a wake event for p. A process parked in a filtered wait
+// is resumed only if its predicate now holds: otherwise the event re-arms
+// the wait exactly as the process would have on finding the predicate
+// false — back of the cond's list, fresh timeout for the same deadline
+// (WaitQuiet: for a full quiet period from now) — and no switch happens.
+// The predicate thus runs in the very (time, seq) slot in which the
+// process itself would have evaluated it, so filtering changes what a
+// spurious wake costs and nothing about event order.
+func (s *Scheduler) wake(p *Proc) {
+	if p.pred != nil && !p.killed && !p.pred() {
+		if p.quiet > 0 {
+			p.deadline = s.now + Time(p.quiet)
+		}
+		if p.deadline > s.now {
+			p.cond.enqueue(p)
+			return
+		}
+		p.timedOut = true // released at its deadline with the predicate still false
+	}
+	s.step(p)
 }
 
 // doYield parks the calling process and returns control to the scheduler.
-// The caller must already have arranged for a future resume (a timer event
-// or a Cond waiter registration), otherwise the process deadlocks.
+// The caller must already have arranged for a future resume (a wake
+// event, a timeout, or a wait-list registration), otherwise the process
+// deadlocks.
 func (p *Proc) doYield() {
 	p.state = procBlocked
-	p.yield <- struct{}{}
-	<-p.resume
-	p.state = procRunning
-	p.waitReason = ""
-	if p.killed {
+	if !p.yield(struct{}{}) || p.killed {
 		panic(killedErr{p.name})
 	}
+	p.waitReason = ""
 }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d Duration) {
-	p.s.After(d, func() { p.s.step(p) })
+	if d < 0 {
+		d = 0
+	}
+	p.s.wakeAt(p.s.now+Time(d), p)
 	p.waitReason = "sleep"
 	p.doYield()
 }
@@ -247,22 +362,36 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // Kill requests the process to terminate. The process unwinds (via panic
 // with a recovered sentinel) the next time it would resume from a yield
-// point. Killing an already-finished process is a no-op. Kill is intended
-// for failure injection in tests and experiments.
+// point, releasing whatever Cond, Mutex or timeout it was parked on.
+// Killing an already-finished process is a no-op. Kill is intended for
+// failure injection in tests and experiments.
 func (p *Proc) Kill() {
 	if p.state == procDone {
 		return
 	}
 	p.killed = true
 	if p.state == procBlocked || p.state == procNew {
-		// Wake it up so it can unwind. Waking a Cond waiter twice is
-		// harmless: the second resume finds the proc done and is a no-op.
-		p.s.At(p.s.now, func() { p.s.step(p) })
+		// Wake it up so it can unwind. A wake the process was already due
+		// (a sleep ending, a broadcast) then finds it done and is a no-op.
+		p.s.wakeAt(p.s.now, p)
 	}
 }
 
 // Killed reports whether Kill has been requested for this process.
 func (p *Proc) Killed() bool { return p.killed }
+
+// Close unwinds every process that has not finished, as Kill would, and
+// releases its coroutine, so a scheduler dropped with processes still
+// parked leaves no goroutine behind. Call it when done with the
+// scheduler, from outside Run; the scheduler must not be run again.
+func (s *Scheduler) Close() {
+	for n := len(s.procs); n > 0; n = len(s.procs) {
+		p := s.procs[n-1]
+		p.killed = true
+		p.stop()
+		p.finish() // a body that never started has no epilogue to run it
+	}
+}
 
 // Run executes events until the queue drains or until an error occurs. It
 // returns a deadlock error (errors.Is(err, ErrDeadlock)) naming the
@@ -290,7 +419,7 @@ func (s *Scheduler) RunUntil(deadline Time) error {
 	if err := s.runLocal(deadline + 1); err != nil {
 		return err
 	}
-	if s.q.len() > 0 {
+	if s.q.len() > 0 || len(s.timers) > 0 {
 		return nil // future events remain past the deadline
 	}
 	return s.checkLocalDeadlock()
@@ -301,22 +430,60 @@ func (s *Scheduler) RunUntil(deadline Time) error {
 // both standalone runs and parallel windows.
 func (s *Scheduler) runLocal(end Time) error {
 	for {
-		if s.fatalErr != nil {
-			return s.fatalErr
+		if ran, err := s.execNext(end); !ran {
+			return err
 		}
-		at, ok := s.q.peek()
-		if !ok || at >= end {
-			return nil
-		}
-		ev := s.q.pop()
-		s.now = ev.at
-		s.eventCount++
-		if s.MaxEvents != 0 && s.eventCount > s.MaxEvents {
-			return fmt.Errorf("sim: exceeded MaxEvents=%d at t=%v", s.MaxEvents, s.now)
-		}
-		ev.fn()
-		s.q.recycle(ev)
 	}
+}
+
+// nextTime returns the time of the earliest pending event or timeout.
+func (s *Scheduler) nextTime() (Time, bool) {
+	at, _, ok := s.q.peek()
+	if len(s.timers) > 0 && (!ok || s.timers[0].deadline < at) {
+		return s.timers[0].deadline, true
+	}
+	return at, ok
+}
+
+// execNext executes the earliest pending event or timeout if it is due
+// strictly before end, reporting whether it ran one. It is the single
+// dispatch point of every kernel — standalone, parallel window and
+// sequential fallback: callbacks, process wakes and wait timeouts all
+// execute here, in (time, seq) order.
+func (s *Scheduler) execNext(end Time) (bool, error) {
+	if s.fatalErr != nil {
+		return false, s.fatalErr
+	}
+	at, seq, ok := s.q.peek()
+	var t *Proc
+	if len(s.timers) > 0 {
+		if h := s.timers[0]; !ok || h.deadline < at || (h.deadline == at && h.tseq < seq) {
+			t, at, ok = h, h.deadline, true
+		}
+	}
+	if !ok || at >= end {
+		return false, nil
+	}
+	s.now = at
+	s.eventCount++
+	if s.MaxEvents != 0 && s.eventCount > s.MaxEvents {
+		return false, fmt.Errorf("sim: domain %d exceeded MaxEvents=%d at t=%v", s.domID, s.MaxEvents, s.now)
+	}
+	if t != nil {
+		// The wait timed out: nothing released it, so it is still queued.
+		s.timers.cancel(t)
+		t.wl.remove(t)
+		t.timedOut = true
+		s.step(t)
+		return true, nil
+	}
+	_, ev := s.q.pop()
+	if ev.fn != nil {
+		ev.fn()
+	} else {
+		s.wake(ev.p)
+	}
+	return true, nil
 }
 
 // checkLocalDeadlock returns the deadlock error if any of this domain's
@@ -352,7 +519,7 @@ func joinBlocked(blocked []string) string {
 // that can never run again because the event queue is empty.
 func (s *Scheduler) blockedProcs() []string {
 	var names []string
-	for p := range s.procs {
+	for _, p := range s.procs {
 		if p.state == procBlocked {
 			reason := p.waitReason
 			if reason == "" {
