@@ -45,6 +45,7 @@ func RunCutoffAblation(cutoffs []sim.Duration, slow sim.Duration, window sim.Dur
 	res := &CutoffResult{SlowDelay: slow}
 	for i, cutoff := range cutoffs {
 		s := sim.NewScheduler()
+		defer s.Close()
 		opt := DefaultOptions(2)
 		opt.Window = window
 		opt.CutoffDelay = cutoff

@@ -13,6 +13,7 @@ import (
 // RunDynaStar measures the message-passing baseline under TPCC.
 func RunDynaStar(opt Options) (*HeronRun, error) {
 	s := sim.NewScheduler()
+	defer s.Close()
 	layout := Layout(opt.Warehouses, opt.Replicas)
 	ds := tpcc.NewDataset(opt.Seed, opt.Warehouses, opt.Scale)
 	cfg := dynastar.DefaultConfig(multicast.DefaultConfig(layout), 99999)

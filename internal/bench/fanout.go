@@ -73,6 +73,7 @@ func RunFanout(sizes []int, targets, slotBytes int, o *obs.Observer) (*FanoutRes
 // fanoutRun measures one (read-set size, mode) cell on a fresh fabric.
 func fanoutRun(k, targets, slotBytes int, pipelined bool, o *obs.Observer) (sim.Duration, error) {
 	s := sim.NewScheduler()
+	defer s.Close()
 	f := rdma.NewFabric(s, rdma.DefaultConfig())
 	if o != nil {
 		f.Observe(o)

@@ -42,6 +42,7 @@ func (t *traceSink) RequestDone(part core.PartitionID, rank int, id multicast.Ms
 // so the five runs share one trace file without colliding.
 func runFig6Workload(name string, warehouses, fixedParts, requests int, seed int64, o *obs.Observer) (Fig6Row, error) {
 	s := sim.NewScheduler()
+	defer s.Close()
 	opt := DefaultOptions(warehouses)
 	opt.Seed = seed
 	opt.Obs = o.Scope(name)

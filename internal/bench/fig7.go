@@ -56,6 +56,7 @@ func RunFig7(warehouses, requests int, o *obs.Observer) (*Fig7Result, error) {
 		opt.Obs = o.Scope(fmt.Sprint(kind))
 
 		s := sim.NewScheduler()
+		defer s.Close()
 		d, _, err := BuildHeron(s, opt)
 		if err != nil {
 			return nil, err

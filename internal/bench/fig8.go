@@ -100,6 +100,7 @@ func measureTransfer(slots, auxBytes, runs int, o *obs.Observer) (Fig8Row, error
 			return Fig8Row{}, fmt.Errorf("state transfer did not complete (slots=%d aux=%d)", slots, auxBytes)
 		}
 		rec.Add(lat)
+		s.Close()
 		releaseMemory()
 	}
 	return Fig8Row{
@@ -155,6 +156,7 @@ func RunFig8(runs int, fullWarehouse bool, o *obs.Observer) (*Fig8Result, error)
 // measureFullWarehouse recovers a complete full-scale TPCC warehouse.
 func measureFullWarehouse() (int, sim.Duration, error) {
 	s := sim.NewScheduler()
+	defer s.Close()
 	scale := tpcc.FullScale()
 	layout := Layout(1, 3)
 	ds := tpcc.NewDataset(1, 1, scale)

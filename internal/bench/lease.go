@@ -19,13 +19,23 @@ import (
 // same deployment shape — leases off (every read is an ordered
 // multicast round) and leases on (reads probe the partition's lease
 // holder and fall back to the ordered path on decline) — and the
-// result compares the measured read latencies. The CI gate requires
-// the leased local read to beat the ordered read by at least
-// LeaseGateSpeedup.
-
-// LeaseGateSpeedup is the acceptance floor on the ordered-read /
-// local-read mean latency ratio.
-const LeaseGateSpeedup = 3.0
+// result compares the measured read latencies.
+//
+// The CI gate holds the fast path to what a lease promises, in absolute
+// terms: a local read is one round trip to the holder (two ring writes
+// and a handler, ~3 us on the default fabric), so its mean and p99 must
+// stay under LeaseGateLocalMean and LeaseGateLocalP99, nearly every read
+// must take that path (LeaseGateHitRate), and it must keep a clear margin
+// over the ordered path (LeaseGateSpeedup). The margin is deliberately
+// not the headline: it is a ratio against a baseline that every ordering
+// improvement shrinks (4.93x before PR 13's one-doorbell ring, 3.03x
+// after, with the local read itself 10 % faster).
+const (
+	LeaseGateLocalMean = 4 * sim.Microsecond
+	LeaseGateLocalP99  = 6 * sim.Microsecond
+	LeaseGateHitRate   = 0.9
+	LeaseGateSpeedup   = 2.0
+)
 
 // LeaseBenchOptions configure one off/on benchmark pair.
 type LeaseBenchOptions struct {
@@ -45,7 +55,10 @@ type LeaseBenchOptions struct {
 
 	OpTimeout sim.Duration
 
-	Obs *obs.Observer
+	// ObsOff and ObsOn observe the leases-off and the leases-on leg. The
+	// legs are two simulations, each starting at virtual time zero and
+	// numbering its requests from one, so they cannot share an observer.
+	ObsOff, ObsOn *obs.Observer
 }
 
 // DefaultLeaseBenchOptions sizes a pair so one run finishes in seconds
@@ -109,16 +122,19 @@ type LeaseResult struct {
 	Off LeaseRunStats `json:"off"`
 	On  LeaseRunStats `json:"on"`
 
+	// HitRate is the share of the on-run's reads a holder served locally.
+	HitRate float64 `json:"hit_rate"`
 	// Speedup is the ordered-read mean over the local-read mean.
 	Speedup float64 `json:"speedup"`
 }
 
-// Gate is the CI pass condition: the fast path actually served the
-// majority of the on-run's reads and beat the ordered path by the
-// acceptance floor.
+// Gate is the CI pass condition: the on-run's local reads met the
+// absolute latency bounds, nearly all reads were local, and the fast
+// path kept its margin over the ordered path.
 func (r *LeaseResult) Gate() bool {
-	return r.On.LocalReads > r.On.FallbackReads &&
-		r.Off.ReadMeanNS > 0 && r.On.ReadMeanNS > 0 &&
+	return r.On.ReadMeanNS > 0 && r.On.ReadMeanNS <= int64(LeaseGateLocalMean) &&
+		r.On.ReadP99NS <= int64(LeaseGateLocalP99) &&
+		r.HitRate >= LeaseGateHitRate &&
 		r.Speedup >= LeaseGateSpeedup
 }
 
@@ -188,6 +204,9 @@ func RunLeaseBench(o LeaseBenchOptions) (*LeaseResult, error) {
 		return nil, err
 	}
 	res.Off, res.On = *off, *on
+	if reads := on.LocalReads + on.FallbackReads; reads > 0 {
+		res.HitRate = float64(on.LocalReads) / float64(reads)
+	}
 	if off.ReadMeanNS > 0 && on.ReadMeanNS > 0 {
 		res.Speedup = float64(off.ReadMeanNS) / float64(on.ReadMeanNS)
 	}
@@ -223,7 +242,11 @@ func runLeaseBenchOnce(o LeaseBenchOptions, on bool) (*LeaseRunStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.Observe(o.Obs)
+	if on {
+		d.Observe(o.ObsOn)
+	} else {
+		d.Observe(o.ObsOff)
+	}
 	d.Start()
 
 	warmupEnd := sim.Time(o.Warmup)
@@ -341,7 +364,9 @@ func (r *LeaseResult) Format() string {
 	}
 	row("off", &r.Off)
 	row("on", &r.On)
-	fmt.Fprintf(&b, "local/ordered read speedup: %.2fx (gate >= %.1fx: %v)\n",
-		r.Speedup, LeaseGateSpeedup, r.Gate())
+	fmt.Fprintf(&b, "local read mean %s (<= %s), p99 %s (<= %s), hit rate %.1f%% (>= %.0f%%), %.2fx the ordered path (>= %.1fx): gate %v\n",
+		fmtDur(sim.Duration(r.On.ReadMeanNS)), fmtDur(LeaseGateLocalMean),
+		fmtDur(sim.Duration(r.On.ReadP99NS)), fmtDur(LeaseGateLocalP99),
+		100*r.HitRate, 100*LeaseGateHitRate, r.Speedup, LeaseGateSpeedup, r.Gate())
 	return b.String()
 }

@@ -36,9 +36,28 @@ func TestLSMBenchGate(t *testing.T) {
 	if last.Compactions == 0 {
 		t.Fatal("largest-size LSM run performed no compactions")
 	}
-	if last.FlushFaults == 0 || last.CompactionFaults == 0 {
-		t.Fatalf("durable schedule missed its aimed faults: flush=%d compaction=%d",
-			last.FlushFaults, last.CompactionFaults)
+	// The durable schedules aim crashes inside flushes and compactions, but
+	// whether one lands depends on the workload phase (chaos.genDurable), so
+	// the evidence is counted over a seed range, not read off this seed.
+	flushHits, compactionHits := 0, 0
+	for seed := int64(1); seed <= 8; seed++ {
+		rep, err := runLSMOnce(DefaultLSMBenchOptions(seed), last.Keys, persist.EngineLSM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Checked || !rep.Linearizable {
+			t.Fatalf("seed %d: checked=%v linearizable=%v", seed, rep.Checked, rep.Linearizable)
+		}
+		if rep.FlushFaults > 0 {
+			flushHits++
+		}
+		if rep.CompactionFaults > 0 {
+			compactionHits++
+		}
+	}
+	if flushHits < 2 || compactionHits < 2 {
+		t.Fatalf("seeds 1-8 at %d keys: %d schedules aborted a flush, %d a compaction; want at least 2 of each",
+			last.Keys, flushHits, compactionHits)
 	}
 	// The flat engine rewrites the full store each checkpoint; at 256
 	// keys its amplification should dwarf the incremental path by a wide

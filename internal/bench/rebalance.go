@@ -251,6 +251,7 @@ func runRebalanceOnce(o RebalanceOptions, on bool) (*RebalanceRunStats, error) {
 	newApp := func(core.PartitionID, int) core.Application { return rebalApp{cost: o.ExecCost} }
 
 	s := sim.NewScheduler()
+	defer s.Close()
 	cfg := core.DefaultConfig(multicast.DefaultConfig(groups))
 	cfg.StoreCapacity = o.Keys*store.SlotSize(8) + 1<<12
 	cfg.MaxPartitions = maxParts

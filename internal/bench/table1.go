@@ -70,6 +70,7 @@ func RunTable1(window sim.Duration, o *obs.Observer) (*Table1Result, error) {
 			opt.CutoffDelay = sim.Duration(sim.Millisecond)
 
 			s := sim.NewScheduler()
+			defer s.Close()
 			d, _, err := BuildHeron(s, opt)
 			if err != nil {
 				return nil, err

@@ -168,7 +168,10 @@ func genSlowNIC(rng *rand.Rand, partitions, replicas int) []Event {
 // unaligned crash, preserving the original profile's coverage of
 // arbitrary instants. Whether an aimed crash actually catches the
 // operation in flight depends on the workload phase (an idle interval
-// produces no run), so fault-count assertions are per-seed.
+// produces no run), and the phase moves with any change of timing in the
+// layers below: no seed is guaranteed to hit. Tests that need an aborted
+// flush or compaction scan a seed range and count the schedules that
+// caught one (TestDurableAimedFaults, bench.TestLSMBenchGate).
 func genDurable(rng *rand.Rand, partitions, f int) []Event {
 	if f < 1 {
 		return nil

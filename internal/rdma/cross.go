@@ -121,27 +121,29 @@ func (q *QP) writeCross(p *sim.Proc, addr Addr, data []byte) error {
 	return nil
 }
 
-// postWriteCross is the cross-domain unsignaled write path — the
-// multicast transport's hot path. The issuer pays only the posting
-// overhead; the payload commits in the target's domain.
-func (q *QP) postWriteCross(p *sim.Proc, addr Addr, data []byte) error {
-	reg, err := q.region(addr, len(data))
-	if err != nil {
+// postWritesCross is the cross-domain unsignaled write path — the
+// multicast transport's hot path — with PostWrites' chain semantics: the
+// issuer's NIC admits every WR in order, one arrival event (at the last
+// WR's arrival) admits each on the target's NIC as of its own arrival
+// instant, and the chain commits in the target's domain, in order, when
+// its last WR does. The caller charges the posting overhead.
+func (q *QP) postWritesCross(wrs []WR) error {
+	chain, err := q.resolve(wrs)
+	if err != nil || len(chain) == 0 {
 		return err
 	}
 	local, remote := q.local.sched, q.remote.sched
 	hop := q.hop(q.cfg.WriteBase)
-	start := q.local.nic.admit(local.Now(), q.cfg, len(data))
-	buf := append([]byte(nil), data...)
-	sim.CrossAt(local, remote, start+hop, func() {
-		serve := q.remote.nic.admit(remote.Now(), q.cfg, len(buf))
-		commit := serve + q.bwTime(len(buf))
-		remote.At(commit, func() {
-			copy(reg.mem()[addr.Off:addr.Off+len(buf)], buf)
-			q.remote.writeNotify.Broadcast()
-		})
+	for i := range chain {
+		chain[i].at = q.local.nic.admit(local.Now(), q.cfg, len(chain[i].data)) + hop
+	}
+	sim.CrossAt(local, remote, chain[len(chain)-1].at, func() {
+		var commit sim.Time
+		for _, l := range chain {
+			commit = q.remote.nic.admit(l.at, q.cfg, len(l.data)) + q.bwTime(len(l.data))
+		}
+		remote.At(commit, func() { q.place(chain) })
 	})
-	p.Sleep(q.cfg.PostOverhead)
 	return nil
 }
 

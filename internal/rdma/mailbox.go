@@ -9,17 +9,19 @@ import (
 )
 
 // Mailbox is a single-producer single-consumer message ring carried over
-// one-sided RDMA writes, the communication pattern RamCast and Heron use
-// for protocol messages: the producer writes records into a ring buffer
-// registered at the consumer and advances a tail pointer with a second
-// small write; the consumer polls its own memory (free local reads) and
-// returns credit (its head position) to the producer with an unsignaled
-// write. No remote CPU is involved in sending.
+// one-sided RDMA verbs, the communication pattern RamCast and Heron use
+// for protocol messages: the producer writes a record into a ring buffer
+// registered at the consumer and advances a tail pointer, as one chain of
+// WRITEs behind a single doorbell; the consumer polls its own memory (free
+// local reads) and publishes its head there with a free local store. The
+// producer reads that word, one-sidedly, only when its shadow of it says
+// the ring is full. No remote CPU is involved in sending, and an undisturbed
+// datagram costs no verb but its own two (DESIGN §16).
 //
 // Region layout at the consumer:
 //
 //	[0:8)   tail  — absolute byte count written, produced remotely
-//	[8:16)  reserved
+//	[8:16)  head  — absolute byte count consumed, published locally
 //	[16:16+cap) data ring
 //
 // Records are [u32 length][payload] padded to 8 bytes; a length of
@@ -29,13 +31,7 @@ type Mailbox struct {
 	node *Node
 	reg  *Region
 	cap  int
-	head uint64 // absolute bytes consumed
-
-	// creditQP posts the consumer's head back to the producer.
-	creditQP   *QP
-	creditAddr Addr
-	// credit is returnCredit's payload scratch (QP.post copies it).
-	credit [8]byte
+	head uint64 // absolute bytes consumed; moved only by advance
 	// ready is Recv's wake filter, built once.
 	ready func() bool
 }
@@ -45,30 +41,32 @@ type Mailbox struct {
 // that node (e.g. a replica's executor and control process) may share the
 // writer, serialized by a virtual-time lock inside Send.
 type MailboxWriter struct {
-	qp        *QP
-	ringAddr  Addr // base of the consumer's mailbox region
-	cap       int
-	tail      uint64 // absolute bytes produced
-	creditReg *Region
+	qp       *QP
+	ringAddr Addr // base of the consumer's mailbox region
+	cap      int
+	tail     uint64 // absolute bytes produced
+	head     uint64 // shadow of the consumer's published head (waitCredit)
 
 	// mu serializes Send across the producing node's processes.
 	mu *sim.Mutex
-	// word and rec are Send's scratch for the marker/tail words and the
-	// framed record: QP.post copies every payload before Send yields, and
-	// mu admits one Send at a time.
-	word [8]byte
-	rec  []byte
+	// marker, word and rec are Send's scratch for the wrap marker, the tail
+	// word and the framed record: PostWrites copies every payload before
+	// Send yields, and mu admits one Send at a time.
+	marker [4]byte
+	word   [8]byte
+	rec    []byte
 }
 
 const (
 	mailboxHdr   = 16
+	mailboxHead  = 8 // offset of the published head
 	wrapMarker   = 0xFFFFFFFF
 	recordAlign  = 8
 	maxRecordLen = 1 << 30
 )
 
 // ErrMailboxFull is returned when the ring cannot accept a record and the
-// consumer is not returning credit (e.g. it crashed).
+// consumer is not draining it (e.g. it crashed).
 var ErrMailboxFull = errors.New("rdma: mailbox full, consumer not draining")
 
 // NewMailbox registers a ring of the given capacity on the consumer node.
@@ -84,22 +82,17 @@ func NewMailbox(consumer *Node, capacity int) *Mailbox {
 	return m
 }
 
-// Connect returns the producer half for the given producer node. It
-// allocates the credit cell on the producer and wires both directions.
-// Connect must be called exactly once per mailbox (single producer).
+// Connect returns the producer half for the given producer node. Connect
+// must be called exactly once per mailbox (single producer).
 func (m *Mailbox) Connect(f *Fabric, producer NodeID) *MailboxWriter {
 	// The send lock lives in the producer's simulation domain: Send runs
 	// on the producing node's processes.
-	w := &MailboxWriter{
+	return &MailboxWriter{
 		qp:       f.Connect(producer, m.node.id),
 		ringAddr: m.reg.Addr(0),
 		cap:      m.cap,
 		mu:       sim.NewMutex(f.nodes[producer].sched),
 	}
-	w.creditReg = f.nodes[producer].RegisterRegion(8)
-	m.creditQP = f.Connect(m.node.id, producer)
-	m.creditAddr = w.creditReg.Addr(0)
-	return w
 }
 
 // tailShadow reads the remotely-written tail from local memory.
@@ -107,9 +100,10 @@ func (m *Mailbox) tailShadow() uint64 {
 	return binary.LittleEndian.Uint64(m.reg.mem()[0:8])
 }
 
-// headShadow reads the consumer's credit from producer-local memory.
-func (w *MailboxWriter) headShadow() uint64 {
-	return binary.LittleEndian.Uint64(w.creditReg.mem()[0:8])
+// advance moves the head and publishes it for the producer's credit READ.
+func (m *Mailbox) advance(head uint64) {
+	m.head = head
+	binary.LittleEndian.PutUint64(m.reg.mem()[mailboxHead:], head)
 }
 
 // recordSpan returns the ring bytes a payload occupies.
@@ -118,60 +112,64 @@ func recordSpan(n int) int {
 }
 
 // Send writes one record into the ring. It blocks (in virtual time) only
-// when the ring is full, waiting for consumer credit; it returns
-// ErrMailboxFull if no credit arrives within the fabric failure timeout.
+// when the ring is full, waiting for the consumer to drain it; it returns
+// ErrMailboxFull if no room appears within the fabric failure timeout.
 // The record becomes visible to the consumer one write latency later.
 func (w *MailboxWriter) Send(p *sim.Proc, payload []byte) error {
-	if len(payload) > maxRecordLen || recordSpan(len(payload))+recordAlign > w.cap {
-		return fmt.Errorf("rdma: mailbox record of %d bytes exceeds ring capacity %d", len(payload), w.cap)
+	return w.send(p, nil, payload)
+}
+
+// send is Send for a record given in two parts (Transport's sender prefix
+// and the datagram), framed straight into the writer's scratch.
+func (w *MailboxWriter) send(p *sim.Proc, prefix, payload []byte) error {
+	n := len(prefix) + len(payload)
+	span := recordSpan(n)
+	if n > maxRecordLen || span+recordAlign > w.cap {
+		return fmt.Errorf("rdma: mailbox record of %d bytes exceeds ring capacity %d", n, w.cap)
 	}
 	// Serialize processes of the producing node: Send yields the virtual
-	// CPU inside (posting costs, credit waits), and interleaved sends
-	// would corrupt the tail bookkeeping.
+	// CPU inside (the post, credit waits), and interleaved sends would
+	// corrupt the tail bookkeeping.
 	w.mu.Lock(p)
 	defer w.mu.Unlock(p)
-	span := recordSpan(len(payload))
 
 	// Reserve space, accounting for a possible wrap marker.
-	need := span
 	off := int(w.tail % uint64(w.cap))
-	wrap := false
-	if off+span > w.cap {
-		// Not enough room before the end of the ring: emit a wrap marker
-		// and start the record at offset 0 of the next lap.
-		wrap = true
-		need = (w.cap - off) + span
+	wrap := off+span > w.cap
+	need := span
+	if wrap {
+		need += w.cap - off
 	}
 	if err := w.waitCredit(p, need); err != nil {
 		return err
 	}
 
+	// One chain, one doorbell: [wrap marker,] record, tail. RC places the
+	// chain in order, so the consumer never observes the tail ahead of the
+	// record bytes.
+	var chain [3]WR
+	wrs := chain[:0]
 	if wrap {
-		marker := w.word[:4]
-		binary.LittleEndian.PutUint32(marker, wrapMarker)
-		if err := w.qp.PostWrite(p, w.addAddr(mailboxHdr+off), marker); err != nil {
-			return err
-		}
+		// Not enough room before the end of the ring: emit a wrap marker
+		// and start the record at offset 0 of the next lap.
+		binary.LittleEndian.PutUint32(w.marker[:], wrapMarker)
+		wrs = append(wrs, WR{w.addAddr(mailboxHdr + off), w.marker[:]})
 		w.tail += uint64(w.cap - off)
 		off = 0
 	}
-
 	if cap(w.rec) < span {
 		w.rec = make([]byte, span)
 	}
 	rec := w.rec[:span]
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	n := copy(rec[4:], payload)
+	binary.LittleEndian.PutUint32(rec, uint32(n))
+	k := 4 + copy(rec[4:], prefix)
+	copy(rec[k:], payload)
 	clear(rec[4+n:]) // the padding must not carry an earlier record's bytes
-	if err := w.qp.PostWrite(p, w.addAddr(mailboxHdr+off), rec); err != nil {
-		return err
-	}
+	wrs = append(wrs, WR{w.addAddr(mailboxHdr + off), rec})
 	w.tail += uint64(span)
-
-	// Publish the new tail. RC guarantees in-order placement, so the
-	// consumer never observes the tail ahead of the record bytes.
 	binary.LittleEndian.PutUint64(w.word[:], w.tail)
-	return w.qp.PostWrite(p, w.addAddr(0), w.word[:])
+	wrs = append(wrs, WR{w.ringAddr, w.word[:]})
+	return w.qp.PostWrites(p, wrs...)
 }
 
 // addAddr offsets the ring base address.
@@ -181,17 +179,27 @@ func (w *MailboxWriter) addAddr(off int) Addr {
 	return a
 }
 
-// waitCredit blocks until at least need bytes are free in the ring.
+// waitCredit blocks until at least need bytes are free in the ring. Credit
+// is fetched on demand: while the shadow head leaves room — all but about
+// once a lap — nothing is sent; when it does not, it is refreshed by
+// one-sided READs of the consumer's published head until the consumer has
+// drained enough. A consumer that is down fails the READ, and one that is
+// up but stuck keeps the ring full, for the failure timeout.
 func (w *MailboxWriter) waitCredit(p *sim.Proc, need int) error {
-	free := func() bool {
-		return int(w.tail-w.headShadow())+need <= w.cap
-	}
-	if free() {
-		return nil
-	}
-	ok := w.qp.local.writeNotify.WaitUntilTimeout(p, w.qp.cfg.FailureTimeout, free)
-	if !ok {
-		return fmt.Errorf("%w (consumer node %d)", ErrMailboxFull, w.qp.remote.id)
+	full := func() error { return fmt.Errorf("%w (consumer node %d)", ErrMailboxFull, w.qp.remote.id) }
+	deadline := p.Now() + sim.Time(w.qp.cfg.FailureTimeout)
+	for int(w.tail-w.head)+need > w.cap {
+		if p.Now() >= deadline {
+			return full()
+		}
+		word, err := w.qp.Read(p, w.addAddr(mailboxHead), 8)
+		if io := w.qp.o(); io != nil {
+			io.creditReads.Inc()
+		}
+		if err != nil {
+			return full()
+		}
+		w.head = binary.LittleEndian.Uint64(word)
 	}
 	return nil
 }
@@ -216,29 +224,25 @@ func (m *Mailbox) TryRecv(p *sim.Proc) ([]byte, bool) {
 		if tail < m.head {
 			// The producer was reset behind us (link heal raced an
 			// in-flight tail write): adopt its position.
-			m.head = tail
-			m.returnCredit(p)
+			m.advance(tail)
 			return nil, false
 		}
 		off := int(m.head % uint64(m.cap))
 		length := binary.LittleEndian.Uint32(m.reg.mem()[mailboxHdr+off : mailboxHdr+off+4])
 		if length == wrapMarker {
-			m.head += uint64(m.cap - off)
-			m.returnCredit(p)
+			m.advance(m.head + uint64(m.cap-off))
 			continue
 		}
 		span := recordSpan(int(length))
 		if int(length) > maxRecordLen || off+span > m.cap || uint64(span) > tail-m.head {
 			// Garbage record: dropped writes left a stale lap under the
 			// published tail. Skip to the tail and resynchronize.
-			m.head = tail
-			m.returnCredit(p)
+			m.advance(tail)
 			return nil, false
 		}
 		payload := make([]byte, length)
 		copy(payload, m.reg.mem()[mailboxHdr+off+4:mailboxHdr+off+4+int(length)])
-		m.head += uint64(span)
-		m.returnCredit(p)
+		m.advance(m.head + uint64(span))
 		return payload, true
 	}
 }
@@ -265,34 +269,17 @@ func (m *Mailbox) Pending() bool { return m.tailShadow() > m.head }
 // no-op, which is what lets it filter a receiver's wakes.
 func (m *Mailbox) stirred() bool { return m.tailShadow() != m.head }
 
-// reset reinitializes the consumer half: the tail cell and the head
-// cursor return to zero, discarding whatever the ring holds. Called when
-// the link to the producer is re-established after faults.
+// reset reinitializes the consumer half: the tail cell, the published head
+// and the head cursor return to zero, discarding whatever the ring holds.
+// Called when the link to the producer is re-established after faults.
 func (m *Mailbox) reset() {
-	for i := 0; i < mailboxHdr; i++ {
-		m.reg.mem()[i] = 0
-	}
+	clear(m.reg.mem()[:mailboxHdr])
 	m.head = 0
 }
 
 // reset reinitializes the producer half: the tail bookkeeping and the
-// credit cell return to zero, matching a freshly reset consumer ring.
-func (w *MailboxWriter) reset() {
-	w.tail = 0
-	for i := range w.creditReg.mem() {
-		w.creditReg.mem()[i] = 0
-	}
-}
-
-// returnCredit posts the consumer head back to the producer (unsignaled).
-func (m *Mailbox) returnCredit(p *sim.Proc) {
-	if m.creditQP == nil {
-		return // producer never connected; nothing to credit
-	}
-	binary.LittleEndian.PutUint64(m.credit[:], m.head)
-	// Best effort: a dead producer no longer needs credit.
-	_ = m.creditQP.PostWrite(p, m.creditAddr, m.credit[:])
-}
+// shadow head return to zero, matching a freshly reset consumer ring.
+func (w *MailboxWriter) reset() { w.tail, w.head = 0, 0 }
 
 // Node returns the consumer node hosting the ring.
 func (m *Mailbox) Node() *Node { return m.node }

@@ -29,10 +29,13 @@ type qpObs struct {
 
 	readOps, readBytes   *obs.Counter
 	writeOps, writeBytes *obs.Counter
+	doorbells            *obs.Counter // posts that carried the write_ops: verbs per doorbell
 	casOps, casFail      *obs.Counter
 	sendOps              *obs.Counter
 	writeDropped         *obs.Counter // fabric-wide "rdma/write_dropped"
 	casFailTotal         *obs.Counter // fabric-wide "rdma/cas_fail"
+	doorbellsTotal       *obs.Counter // fabric-wide "rdma/doorbells"
+	creditReads          *obs.Counter // fabric-wide "rdma/credit_reads" (see MailboxWriter.waitCredit)
 }
 
 // o resolves (once) the QP's instruments, returning nil while
@@ -47,11 +50,15 @@ func (q *QP) o() *qpObs {
 			readBytes:    ob.Counter(qp + "read_bytes"),
 			writeOps:     ob.Counter(qp + "write_ops"),
 			writeBytes:   ob.Counter(qp + "write_bytes"),
+			doorbells:    ob.Counter(qp + "doorbells"),
 			casOps:       ob.Counter(qp + "cas_ops"),
 			casFail:      ob.Counter(qp + "cas_fail"),
 			sendOps:      ob.Counter(qp + "send_ops"),
 			writeDropped: ob.Counter("rdma/write_dropped"),
 			casFailTotal: ob.Counter("rdma/cas_fail"),
+
+			doorbellsTotal: ob.Counter("rdma/doorbells"),
+			creditReads:    ob.Counter("rdma/credit_reads"),
 		}
 	}
 	return q.io
@@ -211,7 +218,8 @@ func (q *QP) Write(p *sim.Proc, addr Addr, data []byte) error {
 	if q.pathDown() || q.dropDrawn() {
 		return q.failVerb(p)
 	}
-	done, err := q.post(addr, data)
+	wr := [1]WR{{addr, data}}
+	done, err := q.post(wr[:], false)
 	if err != nil {
 		return err
 	}
@@ -222,67 +230,139 @@ func (q *QP) Write(p *sim.Proc, addr Addr, data []byte) error {
 	return nil
 }
 
-// PostWrite posts a one-sided WRITE without waiting for completion; the
-// issuer is charged only the CPU posting overhead. The payload becomes
-// visible in target memory after the usual write latency. Errors at the
-// target (crash mid-flight) are silent, as with unsignaled verbs.
+// WR is one WRITE work request of a chain: Data goes to Addr.
+type WR struct {
+	Addr Addr
+	Data []byte
+}
+
+// landing is a posted WR on its way to target memory.
+type landing struct {
+	reg  *Region
+	off  int
+	data []byte   // the post's own copy: the caller may reuse its buffer
+	at   sim.Time // cross-domain only: arrival at the target's NIC
+	sp   *obs.Span
+}
+
+// place lands the chain in target memory, in order, and wakes the target's
+// pollers once.
+func (q *QP) place(chain []landing) {
+	for i := range chain {
+		l := &chain[i]
+		copy(l.reg.mem()[l.off:], l.data)
+	}
+	q.remote.writeNotify.Broadcast()
+}
+
+// PostWrite posts a one-sided WRITE without waiting for completion: the
+// 1-WR chain of PostWrites.
 func (q *QP) PostWrite(p *sim.Proc, addr Addr, data []byte) error {
+	return q.PostWrites(p, WR{addr, data})
+}
+
+// PostWrites posts a chain of one-sided WRITEs with a single doorbell and
+// without waiting for completion: the issuer is charged the CPU posting
+// overhead once, however long the chain. Every WR is still a verb of its
+// own to both NICs (occupancy, loss, counters), and RC places the chain in
+// order. The payloads become visible in target memory, together, when the
+// last WR completes; the wrs and their Data may be reused on return. A bad
+// address fails the post with nothing sent; errors at the target (crash
+// mid-flight) are silent, as with unsignaled verbs.
+func (q *QP) PostWrites(p *sim.Proc, wrs ...WR) error {
 	if err := q.checkLocal(); err != nil {
 		return err
 	}
+	var err error
 	if q.crossDomain() {
-		return q.postWriteCross(p, addr, data)
+		err = q.postWritesCross(wrs)
+	} else {
+		_, err = q.post(wrs, true)
 	}
-	if q.pathDown() || q.dropDrawn() {
-		// Posting succeeds on real hardware; the completion error is
-		// asynchronous. Model crashed targets, partitioned links and lossy
-		// drops alike as a silently dropped write — silent to the
-		// protocol, but visible in metrics so crashed-target traffic can
-		// be diagnosed from a -metrics snapshot.
-		if io := q.o(); io != nil {
-			io.writeOps.Inc()
-			io.writeDropped.Inc()
-		}
-		p.Sleep(q.cfg.PostOverhead)
-		return nil
-	}
-	if _, err := q.post(addr, data); err != nil {
+	if err != nil {
 		return err
 	}
 	p.Sleep(q.cfg.PostOverhead)
 	return nil
 }
 
-// post validates the target and schedules the payload commit event,
-// returning the commit instant.
-func (q *QP) post(addr Addr, data []byte) (sim.Time, error) {
-	reg, err := q.region(addr, len(data))
+// resolve validates a chain against the remote node's regions and copies
+// its payloads (into one buffer), admitting nothing yet.
+func (q *QP) resolve(wrs []WR) ([]landing, error) {
+	total := 0
+	for i := range wrs {
+		total += len(wrs[i].Data)
+	}
+	chain := make([]landing, len(wrs))
+	buf := make([]byte, 0, total)
+	for i, wr := range wrs {
+		reg, err := q.region(wr.Addr, len(wr.Data))
+		if err != nil {
+			return nil, err
+		}
+		n := len(buf)
+		buf = append(buf, wr.Data...)
+		chain[i] = landing{reg: reg, off: wr.Addr.Off, data: buf[n:len(buf):len(buf)]}
+	}
+	return chain, nil
+}
+
+// post rings one doorbell for a chain of WRITEs: each WR is admitted to
+// both NICs in order, and one event at the last WR's completion instant —
+// which post returns — places them all. RC delivers in order and a reader
+// can tell nothing of a chain before its last WR (a ring record is behind
+// its tail), so landing the earlier WRs a little late is conservative.
+//
+// With lossy set (unsignaled posts) a WR that cannot reach the target —
+// crashed node, partitioned link, lossy-link draw — is dropped alone and
+// silently, as on real hardware where the completion error is asynchronous:
+// silent to the protocol, but counted so crashed-target traffic can be
+// diagnosed from a -metrics snapshot. A post that loses every WR returns 0.
+func (q *QP) post(wrs []WR, lossy bool) (sim.Time, error) {
+	chain, err := q.resolve(wrs)
 	if err != nil {
 		return 0, err
 	}
-	done, wait := q.completionTime(q.cfg.WriteBase, len(data))
 	io := q.o()
-	var sp *obs.Span
 	if io != nil {
-		io.writeOps.Inc()
-		io.writeBytes.Add(uint64(len(data)))
-		sp = io.track.BeginAsync("rdma", "write").
-			Arg("to", int(q.remote.id)).Arg("bytes", len(data)).Arg("nic_wait_ns", int64(wait))
+		io.doorbells.Inc()
+		io.doorbellsTotal.Inc()
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
+	var done sim.Time
+	kept := chain[:0]
+	for _, l := range chain {
+		if lossy && (q.pathDown() || q.dropDrawn()) {
+			if io != nil {
+				io.writeOps.Inc()
+				io.writeDropped.Inc()
+			}
+			continue
+		}
+		var wait sim.Duration
+		done, wait = q.completionTime(q.cfg.WriteBase, len(l.data))
+		if io != nil {
+			io.writeOps.Inc()
+			io.writeBytes.Add(uint64(len(l.data)))
+			l.sp = io.track.BeginAsync("rdma", "write").
+				Arg("to", int(q.remote.id)).Arg("bytes", len(l.data)).Arg("nic_wait_ns", int64(wait))
+		}
+		kept = append(kept, l)
+	}
+	if len(kept) == 0 {
+		return 0, nil
+	}
 	q.sched.At(done, func() {
-		defer sp.End()
+		for i := range kept {
+			kept[i].sp.End()
+		}
 		if q.pathDown() {
 			if io != nil {
-				// Crash or partition raced the DMA: the payload never
-				// landed.
-				io.writeDropped.Inc()
+				// Crash or partition raced the DMA: no payload landed.
+				io.writeDropped.Add(uint64(len(kept)))
 			}
 			return
 		}
-		copy(reg.mem()[addr.Off:addr.Off+len(buf)], buf)
-		q.remote.writeNotify.Broadcast()
+		q.place(kept)
 	})
 	return done, nil
 }

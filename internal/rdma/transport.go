@@ -94,12 +94,13 @@ func (t *Transport) writer(a, b NodeID) *MailboxWriter {
 }
 
 // resetLink reinitializes the rings between a and b in both directions:
-// while a path is down, PostWrites are dropped but the producer's tail
+// while a path is down, posted writes are dropped but the producer's tail
 // bookkeeping keeps advancing, so producer and consumer disagree once the
 // path returns. Both halves restart from zero; in-flight records are lost,
 // which the protocol layers tolerate (they already tolerate the drops that
-// caused the desync). Both nodes' pollers are woken so nobody stays
-// blocked on credit or on an empty ring.
+// caused the desync). The consumer's pollers are woken, so that one parked
+// on an empty ring adopts the new position; a producer never parks on the
+// ring (it fetches credit with a READ, see MailboxWriter.waitCredit).
 func (t *Transport) resetLink(a, b NodeID) {
 	t.resetOneWay(a, b)
 	t.resetOneWay(b, a)
@@ -119,23 +120,16 @@ func (t *Transport) resetOneWay(a, b NodeID) {
 			break
 		}
 	}
-	if n := t.fabric.Node(a); n != nil {
-		n.writeNotify.Broadcast()
-	}
-	if n := t.fabric.Node(b); n != nil {
-		n.writeNotify.Broadcast()
-	}
+	ep.node.writeNotify.Broadcast()
 }
 
 // Send transmits payload from node `from` to node `to`. It blocks only on
 // ring backpressure. Sends to crashed nodes are silently dropped (the
 // payload lands in memory nobody drains), matching unsignaled RDMA writes.
 func (t *Transport) Send(p *sim.Proc, from, to NodeID, payload []byte) error {
-	w := t.writer(from, to)
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint64(buf[:8], uint64(from))
-	copy(buf[8:], payload)
-	return w.Send(p, buf)
+	var prefix [8]byte
+	binary.LittleEndian.PutUint64(prefix[:], uint64(from))
+	return t.writer(from, to).send(p, prefix[:], payload)
 }
 
 // TryRecv returns the next datagram across all rings, or ok=false.

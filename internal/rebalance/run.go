@@ -327,6 +327,7 @@ func Run(o Options) (*Report, error) {
 	}
 
 	s := sim.NewScheduler()
+	defer s.Close()
 	cfg := core.DefaultConfig(multicast.DefaultConfig(groups))
 	cfg.StoreCapacity = o.Keys*store.SlotSize(8) + 1<<12
 	cfg.MaxPartitions = maxParts

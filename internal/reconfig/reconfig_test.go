@@ -2,6 +2,7 @@ package reconfig
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"heron/internal/rdma"
@@ -158,6 +159,18 @@ func TestCrashMidMigration(t *testing.T) {
 	case !rep.Committed && rep.EpochAfter == 1:
 	default:
 		t.Fatalf("change did not converge: %+v", rep)
+	}
+}
+
+// TestRunReleasesItsProcs: a scenario's deployment — replicas old and
+// new, multicast processes, the coordinator, clients parked at the
+// horizon — is unwound when Run returns (as chaos.TestRunReleasesItsProcs
+// checks for chaos.Run), so a sweep does not accumulate parked goroutines.
+func TestRunReleasesItsProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	runScenario(t, ScenarioScaleOut, 1)
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after reconfig.Run, %d before", after, before)
 	}
 }
 

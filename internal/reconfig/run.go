@@ -302,6 +302,7 @@ func Run(o Options) (*Report, error) {
 	initial := &Configuration{Epoch: 1, Groups: groups, Routes: routes}
 
 	s := sim.NewScheduler()
+	defer s.Close()
 	cfg := core.DefaultConfig(multicast.DefaultConfig(groups))
 	cfg.StoreCapacity = o.Keys*store.SlotSize(8) + 1<<12
 	cfg.MaxPartitions = maxParts
