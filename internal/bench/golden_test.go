@@ -15,9 +15,11 @@ import (
 )
 
 // updateGolden regenerates testdata/golden_*.json. The committed files
-// were generated on the commit before the coroutine kernel (PR 12), so the
-// test holds every later kernel to the event order of the channel kernel:
-// regenerate only for a change that is meant to move virtual-time results.
+// hold every later commit to the virtual-time results of the one that
+// generated them (PR 13, whose one-doorbell ring moved every latency; the
+// coroutine kernel of PR 12 had matched its predecessor's files sample for
+// sample): regenerate only for a change that is meant to move virtual-time
+// results, in a commit of its own that says which fields moved.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_*.json from this run")
 
 // heronDigest is everything a HeronRun measured, in recording order.
