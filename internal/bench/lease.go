@@ -242,11 +242,11 @@ func runLeaseBenchOnce(o LeaseBenchOptions, on bool) (*LeaseRunStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	ob := o.ObsOff
 	if on {
-		d.Observe(o.ObsOn)
-	} else {
-		d.Observe(o.ObsOff)
+		ob = o.ObsOn
 	}
+	d.Observe(ob)
 	d.Start()
 
 	warmupEnd := sim.Time(o.Warmup)

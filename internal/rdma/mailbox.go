@@ -16,7 +16,7 @@ import (
 // local reads) and publishes its head there with a free local store. The
 // producer reads that word, one-sidedly, only when its shadow of it says
 // the ring is full. No remote CPU is involved in sending, and an undisturbed
-// datagram costs no verb but its own two (DESIGN §16).
+// datagram costs no verb but its own two (DESIGN §18).
 //
 // Region layout at the consumer:
 //

@@ -302,7 +302,7 @@ func (q *QP) resolve(wrs []WR) ([]landing, error) {
 		}
 		n := len(buf)
 		buf = append(buf, wr.Data...)
-		chain[i] = landing{reg: reg, off: wr.Addr.Off, data: buf[n:len(buf):len(buf)]}
+		chain[i] = landing{reg: reg, off: wr.Addr.Off, data: buf[n:]}
 	}
 	return chain, nil
 }
