@@ -564,7 +564,7 @@ func runLeaseCmd(args []string) error {
 		return err
 	}
 	if !res.Gate() {
-		return fmt.Errorf("lease fast path failed its gate: local read mean/p99, hit rate or margin over the ordered path out of bounds (see output)")
+		return fmt.Errorf("lease fast path failed its gate: local read mean/p99, hit rate or margin under the ordered-read mean out of bounds (see output)")
 	}
 	return nil
 }

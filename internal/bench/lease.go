@@ -9,6 +9,7 @@ import (
 	"heron/internal/lease"
 	"heron/internal/multicast"
 	"heron/internal/obs"
+	"heron/internal/rdma"
 	"heron/internal/sim"
 	"heron/internal/store"
 	"heron/internal/wire"
@@ -25,17 +26,23 @@ import (
 // terms: a local read is one round trip to the holder (two ring writes
 // and a handler, ~3 us on the default fabric), so its mean and p99 must
 // stay under LeaseGateLocalMean and LeaseGateLocalP99, nearly every read
-// must take that path (LeaseGateHitRate), and it must keep a clear margin
-// over the ordered path (LeaseGateSpeedup). The margin is deliberately
-// not the headline: it is a ratio against a baseline that every ordering
-// improvement shrinks (4.93x before PR 13's one-doorbell ring, 3.03x
-// after, with the local read itself 10 % faster).
+// must take that path (LeaseGateHitRate), and its mean must undercut the
+// ordered read's by at least LeaseGateMargin — one fabric WRITE, the hop
+// an ordered read cannot avoid (client to leader to a second member) and
+// a lease saves. The margin is a difference, not a ratio: the ratio is
+// taken against a baseline that every ordering improvement shrinks (4.93x
+// before PR 13's one-doorbell ring, 3.03x after it, 1.83x once followers
+// commit on receipt), and a floor on it would have to be re-based each
+// time; however fast ordering gets, it keeps that hop.
 const (
 	LeaseGateLocalMean = 4 * sim.Microsecond
 	LeaseGateLocalP99  = 6 * sim.Microsecond
 	LeaseGateHitRate   = 0.9
-	LeaseGateSpeedup   = 2.0
 )
+
+// LeaseGateMargin is how far below the ordered-read mean the local-read
+// mean must stay.
+var LeaseGateMargin = rdma.DefaultConfig().WriteBase
 
 // LeaseBenchOptions configure one off/on benchmark pair.
 type LeaseBenchOptions struct {
@@ -124,18 +131,19 @@ type LeaseResult struct {
 
 	// HitRate is the share of the on-run's reads a holder served locally.
 	HitRate float64 `json:"hit_rate"`
-	// Speedup is the ordered-read mean over the local-read mean.
+	// Speedup is the ordered-read mean over the local-read mean: reported,
+	// not gated (see LeaseGateMargin).
 	Speedup float64 `json:"speedup"`
 }
 
 // Gate is the CI pass condition: the on-run's local reads met the
 // absolute latency bounds, nearly all reads were local, and the fast
-// path kept its margin over the ordered path.
+// path kept its margin under the ordered path.
 func (r *LeaseResult) Gate() bool {
 	return r.On.ReadMeanNS > 0 && r.On.ReadMeanNS <= int64(LeaseGateLocalMean) &&
 		r.On.ReadP99NS <= int64(LeaseGateLocalP99) &&
 		r.HitRate >= LeaseGateHitRate &&
-		r.Speedup >= LeaseGateSpeedup
+		r.Off.ReadMeanNS-r.On.ReadMeanNS >= int64(LeaseGateMargin)
 }
 
 // leaseBenchApp is the register application: payload
@@ -364,9 +372,10 @@ func (r *LeaseResult) Format() string {
 	}
 	row("off", &r.Off)
 	row("on", &r.On)
-	fmt.Fprintf(&b, "local read mean %s (<= %s), p99 %s (<= %s), hit rate %.1f%% (>= %.0f%%), %.2fx the ordered path (>= %.1fx): gate %v\n",
+	fmt.Fprintf(&b, "local read mean %s (<= %s), p99 %s (<= %s), hit rate %.1f%% (>= %.0f%%), %d ns under the ordered path (>= %d ns; %.2fx): gate %v\n",
 		fmtDur(sim.Duration(r.On.ReadMeanNS)), fmtDur(LeaseGateLocalMean),
 		fmtDur(sim.Duration(r.On.ReadP99NS)), fmtDur(LeaseGateLocalP99),
-		100*r.HitRate, 100*LeaseGateHitRate, r.Speedup, LeaseGateSpeedup, r.Gate())
+		100*r.HitRate, 100*LeaseGateHitRate,
+		r.Off.ReadMeanNS-r.On.ReadMeanNS, int64(LeaseGateMargin), r.Speedup, r.Gate())
 	return b.String()
 }

@@ -12,9 +12,11 @@ import (
 
 // RunRamcast measures the atomic multicast alone — ordering without
 // Heron's coordination or execution (Fig. 4's first series). Replicas
-// deliver TPCC-shaped messages; the rank-0 replica of each destination
-// group echoes a completion to the client over a one-sided reply ring;
-// closed-loop clients wait for one reply per destination group.
+// deliver TPCC-shaped messages; every replica of each destination group
+// echoes a completion to the client over a one-sided reply ring, and
+// closed-loop clients keep the first echo per destination group — what a
+// Heron client does with replies, and the member that delivers first is
+// not always the same one.
 func RunRamcast(opt Options) (*HeronRun, error) {
 	s := sim.NewScheduler()
 	defer releaseMemory()
@@ -33,7 +35,7 @@ func RunRamcast(opt Options) (*HeronRun, error) {
 	trReply := rdma.NewTransport(fab, 1<<18)
 	cfg := multicast.DefaultConfig(layout)
 
-	// Replicas: deliver and (rank 0 only) echo to the client.
+	// Replicas: deliver and echo to the client.
 	for g := 0; g < opt.Warehouses; g++ {
 		for r := 0; r < opt.Replicas; r++ {
 			pr := multicast.NewProcess(multicast.OverRDMA(trMC), &cfg, multicast.GroupID(g), r)
@@ -45,9 +47,6 @@ func RunRamcast(opt Options) (*HeronRun, error) {
 					d, ok := pr.Deliveries().Recv(p)
 					if !ok {
 						return
-					}
-					if r != 0 {
-						continue
 					}
 					// Reply: group id + the client's request tag.
 					w := wire.NewWriter(16)

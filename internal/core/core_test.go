@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"heron/internal/multicast"
+	"heron/internal/obs"
 	"heron/internal/rdma"
 	"heron/internal/sim"
 	"heron/internal/store"
@@ -16,6 +17,13 @@ import (
 // replicas running kvApp, with `keys` objects per partition initialized
 // to zero.
 func testDeployment(t *testing.T, parts, n, keys int) (*sim.Scheduler, *Deployment) {
+	t.Helper()
+	return observedDeployment(t, parts, n, keys, nil)
+}
+
+// observedDeployment is testDeployment with an observer attached before
+// the start (nil: unobserved).
+func observedDeployment(t *testing.T, parts, n, keys int, o *obs.Observer) (*sim.Scheduler, *Deployment) {
 	t.Helper()
 	s := sim.NewScheduler()
 	layout := make([][]rdma.NodeID, parts)
@@ -47,6 +55,7 @@ func testDeployment(t *testing.T, parts, n, keys int) (*sim.Scheduler, *Deployme
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Observe(o)
 	d.Start()
 	return s, d
 }
@@ -450,5 +459,60 @@ func TestConfigValidation(t *testing.T) {
 	cfg.StoreCapacity = 0
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("zero store capacity must fail validation")
+	}
+}
+
+// TestBusyLedgers: the three serial resources a request crosses keep busy
+// time in obs.Metrics — every node's NIC, every multicast thread, every
+// executor thread — and an executor's five phases sum to its lifetime.
+func TestBusyLedgers(t *testing.T) {
+	m := obs.NewMetrics()
+	s, d := observedDeployment(t, 2, 3, 4, obs.New(nil, m))
+	defer s.Close()
+	cl := d.NewClient()
+	s.Spawn("client", func(p *sim.Proc) {
+		for i := 0; i < 20; i++ {
+			dst := []PartitionID{PartitionID(i % 2)}
+			reads := []store.OID{kvOID(dst[0], 0)}
+			if i%2 == 0 {
+				dst = []PartitionID{0, 1}
+				reads = []store.OID{kvOID(0, 0), kvOID(1, 0)}
+			}
+			if _, err := cl.Submit(p, dst, encodeKVReq(&kvReq{reads: reads, writes: []store.OID{kvOID(dst[0], 1)}, add: 1})); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	runFor(t, s, 5*sim.Millisecond)
+	elapsed := uint64(s.Now())
+	value := func(format string, args ...any) uint64 { return m.Counter(fmt.Sprintf(format, args...)).Value() }
+	cfg := d.Fabric.Config()
+	for part, group := range d.Replicas {
+		for rank, rep := range group {
+			var sum uint64
+			for _, name := range execPhaseNames {
+				ns := value("core/p%d/r%d/exec_ns/%s", part, rank, name)
+				if ns == 0 {
+					t.Errorf("p%d/r%d: no time charged to %s", part, rank, name)
+				}
+				sum += ns
+			}
+			// The ledger ends where the executor last blocked for a delivery.
+			if last := uint64(rep.obs.clock.last); sum != last || last > elapsed {
+				t.Errorf("p%d/r%d: phases sum to %d ns, the ledger ends at %d, the run at %d", part, rank, sum, last, elapsed)
+			}
+			if busy := value("mc/g%d/r%d/busy_ns", part, rank); busy == 0 || busy > elapsed/2 {
+				t.Errorf("g%d/r%d: multicast thread busy %d of %d ns", part, rank, busy, elapsed)
+			}
+			verbs, busy := value("rdma/n%d/nic_verbs", rep.NodeID()), value("rdma/n%d/nic_busy_ns", rep.NodeID())
+			if verbs == 0 || busy < verbs*uint64(cfg.VerbOverhead) || busy > elapsed {
+				t.Errorf("node %d: NIC served %d verbs in %d busy ns", rep.NodeID(), verbs, busy)
+			}
+		}
+	}
+	// Unobserved, the ledger is a pointer test.
+	var idle execClock
+	if allocs := testing.AllocsPerRun(100, func() { idle.charge(execExecute, 1) }); allocs != 0 {
+		t.Errorf("charging an unobserved ledger allocates %v times", allocs)
 	}
 }

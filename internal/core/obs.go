@@ -13,6 +13,36 @@ func cpID(id multicast.MsgID) obs.ReqID {
 	return obs.ReqID{Node: uint64(id.Node), Seq: id.Seq}
 }
 
+// execPhase names what the executor thread is doing, for its busy-time
+// ledger (core/p<p>/r<r>/exec_ns/<phase>): waiting for a delivery, the
+// per-request work around execution (dequeue, reconfiguration and lease
+// interception, reply), and the three stages of Algorithm 1. The five sum
+// to the thread's lifetime, so idle over the window is its spare capacity.
+type execPhase int
+
+const (
+	execIdle execPhase = iota
+	execDispatch
+	execCoord2
+	execExecute
+	execCoord4
+	numExecPhases
+)
+
+var execPhaseNames = [numExecPhases]string{"idle", "dispatch", "coord2", "execute", "coord4"}
+
+// execClock charges the executor thread's virtual time to phases: each
+// charge books the time since the previous one.
+type execClock struct {
+	last sim.Time
+	ns   [numExecPhases]*obs.Counter
+}
+
+func (c *execClock) charge(ph execPhase, now sim.Time) {
+	c.ns[ph].Add(uint64(now - c.last))
+	c.last = now
+}
+
 // replicaObs bundles a replica's observability instruments. Every replica
 // holds one; its fields stay nil until observe() runs, and every obs
 // method is a no-op on a nil receiver, so instrumented call sites read
@@ -43,6 +73,9 @@ type replicaObs struct {
 	orderedRead    *obs.Counter
 	leaseGrants    *obs.Counter
 	leaseRevokes   *obs.Counter
+
+	// clock is the executor thread's busy-time ledger.
+	clock execClock
 
 	// Sharded PR 7 instruments, resolved at wiring time (core
 	// deployments live on one scheduler, so shard/domain 0). cp and
@@ -79,6 +112,9 @@ func (r *Replica) observe(o *obs.Observer, s *sim.Scheduler) {
 		leaseGrants:    o.Counter("lease/grants"),
 		leaseRevokes:   o.Counter("lease/revokes"),
 		flight:         o.FlightShard(0),
+	}
+	for ph, name := range execPhaseNames {
+		r.obs.clock.ns[ph] = o.Counter(fmt.Sprintf("core/p%d/r%d/exec_ns/%s", r.part, r.rank, name))
 	}
 	if r.rank == 0 {
 		r.obs.cp = o.CritPathShard(0)

@@ -181,12 +181,16 @@ func (r *Replica) runParallelExecutor(p *sim.Proc) {
 		wt := r.obs.workerTrack(k, p.Scheduler())
 		p.Scheduler().Spawn(fmt.Sprintf("heron-worker-p%d-r%d-%d", r.part, r.rank, k), r.runWorker(pool, k, wt))
 	}
+	clock := &r.obs.clock
+	clock.last = p.Now() // the ledger covers the loop, not a recovery before it
 	for !r.node.Crashed() {
+		clock.charge(execDispatch, p.Now())
 		d, ok := r.mc.Deliveries().Recv(p)
 		if !ok {
 			pool.queue.Close()
 			return
 		}
+		clock.charge(execIdle, p.Now())
 		req := &Request{ID: d.ID, Ts: d.Ts, Dst: d.Dst, Payload: d.Payload}
 		p.Sleep(r.cfg.DispatchCPU)
 		if req.Ts <= r.lastReq {
@@ -226,11 +230,14 @@ func (r *Replica) runParallelExecutor(p *sim.Proc) {
 // by the sequential executor and the parallel executor's barrier case).
 func (r *Replica) processSerial(p *sim.Proc, req *Request, rec TraceRecord) {
 	tk := r.obs.exec
+	clock := &r.obs.clock
+	clock.charge(execDispatch, p.Now())
 	if !req.MultiPartition() {
 		sp := tk.Begin("request").Arg("ts", uint64(req.Ts))
 		t0 := p.Now()
 		resp, ok := r.execute(p, req, tk)
 		rec.Exec = sim.Duration(p.Now() - t0)
+		clock.charge(execExecute, p.Now())
 		if !ok {
 			sp.Arg("lagger", true).End()
 			return
@@ -259,10 +266,12 @@ func (r *Replica) processSerial(p *sim.Proc, req *Request, rec TraceRecord) {
 	c2.End()
 	rec.CoordPhase2 = sim.Duration(p.Now() - t0)
 	r.obs.cp.Record(cpID(req.ID), obs.SegCoord2Wait, t0, p.Now())
+	clock.charge(execCoord2, p.Now())
 
 	t0 = p.Now()
 	resp, ok := r.execute(p, req, tk)
 	rec.Exec = sim.Duration(p.Now() - t0)
+	clock.charge(execExecute, p.Now())
 	if !ok {
 		sp.Arg("lagger", true).End()
 		return
@@ -276,6 +285,7 @@ func (r *Replica) processSerial(p *sim.Proc, req *Request, rec TraceRecord) {
 	c4.End()
 	rec.CoordPhase4 = sim.Duration(p.Now() - t0)
 	r.obs.cp.Record(cpID(req.ID), obs.SegCoord4Wait, t0, p.Now())
+	clock.charge(execCoord4, p.Now())
 
 	r.statExecuted++
 	r.obs.executed.Inc()

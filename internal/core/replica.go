@@ -340,11 +340,15 @@ func (r *Replica) start(s *sim.Scheduler) {
 // reply.
 func (r *Replica) runExecutor(p *sim.Proc) {
 	r.recoverIfNeeded(p)
+	clock := &r.obs.clock
+	clock.last = p.Now() // the ledger covers the loop, not a recovery before it
 	for !r.node.Crashed() {
+		clock.charge(execDispatch, p.Now())
 		d, ok := r.mc.Deliveries().Recv(p)
 		if !ok {
 			return
 		}
+		clock.charge(execIdle, p.Now())
 		req := &Request{ID: d.ID, Ts: d.Ts, Dst: d.Dst, Payload: d.Payload}
 		p.Sleep(r.cfg.DispatchCPU)
 

@@ -33,10 +33,12 @@ func (c *Client) Multicast(p *sim.Proc, dst []GroupID, payload []byte) MsgID {
 	id := MsgID{Node: c.node, Seq: c.seq}
 	dstCopy := make([]GroupID, len(dst))
 	copy(dstCopy, dst)
-	rec := encodeClient(&clientMsg{id: id, dst: dstCopy, payload: payload})
+	// One list for every send: a variadic argument built at an interface
+	// call is a heap allocation of its own.
+	rec := [][]byte{encodeClient(&clientMsg{id: id, dst: dstCopy, payload: payload})}
 	for _, g := range dstCopy {
 		for _, member := range c.cfg.Groups[g] {
-			_ = c.tr.Send(p, c.node, member, rec)
+			_ = c.tr.Send(p, c.node, member, rec...)
 		}
 	}
 	return id

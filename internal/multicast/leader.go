@@ -35,7 +35,7 @@ func (pr *Process) propose(p *sim.Proc, m *clientMsg) {
 
 	pr.repSeq++
 	rec := encodeRepProposal(&repProposal{view: pr.view, repSeq: pr.repSeq, msg: *m, prop: prop})
-	pr.broadcastGroup(p, rec)
+	pr.broadcastGroup(rec)
 	pr.addMilestone(p, pr.repSeq, func(p *sim.Proc) {
 		pend.propStable = true
 		pr.sendProposals(p, pend)
@@ -53,7 +53,7 @@ func (pr *Process) sendProposals(p *sim.Proc, pend *pendingMsg) {
 			continue
 		}
 		for _, member := range pr.cfg.Groups[h] {
-			pr.send(p, member, rec)
+			pr.send(member, rec)
 		}
 	}
 	pend.lastSend = p.Now()
@@ -77,13 +77,13 @@ func (pr *Process) retryProposals(p *sim.Proc, now sim.Time) {
 	sort.Slice(stuck, func(i, j int) bool { return lessMsgID(stuck[i].msg.id, stuck[j].msg.id) })
 	for _, pend := range stuck {
 		pr.sendProposals(p, pend)
-		pr.requestMissingProps(p, pend)
+		pr.requestMissingProps(pend)
 	}
 }
 
 // requestMissingProps asks the members of every destination group whose
 // proposal for pend has not arrived to re-send it.
-func (pr *Process) requestMissingProps(p *sim.Proc, pend *pendingMsg) {
+func (pr *Process) requestMissingProps(pend *pendingMsg) {
 	rec := encodePropRequest(&propRequest{id: pend.msg.id})
 	for _, h := range pend.msg.dst {
 		if h == pr.group {
@@ -93,7 +93,7 @@ func (pr *Process) requestMissingProps(p *sim.Proc, pend *pendingMsg) {
 			continue
 		}
 		for _, member := range pr.cfg.Groups[h] {
-			pr.send(p, member, rec)
+			pr.send(member, rec)
 		}
 	}
 }
@@ -105,11 +105,11 @@ func (pr *Process) requestMissingProps(p *sim.Proc, pend *pendingMsg) {
 // leader once quorum-replicated (propStable) — the same externally-visible
 // bar sendProposals enforces — so the promise still survives leader
 // failure. Anything else stays unanswered; the requester retries.
-func (pr *Process) onPropRequest(p *sim.Proc, m *propRequest, from rdma.NodeID) {
+func (pr *Process) onPropRequest(m *propRequest, from rdma.NodeID) {
 	if pr.committed[m.id] {
 		for i := range pr.log {
 			if pr.log[i].id == m.id {
-				pr.send(p, from, encodeProposal(&proposalMsg{fromGroup: pr.group, id: m.id, prop: pr.log[i].ts}))
+				pr.send(from, encodeProposal(&proposalMsg{fromGroup: pr.group, id: m.id, prop: pr.log[i].ts}))
 				return
 			}
 		}
@@ -117,7 +117,7 @@ func (pr *Process) onPropRequest(p *sim.Proc, m *propRequest, from rdma.NodeID) 
 		// dropPrefix retained. A memo miss (state restored after the
 		// truncation) stays unanswered; another member or retry covers it.
 		if ts, ok := pr.truncTs[m.id]; ok {
-			pr.send(p, from, encodeProposal(&proposalMsg{fromGroup: pr.group, id: m.id, prop: ts}))
+			pr.send(from, encodeProposal(&proposalMsg{fromGroup: pr.group, id: m.id, prop: ts}))
 		}
 		return
 	}
@@ -125,7 +125,7 @@ func (pr *Process) onPropRequest(p *sim.Proc, m *propRequest, from rdma.NodeID) 
 		return
 	}
 	if pend := pr.pending[m.id]; pend != nil && pend.propStable && pend.ownProp != 0 {
-		pr.send(p, from, encodeProposal(&proposalMsg{fromGroup: pr.group, id: m.id, prop: pend.ownProp}))
+		pr.send(from, encodeProposal(&proposalMsg{fromGroup: pr.group, id: m.id, prop: pend.ownProp}))
 	}
 }
 
@@ -185,7 +185,9 @@ func (pr *Process) tryCommit(p *sim.Proc) {
 }
 
 // appendEntry commits one decided message: append to the log, replicate,
-// and register the quorum milestone that advances the commit index.
+// and register the quorum milestone that advances the leader's commit
+// index. Followers that can see the quorum themselves have committed on
+// receipt (onRepCommit) and are not told; the others are.
 func (pr *Process) appendEntry(p *sim.Proc, pend *pendingMsg) {
 	if n := len(pr.log); n > 0 && pend.final <= pr.log[n-1].ts {
 		panic(fmt.Sprintf("multicast: group %d appending ts %v after %v",
@@ -209,16 +211,26 @@ func (pr *Process) appendEntry(p *sim.Proc, pend *pendingMsg) {
 		dst:     pend.msg.dst,
 		payload: pend.msg.payload,
 	})
-	pr.broadcastGroup(p, rec)
+	pr.broadcastGroup(rec)
 	pr.recordRepGseq(pr.repSeq, gseq+1)
 	pr.addMilestone(p, pr.repSeq, func(p *sim.Proc) {
 		if gseq+1 > pr.commitIdx {
 			pr.commitIdx = gseq + 1
 			pr.deliverCommitted()
 			pr.maybeTruncate()
-			pr.broadcastGroup(p, encodeCommitIdx(kindCommitIdx, &commitIdxMsg{view: pr.view, commitIdx: pr.commitIdx, truncate: pr.truncateTo}))
+			pr.announceCommit()
 		}
 	})
+}
+
+// announceCommit tells followers that cannot see the quorum themselves how
+// far the leader has committed. The others learn nothing from it; their
+// commit index and truncation point ride the heartbeat.
+func (pr *Process) announceCommit() {
+	if pr.followerSeesQuorum() {
+		return
+	}
+	pr.broadcastGroup(encodeCommitIdx(kindCommitIdx, &commitIdxMsg{view: pr.view, commitIdx: pr.commitIdx, truncate: pr.truncateTo}))
 }
 
 // addMilestone registers fn to run once a quorum of followers has acked
@@ -229,21 +241,30 @@ func (pr *Process) addMilestone(p *sim.Proc, seq uint64, fn func(p *sim.Proc)) {
 }
 
 // quorumAcked returns the highest repSeq acknowledged by at least f
-// followers (which, with the leader itself, forms an f+1 quorum).
+// followers (which, with the leader itself, forms an f+1 quorum): the f-th
+// largest of a handful of acks, selected in place — this runs on every ack
+// and every milestone.
 func (pr *Process) quorumAcked() uint64 {
 	f := pr.f()
 	if f == 0 {
 		return ^uint64(0)
 	}
-	acks := make([]uint64, 0, pr.n()-1)
-	for rank, a := range pr.ackedRep {
-		if rank == pr.rank {
+	var best uint64
+	for i, a := range pr.ackedRep {
+		if i == pr.rank || a <= best {
 			continue
 		}
-		acks = append(acks, a)
+		atLeast := 0
+		for j, b := range pr.ackedRep {
+			if j != pr.rank && b >= a {
+				atLeast++
+			}
+		}
+		if atLeast >= f {
+			best = a
+		}
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] > acks[j] })
-	return acks[f-1]
+	return best
 }
 
 // fireMilestones runs every milestone covered by the current quorum ack.

@@ -15,6 +15,7 @@ type cluster struct {
 	s     *sim.Scheduler
 	fab   *rdma.Fabric
 	tr    *rdma.Transport
+	over  Transport // what the processes send through: OverRDMA(tr), or a wrapper of it
 	cfg   Config
 	procs [][]*Process
 	// deliveries[g][r] accumulates what each replica delivered.
@@ -22,6 +23,13 @@ type cluster struct {
 }
 
 func newCluster(t *testing.T, groups, n int) *cluster {
+	t.Helper()
+	return newClusterOver(t, groups, n, func(tr Transport) Transport { return tr })
+}
+
+// newClusterOver is newCluster with the processes' transport wrapped (a
+// tap that logs or drops datagrams); c.over is what they were given.
+func newClusterOver(t *testing.T, groups, n int, wrap func(Transport) Transport) *cluster {
 	t.Helper()
 	s := sim.NewScheduler()
 	fab := rdma.NewFabric(s, rdma.DefaultConfig())
@@ -40,28 +48,32 @@ func newCluster(t *testing.T, groups, n int) *cluster {
 		t.Fatal(err)
 	}
 	c := &cluster{t: t, s: s, fab: fab, tr: tr, cfg: cfg}
+	c.over = wrap(OverRDMA(tr))
 	c.procs = make([][]*Process, groups)
 	c.deliveries = make([][][]Delivery, groups)
 	for g := 0; g < groups; g++ {
 		c.procs[g] = make([]*Process, n)
 		c.deliveries[g] = make([][]Delivery, n)
 		for r := 0; r < n; r++ {
-			pr := NewProcess(OverRDMA(tr), &c.cfg, GroupID(g), r)
-			pr.Start(s)
-			c.procs[g][r] = pr
-			g, r := g, r
-			s.Spawn(fmt.Sprintf("sink-g%d-r%d", g, r), func(p *sim.Proc) {
-				for {
-					d, ok := pr.Deliveries().Recv(p)
-					if !ok {
-						return
-					}
-					c.deliveries[g][r] = append(c.deliveries[g][r], d)
-				}
-			})
+			c.attach(g, r, NewProcess(c.over, &c.cfg, GroupID(g), r))
 		}
 	}
 	return c
+}
+
+// attach starts pr as member (g, r) and collects what it delivers.
+func (c *cluster) attach(g, r int, pr *Process) {
+	pr.Start(c.s)
+	c.procs[g][r] = pr
+	c.s.Spawn(fmt.Sprintf("sink-g%d-r%d", g, r), func(p *sim.Proc) {
+		for {
+			d, ok := pr.Deliveries().Recv(p)
+			if !ok {
+				return
+			}
+			c.deliveries[g][r] = append(c.deliveries[g][r], d)
+		}
+	})
 }
 
 // addClientNode registers a fabric node for a client and returns its id.

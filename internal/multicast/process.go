@@ -43,6 +43,13 @@ type milestone struct {
 	fn  func(p *sim.Proc)
 }
 
+// outbox queues the datagrams bound for one destination until the event
+// loop's next flush.
+type outbox struct {
+	to   rdma.NodeID
+	msgs [][]byte
+}
+
 // Process is one multicast replica: a member of one group, hosted on one
 // fabric node. Its event loop runs as a single simulation process.
 type Process struct {
@@ -118,6 +125,16 @@ type Process struct {
 	// Pending cumulative ack (flushed once per drain burst).
 	needAck bool
 
+	// Whatever a burst produced for one destination leaves as one Send, so
+	// the transport's per-destination posting cost is paid once per burst:
+	// send queues, the event loop flushes before it blocks. outboxes holds
+	// one queue per destination ever used (outboxOf finds it) and keeps its
+	// capacity across flushes; outOrder lists the non-empty ones in
+	// first-use order.
+	outboxes []outbox
+	outboxOf map[rdma.NodeID]int
+	outOrder []int
+
 	lastDeliveredTs Timestamp
 
 	// Stats counters (read by benchmarks).
@@ -131,6 +148,7 @@ type Process struct {
 	obsDelivered   *obs.Counter
 	obsViewChanges *obs.Counter
 	obsTruncated   *obs.Counter
+	obsBusy        *obs.Counter // virtual ns the event loop spent not waiting for a datagram
 	obsFirstSeen   map[MsgID]sim.Time
 	vcSpan         *obs.Span
 	// obsFlight is this process's domain's flight-recorder ring;
@@ -153,6 +171,7 @@ func (pr *Process) Observe(o *obs.Observer) {
 	pr.obsDelivered = o.Counter(fmt.Sprintf("mc/g%d/delivered", pr.group))
 	pr.obsViewChanges = o.Counter(fmt.Sprintf("mc/g%d/view_changes", pr.group))
 	pr.obsTruncated = o.Counter(fmt.Sprintf("mc/g%d/truncated", pr.group))
+	pr.obsBusy = o.Counter(fmt.Sprintf("mc/g%d/r%d/busy_ns", pr.group, pr.rank))
 	pr.obsFirstSeen = make(map[MsgID]sim.Time)
 	pr.obsFlight = o.FlightShard(pr.sched.Domain())
 	if pr.rank == 0 {
@@ -179,6 +198,7 @@ func NewProcess(tr Transport, cfg *Config, g GroupID, rank int) *Process {
 		remoteProps: make(map[MsgID]map[GroupID]Timestamp),
 		committed:   make(map[MsgID]bool),
 		unproposed:  make(map[MsgID]*clientMsg),
+		outboxOf:    make(map[rdma.NodeID]int),
 		ackedRep:    make([]uint64, len(cfg.Groups[g])),
 		lagSince:    make([]sim.Time, len(cfg.Groups[g])),
 	}
@@ -235,6 +255,14 @@ func (pr *Process) Crash() {
 func (pr *Process) n() int { return pr.cfg.n(pr.group) }
 func (pr *Process) f() int { return pr.cfg.f(pr.group) }
 
+// followerSeesQuorum reports whether a follower that holds a record of the
+// current view's leader thereby knows f+1 members hold it — the leader and
+// itself, which is the quorum exactly when f <= 1. It then commits on
+// receipt (onRepCommit) and the leader need not tell it; with f >= 2 it
+// cannot see the quorum and waits for the leader's commit index. Asked at
+// every use, never cached: a reshape changes the group's size.
+func (pr *Process) followerSeesQuorum() bool { return pr.f() <= 1 }
+
 // members returns the node ids of the replica's group.
 func (pr *Process) members() []rdma.NodeID { return pr.cfg.Groups[pr.group] }
 
@@ -251,7 +279,10 @@ func (pr *Process) rankOf(id rdma.NodeID) int {
 // leaderRank returns the leader rank for view v.
 func (pr *Process) leaderRank(v uint64) int { return int(v % uint64(pr.n())) }
 
-// run is the replica's event loop: drain protocol datagrams, run timers.
+// run is the replica's event loop: drain protocol datagrams, run timers,
+// and send what both produced — timer traffic, the cumulative ack and the
+// burst's own datagrams leave in the same flush, once per iteration and
+// before the loop blocks.
 func (pr *Process) run(p *sim.Proc) {
 	now := p.Now()
 	pr.leaderDeadline = now + sim.Time(pr.cfg.LeaderTimeout)
@@ -259,11 +290,15 @@ func (pr *Process) run(p *sim.Proc) {
 	if pr.role == roleLeader {
 		pr.nextHeartbeat = now
 	}
+	awake := now
 	for !pr.tr.Crashed(pr.id) {
 		pr.tick(p)
-		pr.flushAck(p)
+		pr.flushAck()
+		pr.flushOutboxes(p)
 		d := pr.nextTimerDelay(p.Now())
+		pr.obsBusy.Add(uint64(p.Now() - awake))
 		msg, from, ok := pr.ep.RecvTimeout(p, d)
+		awake = p.Now()
 		if !ok {
 			continue
 		}
@@ -321,11 +356,11 @@ func (pr *Process) tick(p *sim.Proc) {
 			pr.maybeTruncate()
 		}
 		if now >= pr.nextHeartbeat {
-			pr.broadcastGroup(p, encodeCommitIdx(kindHeartbeat, &commitIdxMsg{view: pr.view, commitIdx: pr.commitIdx, truncate: pr.truncateTo}))
+			pr.broadcastGroup(encodeCommitIdx(kindHeartbeat, &commitIdxMsg{view: pr.view, commitIdx: pr.commitIdx, truncate: pr.truncateTo}))
 			pr.nextHeartbeat = now + sim.Time(pr.cfg.HeartbeatInterval)
 		}
 		pr.retryProposals(p, now)
-		pr.checkResyncs(p, now)
+		pr.checkResyncs(now)
 	case roleFollower:
 		if now >= pr.leaderDeadline {
 			pr.suspectNext(p)
@@ -341,9 +376,9 @@ func (pr *Process) tick(p *sim.Proc) {
 	}
 }
 
-// flushAck sends the cumulative replication ack accumulated during the
+// flushAck queues the cumulative replication ack accumulated during the
 // last drain burst.
-func (pr *Process) flushAck(p *sim.Proc) {
+func (pr *Process) flushAck() {
 	if !pr.needAck {
 		return
 	}
@@ -352,24 +387,48 @@ func (pr *Process) flushAck(p *sim.Proc) {
 	if leader == pr.id {
 		return
 	}
-	pr.send(p, leader, encodeAck(&ackMsg{view: pr.view, repSeq: pr.repSeq}))
+	pr.send(leader, encodeAck(&ackMsg{view: pr.view, repSeq: pr.repSeq}))
 }
 
-// send transmits one datagram, tolerating ring backpressure errors from
-// dead peers (they surface as dropped protocol messages, which the
-// retry/view-change machinery already covers).
-func (pr *Process) send(p *sim.Proc, to rdma.NodeID, payload []byte) {
-	_ = pr.tr.Send(p, pr.id, to, payload)
+// send queues one datagram on its destination's outbox; the event loop's
+// next flush transmits it. The payload must not be modified afterwards.
+func (pr *Process) send(to rdma.NodeID, payload []byte) {
+	i, ok := pr.outboxOf[to]
+	if !ok {
+		i = len(pr.outboxes)
+		pr.outboxes = append(pr.outboxes, outbox{to: to})
+		pr.outboxOf[to] = i
+	}
+	ob := &pr.outboxes[i]
+	if len(ob.msgs) == 0 {
+		pr.outOrder = append(pr.outOrder, i)
+	}
+	ob.msgs = append(ob.msgs, payload)
 }
 
-// broadcastGroup sends a datagram to every other member of the group.
-func (pr *Process) broadcastGroup(p *sim.Proc, payload []byte) {
+// broadcastGroup queues a datagram for every other member of the group.
+func (pr *Process) broadcastGroup(payload []byte) {
 	for i, m := range pr.members() {
 		if i == pr.rank {
 			continue
 		}
-		pr.send(p, m, payload)
+		pr.send(m, payload)
 	}
+}
+
+// flushOutboxes transmits every queued datagram, one Send per destination
+// in first-use order, each destination's datagrams in the order they were
+// queued. Ring backpressure errors from dead peers are tolerated: they
+// surface as dropped protocol messages, which the retry/view-change
+// machinery already covers.
+func (pr *Process) flushOutboxes(p *sim.Proc) {
+	for _, i := range pr.outOrder {
+		ob := &pr.outboxes[i]
+		_ = pr.tr.Send(p, pr.id, ob.to, ob.msgs...)
+		clear(ob.msgs) // the queue outlives the flush; the datagrams need not
+		ob.msgs = ob.msgs[:0]
+	}
+	pr.outOrder = pr.outOrder[:0]
 }
 
 // handle dispatches one protocol datagram.
@@ -428,7 +487,7 @@ func (pr *Process) handle(p *sim.Proc, datagram []byte, from rdma.NodeID) {
 	case kindPropReq:
 		m := decodePropRequest(r)
 		if r.Err() == nil {
-			pr.onPropRequest(p, m, from)
+			pr.onPropRequest(m, from)
 		}
 	}
 }
@@ -560,6 +619,17 @@ func (pr *Process) onRepCommit(p *sim.Proc, m *repCommit) {
 	delete(pr.remoteProps, m.id)
 	if c := m.ts.Clock(); c > pr.lc {
 		pr.lc = c
+	}
+	// Commit where the quorum is visible. The leader of this view appended
+	// the entry before it replicated it and we have just done so, both with
+	// lastAcceptedView = m.view, on top of a prefix the contiguous stream
+	// gave us the same way. With f <= 1 that is f+1 members: the replicated
+	// state in which the leader itself commits (on its first ack), only
+	// observed one hop after the append instead of three. A view change
+	// cannot lose it: any f+1 states include the leader's or ours.
+	if pr.followerSeesQuorum() && m.gseq+1 > pr.commitIdx {
+		pr.commitIdx = m.gseq + 1
+		pr.deliverCommitted()
 	}
 }
 

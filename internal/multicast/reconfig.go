@@ -194,7 +194,7 @@ func (pr *Process) rereplicate(p *sim.Proc) {
 			dst:     e.dst,
 			payload: e.payload,
 		})
-		pr.broadcastGroup(p, rec)
+		pr.broadcastGroup(rec)
 		pr.recordRepGseq(pr.repSeq, pr.logBase+uint64(i)+1)
 	}
 	logLen := pr.logBase + uint64(len(pr.log))
@@ -203,7 +203,7 @@ func (pr *Process) rereplicate(p *sim.Proc) {
 			pr.commitIdx = logLen
 			pr.deliverCommitted()
 		}
-		pr.broadcastGroup(p, encodeCommitIdx(kindCommitIdx, &commitIdxMsg{view: pr.view, commitIdx: pr.commitIdx, truncate: pr.truncateTo}))
+		pr.announceCommit()
 	})
 
 	// Re-replicate pending proposals and resume their ordering.
@@ -221,7 +221,7 @@ func (pr *Process) rereplicate(p *sim.Proc) {
 		pend.propStable = false
 		pr.repSeq++
 		rec := encodeRepProposal(&repProposal{view: pr.view, repSeq: pr.repSeq, msg: pend.msg, prop: pend.ownProp})
-		pr.broadcastGroup(p, rec)
+		pr.broadcastGroup(rec)
 		pend := pend
 		pr.addMilestone(p, pr.repSeq, func(p *sim.Proc) {
 			pend.propStable = true

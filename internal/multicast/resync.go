@@ -34,7 +34,7 @@ func (pr *Process) resyncInterval() sim.Duration {
 
 // checkResyncs runs on every leader tick: detect followers whose acks
 // have stalled behind the stream and re-replicate to them by snapshot.
-func (pr *Process) checkResyncs(p *sim.Proc, now sim.Time) {
+func (pr *Process) checkResyncs(now sim.Time) {
 	for rank := range pr.ackedRep {
 		if rank == pr.rank {
 			continue
@@ -50,7 +50,7 @@ func (pr *Process) checkResyncs(p *sim.Proc, now sim.Time) {
 		if now-pr.lagSince[rank] < sim.Time(pr.resyncInterval()) {
 			continue
 		}
-		pr.send(p, pr.members()[rank], encodeResync(&resyncMsg{repSeq: pr.repSeq, st: pr.snapshotState()}))
+		pr.send(pr.members()[rank], encodeResync(&resyncMsg{repSeq: pr.repSeq, st: pr.snapshotState()}))
 		pr.lagSince[rank] = now // wait a full interval before retrying
 	}
 }

@@ -20,9 +20,11 @@ type Transport interface {
 	// node id. In a single-domain deployment it equals Scheduler(); in a
 	// multi-domain run each node lives in the domain it was created on.
 	SchedulerOf(id rdma.NodeID) *sim.Scheduler
-	// Send transmits a datagram; it may block briefly (posting cost or
-	// backpressure) but not wait for the receiver.
-	Send(p *sim.Proc, from, to rdma.NodeID, payload []byte) error
+	// Send transmits the payloads, one datagram each and in order; it may
+	// block briefly (posting cost or backpressure) but not wait for the
+	// receiver. A substrate that can amortises its per-destination posting
+	// cost over the whole list.
+	Send(p *sim.Proc, from, to rdma.NodeID, payloads ...[]byte) error
 	// Endpoint returns the receive endpoint of a node.
 	Endpoint(id rdma.NodeID) Endpoint
 	// Crashed reports whether a node has failed.
@@ -55,8 +57,8 @@ func (a *rdmaTransport) SchedulerOf(id rdma.NodeID) *sim.Scheduler {
 	return a.t.Fabric().Node(id).Scheduler()
 }
 
-func (a *rdmaTransport) Send(p *sim.Proc, from, to rdma.NodeID, payload []byte) error {
-	return a.t.Send(p, from, to, payload)
+func (a *rdmaTransport) Send(p *sim.Proc, from, to rdma.NodeID, payloads ...[]byte) error {
+	return a.t.Send(p, from, to, payloads...)
 }
 
 func (a *rdmaTransport) Endpoint(id rdma.NodeID) Endpoint {
@@ -94,8 +96,13 @@ func (a *msgnetTransport) SchedulerOf(id rdma.NodeID) *sim.Scheduler {
 	return a.n.Endpoint(id).Scheduler()
 }
 
-func (a *msgnetTransport) Send(p *sim.Proc, from, to rdma.NodeID, payload []byte) error {
-	return a.n.Send(p, from, to, payload)
+func (a *msgnetTransport) Send(p *sim.Proc, from, to rdma.NodeID, payloads ...[]byte) error {
+	for _, payload := range payloads {
+		if err := a.n.Send(p, from, to, payload); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (a *msgnetTransport) Endpoint(id rdma.NodeID) Endpoint {

@@ -38,7 +38,7 @@ func (pr *Process) startCandidacy(p *sim.Proc, v uint64) {
 	pr.votedView = v
 	pr.vcStates = map[int]*viewState{pr.rank: pr.snapshotState()}
 	pr.vcDeadline = p.Now() + sim.Time(pr.cfg.LeaderTimeout)
-	pr.broadcastGroup(p, encodeViewReq(&viewReq{view: v}))
+	pr.broadcastGroup(encodeViewReq(&viewReq{view: v}))
 	pr.maybeAdopt(p) // n=1 groups win immediately
 }
 
@@ -87,7 +87,7 @@ func (pr *Process) onViewReq(p *sim.Proc, m *viewReq, from rdma.NodeID) {
 		// Give the candidate room before suspecting this view too.
 		pr.leaderDeadline = p.Now() + 2*sim.Time(pr.cfg.LeaderTimeout)
 	}
-	pr.send(p, from, encodeViewState(pr.snapshotState()))
+	pr.send(from, encodeViewState(pr.snapshotState()))
 }
 
 // onViewState collects a member's state during candidacy.

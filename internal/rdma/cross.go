@@ -78,11 +78,11 @@ func (q *QP) readCross(p *sim.Proc, addr Addr, length int) ([]byte, error) {
 	}
 	local, remote := q.local.sched, q.remote.sched
 	hop := q.hop(q.cfg.ReadBase)
-	start := q.local.nic.admit(local.Now(), q.cfg, length)
+	start := q.local.admit(local.Now(), length)
 	cw := newCrossWait(local)
 	buf := make([]byte, length)
 	sim.CrossAt(local, remote, start+hop, func() {
-		serve := q.remote.nic.admit(remote.Now(), q.cfg, length)
+		serve := q.remote.admit(remote.Now(), length)
 		done := serve + q.bwTime(length)
 		remote.At(done, func() {
 			b := make([]byte, length)
@@ -105,11 +105,11 @@ func (q *QP) writeCross(p *sim.Proc, addr Addr, data []byte) error {
 	}
 	local, remote := q.local.sched, q.remote.sched
 	hop := q.hop(q.cfg.WriteBase)
-	start := q.local.nic.admit(local.Now(), q.cfg, len(data))
+	start := q.local.admit(local.Now(), len(data))
 	buf := append([]byte(nil), data...)
 	cw := newCrossWait(local)
 	sim.CrossAt(local, remote, start+hop, func() {
-		serve := q.remote.nic.admit(remote.Now(), q.cfg, len(buf))
+		serve := q.remote.admit(remote.Now(), len(buf))
 		commit := serve + q.bwTime(len(buf))
 		remote.At(commit, func() {
 			copy(reg.mem()[addr.Off:addr.Off+len(buf)], buf)
@@ -135,12 +135,12 @@ func (q *QP) postWritesCross(wrs []WR) error {
 	local, remote := q.local.sched, q.remote.sched
 	hop := q.hop(q.cfg.WriteBase)
 	for i := range chain {
-		chain[i].at = q.local.nic.admit(local.Now(), q.cfg, len(chain[i].data)) + hop
+		chain[i].at = q.local.admit(local.Now(), len(chain[i].data)) + hop
 	}
 	sim.CrossAt(local, remote, chain[len(chain)-1].at, func() {
 		var commit sim.Time
 		for _, l := range chain {
-			commit = q.remote.nic.admit(l.at, q.cfg, len(l.data)) + q.bwTime(len(l.data))
+			commit = q.remote.admit(l.at, len(l.data)) + q.bwTime(len(l.data))
 		}
 		remote.At(commit, func() { q.place(chain) })
 	})
@@ -159,11 +159,11 @@ func (q *QP) casCross(p *sim.Proc, addr Addr, expect, swap uint64) (uint64, erro
 	}
 	local, remote := q.local.sched, q.remote.sched
 	hop := q.hop(q.cfg.CASBase)
-	start := q.local.nic.admit(local.Now(), q.cfg, 8)
+	start := q.local.admit(local.Now(), 8)
 	cw := newCrossWait(local)
 	var prev uint64
 	sim.CrossAt(local, remote, start+hop, func() {
-		serve := q.remote.nic.admit(remote.Now(), q.cfg, 8)
+		serve := q.remote.admit(remote.Now(), 8)
 		remote.At(serve, func() {
 			word := reg.mem()[addr.Off : addr.Off+8]
 			v := binary.LittleEndian.Uint64(word)
@@ -185,10 +185,10 @@ func (q *QP) casCross(p *sim.Proc, addr Addr, expect, swap uint64) (uint64, erro
 func (q *QP) sendCross(p *sim.Proc, payload any) error {
 	local, remote := q.local.sched, q.remote.sched
 	hop := q.hop(q.cfg.SendBase)
-	start := q.local.nic.admit(local.Now(), q.cfg, 64)
+	start := q.local.admit(local.Now(), 64)
 	msg := Message{From: q.local.id, Payload: payload}
 	sim.CrossAt(local, remote, start+hop, func() {
-		serve := q.remote.nic.admit(remote.Now(), q.cfg, 64)
+		serve := q.remote.admit(remote.Now(), 64)
 		deliver := serve + hop
 		inbox := q.remote.inbox
 		remote.At(deliver, func() {
@@ -215,9 +215,9 @@ func (q *QP) postReadCross(p *sim.Proc, cq *CQ, addr Addr, length int) (*ReadHan
 	cq.outstanding++
 	local, remote := q.local.sched, q.remote.sched
 	hop := q.hop(q.cfg.ReadBase)
-	start := q.local.nic.admit(local.Now(), q.cfg, length)
+	start := q.local.admit(local.Now(), length)
 	sim.CrossAt(local, remote, start+hop, func() {
-		serve := q.remote.nic.admit(remote.Now(), q.cfg, length)
+		serve := q.remote.admit(remote.Now(), length)
 		done := serve + q.bwTime(length)
 		remote.At(done, func() {
 			b := make([]byte, length)

@@ -10,13 +10,14 @@ import (
 
 // Mailbox is a single-producer single-consumer message ring carried over
 // one-sided RDMA verbs, the communication pattern RamCast and Heron use
-// for protocol messages: the producer writes a record into a ring buffer
-// registered at the consumer and advances a tail pointer, as one chain of
-// WRITEs behind a single doorbell; the consumer polls its own memory (free
-// local reads) and publishes its head there with a free local store. The
-// producer reads that word, one-sidedly, only when its shadow of it says
-// the ring is full. No remote CPU is involved in sending, and an undisturbed
-// datagram costs no verb but its own two (DESIGN §18).
+// for protocol messages: the producer writes records into a ring buffer
+// registered at the consumer and advances a tail pointer — whatever one
+// Send carries is one chain of WRITEs behind a single doorbell; the
+// consumer polls its own memory (free local reads) and publishes its head
+// there with a free local store. The producer reads that word, one-sidedly,
+// only when its shadow of it says the ring is full. No remote CPU is
+// involved in sending, and an undisturbed Send costs no verb but its own
+// two, the records' WRITE and the tail's (DESIGN §18).
 //
 // Region layout at the consumer:
 //
@@ -49,12 +50,11 @@ type MailboxWriter struct {
 
 	// mu serializes Send across the producing node's processes.
 	mu *sim.Mutex
-	// marker, word and rec are Send's scratch for the wrap marker, the tail
-	// word and the framed record: PostWrites copies every payload before
-	// Send yields, and mu admits one Send at a time.
-	marker [4]byte
-	word   [8]byte
-	rec    []byte
+	// word and rec are Send's scratch for the tail word and the framed
+	// records of one chain: PostWrites copies every payload before Send
+	// yields, and mu admits one Send at a time.
+	word [8]byte
+	rec  []byte
 }
 
 const (
@@ -64,6 +64,10 @@ const (
 	recordAlign  = 8
 	maxRecordLen = 1 << 30
 )
+
+// recordPad pads a framed record to recordAlign; the scratch it is framed
+// into is reused, and padding must not carry an earlier record's bytes.
+var recordPad [recordAlign]byte
 
 // ErrMailboxFull is returned when the ring cannot accept a record and the
 // consumer is not draining it (e.g. it crashed).
@@ -111,65 +115,96 @@ func recordSpan(n int) int {
 	return (4 + n + recordAlign - 1) &^ (recordAlign - 1)
 }
 
-// Send writes one record into the ring. It blocks (in virtual time) only
-// when the ring is full, waiting for the consumer to drain it; it returns
-// ErrMailboxFull if no room appears within the fabric failure timeout.
-// The record becomes visible to the consumer one write latency later.
-func (w *MailboxWriter) Send(p *sim.Proc, payload []byte) error {
-	return w.send(p, nil, payload)
+// Send writes the payloads into the ring, in order, one record each. It
+// blocks (in virtual time) only when the ring is full, waiting for the
+// consumer to drain it; it returns ErrMailboxFull if no room appears within
+// the fabric failure timeout. The records become visible to the consumer,
+// together, one write latency later.
+func (w *MailboxWriter) Send(p *sim.Proc, payloads ...[]byte) error {
+	return w.send(p, nil, payloads)
 }
 
-// send is Send for a record given in two parts (Transport's sender prefix
-// and the datagram), framed straight into the writer's scratch.
-func (w *MailboxWriter) send(p *sim.Proc, prefix, payload []byte) error {
-	n := len(prefix) + len(payload)
-	span := recordSpan(n)
-	if n > maxRecordLen || span+recordAlign > w.cap {
-		return fmt.Errorf("rdma: mailbox record of %d bytes exceeds ring capacity %d", n, w.cap)
+// send is Send with every record given in two parts (Transport's sender
+// prefix and the datagram), framed straight into the writer's scratch. A
+// record the ring could never hold fails the call with nothing sent.
+func (w *MailboxWriter) send(p *sim.Proc, prefix []byte, payloads [][]byte) error {
+	for _, pl := range payloads {
+		if n := len(prefix) + len(pl); n > maxRecordLen || recordSpan(n)+recordAlign > w.cap {
+			return fmt.Errorf("rdma: mailbox record of %d bytes exceeds ring capacity %d", n, w.cap)
+		}
 	}
 	// Serialize processes of the producing node: Send yields the virtual
 	// CPU inside (the post, credit waits), and interleaved sends would
 	// corrupt the tail bookkeeping.
 	w.mu.Lock(p)
 	defer w.mu.Unlock(p)
+	for len(payloads) > 0 {
+		k, err := w.postChain(p, prefix, payloads)
+		if err != nil {
+			return err
+		}
+		payloads = payloads[k:]
+	}
+	return nil
+}
 
-	// Reserve space, accounting for a possible wrap marker.
+// postChain posts as many leading payloads as one lap of the ring holds —
+// always at least one — behind a single doorbell, and returns how many it
+// took. The records are laid end to end, so they are ONE WRITE however many
+// they are; where the lap wraps they are two, the first closed by the wrap
+// marker (by nothing when its last record ends exactly at the ring's end),
+// the second starting at offset 0. The tail follows as the chain's last
+// WR: RC places the chain in order, so the consumer never observes the
+// tail ahead of the record bytes, and parses record after record up to it.
+func (w *MailboxWriter) postChain(p *sim.Proc, prefix []byte, payloads [][]byte) (int, error) {
 	off := int(w.tail % uint64(w.cap))
-	wrap := off+span > w.cap
-	need := span
-	if wrap {
-		need += w.cap - off
+	var (
+		buf   = w.rec[:0]
+		pos   = off // ring offset the next record starts at
+		need  = 0   // ring bytes the chain takes, a skipped lap end included
+		split = -1  // where in buf the second WRITE starts; -1 while the lap has not wrapped
+		k     = 0
+	)
+	for ; k < len(payloads); k++ {
+		n := len(prefix) + len(payloads[k])
+		span := recordSpan(n)
+		wraps := pos+span > w.cap
+		skip := 0
+		if wraps {
+			skip = w.cap - pos
+		}
+		if k > 0 && need+skip+span > w.cap {
+			break // the next chain's; a chain within one lap also wraps at most once
+		}
+		if wraps {
+			if skip > 0 {
+				buf = binary.LittleEndian.AppendUint32(buf, wrapMarker)
+			}
+			split, pos = len(buf), 0
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+		buf = append(buf, prefix...)
+		buf = append(buf, payloads[k]...)
+		buf = append(buf, recordPad[:span-4-n]...)
+		pos += span
+		need += skip + span
 	}
+	w.rec = buf[:0] // keep what the scratch grew to
 	if err := w.waitCredit(p, need); err != nil {
-		return err
+		return 0, err
 	}
 
-	// One chain, one doorbell: [wrap marker,] record, tail. RC places the
-	// chain in order, so the consumer never observes the tail ahead of the
-	// record bytes.
 	var chain [3]WR
 	wrs := chain[:0]
-	if wrap {
-		// Not enough room before the end of the ring: emit a wrap marker
-		// and start the record at offset 0 of the next lap.
-		binary.LittleEndian.PutUint32(w.marker[:], wrapMarker)
-		wrs = append(wrs, WR{w.addAddr(mailboxHdr + off), w.marker[:]})
-		w.tail += uint64(w.cap - off)
-		off = 0
+	if split < 0 {
+		wrs = append(wrs, WR{w.addAddr(mailboxHdr + off), buf})
+	} else {
+		wrs = append(wrs, WR{w.addAddr(mailboxHdr + off), buf[:split]}, WR{w.addAddr(mailboxHdr), buf[split:]})
 	}
-	if cap(w.rec) < span {
-		w.rec = make([]byte, span)
-	}
-	rec := w.rec[:span]
-	binary.LittleEndian.PutUint32(rec, uint32(n))
-	k := 4 + copy(rec[4:], prefix)
-	copy(rec[k:], payload)
-	clear(rec[4+n:]) // the padding must not carry an earlier record's bytes
-	wrs = append(wrs, WR{w.addAddr(mailboxHdr + off), rec})
-	w.tail += uint64(span)
+	w.tail += uint64(need)
 	binary.LittleEndian.PutUint64(w.word[:], w.tail)
 	wrs = append(wrs, WR{w.ringAddr, w.word[:]})
-	return w.qp.PostWrites(p, wrs...)
+	return k, w.qp.PostWrites(p, wrs...)
 }
 
 // addAddr offsets the ring base address.

@@ -135,3 +135,39 @@ func TestUnobservedFabricHasNoInstruments(t *testing.T) {
 		t.Fatal("instruments resolved without an observer")
 	}
 }
+
+// TestNICBusyTime: every verb is booked on both NICs it occupies — the
+// issuer's and the target's — for VerbOverhead plus its bytes at line rate,
+// each WR of a chain on its own.
+func TestNICBusyTime(t *testing.T) {
+	s, f, _, b := testFabric(t)
+	defer s.Close()
+	m := obs.NewMetrics()
+	f.Observe(obs.New(nil, m))
+	reg := b.RegisterRegion(64)
+	qp := f.Connect(1, 2)
+	s.Spawn("ops", func(p *sim.Proc) {
+		if err := qp.PostWrites(p, WR{reg.Addr(0), make([]byte, 25)}, WR{reg.Addr(32), make([]byte, 8)}); err != nil {
+			t.Error(err)
+		}
+		if _, err := qp.Read(p, reg.Addr(0), 50); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := f.Config()
+	var busy uint64
+	for _, size := range []int{25, 8, 50} {
+		busy += uint64(cfg.VerbOverhead) + uint64(float64(size)/cfg.BytesPerNS)
+	}
+	for _, node := range []string{"n1", "n2"} {
+		if v := counter(m, "rdma/"+node+"/nic_verbs"); v != 3 {
+			t.Errorf("%s served %d verbs, want 3", node, v)
+		}
+		if ns := counter(m, "rdma/"+node+"/nic_busy_ns"); ns != busy {
+			t.Errorf("%s was busy %d ns, want %d", node, ns, busy)
+		}
+	}
+}

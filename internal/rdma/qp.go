@@ -102,8 +102,8 @@ func (q *QP) region(addr Addr, length int) (*Region, error) {
 func (q *QP) completionTime(base sim.Duration, size int) (sim.Time, sim.Duration) {
 	base += q.local.fabric.linkExtra(q.local.id, q.remote.id)
 	now := q.sched.Now()
-	start := q.local.nic.admit(now, q.cfg, size)
-	start = q.remote.nic.admit(start, q.cfg, size)
+	start := q.local.admit(now, size)
+	start = q.remote.admit(start, size)
 	wait := sim.Duration(start - now)
 	if io := q.local.o(); io != nil {
 		io.nicWait.Observe(wait)

@@ -227,21 +227,19 @@ func (f *Fabric) AddNodeOn(id NodeID, s *sim.Scheduler) *Node {
 // Node returns the node with the given id, or nil.
 func (f *Fabric) Node(id NodeID) *Node { return f.nodes[id] }
 
-// nic models per-NIC serialization: verbs occupy the NIC for
-// VerbOverhead + payload/line-rate; when busy, subsequent verbs queue.
-type nic struct {
-	nextFree sim.Time
-}
-
-// admit returns the virtual instant at which an op of the given payload
-// size begins service, and advances the NIC's busy horizon.
-func (n *nic) admit(now sim.Time, cfg *Config, size int) sim.Time {
-	start := now
-	if n.nextFree > start {
-		start = n.nextFree
-	}
+// admit returns the virtual instant at which a verb of the given payload
+// size begins service on the node's NIC, and advances the NIC's busy
+// horizon: a verb occupies the NIC for VerbOverhead + payload/line-rate,
+// and while it is busy later verbs queue.
+func (n *Node) admit(now sim.Time, size int) sim.Time {
+	cfg := &n.fabric.cfg
+	start := max(now, n.nicFree)
 	occ := sim.Time(cfg.VerbOverhead) + sim.Time(float64(size)/cfg.BytesPerNS)
-	n.nextFree = start + occ
+	n.nicFree = start + occ
+	if io := n.o(); io != nil {
+		io.nicBusy.Add(uint64(occ))
+		io.nicVerbs.Inc()
+	}
 	return start
 }
 
@@ -257,7 +255,8 @@ type Node struct {
 	crashed bool
 	regions map[RKey]*Region
 	nextKey RKey
-	nic     nic
+	// nicFree is when the NIC finishes the verbs admitted so far (admit).
+	nicFree sim.Time
 
 	// writeNotify is broadcast whenever a remote WRITE or CAS commits into
 	// this node's memory. Replicas use it to wait on coordination memory
@@ -278,6 +277,10 @@ type Node struct {
 type nodeObs struct {
 	track   *obs.Track
 	nicWait *obs.Histogram
+	// nicBusy and nicVerbs are the NIC's occupancy, in virtual ns, and the
+	// verbs it served, issued here or targeting here: busy time over the
+	// window is the NIC's utilisation, beside what verbs waited (nicWait).
+	nicBusy, nicVerbs *obs.Counter
 }
 
 // o resolves (once) the node's instruments, returning nil while
@@ -286,8 +289,10 @@ func (n *Node) o() *nodeObs {
 	if n.io == nil && n.fabric.obs != nil {
 		ob := n.fabric.obs
 		n.io = &nodeObs{
-			track:   ob.Track(fmt.Sprintf("node%d", n.id), "nic", n.fabric.sched),
-			nicWait: ob.Histogram(fmt.Sprintf("rdma/n%d/nic_wait", n.id)),
+			track:    ob.Track(fmt.Sprintf("node%d", n.id), "nic", n.fabric.sched),
+			nicWait:  ob.Histogram(fmt.Sprintf("rdma/n%d/nic_wait", n.id)),
+			nicBusy:  ob.Counter(fmt.Sprintf("rdma/n%d/nic_busy_ns", n.id)),
+			nicVerbs: ob.Counter(fmt.Sprintf("rdma/n%d/nic_verbs", n.id)),
 		}
 	}
 	return n.io

@@ -123,13 +123,15 @@ func (t *Transport) resetOneWay(a, b NodeID) {
 	ep.node.writeNotify.Broadcast()
 }
 
-// Send transmits payload from node `from` to node `to`. It blocks only on
-// ring backpressure. Sends to crashed nodes are silently dropped (the
-// payload lands in memory nobody drains), matching unsignaled RDMA writes.
-func (t *Transport) Send(p *sim.Proc, from, to NodeID, payload []byte) error {
+// Send transmits the payloads, one datagram each and in order, from node
+// `from` to node `to`, behind one doorbell (MailboxWriter.postChain). It
+// blocks only on ring backpressure. Sends to crashed nodes are silently
+// dropped (the payloads land in memory nobody drains), matching unsignaled
+// RDMA writes.
+func (t *Transport) Send(p *sim.Proc, from, to NodeID, payloads ...[]byte) error {
 	var prefix [8]byte
 	binary.LittleEndian.PutUint64(prefix[:], uint64(from))
-	return t.writer(from, to).send(p, prefix[:], payload)
+	return t.writer(from, to).send(p, prefix[:], payloads)
 }
 
 // TryRecv returns the next datagram across all rings, or ok=false.
