@@ -16,9 +16,10 @@ import (
 
 // updateGolden regenerates testdata/golden_*.json. The committed files
 // hold every later commit to the virtual-time results of the one that
-// generated them (PR 13, whose one-doorbell ring moved every latency; the
-// coroutine kernel of PR 12 had matched its predecessor's files sample for
-// sample): regenerate only for a change that is meant to move virtual-time
+// generated them (PR 19, whose commit-on-receipt and per-ring bursts moved
+// every latency, as PR 13's one-doorbell ring had; the coroutine kernel of
+// PR 12 had matched its predecessor's files sample for sample):
+// regenerate only for a change that is meant to move virtual-time
 // results, in a commit of its own that says which fields moved.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_*.json from this run")
 
