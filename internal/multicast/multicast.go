@@ -21,16 +21,19 @@
 //     the members of the other destination groups.
 //  3. The final timestamp is the maximum proposal across destination
 //     groups. Each leader appends decided messages to its group log in
-//     final-timestamp order (never past a pending smaller proposal),
-//     replicates the append, and advances the commit index after a quorum
-//     of acknowledgments. Replicas deliver committed entries in log order.
+//     final-timestamp order (never past a pending smaller proposal) and
+//     replicates the append. A member commits the prefix it holds once it
+//     knows f+1 members hold it: the leader after f acknowledgments; a
+//     follower, with f <= 1, on applying the leader's record (the leader
+//     and itself are the quorum), and with f >= 2 on the leader's commit
+//     index. Replicas deliver committed entries in log order.
 //
 // Leader failure is handled with a view-change protocol in the style of
 // Viewstamped Replication: views are numbered, the leader of view v is
 // replica v mod n, and a new leader adopts the freshest state from f+1
 // members before resuming. Because proposals are quorum-replicated before
-// becoming externally visible and appends are quorum-acknowledged before
-// commit, every promise survives into the new view.
+// becoming externally visible and appends are held by a quorum before
+// anyone commits them, every promise survives into the new view.
 package multicast
 
 import (
