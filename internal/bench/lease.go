@@ -143,8 +143,12 @@ func (r *LeaseResult) Gate() bool {
 	return r.On.ReadMeanNS > 0 && r.On.ReadMeanNS <= int64(LeaseGateLocalMean) &&
 		r.On.ReadP99NS <= int64(LeaseGateLocalP99) &&
 		r.HitRate >= LeaseGateHitRate &&
-		r.Off.ReadMeanNS-r.On.ReadMeanNS >= int64(LeaseGateMargin)
+		r.MarginNS() >= int64(LeaseGateMargin)
 }
+
+// MarginNS is how far the local-read mean lies under the ordered-read
+// mean, in nanoseconds.
+func (r *LeaseResult) MarginNS() int64 { return r.Off.ReadMeanNS - r.On.ReadMeanNS }
 
 // leaseBenchApp is the register application: payload
 // [op u8][oid u64][val u64]; op 0 reads the object, op 1 writes val.
@@ -376,6 +380,6 @@ func (r *LeaseResult) Format() string {
 		fmtDur(sim.Duration(r.On.ReadMeanNS)), fmtDur(LeaseGateLocalMean),
 		fmtDur(sim.Duration(r.On.ReadP99NS)), fmtDur(LeaseGateLocalP99),
 		100*r.HitRate, 100*LeaseGateHitRate,
-		r.Off.ReadMeanNS-r.On.ReadMeanNS, int64(LeaseGateMargin), r.Speedup, r.Gate())
+		r.MarginNS(), int64(LeaseGateMargin), r.Speedup, r.Gate())
 	return b.String()
 }

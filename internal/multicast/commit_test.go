@@ -1,6 +1,7 @@
 package multicast
 
 import (
+	"slices"
 	"testing"
 
 	"heron/internal/rdma"
@@ -16,23 +17,19 @@ type tapped struct {
 	at       sim.Time
 	from, to rdma.NodeID
 	kind     uint8
-	send     int // ordinal of the Send that carried it: one flush, one destination
-	payload  []byte
 }
 
 type tap struct {
 	Transport
-	log   []tapped
-	sends int
-	drop  func(d tapped) bool // nil: drop nothing
+	log  []tapped
+	drop func(d tapped) bool // nil: drop nothing
 }
 
 func (tp *tap) Send(p *sim.Proc, from, to rdma.NodeID, payloads ...[]byte) error {
-	tp.sends++
 	kept := make([][]byte, 0, len(payloads))
 	for _, pl := range payloads {
 		kind, _, _ := decodeKind(pl)
-		d := tapped{at: tp.Scheduler().Now(), from: from, to: to, kind: kind, send: tp.sends, payload: pl}
+		d := tapped{at: tp.Scheduler().Now(), from: from, to: to, kind: kind}
 		tp.log = append(tp.log, d)
 		if tp.drop == nil || !tp.drop(d) {
 			kept = append(kept, pl)
@@ -57,14 +54,7 @@ func (tp *tap) count(kind uint8, since sim.Time) int {
 }
 
 func dropKinds(kinds ...uint8) func(tapped) bool {
-	return func(d tapped) bool {
-		for _, k := range kinds {
-			if d.kind == k {
-				return true
-			}
-		}
-		return false
-	}
+	return func(d tapped) bool { return slices.Contains(kinds, d.kind) }
 }
 
 func newTappedCluster(t *testing.T, groups, n int) (*cluster, *tap) {

@@ -3,6 +3,7 @@ package rdma
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"heron/internal/obs"
@@ -31,18 +32,6 @@ func drain(p *sim.Proc, mb *Mailbox) [][]byte {
 		got = append(got, rec)
 	}
 	return got
-}
-
-func sameRecords(got, want [][]byte) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], want[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestBurstIsOneDoorbell: k payloads cost one doorbell and two WRITE verbs
@@ -134,7 +123,7 @@ func TestBurstRecordEndingAtRingEnd(t *testing.T) {
 		if v := counter(m, "rdma/qp/n1->n2/write_ops") - v0; v != 3 {
 			t.Errorf("%d write verbs, want 3 (two record WRITEs and the tail)", v)
 		}
-		if got := drain(p, mb); !sameRecords(got, want) {
+		if got := drain(p, mb); !slices.EqualFunc(got, want, bytes.Equal) {
 			t.Errorf("received %q, want %q", got, want)
 		}
 		if w.tail != 64+16 || mb.head != w.tail {
