@@ -153,7 +153,8 @@ func (r *Replica) handleControl(p *sim.Proc, datagram []byte, from rdma.NodeID) 
 			return
 		}
 		for _, e := range m.entries {
-			key := objMapKey{oid: storeOID(e.oid), node: from}
+			oid := storeOID(e.oid)
+			key := objMapKey{oid: oid, node: from}
 			if e.found {
 				r.objMap[key] = objMapEntry{
 					addr:    rdma.Addr{Node: from, Key: rdma.RKey(e.key), Off: int(e.off)},
@@ -161,6 +162,9 @@ func (r *Replica) handleControl(p *sim.Proc, datagram []byte, from rdma.NodeID) 
 				}
 			} else {
 				r.objMap[key] = objMapEntry{missing: true}
+			}
+			if _, asked := r.addrAsked[oid]; asked && r.hasAddrQuorum(oid, r.parter.PartitionOf(oid)) {
+				delete(r.addrAsked, oid)
 			}
 		}
 		r.queryCond.Broadcast()

@@ -116,7 +116,10 @@ type Outcome struct {
 // phase, and writes target only the executing replica's partition
 // (Section III-A). Writes to non-local objects are ignored by the core.
 type Application interface {
-	// ReadSet lists the objects the request reads.
+	// ReadSet lists the objects the request reads. It must be a pure
+	// function of the request: the executor calls it once while the
+	// request is still queued, to fetch remote addresses ahead, and again
+	// when executing it.
 	ReadSet(req *Request) []store.OID
 	// Execute computes writes and the client response from the read
 	// values.

@@ -25,6 +25,13 @@ func testDeployment(t *testing.T, parts, n, keys int) (*sim.Scheduler, *Deployme
 // the start (nil: unobserved).
 func observedDeployment(t *testing.T, parts, n, keys int, o *obs.Observer) (*sim.Scheduler, *Deployment) {
 	t.Helper()
+	return appDeployment(t, parts, n, keys, newKVApp, o)
+}
+
+// appDeployment is observedDeployment running the given kvApp-compatible
+// application.
+func appDeployment(t *testing.T, parts, n, keys int, app AppFactory, o *obs.Observer) (*sim.Scheduler, *Deployment) {
+	t.Helper()
 	s := sim.NewScheduler()
 	layout := make([][]rdma.NodeID, parts)
 	id := rdma.NodeID(1)
@@ -36,7 +43,7 @@ func observedDeployment(t *testing.T, parts, n, keys int, o *obs.Observer) (*sim
 	}
 	cfg := DefaultConfig(multicast.DefaultConfig(layout))
 	cfg.StoreCapacity = 1 << 20
-	d, err := NewDeployment(s, cfg, newKVApp, kvPartitioner)
+	d, err := NewDeployment(s, cfg, app, kvPartitioner)
 	if err != nil {
 		t.Fatal(err)
 	}

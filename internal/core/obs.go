@@ -73,6 +73,12 @@ type replicaObs struct {
 	orderedRead    *obs.Counter
 	leaseGrants    *obs.Counter
 	leaseRevokes   *obs.Counter
+	// Address resolution: OIDs asked ahead by prefetchAddrs, OIDs asked
+	// in-line by batchQueryAddrs, and the times execute still had to wait
+	// for an address quorum.
+	addrPrefetchOIDs *obs.Counter
+	addrQueryOIDs    *obs.Counter
+	addrResolveWaits *obs.Counter
 
 	// clock is the executor thread's busy-time ledger.
 	clock execClock
@@ -112,6 +118,10 @@ func (r *Replica) observe(o *obs.Observer, s *sim.Scheduler) {
 		leaseGrants:    o.Counter("lease/grants"),
 		leaseRevokes:   o.Counter("lease/revokes"),
 		flight:         o.FlightShard(0),
+
+		addrPrefetchOIDs: o.Counter("core/addr_prefetch_oids"),
+		addrQueryOIDs:    o.Counter("core/addr_query_oids"),
+		addrResolveWaits: o.Counter("core/addr_resolve_waits"),
 	}
 	for ph, name := range execPhaseNames {
 		r.obs.clock.ns[ph] = o.Counter(fmt.Sprintf("core/p%d/r%d/exec_ns/%s", r.part, r.rank, name))

@@ -191,6 +191,7 @@ func (r *Replica) runParallelExecutor(p *sim.Proc) {
 			return
 		}
 		clock.charge(execIdle, p.Now())
+		r.prefetchAddrs(p, d)
 		req := &Request{ID: d.ID, Ts: d.Ts, Dst: d.Dst, Payload: d.Payload}
 		p.Sleep(r.cfg.DispatchCPU)
 		if req.Ts <= r.lastReq {

@@ -41,6 +41,10 @@ func (r *Replica) rejoin(s *sim.Scheduler, mc *multicast.Process) {
 	// pre-crash incarnation are dropped with the crash.
 	r.leaseSelfServe = false
 	r.gatedQ = nil
+	// Address queries of the pre-crash incarnation died with its inbox, and
+	// the replacement multicast process delivers into a fresh queue.
+	clear(r.addrAsked)
+	r.prefetchTs = 0
 	r.start(s)
 }
 

@@ -71,6 +71,11 @@ type Replica struct {
 	// (Algorithm 2's object_map).
 	objMap    map[objMapKey]objMapEntry
 	queryCond *sim.Cond
+	// addrAsked holds when each OID's address query was last sent, until a
+	// majority of its partition has answered: the queries in flight.
+	// prefetchTs is the newest queued delivery prefetchAddrs has scanned.
+	addrAsked  map[store.OID]sim.Time
+	prefetchTs multicast.Timestamp
 
 	lastReq  multicast.Timestamp // Algorithm 1's last_req
 	lastExec multicast.Timestamp // last fully executed request
@@ -189,6 +194,7 @@ func newReplica(cfg *Config, tr *rdma.Transport, mc *multicast.Process, part Par
 		qps:         make(map[rdma.NodeID]*rdma.QP),
 		objMap:      make(map[objMapKey]objMapEntry),
 		queryCond:   sim.NewCond(tr.Fabric().Scheduler()),
+		addrAsked:   make(map[store.OID]sim.Time),
 		obs:         &replicaObs{},
 		leaseHolder: -1,
 	}
@@ -349,6 +355,7 @@ func (r *Replica) runExecutor(p *sim.Proc) {
 			return
 		}
 		clock.charge(execIdle, p.Now())
+		r.prefetchAddrs(p, d)
 		req := &Request{ID: d.ID, Ts: d.Ts, Dst: d.Dst, Payload: d.Payload}
 		p.Sleep(r.cfg.DispatchCPU)
 

@@ -92,6 +92,16 @@ func (c *Chan[T]) TryRecv() (T, bool) {
 // Len returns the number of queued elements.
 func (c *Chan[T]) Len() int { return len(c.buf) - c.head }
 
+// Peek returns the i-th queued element (0 is the oldest) without
+// dequeuing it; ok=false when fewer than i+1 elements are queued.
+func (c *Chan[T]) Peek(i int) (T, bool) {
+	if i < 0 || i >= c.Len() {
+		var zero T
+		return zero, false
+	}
+	return c.buf[c.head+i], true
+}
+
 // Close marks the channel closed; blocked receivers drain remaining
 // elements and then observe ok=false.
 func (c *Chan[T]) Close() {

@@ -391,6 +391,47 @@ func TestChanTryRecv(t *testing.T) {
 	}
 }
 
+// Peek reads the queue in FIFO order without consuming it, rejects
+// indices outside [0, Len), survives the consumed-prefix slide, and
+// allocates nothing.
+func TestChanPeek(t *testing.T) {
+	s := NewScheduler()
+	ch := NewChan[int](s)
+	if _, ok := ch.Peek(0); ok {
+		t.Fatal("Peek on empty chan should fail")
+	}
+	for i := 0; i < 128; i++ {
+		ch.Send(i)
+	}
+	expect := func(first int) {
+		t.Helper()
+		for i := 0; i < ch.Len(); i++ {
+			if v, ok := ch.Peek(i); !ok || v != first+i {
+				t.Fatalf("Peek(%d) = %d,%v; want %d", i, v, ok, first+i)
+			}
+		}
+		for _, i := range []int{-1, ch.Len(), ch.Len() + 1} {
+			if _, ok := ch.Peek(i); ok {
+				t.Fatalf("Peek(%d) of %d queued succeeded", i, ch.Len())
+			}
+		}
+	}
+	expect(0)
+	for i := 0; i < 64; i++ {
+		ch.TryRecv()
+	}
+	if ch.head != 0 || ch.Len() != 64 {
+		t.Fatalf("after 64 of 128 dequeued: head %d, len %d; want the slide to head 0", ch.head, ch.Len())
+	}
+	expect(64)
+	if v, _ := ch.TryRecv(); v != 64 {
+		t.Fatalf("Peek consumed: TryRecv = %d, want 64", v)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ch.Peek(10) }); allocs != 0 {
+		t.Fatalf("Peek allocates %v times", allocs)
+	}
+}
+
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []Time {
 		s := NewScheduler()
