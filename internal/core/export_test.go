@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"heron/internal/multicast"
 	"heron/internal/sim"
 )
 
@@ -19,4 +20,19 @@ func (r *Replica) StopControl() { r.ctlProc.Kill() }
 // StartControl starts a fresh control process after StopControl.
 func (r *Replica) StartControl(s *sim.Scheduler) {
 	r.ctlProc = s.Spawn(fmt.Sprintf("heron-ctl-p%d-r%d", r.part, r.rank), r.runControl)
+}
+
+// AnnouncedAhead returns the request whose phase-2 word rode this
+// replica's last phase-4 post, and whether it is still queued.
+func (r *Replica) AnnouncedAhead() (multicast.Timestamp, bool) {
+	return r.announced, r.announced > r.lastReq
+}
+
+// CheckCoordinationRule installs the given coordination frontier — the
+// newest multi-partition request executed and the newest whose phase-4
+// majority was seen — and runs the check every execution starts with, for
+// a request at ts.
+func (r *Replica) CheckCoordinationRule(lastMulti, coord4Seen, ts multicast.Timestamp) {
+	r.lastMulti, r.coord4Seen = lastMulti, coord4Seen
+	r.checkCoordinated(&Request{Ts: ts})
 }

@@ -262,7 +262,9 @@ func (r *Replica) processSerial(p *sim.Proc, req *Request, rec TraceRecord) {
 	sp := tk.Begin("request").Arg("ts", uint64(req.Ts)).Arg("multi", true)
 	t0 := p.Now()
 	c2 := tk.Begin("coord_phase2")
-	r.writeCoordination(p, req, phaseBefore)
+	if r.announced != req.Ts {
+		r.writeCoordination(p, req.Ts, phaseBefore, req.Dst, nil)
+	}
 	r.waitCoordination(p, req, phaseBefore, r.cfg.CutoffPhase2, nil)
 	c2.End()
 	rec.CoordPhase2 = sim.Duration(p.Now() - t0)
@@ -278,11 +280,13 @@ func (r *Replica) processSerial(p *sim.Proc, req *Request, rec TraceRecord) {
 		return
 	}
 	r.lastExec = req.Ts
+	r.lastMulti = req.Ts
 
 	t0 = p.Now()
 	c4 := tk.Begin("coord_phase4")
-	r.writeCoordination(p, req, phaseAfter)
+	r.postPhase4(p, req)
 	r.waitCoordination(p, req, phaseAfter, true, &rec)
+	r.coord4Seen = req.Ts
 	c4.End()
 	rec.CoordPhase4 = sim.Duration(p.Now() - t0)
 	r.obs.cp.Record(cpID(req.ID), obs.SegCoord4Wait, t0, p.Now())

@@ -45,6 +45,9 @@ func (r *Replica) rejoin(s *sim.Scheduler, mc *multicast.Process) {
 	// the replacement multicast process delivers into a fresh queue.
 	clear(r.addrAsked)
 	r.prefetchTs = 0
+	// A word announced before the crash describes the old queue; the
+	// coordination rule restarts with the executor.
+	r.announced, r.lastMulti, r.coord4Seen = 0, 0, 0
 	r.start(s)
 }
 
