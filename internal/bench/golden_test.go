@@ -16,12 +16,12 @@ import (
 
 // updateGolden regenerates testdata/golden_*.json. The committed files
 // hold every later commit to the virtual-time results of the one that
-// generated them (PR 19, whose commit-on-receipt and per-ring bursts moved
-// every latency, as PR 13's one-doorbell ring had; the coroutine kernel of
-// PR 12 had matched its predecessor's files sample for sample; PR 25's
-// address prefetch moved golden_heron_tpcc.json alone):
-// regenerate only for a change that is meant to move virtual-time
-// results, in a commit of its own that says which fields moved.
+// generated them (commit-on-receipt and per-ring bursts moved every
+// latency, as the one-doorbell ring had; the address prefetch moved
+// golden_heron_tpcc.json alone, and the merged coordination word moved it
+// and golden_heron_null.json): regenerate only for a change that is meant
+// to move virtual-time results, in a commit of its own that says which
+// fields moved.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_*.json from this run")
 
 // heronDigest is everything a HeronRun measured, in recording order.
