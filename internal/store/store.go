@@ -198,10 +198,16 @@ func (s *Store) Set(oid OID, val []byte, tmp uint64) error {
 	buf := s.region.Bytes()
 	tmpA := binary.LittleEndian.Uint64(buf[m.off : m.off+8])
 	tmpB := binary.LittleEndian.Uint64(buf[m.off+versionHdr+m.max : m.off+versionHdr+m.max+8])
-	// Overwrite the older version; on a tie (fresh slot: Init wrote A and
-	// B is still zeroed) overwrite B so the initial value survives.
+	// A request that writes the object again replaces its own version, so
+	// the one older readers select survives. Otherwise overwrite the older
+	// version; on a tie (fresh slot: Init wrote A and B is still zeroed)
+	// overwrite B so the initial value survives.
 	verIdx := 0
-	if tmpA >= tmpB {
+	switch {
+	case tmp == tmpB:
+		verIdx = 1
+	case tmp == tmpA:
+	case tmpA >= tmpB:
 		verIdx = 1
 	}
 	s.writeVersion(buf, m.off, m.max, verIdx, tmp, val)

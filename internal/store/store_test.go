@@ -95,6 +95,29 @@ func TestSetOverwritesOlderVersion(t *testing.T) {
 	}
 }
 
+// A request that writes one object twice replaces its own version: the
+// version older readers select survives, and the newest is the last write.
+func TestSetTwiceBySameRequestKeepsOlderVersion(t *testing.T) {
+	st, _, _ := newTestStore(t, 4096)
+	if err := st.Register(1, 16); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		val string
+		tmp uint64
+	}{{"v5", 5}, {"v10", 10}, {"v10b", 10}} {
+		if err := st.Set(1, []byte(w.val), w.tmp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if val, tmp, ok := st.GetAt(1, 10); !ok || string(val) != "v5" || tmp != 5 {
+		t.Fatalf("GetAt(10) = %q@%d ok=%v, want the ts-5 version", val, tmp, ok)
+	}
+	if val, tmp, _ := st.Get(1); string(val) != "v10b" || tmp != 10 {
+		t.Fatalf("Get = %q@%d, want the second write of request 10", val, tmp)
+	}
+}
+
 func TestErrors(t *testing.T) {
 	st, _, _ := newTestStore(t, SlotSize(16)+8)
 	if err := st.Register(1, 16); err != nil {
