@@ -131,7 +131,9 @@ func stoppedExecutor(t *testing.T, parts int, o *obs.Observer) (*sim.Scheduler, 
 
 // After a multi-partition request, the phase-4 word is ⟨n, after⟩ unless
 // the request at the head of the queue is one execution will coordinate;
-// each of the tests prefetchAddrs applies, failed alone, falls back.
+// each of the tests prefetchAddrs applies, failed alone, falls back. The
+// request read ahead is the announced one, and none when the word falls
+// back.
 func TestMergedWordFallsBack(t *testing.T) {
 	const n, next = multicast.Timestamp(5), multicast.Timestamp(6)
 	kv := encodeKVReq(&kvReq{reads: []store.OID{kvOID(0, 0), kvOID(1, 0)}})
@@ -168,12 +170,15 @@ func TestMergedWordFallsBack(t *testing.T) {
 				r.postPhase4(p, &Request{Ts: n, Dst: both})
 			})
 			runFor(t, s, 10*sim.Microsecond)
-			want, announced := uint64(n)<<2|phaseAfter, multicast.Timestamp(0)
+			want, announced, remote := uint64(n)<<2|phaseAfter, multicast.Timestamp(0), 0
 			if c.merged {
-				want, announced = uint64(next)<<2|phaseBefore, next
+				want, announced, remote = uint64(next)<<2|phaseBefore, next, 1 // kvOID(1, 0)
 			}
 			if r.announced != announced {
 				t.Errorf("announced %v, want %v", r.announced, announced)
+			}
+			if ra := &r.ahead; ra.req.Ts != announced || len(ra.posts) != remote {
+				t.Errorf("reads ahead for %v with %d remote reads, want only the announced %v", ra.req.Ts, len(ra.posts), announced)
 			}
 			for part, group := range d.Replicas {
 				for rank, rep := range group {

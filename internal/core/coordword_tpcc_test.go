@@ -11,7 +11,8 @@ import (
 )
 
 // A replica crashes after its phase-4 word announced the queued request's
-// phase 2 and before it dequeued that request. The survivors complete the
+// phase 2, and started reading it ahead, before it dequeued that request;
+// the rejoin forgets the read-ahead. The survivors complete the
 // request without it; the recovered replica catches up past it, and
 // TPCC's consistency conditions hold on every replica, the recovered one
 // included.
@@ -37,11 +38,17 @@ func TestCrashBetweenMergedWordAndDequeue(t *testing.T) {
 		}
 	}
 	t.Logf("%v: p%d/r%d crashes, %v announced and queued", l.s.Now(), victim.Partition(), victim.Rank(), next)
+	if ts := victim.ReadAheadFor(); ts != next {
+		t.Fatalf("p%d/r%d reads ahead for %v, not for the announced %v", victim.Partition(), victim.Rank(), ts, next)
+	}
 	victim.Crash()
 	completedAtFault := l.completed
 	l.runUntil(t, l.s.Now()+sim.Time(sim.Millisecond))
 	if err := l.d.RecoverReplica(victim.Partition(), victim.Rank()); err != nil {
 		t.Fatal(err)
+	}
+	if ts := victim.ReadAheadFor(); ts != 0 {
+		t.Fatalf("the rejoined replica still reads ahead for %v", ts)
 	}
 	l.runUntil(t, stop+sim.Time(5*sim.Millisecond))
 	if l.completed-completedAtFault < 20 {

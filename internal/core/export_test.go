@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"heron/internal/multicast"
+	"heron/internal/rdma"
 	"heron/internal/sim"
 )
 
@@ -35,4 +36,21 @@ func (r *Replica) AnnouncedAhead() (multicast.Timestamp, bool) {
 func (r *Replica) CheckCoordinationRule(lastMulti, coord4Seen, ts multicast.Timestamp) {
 	r.lastMulti, r.coord4Seen = lastMulti, coord4Seen
 	r.checkCoordinated(&Request{Ts: ts})
+}
+
+// ReadAheadFor returns the request this replica reads ahead for, 0 if none.
+func (r *Replica) ReadAheadFor() multicast.Timestamp { return r.ahead.req.Ts }
+
+// ReadAheadInFlight returns the target of a READ posted ahead, for a
+// request execute has not taken yet, whose completion has not landed.
+func (r *Replica) ReadAheadInFlight() (rdma.NodeID, bool) {
+	if r.ahead.req.Ts == 0 {
+		return 0, false
+	}
+	for _, po := range r.ahead.posts {
+		if po.h != nil && !po.h.Done() {
+			return po.node, true
+		}
+	}
+	return 0, false
 }

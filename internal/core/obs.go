@@ -79,6 +79,10 @@ type replicaObs struct {
 	addrPrefetchOIDs *obs.Counter
 	addrQueryOIDs    *obs.Counter
 	addrResolveWaits *obs.Counter
+	// Read-ahead: READs posted while the executor waited, and those whose
+	// request did not execute with them.
+	readAheadPosts   *obs.Counter
+	readAheadDropped *obs.Counter
 
 	// clock is the executor thread's busy-time ledger.
 	clock execClock
@@ -122,6 +126,8 @@ func (r *Replica) observe(o *obs.Observer, s *sim.Scheduler) {
 		addrPrefetchOIDs: o.Counter("core/addr_prefetch_oids"),
 		addrQueryOIDs:    o.Counter("core/addr_query_oids"),
 		addrResolveWaits: o.Counter("core/addr_resolve_waits"),
+		readAheadPosts:   o.Counter("core/read_ahead_posts"),
+		readAheadDropped: o.Counter("core/read_ahead_dropped"),
 	}
 	for ph, name := range execPhaseNames {
 		r.obs.clock.ns[ph] = o.Counter(fmt.Sprintf("core/p%d/r%d/exec_ns/%s", r.part, r.rank, name))

@@ -265,6 +265,7 @@ func (r *Replica) processSerial(p *sim.Proc, req *Request, rec TraceRecord) {
 	if r.announced != req.Ts {
 		r.writeCoordination(p, req.Ts, phaseBefore, req.Dst, nil)
 	}
+	r.readAheadFor(req)
 	r.waitCoordination(p, req, phaseBefore, r.cfg.CutoffPhase2, nil)
 	c2.End()
 	rec.CoordPhase2 = sim.Duration(p.Now() - t0)

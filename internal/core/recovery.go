@@ -45,9 +45,10 @@ func (r *Replica) rejoin(s *sim.Scheduler, mc *multicast.Process) {
 	// the replacement multicast process delivers into a fresh queue.
 	clear(r.addrAsked)
 	r.prefetchTs = 0
-	// A word announced before the crash describes the old queue; the
-	// coordination rule restarts with the executor.
+	// A word announced and READs posted before the crash describe the old
+	// queue; the coordination rule restarts with the executor.
 	r.announced, r.lastMulti, r.coord4Seen = 0, 0, 0
+	r.dropReadAhead()
 	r.start(s)
 }
 

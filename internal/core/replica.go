@@ -83,6 +83,11 @@ type Replica struct {
 	// announced is the queued request whose phase-2 word rode the last
 	// phase-4 post (DESIGN §21): its own phase 2 posts nothing.
 	announced multicast.Timestamp
+	// ahead is the request whose remote READs go out while the executor
+	// waits (readahead.go, DESIGN §22).
+	ahead readAhead
+	// coordWait holds the executor's coordination wait (waitCoordination).
+	coordWait *coordWait
 	// lastMulti is the newest multi-partition request executed and
 	// coord4Seen the newest whose phase-4 majority was observed; no
 	// execution starts while lastMulti > coord4Seen (checkCoordinated).
@@ -207,6 +212,7 @@ func newReplica(cfg *Config, tr *rdma.Transport, mc *multicast.Process, part Par
 		obs:         &replicaObs{},
 		leaseHolder: -1,
 	}
+	r.coordWait = newCoordWait(r)
 	r.coordMem = node.RegisterRegion(maxParts * maxN * 8)
 	r.stMem = node.RegisterRegion(maxN * stEntrySize)
 	r.staging = node.RegisterRegion(cfg.AuxStagingCap)
@@ -444,9 +450,10 @@ func (r *Replica) writeCoordination(p *sim.Proc, ts multicast.Timestamp, phase u
 // reached next (DESIGN §21).
 func (r *Replica) postPhase4(p *sim.Proc, req *Request) {
 	if next, queued := r.mc.Deliveries().Peek(0); queued && next.Ts > r.lastReq && r.pendingCfg == nil {
-		if _, ok := r.coordinatedPayload(next); ok {
+		if payload, ok := r.coordinatedPayload(next); ok {
 			r.writeCoordination(p, next.Ts, phaseBefore, req.Dst, next.Dst)
 			r.announced = next.Ts
+			r.readAheadFor(&Request{ID: next.ID, Ts: next.Ts, Dst: next.Dst, Payload: payload})
 			return
 		}
 	}
@@ -491,50 +498,84 @@ func (r *Replica) coordSatisfied(h PartitionID, q int, ts multicast.Timestamp, p
 	return entTs == ts && entPhase >= phase
 }
 
-// waitCoordination blocks until a majority of every involved partition
-// has coordinated, then — when the cut-off heuristic applies — waits up
-// to CutoffDelay for the remaining replicas, recording Table I's delayed
-// fraction and delay into rec.
-func (r *Replica) waitCoordination(p *sim.Proc, req *Request, phase uint64, cutoff bool, rec *TraceRecord) {
-	majority := func() bool {
-		for _, h := range req.Dst {
-			n := len(r.peers[h])
-			need := n/2 + 1
-			got := 0
-			for q := 0; q < n; q++ {
-				if r.coordSatisfied(h, q, req.Ts, phase) {
-					got++
-				}
+// coordWait is the executor's coordination wait in progress. Its
+// predicates are bound once, in newReplica, so a wait allocates nothing;
+// only the executor waits, one wait at a time.
+type coordWait struct {
+	r     *Replica
+	dst   []PartitionID
+	ts    multicast.Timestamp
+	phase uint64
+
+	// all and wake are hasAll and wakes, bound once.
+	all, wake func() bool
+}
+
+func newCoordWait(r *Replica) *coordWait {
+	w := &coordWait{r: r}
+	w.all, w.wake = w.hasAll, w.wakes
+	return w
+}
+
+// hasMajority reports whether a majority of every involved partition has
+// coordinated.
+func (w *coordWait) hasMajority() bool {
+	for _, h := range w.dst {
+		n := len(w.r.peers[h])
+		got := 0
+		for q := 0; q < n; q++ {
+			if w.r.coordSatisfied(h, q, w.ts, w.phase) {
+				got++
 			}
-			if got < need {
+		}
+		if got < n/2+1 {
+			return false
+		}
+	}
+	return true
+}
+
+// hasAll reports whether every replica of every involved partition has
+// coordinated.
+func (w *coordWait) hasAll() bool {
+	for _, h := range w.dst {
+		for q := 0; q < len(w.r.peers[h]); q++ {
+			if !w.r.coordSatisfied(h, q, w.ts, w.phase) {
 				return false
 			}
 		}
-		return true
 	}
-	all := func() bool {
-		for _, h := range req.Dst {
-			for q := 0; q < len(r.peers[h]); q++ {
-				if !r.coordSatisfied(h, q, req.Ts, phase) {
-					return false
-				}
-			}
-		}
-		return true
-	}
+	return true
+}
 
-	r.node.WriteNotify().WaitUntil(p, majority)
+// wakes is the majority wait's wake predicate: the majority, or a READ of
+// the request read ahead for that can be posted now.
+func (w *coordWait) wakes() bool { return w.hasMajority() || w.r.aheadPostable() }
+
+// waitCoordination blocks until a majority of every involved partition
+// has coordinated, then — when the cut-off heuristic applies — waits up
+// to CutoffDelay for the remaining replicas, recording Table I's delayed
+// fraction and delay into rec. While it waits it posts the READs that
+// become postable ahead (readahead.go); it returns only on the majority.
+func (r *Replica) waitCoordination(p *sim.Proc, req *Request, phase uint64, cutoff bool, rec *TraceRecord) {
+	w := r.coordWait
+	w.dst, w.ts, w.phase = req.Dst, req.Ts, phase
+	r.postAhead(p)
+	for !w.hasMajority() {
+		r.node.WriteNotify().WaitUntil(p, w.wake)
+		r.postAhead(p)
+	}
 
 	if !cutoff || r.cfg.CutoffDelay <= 0 {
 		return
 	}
-	if all() {
+	if w.hasAll() {
 		return
 	}
 	// Majority reached but some replicas are behind: tentatively wait for
 	// them so they do not become laggers (Section V-E1).
 	t0 := p.Now()
-	r.node.WriteNotify().WaitUntilTimeout(p, r.cfg.CutoffDelay, all)
+	r.node.WriteNotify().WaitUntilTimeout(p, r.cfg.CutoffDelay, w.all)
 	if rec != nil {
 		rec.Delayed = true
 		rec.DelayWait = sim.Duration(p.Now() - t0)
