@@ -17,11 +17,10 @@
 //	heron-bench rebalance [-scenario hotshift|flash|skew|scaleout|feedercrash|donorcrash] [-seed 1]
 //	heron-bench lease   [-partitions 2] [-replicas 3] [-clients 24] [-readpct 95] [-window 20ms] [-seed 1]
 //	heron-bench lsm     [-keys 16,64,256] [-valbytes 256] [-preset snappy|zstd|none] [-seed 1]
-//	heron-bench openloop [-groups 4] [-replicas 3] [-domains 1] [-clients 100000]
+//	heron-bench openloop [-groups 4] [-replicas 3] [-clients 100000]
 //	                     [-rate 10] [-arrival poisson|pareto] [-shape steady|diurnal|flash]
 //	                     [-mix update|ycsb-b|ycsb-c] [-window 20ms] [-seed 1]
 //	                     [-heat out.json] [-flightdir d] [-rebalance]
-//	heron-bench parallel [-groups 8] [-replicas 3] [-clients 100000] [-window 40ms]
 //	heron-bench all     [-quick]
 //
 // Every subcommand accepts -json to emit machine-readable results instead
@@ -96,8 +95,6 @@ func main() {
 		err = runLSMCmd(args)
 	case "openloop":
 		err = runOpenLoopCmd(args)
-	case "parallel":
-		err = runParallelCmd(args)
 	case "all":
 		err = runAll(args)
 	default:
@@ -112,7 +109,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: heron-bench {fig4|fig5|fig6|fig7|fig8|table1|ablation|workers|fanout|chaos|reconfig|recovery|rebalance|lease|lsm|openloop|parallel|all} [flags] [-json]")
+	fmt.Fprintln(os.Stderr, "usage: heron-bench {fig4|fig5|fig6|fig7|fig8|table1|ablation|workers|fanout|chaos|reconfig|recovery|rebalance|lease|lsm|openloop|all} [flags] [-json]")
 }
 
 // formatter is any experiment result renderable as a text table.
@@ -172,12 +169,7 @@ func addObsFlags(fs *flag.FlagSet) *obsOpts {
 
 // observer builds the observer the flags imply; nil when all are off, so
 // the benchmarks stay on the zero-cost disabled path.
-func (oo *obsOpts) observer() *obs.Observer { return oo.observerDomains(1) }
-
-// observerDomains builds the observer with the critical-path engine
-// sharded for `domains` parallel simulation domains (shards must cover
-// every domain thread that will record).
-func (oo *obsOpts) observerDomains(domains int) *obs.Observer {
+func (oo *obsOpts) observer() *obs.Observer {
 	var tr *obs.Tracer
 	var m *obs.Metrics
 	var cp *obs.CritPath
@@ -188,7 +180,7 @@ func (oo *obsOpts) observerDomains(domains int) *obs.Observer {
 		m = obs.NewMetrics()
 	}
 	if *oo.profile != "" {
-		cp = obs.NewCritPath(domains)
+		cp = obs.NewCritPath(1)
 	}
 	return obs.NewFull(tr, m, cp, nil, nil)
 }
@@ -611,7 +603,6 @@ func runOpenLoopCmd(args []string) error {
 	opts := bench.DefaultOpenLoopOptions()
 	fs.IntVar(&opts.Groups, "groups", opts.Groups, "ordering groups")
 	fs.IntVar(&opts.Replicas, "replicas", opts.Replicas, "replicas per group")
-	fs.IntVar(&opts.Domains, "domains", opts.Domains, "parallel simulation domains (1..groups)")
 	fs.IntVar(&opts.Clients, "clients", opts.Clients, "modeled open-loop client population")
 	fs.Float64Var(&opts.RatePerClient, "rate", opts.RatePerClient, "mean submissions per client per second")
 	fs.IntVar(&opts.PumpsPerGroup, "pumps", opts.PumpsPerGroup, "submission pumps per group")
@@ -634,10 +625,7 @@ func runOpenLoopCmd(args []string) error {
 	}
 	opts.Warmup = sim.Duration(*warmup)
 	opts.Window = sim.Duration(*window)
-	if opts.Domains < 1 {
-		opts.Domains = 1
-	}
-	o := oo.observerDomains(opts.Domains)
+	o := oo.observer()
 	var heat *obs.Heat
 	if *heatPath != "" {
 		heat = obs.NewHeat(opts.Groups, 100*sim.Microsecond, 8)
@@ -663,28 +651,6 @@ func runOpenLoopCmd(args []string) error {
 		}
 		fmt.Fprint(os.Stderr, rep.Format())
 		fmt.Fprintf(os.Stderr, "[heat report written to %s]\n", *heatPath)
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	return emit(res, *asJSON)
-}
-
-func runParallelCmd(args []string) error {
-	fs := flag.NewFlagSet("parallel", flag.ExitOnError)
-	groups := fs.Int("groups", 8, "ordering groups (also the parallel domain count)")
-	replicas := fs.Int("replicas", 3, "replicas per group")
-	clients := fs.Int("clients", 100_000, "modeled open-loop client population")
-	window := fs.Duration("window", 0, "measurement window of virtual time (0 = default)")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	o := oo.observer()
-	res, err := bench.RunParallelCompare(*groups, *replicas, *clients, sim.Duration(*window), o)
-	if err != nil {
-		return err
 	}
 	if err := oo.finish(o); err != nil {
 		return err

@@ -32,8 +32,7 @@ import (
 type OpenLoopOptions struct {
 	Groups   int
 	Replicas int
-	// Domains partitions the deployment into parallel simulation domains
-	// (1..Groups); group g lives on domain g % Domains.
+	// Domains must be 1 (0 reads as 1); it stays because benchmark/workloads.go passes it to NewDomainCluster.
 	Domains int
 	// Clients is the modeled client population (not simulated processes).
 	Clients int
@@ -71,9 +70,7 @@ type OpenLoopOptions struct {
 	Window sim.Duration
 	Seed   int64
 
-	// Obs optionally attaches the observability layer. With Domains > 1
-	// only its domain-sharded instruments apply (see DomainCluster.Observe);
-	// the critical-path shards and heat partitions are fed either way.
+	// Obs optionally attaches the observability layer.
 	Obs *obs.Observer
 	// FlightDir, when non-empty, auto-dumps the flight ring there as a
 	// Perfetto trace if the run's maximum latency is a tail outlier
@@ -82,7 +79,7 @@ type OpenLoopOptions struct {
 
 	// Rebalance arms the advisory shadow planner: the run's per-group
 	// heat series is replayed through the rebalance policy after the
-	// domains join, and the acting decisions it would have issued land in
+	// run, and the acting decisions it would have issued land in
 	// the result. The open-loop cluster has no reconfiguration plane, so
 	// nothing is executed — the flag answers "would the controller have
 	// acted on this workload, and where would it have cut".
@@ -117,10 +114,10 @@ func DefaultOpenLoopOptions() OpenLoopOptions {
 // wall-clock fields: two runs of the same options must serialize to
 // byte-identical JSON (replay determinism).
 type OpenLoopResult struct {
-	Groups, Replicas, Domains int
-	Clients                   int
-	OfferedRate               float64 // aggregate msgs/sec
-	Arrival, Shape            string
+	Groups, Replicas int
+	Clients          int
+	OfferedRate      float64 // aggregate msgs/sec
+	Arrival, Shape   string
 
 	// Mix echoes the operation mix; Reads/Updates split Delivered by op
 	// kind (both zero split on the historical update-only mix).
@@ -141,12 +138,6 @@ type OpenLoopResult struct {
 	P99NS          int64
 	P999NS         int64
 	MaxNS          int64
-
-	// Parallel-kernel counters: how many conservative windows the run
-	// barriered through and how many cross-domain events violated the
-	// lookahead. Both zero on one domain.
-	Windows         uint64
-	LateCrossEvents uint64
 
 	// FlightDump is the basename of the latency-outlier flight trace, when
 	// one was written (FlightDir set and max > 8x p99.9).
@@ -295,9 +286,6 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 		return nil, fmt.Errorf("openloop: bad topology %d groups x %d replicas, %d clients",
 			opts.Groups, opts.Replicas, opts.Clients)
 	}
-	if opts.Domains < 1 {
-		opts.Domains = 1
-	}
 	if opts.PumpsPerGroup < 1 {
 		opts.PumpsPerGroup = 1
 	}
@@ -323,17 +311,18 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 		return nil, fmt.Errorf("openloop: unknown mix %q (have update, ycsb-b, ycsb-c)", opts.Mix)
 	}
 
-	dc, err := multicast.NewDomainCluster(opts.Groups, opts.Replicas, opts.Domains, opts.PumpsPerGroup, rdma.DefaultConfig())
+	dc, err := multicast.NewDomainCluster(opts.Groups, opts.Replicas, max(opts.Domains, 1), opts.PumpsPerGroup, rdma.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
+	s := dc.Sched
 	defer releaseMemory()
-	defer dc.Doms.Close()
+	defer s.Close()
 	// The outlier dump needs an armed ring; graft one on when the caller
 	// asked for dumps but supplied no recorder (recording is passive and
 	// never perturbs the simulation).
 	if opts.FlightDir != "" && opts.Obs.Flight() == nil {
-		opts.Obs = obs.WithFlight(opts.Obs, obs.NewFlightRecorder(opts.Domains, 4096))
+		opts.Obs = obs.WithFlight(opts.Obs, obs.NewFlightRecorder(4096))
 	}
 	// The shadow planner replays the heat series, so the feed must be
 	// armed even when the caller supplied no collector.
@@ -344,7 +333,6 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 	res := &OpenLoopResult{
 		Groups:      opts.Groups,
 		Replicas:    opts.Replicas,
-		Domains:     opts.Domains,
 		Clients:     opts.Clients,
 		OfferedRate: float64(opts.Clients) * opts.RatePerClient,
 		Arrival:     orDefault(opts.Arrival, "poisson"),
@@ -353,10 +341,8 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 	}
 	horizon := sim.Time(opts.Warmup) + sim.Time(opts.Window)
 
-	// Home-group latency sinks at every group's rank 0. Each sink is
-	// written only by its group's domain thread; the critical-path shard
-	// and heat partition are resolved here, at wiring time, for the same
-	// reason.
+	// Home-group latency sinks at every group's rank 0.
+	cp := opts.Obs.CritPath()
 	lats := make([]*LatencyRecorder, opts.Groups)
 	delivered := make([]int, opts.Groups)
 	readsAt := make([]int, opts.Groups)
@@ -364,9 +350,8 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 		g := g
 		lats[g] = &LatencyRecorder{}
 		pr := dc.Procs[g][0]
-		cp := opts.Obs.CritPathShard(dc.SchedOf(g).Domain())
 		heat := opts.Obs.HeatPartition(g)
-		dc.SchedOf(g).Spawn(fmt.Sprintf("ol-sink-g%d", g), func(p *sim.Proc) {
+		s.Spawn(fmt.Sprintf("ol-sink-g%d", g), func(p *sim.Proc) {
 			for {
 				d, ok := pr.Deliveries().Recv(p)
 				if !ok {
@@ -406,7 +391,6 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 	pumps := make([]*openPump, 0, nPumps)
 	for g := 0; g < opts.Groups; g++ {
 		for i := 0; i < opts.PumpsPerGroup; i++ {
-			s := dc.SchedOf(g)
 			rng := rand.New(rand.NewSource(opts.Seed + int64(g*opts.PumpsPerGroup+i)*7919))
 			pu := &openPump{
 				cl:      dc.NewClient(g, i),
@@ -421,7 +405,6 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 			pumps = append(pumps, pu)
 			pu.schedule(s, pu.interarrival())
 			g := g
-			cp := opts.Obs.CritPathShard(s.Domain())
 			heat := opts.Obs.HeatPartition(g)
 			s.Spawn(fmt.Sprintf("ol-pump-g%d-%d", g, i), func(p *sim.Proc) {
 				payload := make([]byte, opts.PayloadBytes)
@@ -453,7 +436,7 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 	}
 
 	// Run to the horizon plus a drain tail so in-flight messages land.
-	if err := dc.RunUntil(horizon + sim.Time(10*sim.Millisecond)); err != nil {
+	if err := s.RunUntil(horizon + sim.Time(10*sim.Millisecond)); err != nil {
 		return nil, err
 	}
 
@@ -475,10 +458,8 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 		}
 		res.Backlogged += pu.queue.Len()
 	}
-	res.Events = dc.Doms.EventCount()
-	res.VirtualNS = int64(dc.Doms.Now())
-	res.Windows = dc.Doms.Windows()
-	res.LateCrossEvents = dc.Doms.LateCrossEvents()
+	res.Events = s.EventCount()
+	res.VirtualNS = int64(s.Now())
 	res.ThroughputMsgS = Throughput(res.Delivered, opts.Window)
 	if merged.Count() > 0 {
 		res.MeanNS = int64(merged.Mean())
@@ -487,12 +468,10 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 		res.P999NS = int64(merged.Percentile(99.9))
 		res.MaxNS = int64(merged.Max())
 	}
-	// Route the kernel's own counters through the metrics registry and
-	// fire the tail-outlier flight dump (both no-ops when unobserved).
-	obs.RecordDomainStats(opts.Obs.Metrics(), dc.Doms)
+	// Fire the tail-outlier flight dump (a no-op when unobserved).
 	if fr := opts.Obs.Flight(); fr != nil && opts.FlightDir != "" && res.P999NS > 0 && res.MaxNS > 8*res.P999NS {
 		name := fmt.Sprintf("flight-openloop-%d-outlier.json", opts.Seed)
-		fr.Shard(0).Record(dc.Doms.Now(), obs.FltOutlier, 0, uint64(res.MaxNS), uint64(res.P999NS))
+		fr.Record(s.Now(), obs.FltOutlier, 0, uint64(res.MaxNS), uint64(res.P999NS))
 		if _, derr := fr.DumpFile(opts.FlightDir, name, "latency-outlier"); derr == nil {
 			res.FlightDump = name
 		}
@@ -511,7 +490,7 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 // rebalance planner's advisory mode, tick by tick, exactly as a live
 // subscription would have delivered it: each tick scores the cadence
 // samples whose interval closed since the previous tick, plus the
-// final sketch. The domains have joined by the time this runs, and the
+// final sketch. The run has finished by the time this runs, and the
 // series is deterministic, so the plan is too.
 func shadowRebalance(rep *obs.HeatReport, tick sim.Duration, horizon sim.Time) []rebalance.Decision {
 	pol := rebalance.DefaultPolicy()
@@ -549,7 +528,7 @@ func (r *OpenLoopResult) Format() string {
 	if r.Mix != "" && r.Mix != "update" {
 		fmt.Fprintf(&b, "mix: %s (%d reads / %d updates delivered)\n", r.Mix, r.Reads, r.Updates)
 	}
-	fmt.Fprintf(&b, "topology: %d groups x %d replicas over %d domain(s)\n", r.Groups, r.Replicas, r.Domains)
+	fmt.Fprintf(&b, "topology: %d groups x %d replicas\n", r.Groups, r.Replicas)
 	fmt.Fprintf(&b, "%-12s %-12s %-12s %-12s %-12s\n", "submitted", "delivered", "backlog", "max_backlog", "events")
 	fmt.Fprintf(&b, "%-12d %-12d %-12d %-12d %-12d\n", r.Submitted, r.Delivered, r.Backlogged, r.MaxBacklog, r.Events)
 	fmt.Fprintf(&b, "throughput: %.0f msg/s\n", r.ThroughputMsgS)
@@ -557,9 +536,6 @@ func (r *OpenLoopResult) Format() string {
 		fmtDur(sim.Duration(r.MeanNS)), fmtDur(sim.Duration(r.P50NS)),
 		fmtDur(sim.Duration(r.P99NS)), fmtDur(sim.Duration(r.P999NS)),
 		fmtDur(sim.Duration(r.MaxNS)))
-	if r.Domains > 1 {
-		fmt.Fprintf(&b, "kernel: %d windows, %d late cross-domain events\n", r.Windows, r.LateCrossEvents)
-	}
 	if r.FlightDump != "" {
 		fmt.Fprintf(&b, "flight dump: %s (max > 8x p99.9)\n", r.FlightDump)
 	}

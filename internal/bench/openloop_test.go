@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"testing"
 
+	"heron/internal/multicast"
+	"heron/internal/rdma"
 	"heron/internal/sim"
 )
 
@@ -64,25 +66,17 @@ func TestOpenLoopReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestOpenLoopMultiDomainDeterminism: the parallel engine reproduces
-// itself exactly run over run.
-func TestOpenLoopMultiDomainDeterminism(t *testing.T) {
+// TestOpenLoopRejectsSeveralDomains: the open-loop cluster runs on one
+// scheduler, so asking it for more simulation domains is an error, both
+// from the cluster constructor and from the engine.
+func TestOpenLoopRejectsSeveralDomains(t *testing.T) {
+	if _, err := multicast.NewDomainCluster(2, 3, 2, 1, rdma.DefaultConfig()); err == nil {
+		t.Error("NewDomainCluster with 2 domains returned no error")
+	}
 	opts := smallOpenLoop()
 	opts.Domains = 2
-	run := func() []byte {
-		res, err := RunOpenLoop(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	a, b := run(), run()
-	if string(a) != string(b) {
-		t.Fatalf("multi-domain open-loop replays diverged:\n%s\n%s", a, b)
+	if _, err := RunOpenLoop(opts); err == nil {
+		t.Error("RunOpenLoop with Domains 2 returned no error")
 	}
 }
 

@@ -125,9 +125,8 @@ type Engine struct {
 	// Reconfigs counts fired EvReconfig events.
 	Reconfigs int
 
-	// flight mirrors every fault into the always-on flight recorder ring
-	// (chaos deployments are single-domain, shard 0).
-	flight *obs.FlightShard
+	// flight mirrors every fault into the always-on flight recorder ring.
+	flight *obs.FlightRecorder
 	// OnCrash, when set, fires after each applied EvCrash — Run wires it
 	// to the flight recorder's auto-dump, so the ring is snapshotted
 	// while the pre-crash history is still in it.
@@ -147,7 +146,7 @@ func Install(d *core.Deployment, sc Schedule, o *obs.Observer) *Engine {
 		cHeal:      o.Counter("chaos/heal"),
 		cReconfig:  o.Counter("chaos/reconfig"),
 		openParts:  make(map[[4]int]*obs.Span),
-		flight:     o.FlightShard(0),
+		flight:     o.Flight(),
 	}
 	for _, ev := range sc.Events {
 		ev := ev

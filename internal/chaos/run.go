@@ -192,7 +192,7 @@ func Run(opt Options) (*Report, error) {
 	// what led up to a violation or deadlock.
 	obsv := opt.Obs
 	if obsv.Flight() == nil {
-		obsv = obs.WithFlight(obsv, obs.NewFlightRecorder(1, 4096))
+		obsv = obs.WithFlight(obsv, obs.NewFlightRecorder(4096))
 	}
 	d.Observe(obsv)
 	var pl *persist.Layer

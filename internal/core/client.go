@@ -30,7 +30,7 @@ type Client struct {
 	dropped *obs.Counter
 	// cp records the client-side critical-path marks (submit, sent,
 	// complete); nil (no-op) until an observer is attached.
-	cp *obs.CPShard
+	cp *obs.CritPath
 }
 
 // Observe attaches the client's dropped-datagram counter to an observer.
@@ -39,7 +39,7 @@ type Client struct {
 func (c *Client) Observe(o *obs.Observer) {
 	if o != nil {
 		c.dropped = o.Counter("client_dropped_datagrams")
-		c.cp = o.CritPathShard(0)
+		c.cp = o.CritPath()
 	}
 }
 

@@ -170,9 +170,7 @@ func (r *Replica) MarkRecovering() { r.recovering = true }
 func (r *Replica) interceptReconfig(p *sim.Proc, req *Request, pool *execPool) bool {
 	r.maybeActivateConfig(req.Ts)
 	if IsConfigCommand(req.Payload) {
-		if pool != nil {
-			pool.drain(p)
-		}
+		pool.drain(p)
 		// A configuration change relinquishes any lease this replica holds:
 		// the migration fence has already waited out the lease's absolute
 		// expiry (reconfig's LeaseFencer), this just stops serving early.
@@ -191,9 +189,7 @@ func (r *Replica) interceptReconfig(p *sim.Proc, req *Request, pool *execPool) b
 		return true
 	}
 	if IsLeaseCommand(req.Payload) {
-		if pool != nil {
-			pool.drain(p)
-		}
+		pool.drain(p)
 		out := r.applyLeaseCommand(p, req)
 		if req.Ts > r.lastExec {
 			r.lastExec = req.Ts

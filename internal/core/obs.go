@@ -87,13 +87,13 @@ type replicaObs struct {
 	// clock is the executor thread's busy-time ledger.
 	clock execClock
 
-	// Sharded PR 7 instruments, resolved at wiring time (core
-	// deployments live on one scheduler, so shard/domain 0). cp and
-	// heat are wired at rank 0 only — one attribution record per
-	// partition per request, matching the trace-collection convention.
-	cp     *obs.CPShard
+	// Critical path, heat and flight instruments, resolved at wiring
+	// time. cp and heat are wired at rank 0 only — one attribution
+	// record per partition per request, matching the trace-collection
+	// convention.
+	cp     *obs.CritPath
 	heat   *obs.PartitionHeat
-	flight *obs.FlightShard
+	flight *obs.FlightRecorder
 }
 
 // observe resolves the replica's instruments against an observer.
@@ -121,7 +121,7 @@ func (r *Replica) observe(o *obs.Observer, s *sim.Scheduler) {
 		orderedRead:    o.Counter("core/ordered_read"),
 		leaseGrants:    o.Counter("lease/grants"),
 		leaseRevokes:   o.Counter("lease/revokes"),
-		flight:         o.FlightShard(0),
+		flight:         o.Flight(),
 
 		addrPrefetchOIDs: o.Counter("core/addr_prefetch_oids"),
 		addrQueryOIDs:    o.Counter("core/addr_query_oids"),
@@ -133,7 +133,7 @@ func (r *Replica) observe(o *obs.Observer, s *sim.Scheduler) {
 		r.obs.clock.ns[ph] = o.Counter(fmt.Sprintf("core/p%d/r%d/exec_ns/%s", r.part, r.rank, name))
 	}
 	if r.rank == 0 {
-		r.obs.cp = o.CritPathShard(0)
+		r.obs.cp = o.CritPath()
 		r.obs.heat = o.HeatPartition(int(r.part))
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"heron/internal/obs"
 	"heron/internal/sim"
 	"heron/internal/store"
@@ -15,7 +13,7 @@ import (
 // are non-conflicting, there is no need to synchronize their execution."
 //
 // Enabled with Config.ExecWorkers > 1 for applications implementing
-// ConflictEstimator. The replica dispatches non-conflicting
+// ConflictEstimator. The executor (runExecutor) dispatches non-conflicting
 // single-partition requests to a pool of worker processes; requests whose
 // conflict sets cannot be estimated, and all multi-partition requests,
 // drain the pool and execute serially (a barrier), preserving the
@@ -131,9 +129,20 @@ func (pl *execPool) complete(it *execItem) {
 	pl.changed.Broadcast()
 }
 
-// drain blocks until every in-flight request has retired.
+// drain blocks until every in-flight request has retired. A nil pool
+// (serial execution) has nothing in flight.
 func (pl *execPool) drain(p *sim.Proc) {
+	if pl == nil {
+		return
+	}
 	pl.changed.WaitUntil(p, func() bool { return pl.inflight == 0 })
+}
+
+// close ends the workers once the executor stops (nil-safe).
+func (pl *execPool) close() {
+	if pl != nil {
+		pl.queue.Close()
+	}
 }
 
 // runWorker is one execution worker process. tk is the worker's own span
@@ -171,64 +180,8 @@ func (r *Replica) runWorker(pl *execPool, idx int, tk *obs.Track) func(p *sim.Pr
 	}
 }
 
-// runParallelExecutor is the Algorithm 1 loop with worker-pool dispatch
-// for single-partition requests.
-func (r *Replica) runParallelExecutor(p *sim.Proc) {
-	r.recoverIfNeeded(p)
-	pool := newExecPool(r, p.Scheduler())
-	estimator, canEstimate := r.app.(ConflictEstimator)
-	for k := 0; k < r.cfg.ExecWorkers; k++ {
-		wt := r.obs.workerTrack(k, p.Scheduler())
-		p.Scheduler().Spawn(fmt.Sprintf("heron-worker-p%d-r%d-%d", r.part, r.rank, k), r.runWorker(pool, k, wt))
-	}
-	clock := &r.obs.clock
-	clock.last = p.Now() // the ledger covers the loop, not a recovery before it
-	for !r.node.Crashed() {
-		clock.charge(execDispatch, p.Now())
-		d, ok := r.mc.Deliveries().Recv(p)
-		if !ok {
-			pool.queue.Close()
-			return
-		}
-		clock.charge(execIdle, p.Now())
-		r.prefetchAddrs(p, d)
-		req := &Request{ID: d.ID, Ts: d.Ts, Dst: d.Dst, Payload: d.Payload}
-		p.Sleep(r.cfg.DispatchCPU)
-		if req.Ts <= r.lastReq {
-			r.statSkipped++
-			r.obs.skipped.Inc()
-			continue
-		}
-		r.lastReq = req.Ts
-		if r.slow > 0 {
-			p.Sleep(r.slow)
-		}
-		// Reconfiguration interception: a config command drains the pool
-		// (barrier) before fencing; epoch checks run before estimation so
-		// the estimator sees the unwrapped payload.
-		if r.interceptReconfig(p, req, pool) {
-			continue
-		}
-		rec := TraceRecord{Delivered: p.Now(), MultiPartition: req.MultiPartition()}
-		r.obs.cp.Mark(cpID(req.ID), obs.SegDelivered, rec.Delivered)
-
-		if !req.MultiPartition() && canEstimate {
-			if reads, writes, okEst := estimator.ConflictSets(req); okEst {
-				pool.admit(p, &execItem{req: req, reads: reads, writes: writes, rec: rec})
-				continue
-			}
-		}
-
-		// Barrier: drain the pool, then run the request serially with the
-		// standard path (multi-partition coordination included).
-		pool.drain(p)
-		r.processSerial(p, req, rec)
-	}
-	pool.queue.Close()
-}
-
-// processSerial executes one request on the main executor path (shared
-// by the sequential executor and the parallel executor's barrier case).
+// processSerial executes one request on the executor's own path: every
+// request without a pool, and the pool's barrier case.
 func (r *Replica) processSerial(p *sim.Proc, req *Request, rec TraceRecord) {
 	tk := r.obs.exec
 	clock := &r.obs.clock

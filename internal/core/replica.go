@@ -349,24 +349,32 @@ func (r *Replica) coordValue(h PartitionID, q int) uint64 {
 
 // start spawns the replica's executor and control processes.
 func (r *Replica) start(s *sim.Scheduler) {
-	executor := r.runExecutor
-	if r.cfg.ExecWorkers > 1 {
-		executor = r.runParallelExecutor
-	}
-	r.execProc = s.Spawn(fmt.Sprintf("heron-exec-p%d-r%d", r.part, r.rank), executor)
+	r.execProc = s.Spawn(fmt.Sprintf("heron-exec-p%d-r%d", r.part, r.rank), r.runExecutor)
 	r.ctlProc = s.Spawn(fmt.Sprintf("heron-ctl-p%d-r%d", r.part, r.rank), r.runControl)
 }
 
 // runExecutor is Algorithm 1: deliver, coordinate, execute, coordinate,
-// reply.
+// reply. With Config.ExecWorkers > 1 it also owns a worker pool
+// (parallel.go) that runs non-conflicting single-partition requests;
+// without one, every request takes the serial path.
 func (r *Replica) runExecutor(p *sim.Proc) {
 	r.recoverIfNeeded(p)
+	var pool *execPool
+	if r.cfg.ExecWorkers > 1 {
+		pool = newExecPool(r, p.Scheduler())
+		for k := 0; k < r.cfg.ExecWorkers; k++ {
+			wt := r.obs.workerTrack(k, p.Scheduler())
+			p.Scheduler().Spawn(fmt.Sprintf("heron-worker-p%d-r%d-%d", r.part, r.rank, k), r.runWorker(pool, k, wt))
+		}
+	}
+	estimator, canEstimate := r.app.(ConflictEstimator)
 	clock := &r.obs.clock
 	clock.last = p.Now() // the ledger covers the loop, not a recovery before it
 	for !r.node.Crashed() {
 		clock.charge(execDispatch, p.Now())
 		d, ok := r.mc.Deliveries().Recv(p)
 		if !ok {
+			pool.close()
 			return
 		}
 		clock.charge(execIdle, p.Now())
@@ -386,18 +394,28 @@ func (r *Replica) runExecutor(p *sim.Proc) {
 			p.Sleep(r.slow)
 		}
 
-		// Reconfiguration interception: config commands, epoch fencing,
-		// and pending-configuration activation (elastic.go).
-		if r.interceptReconfig(p, req, nil) {
+		// Reconfiguration interception: config commands (which drain the
+		// pool first), epoch fencing, and pending-configuration activation
+		// (elastic.go). Epoch checks run before estimation so the
+		// estimator sees the unwrapped payload.
+		if r.interceptReconfig(p, req, pool) {
 			continue
 		}
 
 		rec := TraceRecord{Delivered: p.Now(), MultiPartition: req.MultiPartition()}
 		r.obs.cp.Mark(cpID(req.ID), obs.SegDelivered, rec.Delivered)
+		if pool != nil && canEstimate && !req.MultiPartition() {
+			if reads, writes, okEst := estimator.ConflictSets(req); okEst {
+				pool.admit(p, &execItem{req: req, reads: reads, writes: writes, rec: rec})
+				continue
+			}
+		}
 		// Lines 5-7 (single-partition fast path) and 8-17 (coordinated
-		// multi-partition execution).
+		// multi-partition execution), behind a barrier on the pool.
+		pool.drain(p)
 		r.processSerial(p, req, rec)
 	}
+	pool.close()
 }
 
 // trace emits instrumentation if a tracer is installed.

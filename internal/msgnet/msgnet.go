@@ -70,44 +70,24 @@ func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
 type Endpoint struct {
 	net   *Network
 	id    NodeID
-	sched *sim.Scheduler
 	inbox *sim.Chan[Message]
 	// nextFree serializes outbound messages (one NIC/TCP stream model).
 	nextFree sim.Time
 	down     bool
 }
 
-// Endpoint returns (creating on first use) the endpoint of node id, in the
-// network's default simulation domain.
+// Endpoint returns (creating on first use) the endpoint of node id.
 func (n *Network) Endpoint(id NodeID) *Endpoint {
-	return n.EndpointOn(id, n.sched)
-}
-
-// EndpointOn returns (creating on first use) the endpoint of node id in
-// the given simulation domain. All endpoints must be created before a
-// multi-domain run starts (the endpoint map is shared); cross-domain
-// deliveries ride the conservative window barrier, which requires the
-// domain lookahead to be at most OneWayDelay (see CrossLookahead). Fail
-// is not supported across domains.
-func (n *Network) EndpointOn(id NodeID, s *sim.Scheduler) *Endpoint {
 	if ep, ok := n.endpoints[id]; ok {
 		return ep
 	}
-	ep := &Endpoint{net: n, id: id, sched: s, inbox: sim.NewChan[Message](s)}
+	ep := &Endpoint{net: n, id: id, inbox: sim.NewChan[Message](n.sched)}
 	n.endpoints[id] = ep
 	return ep
 }
 
-// CrossLookahead returns the minimum virtual delay of any cross-endpoint
-// message, the largest safe window for a domain group carrying this
-// network: a message sent at t is never delivered before t+OneWayDelay.
-func (n *Network) CrossLookahead() sim.Duration { return n.cfg.OneWayDelay }
-
 // ID returns the endpoint's node id.
 func (e *Endpoint) ID() NodeID { return e.id }
-
-// Scheduler returns the endpoint's simulation domain.
-func (e *Endpoint) Scheduler() *sim.Scheduler { return e.sched }
 
 // Down reports whether the endpoint has been failed.
 func (e *Endpoint) Down() bool { return e.down }
@@ -142,7 +122,7 @@ func (n *Network) Send(p *sim.Proc, from, to NodeID, payload []byte) error {
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
 	deliverAt := start + wireTime + sim.Time(n.cfg.OneWayDelay)
-	sim.CrossAt(src.sched, dst.sched, deliverAt, func() {
+	n.sched.At(deliverAt, func() {
 		if !dst.down {
 			dst.inbox.Send(Message{From: from, Payload: buf})
 		}

@@ -8,60 +8,45 @@ import (
 	"heron/internal/sim"
 )
 
-// DomainCluster is a multicast deployment spread over parallel simulation
-// domains: group g's replicas — and the client nodes collocated with the
-// group — live on domain g % Doms.Len(). With one domain the layout
-// degenerates to the classic single-threaded deployment and stays
-// bit-compatible with it; with one domain per group the groups simulate
-// concurrently under the conservative window barrier, coupled only
-// through cross-domain RDMA verbs.
-//
-// Multi-domain deployments run fault-free (see rdma.AddNodeOn): Crash,
-// link faults, and the observability layer are single-domain features.
+// DomainCluster is a groups x replicas multicast deployment over an RDMA
+// fabric on one scheduler, with client nodes collocated with each group.
+// It keeps its name because benchmark/workloads.go calls NewDomainCluster.
 type DomainCluster struct {
-	Doms *sim.Domains
-	Fab  *rdma.Fabric
-	Raw  *rdma.Transport
-	Tr   Transport
-	Cfg  Config
+	Sched *sim.Scheduler
+	Fab   *rdma.Fabric
+	Raw   *rdma.Transport
+	Tr    Transport
+	Cfg   Config
 	// Procs[g][r] is the started replica processes.
 	Procs [][]*Process
 	// ClientNodes[g] lists the ids of the client nodes collocated with
-	// group g (all registered on the group's domain).
+	// group g.
 	ClientNodes [][]rdma.NodeID
-
-	domains int
 }
 
 // NewDomainCluster builds and starts a groups x replicas multicast
-// deployment over an RDMA fabric with the given config, partitioned into
-// `domains` simulation domains, with clientsPerGroup client nodes
-// collocated with each group. Every node pair the protocol or the clients
-// can ever use is prewired, so the shared transport maps are never
-// mutated during a parallel run.
+// deployment over an RDMA fabric with the given config, with
+// clientsPerGroup client nodes collocated with each group. Every node
+// pair the protocol or the clients can ever use is prewired.
+// domains must be 1; benchmark/workloads.go (openLoopSetup) still passes it.
 func NewDomainCluster(groups, replicas, domains, clientsPerGroup int, netCfg rdma.Config) (*DomainCluster, error) {
-	if domains < 1 || domains > groups {
-		return nil, fmt.Errorf("multicast: %d domains for %d groups (want 1..groups)", domains, groups)
+	if domains != 1 {
+		return nil, fmt.Errorf("multicast: %d simulation domains requested; the cluster runs on one scheduler", domains)
 	}
-	lookahead := netCfg.CrossLookahead()
-	if domains == 1 {
-		lookahead = 0 // single member: Domains runs it directly either way
-	}
-	doms := sim.NewDomains(domains, lookahead)
-	fab := rdma.NewFabric(doms.Domain(0), netCfg)
+	s := sim.NewScheduler()
+	fab := rdma.NewFabric(s, netCfg)
 
 	layout := make([][]rdma.NodeID, groups)
 	clients := make([][]rdma.NodeID, groups)
 	id := rdma.NodeID(1)
 	for g := 0; g < groups; g++ {
-		s := doms.Domain(g % domains)
 		for r := 0; r < replicas; r++ {
-			fab.AddNodeOn(id, s)
+			fab.AddNode(id)
 			layout[g] = append(layout[g], id)
 			id++
 		}
 		for c := 0; c < clientsPerGroup; c++ {
-			fab.AddNodeOn(id, s)
+			fab.AddNode(id)
 			clients[g] = append(clients[g], id)
 			id++
 		}
@@ -99,20 +84,19 @@ func NewDomainCluster(groups, replicas, domains, clientsPerGroup int, netCfg rdm
 	raw.Prewire(pairs)
 
 	dc := &DomainCluster{
-		Doms:        doms,
+		Sched:       s,
 		Fab:         fab,
 		Raw:         raw,
 		Tr:          tr,
 		Cfg:         cfg,
 		ClientNodes: clients,
-		domains:     domains,
 	}
 	dc.Procs = make([][]*Process, groups)
 	for g := 0; g < groups; g++ {
 		dc.Procs[g] = make([]*Process, replicas)
 		for r := 0; r < replicas; r++ {
 			pr := NewProcess(tr, &dc.Cfg, GroupID(g), r)
-			pr.Start(dc.SchedOf(g))
+			pr.Start(s)
 			dc.Procs[g][r] = pr
 		}
 	}
@@ -120,19 +104,10 @@ func NewDomainCluster(groups, replicas, domains, clientsPerGroup int, netCfg rdm
 }
 
 // Observe attaches an observability layer to the cluster's fabric and
-// every replica process. With one domain the full layer applies; with
-// several, only the domain-sharded instruments (critical path, heat,
-// flight recorder) are wired — the tracer and the metrics registry are
-// single-domain structures (see the type comment).
+// every replica process.
 func (dc *DomainCluster) Observe(o *obs.Observer) {
 	if o == nil {
 		return
-	}
-	if dc.domains > 1 {
-		o = o.Sharded()
-		if o == nil {
-			return
-		}
 	}
 	dc.Fab.Observe(o)
 	for _, grp := range dc.Procs {
@@ -142,19 +117,8 @@ func (dc *DomainCluster) Observe(o *obs.Observer) {
 	}
 }
 
-// SchedOf returns the scheduler of the domain hosting group g.
-func (dc *DomainCluster) SchedOf(g int) *sim.Scheduler {
-	return dc.Doms.Domain(g % dc.domains)
-}
-
 // NewClient creates a multicast client on the i'th client node collocated
-// with group g. The client's processes must run on SchedOf(g).
+// with group g.
 func (dc *DomainCluster) NewClient(g, i int) *Client {
 	return NewClient(dc.Tr, &dc.Cfg, dc.ClientNodes[g][i])
 }
-
-// Run drives all domains until every event queue drains.
-func (dc *DomainCluster) Run() error { return dc.Doms.Run() }
-
-// RunUntil drives all domains up to (not including) the deadline.
-func (dc *DomainCluster) RunUntil(t sim.Time) error { return dc.Doms.RunUntil(t) }

@@ -59,7 +59,7 @@ type Process struct {
 	id    rdma.NodeID
 	tr    Transport
 	ep    Endpoint
-	sched *sim.Scheduler // the replica's own simulation domain
+	sched *sim.Scheduler
 	out   *sim.Chan[Delivery]
 	proc  *sim.Proc
 
@@ -151,10 +151,10 @@ type Process struct {
 	obsBusy        *obs.Counter // virtual ns the event loop spent not waiting for a datagram
 	obsFirstSeen   map[MsgID]sim.Time
 	vcSpan         *obs.Span
-	// obsFlight is this process's domain's flight-recorder ring;
+	// obsFlight is the flight-recorder ring;
 	// obsHeat (rank 0 only) feeds the group's partition-heat queue-depth
 	// series from the pending-ordering backlog.
-	obsFlight *obs.FlightShard
+	obsFlight *obs.FlightRecorder
 	obsHeat   *obs.PartitionHeat
 }
 
@@ -173,7 +173,7 @@ func (pr *Process) Observe(o *obs.Observer) {
 	pr.obsTruncated = o.Counter(fmt.Sprintf("mc/g%d/truncated", pr.group))
 	pr.obsBusy = o.Counter(fmt.Sprintf("mc/g%d/r%d/busy_ns", pr.group, pr.rank))
 	pr.obsFirstSeen = make(map[MsgID]sim.Time)
-	pr.obsFlight = o.FlightShard(pr.sched.Domain())
+	pr.obsFlight = o.Flight()
 	if pr.rank == 0 {
 		pr.obsHeat = o.HeatPartition(int(pr.group))
 	}
@@ -184,7 +184,7 @@ func (pr *Process) Observe(o *obs.Observer) {
 // on the transport's substrate.
 func NewProcess(tr Transport, cfg *Config, g GroupID, rank int) *Process {
 	id := cfg.Groups[g][rank]
-	sched := tr.SchedulerOf(id)
+	sched := tr.Scheduler()
 	pr := &Process{
 		cfg:         cfg,
 		group:       g,

@@ -13,13 +13,8 @@ import (
 // paper's comparison: identical ordering logic, different communication
 // substrate.
 type Transport interface {
-	// Scheduler returns the virtual-time scheduler of the substrate's
-	// default simulation domain.
+	// Scheduler returns the substrate's virtual-time scheduler.
 	Scheduler() *sim.Scheduler
-	// SchedulerOf returns the scheduler of the simulation domain hosting
-	// node id. In a single-domain deployment it equals Scheduler(); in a
-	// multi-domain run each node lives in the domain it was created on.
-	SchedulerOf(id rdma.NodeID) *sim.Scheduler
 	// Send transmits the payloads, one datagram each and in order; it may
 	// block briefly (posting cost or backpressure) but not wait for the
 	// receiver. A substrate that can amortises its per-destination posting
@@ -52,10 +47,6 @@ type rdmaTransport struct {
 func OverRDMA(t *rdma.Transport) Transport { return &rdmaTransport{t: t} }
 
 func (a *rdmaTransport) Scheduler() *sim.Scheduler { return a.t.Fabric().Scheduler() }
-
-func (a *rdmaTransport) SchedulerOf(id rdma.NodeID) *sim.Scheduler {
-	return a.t.Fabric().Node(id).Scheduler()
-}
 
 func (a *rdmaTransport) Send(p *sim.Proc, from, to rdma.NodeID, payloads ...[]byte) error {
 	return a.t.Send(p, from, to, payloads...)
@@ -91,10 +82,6 @@ type msgnetTransport struct {
 func OverMsgNet(n *msgnet.Network) Transport { return &msgnetTransport{n: n} }
 
 func (a *msgnetTransport) Scheduler() *sim.Scheduler { return a.n.Scheduler() }
-
-func (a *msgnetTransport) SchedulerOf(id rdma.NodeID) *sim.Scheduler {
-	return a.n.Endpoint(id).Scheduler()
-}
 
 func (a *msgnetTransport) Send(p *sim.Proc, from, to rdma.NodeID, payloads ...[]byte) error {
 	for _, payload := range payloads {

@@ -13,8 +13,8 @@ import (
 // the disabled layer free.
 func TestDisabledObserverZeroAlloc(t *testing.T) {
 	var o *Observer
-	var sh *CPShard
-	var fl *FlightShard
+	var cp *CritPath
+	var fl *FlightRecorder
 	var ph *PartitionHeat
 	var tk *Track
 	id := ReqID{Node: 1, Seq: 2}
@@ -28,18 +28,16 @@ func TestDisabledObserverZeroAlloc(t *testing.T) {
 			_ = o.Flight()
 		},
 		"observer-resolvers": func() {
-			_ = o.CritPathShard(0)
 			_ = o.HeatPartition(0)
-			_ = o.FlightShard(0)
 			_ = o.Counter("x")
 			_ = o.Gauge("x")
 			_ = o.Histogram("x")
 		},
-		"critpath-shard": func() {
-			sh.Mark(id, SegSubmit, 100)
-			sh.Record(id, SegNicWait, 100, 200)
+		"critpath": func() {
+			cp.Mark(id, SegSubmit, 100)
+			cp.Record(id, SegNicWait, 100, 200)
 		},
-		"flight-shard": func() {
+		"flight": func() {
 			fl.Record(100, FltDeliver, 1, 2, 3)
 		},
 		"heat-partition": func() {
@@ -64,16 +62,16 @@ func TestDisabledObserverZeroAlloc(t *testing.T) {
 // disabled-observer calls a replica makes (the b.ReportAllocs output is
 // the reviewable record of the zero-alloc property).
 func BenchmarkDisabledHotPath(b *testing.B) {
-	var sh *CPShard
-	var fl *FlightShard
+	var cp *CritPath
+	var fl *FlightRecorder
 	var ph *PartitionHeat
 	id := ReqID{Node: 1, Seq: 2}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		at := sim.Time(i)
-		sh.Mark(id, SegSubmit, at)
-		sh.Record(id, SegAppExecute, at, at+10)
-		sh.Mark(id, SegDone, at+10)
+		cp.Mark(id, SegSubmit, at)
+		cp.Record(id, SegAppExecute, at, at+10)
+		cp.Mark(id, SegDone, at+10)
 		fl.Record(at, FltExec, 1, uint64(i), 0)
 		ph.RecordExec(at, 10)
 		ph.Touch(uint64(i))

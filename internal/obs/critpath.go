@@ -15,16 +15,16 @@ import (
 // named leaf intervals (nic_wait, addr_resolve, coordination waits,
 // app_execute, ...) keyed by the request's multicast id — the causal
 // edge that links the client, the ordering layer, and every involved
-// replica across simulation domains. Profile then reassembles each
+// replica. Profile then reassembles each
 // request's interval set, walks it backward from completion, and
 // attributes every nanosecond of end-to-end latency to exactly one
 // segment; residual gaps no interval explains go to "other", so the
 // per-request segment sum always equals the measured end-to-end latency.
 //
-// Recording is sharded per simulation domain: a CPShard is only ever
-// touched by its owning domain's thread, and Profile merges shards in a
-// content-determined order, so the aggregated profile is byte-identical
-// across same-seed runs regardless of domain count or thread timing.
+// Recording appends to one buffer per run, and Profile regroups it by
+// request in a content-determined order, so the aggregated profile
+// depends only on what was recorded, never on the order it was appended
+// in: same-seed runs produce byte-identical output.
 
 // ReqID identifies one request across nodes: the submitting client's
 // fabric node and its multicast sequence number (multicast.MsgID, kept
@@ -94,66 +94,46 @@ type cpRecord struct {
 	end   sim.Time
 }
 
-// CPShard is one domain's append-only record buffer. It must only be
-// used from its owning domain's thread (the per-domain scheduler runs
-// one event at a time, so instrumented code needs no locking). All
-// methods are no-ops on a nil shard.
-type CPShard struct {
+// CritPath is one run's append-only record buffer. The scheduler runs
+// one event at a time, so instrumented code records without locking.
+// All methods are no-ops on a nil engine.
+type CritPath struct {
 	recs []cpRecord
 }
 
+// NewCritPath creates an engine. It keeps one buffer, so domains must
+// be 1; the parameter stays only because benchmark/workloads.go calls
+// NewCritPath(1).
+func NewCritPath(domains int) *CritPath {
+	if domains != 1 {
+		panic(fmt.Sprintf("obs: NewCritPath(%d): the engine has one buffer, pass 1", domains))
+	}
+	return &CritPath{}
+}
+
 // Mark records an instant for the request.
-func (s *CPShard) Mark(id ReqID, seg Segment, at sim.Time) {
-	if s == nil {
+func (c *CritPath) Mark(id ReqID, seg Segment, at sim.Time) {
+	if c == nil {
 		return
 	}
-	s.recs = append(s.recs, cpRecord{id: id, seg: seg, start: at, end: at})
+	c.recs = append(c.recs, cpRecord{id: id, seg: seg, start: at, end: at})
 }
 
 // Record records one leaf interval. Empty or inverted intervals are
 // dropped: they cannot carry latency.
-func (s *CPShard) Record(id ReqID, seg Segment, start, end sim.Time) {
-	if s == nil || end <= start {
+func (c *CritPath) Record(id ReqID, seg Segment, start, end sim.Time) {
+	if c == nil || end <= start {
 		return
 	}
-	s.recs = append(s.recs, cpRecord{id: id, seg: seg, start: start, end: end})
+	c.recs = append(c.recs, cpRecord{id: id, seg: seg, start: start, end: end})
 }
 
-// Len returns the number of records in the shard.
-func (s *CPShard) Len() int {
-	if s == nil {
+// Len returns the number of records.
+func (c *CritPath) Len() int {
+	if c == nil {
 		return 0
 	}
-	return len(s.recs)
-}
-
-// CritPath owns the per-domain shards of one run.
-type CritPath struct {
-	shards []*CPShard
-}
-
-// NewCritPath creates an engine with one shard per simulation domain.
-func NewCritPath(domains int) *CritPath {
-	if domains < 1 {
-		domains = 1
-	}
-	c := &CritPath{shards: make([]*CPShard, domains)}
-	for i := range c.shards {
-		c.shards[i] = &CPShard{}
-	}
-	return c
-}
-
-// Shard returns the shard for a domain (clamped into range; nil-safe).
-// Resolve shards at wiring time, before domain threads start.
-func (c *CritPath) Shard(domain int) *CPShard {
-	if c == nil {
-		return nil
-	}
-	if domain < 0 || domain >= len(c.shards) {
-		domain = 0
-	}
-	return c.shards[domain]
+	return len(c.recs)
 }
 
 // SegmentStat aggregates one segment's contribution.
@@ -189,12 +169,11 @@ type cpInterval struct {
 	start, end sim.Time
 }
 
-// Profile merges all shards and attributes each request's end-to-end
-// latency across segments via a backward critical-path walk, returning
-// the aggregate plus the slowestN slowest requests with their own
-// breakdowns. The result depends only on recorded content — never on
-// shard layout or thread timing — so same-seed runs produce
-// byte-identical output under any domain count.
+// Profile groups the records by request and attributes each request's
+// end-to-end latency across segments via a backward critical-path walk,
+// returning the aggregate plus the slowestN slowest requests with their
+// own breakdowns. The result depends only on recorded content, never on
+// the order records were appended in.
 func (c *CritPath) Profile(slowestN int) *CPProfile {
 	p := &CPProfile{}
 	if c == nil {
@@ -202,13 +181,11 @@ func (c *CritPath) Profile(slowestN int) *CPProfile {
 	}
 	byID := make(map[ReqID][]cpRecord)
 	var ids []ReqID
-	for _, sh := range c.shards {
-		for _, r := range sh.recs {
-			if _, ok := byID[r.id]; !ok {
-				ids = append(ids, r.id)
-			}
-			byID[r.id] = append(byID[r.id], r)
+	for _, r := range c.recs {
+		if _, ok := byID[r.id]; !ok {
+			ids = append(ids, r.id)
 		}
+		byID[r.id] = append(byID[r.id], r)
 	}
 	sort.Slice(ids, func(i, j int) bool {
 		if ids[i].Node != ids[j].Node {

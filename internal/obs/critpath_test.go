@@ -12,19 +12,18 @@ import (
 // segment, with residual gaps going to "other".
 func TestCritPathWalkAttribution(t *testing.T) {
 	cp := NewCritPath(1)
-	sh := cp.Shard(0)
 	id := ReqID{Node: 1, Seq: 1}
 
 	// submit=0, sent=10, delivered=100, app_execute=[100,140],
 	// done=150, complete=170. Expected: pump_wait? none; ordering
 	// [10,100]=90, app_execute [100,140]=40, reply [150,170]=20, other
 	// covers [0,10) and [140,150) = 20.
-	sh.Mark(id, SegSubmit, 0)
-	sh.Mark(id, SegSent, 10)
-	sh.Mark(id, SegDelivered, 100)
-	sh.Record(id, SegAppExecute, 100, 140)
-	sh.Mark(id, SegDone, 150)
-	sh.Mark(id, SegComplete, 170)
+	cp.Mark(id, SegSubmit, 0)
+	cp.Mark(id, SegSent, 10)
+	cp.Mark(id, SegDelivered, 100)
+	cp.Record(id, SegAppExecute, 100, 140)
+	cp.Mark(id, SegDone, 150)
+	cp.Mark(id, SegComplete, 170)
 
 	p := cp.Profile(0)
 	if p.Requests != 1 || p.Attributed != 1 {
@@ -56,15 +55,14 @@ func TestCritPathWalkAttribution(t *testing.T) {
 // reaching furthest toward completion.
 func TestCritPathOverlapPrefersCritical(t *testing.T) {
 	cp := NewCritPath(1)
-	sh := cp.Shard(0)
 	id := ReqID{Node: 1, Seq: 2}
-	sh.Mark(id, SegSubmit, 0)
-	sh.Mark(id, SegComplete, 100)
+	cp.Mark(id, SegSubmit, 0)
+	cp.Mark(id, SegComplete, 100)
 	// nic_wait [0,80] overlaps addr_resolve [0,50]: the walk must charge
 	// [50,80]... actually all of [0,80] to nic_wait (it ends later), then
 	// nothing to addr_resolve, and [80,100] to other.
-	sh.Record(id, SegNicWait, 0, 80)
-	sh.Record(id, SegAddrResolve, 0, 50)
+	cp.Record(id, SegNicWait, 0, 80)
+	cp.Record(id, SegAddrResolve, 0, 50)
 
 	p := cp.Profile(0)
 	got := map[string]int64{}
@@ -83,11 +81,10 @@ func TestCritPathOverlapPrefersCritical(t *testing.T) {
 // are clipped and cannot inflate the attribution.
 func TestCritPathClipsToLifetime(t *testing.T) {
 	cp := NewCritPath(1)
-	sh := cp.Shard(0)
 	id := ReqID{Node: 2, Seq: 1}
-	sh.Mark(id, SegSubmit, 50)
-	sh.Mark(id, SegComplete, 150)
-	sh.Record(id, SegAppExecute, 0, 200) // covers the whole lifetime after clipping
+	cp.Mark(id, SegSubmit, 50)
+	cp.Mark(id, SegComplete, 150)
+	cp.Record(id, SegAppExecute, 0, 200) // covers the whole lifetime after clipping
 
 	p := cp.Profile(0)
 	if p.SegmentSumNS != 100 || p.TotalE2ENS != 100 {
@@ -98,11 +95,10 @@ func TestCritPathClipsToLifetime(t *testing.T) {
 	}
 }
 
-// TestCritPathShardLayoutIndependence pins the merge guarantee behind
-// the multi-domain hard invariant: the same recorded content produces a
-// byte-identical profile whether it sits in one shard or is scattered
-// over many in a different order.
-func TestCritPathShardLayoutIndependence(t *testing.T) {
+// TestCritPathRecordOrderIndependence pins the content-determined
+// grouping: the same recorded content produces a byte-identical profile
+// whatever order it was recorded in.
+func TestCritPathRecordOrderIndependence(t *testing.T) {
 	type rec struct {
 		id         ReqID
 		seg        Segment
@@ -121,48 +117,44 @@ func TestCritPathShardLayoutIndependence(t *testing.T) {
 			rec{id, SegComplete, base + 400, base + 400},
 		)
 	}
-	apply := func(sh *CPShard, r rec) {
+	apply := func(cp *CritPath, r rec) {
 		if r.start == r.end {
-			sh.Mark(r.id, r.seg, r.start)
+			cp.Mark(r.id, r.seg, r.start)
 		} else {
-			sh.Record(r.id, r.seg, r.start, r.end)
+			cp.Record(r.id, r.seg, r.start, r.end)
 		}
 	}
 
-	one := NewCritPath(1)
+	inOrder := NewCritPath(1)
 	for _, r := range recs {
-		apply(one.Shard(0), r)
+		apply(inOrder, r)
 	}
-	four := NewCritPath(4)
-	// Scatter in reversed order over 4 shards: a layout no real run
-	// produces, which the merge must still normalize.
+	// Reversed: an order no real run produces, which Profile must still
+	// normalize.
+	reversed := NewCritPath(1)
 	for i := len(recs) - 1; i >= 0; i-- {
-		apply(four.Shard(i%4), recs[i])
+		apply(reversed, recs[i])
 	}
 
 	var a, b bytes.Buffer
-	if err := one.Profile(5).WriteJSON(&a); err != nil {
+	if err := inOrder.Profile(5).WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := four.Profile(5).WriteJSON(&b); err != nil {
+	if err := reversed.Profile(5).WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("profiles differ across shard layouts:\n%s\nvs\n%s", a.String(), b.String())
+		t.Fatalf("profiles differ across record orders:\n%s\nvs\n%s", a.String(), b.String())
 	}
 }
 
 // TestCritPathNilSafety: every method on nil receivers is a no-op.
 func TestCritPathNilSafety(t *testing.T) {
 	var cp *CritPath
-	var sh *CPShard
-	sh.Mark(ReqID{}, SegSubmit, 0)
-	sh.Record(ReqID{}, SegNicWait, 0, 10)
-	if sh.Len() != 0 {
-		t.Fatal("nil shard has records")
-	}
-	if got := cp.Shard(3); got != nil {
-		t.Fatal("nil critpath returned a shard")
+	cp.Mark(ReqID{}, SegSubmit, 0)
+	cp.Record(ReqID{}, SegNicWait, 0, 10)
+	if cp.Len() != 0 {
+		t.Fatal("nil critpath has records")
 	}
 	p := cp.Profile(5)
 	if p.Requests != 0 || len(p.Segments) != 0 {

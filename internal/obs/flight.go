@@ -10,8 +10,8 @@ import (
 	"heron/internal/sim"
 )
 
-// Always-on flight recorder: a fixed-size per-domain ring buffer of
-// cheap binary event records. Recording one event is a couple of integer
+// Always-on flight recorder: a fixed-size ring buffer of cheap binary
+// event records. Recording one event is a couple of integer
 // stores into a preallocated ring — no allocation, no formatting, no
 // branching on configuration beyond one nil test — so the recorder can
 // stay armed on every run. When a trigger fires (lincheck violation,
@@ -65,117 +65,70 @@ type FlightRec struct {
 	Kind FlightKind
 }
 
-// FlightShard is one domain's ring. Only the owning domain's thread may
-// record into it; the ring buffer is allocated lazily on first use, so
-// an armed-but-silent recorder costs a few words per domain. All methods
-// are no-ops on a nil shard.
-type FlightShard struct {
+// FlightRecorder is one run's ring. The ring buffer is allocated lazily
+// on first record, so an armed-but-silent recorder costs a few words.
+// All methods are no-ops on a nil recorder.
+type FlightRecorder struct {
 	buf     []FlightRec
 	cap     int
 	next    int
 	wrapped bool
 }
 
+// NewFlightRecorder creates a recorder whose ring keeps the last capacity
+// records (at least 16).
+func NewFlightRecorder(capacity int) *FlightRecorder {
+	return &FlightRecorder{cap: max(capacity, 16)}
+}
+
 // Record appends one event, overwriting the oldest once the ring is full.
-func (s *FlightShard) Record(at sim.Time, kind FlightKind, node uint32, a, b uint64) {
-	if s == nil {
+func (f *FlightRecorder) Record(at sim.Time, kind FlightKind, node uint32, a, b uint64) {
+	if f == nil {
 		return
 	}
-	if s.buf == nil {
-		s.buf = make([]FlightRec, s.cap)
+	if f.buf == nil {
+		f.buf = make([]FlightRec, f.cap)
 	}
-	s.buf[s.next] = FlightRec{At: at, Kind: kind, Node: node, A: a, B: b}
-	s.next++
-	if s.next == s.cap {
-		s.next = 0
-		s.wrapped = true
+	f.buf[f.next] = FlightRec{At: at, Kind: kind, Node: node, A: a, B: b}
+	f.next++
+	if f.next == f.cap {
+		f.next = 0
+		f.wrapped = true
 	}
 }
 
 // Len returns the number of live records in the ring.
-func (s *FlightShard) Len() int {
-	if s == nil || s.buf == nil {
-		return 0
-	}
-	if s.wrapped {
-		return s.cap
-	}
-	return s.next
-}
-
-// records returns the live records, oldest first.
-func (s *FlightShard) records() []FlightRec {
-	if s == nil || s.buf == nil {
-		return nil
-	}
-	if !s.wrapped {
-		return s.buf[:s.next]
-	}
-	out := make([]FlightRec, 0, s.cap)
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
-	return out
-}
-
-// FlightRecorder owns the per-domain rings of one run.
-type FlightRecorder struct {
-	shards []*FlightShard
-}
-
-// NewFlightRecorder creates a recorder with one ring of perDomainCap
-// records per simulation domain. Ring memory is allocated on first
-// record, not up front.
-func NewFlightRecorder(domains, perDomainCap int) *FlightRecorder {
-	if domains < 1 {
-		domains = 1
-	}
-	if perDomainCap < 16 {
-		perDomainCap = 16
-	}
-	f := &FlightRecorder{shards: make([]*FlightShard, domains)}
-	for i := range f.shards {
-		f.shards[i] = &FlightShard{cap: perDomainCap}
-	}
-	return f
-}
-
-// Shard returns the ring for a domain (clamped into range; nil-safe).
-func (f *FlightRecorder) Shard(domain int) *FlightShard {
-	if f == nil {
-		return nil
-	}
-	if domain < 0 || domain >= len(f.shards) {
-		domain = 0
-	}
-	return f.shards[domain]
-}
-
-// Len returns the live record count across all shards.
 func (f *FlightRecorder) Len() int {
-	if f == nil {
+	if f == nil || f.buf == nil {
 		return 0
 	}
-	n := 0
-	for _, s := range f.shards {
-		n += s.Len()
+	if f.wrapped {
+		return f.cap
 	}
-	return n
+	return f.next
 }
 
-// WriteTrace dumps the merged rings as a Chrome trace_event file
-// (loadable in chrome://tracing and Perfetto): one "flight" process with
-// a thread per fabric node, every record an instant event carrying its
-// payload. reason labels the dump in a metadata header. Records merge in
-// a content-determined order — (time, node, kind, payload) — so the
-// output is independent of shard layout: the same recorded history
-// serializes to the same bytes under any domain count.
-func (f *FlightRecorder) WriteTrace(w io.Writer, reason string) error {
-	var recs []FlightRec
-	if f != nil {
-		for _, s := range f.shards {
-			recs = append(recs, s.records()...)
-		}
+// records returns a copy of the live records, oldest first.
+func (f *FlightRecorder) records() []FlightRec {
+	if f == nil || f.buf == nil {
+		return nil
 	}
+	out := make([]FlightRec, 0, f.Len())
+	if f.wrapped {
+		out = append(out, f.buf[f.next:]...)
+	}
+	return append(out, f.buf[:f.next]...)
+}
+
+// WriteTrace dumps the ring as a Chrome trace_event file (loadable in
+// chrome://tracing and Perfetto): one "flight" process with a thread per
+// fabric node, every record an instant event carrying its payload.
+// reason labels the dump in a metadata header. Records are written in a
+// content-determined order — (time, node, kind, payload) — so the same
+// recorded history serializes to the same bytes whatever order it was
+// recorded in.
+func (f *FlightRecorder) WriteTrace(w io.Writer, reason string) error {
+	recs := f.records()
 	sort.SliceStable(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]
 		if a.At != b.At {

@@ -10,48 +10,46 @@ import (
 	"testing"
 )
 
-// TestFlightRingWrap checks the ring keeps exactly the newest perDomainCap
+// TestFlightRingWrap checks the ring keeps exactly the newest capacity
 // records, oldest first.
 func TestFlightRingWrap(t *testing.T) {
-	fr := NewFlightRecorder(1, 16)
-	sh := fr.Shard(0)
+	fr := NewFlightRecorder(16)
 	for i := 0; i < 40; i++ {
-		sh.Record(sim.Time(i), FltDeliver, 1, uint64(i), 0)
+		fr.Record(sim.Time(i), FltDeliver, 1, uint64(i), 0)
 	}
-	if sh.Len() != 16 {
-		t.Fatalf("ring holds %d records, want 16", sh.Len())
+	if fr.Len() != 16 {
+		t.Fatalf("ring holds %d records, want 16", fr.Len())
 	}
-	recs := sh.records()
+	recs := fr.records()
 	if recs[0].A != 24 || recs[len(recs)-1].A != 39 {
 		t.Fatalf("ring window [%d..%d], want [24..39]", recs[0].A, recs[len(recs)-1].A)
 	}
 }
 
-// TestFlightTraceShardIndependence: the same records produce a
-// byte-identical trace whether recorded into one ring or scattered over
-// four (the multi-domain merge guarantee).
-func TestFlightTraceShardIndependence(t *testing.T) {
-	one := NewFlightRecorder(1, 256)
-	four := NewFlightRecorder(4, 256)
+// TestFlightTraceRecordOrderIndependence: the same records produce a
+// byte-identical trace whatever order they were recorded in.
+func TestFlightTraceRecordOrderIndependence(t *testing.T) {
+	inOrder := NewFlightRecorder(256)
+	reversed := NewFlightRecorder(256)
 	for i := 0; i < 60; i++ {
 		at := sim.Time(i * 100)
 		node := uint32(1 + i%5)
-		one.Shard(0).Record(at, FltDeliver, node, uint64(i), 7)
+		inOrder.Record(at, FltDeliver, node, uint64(i), 7)
 	}
 	for i := 59; i >= 0; i-- {
 		at := sim.Time(i * 100)
 		node := uint32(1 + i%5)
-		four.Shard(i%4).Record(at, FltDeliver, node, uint64(i), 7)
+		reversed.Record(at, FltDeliver, node, uint64(i), 7)
 	}
 	var a, b bytes.Buffer
-	if err := one.WriteTrace(&a, "test"); err != nil {
+	if err := inOrder.WriteTrace(&a, "test"); err != nil {
 		t.Fatal(err)
 	}
-	if err := four.WriteTrace(&b, "test"); err != nil {
+	if err := reversed.WriteTrace(&b, "test"); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("flight traces differ across shard layouts")
+		t.Fatal("flight traces differ across record orders")
 	}
 }
 
@@ -59,9 +57,9 @@ func TestFlightTraceShardIndependence(t *testing.T) {
 // trace_event JSON object with instant events (the chrome://tracing
 // loadability criterion).
 func TestFlightDumpFileLoadable(t *testing.T) {
-	fr := NewFlightRecorder(2, 64)
-	fr.Shard(0).Record(sim.Time(1000), FltCrash, 3, 0, 1)
-	fr.Shard(1).Record(sim.Time(2000), FltRecover, 3, 0, 1)
+	fr := NewFlightRecorder(64)
+	fr.Record(sim.Time(1000), FltCrash, 3, 0, 1)
+	fr.Record(sim.Time(2000), FltRecover, 3, 0, 1)
 	dir := t.TempDir()
 	path, err := fr.DumpFile(dir, "flight-test.json", "unit-test")
 	if err != nil {
@@ -97,16 +95,12 @@ func TestFlightDumpFileLoadable(t *testing.T) {
 	}
 }
 
-// TestFlightNilSafety: nil recorders and shards are no-ops.
+// TestFlightNilSafety: a nil recorder is a no-op.
 func TestFlightNilSafety(t *testing.T) {
 	var fr *FlightRecorder
-	var sh *FlightShard
-	sh.Record(0, FltExec, 1, 2, 3)
-	if sh.Len() != 0 || fr.Len() != 0 {
+	fr.Record(0, FltExec, 1, 2, 3)
+	if fr.Len() != 0 {
 		t.Fatal("nil flight recorded something")
-	}
-	if fr.Shard(0) != nil {
-		t.Fatal("nil recorder returned a shard")
 	}
 	var buf bytes.Buffer
 	if err := fr.WriteTrace(&buf, "nil"); err != nil {

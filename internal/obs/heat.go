@@ -17,9 +17,7 @@ import (
 // auto-rebalancing loop: per partition, "how hot, how backed up, how
 // skewed, and trending which way".
 //
-// Sharding: a PartitionHeat belongs to the simulation domain hosting its
-// partition and is only ever touched from that domain's thread. Rolling
-// is lazy — samples are cut when a record call crosses a cadence
+// Rolling is lazy — samples are cut when a record call crosses a cadence
 // boundary, and Report flushes the final partial interval — so the
 // series needs no timer processes and stays deterministic.
 
@@ -210,7 +208,7 @@ const DefaultSketchDecayWindows = 4
 
 // NewHeat creates a heat collector with the given sampling cadence and
 // sketch width. Partitions are materialized by Partition; resolve them
-// at deployment wiring time, before domain threads start. The hot-key
+// at deployment wiring time. The hot-key
 // sketch decays with DefaultSketchDecayWindows; tune with SetSketchDecay.
 func NewHeat(partitions int, cadence sim.Duration, topK int) *Heat {
 	if partitions < 1 {
@@ -275,8 +273,7 @@ type HeatReport struct {
 
 // Report flushes every partition up to end and serializes the series,
 // partitions in index order. The output depends only on recorded
-// content, so same-seed runs produce byte-identical reports under any
-// domain count.
+// content, so same-seed runs produce byte-identical reports.
 func (h *Heat) Report(end sim.Time) *HeatReport {
 	if h == nil {
 		return &HeatReport{}
@@ -304,9 +301,7 @@ func (h *Heat) Report(end sim.Time) *HeatReport {
 // returns only the cadence samples cut since the previous Poll, plus the
 // current (decayed) hot-key sketch. It is the feed a policy loop consumes
 // on its own cadence — pull-based, so the collector needs no timers and
-// the consumer decides the decision tick. Single-domain consumers only:
-// Poll touches every partition, so under the parallel kernel it may only
-// run before domain threads start or after they join.
+// the consumer decides the decision tick.
 type HeatSub struct {
 	h      *Heat
 	cursor []int // per partition: samples already delivered

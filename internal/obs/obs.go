@@ -27,10 +27,9 @@ type Clock interface {
 type Observer struct {
 	tracer  *Tracer
 	metrics *Metrics
-	// Sharded instruments (PR 7): unlike the tracer and the metrics
-	// registry these are safe under the parallel simulation kernel —
-	// each shard/partition is only touched by its owning domain thread
-	// and merges deterministically at report time.
+	// The critical path, heat and flight instruments are keyed by
+	// identity (request id, partition, node) rather than by name, and
+	// order their content deterministically at report time.
 	critpath *CritPath
 	heat     *Heat
 	flight   *FlightRecorder
@@ -97,9 +96,9 @@ func (o *Observer) Metrics() *Metrics {
 }
 
 // Scope returns a view of the observer whose track process names and
-// metric names are prefixed with name + "/". Scopes nest. The sharded
-// instruments are identity-keyed (domain/partition indices, request
-// ids), so they pass through unprefixed.
+// metric names are prefixed with name + "/". Scopes nest. The critical
+// path, heat and flight instruments are identity-keyed, so they pass
+// through unprefixed.
 func (o *Observer) Scope(name string) *Observer {
 	if o == nil {
 		return nil
@@ -109,35 +108,12 @@ func (o *Observer) Scope(name string) *Observer {
 	return &c
 }
 
-// Sharded returns a view of the observer carrying only the
-// domain-sharded instruments (critical path, heat, flight recorder),
-// with the tracer and metrics registry stripped. Multi-domain harnesses
-// hand this view to components on other domains: the tracer and the
-// registry are single-domain structures, while every sharded instrument
-// is touched only by its owning domain thread. Returns nil when no
-// sharded instrument is present.
-func (o *Observer) Sharded() *Observer {
-	if o == nil {
-		return nil
-	}
-	return NewFull(nil, nil, o.critpath, o.heat, o.flight)
-}
-
 // CritPath returns the critical-path engine (nil when disabled).
 func (o *Observer) CritPath() *CritPath {
 	if o == nil {
 		return nil
 	}
 	return o.critpath
-}
-
-// CritPathShard returns the critical-path shard for a simulation
-// domain (nil when disabled). Resolve at wiring time.
-func (o *Observer) CritPathShard(domain int) *CPShard {
-	if o == nil {
-		return nil
-	}
-	return o.critpath.Shard(domain)
 }
 
 // Heat returns the partition-heat collector (nil when disabled).
@@ -163,15 +139,6 @@ func (o *Observer) Flight() *FlightRecorder {
 		return nil
 	}
 	return o.flight
-}
-
-// FlightShard returns the flight ring for a simulation domain (nil
-// when disabled). Resolve at wiring time.
-func (o *Observer) FlightShard(domain int) *FlightShard {
-	if o == nil {
-		return nil
-	}
-	return o.flight.Shard(domain)
 }
 
 // Track registers (or returns) the span track for a (process, thread)

@@ -62,7 +62,7 @@ type Checkpointer struct {
 	cBytes     *obs.Counter
 	cRestores  *obs.Counter
 	cRestBytes *obs.Counter
-	flight     *obs.FlightShard
+	flight     *obs.FlightRecorder
 }
 
 // Disk returns the replica's simulated persistent medium.
@@ -86,7 +86,7 @@ func (c *Checkpointer) observe(o *obs.Observer) {
 	c.cBytes = o.Counter("persist/checkpoint_bytes")
 	c.cRestores = o.Counter("persist/restores")
 	c.cRestBytes = o.Counter("persist/restore_bytes")
-	c.flight = o.FlightShard(0)
+	c.flight = o.Flight()
 	if c.eng != nil {
 		c.eng.observe(o)
 	}

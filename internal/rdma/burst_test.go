@@ -138,12 +138,11 @@ func TestBurstRecordEndingAtRingEnd(t *testing.T) {
 	}
 }
 
-// burstTraffic sends, between two schedulers (one, or two sim.Domains
-// members), random bursts of random-size records through a 128-byte ring —
-// many of them larger than the ring — to a consumer with random pauses, and
-// checks exact FIFO delivery. It returns how often the ring was lapped and
-// how many records ended exactly at the ring's end.
-func burstTraffic(t *testing.T, seed int64, producer, consumer *sim.Scheduler, mb *Mailbox, w *MailboxWriter, run func() error) (laps, exactEnds int) {
+// burstTraffic sends random bursts of random-size records through a
+// 128-byte ring — many of them larger than the ring — to a consumer with
+// random pauses, and checks exact FIFO delivery. It returns how often the
+// ring was lapped and how many records ended exactly at the ring's end.
+func burstTraffic(t *testing.T, seed int64, s *sim.Scheduler, mb *Mailbox, w *MailboxWriter) (laps, exactEnds int) {
 	t.Helper()
 	const ringCap = 128
 	prng := rand.New(rand.NewSource(seed))
@@ -167,7 +166,7 @@ func burstTraffic(t *testing.T, seed int64, producer, consumer *sim.Scheduler, m
 		bursts = append(bursts, burst)
 	}
 	got := 0
-	producer.Spawn("producer", func(p *sim.Proc) {
+	s.Spawn("producer", func(p *sim.Proc) {
 		for _, burst := range bursts {
 			if err := w.Send(p, burst...); err != nil {
 				t.Errorf("seed %d: %v", seed, err)
@@ -178,7 +177,7 @@ func burstTraffic(t *testing.T, seed int64, producer, consumer *sim.Scheduler, m
 			}
 		}
 	})
-	consumer.Spawn("consumer", func(p *sim.Proc) {
+	s.Spawn("consumer", func(p *sim.Proc) {
 		for ; got < len(sent); got++ {
 			rec, err := mb.Recv(p)
 			if err != nil || !bytes.Equal(rec, sent[got]) {
@@ -190,7 +189,7 @@ func burstTraffic(t *testing.T, seed int64, producer, consumer *sim.Scheduler, m
 			}
 		}
 	})
-	if err := run(); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got != len(sent) {
@@ -207,7 +206,7 @@ func TestBurstRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		s, f, _, b := testFabric(t)
 		mb := NewMailbox(b, 128)
-		laps, ends := burstTraffic(t, seed, s, s, mb, mb.Connect(f, 1), s.Run)
+		laps, ends := burstTraffic(t, seed, s, mb, mb.Connect(f, 1))
 		s.Close()
 		if laps < 3 {
 			t.Fatalf("seed %d: the ring was lapped %d times, want >= 3", seed, laps)
@@ -216,21 +215,6 @@ func TestBurstRoundTrip(t *testing.T) {
 	}
 	if exact == 0 {
 		t.Fatal("no record ended exactly at the ring's end; change the sizes")
-	}
-}
-
-// TestBurstAcrossDomains: the same traffic with the producer and the
-// consumer on two sim.Domains members.
-func TestBurstAcrossDomains(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		f := newCrossFixture()
-		mb := NewMailbox(f.n2, 128)
-		laps, _ := burstTraffic(t, seed, f.doms.Domain(0), f.doms.Domain(1), mb, mb.Connect(f.fab, 1),
-			func() error { return f.doms.RunUntil(sim.Time(sim.Second)) })
-		f.doms.Close()
-		if laps < 3 {
-			t.Fatalf("seed %d: the ring was lapped %d times, want >= 3", seed, laps)
-		}
 	}
 }
 

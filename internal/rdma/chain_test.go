@@ -79,14 +79,14 @@ type chainProbe struct {
 	posted sim.Time   // when PostWrites returned
 }
 
-func (c *chainProbe) run(issuer, target *sim.Scheduler, qp *QP, t *testing.T) {
-	target.Spawn("poller", func(p *sim.Proc) {
+func (c *chainProbe) run(s *sim.Scheduler, qp *QP, t *testing.T) {
+	s.Spawn("poller", func(p *sim.Proc) {
 		for c.reg.node.writeNotify.WaitTimeout(p, 100*sim.Microsecond) {
 			c.wakes = append(c.wakes, p.Now())
 			c.seen = append(c.seen, append([]byte(nil), c.reg.mem()[:8]...))
 		}
 	})
-	issuer.Spawn("issuer", func(p *sim.Proc) {
+	s.Spawn("issuer", func(p *sim.Proc) {
 		err := qp.PostWrites(p,
 			WR{c.reg.Addr(0), []byte("AAAAAAAA")},
 			WR{c.reg.Addr(2), []byte("BBBB")},
@@ -125,7 +125,7 @@ func TestChainLandsInOrderInOneEvent(t *testing.T) {
 	m := obs.NewMetrics()
 	f.Observe(obs.New(nil, m))
 	c := &chainProbe{reg: b.RegisterRegion(64)}
-	c.run(s, s, f.Connect(1, 2), t)
+	c.run(s, f.Connect(1, 2), t)
 	before := s.EventCount()
 	if err := s.RunUntil(sim.Time(sim.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -147,18 +147,6 @@ func TestChainLandsInOrderInOneEvent(t *testing.T) {
 	if d, w := counter(m, "rdma/qp/n1->n2/doorbells"), counter(m, "rdma/qp/n1->n2/write_ops"); d != 1 || w != 3 {
 		t.Errorf("%d doorbells and %d write verbs, want 1 and 3", d, w)
 	}
-}
-
-// TestChainAcrossDomains: the same chain between two sim.Domains members.
-func TestChainAcrossDomains(t *testing.T) {
-	f := newCrossFixture()
-	defer f.doms.Close()
-	c := &chainProbe{reg: f.r2}
-	c.run(f.doms.Domain(0), f.doms.Domain(1), f.q12, t)
-	if err := f.doms.RunUntil(sim.Time(sim.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	c.check(t, f.fab.Config())
 }
 
 // TestPostWritesBadAddressSendsNothing: a chain with one WR out of bounds
@@ -345,9 +333,9 @@ func TestLossyLinkTearsAChain(t *testing.T) {
 
 // lapRing sends n records through a ring far smaller than their sum to a
 // consumer slower than the producer, and returns how many arrived in order.
-func lapRing(t *testing.T, producer, consumer *sim.Scheduler, mb *Mailbox, w *MailboxWriter, n int) *int {
+func lapRing(t *testing.T, s *sim.Scheduler, mb *Mailbox, w *MailboxWriter, n int) *int {
 	got := new(int)
-	producer.Spawn("producer", func(p *sim.Proc) {
+	s.Spawn("producer", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			if err := w.Send(p, bytes.Repeat([]byte{byte(i)}, 20+i%9)); err != nil {
 				t.Errorf("send %d: %v", i, err)
@@ -355,7 +343,7 @@ func lapRing(t *testing.T, producer, consumer *sim.Scheduler, mb *Mailbox, w *Ma
 			}
 		}
 	})
-	consumer.Spawn("consumer", func(p *sim.Proc) {
+	s.Spawn("consumer", func(p *sim.Proc) {
 		for *got < n {
 			rec, err := mb.Recv(p)
 			if err != nil || !bytes.Equal(rec, bytes.Repeat([]byte{byte(*got)}, 20+*got%9)) {
@@ -381,7 +369,7 @@ func TestCreditOnDemand(t *testing.T) {
 	mb := NewMailbox(b, 256)
 	w := mb.Connect(f, 1)
 	const n = 60 // x 32 bytes = 7.5 laps
-	got := lapRing(t, s, s, mb, w, n)
+	got := lapRing(t, s, mb, w, n)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -406,26 +394,6 @@ func TestCreditOnDemand(t *testing.T) {
 	}
 	if pub := binary.LittleEndian.Uint64(mb.reg.mem()[mailboxHead:]); pub != mb.head {
 		t.Errorf("published head %d, consumer head %d", pub, mb.head)
-	}
-}
-
-// TestCreditOnDemandAcrossDomains: the same lapping with the producer and
-// the consumer on two sim.Domains members.
-func TestCreditOnDemandAcrossDomains(t *testing.T) {
-	f := newCrossFixture()
-	defer f.doms.Close()
-	mb := NewMailbox(f.n2, 256)
-	w := mb.Connect(f.fab, 1)
-	const n = 60
-	got := lapRing(t, f.doms.Domain(0), f.doms.Domain(1), mb, w, n)
-	if err := f.doms.RunUntil(sim.Time(sim.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if *got != n || w.tail/256 < 3 {
-		t.Fatalf("received %d of %d over %d laps", *got, n, w.tail/256)
-	}
-	if w.head == 0 {
-		t.Fatal("the producer lapped the ring without ever reading the published head")
 	}
 }
 

@@ -78,10 +78,9 @@ type CQ struct {
 	nextSeq     int
 }
 
-// NewCQ creates a completion queue owned by the node, in the node's
-// simulation domain.
+// NewCQ creates a completion queue owned by the node.
 func (n *Node) NewCQ() *CQ {
-	return &CQ{node: n, sched: n.sched, cond: sim.NewCond(n.sched)}
+	return &CQ{node: n, sched: n.fabric.sched, cond: sim.NewCond(n.fabric.sched)}
 }
 
 // Outstanding returns the number of posted operations whose completion
@@ -142,9 +141,6 @@ func (q *QP) PostRead(p *sim.Proc, cq *CQ, addr Addr, length int) (*ReadHandle, 
 	}
 	if cq.node != q.local {
 		panic(fmt.Sprintf("rdma: PostRead on node %d with CQ of node %d", q.local.id, cq.node.id))
-	}
-	if q.crossDomain() {
-		return q.postReadCross(p, cq, addr, length)
 	}
 	h := &ReadHandle{addr: addr, length: length, seq: cq.nextSeq}
 	posted := q.sched.Now()

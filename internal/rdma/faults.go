@@ -140,18 +140,6 @@ func (f *Fabric) linkExtra(a, b NodeID) sim.Duration {
 	return d
 }
 
-// linkExtraStatic returns the configured extra one-way latency on a->b
-// without a jitter draw. Cross-domain verbs use it: the fault RNG is
-// shared fabric state that concurrent domains must not touch (and a
-// random component would invalidate the lookahead bound anyway).
-func (f *Fabric) linkExtraStatic(a, b NodeID) sim.Duration {
-	lf := f.fault(a, b)
-	if lf == nil {
-		return 0
-	}
-	return lf.extra
-}
-
 // dropDraw decides whether a verb issued on a->b is lost in the fabric.
 func (f *Fabric) dropDraw(a, b NodeID) bool {
 	lf := f.fault(a, b)

@@ -89,13 +89,11 @@ func NewMailbox(consumer *Node, capacity int) *Mailbox {
 // Connect returns the producer half for the given producer node. Connect
 // must be called exactly once per mailbox (single producer).
 func (m *Mailbox) Connect(f *Fabric, producer NodeID) *MailboxWriter {
-	// The send lock lives in the producer's simulation domain: Send runs
-	// on the producing node's processes.
 	return &MailboxWriter{
 		qp:       f.Connect(producer, m.node.id),
 		ringAddr: m.reg.Addr(0),
 		cap:      m.cap,
-		mu:       sim.NewMutex(f.nodes[producer].sched),
+		mu:       sim.NewMutex(f.sched),
 	}
 }
 

@@ -66,14 +66,12 @@ func (q *QP) o() *qpObs {
 
 // Connect creates a queue pair from node a to node b. Both nodes must
 // exist on the fabric; Connect panics otherwise (static wiring error).
-// The QP issues from a's simulation domain; when b lives on a different
-// domain, verbs take the cross-domain path (see cross.go).
 func (f *Fabric) Connect(a, b NodeID) *QP {
 	la, lb := f.nodes[a], f.nodes[b]
 	if la == nil || lb == nil {
 		panic(fmt.Sprintf("rdma: connect %d->%d: unknown node", a, b))
 	}
-	return &QP{local: la, remote: lb, cfg: &f.cfg, sched: la.sched}
+	return &QP{local: la, remote: lb, cfg: &f.cfg, sched: f.sched}
 }
 
 // Local returns the issuing node.
@@ -134,7 +132,7 @@ func (q *QP) failVerb(p *sim.Proc) error {
 	p.Sleep(q.cfg.FailureTimeout)
 	// Verb failures are exactly what a post-mortem wants in the flight
 	// ring; this is the error path, so the lookup cost is irrelevant.
-	q.local.fabric.obs.FlightShard(q.sched.Domain()).Record(
+	q.local.fabric.obs.Flight().Record(
 		p.Now(), obs.FltVerbError, uint32(q.local.id), uint64(q.remote.id), 0)
 	return q.pathErr()
 }
@@ -165,9 +163,6 @@ func errMisaligned(addr Addr) error {
 func (q *QP) Read(p *sim.Proc, addr Addr, length int) ([]byte, error) {
 	if err := q.checkLocal(); err != nil {
 		return nil, err
-	}
-	if q.crossDomain() {
-		return q.readCross(p, addr, length)
 	}
 	if q.pathDown() || q.dropDrawn() {
 		return nil, q.failVerb(p)
@@ -212,9 +207,6 @@ func (q *QP) Write(p *sim.Proc, addr Addr, data []byte) error {
 	if err := q.checkLocal(); err != nil {
 		return err
 	}
-	if q.crossDomain() {
-		return q.writeCross(p, addr, data)
-	}
 	if q.pathDown() || q.dropDrawn() {
 		return q.failVerb(p)
 	}
@@ -240,8 +232,7 @@ type WR struct {
 type landing struct {
 	reg  *Region
 	off  int
-	data []byte   // the post's own copy: the caller may reuse its buffer
-	at   sim.Time // cross-domain only: arrival at the target's NIC
+	data []byte // the post's own copy: the caller may reuse its buffer
 	sp   *obs.Span
 }
 
@@ -273,13 +264,7 @@ func (q *QP) PostWrites(p *sim.Proc, wrs ...WR) error {
 	if err := q.checkLocal(); err != nil {
 		return err
 	}
-	var err error
-	if q.crossDomain() {
-		err = q.postWritesCross(wrs)
-	} else {
-		_, err = q.post(wrs, true)
-	}
-	if err != nil {
+	if _, err := q.post(wrs, true); err != nil {
 		return err
 	}
 	p.Sleep(q.cfg.PostOverhead)
@@ -374,9 +359,6 @@ func (q *QP) CompareAndSwap(p *sim.Proc, addr Addr, expect, swap uint64) (uint64
 	if err := q.checkLocal(); err != nil {
 		return 0, err
 	}
-	if q.crossDomain() {
-		return q.casCross(p, addr, expect, swap)
-	}
 	if q.pathDown() || q.dropDrawn() {
 		return 0, q.failVerb(p)
 	}
@@ -429,9 +411,6 @@ func (q *QP) CompareAndSwap(p *sim.Proc, addr Addr, expect, swap uint64) (uint64
 func (q *QP) Send(p *sim.Proc, payload any) error {
 	if err := q.checkLocal(); err != nil {
 		return err
-	}
-	if q.crossDomain() {
-		return q.sendCross(p, payload)
 	}
 	if q.pathDown() || q.dropDrawn() {
 		p.Sleep(q.cfg.PostOverhead)

@@ -85,20 +85,6 @@ type Config struct {
 	PostOverhead sim.Duration
 }
 
-// CrossLookahead returns the smallest one-way hop any cross-domain verb
-// under this config can carry, absent per-link extra delays: half the
-// cheapest verb base. It lets a deployment size sim.NewDomains before
-// the fabric (and its per-link refinement, Fabric.CrossLookahead) exists.
-func (c Config) CrossLookahead() sim.Duration {
-	minBase := c.ReadBase
-	for _, b := range []sim.Duration{c.WriteBase, c.CASBase, c.SendBase} {
-		if b < minBase {
-			minBase = b
-		}
-	}
-	return minBase / 2
-}
-
 // DefaultConfig returns latency parameters calibrated to the paper's
 // testbed (ConnectX-4, 25 Gb/s).
 func DefaultConfig() Config {
@@ -146,41 +132,6 @@ func NewFabric(s *sim.Scheduler, cfg Config) *Fabric {
 // Scheduler returns the underlying virtual-time scheduler.
 func (f *Fabric) Scheduler() *sim.Scheduler { return f.sched }
 
-// CrossLookahead returns the smallest virtual latency any verb between
-// two nodes of different simulation domains is guaranteed to carry
-// before it can affect the other domain: the minimum over cross-domain
-// node pairs of half the cheapest verb base latency plus half the
-// static extra link delay. It is the correct lookahead for
-// sim.NewDomains when this fabric is the only cross-domain coupling.
-// Zero is returned when no two nodes live on different domains (or the
-// fabric is empty); sim.Domains then falls back to sequential execution.
-func (f *Fabric) CrossLookahead() sim.Duration {
-	minBase := f.cfg.ReadBase
-	for _, b := range []sim.Duration{f.cfg.WriteBase, f.cfg.CASBase, f.cfg.SendBase} {
-		if b < minBase {
-			minBase = b
-		}
-	}
-	var best sim.Duration
-	found := false
-	// Min over unordered map iteration is order-insensitive.
-	for aID, a := range f.nodes {
-		for bID, b := range f.nodes {
-			if a.sched == b.sched {
-				continue
-			}
-			hop := (minBase + f.linkExtraStatic(aID, bID)) / 2
-			if !found || hop < best {
-				best, found = hop, true
-			}
-		}
-	}
-	if !found {
-		return 0
-	}
-	return best
-}
-
 // Config returns the fabric's latency model.
 func (f *Fabric) Config() Config { return f.cfg }
 
@@ -191,34 +142,18 @@ func (f *Fabric) Config() Config { return f.cfg }
 // pointer test.
 func (f *Fabric) Observe(o *obs.Observer) { f.obs = o }
 
-// AddNode registers a node (one NIC) on the fabric, hosted on the
-// fabric's own scheduler. Adding the same id twice panics: node identity
-// is a static configuration error.
+// AddNode registers a node (one NIC) on the fabric. Adding the same id
+// twice panics: node identity is a static configuration error.
 func (f *Fabric) AddNode(id NodeID) *Node {
-	return f.AddNodeOn(id, f.sched)
-}
-
-// AddNodeOn registers a node hosted on simulation domain s (see
-// sim.Domains): the node's NIC occupancy, registered memory, inbox and
-// write-notify wakeups all live in that domain, and verbs crossing
-// between nodes of different domains take the conservative cross-domain
-// path (arrival event in the target's domain, completion event back).
-//
-// Multi-domain restrictions: fault injection (partitions, lossy or
-// jittered links, crashes) and the observability layer are only supported
-// when every node shares one scheduler; a multi-domain fabric must run
-// fault-free and unobserved.
-func (f *Fabric) AddNodeOn(id NodeID, s *sim.Scheduler) *Node {
 	if _, dup := f.nodes[id]; dup {
 		panic(fmt.Sprintf("rdma: duplicate node %d", id))
 	}
 	n := &Node{
 		id:          id,
 		fabric:      f,
-		sched:       s,
 		regions:     make(map[RKey]*Region),
-		writeNotify: sim.NewCond(s),
-		inbox:       sim.NewChan[Message](s),
+		writeNotify: sim.NewCond(f.sched),
+		inbox:       sim.NewChan[Message](f.sched),
 	}
 	f.nodes[id] = n
 	return n
@@ -245,13 +180,8 @@ func (n *Node) admit(now sim.Time, size int) sim.Time {
 
 // Node is a machine on the fabric with registered memory and a NIC.
 type Node struct {
-	id     NodeID
-	fabric *Fabric
-	// sched is the simulation domain hosting this node; equal to the
-	// fabric's scheduler unless the node was placed with AddNodeOn. The
-	// node's NIC state and region memory may only be touched by events of
-	// this scheduler.
-	sched   *sim.Scheduler
+	id      NodeID
+	fabric  *Fabric
 	crashed bool
 	regions map[RKey]*Region
 	nextKey RKey
@@ -328,7 +258,7 @@ func (n *Node) Recover() {
 		return
 	}
 	n.crashed = false
-	n.inbox = sim.NewChan[Message](n.sched)
+	n.inbox = sim.NewChan[Message](n.fabric.sched)
 	n.fabric.resetNodeLinks(n.id)
 	n.writeNotify.Broadcast()
 }
@@ -336,9 +266,6 @@ func (n *Node) Recover() {
 // WriteNotify returns the condition broadcast after every remote write
 // into this node's memory.
 func (n *Node) WriteNotify() *sim.Cond { return n.writeNotify }
-
-// Scheduler returns the simulation domain hosting this node.
-func (n *Node) Scheduler() *sim.Scheduler { return n.sched }
 
 // RegisterRegion allocates and registers size bytes of RDMA-accessible
 // memory and returns the region.

@@ -68,10 +68,10 @@ func (t *Transport) Endpoint(id NodeID) *Endpoint {
 }
 
 // Prewire creates the rings (and endpoints) for every given ordered node
-// pair up front. A multi-domain deployment must prewire every pair it
-// will ever send on before Domains.Run starts: lazy creation mutates the
-// transport's shared maps and registers memory on the consumer, which is
-// only safe while a single thread drives the simulation.
+// pair up front, in the given order, instead of on each pair's first
+// send. A ring's place among its consumer's rings is its turn in
+// TryRecv's round-robin, so prewiring fixes that order independently of
+// which peer happens to send first.
 func (t *Transport) Prewire(pairs [][2]NodeID) {
 	for _, pr := range pairs {
 		t.writer(pr[0], pr[1])

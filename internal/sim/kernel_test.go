@@ -14,7 +14,7 @@ import (
 // hinges on exactly where a wake, a timeout or a predicate evaluation
 // falls in (time, seq) order, and states the trace the channel kernel
 // (before PR 12) produced — the cases were run against that kernel to fix
-// the expectations. Every kernel in kernels() must reproduce each trace.
+// the expectations. The kernel must reproduce each trace.
 
 const runForever = Time(1<<62 - 1)
 
@@ -236,70 +236,37 @@ var kernelCases = []kernelCase{
 	},
 }
 
-// testKernel is one way of driving a Scheduler.
-type testKernel struct {
-	name  string
-	build func() (s *Scheduler, runUntil func(Time) error, closeAll func())
-}
-
-// kernels returns the standalone kernel and the two Domains kernels, the
-// scenario on domain 0 and a short-lived ticker on domain 1 so the other
-// domain has events of its own around the scenario's.
-func kernels() []testKernel {
-	domains := func(lookahead Duration) func() (*Scheduler, func(Time) error, func()) {
-		return func() (*Scheduler, func(Time) error, func()) {
-			d := NewDomains(2, lookahead)
-			d.Domain(1).Spawn("ticker", func(p *Proc) {
-				for i := 0; i < 40; i++ {
-					p.Sleep(3)
-				}
-			})
-			return d.Domain(0), d.RunUntil, d.Close
-		}
-	}
-	return []testKernel{
-		{"standalone", func() (*Scheduler, func(Time) error, func()) {
-			s := NewScheduler()
-			return s, s.RunUntil, s.Close
-		}},
-		{"domains-parallel", domains(4)},
-		{"domains-zero-lookahead", domains(0)},
-	}
-}
-
 func TestKernelEquivalence(t *testing.T) {
-	for _, k := range kernels() {
-		for _, c := range kernelCases {
-			t.Run(k.name+"/"+c.name, func(t *testing.T) {
-				s, runUntil, closeAll := k.build()
-				var got []string
-				steps := c.build(s, func(format string, args ...any) {
-					got = append(got, fmt.Sprintf("%d ", s.Now())+fmt.Sprintf(format, args...))
-				})
-				var err error
-				for i, deadline := range steps {
-					err = runUntil(deadline)
-					if err != nil && i < len(steps)-1 {
-						t.Fatalf("RunUntil(%d): %v", deadline, err)
-					}
-				}
-				switch {
-				case c.wantErr == "" && err != nil:
-					t.Fatalf("unexpected error: %v", err)
-				case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
-					t.Fatalf("error %v, want one containing %q", err, c.wantErr)
-				case c.deadlock && !errors.Is(err, ErrDeadlock):
-					t.Fatalf("error %v is not ErrDeadlock", err)
-				}
-				closeAll()
-				if !reflect.DeepEqual(got, c.want) {
-					t.Fatalf("trace\n got  %q\n want %q", got, c.want)
-				}
-				if n := s.LiveProcs(); n != 0 {
-					t.Fatalf("%d processes live after Close", n)
-				}
+	for _, c := range kernelCases {
+		t.Run("standalone/"+c.name, func(t *testing.T) {
+			s := NewScheduler()
+			var got []string
+			steps := c.build(s, func(format string, args ...any) {
+				got = append(got, fmt.Sprintf("%d ", s.Now())+fmt.Sprintf(format, args...))
 			})
-		}
+			var err error
+			for i, deadline := range steps {
+				err = s.RunUntil(deadline)
+				if err != nil && i < len(steps)-1 {
+					t.Fatalf("RunUntil(%d): %v", deadline, err)
+				}
+			}
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatalf("unexpected error: %v", err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Fatalf("error %v, want one containing %q", err, c.wantErr)
+			case c.deadlock && !errors.Is(err, ErrDeadlock):
+				t.Fatalf("error %v is not ErrDeadlock", err)
+			}
+			s.Close()
+			if !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("trace\n got  %q\n want %q", got, c.want)
+			}
+			if n := s.LiveProcs(); n != 0 {
+				t.Fatalf("%d processes live after Close", n)
+			}
+		})
 	}
 }
 
@@ -380,42 +347,40 @@ func TestKillDeregistersParkedProc(t *testing.T) {
 // parked on a Cond with a timeout, queued on a Mutex — runs their
 // deferred calls, and returns their goroutines.
 func TestCloseReleasesEveryProc(t *testing.T) {
-	for _, k := range kernels() {
-		t.Run(k.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			s, runUntil, closeAll := k.build()
-			c, m := NewCond(s), NewMutex(s)
-			unwound := 0
-			spawn := func(name string, body func(p *Proc)) {
-				s.Spawn(name, func(p *Proc) {
-					defer func() { unwound++ }()
-					body(p)
-				})
-			}
-			spawn("holder", func(p *Proc) { m.Lock(p); defer m.Unlock(p); p.Sleep(1000) })
-			spawn("queued", func(p *Proc) { m.Lock(p); defer m.Unlock(p) })
-			spawn("timed", func(p *Proc) { c.WaitUntilTimeout(p, 1000, func() bool { return false }) })
-			spawn("untimed", func(p *Proc) { c.Wait(p) })
-			spawn("done", func(p *Proc) {})
-			s.SpawnAfter(1000, "unstarted", func(p *Proc) { t.Error("unstarted process ran") })
-			if err := runUntil(10); err != nil {
-				t.Fatal(err)
-			}
-			if runtime.NumGoroutine() <= before {
-				t.Fatal("parked processes hold no goroutines; the test measures nothing")
-			}
-			closeAll()
-			if unwound != 5 {
-				t.Errorf("%d bodies unwound, want 5", unwound)
-			}
-			if n := s.LiveProcs(); n != 0 {
-				t.Errorf("%d processes live after Close", n)
-			}
-			if after := runtime.NumGoroutine(); after != before {
-				t.Errorf("%d goroutines after Close, %d before the run", after, before)
-			}
-		})
-	}
+	t.Run("standalone", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		s := NewScheduler()
+		c, m := NewCond(s), NewMutex(s)
+		unwound := 0
+		spawn := func(name string, body func(p *Proc)) {
+			s.Spawn(name, func(p *Proc) {
+				defer func() { unwound++ }()
+				body(p)
+			})
+		}
+		spawn("holder", func(p *Proc) { m.Lock(p); defer m.Unlock(p); p.Sleep(1000) })
+		spawn("queued", func(p *Proc) { m.Lock(p); defer m.Unlock(p) })
+		spawn("timed", func(p *Proc) { c.WaitUntilTimeout(p, 1000, func() bool { return false }) })
+		spawn("untimed", func(p *Proc) { c.Wait(p) })
+		spawn("done", func(p *Proc) {})
+		s.SpawnAfter(1000, "unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+		if err := s.RunUntil(10); err != nil {
+			t.Fatal(err)
+		}
+		if runtime.NumGoroutine() <= before {
+			t.Fatal("parked processes hold no goroutines; the test measures nothing")
+		}
+		s.Close()
+		if unwound != 5 {
+			t.Errorf("%d bodies unwound, want 5", unwound)
+		}
+		if n := s.LiveProcs(); n != 0 {
+			t.Errorf("%d processes live after Close", n)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Errorf("%d goroutines after Close, %d before the run", after, before)
+		}
+	})
 }
 
 // The timer heap pops in (deadline, seq) order under arbitrary arming and

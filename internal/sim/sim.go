@@ -12,12 +12,6 @@
 // evaluated by the wake event itself (see Cond), and a wait's timeout is
 // cancelled, not left to fire, once the wait is released.
 //
-// A Scheduler is also one domain of a parallel simulation (see domain.go):
-// independent partitions of a deployment can each own a scheduler, with
-// the domains' virtual clocks advanced concurrently on real OS threads
-// under a conservative lookahead barrier. A standalone scheduler is the
-// degenerate single-domain case and behaves exactly as before.
-//
 // The kernel is intentionally small: events, processes, condition
 // variables, and deadlock detection. Higher-level communication (RDMA
 // fabric, message-passing network) is layered on top in other packages.
@@ -28,7 +22,7 @@ import (
 	"fmt"
 	"iter"
 	"sort"
-	"sync"
+	"strings"
 	"time"
 )
 
@@ -54,10 +48,9 @@ const (
 // its wait reason (use errors.Is to test).
 var ErrDeadlock = errors.New("sim: deadlock: no pending events but processes are blocked")
 
-// Scheduler owns the virtual clock and the event queue of one simulation
-// domain, and arbitrates which of the domain's processes runs. The zero
-// value is not usable; call NewScheduler (standalone) or NewDomains
-// (parallel).
+// Scheduler owns the virtual clock and the event queue of a simulation,
+// and arbitrates which of its processes runs. The zero value is not
+// usable; call NewScheduler.
 type Scheduler struct {
 	now Time
 	q   eventQueue
@@ -77,37 +70,13 @@ type Scheduler struct {
 	// non-zero. It is a backstop against accidental infinite event loops
 	// in tests.
 	MaxEvents uint64
-
-	// Domain coupling; all nil/zero for a standalone scheduler.
-	dom   *Domains
-	domID int
-	// windowEnd is the exclusive bound of the parallel window currently
-	// executing, which doubles as the earliest legal delivery time for
-	// cross-domain events sent from this domain.
-	windowEnd Time
-	// crossSeq orders this domain's outgoing cross-domain events.
-	crossSeq uint64
-	// windowErr carries a window's error to the coordinator.
-	windowErr error
-	// inbox holds cross-domain events sent to this domain but not yet
-	// merged into its queue; guarded by inboxMu because senders append
-	// from their own OS threads.
-	inboxMu sync.Mutex
-	inbox   []crossEvent
-	// lateCross counts cross-domain events that violated the lookahead
-	// contract and were clamped to the window boundary.
-	lateCross uint64
 }
 
-// NewScheduler returns an empty standalone scheduler with the clock at
-// zero.
+// NewScheduler returns an empty scheduler with the clock at zero.
 func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
-
-// Domain returns the scheduler's domain index (0 for standalone).
-func (s *Scheduler) Domain() int { return s.domID }
 
 // At schedules fn to run at absolute time at. Scheduling in the past is an
 // error in the caller; the event is clamped to the current time so that
@@ -410,46 +379,34 @@ func (s *Scheduler) RunUntil(deadline Time) error {
 	if s.running {
 		return errors.New("sim: Run called re-entrantly")
 	}
-	if s.dom != nil && len(s.dom.members) > 1 {
-		return errors.New("sim: RunUntil on a domain member; drive the run through Domains.Run")
-	}
 	s.running = true
 	defer func() { s.running = false }()
 
-	if err := s.runLocal(deadline + 1); err != nil {
-		return err
+	for {
+		ran, err := s.execNext(deadline + 1)
+		if err != nil {
+			return err
+		}
+		if !ran {
+			break
+		}
 	}
 	if s.q.len() > 0 || len(s.timers) > 0 {
 		return nil // future events remain past the deadline
 	}
-	return s.checkLocalDeadlock()
-}
-
-// runLocal executes events with timestamps strictly below end, leaving the
-// clock at the last executed event. It is the per-domain inner loop of
-// both standalone runs and parallel windows.
-func (s *Scheduler) runLocal(end Time) error {
-	for {
-		if ran, err := s.execNext(end); !ran {
-			return err
-		}
+	if s.fatalErr != nil {
+		return s.fatalErr
 	}
-}
-
-// nextTime returns the time of the earliest pending event or timeout.
-func (s *Scheduler) nextTime() (Time, bool) {
-	at, _, ok := s.q.peek()
-	if len(s.timers) > 0 && (!ok || s.timers[0].deadline < at) {
-		return s.timers[0].deadline, true
+	if n := s.blockedProcs(); len(n) > 0 {
+		return fmt.Errorf("%w: [%s]", ErrDeadlock, strings.Join(n, "; "))
 	}
-	return at, ok
+	return nil
 }
 
 // execNext executes the earliest pending event or timeout if it is due
 // strictly before end, reporting whether it ran one. It is the single
-// dispatch point of every kernel — standalone, parallel window and
-// sequential fallback: callbacks, process wakes and wait timeouts all
-// execute here, in (time, seq) order.
+// dispatch point of the kernel's one loop (RunUntil): callbacks, process
+// wakes and wait timeouts all execute here, in (time, seq) order.
 func (s *Scheduler) execNext(end Time) (bool, error) {
 	if s.fatalErr != nil {
 		return false, s.fatalErr
@@ -467,7 +424,7 @@ func (s *Scheduler) execNext(end Time) (bool, error) {
 	s.now = at
 	s.eventCount++
 	if s.MaxEvents != 0 && s.eventCount > s.MaxEvents {
-		return false, fmt.Errorf("sim: domain %d exceeded MaxEvents=%d at t=%v", s.domID, s.MaxEvents, s.now)
+		return false, fmt.Errorf("sim: exceeded MaxEvents=%d at t=%v", s.MaxEvents, s.now)
 	}
 	if t != nil {
 		// The wait timed out: nothing released it, so it is still queued.
@@ -484,35 +441,6 @@ func (s *Scheduler) execNext(end Time) (bool, error) {
 		s.wake(ev.p)
 	}
 	return true, nil
-}
-
-// checkLocalDeadlock returns the deadlock error if any of this domain's
-// processes are blocked (the caller has established that no event can
-// wake them), or nil.
-func (s *Scheduler) checkLocalDeadlock() error {
-	if s.fatalErr != nil {
-		return s.fatalErr
-	}
-	if n := s.blockedProcs(); len(n) > 0 {
-		return deadlockError(n)
-	}
-	return nil
-}
-
-// deadlockError builds the wrapped ErrDeadlock listing blocked processes.
-func deadlockError(blocked []string) error {
-	return fmt.Errorf("%w: [%s]", ErrDeadlock, joinBlocked(blocked))
-}
-
-func joinBlocked(blocked []string) string {
-	out := ""
-	for i, b := range blocked {
-		if i > 0 {
-			out += "; "
-		}
-		out += b
-	}
-	return out
 }
 
 // blockedProcs returns a sorted "name (wait reason)" listing of processes
