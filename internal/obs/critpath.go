@@ -15,11 +15,11 @@ import (
 // named leaf intervals (nic_wait, addr_resolve, coordination waits,
 // app_execute, ...) keyed by the request's multicast id — the causal
 // edge that links the client, the ordering layer, and every involved
-// replica. Profile then reassembles each
-// request's interval set, walks it backward from completion, and
-// attributes every nanosecond of end-to-end latency to exactly one
-// segment; residual gaps no interval explains go to "other", so the
-// per-request segment sum always equals the measured end-to-end latency.
+// replica. Profile then reassembles each request's interval set, walks
+// it backward from completion, and attributes every nanosecond of
+// end-to-end latency to exactly one segment; residual gaps no interval
+// explains go to "other", so the per-request segment sum always equals
+// the measured end-to-end latency.
 //
 // Recording appends to one buffer per run, and Profile regroups it by
 // request in a content-determined order, so the aggregated profile
@@ -101,15 +101,9 @@ type CritPath struct {
 	recs []cpRecord
 }
 
-// NewCritPath creates an engine. It keeps one buffer, so domains must
-// be 1; the parameter stays only because benchmark/workloads.go calls
-// NewCritPath(1).
-func NewCritPath(domains int) *CritPath {
-	if domains != 1 {
-		panic(fmt.Sprintf("obs: NewCritPath(%d): the engine has one buffer, pass 1", domains))
-	}
-	return &CritPath{}
-}
+// NewCritPath creates an engine. Its unused int parameter stays only
+// because benchmark/workloads.go calls NewCritPath(1).
+func NewCritPath(int) *CritPath { return &CritPath{} }
 
 // Mark records an instant for the request.
 func (c *CritPath) Mark(id ReqID, seg Segment, at sim.Time) {
