@@ -171,7 +171,7 @@ func genSlowNIC(rng *rand.Rand, partitions, replicas int) []Event {
 // produces no run), and the phase moves with any change of timing in the
 // layers below: no seed is guaranteed to hit. Tests that need an aborted
 // flush or compaction scan a seed range and count the schedules that
-// caught one (TestDurableAimedFaults, bench.TestLSMBenchGate).
+// caught one (TestDurableAimedFaults).
 func genDurable(rng *rand.Rand, partitions, f int) []Event {
 	if f < 1 {
 		return nil

@@ -108,12 +108,11 @@ type Report struct {
 	RecoveryNS         int64  `json:"recovery_ns,omitempty"`
 	TruncatedEntries   uint64 `json:"truncated_log_entries,omitempty"`
 
-	// Write-path metrics (engine-comparable): DirtyBytes is the logical
-	// volume that changed between checkpoints, WrittenBytes the physical
-	// volume the engine wrote for it — their ratio is write
-	// amplification. The lsm_* fields are populated only under the LSM
-	// engine; FlushFaults/CompactionFaults count flushes and compactions
-	// a mid-operation crash aborted.
+	// Write-path metrics: DirtyBytes is the logical volume that changed
+	// between checkpoints, WrittenBytes the physical volume the flushes
+	// and compactions wrote for it — their ratio is write amplification.
+	// FlushFaults/CompactionFaults count flushes and compactions a
+	// mid-operation crash aborted.
 	DirtyBytes         uint64 `json:"dirty_bytes,omitempty"`
 	WrittenBytes       uint64 `json:"written_bytes,omitempty"`
 	Compactions        uint64 `json:"lsm_compactions,omitempty"`

@@ -1,8 +1,10 @@
 // Package persist adds a durability layer to a Heron deployment: a
-// simulated persistent medium with a calibrated NVMe-class cost model, a
-// copy-on-write checkpoint engine that bounds the multicast log, and a
-// recovery path that reloads the newest local checkpoint and pulls only
-// the delta suffix from a live peer instead of the full state.
+// simulated persistent medium with a calibrated NVMe-class cost model,
+// one checkpointer per replica that flushes the slots dirtied since its
+// last manifest into an lsm.Tree under a copy-on-write snapshot (with
+// leveled compaction in the background) and so bounds the multicast log,
+// and a recovery path that reloads the newest local checkpoint and pulls
+// only the delta suffix from a live peer instead of the full state.
 //
 // Everything is charged to virtual time — the medium never stores real
 // files. Crash semantics follow a real drive: appended bytes become
@@ -13,6 +15,7 @@ package persist
 import (
 	"fmt"
 
+	"heron/internal/lsm"
 	"heron/internal/sim"
 )
 
@@ -144,8 +147,8 @@ func (d *Disk) Stats() DiskStats { return d.stats }
 
 // Segment is an append-only file on the simulated medium. Appends land in
 // the device buffer and cost only streaming bandwidth; Sync makes the
-// buffered suffix durable. ReadAll returns exactly the durable prefix —
-// bytes appended but never synced are lost to a crash.
+// buffered suffix durable. Reads see exactly the durable prefix — bytes
+// appended but never synced are lost to a crash.
 type Segment struct {
 	disk   *Disk
 	name   string
@@ -156,17 +159,12 @@ type Segment struct {
 // Name returns the segment's name.
 func (s *Segment) Name() string { return s.name }
 
-// Append streams data into the segment's device buffer, charging write
-// bandwidth. The bytes are not durable until Sync.
-func (s *Segment) Append(p *sim.Proc, data []byte) {
-	s.AppendCharged(p, data, len(data))
-}
-
-// AppendCharged streams data while charging bandwidth (and counting
-// stats) for charged bytes instead of the stored length — the LSM path
-// keeps raw bytes in memory but charges the modeled compressed on-disk
-// size, so disk stats and write-amplification reflect the physical
-// volume. charged <= 0 falls back to len(data).
+// AppendCharged streams data into the segment's device buffer while
+// charging write bandwidth (and counting stats) for charged bytes
+// instead of the stored length — the LSM keeps raw bytes in memory but
+// charges the modeled compressed on-disk size, so disk stats and write
+// amplification reflect the physical volume. charged <= 0 falls back to
+// len(data). The bytes are not durable until Sync.
 //
 // Appending to a segment that was concurrently removed (compaction GC
 // racing an in-flight writer) is safe: the write completes into the
@@ -195,14 +193,6 @@ func (s *Segment) Sync(p *sim.Proc) {
 // Size returns the appended length; Durable the synced prefix length.
 func (s *Segment) Size() int    { return len(s.buf) }
 func (s *Segment) Durable() int { return s.synced }
-
-// ReadAll reads the durable prefix back, charging first-byte latency plus
-// streaming read bandwidth.
-func (s *Segment) ReadAll(p *sim.Proc) []byte {
-	p.Sleep(s.disk.cfg.ReadLatency + sim.Duration(float64(s.synced)/s.disk.cfg.ReadBandwidth))
-	s.disk.stats.ReadBytes += uint64(s.synced)
-	return append([]byte(nil), s.buf[:s.synced]...)
-}
 
 // ReadAt reads n stored bytes at off, charging first-byte latency plus
 // bandwidth over charged bytes (the modeled compressed transfer size;
@@ -237,3 +227,26 @@ func (s *Segment) ReadAtQueued(p *sim.Proc, off, n, charged int) ([]byte, bool) 
 	s.disk.stats.ReadBytes += uint64(charged)
 	return append([]byte(nil), s.buf[off:off+n]...), true
 }
+
+// deviceAdapter presents a *Disk as an lsm.Device. The indirection only
+// exists because Go interfaces are invariant in return types — every
+// method is a direct pass-through to the simulated medium.
+type deviceAdapter struct{ d *Disk }
+
+func (a deviceAdapter) CreateSegment(name string) lsm.Segment { return a.d.CreateSegment(name) }
+
+func (a deviceAdapter) OpenSegment(name string) (lsm.Segment, bool) {
+	s := a.d.Segment(name)
+	if s == nil {
+		return nil, false
+	}
+	return s, true
+}
+
+func (a deviceAdapter) RemoveSegment(name string)              { a.d.RemoveSegment(name) }
+func (a deviceAdapter) WriteManifest(p *sim.Proc, data []byte) { a.d.WriteManifest(p, data) }
+func (a deviceAdapter) ReadManifest(p *sim.Proc) []byte        { return a.d.ReadManifest(p) }
+
+// LSMDevice adapts a Disk into an lsm.Device — the benchmark and test
+// entry point for driving a tree over the NVMe cost model directly.
+func LSMDevice(d *Disk) lsm.Device { return deviceAdapter{d} }

@@ -58,9 +58,9 @@ func TestReadAtClampsToSyncedPrefix(t *testing.T) {
 	runDisk(t, func(p *sim.Proc) {
 		d := NewDisk(DiskConfig{})
 		seg := d.CreateSegment("s")
-		seg.Append(p, []byte("durable!"))
+		seg.AppendCharged(p, []byte("durable!"), 0)
 		seg.Sync(p)
-		seg.Append(p, []byte("volatile"))
+		seg.AppendCharged(p, []byte("volatile"), 0)
 		for _, rg := range [][2]int{{0, 9}, {8, 1}, {4, 8}, {-1, 4}, {0, -1}, {16, 1}} {
 			var ok bool
 			cost := elapse(p, func() { _, ok = seg.ReadAt(p, rg[0], rg[1], 0) })
@@ -146,7 +146,7 @@ func TestLSMCrashMidManifestSwap(t *testing.T) {
 		// A torn segment from a crash mid-append (no sync, no manifest
 		// reference) must not confuse recovery.
 		torn := d.CreateSegment("lsm-torn")
-		torn.Append(p, []byte("half-written run data"))
+		torn.AppendCharged(p, []byte("half-written run data"), 0)
 
 		re, ok := lsm.LoadTree(p, deviceAdapter{d}, cfg)
 		if !ok || re.SnapTmp() != 11 {

@@ -24,20 +24,6 @@ type ExtraState interface {
 	RestoreExtra([]byte)
 }
 
-// Engine selects the checkpoint engine.
-type Engine string
-
-const (
-	// EngineLSM is the default: incremental log-structured checkpoints —
-	// only slots dirty since the last manifest are flushed, background
-	// compaction bounds the run set, and blocks are compressed under the
-	// calibrated CPU/IO cost model (see internal/lsm).
-	EngineLSM Engine = "lsm"
-	// EngineFlat is the PR 5 full-store snapshot engine, kept selectable
-	// for A/B benchmarking.
-	EngineFlat Engine = "flat"
-)
-
 // DefaultInterval is the default spacing between checkpoint attempts per
 // replica — a few thousand requests of progress per checkpoint at
 // simulated throughputs. Exported because the chaos durable profile
@@ -50,19 +36,12 @@ type Options struct {
 	// DefaultInterval). Members of a partition are staggered across the
 	// interval (see StaggerOffset).
 	Interval sim.Duration
-	// Engine selects flat snapshots or the log-structured engine
-	// (default EngineLSM).
-	Engine Engine
-	// LSM tunes the log-structured engine (zero fields take lsm
-	// defaults); ignored under EngineFlat.
+	// LSM tunes each replica's log-structured tree (zero fields take lsm
+	// defaults).
 	LSM lsm.Config
 	// Disk is the medium cost model; zero fields default to the NVMe
 	// calibration.
 	Disk DiskConfig
-	// KeepSegments is how many flat checkpoint segments survive GC
-	// (default 2: the manifested one plus its predecessor); the LSM
-	// engine GCs runs through compaction instead.
-	KeepSegments int
 	// LogRetention is how many checkpoint intervals of update-log
 	// history each replica retains beyond its own newest checkpoint
 	// (default 16), so it can serve delta transfers to peers whose
@@ -78,13 +57,7 @@ func (o Options) withDefaults() Options {
 	if o.Interval == 0 {
 		o.Interval = DefaultInterval
 	}
-	if o.Engine == "" {
-		o.Engine = EngineLSM
-	}
 	o.Disk = o.Disk.withDefaults()
-	if o.KeepSegments == 0 {
-		o.KeepSegments = 2
-	}
 	if o.LogRetention == 0 {
 		o.LogRetention = 16
 	}
@@ -92,10 +65,9 @@ func (o Options) withDefaults() Options {
 }
 
 // LayerStats aggregates the whole deployment's persistence activity.
-// DirtyBytes/WrittenBytes are engine-comparable: WrittenBytes is the
-// physical data-path write volume (flat checkpoints, or LSM flushes
-// plus compaction rewrites), DirtyBytes the logical volume that
-// actually changed — their ratio is write amplification.
+// WrittenBytes is the physical data-path write volume (flushes plus
+// compaction rewrites), DirtyBytes the logical volume that actually
+// changed — their ratio is write amplification.
 type LayerStats struct {
 	Checkpoints     uint64
 	CheckpointBytes uint64
@@ -157,16 +129,18 @@ func Attach(d *core.Deployment, opt *Options) *Layer {
 
 // attachOne builds the disk + checkpointer for one replica, arms the
 // durability gate on its ordering process, installs the recovery source,
-// and spawns the capture loop.
+// and spawns the capture and compaction loops.
 func (l *Layer) attachOne(part core.PartitionID, rank int) *Checkpointer {
 	rep := l.dep.Replicas[part][rank]
+	disk := NewDisk(l.opt.Disk)
+	tree, err := lsm.NewTree(deviceAdapter{disk}, l.opt.LSM)
+	if err != nil {
+		panic(fmt.Sprintf("persist: %v", err))
+	}
 	c := &Checkpointer{
 		layer: l, part: part, rank: rank,
 		members: len(l.dep.Replicas[part]),
-		rep:     rep, disk: NewDisk(l.opt.Disk),
-	}
-	if l.opt.Engine == EngineLSM {
-		c.eng = newLSMEngine(c, l.opt.LSM)
+		rep:     rep, disk: disk, tree: tree,
 	}
 	l.cps[part][rank] = c
 	rep.SetRecoverySource(c)
@@ -175,9 +149,7 @@ func (l *Layer) attachOne(part core.PartitionID, rank int) *Checkpointer {
 	}
 	c.observe(l.obsv)
 	l.dep.Sched.Spawn(fmt.Sprintf("persist-p%d-r%d", part, rank), c.run)
-	if c.eng != nil {
-		l.dep.Sched.Spawn(fmt.Sprintf("lsm-compact-p%d-r%d", part, rank), c.eng.compactLoop)
-	}
+	l.dep.Sched.Spawn(fmt.Sprintf("lsm-compact-p%d-r%d", part, rank), c.compactLoop)
 	return c
 }
 
@@ -197,8 +169,8 @@ func (l *Layer) Observe(o *obs.Observer) {
 	}
 }
 
-// Checkpointer returns the engine of one replica (nil if the layer never
-// attached one there).
+// Checkpointer returns one replica's checkpointer (nil if the layer
+// never attached one there).
 func (l *Layer) Checkpointer(part core.PartitionID, rank int) *Checkpointer {
 	if int(part) >= len(l.cps) || rank >= len(l.cps[part]) {
 		return nil
@@ -221,34 +193,20 @@ func (l *Layer) Stats() LayerStats {
 			s.RestoreBytes += cs.RestoreBytes
 			s.DirtyBytes += cs.DirtyBytes
 			s.FlushAborts += cs.Aborted
-			if c.eng != nil {
-				ts := c.eng.tree.Stats()
-				s.WrittenBytes += ts.WrittenBytes()
-				s.Compactions += ts.Compactions
-				s.CompactionBytesIn += ts.CompactionBytesIn
-				s.CompactionBytesOut += ts.CompactionBytesOut
-				s.CompactionAborts += ts.CompactionAborts
-				s.CacheHits += ts.CacheHits
-				s.CacheMisses += ts.CacheMisses
-				s.BloomNegatives += ts.BloomNegatives
-				s.CPUTimeNS += ts.CPUTimeNS
-				s.IOTimeNS += ts.IOTimeNS
-			} else {
-				s.WrittenBytes += cs.CheckpointBytes
-			}
+			ts := c.tree.Stats()
+			s.WrittenBytes += ts.WrittenBytes()
+			s.Compactions += ts.Compactions
+			s.CompactionBytesIn += ts.CompactionBytesIn
+			s.CompactionBytesOut += ts.CompactionBytesOut
+			s.CompactionAborts += ts.CompactionAborts
+			s.CacheHits += ts.CacheHits
+			s.CacheMisses += ts.CacheMisses
+			s.BloomNegatives += ts.BloomNegatives
+			s.CPUTimeNS += ts.CPUTimeNS
+			s.IOTimeNS += ts.IOTimeNS
 		}
 	}
 	return s
-}
-
-// Tree returns one replica's LSM tree (nil under the flat engine), for
-// benchmarks and tests.
-func (l *Layer) Tree(part core.PartitionID, rank int) *lsm.Tree {
-	c := l.Checkpointer(part, rank)
-	if c == nil || c.eng == nil {
-		return nil
-	}
-	return c.eng.tree
 }
 
 // joinerSource seeds a reconfiguration joiner: restore from the joiner's

@@ -29,21 +29,21 @@ func TestDiskCostModel(t *testing.T) {
 		d := NewDisk(DiskConfig{})
 		seg := d.CreateSegment("s")
 
-		// Append charges pure streaming bandwidth: 2200 B at 2.2 B/ns.
-		if got := elapse(p, func() { seg.Append(p, make([]byte, 2200)) }); got != 999*sim.Nanosecond {
+		// An append charges pure streaming bandwidth: 2200 B at 2.2 B/ns.
+		if got := elapse(p, func() { seg.AppendCharged(p, make([]byte, 2200), 0) }); got != 999*sim.Nanosecond {
 			t.Fatalf("append cost = %v, want 999ns (2200/2.2, float-truncated)", got)
 		}
 		// Empty appends are free.
-		if got := elapse(p, func() { seg.Append(p, nil) }); got != 0 {
+		if got := elapse(p, func() { seg.AppendCharged(p, nil, 0) }); got != 0 {
 			t.Fatalf("empty append cost = %v, want 0", got)
 		}
 		// Sync charges write + flush latency, independent of size.
 		if got := elapse(p, func() { seg.Sync(p) }); got != 46*sim.Microsecond {
 			t.Fatalf("sync cost = %v, want 46µs", got)
 		}
-		// ReadAll charges first-byte latency + streaming over the synced
-		// prefix: 80µs + 2200/3.2 ns.
-		if got := elapse(p, func() { seg.ReadAll(p) }); got != 80*sim.Microsecond+687*sim.Nanosecond {
+		// Reading the synced prefix charges first-byte latency + streaming:
+		// 80µs + 2200/3.2 ns.
+		if got := elapse(p, func() { seg.ReadAt(p, 0, 2200, 0) }); got != 80*sim.Microsecond+687*sim.Nanosecond {
 			t.Fatalf("read cost = %v, want 80.687µs", got)
 		}
 		// Manifest swap models write-new + fsync + rename + fsync-dir.
@@ -61,24 +61,27 @@ func TestDiskCostModel(t *testing.T) {
 	})
 }
 
-func TestReadAllReturnsSyncedPrefixOnly(t *testing.T) {
+func TestSyncExtendsDurablePrefix(t *testing.T) {
 	runDisk(t, func(p *sim.Proc) {
 		d := NewDisk(DiskConfig{})
 		seg := d.CreateSegment("s")
-		seg.Append(p, []byte("durable-"))
+		seg.AppendCharged(p, []byte("durable-"), 0)
 		seg.Sync(p)
 		// Appended after the sync: lost to a crash, invisible to readers.
-		seg.Append(p, []byte("volatile"))
+		seg.AppendCharged(p, []byte("volatile"), 0)
 		if seg.Size() != 16 || seg.Durable() != 8 {
 			t.Fatalf("size=%d durable=%d, want 16/8", seg.Size(), seg.Durable())
 		}
-		if got := string(seg.ReadAll(p)); got != "durable-" {
-			t.Fatalf("ReadAll = %q, want only the synced prefix", got)
+		if got, ok := seg.ReadAt(p, 0, 8, 0); !ok || string(got) != "durable-" {
+			t.Fatalf("synced-prefix read = %q, %v", got, ok)
+		}
+		if _, ok := seg.ReadAt(p, 0, 16, 0); ok {
+			t.Fatal("read past the synced prefix succeeded")
 		}
 		// A second sync extends the durable prefix.
 		seg.Sync(p)
-		if got := string(seg.ReadAll(p)); got != "durable-volatile" {
-			t.Fatalf("ReadAll after resync = %q", got)
+		if got, ok := seg.ReadAt(p, 0, 16, 0); !ok || string(got) != "durable-volatile" {
+			t.Fatalf("read after resync = %q, %v", got, ok)
 		}
 	})
 }
@@ -146,7 +149,7 @@ func TestDiskConfigDefaults(t *testing.T) {
 	}
 
 	o := Options{}.withDefaults()
-	if o.Interval != 400*sim.Microsecond || o.KeepSegments != 2 || o.LogRetention != 16 {
+	if o.Interval != 400*sim.Microsecond || o.LogRetention != 16 {
 		t.Fatalf("option defaults = %+v", o)
 	}
 }
