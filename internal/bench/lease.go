@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"heron/internal/core"
+	"heron/internal/kvapp"
 	"heron/internal/lease"
 	"heron/internal/multicast"
 	"heron/internal/obs"
@@ -174,14 +175,6 @@ func (leaseBenchApp) Execute(ctx *core.ExecContext) core.Outcome {
 	return core.Outcome{Response: v, Writes: []core.Write{{OID: oid, Val: v}}}
 }
 
-var leaseBenchParter = core.PartitionerFunc(func(oid store.OID) core.PartitionID {
-	return core.PartitionID(uint64(oid) >> 32)
-})
-
-func leaseBenchOID(part core.PartitionID, key uint32) store.OID {
-	return store.OID(uint64(part)<<32 | uint64(key))
-}
-
 func encodeLeaseBenchOp(op uint8, oid store.OID, val uint64) []byte {
 	w := wire.NewWriter(17)
 	w.U8(op)
@@ -232,26 +225,13 @@ func runLeaseBenchOnce(o LeaseBenchOptions, on bool) (*LeaseRunStats, error) {
 	defer s.Close()
 	layout := Layout(o.Partitions, o.Replicas)
 	cfg := core.DefaultConfig(multicast.DefaultConfig(layout))
-	cfg.StoreCapacity = o.Keys*store.SlotSize(8) + 1<<12
+	cfg.StoreCapacity = kvapp.SlotCapacity(o.Keys, 8)
 	newApp := func(core.PartitionID, int) core.Application { return leaseBenchApp{} }
-	d, err := core.NewDeployment(s, cfg, newApp, leaseBenchParter)
+	d, err := core.NewDeployment(s, cfg, newApp, kvapp.Partitioner)
 	if err != nil {
 		return nil, err
 	}
-	err = d.PopulateAll(func(part core.PartitionID, rank int, rep *core.Replica) error {
-		for k := uint32(0); k < uint32(o.Keys); k++ {
-			if err := rep.Store().Register(leaseBenchOID(part, k), 8); err != nil {
-				return err
-			}
-			w := wire.NewWriter(8)
-			w.U64(0)
-			if err := rep.Store().Init(leaseBenchOID(part, k), w.Finish()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := kvapp.Populate(d, kvapp.Partitioner, kvapp.PartitionKeys(o.Partitions, o.Keys), 8); err != nil {
 		return nil, err
 	}
 	ob := o.ObsOff
@@ -287,7 +267,7 @@ func runLeaseBenchOnce(o LeaseBenchOptions, on bool) (*LeaseRunStats, error) {
 		s.Spawn(fmt.Sprintf("lease-client%d", ci), func(p *sim.Proc) {
 			for p.Now() < measureEnd {
 				part := core.PartitionID(rng.Intn(o.Partitions))
-				oid := leaseBenchOID(part, uint32(rng.Intn(o.Keys)))
+				oid := kvapp.OID(part, uint32(rng.Intn(o.Keys)))
 				isRead := rng.Intn(100) < o.ReadPct
 				t0 := p.Now()
 				var rec *LatencyRecorder

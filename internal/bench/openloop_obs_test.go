@@ -57,22 +57,30 @@ func TestOpenLoopObsDeterminism(t *testing.T) {
 	}
 }
 
-// TestOpenLoopProfileSumsToE2E pins the attribution identity the CI
-// smoke job asserts: the profile's segment sum equals its total
-// end-to-end latency exactly, and the mean is consistent with the
-// harness's own latency recorder.
+// TestOpenLoopProfileSumsToE2E pins the attribution identity: the
+// profile's segment sum equals its total end-to-end latency exactly, and
+// its mean agrees with the harness's own latency recorder within
+// max(1 %, 1 µs).
 func TestOpenLoopProfileSumsToE2E(t *testing.T) {
 	opts := smallOpenLoop()
 	cp := obs.NewCritPath(1)
 	opts.Obs = obs.NewFull(nil, nil, cp, nil, nil)
-	if _, err := RunOpenLoop(opts); err != nil {
+	res, err := RunOpenLoop(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	p := cp.Profile(0)
-	if p.Attributed == 0 {
-		t.Fatal("nothing attributed")
+	if p.Attributed == 0 || res.Delivered == 0 {
+		t.Fatalf("nothing attributed (%d) or delivered (%d)", p.Attributed, res.Delivered)
 	}
 	if p.SegmentSumNS != p.TotalE2ENS {
 		t.Fatalf("segment sum %d != total e2e %d", p.SegmentSumNS, p.TotalE2ENS)
+	}
+	diff := p.MeanE2ENS - res.MeanNS
+	if diff < 0 {
+		diff = -diff
+	}
+	if diff > max(res.MeanNS/100, int64(sim.Microsecond)) {
+		t.Fatalf("profile mean %d ns vs recorder mean %d ns", p.MeanE2ENS, res.MeanNS)
 	}
 }

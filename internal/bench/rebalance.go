@@ -479,11 +479,14 @@ func verifySafe(r *rebalance.Report) bool {
 }
 
 // Gate is the CI pass condition: every benchmark pair improved the tail
-// and recovered, every verification run is safe, and the fault-free
-// verification scenarios actually rebalanced under a checked history.
+// and recovered against a frozen off leg (no change applied), neither leg
+// reported controller errors, every verification run is safe, and the
+// fault-free verification scenarios actually rebalanced under a checked
+// history.
 func (r *RebalanceSweep) Gate() bool {
 	for _, b := range r.Bench {
-		if !b.Improved || b.On.RecoveryNS < 0 {
+		if !b.Improved || b.On.RecoveryNS < 0 || b.Off.ChangesApplied != 0 ||
+			len(b.On.Errors) > 0 || len(b.Off.Errors) > 0 {
 			return false
 		}
 	}

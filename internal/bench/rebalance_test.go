@@ -48,6 +48,30 @@ func TestRunRebalanceHotShift(t *testing.T) {
 	}
 }
 
+// TestRebalanceGateRejectsErrorsAndOffChanges: a pair whose tail improved
+// still fails the sweep's gate when either leg reported controller errors
+// or the frozen off leg applied a change.
+func TestRebalanceGateRejectsErrorsAndOffChanges(t *testing.T) {
+	pass := func() *RebalanceResult {
+		return &RebalanceResult{Improved: true,
+			On: RebalanceRunStats{ChangesApplied: 1}}
+	}
+	if !(&RebalanceSweep{Bench: []*RebalanceResult{pass()}}).Gate() {
+		t.Fatal("gate rejected a clean improved pair")
+	}
+	for name, spoil := range map[string]func(*RebalanceResult){
+		"on errors":   func(r *RebalanceResult) { r.On.Errors = []string{"x"} },
+		"off errors":  func(r *RebalanceResult) { r.Off.Errors = []string{"x"} },
+		"off changed": func(r *RebalanceResult) { r.Off.ChangesApplied = 1 },
+	} {
+		r := pass()
+		spoil(r)
+		if (&RebalanceSweep{Bench: []*RebalanceResult{r}}).Gate() {
+			t.Errorf("%s: gate passed", name)
+		}
+	}
+}
+
 // TestRunRebalanceFlash: the flash crowd is shed too.
 func TestRunRebalanceFlash(t *testing.T) {
 	res, err := RunRebalance(smallRebalance(BenchFlash))

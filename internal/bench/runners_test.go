@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
+	"heron/internal/obs"
 	"heron/internal/sim"
 )
 
@@ -228,17 +231,45 @@ func TestFanoutShape(t *testing.T) {
 	}
 }
 
-// TestFanoutDeterministic: same parameters, identical latencies.
+// TestFanoutDeterministic: same parameters, identical latencies, whether
+// or not the run is traced; and the trace carries metadata and the async
+// begin/end spans of the RDMA verbs.
 func TestFanoutDeterministic(t *testing.T) {
 	a, err := RunFanout([]int{8}, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFanout([]int{8}, 4, 0, nil)
+	tr := obs.NewTracer()
+	b, err := RunFanout([]int{8}, 4, 0, obs.New(tr, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Rows[0] != b.Rows[0] {
 		t.Fatalf("fanout not deterministic: %+v vs %+v", a.Rows[0], b.Rows[0])
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Ph  string `json:"ph"`
+			Pid *int   `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	phases := map[string]int{}
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "" || ev.Pid == nil {
+			t.Fatal("trace event without ph or pid")
+		}
+		phases[ev.Ph]++
+	}
+	for _, ph := range []string{"M", "b", "e"} {
+		if phases[ph] == 0 {
+			t.Fatalf("trace has no %q events; phases: %v", ph, phases)
+		}
 	}
 }

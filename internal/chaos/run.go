@@ -6,8 +6,8 @@ import (
 	"sort"
 
 	"heron/internal/core"
+	"heron/internal/kvapp"
 	"heron/internal/lease"
-	"heron/internal/lincheck"
 	"heron/internal/multicast"
 	"heron/internal/obs"
 	"heron/internal/persist"
@@ -147,8 +147,9 @@ type Report struct {
 // asserted structurally: every operation either completes or fails by
 // its timeout, so the run always terminates within the horizon.
 func Run(opt Options) (*Report, error) {
-	if n := opt.Clients * opt.OpsPerClient; n > 64 {
-		return nil, fmt.Errorf("chaos: %d operations exceed the checker's 64-op bound", n)
+	hist, err := kvapp.NewHistory("chaos", opt.Clients, opt.OpsPerClient)
+	if err != nil {
+		return nil, err
 	}
 	s := sim.NewScheduler()
 	defer s.Close()
@@ -160,29 +161,13 @@ func Run(opt Options) (*Report, error) {
 			id++
 		}
 	}
-	valBytes := opt.ValBytes
-	if valBytes < 8 {
-		valBytes = 8
-	}
 	cfg := core.DefaultConfig(multicast.DefaultConfig(layout))
-	cfg.StoreCapacity = slotCapacity(opt.Keys, valBytes)
-	d, err := core.NewDeployment(s, cfg, newKVAppSized(valBytes), kvPartitioner)
+	cfg.StoreCapacity = kvapp.SlotCapacity(opt.Keys, opt.ValBytes)
+	d, err := core.NewDeployment(s, cfg, kvapp.New(kvapp.Partitioner, opt.ValBytes), kvapp.Partitioner)
 	if err != nil {
 		return nil, err
 	}
-	err = d.PopulateAll(func(part core.PartitionID, rank int, rep *core.Replica) error {
-		for k := 0; k < opt.Keys; k++ {
-			oid := kvOID(part, uint32(k))
-			if err := rep.Store().Register(oid, valBytes); err != nil {
-				return err
-			}
-			if err := rep.Store().Init(oid, encodeKVValN(0, valBytes)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := kvapp.Populate(d, kvapp.Partitioner, kvapp.PartitionKeys(opt.Partitions, opt.Keys), opt.ValBytes); err != nil {
 		return nil, err
 	}
 	d.Fabric.SetFaultSeed(opt.Schedule.Seed)
@@ -239,9 +224,7 @@ func Run(opt Options) (*Report, error) {
 		}
 	}
 	eng.OnCrash = func(Event) { dump("crash") }
-	var history []lincheck.Operation
 	var readers []*lease.ReadClient
-	// Client procs run in virtual time: appends never race.
 	for ci := 0; ci < opt.Clients; ci++ {
 		ci := ci
 		cl := d.NewClient()
@@ -258,63 +241,41 @@ func Run(opt Options) (*Report, error) {
 					// local answer, fall back to the ordered path. Either
 					// way the read joins the checked history.
 					part := core.PartitionID(rng.Intn(opt.Partitions))
-					req := &kvReq{reads: []store.OID{kvOID(part, uint32(rng.Intn(opt.Keys)))}}
-					call := int64(p.Now())
-					var out uint64
-					if val, lok := rc.TryLocal(p, part, req.reads[0]); lok {
-						out = decodeKVVal(val)
-					} else {
-						resp, sok := cl.SubmitTimeout(p, []core.PartitionID{part}, encodeKVReq(req), opt.OpTimeout)
-						if !sok {
-							rep.Ops++
-							rep.FailedOps++
-							continue
+					req := &kvapp.Req{Reads: []store.OID{kvapp.OID(part, uint32(rng.Intn(opt.Keys)))}}
+					if hist.Do(p, ci, req, func() (uint64, bool) {
+						if val, lok := rc.TryLocal(p, part, req.Reads[0]); lok {
+							return kvapp.DecodeVal(val), true
 						}
-						out = decodeKVVal(resp[part])
+						resp, sok := cl.SubmitTimeout(p, []core.PartitionID{part}, req.Encode(), opt.OpTimeout)
+						return kvapp.DecodeVal(resp[part]), sok
+					}) {
+						p.Sleep(sim.Duration(rng.Intn(300)) * sim.Microsecond)
 					}
-					rep.Ops++
-					history = append(history, lincheck.Operation{
-						ClientID: ci,
-						Input:    req,
-						Output:   out,
-						Call:     call,
-						Return:   int64(p.Now()),
-					})
-					p.Sleep(sim.Duration(rng.Intn(300)) * sim.Microsecond)
 					continue
 				}
-				req := &kvReq{add: uint64(rng.Intn(100))}
+				req := &kvapp.Req{Add: uint64(rng.Intn(100))}
 				dstSet := map[core.PartitionID]bool{}
 				for j := 0; j < rng.Intn(3); j++ {
 					part := core.PartitionID(rng.Intn(opt.Partitions))
 					dstSet[part] = true
-					req.reads = append(req.reads, kvOID(part, uint32(rng.Intn(opt.Keys))))
+					req.Reads = append(req.Reads, kvapp.OID(part, uint32(rng.Intn(opt.Keys))))
 				}
 				for j := 0; j < 1+rng.Intn(2); j++ {
 					part := core.PartitionID(rng.Intn(opt.Partitions))
 					dstSet[part] = true
-					req.writes = append(req.writes, kvOID(part, uint32(rng.Intn(opt.Keys))))
+					req.Writes = append(req.Writes, kvapp.OID(part, uint32(rng.Intn(opt.Keys))))
 				}
 				var dst []core.PartitionID
 				for part := range dstSet {
 					dst = append(dst, part)
 				}
 				sort.Slice(dst, func(a, b int) bool { return dst[a] < dst[b] })
-				call := int64(p.Now())
-				resp, ok := cl.SubmitTimeout(p, dst, encodeKVReq(req), opt.OpTimeout)
-				rep.Ops++
-				if !ok {
-					rep.FailedOps++
-					continue
+				if hist.Do(p, ci, req, func() (uint64, bool) {
+					resp, ok := cl.SubmitTimeout(p, dst, req.Encode(), opt.OpTimeout)
+					return kvapp.DecodeVal(resp[dst[0]]), ok
+				}) {
+					p.Sleep(sim.Duration(rng.Intn(300)) * sim.Microsecond)
 				}
-				history = append(history, lincheck.Operation{
-					ClientID: ci,
-					Input:    req,
-					Output:   decodeKVVal(resp[dst[0]]),
-					Call:     call,
-					Return:   int64(p.Now()),
-				})
-				p.Sleep(sim.Duration(rng.Intn(300)) * sim.Microsecond)
 			}
 		})
 	}
@@ -327,6 +288,7 @@ func Run(opt Options) (*Report, error) {
 	}
 	eng.Close()
 
+	rep.Ops, rep.FailedOps = hist.Ops, hist.Failed
 	rep.Crashes = eng.Crashes
 	rep.Recoveries = eng.Recoveries
 	rep.Partitions = eng.Partitions
@@ -369,25 +331,8 @@ func Run(opt Options) (*Report, error) {
 		rep.Err = eng.Errors[0]
 		return rep, nil
 	}
-	if pending := opt.Clients*opt.OpsPerClient - rep.Ops; pending > 0 {
-		rep.Err = fmt.Sprintf("%d operations still in flight at the horizon", pending)
-		return rep, nil
-	}
-	if rep.FailedOps > 0 {
-		// Timed-out operations may or may not have executed; the checker
-		// cannot express indeterminate effects, so the run reports clean
-		// degradation instead of a (vacuous) linearizability verdict.
-		rep.Err = fmt.Sprintf("%d of %d operations timed out (degraded, unchecked)", rep.FailedOps, rep.Ops)
-		return rep, nil
-	}
-	ok, cerr := lincheck.Check(kvModel(), history)
-	if cerr != nil {
-		rep.Err = cerr.Error()
-		return rep, nil
-	}
-	rep.Checked = true
-	rep.Linearizable = ok
-	if !ok {
+	rep.Checked, rep.Linearizable, rep.Err = hist.Verdict()
+	if rep.Checked && !rep.Linearizable {
 		dump("lincheck-violation")
 	}
 	return rep, nil

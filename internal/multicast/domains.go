@@ -24,15 +24,20 @@ type DomainCluster struct {
 	ClientNodes [][]rdma.NodeID
 }
 
-// NewDomainCluster builds and starts a groups x replicas multicast
-// deployment over an RDMA fabric with the given config, with
-// clientsPerGroup client nodes collocated with each group. Every node
-// pair the protocol or the clients can ever use is prewired.
-// domains must be 1; benchmark/workloads.go (openLoopSetup) still passes it.
+// NewDomainCluster is NewCluster behind a domains argument that must be
+// 1; benchmark/workloads.go (openLoopSetup) still passes it.
 func NewDomainCluster(groups, replicas, domains, clientsPerGroup int, netCfg rdma.Config) (*DomainCluster, error) {
 	if domains != 1 {
 		return nil, fmt.Errorf("multicast: %d simulation domains requested; the cluster runs on one scheduler", domains)
 	}
+	return NewCluster(groups, replicas, clientsPerGroup, netCfg)
+}
+
+// NewCluster builds and starts a groups x replicas multicast deployment
+// over an RDMA fabric with the given config, with clientsPerGroup client
+// nodes collocated with each group. Every node pair the protocol or the
+// clients can ever use is prewired.
+func NewCluster(groups, replicas, clientsPerGroup int, netCfg rdma.Config) (*DomainCluster, error) {
 	s := sim.NewScheduler()
 	fab := rdma.NewFabric(s, netCfg)
 

@@ -3,18 +3,16 @@ package rebalance
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"heron/internal/chaos"
 	"heron/internal/core"
-	"heron/internal/lincheck"
+	"heron/internal/kvapp"
 	"heron/internal/multicast"
 	"heron/internal/obs"
 	"heron/internal/rdma"
 	"heron/internal/reconfig"
 	"heron/internal/sim"
 	"heron/internal/store"
-	"heron/internal/wire"
 )
 
 // Verification harness: a skewed read-sum-write workload runs against a
@@ -23,139 +21,9 @@ import (
 // donor mid-rebalance. The client history is checked for
 // linearizability — routing decided purely by the routing table the
 // controller keeps rewriting, so a request that observed a stale or
-// half-flipped home would fail the check.
-
-// The workload app: read a set of registers, sum them plus a constant,
-// write the sum. Identical semantics to the reconfig harness app, plus
-// the HeatKey extension feeding the hot-key sketch the planner's split
-// boundaries come from.
-
-type rkvApp struct{}
-
-func newRKVApp(core.PartitionID, int) core.Application { return &rkvApp{} }
-
-type rkvReq struct {
-	reads  []store.OID
-	writes []store.OID
-	add    uint64
-}
-
-func encodeReq(r *rkvReq) []byte {
-	w := wire.NewWriter(16 + 8*(len(r.reads)+len(r.writes)))
-	w.U32(uint32(len(r.reads)))
-	for _, oid := range r.reads {
-		w.U64(uint64(oid))
-	}
-	w.U32(uint32(len(r.writes)))
-	for _, oid := range r.writes {
-		w.U64(uint64(oid))
-	}
-	w.U64(r.add)
-	return w.Finish()
-}
-
-func decodeReq(b []byte) *rkvReq {
-	r := wire.NewReader(b)
-	req := &rkvReq{}
-	n := int(r.U32())
-	for i := 0; i < n; i++ {
-		req.reads = append(req.reads, store.OID(r.U64()))
-	}
-	n = int(r.U32())
-	for i := 0; i < n; i++ {
-		req.writes = append(req.writes, store.OID(r.U64()))
-	}
-	req.add = r.U64()
-	return req
-}
-
-func (a *rkvApp) ReadSet(req *core.Request) []store.OID {
-	return decodeReq(req.Payload).reads
-}
-
-func (a *rkvApp) Execute(ctx *core.ExecContext) core.Outcome {
-	req := decodeReq(ctx.Req.Payload)
-	sum := req.add
-	for _, oid := range req.reads {
-		sum += decodeVal(ctx.Values[oid])
-	}
-	out := core.Outcome{Response: encodeVal(sum)}
-	for _, oid := range req.writes {
-		out.Writes = append(out.Writes, core.Write{OID: oid, Val: encodeVal(sum)})
-	}
-	return out
-}
-
-// HeatKey implements core.HeatKeyer: the first written (else first
-// read) object id. Identity between sketch keys and OIDs, so the
-// planner's default KeyToOID applies.
-func (a *rkvApp) HeatKey(req *core.Request) uint64 {
-	r := decodeReq(req.Payload)
-	if len(r.writes) > 0 {
-		return uint64(r.writes[0])
-	}
-	if len(r.reads) > 0 {
-		return uint64(r.reads[0])
-	}
-	return 0
-}
-
-func encodeVal(v uint64) []byte {
-	w := wire.NewWriter(8)
-	w.U64(v)
-	return w.Finish()
-}
-
-func decodeVal(b []byte) uint64 {
-	if len(b) < 8 {
-		return 0
-	}
-	return wire.NewReader(b).U64()
-}
-
-// rkvModel is the sequential specification for the checker.
-func rkvModel() lincheck.Model {
-	type state = map[store.OID]uint64
-	clone := func(s state) state {
-		c := make(state, len(s))
-		for k, v := range s {
-			c[k] = v
-		}
-		return c
-	}
-	return lincheck.Model{
-		Init: func() any { return state{} },
-		Step: func(st any, input any) (any, any) {
-			s := st.(state)
-			req := input.(*rkvReq)
-			sum := req.add
-			for _, oid := range req.reads {
-				sum += s[oid]
-			}
-			c := clone(s)
-			for _, oid := range req.writes {
-				c[oid] = sum
-			}
-			return c, sum
-		},
-		Hash: func(st any) string {
-			s := st.(state)
-			keys := make([]store.OID, 0, len(s))
-			for k := range s {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			out := ""
-			for _, k := range keys {
-				out += fmt.Sprintf("%d=%d;", k, s[k])
-			}
-			return out
-		},
-		EqualOutput: func(observed, model any) bool {
-			return observed.(uint64) == model.(uint64)
-		},
-	}
-}
+// half-flipped home would fail the check. The workload is kvapp's,
+// whose HeatKey feeds the hot-key sketch the planner's split boundaries
+// come from.
 
 // Scenarios.
 const (
@@ -303,8 +171,9 @@ func pickKey(scenario string, rng *rand.Rand, keys int) store.OID {
 // deployment underneath them, and the full client history is checked
 // for linearizability.
 func Run(o Options) (*Report, error) {
-	if n := o.Clients * o.OpsPerClient; n > 64 {
-		return nil, fmt.Errorf("rebalance: %d operations exceed the checker's 64-op bound", n)
+	hist, err := kvapp.NewHistory("rebalance", o.Clients, o.OpsPerClient)
+	if err != nil {
+		return nil, err
 	}
 	known := false
 	for _, sc := range Scenarios {
@@ -329,29 +198,15 @@ func Run(o Options) (*Report, error) {
 	s := sim.NewScheduler()
 	defer s.Close()
 	cfg := core.DefaultConfig(multicast.DefaultConfig(groups))
-	cfg.StoreCapacity = o.Keys*store.SlotSize(8) + 1<<12
+	cfg.StoreCapacity = kvapp.SlotCapacity(o.Keys, 8)
 	cfg.MaxPartitions = maxParts
 	cfg.MaxGroupSize = groupSize
-	d, err := core.NewDeployment(s, cfg, newRKVApp, initial)
+	apps := kvapp.New(initial, 8)
+	d, err := core.NewDeployment(s, cfg, apps, initial)
 	if err != nil {
 		return nil, err
 	}
-	err = d.PopulateAll(func(part core.PartitionID, rank int, rep *core.Replica) error {
-		for k := 0; k < o.Keys; k++ {
-			oid := store.OID(k)
-			if initial.PartitionOf(oid) != part {
-				continue
-			}
-			if err := rep.Store().Register(oid, 8); err != nil {
-				return err
-			}
-			if err := rep.Store().Init(oid, encodeVal(0)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := kvapp.Populate(d, initial, kvapp.Keys(o.Keys), 8); err != nil {
 		return nil, err
 	}
 	d.Fabric.SetFaultSeed(o.Seed)
@@ -368,7 +223,7 @@ func Run(o Options) (*Report, error) {
 	d.Observe(obsv)
 
 	mgr := reconfig.NewManager(d, initial, reconfig.ManagerOptions{
-		Apps: newRKVApp, FenceTimeout: o.FenceTimeout, Obs: obsv,
+		Apps: apps, FenceTimeout: o.FenceTimeout, Obs: obsv,
 	})
 	ctl := New(mgr, obsv.Heat(), scenarioPolicy(o))
 	ctl.Observe(obsv)
@@ -414,7 +269,6 @@ func Run(o Options) (*Report, error) {
 	}
 	ctl.Start(s)
 
-	var history []lincheck.Operation
 	routers := make([]*reconfig.ClientRouter, o.Clients)
 	for ci := 0; ci < o.Clients; ci++ {
 		ci := ci
@@ -423,27 +277,17 @@ func Run(o Options) (*Report, error) {
 		rng := rand.New(rand.NewSource(o.Seed*1000 + int64(ci)))
 		s.Spawn(fmt.Sprintf("rebalance-client%d", ci), func(p *sim.Proc) {
 			for i := 0; i < o.OpsPerClient; i++ {
-				req := &rkvReq{add: uint64(rng.Intn(100))}
-				req.writes = append(req.writes, pickKey(o.Scenario, rng, o.Keys))
+				req := &kvapp.Req{Add: uint64(rng.Intn(100))}
+				req.Writes = append(req.Writes, pickKey(o.Scenario, rng, o.Keys))
 				if rng.Intn(100) < 40 {
-					req.reads = append(req.reads, pickKey(o.Scenario, rng, o.Keys))
+					req.Reads = append(req.Reads, pickKey(o.Scenario, rng, o.Keys))
 				}
-				oids := append(append([]store.OID(nil), req.reads...), req.writes...)
-				call := int64(p.Now())
-				resp, ok := cr.SubmitTimeout(p, oids, encodeReq(req), o.OpTimeout)
-				rep.Ops++
-				if !ok {
-					rep.FailedOps++
-					continue
+				if hist.Do(p, ci, req, func() (uint64, bool) {
+					resp, ok := cr.SubmitTimeout(p, req.OIDs(), req.Encode(), o.OpTimeout)
+					return kvapp.DecodeVal(resp), ok
+				}) {
+					p.Sleep(sim.Duration(200+rng.Intn(400)) * sim.Microsecond)
 				}
-				history = append(history, lincheck.Operation{
-					ClientID: ci,
-					Input:    req,
-					Output:   decodeVal(resp),
-					Call:     call,
-					Return:   int64(p.Now()),
-				})
-				p.Sleep(sim.Duration(200+rng.Intn(400)) * sim.Microsecond)
 			}
 		})
 	}
@@ -453,6 +297,7 @@ func Run(o Options) (*Report, error) {
 	}
 	eng.Close()
 
+	rep.Ops, rep.FailedOps = hist.Ops, hist.Failed
 	rep.PartitionsAfter = d.Partitions()
 	rep.EpochAfter = mgr.Current().Epoch
 	rep.Ticks = len(ctl.Log)
@@ -465,20 +310,6 @@ func Run(o Options) (*Report, error) {
 		rep.Err = ctl.Errors[0]
 		return rep, nil
 	}
-	if pending := o.Clients*o.OpsPerClient - rep.Ops; pending > 0 {
-		rep.Err = fmt.Sprintf("%d operations still in flight at the horizon", pending)
-		return rep, nil
-	}
-	if rep.FailedOps > 0 {
-		rep.Err = fmt.Sprintf("%d of %d operations timed out (degraded, unchecked)", rep.FailedOps, rep.Ops)
-		return rep, nil
-	}
-	ok, cerr := lincheck.Check(rkvModel(), history)
-	if cerr != nil {
-		rep.Err = cerr.Error()
-		return rep, nil
-	}
-	rep.Checked = true
-	rep.Linearizable = ok
+	rep.Checked, rep.Linearizable, rep.Err = hist.Verdict()
 	return rep, nil
 }

@@ -3,140 +3,17 @@ package reconfig
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"heron/internal/chaos"
 	"heron/internal/core"
-	"heron/internal/lincheck"
+	"heron/internal/kvapp"
 	"heron/internal/multicast"
 	"heron/internal/obs"
 	"heron/internal/persist"
 	"heron/internal/rdma"
 	"heron/internal/sim"
 	"heron/internal/store"
-	"heron/internal/wire"
 )
-
-// The verification workload: the same read-sum-write register machine the
-// chaos harness checks, but with plain key-index OIDs (no partition bits)
-// so that ownership is decided purely by the Configuration's routing table
-// — the thing reconfiguration changes out from under the clients.
-
-type rkvApp struct{}
-
-func newRKVApp(core.PartitionID, int) core.Application { return &rkvApp{} }
-
-type rkvReq struct {
-	reads  []store.OID
-	writes []store.OID
-	add    uint64
-}
-
-func encodeRKVReq(r *rkvReq) []byte {
-	w := wire.NewWriter(16 + 8*(len(r.reads)+len(r.writes)))
-	w.U32(uint32(len(r.reads)))
-	for _, oid := range r.reads {
-		w.U64(uint64(oid))
-	}
-	w.U32(uint32(len(r.writes)))
-	for _, oid := range r.writes {
-		w.U64(uint64(oid))
-	}
-	w.U64(r.add)
-	return w.Finish()
-}
-
-func decodeRKVReq(b []byte) *rkvReq {
-	r := wire.NewReader(b)
-	req := &rkvReq{}
-	n := int(r.U32())
-	for i := 0; i < n; i++ {
-		req.reads = append(req.reads, store.OID(r.U64()))
-	}
-	n = int(r.U32())
-	for i := 0; i < n; i++ {
-		req.writes = append(req.writes, store.OID(r.U64()))
-	}
-	req.add = r.U64()
-	return req
-}
-
-func (a *rkvApp) ReadSet(req *core.Request) []store.OID {
-	return decodeRKVReq(req.Payload).reads
-}
-
-func (a *rkvApp) Execute(ctx *core.ExecContext) core.Outcome {
-	req := decodeRKVReq(ctx.Req.Payload)
-	sum := req.add
-	for _, oid := range req.reads {
-		sum += decodeRKVVal(ctx.Values[oid])
-	}
-	out := core.Outcome{Response: encodeRKVVal(sum)}
-	for _, oid := range req.writes {
-		out.Writes = append(out.Writes, core.Write{OID: oid, Val: encodeRKVVal(sum)})
-	}
-	return out
-}
-
-func encodeRKVVal(v uint64) []byte {
-	w := wire.NewWriter(8)
-	w.U64(v)
-	return w.Finish()
-}
-
-func decodeRKVVal(b []byte) uint64 {
-	if len(b) < 8 {
-		return 0
-	}
-	return wire.NewReader(b).U64()
-}
-
-// rkvModel is the sequential specification for the checker. Routing is
-// invisible here: linearizability of the history IS the "exactly one
-// authoritative home per object" property — a request that observed a
-// stale home would return a sum no sequential order explains.
-func rkvModel() lincheck.Model {
-	type state = map[store.OID]uint64
-	clone := func(s state) state {
-		c := make(state, len(s))
-		for k, v := range s {
-			c[k] = v
-		}
-		return c
-	}
-	return lincheck.Model{
-		Init: func() any { return state{} },
-		Step: func(st any, input any) (any, any) {
-			s := st.(state)
-			req := input.(*rkvReq)
-			sum := req.add
-			for _, oid := range req.reads {
-				sum += s[oid]
-			}
-			c := clone(s)
-			for _, oid := range req.writes {
-				c[oid] = sum
-			}
-			return c, sum
-		},
-		Hash: func(st any) string {
-			s := st.(state)
-			keys := make([]store.OID, 0, len(s))
-			for k := range s {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			out := ""
-			for _, k := range keys {
-				out += fmt.Sprintf("%d=%d;", k, s[k])
-			}
-			return out
-		},
-		EqualOutput: func(observed, model any) bool {
-			return observed.(uint64) == model.(uint64)
-		},
-	}
-}
 
 // Scenarios.
 const (
@@ -290,10 +167,14 @@ func scenarioLayout(o Options) (groups [][]rdma.NodeID, routes []Range, ch Chang
 // Run executes one seeded reconfiguration scenario: concurrent clients
 // drive the workload through epoch-aware routers while the manager applies
 // the scenario's change mid-run; the full client history is recorded with
-// virtual-time intervals and checked for linearizability.
+// virtual-time intervals and checked for linearizability. The workload's
+// OIDs are plain key indices, so ownership is decided purely by the
+// Configuration's routing table — the thing reconfiguration changes out
+// from under the clients.
 func Run(o Options) (*Report, error) {
-	if n := o.Clients * o.OpsPerClient; n > 64 {
-		return nil, fmt.Errorf("reconfig: %d operations exceed the checker's 64-op bound", n)
+	hist, err := kvapp.NewHistory("reconfig", o.Clients, o.OpsPerClient)
+	if err != nil {
+		return nil, err
 	}
 	groups, routes, change, maxParts, maxGroup, err := scenarioLayout(o)
 	if err != nil {
@@ -304,29 +185,15 @@ func Run(o Options) (*Report, error) {
 	s := sim.NewScheduler()
 	defer s.Close()
 	cfg := core.DefaultConfig(multicast.DefaultConfig(groups))
-	cfg.StoreCapacity = o.Keys*store.SlotSize(8) + 1<<12
+	cfg.StoreCapacity = kvapp.SlotCapacity(o.Keys, 8)
 	cfg.MaxPartitions = maxParts
 	cfg.MaxGroupSize = maxGroup
-	d, err := core.NewDeployment(s, cfg, newRKVApp, initial)
+	apps := kvapp.New(initial, 8)
+	d, err := core.NewDeployment(s, cfg, apps, initial)
 	if err != nil {
 		return nil, err
 	}
-	err = d.PopulateAll(func(part core.PartitionID, rank int, rep *core.Replica) error {
-		for k := 0; k < o.Keys; k++ {
-			oid := store.OID(k)
-			if initial.PartitionOf(oid) != part {
-				continue
-			}
-			if err := rep.Store().Register(oid, 8); err != nil {
-				return err
-			}
-			if err := rep.Store().Init(oid, encodeRKVVal(0)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := kvapp.Populate(d, initial, kvapp.Keys(o.Keys), 8); err != nil {
 		return nil, err
 	}
 	d.Fabric.SetFaultSeed(o.Seed)
@@ -337,7 +204,7 @@ func Run(o Options) (*Report, error) {
 		pl.Observe(o.Obs)
 		seeder = pl
 	}
-	mgr := NewManager(d, initial, ManagerOptions{Apps: newRKVApp, FenceTimeout: o.FenceTimeout, Obs: o.Obs, Seeder: seeder})
+	mgr := NewManager(d, initial, ManagerOptions{Apps: apps, FenceTimeout: o.FenceTimeout, Obs: o.Obs, Seeder: seeder})
 	d.Start()
 
 	rep := &Report{
@@ -371,8 +238,6 @@ func Run(o Options) (*Report, error) {
 		result, execErr = mgr.Execute(p, change)
 	})
 
-	var history []lincheck.Operation
-	// Client procs run in virtual time: appends never race.
 	routers := make([]*ClientRouter, o.Clients)
 	for ci := 0; ci < o.Clients; ci++ {
 		ci := ci
@@ -381,29 +246,19 @@ func Run(o Options) (*Report, error) {
 		rng := rand.New(rand.NewSource(o.Seed*1000 + int64(ci)))
 		s.Spawn(fmt.Sprintf("reconfig-client%d", ci), func(p *sim.Proc) {
 			for i := 0; i < o.OpsPerClient; i++ {
-				req := &rkvReq{add: uint64(rng.Intn(100))}
+				req := &kvapp.Req{Add: uint64(rng.Intn(100))}
 				for j := 0; j < rng.Intn(3); j++ {
-					req.reads = append(req.reads, store.OID(rng.Intn(o.Keys)))
+					req.Reads = append(req.Reads, store.OID(rng.Intn(o.Keys)))
 				}
 				for j := 0; j < 1+rng.Intn(2); j++ {
-					req.writes = append(req.writes, store.OID(rng.Intn(o.Keys)))
+					req.Writes = append(req.Writes, store.OID(rng.Intn(o.Keys)))
 				}
-				oids := append(append([]store.OID(nil), req.reads...), req.writes...)
-				call := int64(p.Now())
-				resp, ok := cr.SubmitTimeout(p, oids, encodeRKVReq(req), o.OpTimeout)
-				rep.Ops++
-				if !ok {
-					rep.FailedOps++
-					continue
+				if hist.Do(p, ci, req, func() (uint64, bool) {
+					resp, ok := cr.SubmitTimeout(p, req.OIDs(), req.Encode(), o.OpTimeout)
+					return kvapp.DecodeVal(resp), ok
+				}) {
+					p.Sleep(sim.Duration(rng.Intn(2000)) * sim.Microsecond)
 				}
-				history = append(history, lincheck.Operation{
-					ClientID: ci,
-					Input:    req,
-					Output:   decodeRKVVal(resp),
-					Call:     call,
-					Return:   int64(p.Now()),
-				})
-				p.Sleep(sim.Duration(rng.Intn(2000)) * sim.Microsecond)
 			}
 		})
 	}
@@ -413,6 +268,7 @@ func Run(o Options) (*Report, error) {
 	}
 	eng.Close()
 
+	rep.Ops, rep.FailedOps = hist.Ops, hist.Failed
 	rep.PartitionsAfter = d.Partitions()
 	for g := 0; g < d.Partitions(); g++ {
 		rep.ReplicasAfter += len(d.Replicas[g])
@@ -438,20 +294,6 @@ func Run(o Options) (*Report, error) {
 		rep.Err = "reconfiguration still in flight at the horizon"
 		return rep, nil
 	}
-	if pending := o.Clients*o.OpsPerClient - rep.Ops; pending > 0 {
-		rep.Err = fmt.Sprintf("%d operations still in flight at the horizon", pending)
-		return rep, nil
-	}
-	if rep.FailedOps > 0 {
-		rep.Err = fmt.Sprintf("%d of %d operations timed out (degraded, unchecked)", rep.FailedOps, rep.Ops)
-		return rep, nil
-	}
-	ok, cerr := lincheck.Check(rkvModel(), history)
-	if cerr != nil {
-		rep.Err = cerr.Error()
-		return rep, nil
-	}
-	rep.Checked = true
-	rep.Linearizable = ok
+	rep.Checked, rep.Linearizable, rep.Err = hist.Verdict()
 	return rep, nil
 }
