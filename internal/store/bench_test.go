@@ -38,6 +38,7 @@ func BenchmarkStoreGetAt(b *testing.B) {
 	st := benchStore(b)
 	_ = st.Set(1, make([]byte, 200), 5)
 	_ = st.Set(1, make([]byte, 200), 9)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, ok := st.GetAt(1, 7); !ok {

@@ -133,7 +133,9 @@ func (s *Store) writeVersion(buf []byte, slotOff, max, verIdx int, tmp uint64, v
 	copy(buf[off+versionHdr:off+versionHdr+len(val)], val)
 }
 
-// readVersion decodes one version from the region.
+// readVersion peeks at one version's header and returns the version with
+// Val aliasing buf (capacity capped at its length, so an append cannot
+// spill into the neighbouring bytes). Nothing is copied.
 func readVersion(buf []byte, slotOff, max, verIdx int) Versioned {
 	off := slotOff + verIdx*(versionHdr+max)
 	tmp := binary.LittleEndian.Uint64(buf[off : off+8])
@@ -141,31 +143,38 @@ func readVersion(buf []byte, slotOff, max, verIdx int) Versioned {
 	if n > max {
 		n = max // defensive: corrupt header cannot escape the slot
 	}
-	val := make([]byte, n)
-	copy(val, buf[off+versionHdr:off+versionHdr+n])
-	return Versioned{Val: val, Tmp: tmp}
+	start := off + versionHdr
+	return Versioned{Val: buf[start : start+n : start+n], Tmp: tmp}
+}
+
+// copyVal copies a version's value out of the region, so the caller may
+// keep it across later writes to the slot.
+func copyVal(val []byte) []byte {
+	out := make([]byte, len(val))
+	copy(out, val)
+	return out
 }
 
 // Get returns the newest version of a local object. During in-order
 // execution the newest version is exactly the state all preceding
-// requests produced.
+// requests produced. The value is a copy the caller owns.
 func (s *Store) Get(oid OID) (val []byte, tmp uint64, ok bool) {
 	m, found := s.meta[oid]
 	if !found {
 		return nil, 0, false
 	}
 	buf := s.region.Bytes()
-	a := readVersion(buf, m.off, m.max, 0)
-	b := readVersion(buf, m.off, m.max, 1)
-	if b.Tmp > a.Tmp {
-		return b.Val, b.Tmp, true
+	v := readVersion(buf, m.off, m.max, 0)
+	if b := readVersion(buf, m.off, m.max, 1); b.Tmp > v.Tmp {
+		v = b
 	}
-	return a.Val, a.Tmp, true
+	return copyVal(v.Val), v.Tmp, true
 }
 
 // GetAt returns the version a request with timestamp reqTmp must observe:
 // the one with the highest timestamp strictly smaller than reqTmp. ok is
-// false when no such version exists — the caller is a lagger.
+// false when no such version exists — the caller is a lagger. The value
+// is a copy the caller owns; only the chosen version is copied.
 func (s *Store) GetAt(oid OID, reqTmp uint64) (val []byte, tmp uint64, ok bool) {
 	m, found := s.meta[oid]
 	if !found {
@@ -180,7 +189,7 @@ func (s *Store) GetAt(oid OID, reqTmp uint64) (val []byte, tmp uint64, ok bool) 
 	if !chosen {
 		return nil, 0, false
 	}
-	return v.Val, v.Tmp, true
+	return copyVal(v.Val), v.Tmp, true
 }
 
 // Set writes val as a new version created by the request with timestamp
@@ -263,7 +272,9 @@ func (s *Store) Region() *rdma.Region { return s.region }
 func (s *Store) Node() *rdma.Node { return s.node }
 
 // DecodeSlot decodes both versions from raw slot bytes fetched by a
-// remote READ. maxSize must match the registered max size.
+// remote READ. maxSize must match the registered max size. The returned
+// values alias raw and copy nothing: the caller must own raw and not
+// reuse it while either value is in use.
 func DecodeSlot(raw []byte, maxSize int) (a, b Versioned, err error) {
 	if len(raw) != SlotSize(maxSize) {
 		return Versioned{}, Versioned{}, fmt.Errorf("store: slot of %d bytes, want %d", len(raw), SlotSize(maxSize))

@@ -210,6 +210,35 @@ func TestDecodeSlotBadLength(t *testing.T) {
 	}
 }
 
+// TestReadAllocs: a local read copies the one version it returns, and
+// DecodeSlot copies nothing.
+func TestReadAllocs(t *testing.T) {
+	st, _, _ := newTestStore(t, 4096)
+	if err := st.Register(1, 256); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Set(1, make([]byte, 200), 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Set(1, make([]byte, 100), 9); err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := st.CopySlot(1)
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"GetAt", 1, func() { st.GetAt(1, 7) }},
+		{"Get", 1, func() { st.Get(1) }},
+		{"DecodeSlot", 0, func() { DecodeSlot(raw, 256) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.f); got != c.want {
+			t.Errorf("%s allocates %v times, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestSymmetricLayout(t *testing.T) {
 	// Two stores registering the same objects in the same order must
 	// produce identical offsets — the property state transfer relies on.

@@ -1,9 +1,8 @@
 package tpcc
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"heron/internal/core"
 	"heron/internal/sim"
@@ -61,6 +60,9 @@ type App struct {
 
 	// cpu accumulates modeled time during one Execute call.
 	cpu sim.Duration
+	// stockLevelItems is Stock-Level's scratch list of item ids, reused
+	// across calls (Execute is not reentrant).
+	stockLevelItems []int32
 
 	// singleExec enables DynaStar semantics: this instance executes the
 	// whole transaction and writes all updated objects, including rows
@@ -254,7 +256,7 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 		oid = d.NextOID
 		d.NextOID++
 
-		cust, err := DecodeCustomer(ctx.Values[CustomerOID(int(t.WID), int(t.DID), int(t.CID))])
+		cust, err := parseCustomer(ctx.Values[CustomerOID(int(t.WID), int(t.DID), int(t.CID))])
 		a.charge(a.cost.CustDeser, 1)
 		if err != nil {
 			return core.Outcome{Response: []byte("ERR customer")}
@@ -263,21 +265,21 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 		allLocal := true
 		key := orderKey{did: t.DID, oid: oid}
 		lines := make([]OrderLine, 0, len(t.Lines))
+		out.Writes = make([]core.Write, 0, len(t.Lines))
 		for i, l := range t.Lines {
 			if l.SupplyWID != t.WID {
 				allLocal = false
 			}
 			item := &a.ds.Items[l.IID-1]
 			a.charge(a.cost.ItemLookup, 1)
-			stRaw := ctx.Values[StockOID(int(l.SupplyWID), int(l.IID))]
-			stock, serr := DecodeStock(stRaw)
+			soid := StockOID(int(l.SupplyWID), int(l.IID))
+			stock, serr := parseStock(ctx.Values[soid])
 			a.charge(a.cost.StockDeser, 1)
 			if serr != nil {
 				return core.Outcome{Response: []byte("ERR stock")}
 			}
 			amount := int64(l.Quantity) * item.Price
 			total += amount
-			distIdx := int(t.DID) - 1
 			lines = append(lines, OrderLine{
 				OID:       oid,
 				DID:       t.DID,
@@ -287,22 +289,18 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 				SupplyWID: l.SupplyWID,
 				Quantity:  l.Quantity,
 				Amount:    amount,
-				DistInfo:  stock.Dists[distIdx],
+				DistInfo:  stock.dist(int(t.DID) - 1),
 			})
 			// The home partition writes only its own stock rows; remote
 			// rows are updated by their hosting partitions (unless this
 			// is the DynaStar single-executor mode).
 			if l.SupplyWID == a.wid || a.singleExec {
-				applyStockUpdate(stock, l, t.WID)
 				a.charge(a.cost.StockSer, 1)
-				out.Writes = append(out.Writes, core.Write{
-					OID: StockOID(int(l.SupplyWID), int(l.IID)),
-					Val: EncodeStock(stock),
-				})
+				out.Writes = append(out.Writes, core.Write{OID: soid, Val: stock.updated(l, t.WID)})
 			}
 			a.charge(a.cost.AuxInsert, 1)
 		}
-		total = total * (10000 - cust.Discount) / 10000
+		total = total * (10000 - cust.discountBP()) / 10000
 		total = total * (10000 + a.ds.WHs[t.WID-1].Tax + d.Tax) / 10000
 
 		a.orders[key] = &Order{
@@ -320,14 +318,13 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 				continue
 			}
 			soid := StockOID(int(l.SupplyWID), int(l.IID))
-			stock, serr := DecodeStock(ctx.Values[soid])
+			stock, serr := parseStock(ctx.Values[soid])
 			a.charge(a.cost.StockDeser, 1)
 			if serr != nil {
 				return core.Outcome{Response: []byte("ERR stock")}
 			}
-			applyStockUpdate(stock, l, t.WID)
 			a.charge(a.cost.StockSer, 1)
-			out.Writes = append(out.Writes, core.Write{OID: soid, Val: EncodeStock(stock)})
+			out.Writes = append(out.Writes, core.Write{OID: soid, Val: stock.updated(l, t.WID)})
 		}
 	}
 
@@ -375,26 +372,15 @@ func (a *App) execPayment(ctx *core.ExecContext, t *Txn) core.Outcome {
 	}
 	if t.CWID == a.wid || (a.singleExec && t.WID == a.wid) {
 		coid := CustomerOID(int(t.CWID), int(t.CDID), int(t.CID))
-		cust, err := DecodeCustomer(ctx.Values[coid])
+		cust, err := parseCustomer(ctx.Values[coid])
 		a.charge(a.cost.CustDeser, 1)
 		if err != nil {
 			return core.Outcome{Response: []byte("ERR customer")}
 		}
-		cust.Balance -= t.Amount
-		cust.YTDPayment += t.Amount
-		cust.PaymentCnt++
-		if cust.Credit == "BC" {
-			// Bad credit: prepend payment info to C_DATA, truncated.
-			info := fmt.Sprintf("%d %d %d %d %d %d|", t.CID, t.CDID, t.CWID, t.DID, t.WID, t.Amount)
-			data := info + cust.Data
-			if len(data) > 500 {
-				data = data[:500]
-			}
-			cust.Data = data
-		}
-		balance = cust.Balance
+		var row []byte
+		row, balance = cust.paid(t)
 		a.charge(a.cost.CustSer, 1)
-		out.Writes = append(out.Writes, core.Write{OID: coid, Val: EncodeCustomer(cust)})
+		out.Writes = append(out.Writes, core.Write{OID: coid, Val: row})
 	}
 	out.Response = encodeI64(balance)
 	return out
@@ -402,7 +388,7 @@ func (a *App) execPayment(ctx *core.ExecContext, t *Txn) core.Outcome {
 
 // execOrderStatus: read-only, always local.
 func (a *App) execOrderStatus(ctx *core.ExecContext, t *Txn) core.Outcome {
-	cust, err := DecodeCustomer(ctx.Values[CustomerOID(int(t.WID), int(t.DID), int(t.CID))])
+	cust, err := parseCustomer(ctx.Values[CustomerOID(int(t.WID), int(t.DID), int(t.CID))])
 	a.charge(a.cost.CustDeser, 1)
 	if err != nil {
 		return core.Outcome{Response: []byte("ERR customer")}
@@ -416,7 +402,7 @@ func (a *App) execOrderStatus(ctx *core.ExecContext, t *Txn) core.Outcome {
 			a.charge(a.cost.AuxLookup, int(olCnt)+1)
 		}
 	}
-	resp := append(encodeI64(cust.Balance), byte(olCnt))
+	resp := append(encodeI64(cust.balance()), byte(olCnt))
 	return core.Outcome{Response: resp}
 }
 
@@ -452,47 +438,43 @@ func (a *App) execDelivery(ctx *core.ExecContext, t *Txn) core.Outcome {
 		if !ok {
 			continue
 		}
-		cust, err := DecodeCustomer(raw)
+		cust, err := parseCustomer(raw)
 		a.charge(a.cost.CustDeser, 1)
 		if err != nil {
 			continue
 		}
-		cust.Balance += sum
-		cust.DeliveryCnt++
 		a.charge(a.cost.CustSer, 1)
-		out.Writes = append(out.Writes, core.Write{OID: coid, Val: EncodeCustomer(cust)})
+		out.Writes = append(out.Writes, core.Write{OID: coid, Val: cust.delivered(sum)})
 		delivered++
 	}
 	out.Response = []byte{byte(delivered)}
 	return out
 }
 
-// execStockLevel: always local and heavy — it deserializes the stock row
-// of every distinct item in the district's last 20 orders (the paper
-// calls out its cost; Fig. 7).
+// execStockLevel: always local and heavy — it reads the stock row of
+// every distinct item in the district's last 20 orders (the paper calls
+// out its cost, charged as a full deserialization per row; Fig. 7).
 func (a *App) execStockLevel(ctx *core.ExecContext, t *Txn) core.Outcome {
 	d := a.districts[t.DID]
 	if d == nil {
 		return core.Outcome{Response: []byte("ERR district")}
 	}
 	a.charge(a.cost.AuxLookup, 1)
-	seen := make(map[int32]bool)
 	lo := d.NextOID - 20
 	if lo < 1 {
 		lo = 1
 	}
+	items := a.stockLevelItems[:0]
 	for o := lo; o < d.NextOID; o++ {
 		for _, line := range a.orderLines[orderKey{did: t.DID, oid: o}] {
-			seen[line.IID] = true
+			items = append(items, line.IID)
 		}
 		a.charge(a.cost.AuxLookup, 1)
 	}
-	// Deterministic iteration order for reproducibility.
-	items := make([]int32, 0, len(seen))
-	for iid := range seen {
-		items = append(items, iid)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
+	// Distinct items in ascending order, for reproducibility.
+	slices.Sort(items)
+	items = slices.Compact(items)
+	a.stockLevelItems = items
 
 	var low int32
 	for _, iid := range items {
@@ -500,12 +482,12 @@ func (a *App) execStockLevel(ctx *core.ExecContext, t *Txn) core.Outcome {
 		if !ok {
 			continue
 		}
-		stock, err := DecodeStock(raw)
+		stock, err := parseStock(raw)
 		a.charge(a.cost.StockDeser, 1)
 		if err != nil {
 			continue
 		}
-		if stock.Quantity < t.Threshold {
+		if stock.quantity() < t.Threshold {
 			low++
 		}
 	}

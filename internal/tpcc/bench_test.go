@@ -15,6 +15,44 @@ func BenchmarkStockCodec(b *testing.B) {
 	}
 }
 
+// Sinks keep the benchmarked reads and row updates live.
+var (
+	distSink string
+	rowSink  []byte
+)
+
+// BenchmarkStockRowUpdate measures New-Order's in-place stock access:
+// parse the row, copy S_DIST_xx, and build the updated row.
+func BenchmarkStockRowUpdate(b *testing.B) {
+	ds := NewDataset(1, 1, SmallScale())
+	raw := EncodeStock(ds.GenStock(1, 1))
+	l := OrderLineReq{IID: 1, SupplyWID: 1, Quantity: 5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := parseStock(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		distSink = v.dist(i % 10)
+		rowSink = v.updated(l, 1)
+	}
+}
+
+// BenchmarkStockLevel measures one Stock-Level execution on a populated
+// warehouse, its stock rows served without copying.
+func BenchmarkStockLevel(b *testing.B) {
+	a, rows := populatedApp()
+	ctx := execContext(&Txn{Kind: TxnStockLevel, WID: 1, DID: 1, Threshold: 50}, rows, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := a.Execute(ctx); len(out.Response) != 8 {
+			b.Fatalf("Stock-Level replied %q", out.Response)
+		}
+	}
+}
+
 // BenchmarkCustomerCodec measures the manual customer row round trip.
 func BenchmarkCustomerCodec(b *testing.B) {
 	ds := NewDataset(1, 1, SmallScale())

@@ -1,7 +1,9 @@
 package tpcc
 
 import (
+	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"heron/internal/wire"
 )
@@ -11,6 +13,13 @@ import (
 // rather than using a serializer library, and storing strings as byte
 // buffers"). Only Stock and Customer are remotely readable and therefore
 // serialized; other tables live in native maps.
+//
+// Execution does not decode whole rows: stockView and customerView (below)
+// locate the fields a transaction reads or updates inside the serialized
+// bytes, read them there, and build an updated row by patching a copy.
+// Encode*/Decode* are the reference those views must agree with byte for
+// byte; Populate and DynaStar encode with them, and CheckConsistency
+// decodes with them.
 
 // EncodeStock serializes a stock row.
 func EncodeStock(s *Stock) []byte {
@@ -104,4 +113,192 @@ func DecodeCustomer(b []byte) (*Customer, error) {
 		return nil, fmt.Errorf("tpcc: decode customer: %w", err)
 	}
 	return c, nil
+}
+
+// cDataMax caps C_DATA when Payment prepends to a bad-credit customer's.
+const cDataMax = 500
+
+// skipString returns the offset just past the length-prefixed string at
+// off, or -1 when b ends first — wire.Reader's truncation rule.
+func skipString(b []byte, off int) int {
+	if off+4 > len(b) {
+		return -1
+	}
+	end := off + 4 + int(binary.LittleEndian.Uint32(b[off:]))
+	if end > len(b) {
+		return -1
+	}
+	return end
+}
+
+// truncatedRow is the error of a view over a row that ends early. It is
+// built only on that path: execution parses every row it touches.
+func truncatedRow(table string, b []byte) error {
+	return fmt.Errorf("tpcc: parse %s row of %d bytes: %w", table, len(b), wire.ErrTruncated)
+}
+
+// stockView is a serialized stock row read in place (EncodeStock's
+// layout): S_I_ID, S_W_ID and S_QUANTITY, the ten S_DIST_xx strings, then
+// S_YTD, S_ORDER_CNT, S_REMOTE_CNT and S_DATA.
+type stockView struct {
+	raw   []byte
+	dists [10]int // offset of each S_DIST_xx length prefix
+	ytd   int     // offset of S_YTD; S_ORDER_CNT and S_REMOTE_CNT follow
+	end   int     // one past S_DATA; bytes after it are not part of the row
+}
+
+// stockQuantityOff is S_QUANTITY's offset, after S_I_ID and S_W_ID.
+const stockQuantityOff = 8
+
+// parseStock locates a stock row's fields. It rejects exactly the rows
+// DecodeStock rejects.
+func parseStock(b []byte) (stockView, error) {
+	v := stockView{raw: b}
+	off := stockQuantityOff + 4
+	for i := range v.dists {
+		v.dists[i] = off
+		if off = skipString(b, off); off < 0 {
+			return stockView{}, truncatedRow("stock", b)
+		}
+	}
+	v.ytd = off
+	if v.end = skipString(b, off+16); v.end < 0 {
+		return stockView{}, truncatedRow("stock", b)
+	}
+	return v, nil
+}
+
+// quantity returns S_QUANTITY.
+func (v stockView) quantity() int32 {
+	return int32(binary.LittleEndian.Uint32(v.raw[stockQuantityOff:]))
+}
+
+// dist returns S_DIST_xx of district index i (0-based) as a new string.
+func (v stockView) dist(i int) string {
+	off := v.dists[i]
+	return string(v.raw[off+4 : skipString(v.raw, off)])
+}
+
+// updated returns a new row: this one with applyStockUpdate's New-Order
+// mutation for line l applied to S_QUANTITY, S_YTD, S_ORDER_CNT and
+// S_REMOTE_CNT.
+func (v stockView) updated(l OrderLineReq, homeWID int32) []byte {
+	le := binary.LittleEndian
+	row := append([]byte(nil), v.raw[:v.end]...)
+	s := Stock{
+		Quantity:  v.quantity(),
+		YTD:       int64(le.Uint64(row[v.ytd:])),
+		OrderCnt:  int32(le.Uint32(row[v.ytd+8:])),
+		RemoteCnt: int32(le.Uint32(row[v.ytd+12:])),
+	}
+	applyStockUpdate(&s, l, homeWID)
+	le.PutUint32(row[stockQuantityOff:], uint32(s.Quantity))
+	le.PutUint64(row[v.ytd:], uint64(s.YTD))
+	le.PutUint32(row[v.ytd+8:], uint32(s.OrderCnt))
+	le.PutUint32(row[v.ytd+12:], uint32(s.RemoteCnt))
+	return row
+}
+
+// customerView is a serialized customer row read in place
+// (EncodeCustomer's layout): C_ID, C_D_ID, C_W_ID, eight strings from
+// C_FIRST to C_PHONE, C_SINCE, C_CREDIT, C_CREDIT_LIM, then the fixed
+// fields at the cust* offsets from C_DISCOUNT, and C_DATA.
+type customerView struct {
+	raw      []byte
+	credit   int // offset of C_CREDIT's length prefix
+	discount int // offset of C_DISCOUNT
+	end      int // one past C_DATA; bytes after it are not part of the row
+}
+
+// Field offsets relative to C_DISCOUNT.
+const (
+	custBalance     = 8
+	custYTDPayment  = 16
+	custPaymentCnt  = 24
+	custDeliveryCnt = 28
+	custData        = 32 // C_DATA's length prefix
+)
+
+// parseCustomer locates a customer row's fields. It rejects exactly the
+// rows DecodeCustomer rejects.
+func parseCustomer(b []byte) (customerView, error) {
+	v := customerView{raw: b}
+	off := 12
+	for i := 0; i < 8; i++ {
+		if off = skipString(b, off); off < 0 {
+			return customerView{}, truncatedRow("customer", b)
+		}
+	}
+	v.credit = off + 8
+	if off = skipString(b, v.credit); off < 0 {
+		return customerView{}, truncatedRow("customer", b)
+	}
+	v.discount = off + 8
+	if v.end = skipString(b, v.discount+custData); v.end < 0 {
+		return customerView{}, truncatedRow("customer", b)
+	}
+	return v, nil
+}
+
+func (v customerView) i64(rel int) int64 {
+	return int64(binary.LittleEndian.Uint64(v.raw[v.discount+rel:]))
+}
+
+// discountBP returns C_DISCOUNT in basis points.
+func (v customerView) discountBP() int64 { return v.i64(0) }
+
+// balance returns C_BALANCE.
+func (v customerView) balance() int64 { return v.i64(custBalance) }
+
+// badCredit reports whether C_CREDIT is "BC".
+func (v customerView) badCredit() bool {
+	return string(v.raw[v.credit+4:skipString(v.raw, v.credit)]) == "BC"
+}
+
+// paid returns a new row with Payment t applied: C_BALANCE less the
+// amount, C_YTD_PAYMENT plus it, C_PAYMENT_CNT plus one, and for a
+// bad-credit customer the payment's ids and amount prepended to C_DATA,
+// cut to cDataMax bytes. It also returns the new balance.
+func (v customerView) paid(t *Txn) ([]byte, int64) {
+	dataOff := v.discount + custData
+	var row []byte
+	if v.badCredit() {
+		var buf [96]byte
+		info := appendPaymentInfo(buf[:0], t)
+		old := v.raw[dataOff+4 : v.end]
+		n := min(len(info)+len(old), cDataMax)
+		row = make([]byte, dataOff+4, v.end+len(info))
+		copy(row, v.raw)
+		binary.LittleEndian.PutUint32(row[dataOff:], uint32(n))
+		row = append(append(row, info...), old...)[:dataOff+4+n]
+	} else {
+		row = append([]byte(nil), v.raw[:v.end]...)
+	}
+	le := binary.LittleEndian
+	bal := v.balance() - t.Amount
+	le.PutUint64(row[v.discount+custBalance:], uint64(bal))
+	le.PutUint64(row[v.discount+custYTDPayment:], uint64(v.i64(custYTDPayment)+t.Amount))
+	le.PutUint32(row[v.discount+custPaymentCnt:], le.Uint32(row[v.discount+custPaymentCnt:])+1)
+	return row, bal
+}
+
+// appendPaymentInfo appends the C_DATA prefix of payment t,
+// "C_ID C_D_ID C_W_ID D_ID W_ID H_AMOUNT|".
+func appendPaymentInfo(b []byte, t *Txn) []byte {
+	for _, id := range [...]int32{t.CID, t.CDID, t.CWID, t.DID, t.WID} {
+		b = strconv.AppendInt(b, int64(id), 10)
+		b = append(b, ' ')
+	}
+	b = strconv.AppendInt(b, t.Amount, 10)
+	return append(b, '|')
+}
+
+// delivered returns a new row with Delivery's update applied: C_BALANCE
+// plus the delivered order's amount sum, C_DELIVERY_CNT plus one.
+func (v customerView) delivered(sum int64) []byte {
+	le := binary.LittleEndian
+	row := append([]byte(nil), v.raw[:v.end]...)
+	le.PutUint64(row[v.discount+custBalance:], uint64(v.balance()+sum))
+	le.PutUint32(row[v.discount+custDeliveryCnt:], le.Uint32(row[v.discount+custDeliveryCnt:])+1)
+	return row
 }
