@@ -95,7 +95,7 @@ func BenchmarkFig5DynaStar(b *testing.B) {
 // (Figure 6).
 func BenchmarkFig6Breakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig6(60, nil)
+		res, err := bench.RunFig6("", 60, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,7 +5,7 @@
 //
 //	heron-bench fig4    [-wh 1,2,4,8,16] [-clients 6] [-window 150ms]
 //	heron-bench fig5    [-wh 1,2,4,8,16] [-window 150ms]
-//	heron-bench fig6    [-requests 400]
+//	heron-bench fig6    [-requests 400] [-workload tpcc|1WH..4WH]
 //	heron-bench fig7    [-wh 4] [-requests 400]
 //	heron-bench fig8    [-runs 5] [-full]
 //	heron-bench table1  [-window 150ms]
@@ -24,13 +24,14 @@
 //
 // Every subcommand accepts -json to emit machine-readable results instead
 // of the formatted table, for experiment runners and trajectory tracking.
-// The figure subcommands (fig4-fig7, fanout) also accept -trace out.json
-// to write a Chrome trace_event file of the run's virtual-time spans
-// (load it at ui.perfetto.dev) and -metrics to print an instrument
-// snapshot after the run. Subcommands with a request path additionally
-// accept -profile out.json to write the causal critical-path attribution
-// profile (formatted table to stderr) and -slowest N to bound its
-// outlier list; openloop's -heat writes per-partition heat telemetry,
+// Every subcommand but all also accepts -trace out.json to write a
+// Chrome trace_event file of the run's virtual-time spans (load it at
+// ui.perfetto.dev) and -metrics to print an instrument snapshot after the
+// run. The subcommands that run one simulation — openloop, lease (its
+// leases-on leg) and fig6 with -workload — also accept -profile out.json
+// to write the causal critical-path attribution profile (formatted table
+// to stderr) and -slowest N to bound its outlier list; openloop's -heat
+// writes per-partition heat telemetry,
 // and -flightdir on openloop/chaos arms the always-on flight recorder
 // (crashes and p99.9 latency outliers auto-dump a Perfetto-loadable
 // ring of recent protocol events). Each subcommand prints the same
@@ -146,11 +147,12 @@ func parseInts(s, what string) ([]int, error) {
 // parseWH parses a comma-separated warehouse list.
 func parseWH(s string) ([]int, error) { return parseInts(s, "warehouse count") }
 
-// obsOpts carries a subcommand's -trace/-metrics/-profile flags.
+// obsOpts carries a subcommand's -trace/-metrics flags and, where it has
+// them, -profile/-slowest.
 type obsOpts struct {
 	trace   *string
 	metrics *bool
-	profile *string
+	profile *string // nil where -profile is not registered
 	slowest *int
 }
 
@@ -159,10 +161,19 @@ func addObsFlags(fs *flag.FlagSet) *obsOpts {
 	return &obsOpts{
 		trace:   fs.String("trace", "", "write a Chrome trace_event JSON file (load at ui.perfetto.dev)"),
 		metrics: fs.Bool("metrics", false, "print a metrics snapshot after the run"),
-		profile: fs.String("profile", "", "write the critical-path latency-attribution profile to this JSON file (table printed to stderr)"),
-		slowest: fs.Int("slowest", 5, "slowest requests to break down in the -profile output"),
 	}
 }
+
+// withProfile also registers -profile and -slowest. Only a subcommand
+// that runs one simulation may take them: the critical-path engine keys
+// requests by id, and two simulations number their requests alike.
+func (oo *obsOpts) withProfile(fs *flag.FlagSet) *obsOpts {
+	oo.profile = fs.String("profile", "", "write the critical-path latency-attribution profile to this JSON file (table printed to stderr)")
+	oo.slowest = fs.Int("slowest", 5, "slowest requests to break down in the -profile output")
+	return oo
+}
+
+func (oo *obsOpts) profiling() bool { return oo.profile != nil && *oo.profile != "" }
 
 // observer builds the observer the flags imply; nil when all are off, so
 // the benchmarks stay on the zero-cost disabled path.
@@ -176,7 +187,7 @@ func (oo *obsOpts) observer() *obs.Observer {
 	if *oo.metrics {
 		m = obs.NewMetrics()
 	}
-	if *oo.profile != "" {
+	if oo.profiling() {
 		cp = obs.NewCritPath(1)
 	}
 	return obs.NewFull(tr, m, cp, nil, nil)
@@ -203,7 +214,7 @@ func (oo *obsOpts) finish(o *obs.Observer) error {
 		}
 		fmt.Fprintf(os.Stderr, "[trace written to %s]\n", *oo.trace)
 	}
-	if *oo.profile != "" {
+	if oo.profiling() {
 		p := o.CritPath().Profile(*oo.slowest)
 		f, err := os.Create(*oo.profile)
 		if err != nil {
@@ -277,13 +288,17 @@ func runFig5(args []string) error {
 func runFig6(args []string) error {
 	fs := flag.NewFlagSet("fig6", flag.ExitOnError)
 	requests := fs.Int("requests", 400, "requests per workload")
+	workload := fs.String("workload", "", "run one workload: tpcc or 1WH..4WH (empty = all five)")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	oo := addObsFlags(fs)
+	oo := addObsFlags(fs).withProfile(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if oo.profiling() && *workload == "" {
+		return fmt.Errorf("-profile needs -workload: each workload is its own simulation")
+	}
 	o := oo.observer()
-	res, err := bench.RunFig6(*requests, o)
+	res, err := bench.RunFig6(*workload, *requests, o)
 	if err != nil {
 		return err
 	}
@@ -545,7 +560,7 @@ func runLeaseCmd(args []string) error {
 	window := fs.Duration("window", time.Duration(opts.Window), "measurement window of virtual time")
 	fs.Int64Var(&opts.Seed, "seed", opts.Seed, "workload seed")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON (byte-identical across replays)")
-	oo := addObsFlags(fs)
+	oo := addObsFlags(fs).withProfile(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -591,7 +606,7 @@ func runOpenLoopCmd(args []string) error {
 	fs.BoolVar(&opts.Rebalance, "rebalance", false, "replay the heat series through the shadow rebalance planner (advisory decisions in the result)")
 	heatPath := fs.String("heat", "", "write the per-partition heat telemetry report to this JSON file (table printed to stderr)")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON (byte-identical across replays)")
-	oo := addObsFlags(fs)
+	oo := addObsFlags(fs).withProfile(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -661,7 +676,7 @@ func runAll(args []string) error {
 	}{
 		{"fig4", func() (formatter, error) { return bench.RunFig4(counts, 0, window, nil) }},
 		{"fig5", func() (formatter, error) { return bench.RunFig5(counts, window, nil) }},
-		{"fig6", func() (formatter, error) { return bench.RunFig6(requests, nil) }},
+		{"fig6", func() (formatter, error) { return bench.RunFig6("", requests, nil) }},
 		{"fig7", func() (formatter, error) { return bench.RunFig7(4, requests, nil) }},
 		{"table1", func() (formatter, error) { return bench.RunTable1(window, nil) }},
 		{"fig8", func() (formatter, error) { return bench.RunFig8(runs, !*quick, nil) }},

@@ -5,21 +5,13 @@
 // The default output is CSV; -json switches to a JSON array for parity
 // with heron-bench. -trace additionally writes a Chrome trace_event file
 // of the run's virtual-time spans, and -metrics prints an instrument
-// snapshot to stderr.
-//
-// The critpath subcommand instead runs one fig6 workload with the causal
-// critical-path engine armed and prints its deterministic
-// latency-attribution profile: every nanosecond of end-to-end latency
-// attributed to exactly one segment (ordering, coordination waits,
-// nic_wait, app_execute, ...), so the segment sum equals the measured
-// end-to-end latency. Same-seed runs print byte-identical profiles.
+// snapshot to stderr. (The critical-path profile of a Fig. 6 workload is
+// `heron-bench fig6 -workload 4WH -profile out.json`.)
 //
 // Usage:
 //
 //	heron-trace [-wh 4] [-clients 2] [-requests 2000] [-seed 1] [-workers 1]
 //	            [-json] [-trace out.json] [-metrics]
-//	heron-trace critpath [-workload 4WH] [-requests 400] [-slowest 5]
-//	                     [-json] [-out profile.json]
 package main
 
 import (
@@ -31,55 +23,13 @@ import (
 	"strconv"
 
 	"heron/internal/bench"
-	"heron/internal/core"
-	"heron/internal/multicast"
 	"heron/internal/obs"
 	"heron/internal/sim"
-	"heron/internal/tpcc"
 )
 
-// row is one completed request.
-type row struct {
-	kind     tpcc.TxnKind
-	parts    int
-	submit   sim.Time
-	total    sim.Duration
-	ordering sim.Duration
-	coord    sim.Duration
-	exec     sim.Duration
-}
-
-// jsonRow is the -json rendering of a row, field-compatible with the CSV
-// header (kind, partitions, *_ns).
-type jsonRow struct {
-	Kind        string `json:"kind"`
-	Partitions  int    `json:"partitions"`
-	SubmitNs    int64  `json:"submit_ns"`
-	TotalNs     int64  `json:"total_ns"`
-	OrderingNs  int64  `json:"ordering_ns"`
-	CoordNs     int64  `json:"coordination_ns"`
-	ExecutionNs int64  `json:"execution_ns"`
-}
-
-// collector correlates client submissions with replica traces.
-type collector struct {
-	recs map[multicast.MsgID]core.TraceRecord
-}
-
-func (c *collector) RequestDone(part core.PartitionID, rank int, id multicast.MsgID, rec core.TraceRecord) {
-	c.recs[id] = rec
-}
-
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "critpath" {
-		if err := runCritPath(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "heron-trace critpath:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	wh := flag.Int("wh", 4, "warehouses (= partitions)")
-	clients := flag.Int("clients", 2, "closed-loop clients per partition")
+	clients := flag.Int("clients", 2, "closed-loop clients per partition (0 = one client over every warehouse)")
 	requests := flag.Int("requests", 2000, "total requests to trace")
 	seed := flag.Int64("seed", 1, "workload seed")
 	workers := flag.Int("workers", 1, "execution workers per replica (>1 enables the parallel extension)")
@@ -94,43 +44,6 @@ func main() {
 	}
 }
 
-// runCritPath runs one fig6 workload under the critical-path engine and
-// emits the latency-attribution profile.
-func runCritPath(args []string) error {
-	fs := flag.NewFlagSet("critpath", flag.ExitOnError)
-	workload := fs.String("workload", "4WH", "fig6 workload: tpcc or 1WH..4WH (fixed partition count)")
-	requests := fs.Int("requests", 400, "requests to profile")
-	slowest := fs.Int("slowest", 5, "slowest requests to break down individually")
-	asJSON := fs.Bool("json", false, "emit the profile as JSON on stdout")
-	out := fs.String("out", "", "also write the profile JSON to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	p, err := bench.RunFig6CritPath(*workload, *requests, *slowest, nil)
-	if err != nil {
-		return err
-	}
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		if err := p.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "[profile written to %s]\n", *out)
-	}
-	if *asJSON {
-		return p.WriteJSON(os.Stdout)
-	}
-	fmt.Print(p.Format())
-	return nil
-}
-
 func run(wh, clientsPerPart, totalRequests int, seed int64, workers int, asJSON bool, tracePath string, metrics bool) error {
 	var tracer *obs.Tracer
 	var reg *obs.Metrics
@@ -141,90 +54,17 @@ func run(wh, clientsPerPart, totalRequests int, seed int64, workers int, asJSON 
 		reg = obs.NewMetrics()
 	}
 
-	s := sim.NewScheduler()
 	opt := bench.DefaultOptions(wh)
+	opt.ClientsPerPartition = clientsPerPart
 	opt.Seed = seed
 	opt.ExecWorkers = workers
 	opt.Obs = obs.New(tracer, reg)
-	d, _, err := bench.BuildHeron(s, opt)
+	nClients := max(clientsPerPart*wh, 1)
+	res, err := bench.RunRequests(opt, (totalRequests+nClients-1)/nClients)
 	if err != nil {
 		return err
 	}
-	// Trace at rank 0 of every partition; rows use the home partition's
-	// record (the replica executing the full transaction).
-	sinks := make([]*collector, wh)
-	for g := 0; g < wh; g++ {
-		sinks[g] = &collector{recs: make(map[multicast.MsgID]core.TraceRecord)}
-		d.Replica(core.PartitionID(g), 0).SetTracer(sinks[g])
-	}
-
-	type pending struct {
-		r    row
-		id   multicast.MsgID
-		home int
-	}
-	var completed []pending
-	done := false
-	nClients := clientsPerPart * wh
-	perClient := (totalRequests + nClients - 1) / nClients
-	remaining := nClients
-	for ci := 0; ci < nClients; ci++ {
-		ci := ci
-		cl := d.NewClient()
-		w := tpcc.NewWorkload(seed+int64(ci)*104729, wh, opt.Scale)
-		w.HomeWID = ci%wh + 1
-		s.Spawn(fmt.Sprintf("trace-client%d", ci), func(p *sim.Proc) {
-			defer func() {
-				if remaining--; remaining == 0 {
-					done = true
-				}
-			}()
-			for i := 0; i < perClient; i++ {
-				txn := w.Next()
-				parts := txn.Partitions()
-				t0 := p.Now()
-				if _, err := cl.Submit(p, parts, txn.Encode()); err != nil {
-					return
-				}
-				completed = append(completed, pending{
-					r: row{
-						kind:   txn.Kind,
-						parts:  len(parts),
-						submit: t0,
-						total:  sim.Duration(p.Now() - t0),
-					},
-					id:   cl.LastMsgID(),
-					home: int(tpcc.PartitionOfWarehouse(int(txn.WID))),
-				})
-			}
-		})
-	}
-	// Advance in slices so the idle tail is not simulated.
-	deadline := sim.Time(60 * sim.Second)
-	for !done && s.Now() < deadline {
-		if err := s.RunUntil(s.Now() + sim.Time(5*sim.Millisecond)); err != nil {
-			return err
-		}
-	}
-
-	rows := make([]jsonRow, 0, len(completed))
-	for _, pc := range completed {
-		rec, ok := sinks[pc.home].recs[pc.id]
-		if ok {
-			pc.r.ordering = sim.Duration(rec.Delivered - pc.r.submit)
-			pc.r.coord = rec.CoordPhase2 + rec.CoordPhase4
-			pc.r.exec = rec.Exec
-		}
-		rows = append(rows, jsonRow{
-			Kind:        pc.r.kind.String(),
-			Partitions:  pc.r.parts,
-			SubmitNs:    int64(pc.r.submit),
-			TotalNs:     int64(pc.r.total),
-			OrderingNs:  int64(pc.r.ordering),
-			CoordNs:     int64(pc.r.coord),
-			ExecutionNs: int64(pc.r.exec),
-		})
-	}
+	rows := res.Rows
 
 	if asJSON {
 		b, err := json.MarshalIndent(rows, "", "  ")
@@ -237,15 +77,16 @@ func run(wh, clientsPerPart, totalRequests int, seed int64, workers int, asJSON 
 		if err := out.Write([]string{"kind", "partitions", "submit_ns", "total_ns", "ordering_ns", "coordination_ns", "execution_ns"}); err != nil {
 			return err
 		}
+		ns := func(d sim.Duration) string { return strconv.FormatInt(int64(d), 10) }
 		for _, r := range rows {
 			err := out.Write([]string{
 				r.Kind,
 				strconv.Itoa(r.Partitions),
-				strconv.FormatInt(r.SubmitNs, 10),
-				strconv.FormatInt(r.TotalNs, 10),
-				strconv.FormatInt(r.OrderingNs, 10),
-				strconv.FormatInt(r.CoordNs, 10),
-				strconv.FormatInt(r.ExecutionNs, 10),
+				ns(sim.Duration(r.Submit)),
+				ns(r.Total),
+				ns(r.Ordering),
+				ns(r.Coordination),
+				ns(r.Execution),
 			})
 			if err != nil {
 				return err
@@ -271,10 +112,15 @@ func run(wh, clientsPerPart, totalRequests int, seed int64, workers int, asJSON 
 		}
 		fmt.Fprintf(os.Stderr, "[trace written to %s]\n", tracePath)
 	}
+	// The run ends when its last request completes.
+	var end sim.Time
+	if n := len(rows); n > 0 {
+		end = rows[n-1].Submit + sim.Time(rows[n-1].Total)
+	}
 	if metrics {
-		fmt.Fprint(os.Stderr, reg.Snapshot(s.Now()).Format())
+		fmt.Fprint(os.Stderr, reg.Snapshot(end).Format())
 	}
 	fmt.Fprintf(os.Stderr, "traced %d requests over %.1fms of virtual time\n",
-		len(completed), float64(s.Now())/1e6)
+		len(rows), float64(end)/1e6)
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"heron/internal/core"
 	"heron/internal/obs"
 	"heron/internal/sim"
-	"heron/internal/tpcc"
 )
 
 // CutoffRow is one point of the cut-off delay ablation (Section V-E1:
@@ -44,64 +43,26 @@ func RunCutoffAblation(cutoffs []sim.Duration, slow sim.Duration, window sim.Dur
 	}
 	res := &CutoffResult{SlowDelay: slow}
 	for i, cutoff := range cutoffs {
-		s := sim.NewScheduler()
-		defer s.Close()
 		opt := DefaultOptions(2)
 		opt.Window = window
 		opt.CutoffDelay = cutoff
 		opt.Obs = o.Scope(fmt.Sprintf("cutoff%d", i))
-		d, _, err := BuildHeron(s, opt)
+		run, err := runHeron(opt, 0, func(d *core.Deployment) {
+			// One lagging replica per partition.
+			for g := 0; g < 2; g++ {
+				d.Replica(core.PartitionID(g), 2).SetSlow(slow)
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
-		// One lagging replica per partition.
-		for g := 0; g < 2; g++ {
-			d.Replica(core.PartitionID(g), 2).SetSlow(slow)
-		}
-
-		completed := 0
-		lat := &LatencyRecorder{}
-		warmupEnd := sim.Time(opt.Warmup)
-		measureEnd := warmupEnd + sim.Time(opt.Window)
-		nClients := opt.ClientsPerPartition * 2
-		for ci := 0; ci < nClients; ci++ {
-			ci := ci
-			cl := d.NewClient()
-			w := tpcc.NewWorkload(opt.Seed+int64(ci)*7919, 2, opt.Scale)
-			w.HomeWID = ci%2 + 1
-			s.Spawn(fmt.Sprintf("ab-client%d", ci), func(p *sim.Proc) {
-				for {
-					txn := w.Next()
-					t0 := p.Now()
-					if _, err := cl.Submit(p, txn.Partitions(), txn.Encode()); err != nil {
-						return
-					}
-					t1 := p.Now()
-					if t1 > measureEnd {
-						return
-					}
-					if t0 >= warmupEnd {
-						completed++
-						lat.Add(sim.Duration(t1 - t0))
-					}
-				}
-			})
-		}
-		if err := s.RunUntil(measureEnd + sim.Time(50*sim.Millisecond)); err != nil {
-			return nil, err
-		}
-		row := CutoffRow{
-			Cutoff:     cutoff,
-			Throughput: Throughput(completed, opt.Window),
-			Latency:    lat.Mean(),
-		}
-		for g := 0; g < 2; g++ {
-			for r := 0; r < 3; r++ {
-				row.StateTransfers += d.Replica(core.PartitionID(g), r).StateTransfers()
-				row.Skipped += d.Replica(core.PartitionID(g), r).Skipped()
-			}
-		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, CutoffRow{
+			Cutoff:         cutoff,
+			Throughput:     run.Throughput,
+			Latency:        run.Latency.Mean(),
+			StateTransfers: run.StateTransfers,
+			Skipped:        run.Skipped,
+		})
 	}
 	return res, nil
 }

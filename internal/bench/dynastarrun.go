@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"heron/internal/core"
 	"heron/internal/dynastar"
 	"heron/internal/multicast"
@@ -13,6 +11,7 @@ import (
 // RunDynaStar measures the message-passing baseline under TPCC.
 func RunDynaStar(opt Options) (*HeronRun, error) {
 	s := sim.NewScheduler()
+	defer releaseMemory()
 	defer s.Close()
 	layout := Layout(opt.Warehouses, opt.Replicas)
 	ds := tpcc.NewDataset(opt.Seed, opt.Warehouses, opt.Scale)
@@ -36,52 +35,11 @@ func RunDynaStar(opt Options) (*HeronRun, error) {
 		}
 	}
 	d.Start()
-
-	run := &HeronRun{
-		Latency:       &LatencyRecorder{},
-		LatencyByKind: make(map[tpcc.TxnKind]*LatencyRecorder),
-		LatencySingle: &LatencyRecorder{},
-		LatencyMulti:  &LatencyRecorder{},
-	}
-	warmupEnd := sim.Time(opt.Warmup)
-	measureEnd := warmupEnd + sim.Time(opt.Window)
-
-	nClients := opt.ClientsPerPartition * opt.Warehouses
-	for ci := 0; ci < nClients; ci++ {
-		ci := ci
+	return runClosedLoop(s, opt, 0, func(int) submitFunc {
 		cl := d.NewClient()
-		w := tpcc.NewWorkload(opt.Seed+int64(ci)*7919, opt.Warehouses, opt.Scale)
-		w.LocalOnly = opt.LocalOnly
-		w.Mix = opt.Mix
-		w.HomeWID = ci%opt.Warehouses + 1
-		s.Spawn(fmt.Sprintf("dyn-client%d", ci), func(p *sim.Proc) {
-			for {
-				txn := w.Next()
-				t0 := p.Now()
-				if _, err := cl.Submit(p, txn.Encode()); err != nil {
-					return
-				}
-				t1 := p.Now()
-				if t1 > measureEnd {
-					return
-				}
-				if t0 >= warmupEnd {
-					lat := sim.Duration(t1 - t0)
-					run.Completed++
-					run.Latency.Add(lat)
-					if len(txn.Partitions()) > 1 {
-						run.LatencyMulti.Add(lat)
-					} else {
-						run.LatencySingle.Add(lat)
-					}
-				}
-			}
-		})
-	}
-	if err := s.RunUntil(measureEnd + sim.Time(50*sim.Millisecond)); err != nil {
-		return nil, err
-	}
-	run.Throughput = Throughput(run.Completed, opt.Window)
-	releaseMemory()
-	return run, nil
+		return func(p *sim.Proc, txn *tpcc.Txn, _ []core.PartitionID) (multicast.MsgID, error) {
+			_, err := cl.Submit(p, txn.Encode())
+			return multicast.MsgID{}, err
+		}
+	})
 }

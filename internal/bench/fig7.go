@@ -51,52 +51,21 @@ func RunFig7(warehouses, requests int, o *obs.Observer) (*Fig7Result, error) {
 			mix.StockLevel = 100
 		}
 		opt := DefaultOptions(warehouses)
-		opt.ClientsPerPartition = 0 // single client total
+		opt.ClientsPerPartition = 0 // one client
 		opt.Mix = mix
 		opt.Obs = o.Scope(fmt.Sprint(kind))
-
-		s := sim.NewScheduler()
-		defer s.Close()
-		d, _, err := BuildHeron(s, opt)
+		run, err := RunRequests(opt, requests)
 		if err != nil {
 			return nil, err
 		}
-		cl := d.NewClient()
-		w := tpcc.NewWorkload(opt.Seed, warehouses, opt.Scale)
-		w.Mix = mix
-
-		row := Fig7Row{Kind: kind}
-		single := &LatencyRecorder{}
-		multi := &LatencyRecorder{}
-		all := &LatencyRecorder{}
-		done := false
-		s.Spawn("fig7-client", func(p *sim.Proc) {
-			defer func() { done = true }()
-			for i := 0; i < requests; i++ {
-				txn := w.Next()
-				parts := txn.Partitions()
-				t0 := p.Now()
-				if _, err := cl.Submit(p, parts, txn.Encode()); err != nil {
-					return
-				}
-				lat := sim.Duration(p.Now() - t0)
-				all.Add(lat)
-				if len(parts) > 1 {
-					multi.Add(lat)
-				} else {
-					single.Add(lat)
-				}
-			}
+		res.Rows = append(res.Rows, Fig7Row{
+			Kind:          kind,
+			SingleLatency: run.LatencySingle.Mean(),
+			MultiLatency:  run.LatencyMulti.Mean(),
+			SingleCount:   run.LatencySingle.Count(),
+			MultiCount:    run.LatencyMulti.Count(),
+			CDF:           run.Latency.CDF(100),
 		})
-		if err := runUntilDone(s, &done, 30*sim.Second); err != nil {
-			return nil, err
-		}
-		row.SingleLatency = single.Mean()
-		row.MultiLatency = multi.Mean()
-		row.SingleCount = single.Count()
-		row.MultiCount = multi.Count()
-		row.CDF = all.CDF(100)
-		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

@@ -75,17 +75,21 @@ func storeCapacityFor(scale tpcc.Scale) int {
 		1<<16
 }
 
-// HeronRun is the outcome of one Heron measurement.
+// HeronRun is the outcome of one closed-loop measurement.
 type HeronRun struct {
 	Completed  int
-	Throughput float64 // requests per second in the window
+	Throughput float64 // requests per second in the window (timed runs)
 	Latency    *LatencyRecorder
 	// LatencyByKind and latency split by request shape.
-	LatencyByKind  map[tpcc.TxnKind]*LatencyRecorder
-	LatencySingle  *LatencyRecorder
-	LatencyMulti   *LatencyRecorder
-	Deployment     *core.Deployment
+	LatencyByKind map[tpcc.TxnKind]*LatencyRecorder
+	LatencySingle *LatencyRecorder
+	LatencyMulti  *LatencyRecorder
+	// StateTransfers and Skipped sum every Heron replica's counters
+	// after the drain.
 	StateTransfers uint64
+	Skipped        uint64
+	// Rows holds a counted run's requests in completion order.
+	Rows []Row
 }
 
 // nullApp executes empty requests (no reads, no writes, no CPU), keeping
@@ -135,7 +139,27 @@ func BuildHeron(s *sim.Scheduler, opt Options) (*core.Deployment, *tpcc.Dataset,
 
 // RunHeron measures Heron under the configured TPCC workload: closed-loop
 // clients, a warmup, then a measurement window.
-func RunHeron(opt Options) (*HeronRun, error) {
+func RunHeron(opt Options) (*HeronRun, error) { return runHeron(opt, 0, nil) }
+
+// RunRequests runs each of opt's closed-loop clients for requests
+// requests (at least one) and returns every one as a Row.
+func RunRequests(opt Options, requests int) (*HeronRun, error) {
+	return runHeron(opt, max(requests, 1), nil)
+}
+
+// traceSink keeps one replica's trace records by request id.
+type traceSink map[multicast.MsgID]core.TraceRecord
+
+func (t traceSink) RequestDone(part core.PartitionID, rank int, id multicast.MsgID, rec core.TraceRecord) {
+	t[id] = rec
+}
+
+// runHeron builds opt's deployment, lets prepare install its hooks (a
+// tracer, a slow replica), and drives its clients with runClosedLoop. A
+// counted run's rows take their stages from rank 0 of the request's home
+// partition: the replica that executes the whole transaction, as the
+// paper's breakdown is traced.
+func runHeron(opt Options, requests int, prepare func(d *core.Deployment)) (*HeronRun, error) {
 	s := sim.NewScheduler()
 	// Unwind the deployment's processes before handing memory back: a
 	// parked process pins its coroutine and everything its stack reaches.
@@ -145,63 +169,41 @@ func RunHeron(opt Options) (*HeronRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := &HeronRun{
-		Latency:       &LatencyRecorder{},
-		LatencyByKind: make(map[tpcc.TxnKind]*LatencyRecorder),
-		LatencySingle: &LatencyRecorder{},
-		LatencyMulti:  &LatencyRecorder{},
-		Deployment:    d,
+	if prepare != nil {
+		prepare(d)
 	}
-	warmupEnd := sim.Time(opt.Warmup)
-	measureEnd := warmupEnd + sim.Time(opt.Window)
-
-	nClients := opt.ClientsPerPartition * opt.Warehouses
-	for ci := 0; ci < nClients; ci++ {
-		ci := ci
+	var sinks []traceSink
+	if requests > 0 {
+		sinks = make([]traceSink, d.Partitions())
+		for g := range sinks {
+			sinks[g] = traceSink{}
+			d.Replica(core.PartitionID(g), 0).SetTracer(sinks[g])
+		}
+	}
+	run, err := runClosedLoop(s, opt, requests, func(int) submitFunc {
 		cl := d.NewClient()
-		w := tpcc.NewWorkload(opt.Seed+int64(ci)*7919, opt.Warehouses, opt.Scale)
-		w.LocalOnly = opt.LocalOnly
-		w.FixedPartitions = opt.FixedPartitions
-		w.Mix = opt.Mix
-		w.HomeWID = ci%opt.Warehouses + 1
-		s.Spawn(fmt.Sprintf("bench-client%d", ci), func(p *sim.Proc) {
-			for {
-				txn := w.Next()
-				parts := txn.Partitions()
-				t0 := p.Now()
-				if _, err := cl.Submit(p, parts, txn.Encode()); err != nil {
-					return
-				}
-				t1 := p.Now()
-				if t1 > measureEnd {
-					return
-				}
-				if t0 >= warmupEnd {
-					lat := sim.Duration(t1 - t0)
-					run.Completed++
-					run.Latency.Add(lat)
-					rec := run.LatencyByKind[txn.Kind]
-					if rec == nil {
-						rec = &LatencyRecorder{}
-						run.LatencyByKind[txn.Kind] = rec
-					}
-					rec.Add(lat)
-					if len(parts) > 1 {
-						run.LatencyMulti.Add(lat)
-					} else {
-						run.LatencySingle.Add(lat)
-					}
-				}
-			}
-		})
-	}
-	if err := s.RunUntil(measureEnd + sim.Time(20*sim.Millisecond)); err != nil {
+		return func(p *sim.Proc, txn *tpcc.Txn, parts []core.PartitionID) (multicast.MsgID, error) {
+			_, err := cl.Submit(p, parts, txn.Encode())
+			return cl.LastMsgID(), err
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	run.Throughput = Throughput(run.Completed, opt.Window)
+	for i := range run.Rows {
+		row := &run.Rows[i]
+		if rec, ok := sinks[row.home][row.id]; ok {
+			row.traced = true
+			row.Ordering = sim.Duration(rec.Delivered - row.Submit)
+			row.Coordination = rec.CoordPhase2 + rec.CoordPhase4
+			row.Execution = rec.Exec
+		}
+	}
 	for g := 0; g < d.Partitions(); g++ {
 		for r := 0; r < opt.Replicas; r++ {
-			run.StateTransfers += d.Replica(core.PartitionID(g), r).StateTransfers()
+			rep := d.Replica(core.PartitionID(g), r)
+			run.StateTransfers += rep.StateTransfers()
+			run.Skipped += rep.Skipped()
 		}
 	}
 	return run, nil

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"heron/internal/core"
 	"heron/internal/multicast"
 	"heron/internal/rdma"
 	"heron/internal/sim"
@@ -41,7 +42,6 @@ func RunRamcast(opt Options) (*HeronRun, error) {
 			pr := multicast.NewProcess(multicast.OverRDMA(trMC), &cfg, multicast.GroupID(g), r)
 			pr.Observe(opt.Obs)
 			pr.Start(s)
-			g, r, pr := g, r, pr
 			s.Spawn(fmt.Sprintf("echo-g%d-r%d", g, r), func(p *sim.Proc) {
 				for {
 					d, ok := pr.Deliveries().Recv(p)
@@ -58,65 +58,36 @@ func RunRamcast(opt Options) (*HeronRun, error) {
 		}
 	}
 
-	run := &HeronRun{Latency: &LatencyRecorder{}, LatencySingle: &LatencyRecorder{}, LatencyMulti: &LatencyRecorder{}, LatencyByKind: map[tpcc.TxnKind]*LatencyRecorder{}}
-	warmupEnd := sim.Time(opt.Warmup)
-	measureEnd := warmupEnd + sim.Time(opt.Window)
-
-	nClients := opt.ClientsPerPartition * opt.Warehouses
-	clientBase := rdma.NodeID(100000)
-	for ci := 0; ci < nClients; ci++ {
-		ci := ci
-		node := clientBase + rdma.NodeID(ci)
+	return runClosedLoop(s, opt, 0, func(ci int) submitFunc {
+		node := rdma.NodeID(100000 + ci)
 		fab.AddNode(node)
 		mcl := multicast.NewClient(multicast.OverRDMA(trMC), &cfg, node)
 		ep := trReply.Endpoint(node)
-		w := tpcc.NewWorkload(opt.Seed+int64(ci)*7919, opt.Warehouses, opt.Scale)
-		w.LocalOnly = opt.LocalOnly
-		w.HomeWID = ci%opt.Warehouses + 1
-		s.Spawn(fmt.Sprintf("rc-client%d", ci), func(p *sim.Proc) {
-			for {
-				txn := w.Next()
-				parts := txn.Partitions()
-				dst := make([]multicast.GroupID, len(parts))
-				for i, part := range parts {
-					dst[i] = multicast.GroupID(part)
-				}
-				t0 := p.Now()
-				id := mcl.Multicast(p, dst, txn.Encode())
-				// Wait for one echo per destination group.
-				want := make(map[uint8]bool, len(dst))
-				for _, g := range dst {
-					want[uint8(g)] = true
-				}
-				got := 0
-				for got < len(want) {
-					payload, _, err := ep.Recv(p)
-					if err != nil {
-						return
-					}
-					r := wire.NewReader(payload)
-					g := r.U8()
-					seq := r.U64()
-					if r.Err() != nil || seq != id.Seq || !want[g] {
-						continue
-					}
-					want[g] = false
-					got++
-				}
-				t1 := p.Now()
-				if t1 > measureEnd {
-					return
-				}
-				if t0 >= warmupEnd {
-					run.Completed++
-					run.Latency.Add(sim.Duration(t1 - t0))
-				}
+		return func(p *sim.Proc, txn *tpcc.Txn, parts []core.PartitionID) (multicast.MsgID, error) {
+			dst := make([]multicast.GroupID, len(parts))
+			for i, part := range parts {
+				dst[i] = multicast.GroupID(part)
 			}
-		})
-	}
-	if err := s.RunUntil(measureEnd + sim.Time(20*sim.Millisecond)); err != nil {
-		return nil, err
-	}
-	run.Throughput = Throughput(run.Completed, opt.Window)
-	return run, nil
+			id := mcl.Multicast(p, dst, txn.Encode())
+			// Wait for one echo per destination group.
+			want := make(map[uint8]bool, len(dst))
+			for _, g := range dst {
+				want[uint8(g)] = true
+			}
+			for len(want) > 0 {
+				payload, _, err := ep.Recv(p)
+				if err != nil {
+					return id, err
+				}
+				r := wire.NewReader(payload)
+				g := r.U8()
+				seq := r.U64()
+				if r.Err() != nil || seq != id.Seq || !want[g] {
+					continue
+				}
+				delete(want, g)
+			}
+			return id, nil
+		}
+	})
 }

@@ -54,7 +54,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res, err := RunFig6(40, nil)
+	res, err := RunFig6("", 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +74,38 @@ func TestFig6Shape(t *testing.T) {
 	if res.Rows[1].Total > 100*sim.Microsecond {
 		t.Fatalf("1WH total %v not microsecond-scale", res.Rows[1].Total)
 	}
+}
+
+// TestFig6ProfileMatchesRow: one fig6 workload under the critical-path
+// engine profiles exactly the requests it ran, its segment sum is its
+// end-to-end total, and its mean is the row's within max(1 %, 1 µs), the
+// tolerance of TestOpenLoopProfileSumsToE2E.
+func TestFig6ProfileMatchesRow(t *testing.T) {
+	const requests = 40
+	cp := obs.NewCritPath(1)
+	res, err := RunFig6("2WH", requests, obs.NewFull(nil, nil, cp, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := res.Rows[0]
+	p := cp.Profile(0)
+	if p.Requests != requests || row.Requests != requests {
+		t.Fatalf("profile has %d requests, row %d; ran %d", p.Requests, row.Requests, requests)
+	}
+	if p.SegmentSumNS != p.TotalE2ENS {
+		t.Fatalf("segment sum %d != total e2e %d", p.SegmentSumNS, p.TotalE2ENS)
+	}
+	total := int64(row.Total)
+	if diff := abs(p.MeanE2ENS - total); diff > max(total/100, int64(sim.Microsecond)) {
+		t.Fatalf("profile mean %d ns vs row total %d ns", p.MeanE2ENS, total)
+	}
+}
+
+func abs(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 func TestFig7Shape(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"heron/internal/sim"
 )
@@ -121,16 +120,6 @@ func (r *LatencyRecorder) CDF(points int) []CDFPoint {
 type CDFPoint struct {
 	Latency  sim.Duration
 	Fraction float64
-}
-
-// FormatCDF renders a CDF as an aligned text table.
-func FormatCDF(points []CDFPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%10s  %8s\n", "latency", "fraction")
-	for _, pt := range points {
-		fmt.Fprintf(&b, "%10s  %8.2f\n", fmtDur(pt.Latency), pt.Fraction)
-	}
-	return b.String()
 }
 
 // fmtDur renders a virtual duration compactly in microseconds or

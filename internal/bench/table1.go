@@ -8,7 +8,6 @@ import (
 	"heron/internal/multicast"
 	"heron/internal/obs"
 	"heron/internal/sim"
-	"heron/internal/tpcc"
 )
 
 // Table1Partition is one partition row of Table I.
@@ -69,57 +68,24 @@ func RunTable1(window sim.Duration, o *obs.Observer) (*Table1Result, error) {
 			// A generous cut-off measures the true wait-for-all delay.
 			opt.CutoffDelay = sim.Duration(sim.Millisecond)
 
-			s := sim.NewScheduler()
-			defer s.Close()
-			d, _, err := BuildHeron(s, opt)
-			if err != nil {
-				return nil, err
-			}
 			tracers := make([]*delayedTracer, parts)
-			for g := 0; g < parts; g++ {
-				tracers[g] = &delayedTracer{}
-				for r := 0; r < replicas; r++ {
-					d.Replica(core.PartitionID(g), r).SetTracer(tracers[g])
-				}
-			}
-
-			lat := &LatencyRecorder{}
-			completed := 0
-			warmupEnd := sim.Time(opt.Warmup)
-			measureEnd := warmupEnd + sim.Time(opt.Window)
-			nClients := opt.ClientsPerPartition * parts
-			for ci := 0; ci < nClients; ci++ {
-				ci := ci
-				cl := d.NewClient()
-				w := tpcc.NewWorkload(opt.Seed+int64(ci)*7919, parts, opt.Scale)
-				w.HomeWID = ci%parts + 1
-				s.Spawn(fmt.Sprintf("t1-client%d", ci), func(p *sim.Proc) {
-					for {
-						txn := w.Next()
-						t0 := p.Now()
-						if _, err := cl.Submit(p, txn.Partitions(), txn.Encode()); err != nil {
-							return
-						}
-						t1 := p.Now()
-						if t1 > measureEnd {
-							return
-						}
-						if t0 >= warmupEnd {
-							completed++
-							lat.Add(sim.Duration(t1 - t0))
-						}
+			run, err := runHeron(opt, 0, func(d *core.Deployment) {
+				for g := range tracers {
+					tracers[g] = &delayedTracer{}
+					for r := 0; r < replicas; r++ {
+						d.Replica(core.PartitionID(g), r).SetTracer(tracers[g])
 					}
-				})
-			}
-			if err := s.RunUntil(measureEnd + sim.Time(20*sim.Millisecond)); err != nil {
+				}
+			})
+			if err != nil {
 				return nil, err
 			}
 
 			cfg := Table1Config{
 				Partitions: parts,
 				Replicas:   replicas,
-				Throughput: Throughput(completed, opt.Window),
-				Latency:    lat.Mean(),
+				Throughput: run.Throughput,
+				Latency:    run.Latency.Mean(),
 			}
 			for g := 0; g < parts; g++ {
 				tr := tracers[g]

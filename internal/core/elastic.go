@@ -72,11 +72,6 @@ func IsConfigCommand(b []byte) bool {
 	return len(b) >= 12 && binary.LittleEndian.Uint32(b[0:4]) == configCmdMagic
 }
 
-// DecodeConfigCommand splits a config command into target epoch and body.
-func DecodeConfigCommand(b []byte) (epoch uint64, body []byte, ok bool) {
-	return splitTagged(configCmdMagic, b)
-}
-
 // EncodeEpochMismatch builds the rejection response for a stale-epoch
 // request: the replica's current epoch and encoded configuration.
 func EncodeEpochMismatch(epoch uint64, cfg []byte) []byte {

@@ -276,17 +276,5 @@ func (r *Replica) unwrapLeaseAux(data []byte) []byte {
 	return data[leaseAuxHeader:]
 }
 
-// --- Introspection (lease manager, tests) ------------------------------
-
-// LeaseHolder returns the lease-holder rank this replica has applied
-// (-1 when no lease was ever granted).
-func (r *Replica) LeaseHolder() int { return r.leaseHolder }
-
-// LeaseExpire returns the absolute expiry of the applied lease.
-func (r *Replica) LeaseExpire() sim.Time { return r.leaseExpire }
-
-// LeaseSeq returns the newest applied lease sequence number.
-func (r *Replica) LeaseSeq() uint64 { return r.leaseSeq }
-
 // LeaseSelfServe reports whether this replica may serve local reads.
 func (r *Replica) LeaseSelfServe() bool { return r.leaseSelfServe }

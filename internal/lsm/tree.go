@@ -79,23 +79,13 @@ func (t *Tree) Extra() []byte       { return t.extra }
 func (t *Tree) Stats() Stats        { return t.stats }
 func (t *Tree) Cache() *BlockCache  { return t.cache }
 
-// Runs returns the live run count; LevelSizes the physical bytes per level.
+// Runs returns the live run count.
 func (t *Tree) Runs() int {
 	n := 0
 	for _, lvl := range t.levels {
 		n += len(lvl)
 	}
 	return n
-}
-
-func (t *Tree) LevelSizes() []uint64 {
-	out := make([]uint64, len(t.levels))
-	for i, lvl := range t.levels {
-		for _, r := range lvl {
-			out[i] += r.Total
-		}
-	}
-	return out
 }
 
 // encodeManifest serializes the current run set plus carried blobs.

@@ -147,9 +147,6 @@ func (c *Config) n(g GroupID) int { return len(c.Groups[g]) }
 // f returns the fault threshold of group g.
 func (c *Config) f(g GroupID) int { return (c.n(g) - 1) / 2 }
 
-// NumGroups returns the number of groups.
-func (c *Config) NumGroups() int { return len(c.Groups) }
-
 // Validate checks structural invariants of the deployment.
 func (c *Config) Validate() error {
 	if len(c.Groups) == 0 {

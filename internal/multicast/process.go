@@ -227,9 +227,6 @@ func (pr *Process) Deliveries() *sim.Chan[Delivery] { return pr.out }
 // leader.
 func (pr *Process) IsLeader() bool { return pr.role == roleLeader }
 
-// View returns the replica's current view number.
-func (pr *Process) View() uint64 { return pr.view }
-
 // CommitIdx returns the number of committed log entries.
 func (pr *Process) CommitIdx() uint64 { return pr.commitIdx }
 

@@ -325,10 +325,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.doYield()
 }
 
-// Yield gives other events scheduled at the current instant a chance to
-// run, then resumes. Equivalent to Sleep(0).
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Kill requests the process to terminate. The process unwinds (via panic
 // with a recovered sentinel) the next time it would resume from a yield
 // point, releasing whatever Cond, Mutex or timeout it was parked on.
