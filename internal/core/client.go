@@ -73,7 +73,7 @@ func (c *Client) Submit(p *sim.Proc, dst []PartitionID, payload []byte) (map[Par
 			c.dropped.Inc()
 			continue
 		}
-		m := decodeResponse(r)
+		m := decodeResponse(&r)
 		if r.Err() != nil || m.id != id {
 			c.dropped.Inc()
 			continue // stale response from an earlier request
@@ -114,7 +114,7 @@ func (c *Client) LeaseRead(p *sim.Proc, holder rdma.NodeID, oid uint64, d sim.Du
 			c.dropped.Inc()
 			continue // stale ordered responses from earlier submissions
 		}
-		m := decodeLeaseReadReply(r)
+		m := decodeLeaseReadReply(&r)
 		if r.Err() != nil || m.token != token {
 			c.dropped.Inc()
 			continue
@@ -154,7 +154,7 @@ func (c *Client) SubmitTimeout(p *sim.Proc, dst []PartitionID, payload []byte, d
 			c.dropped.Inc()
 			continue
 		}
-		m := decodeResponse(r)
+		m := decodeResponse(&r)
 		if r.Err() != nil || m.id != id {
 			c.dropped.Inc()
 			continue

@@ -64,7 +64,7 @@ func (r *Replica) runControl(p *sim.Proc) {
 	}
 	for !r.node.Crashed() {
 		for {
-			msg, from, ok := ep.TryRecv(p)
+			msg, from, ok := ep.TryRecv()
 			if !ok {
 				break
 			}
@@ -125,7 +125,7 @@ func (r *Replica) handleControl(p *sim.Proc, datagram []byte, from rdma.NodeID) 
 	}
 	switch kind {
 	case ctlAddrQuery:
-		q := decodeAddrQuery(rd)
+		q := decodeAddrQuery(&rd)
 		if rd.Err() != nil {
 			return
 		}
@@ -142,13 +142,13 @@ func (r *Replica) handleControl(p *sim.Proc, datagram []byte, from rdma.NodeID) 
 		}
 		_ = r.tr.Send(p, r.node.ID(), from, encodeAddrReply(reply))
 	case ctlLeaseRead:
-		m := decodeLeaseRead(rd)
+		m := decodeLeaseRead(&rd)
 		if rd.Err() != nil {
 			return
 		}
 		_ = r.tr.Send(p, r.node.ID(), from, r.serveLeaseRead(p, m))
 	case ctlAddrReply:
-		m := decodeAddrReply(rd)
+		m := decodeAddrReply(&rd)
 		if rd.Err() != nil {
 			return
 		}

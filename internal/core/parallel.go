@@ -1,6 +1,7 @@
 package core
 
 import (
+	"heron/internal/multicast"
 	"heron/internal/obs"
 	"heron/internal/sim"
 	"heron/internal/store"
@@ -154,7 +155,7 @@ func (r *Replica) runWorker(pl *execPool, idx int, tk *obs.Track) func(p *sim.Pr
 			if !ok {
 				return
 			}
-			sp := tk.Begin("request").Arg("ts", uint64(it.req.Ts))
+			sp := beginRequest(tk, it.req.Ts)
 			t0 := p.Now()
 			resp, okExec := r.execute(p, it.req, tk)
 			it.rec.Exec = sim.Duration(p.Now() - t0)
@@ -180,6 +181,16 @@ func (r *Replica) runWorker(pl *execPool, idx int, tk *obs.Track) func(p *sim.Pr
 	}
 }
 
+// beginRequest opens a request's span on tk. Untraced (tk nil) it returns
+// nil before the timestamp is boxed: Arg's any would allocate for every
+// request.
+func beginRequest(tk *obs.Track, ts multicast.Timestamp) *obs.Span {
+	if tk == nil {
+		return nil
+	}
+	return tk.Begin("request").Arg("ts", uint64(ts))
+}
+
 // processSerial executes one request on the executor's own path: every
 // request without a pool, and the pool's barrier case.
 func (r *Replica) processSerial(p *sim.Proc, req *Request, rec TraceRecord) {
@@ -187,7 +198,7 @@ func (r *Replica) processSerial(p *sim.Proc, req *Request, rec TraceRecord) {
 	clock := &r.obs.clock
 	clock.charge(execDispatch, p.Now())
 	if !req.MultiPartition() {
-		sp := tk.Begin("request").Arg("ts", uint64(req.Ts))
+		sp := beginRequest(tk, req.Ts)
 		t0 := p.Now()
 		resp, ok := r.execute(p, req, tk)
 		rec.Exec = sim.Duration(p.Now() - t0)
@@ -212,7 +223,7 @@ func (r *Replica) processSerial(p *sim.Proc, req *Request, rec TraceRecord) {
 
 	r.statMulti++
 	r.obs.multi.Inc()
-	sp := tk.Begin("request").Arg("ts", uint64(req.Ts)).Arg("multi", true)
+	sp := beginRequest(tk, req.Ts).Arg("multi", true)
 	t0 := p.Now()
 	c2 := tk.Begin("coord_phase2")
 	if r.announced != req.Ts {

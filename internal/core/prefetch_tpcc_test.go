@@ -167,7 +167,7 @@ func TestPrefetchLostToCrashIsResent(t *testing.T) {
 	l.s.Spawn("lose", func(p *sim.Proc) {
 		ep := l.d.TrCtl.Endpoint(c.NodeID())
 		for {
-			if _, _, ok := ep.TryRecv(p); !ok {
+			if _, _, ok := ep.TryRecv(); !ok {
 				break
 			}
 		}

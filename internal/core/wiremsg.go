@@ -150,10 +150,12 @@ func decodeLeaseReadReply(r *wire.Reader) *leaseReadReply {
 	return &leaseReadReply{token: r.U64(), ok: r.Bool(), val: r.Bytes()}
 }
 
-// ctlKind splits the kind byte off a control datagram.
-func ctlKind(b []byte) (uint8, *wire.Reader, error) {
+// ctlKind splits the kind byte off a control datagram. The reader is
+// returned by value, so a caller that decodes through &r keeps it on its
+// stack.
+func ctlKind(b []byte) (uint8, wire.Reader, error) {
 	if len(b) == 0 {
-		return 0, nil, fmt.Errorf("core: empty control datagram")
+		return 0, wire.Reader{}, fmt.Errorf("core: empty control datagram")
 	}
-	return b[0], wire.NewReader(b[1:]), nil
+	return b[0], *wire.NewReader(b[1:]), nil
 }

@@ -437,52 +437,52 @@ func (pr *Process) handle(p *sim.Proc, datagram []byte, from rdma.NodeID) {
 	}
 	switch kind {
 	case kindClient:
-		m := decodeClient(r)
+		m := decodeClient(&r)
 		if r.Err() == nil {
 			pr.onClient(p, m)
 		}
 	case kindRepProposal:
-		m := decodeRepProposal(r)
+		m := decodeRepProposal(&r)
 		if r.Err() == nil {
 			pr.onRepProposal(p, m)
 		}
 	case kindRepCommit:
-		m := decodeRepCommit(r)
+		m := decodeRepCommit(&r)
 		if r.Err() == nil {
 			pr.onRepCommit(p, m)
 		}
 	case kindAck:
-		m := decodeAck(r)
+		m := decodeAck(&r)
 		if r.Err() == nil {
 			pr.onAck(p, m, from)
 		}
 	case kindProposal:
-		m := decodeProposal(r)
+		m := decodeProposal(&r)
 		if r.Err() == nil {
 			pr.onProposal(p, m)
 		}
 	case kindCommitIdx, kindHeartbeat:
-		m := decodeCommitIdx(r)
+		m := decodeCommitIdx(&r)
 		if r.Err() == nil {
 			pr.onCommitIdx(p, m)
 		}
 	case kindViewReq:
-		m := decodeViewReq(r)
+		m := decodeViewReq(&r)
 		if r.Err() == nil {
 			pr.onViewReq(p, m, from)
 		}
 	case kindViewState:
-		m := decodeViewState(r)
+		m := decodeViewState(&r)
 		if r.Err() == nil {
 			pr.onViewState(p, m, from)
 		}
 	case kindResync:
-		m := decodeResync(r)
+		m := decodeResync(&r)
 		if r.Err() == nil {
 			pr.onResync(p, m)
 		}
 	case kindPropReq:
-		m := decodePropRequest(r)
+		m := decodePropRequest(&r)
 		if r.Err() == nil {
 			pr.onPropRequest(m, from)
 		}

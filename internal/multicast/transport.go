@@ -30,7 +30,9 @@ type Transport interface {
 
 // Endpoint is a node's receive side.
 type Endpoint interface {
-	// TryRecv returns a pending datagram without blocking.
+	// TryRecv returns a pending datagram without blocking. It takes the
+	// receiving process because msgnet charges its RecvCPU there; an RDMA
+	// ring is read with free local loads and ignores it.
 	TryRecv(p *sim.Proc) (payload []byte, from rdma.NodeID, ok bool)
 	// RecvTimeout blocks up to d for a datagram.
 	RecvTimeout(p *sim.Proc, d sim.Duration) (payload []byte, from rdma.NodeID, ok bool)
@@ -64,7 +66,7 @@ type rdmaEndpoint struct {
 	ep *rdma.Endpoint
 }
 
-func (e rdmaEndpoint) TryRecv(p *sim.Proc) ([]byte, rdma.NodeID, bool) { return e.ep.TryRecv(p) }
+func (e rdmaEndpoint) TryRecv(*sim.Proc) ([]byte, rdma.NodeID, bool) { return e.ep.TryRecv() }
 
 func (e rdmaEndpoint) RecvTimeout(p *sim.Proc, d sim.Duration) ([]byte, rdma.NodeID, bool) {
 	return e.ep.RecvTimeout(p, d)

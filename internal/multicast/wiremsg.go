@@ -349,10 +349,11 @@ func decodeDst(r *wire.Reader) []GroupID {
 	return dst
 }
 
-// decodeKind splits the kind byte off a datagram.
-func decodeKind(b []byte) (uint8, *wire.Reader, error) {
+// decodeKind splits the kind byte off a datagram. The reader is returned
+// by value, so a caller that decodes through &r keeps it on its stack.
+func decodeKind(b []byte) (uint8, wire.Reader, error) {
 	if len(b) == 0 {
-		return 0, nil, fmt.Errorf("multicast: empty datagram")
+		return 0, wire.Reader{}, fmt.Errorf("multicast: empty datagram")
 	}
-	return b[0], wire.NewReader(b[1:]), nil
+	return b[0], *wire.NewReader(b[1:]), nil
 }

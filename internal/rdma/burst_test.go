@@ -28,7 +28,7 @@ func burstPayloads(first, k, n int) [][]byte {
 // drain returns every record the ring holds right now.
 func drain(p *sim.Proc, mb *Mailbox) [][]byte {
 	var got [][]byte
-	for rec, ok := mb.TryRecv(p); ok; rec, ok = mb.TryRecv(p) {
+	for rec, ok := mb.TryRecv(); ok; rec, ok = mb.TryRecv() {
 		got = append(got, rec)
 	}
 	return got
@@ -68,7 +68,7 @@ func TestBurstIsOneDoorbell(t *testing.T) {
 			t.Errorf("%s: the burst woke the consumer's pollers %d times, want once", name, wakes-w0)
 		}
 		for i, pl := range want {
-			got, from, ok := tr.Endpoint(2).TryRecv(p)
+			got, from, ok := tr.Endpoint(2).TryRecv()
 			if !ok || from != 1 || !bytes.Equal(got, pl) {
 				t.Errorf("%s: datagram %d: %v from %d, %v; want %v", name, i, got, from, ok, pl)
 			}
@@ -314,7 +314,7 @@ func TestLossyLinkTearsABurst(t *testing.T) {
 		})
 		s.Spawn("consumer", func(p *sim.Proc) {
 			for idle := false; !idle; idle = !b.writeNotify.WaitTimeout(p, 100*sim.Microsecond) {
-				for rec, ok := mb.TryRecv(p); ok; rec, ok = mb.TryRecv(p) {
+				for rec, ok := mb.TryRecv(); ok; rec, ok = mb.TryRecv() {
 					if mb.head > mb.tailShadow() {
 						t.Errorf("seed %d: consumed to %d, past the published tail %d", seed, mb.head, mb.tailShadow())
 					}

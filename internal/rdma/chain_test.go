@@ -191,7 +191,7 @@ func TestChainDroppedWhole(t *testing.T) {
 					t.Error(err)
 				}
 				p.Sleep(10 * sim.Microsecond)
-				if rec, ok := mb.TryRecv(p); !ok || len(rec) != 36 {
+				if rec, ok := mb.TryRecv(); !ok || len(rec) != 36 {
 					t.Errorf("first record: %q, %v", rec, ok)
 				}
 				if err := w.Send(p, bytes.Repeat([]byte{'b'}, 36)); err != nil {
@@ -277,7 +277,7 @@ func TestLossyLinkTearsAChain(t *testing.T) {
 		})
 		s.Spawn("consumer", func(p *sim.Proc) {
 			for idle := false; !idle; idle = !b.writeNotify.WaitTimeout(p, 100*sim.Microsecond) {
-				for rec, ok := mb.TryRecv(p); ok; rec, ok = mb.TryRecv(p) {
+				for rec, ok := mb.TryRecv(); ok; rec, ok = mb.TryRecv() {
 					if len(rec) == 0 {
 						continue // zeroed ring bytes parse as empty records
 					}
@@ -447,7 +447,7 @@ func TestLinkResetZeroesHeadAndShadow(t *testing.T) {
 				t.Error(err)
 			}
 			p.Sleep(3 * sim.Microsecond)
-			if _, _, ok := tr.Endpoint(2).TryRecv(p); !ok {
+			if _, _, ok := tr.Endpoint(2).TryRecv(); !ok {
 				t.Errorf("datagram %d not delivered", i)
 			}
 		}
@@ -467,7 +467,7 @@ func TestLinkResetZeroesHeadAndShadow(t *testing.T) {
 			t.Error(err)
 		}
 		p.Sleep(3 * sim.Microsecond)
-		if pl, _, ok := tr.Endpoint(2).TryRecv(p); !ok || string(pl) != "after" {
+		if pl, _, ok := tr.Endpoint(2).TryRecv(); !ok || string(pl) != "after" {
 			t.Errorf("after the reset: %q, %v", pl, ok)
 		}
 	})

@@ -18,7 +18,7 @@ import (
 // refRecv is Endpoint.Recv as it was: woken by every broadcast.
 func refRecv(e *Endpoint, p *sim.Proc) ([]byte, NodeID, error) {
 	for {
-		if pl, from, ok := e.TryRecv(p); ok {
+		if pl, from, ok := e.TryRecv(); ok {
 			return pl, from, nil
 		}
 		if e.node.crashed {
@@ -32,7 +32,7 @@ func refRecv(e *Endpoint, p *sim.Proc) ([]byte, NodeID, error) {
 func refRecvTimeout(e *Endpoint, p *sim.Proc, d sim.Duration) ([]byte, NodeID, bool) {
 	deadline := p.Now() + sim.Time(d)
 	for {
-		if pl, f, got := e.TryRecv(p); got {
+		if pl, f, got := e.TryRecv(); got {
 			return pl, f, true
 		}
 		if e.node.crashed {
@@ -43,7 +43,7 @@ func refRecvTimeout(e *Endpoint, p *sim.Proc, d sim.Duration) ([]byte, NodeID, b
 			return nil, 0, false
 		}
 		if !e.node.writeNotify.WaitTimeout(p, remaining) {
-			if pl, f, got := e.TryRecv(p); got {
+			if pl, f, got := e.TryRecv(); got {
 				return pl, f, true
 			}
 			return nil, 0, false
@@ -54,7 +54,7 @@ func refRecvTimeout(e *Endpoint, p *sim.Proc, d sim.Duration) ([]byte, NodeID, b
 // refMailboxRecv is Mailbox.Recv as it was.
 func refMailboxRecv(m *Mailbox, p *sim.Proc) ([]byte, error) {
 	for {
-		if rec, ok := m.TryRecv(p); ok {
+		if rec, ok := m.TryRecv(); ok {
 			return rec, nil
 		}
 		if m.node.crashed {

@@ -248,7 +248,7 @@ func (w *MailboxWriter) waitCredit(p *sim.Proc, need int) error {
 // by jumping its head to the published tail, dropping the unparseable lap.
 // Lost records are protocol messages, which the retry and view-change
 // machinery already covers.
-func (m *Mailbox) TryRecv(p *sim.Proc) ([]byte, bool) {
+func (m *Mailbox) TryRecv() ([]byte, bool) {
 	for {
 		tail := m.tailShadow()
 		if tail == m.head {
@@ -283,7 +283,7 @@ func (m *Mailbox) TryRecv(p *sim.Proc) ([]byte, bool) {
 // Recv blocks until a record is available.
 func (m *Mailbox) Recv(p *sim.Proc) ([]byte, error) {
 	for {
-		if rec, ok := m.TryRecv(p); ok {
+		if rec, ok := m.TryRecv(); ok {
 			return rec, nil
 		}
 		if m.node.crashed {

@@ -184,7 +184,7 @@ func TestMailboxPending(t *testing.T) {
 		if !mb.Pending() {
 			t.Error("not pending after send")
 		}
-		if rec, ok := mb.TryRecv(p); !ok || string(rec) != "x" {
+		if rec, ok := mb.TryRecv(); !ok || string(rec) != "x" {
 			t.Errorf("TryRecv = %q, %v", rec, ok)
 		}
 		if mb.Pending() {

@@ -19,6 +19,11 @@ type QP struct {
 
 	// io holds lazily resolved per-QP instruments; nil while disabled.
 	io *qpObs
+
+	// free holds the post ops whose chains have landed (or were dropped),
+	// ready for the next post: a QP never holds more ops than it once had
+	// in flight at the same time.
+	free []*postOp
 }
 
 // qpObs bundles a QP's observability instruments: per-QP verb counts and
@@ -232,16 +237,68 @@ type WR struct {
 type landing struct {
 	reg  *Region
 	off  int
-	data []byte // the post's own copy: the caller may reuse its buffer
+	data []byte // into the op's own copy: the caller may reuse its buffer
 	sp   *obs.Span
 }
 
-// place lands the chain in target memory, in order, and wakes the target's
+// postOp is one posted chain on its way to target memory: its landings,
+// the payload copy they point into, and its landing event, bound once
+// when the op is made. A QP recycles its ops (QP.free), so a post in
+// steady state allocates nothing.
+type postOp struct {
+	q     *QP
+	chain []landing
+	buf   []byte
+	fire  func()
+}
+
+// takeOp returns a free op, making one only when every op is in flight.
+func (q *QP) takeOp() *postOp {
+	if n := len(q.free); n > 0 {
+		op := q.free[n-1]
+		q.free = q.free[:n-1]
+		return op
+	}
+	op := &postOp{q: q}
+	op.fire = op.land
+	return op
+}
+
+// putOp clears every landing — region, data and span — and returns the op
+// to the free list. The payload buffer keeps its capacity.
+func (q *QP) putOp(op *postOp) {
+	clear(op.chain[:cap(op.chain)])
+	op.chain, op.buf = op.chain[:0], op.buf[:0]
+	q.free = append(q.free, op)
+}
+
+// land is the op's landing event: it ends the WRs' spans, places the chain
+// — or counts it dropped, when a crash or partition raced the DMA — and
+// returns the op.
+func (op *postOp) land() {
+	q := op.q
+	for i := range op.chain {
+		op.chain[i].sp.End()
+	}
+	if q.pathDown() {
+		if q.io != nil {
+			// Crash or partition raced the DMA: no payload landed.
+			q.io.writeDropped.Add(uint64(len(op.chain)))
+		}
+	} else {
+		q.place(op.chain)
+	}
+	q.putOp(op)
+}
+
+// place lands the chain in target memory, in order, marks every ring whose
+// tail word it wrote in its endpoint's ready set, and wakes the target's
 // pollers once.
 func (q *QP) place(chain []landing) {
 	for i := range chain {
 		l := &chain[i]
 		copy(l.reg.mem()[l.off:], l.data)
+		l.reg.markTail(l.off)
 	}
 	q.remote.writeNotify.Broadcast()
 }
@@ -272,24 +329,28 @@ func (q *QP) PostWrites(p *sim.Proc, wrs ...WR) error {
 }
 
 // resolve validates a chain against the remote node's regions and copies
-// its payloads (into one buffer), admitting nothing yet.
-func (q *QP) resolve(wrs []WR) ([]landing, error) {
+// its payloads into the op's one buffer, admitting nothing yet. The buffer
+// grows only for a chain larger than any the op carried before.
+func (q *QP) resolve(op *postOp, wrs []WR) error {
 	total := 0
 	for i := range wrs {
 		total += len(wrs[i].Data)
 	}
-	chain := make([]landing, len(wrs))
-	buf := make([]byte, 0, total)
-	for i, wr := range wrs {
+	if cap(op.buf) < total {
+		op.buf = make([]byte, 0, total)
+	}
+	buf, chain := op.buf[:0], op.chain[:0]
+	for _, wr := range wrs {
 		reg, err := q.region(wr.Addr, len(wr.Data))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		n := len(buf)
-		buf = append(buf, wr.Data...)
-		chain[i] = landing{reg: reg, off: wr.Addr.Off, data: buf[n:]}
+		buf = append(buf, wr.Data...) // within capacity: earlier landings stay valid
+		chain = append(chain, landing{reg: reg, off: wr.Addr.Off, data: buf[n:]})
 	}
-	return chain, nil
+	op.buf, op.chain = buf, chain
+	return nil
 }
 
 // post rings one doorbell for a chain of WRITEs: each WR is admitted to
@@ -304,8 +365,9 @@ func (q *QP) resolve(wrs []WR) ([]landing, error) {
 // silent to the protocol, but counted so crashed-target traffic can be
 // diagnosed from a -metrics snapshot. A post that loses every WR returns 0.
 func (q *QP) post(wrs []WR, lossy bool) (sim.Time, error) {
-	chain, err := q.resolve(wrs)
-	if err != nil {
+	op := q.takeOp()
+	if err := q.resolve(op, wrs); err != nil {
+		q.putOp(op)
 		return 0, err
 	}
 	io := q.o()
@@ -314,8 +376,8 @@ func (q *QP) post(wrs []WR, lossy bool) (sim.Time, error) {
 		io.doorbellsTotal.Inc()
 	}
 	var done sim.Time
-	kept := chain[:0]
-	for _, l := range chain {
+	kept := op.chain[:0]
+	for _, l := range op.chain {
 		if lossy && (q.pathDown() || q.dropDrawn()) {
 			if io != nil {
 				io.writeOps.Inc()
@@ -333,22 +395,12 @@ func (q *QP) post(wrs []WR, lossy bool) (sim.Time, error) {
 		}
 		kept = append(kept, l)
 	}
+	op.chain = kept
 	if len(kept) == 0 {
+		q.putOp(op)
 		return 0, nil
 	}
-	q.sched.At(done, func() {
-		for i := range kept {
-			kept[i].sp.End()
-		}
-		if q.pathDown() {
-			if io != nil {
-				// Crash or partition raced the DMA: no payload landed.
-				io.writeDropped.Add(uint64(len(kept)))
-			}
-			return
-		}
-		q.place(kept)
-	})
+	q.sched.At(done, op.fire)
 	return done, nil
 }
 
@@ -389,6 +441,7 @@ func (q *QP) CompareAndSwap(p *sim.Proc, addr Addr, expect, swap uint64) (uint64
 		prev = binary.LittleEndian.Uint64(word)
 		if prev == expect {
 			binary.LittleEndian.PutUint64(word, swap)
+			reg.markTail(addr.Off)
 			q.remote.writeNotify.Broadcast()
 		} else if io != nil {
 			// The compare failed: another writer won the slot.

@@ -283,6 +283,18 @@ type Region struct {
 	size int
 	// buf is nil until the region is first touched; use mem().
 	buf []byte
+	// ep is the transport endpoint whose ring number ring this region
+	// carries (Transport.writer), nil for any other region.
+	ep   *Endpoint
+	ring int
+}
+
+// markTail marks the region's ring in its endpoint's ready set when a
+// remote write at off covers the ring's tail word (Endpoint.landed).
+func (r *Region) markTail(off int) {
+	if r.ep != nil && off < mailboxHead {
+		r.ep.mark(r.ring)
+	}
 }
 
 // mem returns the region's bytes, materializing them on first touch:

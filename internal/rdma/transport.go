@@ -3,6 +3,7 @@ package rdma
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"heron/internal/sim"
 )
@@ -44,6 +45,12 @@ type Endpoint struct {
 	boxes []*Mailbox
 	from  []NodeID
 	next  int // round-robin cursor for fairness across rings
+	// landed is the ready set, one bit per ring of boxes: a landing that
+	// writes a ring's tail word marks it (Region.markTail), and a scan that
+	// finds the ring with its tail on its head unmarks it. Invariant: an
+	// unmarked ring has tail == head, so TryRecv, Stirred and Pending look
+	// at marked rings only; an extra mark costs one look.
+	landed []uint64
 	// ready is Recv's wake filter, built once: see Endpoint.Recv.
 	ready func() bool
 }
@@ -87,6 +94,10 @@ func (t *Transport) writer(a, b NodeID) *MailboxWriter {
 	ep := t.Endpoint(b)
 	mb := NewMailbox(ep.node, t.ringCap)
 	w := mb.Connect(t.fabric, a)
+	mb.reg.ep, mb.reg.ring = ep, len(ep.boxes)
+	if len(ep.boxes)%64 == 0 {
+		ep.landed = append(ep.landed, 0)
+	}
 	ep.boxes = append(ep.boxes, mb)
 	ep.from = append(ep.from, a)
 	t.writers[key] = w
@@ -134,25 +145,48 @@ func (t *Transport) Send(p *sim.Proc, from, to NodeID, payloads ...[]byte) error
 	return t.writer(from, to).send(p, prefix[:], payloads)
 }
 
+// mark puts ring i in the ready set.
+func (e *Endpoint) mark(i int) { e.landed[i>>6] |= 1 << (i & 63) }
+
+// unmark takes ring i out of the ready set; its tail must be on its head.
+func (e *Endpoint) unmark(i int) { e.landed[i>>6] &^= 1 << (i & 63) }
+
+// marked returns the first marked ring in [i, end), or -1.
+func (e *Endpoint) marked(i, end int) int {
+	for w := i >> 6; i < end; w++ {
+		if b := e.landed[w] >> (i & 63); b != 0 {
+			if i += bits.TrailingZeros64(b); i < end {
+				return i
+			}
+			return -1
+		}
+		i = (w + 1) << 6
+	}
+	return -1
+}
+
 // TryRecv returns the next datagram across all rings, or ok=false.
-// Rings are drained round-robin so a chatty peer cannot starve others.
-// Records too short to carry the sender prefix are garbage from a
-// desynchronized ring (dropped writes under fault injection) and are
-// drained and discarded.
-func (e *Endpoint) TryRecv(p *sim.Proc) (payload []byte, from NodeID, ok bool) {
+// Rings are drained round-robin so a chatty peer cannot starve others;
+// only marked rings are looked at, in the same cyclic order from next,
+// because an unmarked one is empty. Records too short to carry the sender
+// prefix are garbage from a desynchronized ring (dropped writes under
+// fault injection) and are drained and discarded.
+func (e *Endpoint) TryRecv() (payload []byte, from NodeID, ok bool) {
 	n := len(e.boxes)
-	for i := 0; i < n; i++ {
-		idx := (e.next + i) % n
-		for {
-			rec, got := e.boxes[idx].TryRecv(p)
-			if !got {
-				break
+	for _, span := range [2][2]int{{e.next, n}, {0, e.next}} {
+		for idx := e.marked(span[0], span[1]); idx >= 0; idx = e.marked(idx+1, span[1]) {
+			for {
+				rec, got := e.boxes[idx].TryRecv()
+				if !got {
+					e.unmark(idx) // Mailbox.TryRecv leaves tail == head when it finds nothing
+					break
+				}
+				if len(rec) < 8 {
+					continue
+				}
+				e.next = (idx + 1) % n
+				return rec[8:], NodeID(binary.LittleEndian.Uint64(rec[:8])), true
 			}
-			if len(rec) < 8 {
-				continue
-			}
-			e.next = (idx + 1) % n
-			return rec[8:], NodeID(binary.LittleEndian.Uint64(rec[:8])), true
 		}
 	}
 	return nil, 0, false
@@ -168,7 +202,7 @@ func (e *Endpoint) TryRecv(p *sim.Proc) (payload []byte, from NodeID, ok bool) {
 // and every other wake is absorbed by the scheduler without a switch.
 func (e *Endpoint) Recv(p *sim.Proc) ([]byte, NodeID, error) {
 	for {
-		if pl, from, ok := e.TryRecv(p); ok {
+		if pl, from, ok := e.TryRecv(); ok {
 			return pl, from, nil
 		}
 		if e.node.crashed {
@@ -184,7 +218,7 @@ func (e *Endpoint) Recv(p *sim.Proc) ([]byte, NodeID, error) {
 func (e *Endpoint) RecvTimeout(p *sim.Proc, d sim.Duration) (payload []byte, from NodeID, ok bool) {
 	deadline := p.Now() + sim.Time(d)
 	for {
-		if pl, f, got := e.TryRecv(p); got {
+		if pl, f, got := e.TryRecv(); got {
 			return pl, f, true
 		}
 		if e.node.crashed {
@@ -196,7 +230,7 @@ func (e *Endpoint) RecvTimeout(p *sim.Proc, d sim.Duration) (payload []byte, fro
 		}
 		if !e.node.writeNotify.WaitForTimeout(p, remaining, e.ready) {
 			// Timed out; loop once more to drain anything that raced in.
-			if pl, f, got := e.TryRecv(p); got {
+			if pl, f, got := e.TryRecv(); got {
 				return pl, f, true
 			}
 			return nil, 0, false
@@ -206,8 +240,8 @@ func (e *Endpoint) RecvTimeout(p *sim.Proc, d sim.Duration) (payload []byte, fro
 
 // Pending reports whether any ring has a datagram ready.
 func (e *Endpoint) Pending() bool {
-	for _, mb := range e.boxes {
-		if mb.Pending() {
+	for idx := e.marked(0, len(e.boxes)); idx >= 0; idx = e.marked(idx+1, len(e.boxes)) {
+		if e.boxes[idx].Pending() {
 			return true
 		}
 	}
@@ -217,12 +251,15 @@ func (e *Endpoint) Pending() bool {
 // Stirred reports whether TryRecv would do anything at all — deliver a
 // datagram, skip a wrap marker, or resynchronize a ring (Mailbox.stirred).
 // While it is false TryRecv is a no-op, so a poller may use it as a wake
-// filter; Pending is the narrower "a datagram is ready".
+// filter; Pending is the narrower "a datagram is ready". It looks at the
+// marked rings only, unmarking those it finds still, so it returns what a
+// scan of every ring would.
 func (e *Endpoint) Stirred() bool {
-	for _, mb := range e.boxes {
-		if mb.stirred() {
+	for idx := e.marked(0, len(e.boxes)); idx >= 0; idx = e.marked(idx+1, len(e.boxes)) {
+		if e.boxes[idx].stirred() {
 			return true
 		}
+		e.unmark(idx)
 	}
 	return false
 }

@@ -246,7 +246,7 @@ func (m *Manager) InFlight() bool { return m.attempt != nil }
 //  7. release the fence with a commit verdict (or roll back on fence
 //     timeout with an abort verdict, leaving the current epoch in force).
 func (m *Manager) Execute(p *sim.Proc, ch Change) (*Result, error) {
-	m.drain(p)
+	m.drain()
 	if m.attempt != nil {
 		return nil, fmt.Errorf("reconfig: change already in flight")
 	}
@@ -772,9 +772,9 @@ func (m *Manager) qp(to rdma.NodeID) *rdma.QP {
 // drain empties the manager's control endpoint of fence replies from
 // earlier commands (the manager is the config command's client, so every
 // fenced replica responds to it).
-func (m *Manager) drain(p *sim.Proc) {
+func (m *Manager) drain() {
 	for {
-		if _, _, ok := m.ep.TryRecv(p); !ok {
+		if _, _, ok := m.ep.TryRecv(); !ok {
 			return
 		}
 	}
