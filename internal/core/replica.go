@@ -600,10 +600,19 @@ func (r *Replica) waitCoordination(p *sim.Proc, req *Request, phase uint64, cuto
 	}
 }
 
+// replyBuf sizes reply's stack buffer: a response's header is 22 bytes and
+// the applications' responses are a few dozen; a longer one spills to the
+// heap.
+const replyBuf = 256
+
 // reply sends the response to the submitting client. Every replica of
 // every involved partition responds; clients keep the first response per
 // partition.
 func (r *Replica) reply(p *sim.Proc, req *Request, resp []byte) {
-	msg := encodeResponse(&responseMsg{id: req.ID, part: r.part, payload: resp})
+	// The datagram is encoded on this call's stack, not into a replica-wide
+	// scratch: the executor, its workers and the control proc all reply,
+	// and Send may yield on the ring's lock before it copies the datagram.
+	var buf [replyBuf]byte
+	msg := encodeResponse(buf[:0], &responseMsg{id: req.ID, part: r.part, payload: resp})
 	_ = r.tr.Send(p, r.node.ID(), req.ID.Node, msg)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"heron/internal/multicast"
@@ -91,18 +92,23 @@ type responseMsg struct {
 	payload []byte
 }
 
-func encodeResponse(m *responseMsg) []byte {
-	w := wire.NewWriter(32 + len(m.payload))
-	w.U8(ctlResponse)
-	w.U64(uint64(m.id.Node))
-	w.U64(m.id.Seq)
-	w.U8(uint8(m.part))
-	w.Bytes(m.payload)
-	return w.Finish()
+// encodeResponse appends the response datagram to b, in wire's format. It
+// appends directly rather than through a wire.Writer: a store through the
+// Writer's pointer makes escape analysis move b to the heap, and reply
+// passes an array on its stack.
+func encodeResponse(b []byte, m *responseMsg) []byte {
+	b = append(b, ctlResponse)
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.id.Node))
+	b = binary.LittleEndian.AppendUint64(b, m.id.Seq)
+	b = append(b, uint8(m.part))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.payload)))
+	return append(b, m.payload...)
 }
 
-func decodeResponse(r *wire.Reader) *responseMsg {
-	return &responseMsg{
+// decodeResponse decodes by value; the payload is a copy, the one
+// allocation a client's receive makes.
+func decodeResponse(r *wire.Reader) responseMsg {
+	return responseMsg{
 		id:      multicast.MsgID{Node: rdma.NodeID(r.U64()), Seq: r.U64()},
 		part:    PartitionID(r.U8()),
 		payload: r.Bytes(),

@@ -5,33 +5,35 @@ import (
 	"testing"
 
 	"heron/internal/multicast"
-	"heron/internal/wire"
 )
 
 // TestDecodeResponseAllocatesNoReader: ctlKind hands its reader back by
-// value, so decoding a control response through it allocates exactly what
-// decoding the same bytes through a reader on the stack does — the message
-// and its payload copy, no reader.
+// value and the response decodes by value, so decoding one allocates once
+// — the payload copy the client keeps — and encoding one into a buffer
+// with room allocates nothing.
 func TestDecodeResponseAllocatesNoReader(t *testing.T) {
 	want := responseMsg{id: multicast.MsgID{Node: 7, Seq: 1000}, part: 2, payload: []byte("reply")}
-	b := encodeResponse(&want)
-	check := func(m *responseMsg, r *wire.Reader) {
-		if r.Err() != nil || m.id != want.id || m.part != want.part || !bytes.Equal(m.payload, want.payload) {
-			t.Fatalf("decoded %+v (err %v), want %+v", m, r.Err(), want)
-		}
-	}
-	split := testing.AllocsPerRun(100, func() {
+	b := encodeResponse(nil, &want)
+	decode := testing.AllocsPerRun(100, func() {
 		kind, r, err := ctlKind(b)
 		if err != nil || kind != ctlResponse {
 			t.Fatalf("kind %d, err %v", kind, err)
 		}
-		check(decodeResponse(&r), &r)
+		m := decodeResponse(&r)
+		if r.Err() != nil || m.id != want.id || m.part != want.part || !bytes.Equal(m.payload, want.payload) {
+			t.Fatalf("decoded %+v (err %v), want %+v", m, r.Err(), want)
+		}
 	})
-	direct := testing.AllocsPerRun(100, func() {
-		r := wire.NewReader(b[1:])
-		check(decodeResponse(r), r)
+	if decode != 1 {
+		t.Fatalf("decoding a response allocates %v times, want 1 (the payload)", decode)
+	}
+	var buf [replyBuf]byte
+	encode := testing.AllocsPerRun(100, func() {
+		if !bytes.Equal(encodeResponse(buf[:0], &want), b) {
+			t.Fatal("encoding into a buffer differs from encoding into nil")
+		}
 	})
-	if split != direct {
-		t.Fatalf("decoding a response through ctlKind allocates %v, through a stack reader %v", split, direct)
+	if encode != 0 {
+		t.Fatalf("encoding a response into a buffer with room allocates %v times, want 0", encode)
 	}
 }

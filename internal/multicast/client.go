@@ -15,6 +15,12 @@ type Client struct {
 	tr   Transport
 	node rdma.NodeID
 	seq  uint64
+	// rec is the one-element list every Send of a Multicast carries — a
+	// variadic argument built at an interface call would be a heap
+	// allocation of its own — and rec[0] the encoded message, in a buffer
+	// the client reuses. A client has one caller, which is blocked in
+	// Multicast while its Sends yield.
+	rec [1][]byte
 }
 
 // NewClient creates a multicast client hosted on the given node.
@@ -27,18 +33,14 @@ func (c *Client) NodeID() rdma.NodeID { return c.node }
 
 // Multicast submits payload to the destination groups and returns the
 // message id. The call returns once all writes are posted; ordering and
-// delivery proceed asynchronously.
+// delivery proceed asynchronously. Neither dst nor payload is kept.
 func (c *Client) Multicast(p *sim.Proc, dst []GroupID, payload []byte) MsgID {
 	c.seq++
 	id := MsgID{Node: c.node, Seq: c.seq}
-	dstCopy := make([]GroupID, len(dst))
-	copy(dstCopy, dst)
-	// One list for every send: a variadic argument built at an interface
-	// call is a heap allocation of its own.
-	rec := [][]byte{encodeClient(&clientMsg{id: id, dst: dstCopy, payload: payload})}
-	for _, g := range dstCopy {
+	c.rec[0] = encodeClient(c.rec[0][:0], &clientMsg{id: id, dst: dst, payload: payload})
+	for _, g := range dst {
 		for _, member := range c.cfg.Groups[g] {
-			_ = c.tr.Send(p, c.node, member, rec...)
+			_ = c.tr.Send(p, c.node, member, c.rec[:]...)
 		}
 	}
 	return id

@@ -34,7 +34,7 @@ func (pr *Process) propose(p *sim.Proc, m *clientMsg) {
 	}
 
 	pr.repSeq++
-	rec := encodeRepProposal(&repProposal{view: pr.view, repSeq: pr.repSeq, msg: *m, prop: prop})
+	rec := pr.rec(encodeRepProposal(pr.arena, &repProposal{view: pr.view, repSeq: pr.repSeq, msg: *m, prop: prop}))
 	pr.broadcastGroup(rec)
 	pr.addMilestone(p, pr.repSeq, func(p *sim.Proc) {
 		pend.propStable = true
@@ -47,7 +47,7 @@ func (pr *Process) propose(p *sim.Proc, m *clientMsg) {
 // of every other destination group (members, not just leaders, so the
 // proposal survives remote leader changes).
 func (pr *Process) sendProposals(p *sim.Proc, pend *pendingMsg) {
-	rec := encodeProposal(&proposalMsg{fromGroup: pr.group, id: pend.msg.id, prop: pend.ownProp})
+	rec := pr.rec(encodeProposal(pr.arena, &proposalMsg{fromGroup: pr.group, id: pend.msg.id, prop: pend.ownProp}))
 	for _, h := range pend.msg.dst {
 		if h == pr.group {
 			continue
@@ -84,7 +84,7 @@ func (pr *Process) retryProposals(p *sim.Proc, now sim.Time) {
 // requestMissingProps asks the members of every destination group whose
 // proposal for pend has not arrived to re-send it.
 func (pr *Process) requestMissingProps(pend *pendingMsg) {
-	rec := encodePropRequest(&propRequest{id: pend.msg.id})
+	rec := pr.rec(encodePropRequest(pr.arena, &propRequest{id: pend.msg.id}))
 	for _, h := range pend.msg.dst {
 		if h == pr.group {
 			continue
@@ -109,7 +109,7 @@ func (pr *Process) onPropRequest(m *propRequest, from rdma.NodeID) {
 	if pr.committed[m.id] {
 		for i := range pr.log {
 			if pr.log[i].id == m.id {
-				pr.send(from, encodeProposal(&proposalMsg{fromGroup: pr.group, id: m.id, prop: pr.log[i].ts}))
+				pr.send(from, pr.rec(encodeProposal(pr.arena, &proposalMsg{fromGroup: pr.group, id: m.id, prop: pr.log[i].ts})))
 				return
 			}
 		}
@@ -117,7 +117,7 @@ func (pr *Process) onPropRequest(m *propRequest, from rdma.NodeID) {
 		// dropPrefix retained. A memo miss (state restored after the
 		// truncation) stays unanswered; another member or retry covers it.
 		if ts, ok := pr.truncTs[m.id]; ok {
-			pr.send(from, encodeProposal(&proposalMsg{fromGroup: pr.group, id: m.id, prop: ts}))
+			pr.send(from, pr.rec(encodeProposal(pr.arena, &proposalMsg{fromGroup: pr.group, id: m.id, prop: ts})))
 		}
 		return
 	}
@@ -125,7 +125,7 @@ func (pr *Process) onPropRequest(m *propRequest, from rdma.NodeID) {
 		return
 	}
 	if pend := pr.pending[m.id]; pend != nil && pend.propStable && pend.ownProp != 0 {
-		pr.send(from, encodeProposal(&proposalMsg{fromGroup: pr.group, id: m.id, prop: pend.ownProp}))
+		pr.send(from, pr.rec(encodeProposal(pr.arena, &proposalMsg{fromGroup: pr.group, id: m.id, prop: pend.ownProp})))
 	}
 }
 
@@ -201,7 +201,7 @@ func (pr *Process) appendEntry(p *sim.Proc, pend *pendingMsg) {
 	delete(pr.remoteProps, pend.msg.id)
 
 	pr.repSeq++
-	rec := encodeRepCommit(&repCommit{
+	rec := pr.rec(encodeRepCommit(pr.arena, &repCommit{
 		view:    pr.view,
 		repSeq:  pr.repSeq,
 		gseq:    gseq,
@@ -210,7 +210,7 @@ func (pr *Process) appendEntry(p *sim.Proc, pend *pendingMsg) {
 		hasBody: len(pend.msg.dst) == 1, // multi-group bodies rode the proposal record
 		dst:     pend.msg.dst,
 		payload: pend.msg.payload,
-	})
+	}))
 	pr.broadcastGroup(rec)
 	pr.recordRepGseq(pr.repSeq, gseq+1)
 	pr.addMilestone(p, pr.repSeq, func(p *sim.Proc) {
@@ -230,7 +230,7 @@ func (pr *Process) announceCommit() {
 	if pr.followerSeesQuorum() {
 		return
 	}
-	pr.broadcastGroup(encodeCommitIdx(kindCommitIdx, &commitIdxMsg{view: pr.view, commitIdx: pr.commitIdx, truncate: pr.truncateTo}))
+	pr.broadcastGroup(pr.rec(encodeCommitIdx(pr.arena, kindCommitIdx, &commitIdxMsg{view: pr.view, commitIdx: pr.commitIdx, truncate: pr.truncateTo})))
 }
 
 // addMilestone registers fn to run once a quorum of followers has acked

@@ -154,7 +154,7 @@ func TestKilledProcessSendsNothing(t *testing.T) {
 	c.s.Spawn("client", func(p *sim.Proc) {
 		var recs [][]byte
 		for seq := uint64(1); seq <= 2; seq++ {
-			recs = append(recs, encodeClient(&clientMsg{id: MsgID{Node: client, Seq: seq}, dst: []GroupID{0}, payload: []byte("m")}))
+			recs = append(recs, encodeClient(nil, &clientMsg{id: MsgID{Node: client, Seq: seq}, dst: []GroupID{0}, payload: []byte("m")}))
 		}
 		if err := c.over.Send(p, client, leader.NodeID(), recs...); err != nil {
 			t.Error(err)

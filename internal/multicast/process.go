@@ -99,7 +99,7 @@ type Process struct {
 	pending     map[MsgID]*pendingMsg
 	remoteProps map[MsgID]map[GroupID]Timestamp
 	committed   map[MsgID]bool
-	unproposed  map[MsgID]*clientMsg
+	unproposed  map[MsgID]clientMsg
 
 	// Leader state. repSeq doubles as follower state: the highest
 	// replication record applied contiguously in the current view.
@@ -134,6 +134,13 @@ type Process struct {
 	outboxes []outbox
 	outboxOf map[rdma.NodeID]int
 	outOrder []int
+	// arena holds the bytes of every datagram queued since the last flush,
+	// end to end: encoders append to it and rec cuts the new datagram off
+	// its tail. A queued datagram is valid until the end of the flush that
+	// sends it, which copies it into the transport's post ops and then
+	// empties the arena, keeping its capacity. Only the event loop's proc
+	// queues and flushes.
+	arena []byte
 
 	lastDeliveredTs Timestamp
 
@@ -197,7 +204,7 @@ func NewProcess(tr Transport, cfg *Config, g GroupID, rank int) *Process {
 		pending:     make(map[MsgID]*pendingMsg),
 		remoteProps: make(map[MsgID]map[GroupID]Timestamp),
 		committed:   make(map[MsgID]bool),
-		unproposed:  make(map[MsgID]*clientMsg),
+		unproposed:  make(map[MsgID]clientMsg),
 		outboxOf:    make(map[rdma.NodeID]int),
 		ackedRep:    make([]uint64, len(cfg.Groups[g])),
 		lagSince:    make([]sim.Time, len(cfg.Groups[g])),
@@ -353,7 +360,7 @@ func (pr *Process) tick(p *sim.Proc) {
 			pr.maybeTruncate()
 		}
 		if now >= pr.nextHeartbeat {
-			pr.broadcastGroup(encodeCommitIdx(kindHeartbeat, &commitIdxMsg{view: pr.view, commitIdx: pr.commitIdx, truncate: pr.truncateTo}))
+			pr.broadcastGroup(pr.rec(encodeCommitIdx(pr.arena, kindHeartbeat, &commitIdxMsg{view: pr.view, commitIdx: pr.commitIdx, truncate: pr.truncateTo})))
 			pr.nextHeartbeat = now + sim.Time(pr.cfg.HeartbeatInterval)
 		}
 		pr.retryProposals(p, now)
@@ -384,11 +391,21 @@ func (pr *Process) flushAck() {
 	if leader == pr.id {
 		return
 	}
-	pr.send(leader, encodeAck(&ackMsg{view: pr.view, repSeq: pr.repSeq}))
+	pr.send(leader, pr.rec(encodeAck(pr.arena, &ackMsg{view: pr.view, repSeq: pr.repSeq})))
+}
+
+// rec adopts b, the send arena with one datagram appended by an encoder,
+// and returns that datagram. The encoder may have moved the arena to a
+// larger array; the datagrams queued before stay where they were.
+func (pr *Process) rec(b []byte) []byte {
+	n := len(pr.arena)
+	pr.arena = b
+	return b[n:len(b):len(b)]
 }
 
 // send queues one datagram on its destination's outbox; the event loop's
-// next flush transmits it. The payload must not be modified afterwards.
+// next flush transmits it. The payload must not be modified until that
+// flush ends.
 func (pr *Process) send(to rdma.NodeID, payload []byte) {
 	i, ok := pr.outboxOf[to]
 	if !ok {
@@ -426,9 +443,12 @@ func (pr *Process) flushOutboxes(p *sim.Proc) {
 		ob.msgs = ob.msgs[:0]
 	}
 	pr.outOrder = pr.outOrder[:0]
+	pr.arena = pr.arena[:0] // every queued datagram has been copied out
 }
 
-// handle dispatches one protocol datagram.
+// handle dispatches one protocol datagram. The datagram is valid only
+// until the loop's next receive: the decoders copy whatever the protocol
+// keeps of it.
 func (pr *Process) handle(p *sim.Proc, datagram []byte, from rdma.NodeID) {
 	pr.statHandled++
 	kind, r, err := decodeKind(datagram)
@@ -439,32 +459,32 @@ func (pr *Process) handle(p *sim.Proc, datagram []byte, from rdma.NodeID) {
 	case kindClient:
 		m := decodeClient(&r)
 		if r.Err() == nil {
-			pr.onClient(p, m)
+			pr.onClient(p, &m)
 		}
 	case kindRepProposal:
 		m := decodeRepProposal(&r)
 		if r.Err() == nil {
-			pr.onRepProposal(p, m)
+			pr.onRepProposal(p, &m)
 		}
 	case kindRepCommit:
 		m := decodeRepCommit(&r)
 		if r.Err() == nil {
-			pr.onRepCommit(p, m)
+			pr.onRepCommit(p, &m)
 		}
 	case kindAck:
 		m := decodeAck(&r)
 		if r.Err() == nil {
-			pr.onAck(p, m, from)
+			pr.onAck(p, &m, from)
 		}
 	case kindProposal:
 		m := decodeProposal(&r)
 		if r.Err() == nil {
-			pr.onProposal(p, m)
+			pr.onProposal(p, &m)
 		}
 	case kindCommitIdx, kindHeartbeat:
 		m := decodeCommitIdx(&r)
 		if r.Err() == nil {
-			pr.onCommitIdx(p, m)
+			pr.onCommitIdx(p, &m)
 		}
 	case kindViewReq:
 		m := decodeViewReq(&r)
@@ -484,7 +504,7 @@ func (pr *Process) handle(p *sim.Proc, datagram []byte, from rdma.NodeID) {
 	case kindPropReq:
 		m := decodePropRequest(&r)
 		if r.Err() == nil {
-			pr.onPropRequest(m, from)
+			pr.onPropRequest(&m, from)
 		}
 	}
 }
@@ -505,7 +525,7 @@ func (pr *Process) onClient(p *sim.Proc, m *clientMsg) {
 		return
 	}
 	if _, ok := pr.unproposed[m.id]; !ok {
-		pr.unproposed[m.id] = m
+		pr.unproposed[m.id] = *m
 	}
 }
 

@@ -98,7 +98,7 @@ func (pr *Process) PrepareReshape(states []*RecoveryState, newView uint64) {
 		// union pendings freshest-first (exactly as adopt/Restore do) so a
 		// message buffered only on a removed member is not lost.
 		pr.pending = make(map[MsgID]*pendingMsg)
-		pr.unproposed = make(map[MsgID]*clientMsg)
+		pr.unproposed = make(map[MsgID]clientMsg)
 		for _, st := range sorted {
 			if st.commitIdx > pr.commitIdx {
 				pr.commitIdx = st.commitIdx
@@ -113,8 +113,7 @@ func (pr *Process) PrepareReshape(states []*RecoveryState, newView uint64) {
 				}
 				if ps.ownProp == 0 {
 					if _, queued := pr.unproposed[ps.msg.id]; !queued {
-						m := ps.msg
-						pr.unproposed[m.id] = &m
+						pr.unproposed[ps.msg.id] = ps.msg
 					}
 					continue
 				}
@@ -184,7 +183,7 @@ func (pr *Process) rereplicate(p *sim.Proc) {
 	for i := range pr.log {
 		e := &pr.log[i]
 		pr.repSeq++
-		rec := encodeRepCommit(&repCommit{
+		rec := pr.rec(encodeRepCommit(pr.arena, &repCommit{
 			view:    pr.view,
 			repSeq:  pr.repSeq,
 			gseq:    pr.logBase + uint64(i),
@@ -193,7 +192,7 @@ func (pr *Process) rereplicate(p *sim.Proc) {
 			hasBody: true,
 			dst:     e.dst,
 			payload: e.payload,
-		})
+		}))
 		pr.broadcastGroup(rec)
 		pr.recordRepGseq(pr.repSeq, pr.logBase+uint64(i)+1)
 	}
@@ -220,7 +219,7 @@ func (pr *Process) rereplicate(p *sim.Proc) {
 	for _, pend := range pendings {
 		pend.propStable = false
 		pr.repSeq++
-		rec := encodeRepProposal(&repProposal{view: pr.view, repSeq: pr.repSeq, msg: pend.msg, prop: pend.ownProp})
+		rec := pr.rec(encodeRepProposal(pr.arena, &repProposal{view: pr.view, repSeq: pr.repSeq, msg: pend.msg, prop: pend.ownProp}))
 		pr.broadcastGroup(rec)
 		pend := pend
 		pr.addMilestone(p, pr.repSeq, func(p *sim.Proc) {
@@ -238,8 +237,8 @@ func (pr *Process) rereplicate(p *sim.Proc) {
 	}
 	sort.Slice(ids, func(i, j int) bool { return lessMsgID(ids[i], ids[j]) })
 	for _, id := range ids {
-		if m := pr.unproposed[id]; m != nil && !pr.committed[id] && pr.pending[id] == nil {
-			pr.propose(p, m)
+		if m, ok := pr.unproposed[id]; ok && !pr.committed[id] && pr.pending[id] == nil {
+			pr.propose(p, &m)
 		}
 	}
 }

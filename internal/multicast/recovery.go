@@ -86,7 +86,7 @@ func (pr *Process) Restore(states []*RecoveryState) {
 		pr.committed[pr.log[i].id] = true
 	}
 	pr.pending = make(map[MsgID]*pendingMsg)
-	pr.unproposed = make(map[MsgID]*clientMsg)
+	pr.unproposed = make(map[MsgID]clientMsg)
 	for _, st := range sorted {
 		if st.view > pr.votedView {
 			pr.view = st.view
@@ -106,8 +106,7 @@ func (pr *Process) Restore(states []*RecoveryState) {
 			}
 			if ps.ownProp == 0 {
 				if _, queued := pr.unproposed[ps.msg.id]; !queued {
-					m := ps.msg
-					pr.unproposed[m.id] = &m
+					pr.unproposed[ps.msg.id] = ps.msg
 				}
 				continue
 			}

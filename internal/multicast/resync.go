@@ -50,7 +50,7 @@ func (pr *Process) checkResyncs(now sim.Time) {
 		if now-pr.lagSince[rank] < sim.Time(pr.resyncInterval()) {
 			continue
 		}
-		pr.send(pr.members()[rank], encodeResync(&resyncMsg{repSeq: pr.repSeq, st: pr.snapshotState()}))
+		pr.send(pr.members()[rank], pr.rec(encodeResync(pr.arena, &resyncMsg{repSeq: pr.repSeq, st: pr.snapshotState()})))
 		pr.lagSince[rank] = now // wait a full interval before retrying
 	}
 }
@@ -112,8 +112,7 @@ func (pr *Process) onResync(p *sim.Proc, m *resyncMsg) {
 			// A client message the leader has buffered but not proposed
 			// yet; remember it in case we become leader.
 			if _, ok := pr.unproposed[ps.msg.id]; !ok {
-				msg := ps.msg
-				pr.unproposed[msg.id] = &msg
+				pr.unproposed[ps.msg.id] = ps.msg
 			}
 			continue
 		}

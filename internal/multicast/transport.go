@@ -28,7 +28,9 @@ type Transport interface {
 	Crash(id rdma.NodeID)
 }
 
-// Endpoint is a node's receive side.
+// Endpoint is a node's receive side. A received payload is valid until
+// the next receive on the endpoint (rdma.Endpoint.TryRecv); a receiver
+// that keeps any of it copies it.
 type Endpoint interface {
 	// TryRecv returns a pending datagram without blocking. It takes the
 	// receiving process because msgnet charges its RecvCPU there; an RDMA

@@ -38,7 +38,7 @@ func (pr *Process) startCandidacy(p *sim.Proc, v uint64) {
 	pr.votedView = v
 	pr.vcStates = map[int]*viewState{pr.rank: pr.snapshotState()}
 	pr.vcDeadline = p.Now() + sim.Time(pr.cfg.LeaderTimeout)
-	pr.broadcastGroup(encodeViewReq(&viewReq{view: v}))
+	pr.broadcastGroup(pr.rec(encodeViewReq(pr.arena, &viewReq{view: v})))
 	pr.maybeAdopt(p) // n=1 groups win immediately
 }
 
@@ -63,7 +63,7 @@ func (pr *Process) snapshotState() *viewState {
 	// no proposal, so a new leader learns about them even if the client's
 	// write to it was lost.
 	for _, m := range pr.unproposed {
-		st.pending = append(st.pending, pendingState{msg: *m})
+		st.pending = append(st.pending, pendingState{msg: m})
 	}
 	// Sort by message ID: both source loops range over maps, and the slice
 	// order decides the union order in adopt (and hence re-proposal
@@ -87,7 +87,7 @@ func (pr *Process) onViewReq(p *sim.Proc, m *viewReq, from rdma.NodeID) {
 		// Give the candidate room before suspecting this view too.
 		pr.leaderDeadline = p.Now() + 2*sim.Time(pr.cfg.LeaderTimeout)
 	}
-	pr.send(from, encodeViewState(pr.snapshotState()))
+	pr.send(from, pr.rec(encodeViewState(pr.arena, pr.snapshotState())))
 }
 
 // onViewState collects a member's state during candidacy.
@@ -160,8 +160,7 @@ func (pr *Process) adopt(p *sim.Proc) {
 				// Unordered client message carried by a member; propose it
 				// fresh once we are leader.
 				if _, queued := pr.unproposed[ps.msg.id]; !queued {
-					m := ps.msg
-					pr.unproposed[m.id] = &m
+					pr.unproposed[ps.msg.id] = ps.msg
 				}
 				continue
 			}

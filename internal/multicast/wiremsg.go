@@ -22,6 +22,13 @@ const (
 	kindPropReq     = 11 // leader -> members of another destination group: re-request a lost proposal
 )
 
+// Every encodeX appends one datagram to b and returns the extended slice,
+// so a sender with a reused buffer (Process's send arena, Client's
+// record) allocates only when that buffer grows. The frequent kinds decode
+// by value; what a decoded message keeps of the datagram (payloads,
+// destination lists) is copied, so the datagram need not outlive the
+// decode.
+
 // clientMsg is the client submission.
 type clientMsg struct {
 	id      MsgID
@@ -29,17 +36,17 @@ type clientMsg struct {
 	payload []byte
 }
 
-func encodeClient(m *clientMsg) []byte {
-	w := wire.NewWriter(24 + len(m.dst) + len(m.payload))
+func encodeClient(b []byte, m *clientMsg) []byte {
+	w := wire.AppendTo(b)
 	w.U8(kindClient)
-	encodeMsgID(w, m.id)
-	encodeDst(w, m.dst)
+	encodeMsgID(&w, m.id)
+	encodeDst(&w, m.dst)
 	w.Bytes(m.payload)
 	return w.Finish()
 }
 
-func decodeClient(r *wire.Reader) *clientMsg {
-	return &clientMsg{id: decodeMsgID(r), dst: decodeDst(r), payload: r.Bytes()}
+func decodeClient(r *wire.Reader) clientMsg {
+	return clientMsg{id: decodeMsgID(r), dst: decodeDst(r), payload: r.Bytes()}
 }
 
 // repProposal replicates a message body plus the leader's proposal.
@@ -50,20 +57,20 @@ type repProposal struct {
 	prop   Timestamp
 }
 
-func encodeRepProposal(m *repProposal) []byte {
-	w := wire.NewWriter(48 + len(m.msg.payload))
+func encodeRepProposal(b []byte, m *repProposal) []byte {
+	w := wire.AppendTo(b)
 	w.U8(kindRepProposal)
 	w.U64(m.view)
 	w.U64(m.repSeq)
-	encodeMsgID(w, m.msg.id)
-	encodeDst(w, m.msg.dst)
+	encodeMsgID(&w, m.msg.id)
+	encodeDst(&w, m.msg.dst)
 	w.Bytes(m.msg.payload)
 	w.U64(uint64(m.prop))
 	return w.Finish()
 }
 
-func decodeRepProposal(r *wire.Reader) *repProposal {
-	return &repProposal{
+func decodeRepProposal(r *wire.Reader) repProposal {
+	return repProposal{
 		view:   r.U64(),
 		repSeq: r.U64(),
 		msg:    clientMsg{id: decodeMsgID(r), dst: decodeDst(r), payload: r.Bytes()},
@@ -85,24 +92,24 @@ type repCommit struct {
 	payload []byte
 }
 
-func encodeRepCommit(m *repCommit) []byte {
-	w := wire.NewWriter(64 + len(m.payload))
+func encodeRepCommit(b []byte, m *repCommit) []byte {
+	w := wire.AppendTo(b)
 	w.U8(kindRepCommit)
 	w.U64(m.view)
 	w.U64(m.repSeq)
 	w.U64(m.gseq)
-	encodeMsgID(w, m.id)
+	encodeMsgID(&w, m.id)
 	w.U64(uint64(m.ts))
 	w.Bool(m.hasBody)
 	if m.hasBody {
-		encodeDst(w, m.dst)
+		encodeDst(&w, m.dst)
 		w.Bytes(m.payload)
 	}
 	return w.Finish()
 }
 
-func decodeRepCommit(r *wire.Reader) *repCommit {
-	m := &repCommit{
+func decodeRepCommit(r *wire.Reader) repCommit {
+	m := repCommit{
 		view:   r.U64(),
 		repSeq: r.U64(),
 		gseq:   r.U64(),
@@ -123,16 +130,16 @@ type ackMsg struct {
 	repSeq uint64
 }
 
-func encodeAck(m *ackMsg) []byte {
-	w := wire.NewWriter(20)
+func encodeAck(b []byte, m *ackMsg) []byte {
+	w := wire.AppendTo(b)
 	w.U8(kindAck)
 	w.U64(m.view)
 	w.U64(m.repSeq)
 	return w.Finish()
 }
 
-func decodeAck(r *wire.Reader) *ackMsg {
-	return &ackMsg{view: r.U64(), repSeq: r.U64()}
+func decodeAck(r *wire.Reader) ackMsg {
+	return ackMsg{view: r.U64(), repSeq: r.U64()}
 }
 
 // proposalMsg carries one group's proposal to another group's members.
@@ -142,17 +149,17 @@ type proposalMsg struct {
 	prop      Timestamp
 }
 
-func encodeProposal(m *proposalMsg) []byte {
-	w := wire.NewWriter(30)
+func encodeProposal(b []byte, m *proposalMsg) []byte {
+	w := wire.AppendTo(b)
 	w.U8(kindProposal)
 	w.U8(uint8(m.fromGroup))
-	encodeMsgID(w, m.id)
+	encodeMsgID(&w, m.id)
 	w.U64(uint64(m.prop))
 	return w.Finish()
 }
 
-func decodeProposal(r *wire.Reader) *proposalMsg {
-	return &proposalMsg{
+func decodeProposal(r *wire.Reader) proposalMsg {
+	return proposalMsg{
 		fromGroup: GroupID(r.U8()),
 		id:        decodeMsgID(r),
 		prop:      Timestamp(r.U64()),
@@ -167,8 +174,8 @@ type commitIdxMsg struct {
 	truncate uint64
 }
 
-func encodeCommitIdx(kind uint8, m *commitIdxMsg) []byte {
-	w := wire.NewWriter(28)
+func encodeCommitIdx(b []byte, kind uint8, m *commitIdxMsg) []byte {
+	w := wire.AppendTo(b)
 	w.U8(kind)
 	w.U64(m.view)
 	w.U64(m.commitIdx)
@@ -176,8 +183,8 @@ func encodeCommitIdx(kind uint8, m *commitIdxMsg) []byte {
 	return w.Finish()
 }
 
-func decodeCommitIdx(r *wire.Reader) *commitIdxMsg {
-	return &commitIdxMsg{view: r.U64(), commitIdx: r.U64(), truncate: r.U64()}
+func decodeCommitIdx(r *wire.Reader) commitIdxMsg {
+	return commitIdxMsg{view: r.U64(), commitIdx: r.U64(), truncate: r.U64()}
 }
 
 // viewReq asks a member to join view `view` and report its state.
@@ -185,8 +192,8 @@ type viewReq struct {
 	view uint64
 }
 
-func encodeViewReq(m *viewReq) []byte {
-	w := wire.NewWriter(12)
+func encodeViewReq(b []byte, m *viewReq) []byte {
+	w := wire.AppendTo(b)
 	w.U8(kindViewReq)
 	w.U64(m.view)
 	return w.Finish()
@@ -214,10 +221,10 @@ type pendingState struct {
 	props   map[GroupID]Timestamp
 }
 
-func encodeViewState(m *viewState) []byte {
-	w := wire.NewWriter(256)
+func encodeViewState(b []byte, m *viewState) []byte {
+	w := wire.AppendTo(b)
 	w.U8(kindViewState)
-	encodeViewStateBody(w, m)
+	encodeViewStateBody(&w, m)
 	return w.Finish()
 }
 
@@ -292,11 +299,11 @@ type resyncMsg struct {
 	st     *viewState
 }
 
-func encodeResync(m *resyncMsg) []byte {
-	w := wire.NewWriter(264)
+func encodeResync(b []byte, m *resyncMsg) []byte {
+	w := wire.AppendTo(b)
 	w.U8(kindResync)
 	w.U64(m.repSeq)
-	encodeViewStateBody(w, m.st)
+	encodeViewStateBody(&w, m.st)
 	return w.Finish()
 }
 
@@ -313,15 +320,15 @@ type propRequest struct {
 	id MsgID
 }
 
-func encodePropRequest(m *propRequest) []byte {
-	w := wire.NewWriter(20)
+func encodePropRequest(b []byte, m *propRequest) []byte {
+	w := wire.AppendTo(b)
 	w.U8(kindPropReq)
-	encodeMsgID(w, m.id)
+	encodeMsgID(&w, m.id)
 	return w.Finish()
 }
 
-func decodePropRequest(r *wire.Reader) *propRequest {
-	return &propRequest{id: decodeMsgID(r)}
+func decodePropRequest(r *wire.Reader) propRequest {
+	return propRequest{id: decodeMsgID(r)}
 }
 
 func encodeMsgID(w *wire.Writer, id MsgID) {

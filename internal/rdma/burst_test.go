@@ -25,11 +25,11 @@ func burstPayloads(first, k, n int) [][]byte {
 	return out
 }
 
-// drain returns every record the ring holds right now.
+// drain returns copies of every record the ring holds right now.
 func drain(p *sim.Proc, mb *Mailbox) [][]byte {
 	var got [][]byte
 	for rec, ok := mb.TryRecv(); ok; rec, ok = mb.TryRecv() {
-		got = append(got, rec)
+		got = append(got, bytes.Clone(rec)) // valid until the next receive
 	}
 	return got
 }

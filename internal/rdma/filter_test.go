@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -279,7 +280,7 @@ func TestMailboxScratchReuse(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got = append(got, rec)
+			got = append(got, bytes.Clone(rec)) // valid until the next receive
 		}
 		// The padding after the short record "b" (bytes 5..8 of its span)
 		// must be zero, not the tail of the long record framed before it.

@@ -35,6 +35,10 @@ type Mailbox struct {
 	head uint64 // absolute bytes consumed; moved only by advance
 	// ready is Recv's wake filter, built once.
 	ready func() bool
+	// rec is what TryRecv returns: the last record received, copied out of
+	// the ring into this one reused buffer, which grows to the largest
+	// record seen.
+	rec []byte
 }
 
 // MailboxWriter is the producer half of a Mailbox. The ring is single
@@ -238,7 +242,10 @@ func (w *MailboxWriter) waitCredit(p *sim.Proc, need int) error {
 }
 
 // TryRecv returns the next record without blocking, or ok=false when the
-// ring is empty. The returned slice is a copy.
+// ring is empty. The record stays valid until the next receive on this
+// mailbox: it is copied out of the ring (the head is published here, so
+// the producer may overwrite the ring bytes at once) into a buffer the
+// mailbox reuses. A caller that keeps any of it copies it.
 //
 // Under fault injection the ring can desynchronize: writes from the
 // producer are dropped while its tail bookkeeping advances (crashed or
@@ -273,14 +280,14 @@ func (m *Mailbox) TryRecv() ([]byte, bool) {
 			m.advance(tail)
 			return nil, false
 		}
-		payload := make([]byte, length)
-		copy(payload, m.reg.mem()[mailboxHdr+off+4:mailboxHdr+off+4+int(length)])
+		m.rec = append(m.rec[:0], m.reg.mem()[mailboxHdr+off+4:mailboxHdr+off+4+int(length)]...)
 		m.advance(m.head + uint64(span))
-		return payload, true
+		return m.rec, true
 	}
 }
 
-// Recv blocks until a record is available.
+// Recv blocks until a record is available. The record stays valid until
+// the next receive on this mailbox, as with TryRecv.
 func (m *Mailbox) Recv(p *sim.Proc) ([]byte, error) {
 	for {
 		if rec, ok := m.TryRecv(); ok {

@@ -24,7 +24,7 @@ func TestMailboxSendRecv(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got = append(got, rec)
+			got = append(got, bytes.Clone(rec)) // valid until the next receive
 		}
 	})
 	s.Spawn("producer", func(p *sim.Proc) {
@@ -64,7 +64,7 @@ func TestMailboxWrapAround(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got = append(got, rec)
+			got = append(got, bytes.Clone(rec))
 		}
 	})
 	s.Spawn("producer", func(p *sim.Proc) {
@@ -196,6 +196,38 @@ func TestMailboxPending(t *testing.T) {
 	}
 }
 
+// TestMailboxRecvReusesItsBuffer: a record is valid until the next receive
+// on its ring, which copies the next record into the same bytes — the
+// consumer's copy out of the ring allocates only to grow.
+func TestMailboxRecvReusesItsBuffer(t *testing.T) {
+	s, f, _, b := testFabric(t)
+	defer s.Close()
+	mb := NewMailbox(b, 256)
+	w := mb.Connect(f, 1)
+	s.Spawn("producer", func(p *sim.Proc) {
+		if err := w.Send(p, []byte("first record"), []byte("second")); err != nil {
+			t.Error(err)
+		}
+		p.Sleep(10 * sim.Microsecond)
+		first, ok := mb.TryRecv()
+		if !ok || string(first) != "first record" {
+			t.Errorf("first receive: %q, %v", first, ok)
+			return
+		}
+		second, ok := mb.TryRecv()
+		if !ok || string(second) != "second" {
+			t.Errorf("second receive: %q, %v", second, ok)
+			return
+		}
+		if &first[0] != &second[0] {
+			t.Error("the second receive did not reuse the first receive's bytes")
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMailboxPropertyRoundTrip drives random payload sequences through a
 // small ring and checks exact FIFO delivery (property-based).
 func TestMailboxPropertyRoundTrip(t *testing.T) {
@@ -284,7 +316,7 @@ func TestMailboxConcurrentSenders(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got = append(got, rec)
+			got = append(got, bytes.Clone(rec))
 			p.Sleep(3 * sim.Microsecond)
 		}
 	})

@@ -171,6 +171,11 @@ func (e *Endpoint) marked(i, end int) int {
 // because an unmarked one is empty. Records too short to carry the sender
 // prefix are garbage from a desynchronized ring (dropped writes under
 // fault injection) and are drained and discarded.
+//
+// The returned datagram stays valid until the next receive on this
+// endpoint (TryRecv, Recv or RecvTimeout): it lives in its ring's reused
+// receive buffer (Mailbox.TryRecv). A caller that keeps any of it copies
+// it.
 func (e *Endpoint) TryRecv() (payload []byte, from NodeID, ok bool) {
 	n := len(e.boxes)
 	for _, span := range [2][2]int{{e.next, n}, {0, e.next}} {
@@ -192,7 +197,8 @@ func (e *Endpoint) TryRecv() (payload []byte, from NodeID, ok bool) {
 	return nil, 0, false
 }
 
-// Recv blocks until a datagram arrives on any ring.
+// Recv blocks until a datagram arrives on any ring. The datagram stays
+// valid until the next receive on this endpoint, as with TryRecv.
 //
 // The node's write-notify condition is broadcast by every WRITE that
 // lands anywhere in the node's memory, most of which are not ring tails.
@@ -214,7 +220,9 @@ func (e *Endpoint) Recv(p *sim.Proc) ([]byte, NodeID, error) {
 
 // RecvTimeout is like Recv but gives up after d, returning ok=false. Rings
 // created after the wait began are still observed, because all remote
-// writes into the node broadcast the same notification condition.
+// writes into the node broadcast the same notification condition. The
+// datagram stays valid until the next receive on this endpoint, as with
+// TryRecv.
 func (e *Endpoint) RecvTimeout(p *sim.Proc, d sim.Duration) (payload []byte, from NodeID, ok bool) {
 	deadline := p.Now() + sim.Time(d)
 	for {

@@ -23,6 +23,13 @@ type Writer struct {
 // NewWriter returns a writer with capacity hint n.
 func NewWriter(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 
+// AppendTo returns a writer, by value, that appends to b; Finish returns b
+// with the message appended. A reused buffer with room to spare (a send
+// arena) then takes a message without allocating. Escape analysis moves
+// b to the heap — the methods store through the Writer's pointer — so a
+// stack array gains nothing here.
+func AppendTo(b []byte) Writer { return Writer{buf: b} }
+
 // Finish returns the encoded bytes.
 func (w *Writer) Finish() []byte { return w.buf }
 
