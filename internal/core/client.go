@@ -96,7 +96,8 @@ func (c *Client) Submit(p *sim.Proc, dst []PartitionID, payload []byte) (map[Par
 func (c *Client) LeaseRead(p *sim.Proc, holder rdma.NodeID, oid uint64, d sim.Duration) ([]byte, bool) {
 	c.leaseToken++
 	token := c.leaseToken
-	if err := c.tr.Send(p, c.node.ID(), holder, encodeLeaseRead(&leaseReadMsg{token: token, oid: oid})); err != nil {
+	var buf [1 + 8 + 8]byte // kind, token, oid
+	if err := c.tr.Send(p, c.node.ID(), holder, encodeLeaseRead(buf[:0], leaseReadMsg{token: token, oid: oid})); err != nil {
 		return nil, false
 	}
 	deadline := p.Now() + sim.Time(d)

@@ -5,6 +5,7 @@ import (
 
 	"heron/internal/rdma"
 	"heron/internal/sim"
+	"heron/internal/wire"
 )
 
 // ctlHandlerCPU is the CPU charged per control message (address query
@@ -125,34 +126,38 @@ func (r *Replica) handleControl(p *sim.Proc, datagram []byte, from rdma.NodeID) 
 	}
 	switch kind {
 	case ctlAddrQuery:
-		q := decodeAddrQuery(&rd)
-		if rd.Err() != nil {
-			return
+		n := int(rd.U16())
+		if rd.Err() != nil || rd.Remaining() < 8*n {
+			return // truncated: drop it whole, answering nothing
 		}
-		reply := &addrReply{entries: make([]addrEntry, 0, len(q.oids))}
-		for _, oid := range q.oids {
-			e := addrEntry{oid: oid}
-			if addr, slotLen, ok := r.st.Addr(storeOID(oid)); ok {
+		w := wire.AppendTo(r.ctlReply[:0])
+		w.U8(ctlAddrReply)
+		w.U16(uint16(n))
+		for i := 0; i < n; i++ {
+			e := addrEntry{oid: rd.U64()}
+			if addr, slotLen, ok := r.st.Addr(storeOID(e.oid)); ok {
 				e.found = true
 				e.key = uint32(addr.Key)
 				e.off = uint64(addr.Off)
 				e.slotLen = uint32(slotLen)
 			}
-			reply.entries = append(reply.entries, e)
+			appendAddrEntry(&w, e)
 		}
-		_ = r.tr.Send(p, r.node.ID(), from, encodeAddrReply(reply))
+		r.ctlReply = w.Finish()
+		_ = r.tr.Send(p, r.node.ID(), from, r.ctlReply)
 	case ctlLeaseRead:
 		m := decodeLeaseRead(&rd)
 		if rd.Err() != nil {
 			return
 		}
-		_ = r.tr.Send(p, r.node.ID(), from, r.serveLeaseRead(p, m))
+		r.serveLeaseRead(p, from, m)
 	case ctlAddrReply:
-		m := decodeAddrReply(&rd)
-		if rd.Err() != nil {
-			return
+		n := int(rd.U16())
+		if rd.Err() != nil || rd.Remaining() < addrEntryLen*n {
+			return // truncated: drop it whole, applying nothing
 		}
-		for _, e := range m.entries {
+		for i := 0; i < n; i++ {
+			e := decodeAddrEntry(&rd)
 			oid := storeOID(e.oid)
 			key := objMapKey{oid: oid, node: from}
 			if e.found {

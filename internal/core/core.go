@@ -61,6 +61,12 @@ type Write struct {
 // request deterministically: the request, the executing partition, and
 // the values of the read set (local and remote reads already resolved by
 // the core). A missing object maps to nil.
+//
+// Lifetime rule: Req, Values, LocalGet results, Alloc'd bytes and the
+// Outcome's Writes and Response are valid until the request's writes are
+// applied and its reply is sent. The core reuses one context, with its
+// arena and write list, for every request an executing proc runs, so an
+// application that keeps any of these bytes past Execute copies them.
 type ExecContext struct {
 	Req       *Request
 	Partition PartitionID
@@ -68,11 +74,16 @@ type ExecContext struct {
 
 	localGet  func(oid store.OID) ([]byte, bool)
 	localGets int
+	// arena holds the request's local reads and everything the
+	// application Allocs; writes is the list WriteList hands out.
+	arena  arena
+	writes []Write
 }
 
 // NewExecContext builds an execution context outside the Heron replica —
 // used by the DynaStar baseline, whose executing partition runs the same
-// Application against migrated object values.
+// Application against migrated object values. The context owns an arena
+// of its own that is never reset, so what Alloc hands out stays valid.
 func NewExecContext(req *Request, part PartitionID, values map[store.OID][]byte,
 	localGet func(oid store.OID) ([]byte, bool)) *ExecContext {
 	return &ExecContext{Req: req, Partition: part, Values: values, localGet: localGet}
@@ -88,7 +99,7 @@ func (ctx *ExecContext) LocalGets() int { return ctx.localGets }
 // partition — remote objects have to be in the estimated read set, per
 // Heron's one-shot execution model. The read observes the version the
 // executing request must see; per-read CPU is charged by the core after
-// execution.
+// execution. The value lives in the context's arena (the lifetime rule).
 func (ctx *ExecContext) LocalGet(oid store.OID) ([]byte, bool) {
 	ctx.localGets++
 	if ctx.localGet == nil {
@@ -96,6 +107,55 @@ func (ctx *ExecContext) LocalGet(oid store.OID) ([]byte, bool) {
 	}
 	return ctx.localGet(oid)
 }
+
+// Alloc returns n zeroed bytes from the context's arena, capped so an
+// append cannot spill into the next allocation. They are valid under the
+// lifetime rule: a row or response built in them may be returned in the
+// Outcome, and nothing else may keep them.
+func (ctx *ExecContext) Alloc(n int) []byte {
+	b := ctx.arena.take(n)
+	clear(b)
+	return b
+}
+
+// WriteList returns an empty write list with room for n writes, for the
+// Outcome. The context reuses its backing array for the next request (the
+// lifetime rule).
+func (ctx *ExecContext) WriteList(n int) []Write {
+	if cap(ctx.writes) < n {
+		ctx.writes = make([]Write, 0, n)
+	}
+	return ctx.writes[:0]
+}
+
+// arena hands out byte slices from one buffer that reset makes free again.
+// A slice handed out before a reset must be dead by then. When the buffer
+// is full, take starts a larger one; slices still in use keep the old one
+// alive, and reset keeps only the newest, so a reused arena soon holds a
+// whole request.
+type arena struct {
+	buf []byte
+}
+
+// take returns n bytes of the arena, not zeroed, with capacity n.
+func (a *arena) take(n int) []byte {
+	off := len(a.buf)
+	if off+n > cap(a.buf) {
+		a.buf = make([]byte, 0, max(2*cap(a.buf), n))
+		off = 0
+	}
+	a.buf = a.buf[:off+n]
+	return a.buf[off : off+n : off+n]
+}
+
+// clone copies b into the arena.
+func (a *arena) clone(b []byte) []byte {
+	out := a.take(len(b))
+	copy(out, b)
+	return out
+}
+
+func (a *arena) reset() { a.buf = a.buf[:0] }
 
 // Outcome is the result of application execution. CPU is the modeled
 // compute time of the transaction logic ((de)serialization, business
@@ -109,7 +169,9 @@ type Outcome struct {
 
 // Application is the replicated service. Implementations must be
 // deterministic: every replica of a partition must produce identical
-// writes for the same request sequence.
+// writes for the same request sequence. Execute's context, and every byte
+// it hands out, is reused for the next request (ExecContext's lifetime
+// rule): an application that keeps bytes copies them.
 //
 // Heron assumes one-shot requests: the read set is computable from the
 // request alone, execution has a reading phase followed by a writing

@@ -11,20 +11,54 @@ import (
 	"heron/internal/store"
 )
 
+// execState is one executing proc's reused execution state: the executor
+// and each pool worker own one. execute resets it at the start of every
+// request — values cleared, arena emptied — so a warm execution allocates
+// nothing of its own (ExecContext's lifetime rule, DESIGN §18).
+type execState struct {
+	ctx ExecContext
+	// remote lists the request's remote reads.
+	remote []remoteRead
+}
+
+// newExecState builds an executing proc's state, with LocalGet bound once.
+func (r *Replica) newExecState() *execState {
+	es := &execState{ctx: ExecContext{Values: make(map[store.OID][]byte)}}
+	ctx := &es.ctx
+	ctx.localGet = func(oid store.OID) ([]byte, bool) {
+		if r.parter.PartitionOf(oid) != r.part {
+			panic(fmt.Sprintf("heron: replica p%d/r%d: LocalGet of remote object %d — remote reads must be in the read set",
+				r.part, r.rank, oid))
+		}
+		val, _, ok := r.st.ViewAt(oid, uint64(ctx.Req.Ts))
+		if !ok {
+			return nil, false
+		}
+		return ctx.arena.clone(val), true
+	}
+	return es
+}
+
 // execute is Algorithm 2: resolve the read set (local gets plus pipelined
 // one-sided remote reads with dual-version selection), run the
 // application, apply local writes. It returns ok=false when the replica
 // found itself lagging and ran state transfer instead of completing the
-// request. tk is the caller's span track (the executor's or a worker's).
-func (r *Replica) execute(p *sim.Proc, req *Request, tk *obs.Track) ([]byte, bool) {
+// request. es is the calling proc's execution state and tk its span track
+// (the executor's or a worker's). The response lives in es under the
+// lifetime rule: valid until the caller has replied.
+func (r *Replica) execute(p *sim.Proc, es *execState, req *Request, tk *obs.Track) ([]byte, bool) {
 	r.checkCoordinated(req)
 	sp := tk.Begin("execute")
+	ctx := &es.ctx
+	ctx.Req, ctx.Partition, ctx.localGets = req, r.part, 0
+	clear(ctx.Values)
+	ctx.arena.reset()
+	values := ctx.Values
 	readSet, ahead, aheadCQ := r.takeReadAhead(req)
 	if readSet == nil {
 		readSet = r.app.ReadSet(req)
 	}
-	values := make(map[store.OID][]byte, len(readSet))
-	var remote []remoteRead
+	remote := es.remote[:0]
 	lrT0 := p.Now()
 	for _, oid := range readSet {
 		h := r.parter.PartitionOf(oid)
@@ -35,7 +69,7 @@ func (r *Replica) execute(p *sim.Proc, req *Request, tk *obs.Track) ([]byte, boo
 		// Local read: the newest version reflects exactly the requests
 		// executed before req, because execution is in delivery order.
 		p.Sleep(r.cfg.LocalReadCPU)
-		val, _, ok := r.st.GetAt(oid, uint64(req.Ts))
+		val, _, ok := r.st.ViewAt(oid, uint64(req.Ts))
 		if !ok {
 			// Either the object was never initialized (treat as absent) or
 			// local state overtook this request — which cannot happen on
@@ -47,8 +81,9 @@ func (r *Replica) execute(p *sim.Proc, req *Request, tk *obs.Track) ([]byte, boo
 			values[oid] = nil
 			continue
 		}
-		values[oid] = val
+		values[oid] = ctx.arena.clone(val)
 	}
+	es.remote = remote
 	r.obs.cp.Record(cpID(req.ID), obs.SegLocalRead, lrT0, p.Now())
 	if len(remote) > 0 && !r.resolveRemote(p, req, remote, ahead, aheadCQ, values, tk) {
 		// Lagger: state transfer already ran inside resolveRemote.
@@ -58,19 +93,6 @@ func (r *Replica) execute(p *sim.Proc, req *Request, tk *obs.Track) ([]byte, boo
 
 	appT0 := p.Now()
 	app := tk.Begin("app_execute")
-	ctx := &ExecContext{
-		Req:       req,
-		Partition: r.part,
-		Values:    values,
-		localGet: func(oid store.OID) ([]byte, bool) {
-			if r.parter.PartitionOf(oid) != r.part {
-				panic(fmt.Sprintf("heron: replica p%d/r%d: LocalGet of remote object %d — remote reads must be in the read set",
-					r.part, r.rank, oid))
-			}
-			val, _, ok := r.st.GetAt(oid, uint64(req.Ts))
-			return val, ok
-		},
-	}
 	out := r.app.Execute(ctx)
 	if ctx.localGets > 0 {
 		p.Sleep(sim.Duration(ctx.localGets) * r.cfg.LocalReadCPU)
@@ -373,17 +395,18 @@ func (r *Replica) addrInFlight(oid store.OID, now sim.Time) bool {
 }
 
 // sendAddrQuery records oids as asked at now and sends them in one
-// query_obj_addr to every other replica of partition h.
+// query_obj_addr to every other replica of partition h, encoded into the
+// executor's buffer: only the executor asks.
 func (r *Replica) sendAddrQuery(p *sim.Proc, h PartitionID, oids []uint64, now sim.Time) {
 	for _, oid := range oids {
 		r.addrAsked[storeOID(oid)] = now
 	}
-	msg := encodeAddrQuery(&addrQuery{oids: oids})
+	r.addrQueryBuf = encodeAddrQuery(r.addrQueryBuf[:0], oids)
 	for _, info := range r.peers[h] {
 		if info.node == r.node.ID() {
 			continue
 		}
-		_ = r.tr.Send(p, r.node.ID(), info.node, msg)
+		_ = r.tr.Send(p, r.node.ID(), info.node, r.addrQueryBuf)
 	}
 }
 
@@ -418,7 +441,8 @@ func (r *Replica) prefetchAddrs(p *sim.Proc, head multicast.Delivery) {
 		if !ok {
 			continue
 		}
-		for _, oid := range r.app.ReadSet(&Request{ID: d.ID, Ts: d.Ts, Dst: d.Dst, Payload: payload}) {
+		r.prefetchReq = Request{ID: d.ID, Ts: d.Ts, Dst: d.Dst, Payload: payload}
+		for _, oid := range r.app.ReadSet(&r.prefetchReq) {
 			h := r.parter.PartitionOf(oid)
 			if h == r.part || !slices.Contains(d.Dst, h) || r.hasAddrQuorum(oid, h) || r.addrInFlight(oid, now) {
 				continue

@@ -54,3 +54,10 @@ func (r *Replica) ReadAheadInFlight() (rdma.NodeID, bool) {
 	}
 	return 0, false
 }
+
+// ArenaInUse returns the bytes ctx's arena has handed out since its last
+// reset, in its newest buffer.
+func ArenaInUse(ctx *ExecContext) []byte { return ctx.arena.buf }
+
+// GatedReplies returns how many replies wait for the lease gate.
+func (r *Replica) GatedReplies() int { return len(r.gatedQ) }

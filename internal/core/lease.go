@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"heron/internal/multicast"
 	"heron/internal/obs"
+	"heron/internal/rdma"
 	"heron/internal/sim"
 )
 
@@ -167,22 +169,25 @@ func (r *Replica) leaseGateOpen(ts multicast.Timestamp, now sim.Time) bool {
 	return r.holderFrontier(h) >= uint64(ts)
 }
 
-// gatedReplyEntry is one deferred reply awaiting the lease gate.
+// gatedReplyEntry is one deferred reply awaiting the lease gate. It owns
+// its request and response: the executing proc reuses both for its next
+// request (ExecContext's lifetime rule).
 type gatedReplyEntry struct {
-	req  *Request
+	req  Request
 	resp []byte
 	at   sim.Time // when the reply was deferred (lease_wait start)
 }
 
 // gatedReply replies immediately when the lease gate is open, otherwise
-// parks the reply for the control process to flush — the executor never
-// blocks on the gate.
+// parks a copy of the request and response for the control process to
+// flush — the executor never blocks on the gate. The copy is the one cost
+// of the lifetime rule, paid only by a reply that parks.
 func (r *Replica) gatedReply(p *sim.Proc, req *Request, resp []byte) {
 	if r.leaseGateOpen(req.Ts, p.Now()) {
 		r.reply(p, req, resp)
 		return
 	}
-	r.gatedQ = append(r.gatedQ, gatedReplyEntry{req: req, resp: resp, at: p.Now()})
+	r.gatedQ = append(r.gatedQ, gatedReplyEntry{req: *req, resp: bytes.Clone(resp), at: p.Now()})
 }
 
 // flushGatedReplies sends every parked reply whose gate has opened
@@ -200,7 +205,7 @@ func (r *Replica) flushGatedReplies(p *sim.Proc) {
 			continue
 		}
 		r.obs.cp.Record(cpID(e.req.ID), obs.SegLeaseWait, e.at, now)
-		r.reply(p, e.req, e.resp)
+		r.reply(p, &e.req, e.resp)
 	}
 	r.gatedQ = kept
 }
@@ -220,15 +225,17 @@ func (r *Replica) gatedReady(now sim.Time) bool {
 // serveLeaseRead answers a client's local-read probe: only a live,
 // self-serving, non-recovering holder serves, reading the newest version
 // at its own execution frontier. Everyone else declines and the client
-// falls back to the ordered path.
-func (r *Replica) serveLeaseRead(p *sim.Proc, m *leaseReadMsg) []byte {
-	reply := &leaseReadReply{token: m.token}
+// falls back to the ordered path. The value is a view of the store, which
+// the reply's encoding copies into an array on this call's stack, as
+// reply's does.
+func (r *Replica) serveLeaseRead(p *sim.Proc, from rdma.NodeID, m leaseReadMsg) {
+	reply := leaseReadReply{token: m.token}
 	if r.leaseSelfServe && r.leaseHolder == r.rank && p.Now() < r.leaseExpire && !r.recovering {
 		p.Sleep(r.cfg.LocalReadCPU)
-		// GetAt observes versions strictly older than its argument, so
+		// ViewAt observes versions strictly older than its argument, so
 		// lastExec+1 reads the state after the executed prefix through
 		// lastExec — inclusive of a write at exactly that timestamp.
-		val, _, ok := r.st.GetAt(storeOID(m.oid), uint64(r.lastExec)+1)
+		val, _, ok := r.st.ViewAt(storeOID(m.oid), uint64(r.lastExec)+1)
 		if ok {
 			reply.ok = true
 			reply.val = val
@@ -240,7 +247,8 @@ func (r *Replica) serveLeaseRead(p *sim.Proc, m *leaseReadMsg) []byte {
 		// A registered object with no version old enough means the dual-
 		// version slot was overrun; decline and let the ordered path win.
 	}
-	return encodeLeaseReadReply(reply)
+	var buf [replyBuf]byte
+	_ = r.tr.Send(p, r.node.ID(), from, encodeLeaseReadReply(buf[:0], &reply))
 }
 
 // --- Lease state snapshot for state transfer ---------------------------

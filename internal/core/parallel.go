@@ -33,9 +33,10 @@ type ConflictEstimator interface {
 	ConflictSets(req *Request) (reads, writes []store.OID, ok bool)
 }
 
-// execItem is one scheduled request.
+// execItem is one scheduled request, holding its own copy of the request:
+// the executor reuses its Request for the next delivery.
 type execItem struct {
-	req    *Request
+	req    Request
 	reads  []store.OID
 	writes []store.OID
 	rec    TraceRecord
@@ -150,14 +151,16 @@ func (pl *execPool) close() {
 // track, so overlapping requests render on separate timelines.
 func (r *Replica) runWorker(pl *execPool, idx int, tk *obs.Track) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
+		es := r.newExecState()
 		for !r.node.Crashed() {
 			it, ok := pl.queue.Recv(p)
 			if !ok {
 				return
 			}
-			sp := beginRequest(tk, it.req.Ts)
+			req := &it.req
+			sp := beginRequest(tk, req.Ts)
 			t0 := p.Now()
-			resp, okExec := r.execute(p, it.req, tk)
+			resp, okExec := r.execute(p, es, req, tk)
 			it.rec.Exec = sim.Duration(p.Now() - t0)
 			it.rec.Done = p.Now()
 			// Retire before replying: complete advances the contiguous
@@ -172,9 +175,9 @@ func (r *Replica) runWorker(pl *execPool, idx int, tk *obs.Track) func(p *sim.Pr
 			if okExec {
 				r.statExecuted++
 				r.obs.executed.Inc()
-				r.noteDone(it.req, it.rec)
-				r.gatedReply(p, it.req, resp)
-				r.trace(it.req, it.rec)
+				r.noteDone(req, it.rec)
+				r.gatedReply(p, req, resp)
+				r.trace(req, it.rec)
 			}
 			sp.End()
 		}
@@ -191,16 +194,17 @@ func beginRequest(tk *obs.Track, ts multicast.Timestamp) *obs.Span {
 	return tk.Begin("request").Arg("ts", uint64(ts))
 }
 
-// processSerial executes one request on the executor's own path: every
-// request without a pool, and the pool's barrier case.
-func (r *Replica) processSerial(p *sim.Proc, req *Request, rec TraceRecord) {
+// processSerial executes one request on the executor's own path, with the
+// executor's execution state es: every request without a pool, and the
+// pool's barrier case.
+func (r *Replica) processSerial(p *sim.Proc, es *execState, req *Request, rec TraceRecord) {
 	tk := r.obs.exec
 	clock := &r.obs.clock
 	clock.charge(execDispatch, p.Now())
 	if !req.MultiPartition() {
 		sp := beginRequest(tk, req.Ts)
 		t0 := p.Now()
-		resp, ok := r.execute(p, req, tk)
+		resp, ok := r.execute(p, es, req, tk)
 		rec.Exec = sim.Duration(p.Now() - t0)
 		clock.charge(execExecute, p.Now())
 		if !ok {
@@ -237,7 +241,7 @@ func (r *Replica) processSerial(p *sim.Proc, req *Request, rec TraceRecord) {
 	clock.charge(execCoord2, p.Now())
 
 	t0 = p.Now()
-	resp, ok := r.execute(p, req, tk)
+	resp, ok := r.execute(p, es, req, tk)
 	rec.Exec = sim.Duration(p.Now() - t0)
 	clock.charge(execExecute, p.Now())
 	if !ok {

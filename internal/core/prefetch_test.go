@@ -127,7 +127,7 @@ func (g *prefetchRig) received(p *sim.Proc) map[rdma.NodeID][][]uint64 {
 			if err != nil || kind != ctlAddrQuery {
 				g.t.Fatalf("node %d received control kind %d, want only address queries", rep.NodeID(), kind)
 			}
-			got[rep.NodeID()] = append(got[rep.NodeID()], decodeAddrQuery(&rd).oids)
+			got[rep.NodeID()] = append(got[rep.NodeID()], queryOIDs(&rd))
 			g.held = append(g.held, heldQuery{at: rep, from: from, msg: slices.Clone(msg)})
 		}
 	}

@@ -315,7 +315,7 @@ func TestReadAheadDetectsLagger(t *testing.T) {
 	var ok, returned bool
 	g.s.Spawn("execute", func(p *sim.Proc) {
 		p.Sleep(10 * sim.Microsecond)
-		_, ok = g.r.execute(p, &Request{Ts: rigNext, Dst: rigBoth, Payload: rigPayload()}, nil)
+		_, ok = g.r.execute(p, g.r.newExecState(), &Request{Ts: rigNext, Dst: rigBoth, Payload: rigPayload()}, nil)
 		returned = true
 	})
 	runFor(t, g.s, sim.Millisecond)

@@ -77,6 +77,12 @@ type Replica struct {
 	// prefetchTs is the newest queued delivery prefetchAddrs has scanned.
 	addrAsked  map[store.OID]sim.Time
 	prefetchTs multicast.Timestamp
+	// prefetchReq is the request prefetchAddrs hands ReadSet, reused.
+	prefetchReq Request
+	// addrQueryBuf is the executor's encoding buffer for address queries,
+	// and ctlReply the control process's for its replies to them.
+	addrQueryBuf []byte
+	ctlReply     []byte
 
 	lastReq  multicast.Timestamp // Algorithm 1's last_req
 	lastExec multicast.Timestamp // last fully executed request
@@ -368,6 +374,9 @@ func (r *Replica) runExecutor(p *sim.Proc) {
 		}
 	}
 	estimator, canEstimate := r.app.(ConflictEstimator)
+	// es and req are the serial path's, reused for every request; the pool
+	// copies req into its item.
+	es, req := r.newExecState(), new(Request)
 	clock := &r.obs.clock
 	clock.last = p.Now() // the ledger covers the loop, not a recovery before it
 	for !r.node.Crashed() {
@@ -379,7 +388,7 @@ func (r *Replica) runExecutor(p *sim.Proc) {
 		}
 		clock.charge(execIdle, p.Now())
 		r.prefetchAddrs(p, d)
-		req := &Request{ID: d.ID, Ts: d.Ts, Dst: d.Dst, Payload: d.Payload}
+		*req = Request{ID: d.ID, Ts: d.Ts, Dst: d.Dst, Payload: d.Payload}
 		p.Sleep(r.cfg.DispatchCPU)
 
 		// Lines 3-4: skip requests covered by a past state transfer.
@@ -406,14 +415,14 @@ func (r *Replica) runExecutor(p *sim.Proc) {
 		r.obs.cp.Mark(cpID(req.ID), obs.SegDelivered, rec.Delivered)
 		if pool != nil && canEstimate && !req.MultiPartition() {
 			if reads, writes, okEst := estimator.ConflictSets(req); okEst {
-				pool.admit(p, &execItem{req: req, reads: reads, writes: writes, rec: rec})
+				pool.admit(p, &execItem{req: *req, reads: reads, writes: writes, rec: rec})
 				continue
 			}
 		}
 		// Lines 5-7 (single-partition fast path) and 8-17 (coordinated
 		// multi-partition execution), behind a barrier on the pool.
 		pool.drain(p)
-		r.processSerial(p, req, rec)
+		r.processSerial(p, es, req, rec)
 	}
 	pool.close()
 }

@@ -18,30 +18,23 @@ const (
 	ctlLeaseReadReply = 5 // lease holder -> client: value or decline
 )
 
-// addrQuery asks one replica for the slot addresses of a batch of objects
-// — the whole unknown part of a request's read set travels in one message,
-// so address resolution costs one quorum round per request, not per OID.
-type addrQuery struct {
-	oids []uint64
-}
+// An address query asks one replica for the slot addresses of a batch of
+// objects — the whole unknown part of a request's read set travels in one
+// message, so address resolution costs one quorum round per request, not
+// per OID. Its body is a u16 count and that many u64 OIDs; the reply's is
+// a u16 count and that many entries of addrEntryLen bytes. Neither is
+// decoded into a message struct: the control process reads each OID or
+// entry off the datagram and answers or applies it (handleControl).
 
-func encodeAddrQuery(q *addrQuery) []byte {
-	w := wire.NewWriter(8 + 8*len(q.oids))
+// encodeAddrQuery appends a query for oids to b.
+func encodeAddrQuery(b []byte, oids []uint64) []byte {
+	w := wire.AppendTo(b)
 	w.U8(ctlAddrQuery)
-	w.U16(uint16(len(q.oids)))
-	for _, oid := range q.oids {
+	w.U16(uint16(len(oids)))
+	for _, oid := range oids {
 		w.U64(oid)
 	}
 	return w.Finish()
-}
-
-func decodeAddrQuery(r *wire.Reader) *addrQuery {
-	n := int(r.U16())
-	q := &addrQuery{oids: make([]uint64, 0, n)}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		q.oids = append(q.oids, r.U64())
-	}
-	return q
 }
 
 // addrEntry is one object's answer within a batched address reply.
@@ -53,37 +46,26 @@ type addrEntry struct {
 	slotLen uint32
 }
 
-type addrReply struct {
-	entries []addrEntry
+// addrEntryLen is an encoded addrEntry's size.
+const addrEntryLen = 8 + 1 + 4 + 8 + 4
+
+// appendAddrEntry appends one reply entry to w.
+func appendAddrEntry(w *wire.Writer, e addrEntry) {
+	w.U64(e.oid)
+	w.Bool(e.found)
+	w.U32(e.key)
+	w.U64(e.off)
+	w.U32(e.slotLen)
 }
 
-func encodeAddrReply(m *addrReply) []byte {
-	w := wire.NewWriter(8 + 32*len(m.entries))
-	w.U8(ctlAddrReply)
-	w.U16(uint16(len(m.entries)))
-	for _, e := range m.entries {
-		w.U64(e.oid)
-		w.Bool(e.found)
-		w.U32(e.key)
-		w.U64(e.off)
-		w.U32(e.slotLen)
+func decodeAddrEntry(r *wire.Reader) addrEntry {
+	return addrEntry{
+		oid:     r.U64(),
+		found:   r.Bool(),
+		key:     r.U32(),
+		off:     r.U64(),
+		slotLen: r.U32(),
 	}
-	return w.Finish()
-}
-
-func decodeAddrReply(r *wire.Reader) *addrReply {
-	n := int(r.U16())
-	m := &addrReply{entries: make([]addrEntry, 0, n)}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		m.entries = append(m.entries, addrEntry{
-			oid:     r.U64(),
-			found:   r.Bool(),
-			key:     r.U32(),
-			off:     r.U64(),
-			slotLen: r.U32(),
-		})
-	}
-	return m
 }
 
 type responseMsg struct {
@@ -122,16 +104,17 @@ type leaseReadMsg struct {
 	oid   uint64
 }
 
-func encodeLeaseRead(m *leaseReadMsg) []byte {
-	w := wire.NewWriter(24)
-	w.U8(ctlLeaseRead)
-	w.U64(m.token)
-	w.U64(m.oid)
-	return w.Finish()
+// encodeLeaseRead appends the probe to b, directly rather than through a
+// wire.Writer, so a caller's stack array stays on the stack
+// (encodeResponse).
+func encodeLeaseRead(b []byte, m leaseReadMsg) []byte {
+	b = append(b, ctlLeaseRead)
+	b = binary.LittleEndian.AppendUint64(b, m.token)
+	return binary.LittleEndian.AppendUint64(b, m.oid)
 }
 
-func decodeLeaseRead(r *wire.Reader) *leaseReadMsg {
-	return &leaseReadMsg{token: r.U64(), oid: r.U64()}
+func decodeLeaseRead(r *wire.Reader) leaseReadMsg {
+	return leaseReadMsg{token: r.U64(), oid: r.U64()}
 }
 
 // leaseReadReply answers a local-read probe. ok=false declines (no live
@@ -143,17 +126,24 @@ type leaseReadReply struct {
 	val   []byte
 }
 
-func encodeLeaseReadReply(m *leaseReadReply) []byte {
-	w := wire.NewWriter(24 + len(m.val))
-	w.U8(ctlLeaseReadReply)
-	w.U64(m.token)
-	w.Bool(m.ok)
-	w.Bytes(m.val)
-	return w.Finish()
+// encodeLeaseReadReply appends the reply to b, in wire's format, directly
+// as encodeLeaseRead does.
+func encodeLeaseReadReply(b []byte, m *leaseReadReply) []byte {
+	b = append(b, ctlLeaseReadReply)
+	b = binary.LittleEndian.AppendUint64(b, m.token)
+	ok := byte(0)
+	if m.ok {
+		ok = 1
+	}
+	b = append(b, ok)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.val)))
+	return append(b, m.val...)
 }
 
-func decodeLeaseReadReply(r *wire.Reader) *leaseReadReply {
-	return &leaseReadReply{token: r.U64(), ok: r.Bool(), val: r.Bytes()}
+// decodeLeaseReadReply decodes by value; the value is a copy the client
+// keeps.
+func decodeLeaseReadReply(r *wire.Reader) leaseReadReply {
+	return leaseReadReply{token: r.U64(), ok: r.Bool(), val: r.Bytes()}
 }
 
 // ctlKind splits the kind byte off a control datagram. The reader is

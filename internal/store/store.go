@@ -171,11 +171,13 @@ func (s *Store) Get(oid OID) (val []byte, tmp uint64, ok bool) {
 	return copyVal(v.Val), v.Tmp, true
 }
 
-// GetAt returns the version a request with timestamp reqTmp must observe:
-// the one with the highest timestamp strictly smaller than reqTmp. ok is
-// false when no such version exists — the caller is a lagger. The value
-// is a copy the caller owns; only the chosen version is copied.
-func (s *Store) GetAt(oid OID, reqTmp uint64) (val []byte, tmp uint64, ok bool) {
+// ViewAt returns the version a request with timestamp reqTmp must
+// observe: the one with the highest timestamp strictly smaller than
+// reqTmp. ok is false when no such version exists — the caller is a
+// lagger. The value aliases the region (capacity capped at its length)
+// and copies nothing: it is valid only until the next Set of oid, so a
+// caller that keeps it, or yields before using it, copies it.
+func (s *Store) ViewAt(oid OID, reqTmp uint64) (val []byte, tmp uint64, ok bool) {
 	m, found := s.meta[oid]
 	if !found {
 		return nil, 0, false
@@ -189,7 +191,16 @@ func (s *Store) GetAt(oid OID, reqTmp uint64) (val []byte, tmp uint64, ok bool) 
 	if !chosen {
 		return nil, 0, false
 	}
-	return copyVal(v.Val), v.Tmp, true
+	return v.Val, v.Tmp, true
+}
+
+// GetAt is ViewAt with the value copied: a copy the caller owns.
+func (s *Store) GetAt(oid OID, reqTmp uint64) (val []byte, tmp uint64, ok bool) {
+	val, tmp, ok = s.ViewAt(oid, reqTmp)
+	if !ok {
+		return nil, 0, false
+	}
+	return copyVal(val), tmp, true
 }
 
 // Set writes val as a new version created by the request with timestamp

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -211,7 +212,7 @@ func TestDecodeSlotBadLength(t *testing.T) {
 }
 
 // TestReadAllocs: a local read copies the one version it returns, and
-// DecodeSlot copies nothing.
+// ViewAt and DecodeSlot copy nothing.
 func TestReadAllocs(t *testing.T) {
 	st, _, _ := newTestStore(t, 4096)
 	if err := st.Register(1, 256); err != nil {
@@ -230,12 +231,51 @@ func TestReadAllocs(t *testing.T) {
 		f    func()
 	}{
 		{"GetAt", 1, func() { st.GetAt(1, 7) }},
+		{"ViewAt", 0, func() { st.ViewAt(1, 7) }},
 		{"Get", 1, func() { st.Get(1) }},
 		{"DecodeSlot", 0, func() { DecodeSlot(raw, 256) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.f); got != c.want {
 			t.Errorf("%s allocates %v times, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestViewAtAliasesChosenVersion: ViewAt selects the version GetAt copies,
+// aliases the region, and caps the view so an append cannot spill into the
+// slot's other version.
+func TestViewAtAliasesChosenVersion(t *testing.T) {
+	st, _, _ := newTestStore(t, 4096)
+	if err := st.Register(1, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Init(1, []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Set(1, []byte("v5"), 5); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []uint64{1, 5, 6, 100} {
+		view, vtmp, vok := st.ViewAt(1, at)
+		val, tmp, ok := st.GetAt(1, at)
+		if vok != ok || vtmp != tmp || !bytes.Equal(view, val) {
+			t.Fatalf("ViewAt(%d) = %q@%d %v, GetAt = %q@%d %v", at, view, vtmp, vok, val, tmp, ok)
+		}
+		if cap(view) != len(view) {
+			t.Fatalf("ViewAt(%d): cap %d > len %d", at, cap(view), len(view))
+		}
+	}
+	// A reader at 5 sees v0; the next Set overwrites that older version,
+	// and the view shows it: the view aliases the region.
+	view, _, _ := st.ViewAt(1, 5)
+	if err := st.Set(1, []byte("v9"), 9); err != nil {
+		t.Fatal(err)
+	}
+	if string(view) != "v9" {
+		t.Fatalf("view after Set = %q, want v9: the view does not alias the region", view)
+	}
+	if _, _, ok := st.ViewAt(2, 100); ok {
+		t.Fatal("ViewAt of an unregistered object succeeded")
 	}
 }
 

@@ -1,6 +1,7 @@
 package tpcc
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"slices"
 
@@ -60,6 +61,9 @@ type App struct {
 
 	// cpu accumulates modeled time during one Execute call.
 	cpu sim.Duration
+	// txn is the decoded request of the one Execute, ReadSet or
+	// ConflictSets call running: none of them yields or calls another.
+	txn Txn
 	// stockLevelItems is Stock-Level's scratch list of item ids, reused
 	// across calls (Execute is not reentrant).
 	stockLevelItems []int32
@@ -183,8 +187,8 @@ func (a *App) charge(d sim.Duration, times int) { a.cpu += d * sim.Duration(time
 // partition reads for the request (partial execution — non-home
 // partitions of a New-Order only read their own stock rows).
 func (a *App) ReadSet(req *core.Request) []store.OID {
-	t, err := DecodeTxn(req.Payload)
-	if err != nil {
+	t := &a.txn
+	if err := t.decode(req.Payload); err != nil {
 		return nil
 	}
 	home := t.WID == a.wid
@@ -216,8 +220,8 @@ func (a *App) ReadSet(req *core.Request) []store.OID {
 func (a *App) Execute(ctx *core.ExecContext) core.Outcome {
 	a.cpu = 0
 	a.charge(a.cost.TxnBase, 1)
-	t, err := DecodeTxn(ctx.Req.Payload)
-	if err != nil {
+	t := &a.txn
+	if err := t.decode(ctx.Req.Payload); err != nil {
 		return core.Outcome{Response: []byte("ERR decode"), CPU: a.cpu}
 	}
 	var out core.Outcome
@@ -243,7 +247,7 @@ func (a *App) Execute(ctx *core.ExecContext) core.Outcome {
 // total; every involved partition updates its own stock rows.
 func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 	home := t.WID == a.wid
-	var out core.Outcome
+	out := core.Outcome{Writes: ctx.WriteList(len(t.Lines))}
 
 	var oid int32
 	var total int64
@@ -265,7 +269,6 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 		allLocal := true
 		key := orderKey{did: t.DID, oid: oid}
 		lines := make([]OrderLine, 0, len(t.Lines))
-		out.Writes = make([]core.Write, 0, len(t.Lines))
 		for i, l := range t.Lines {
 			if l.SupplyWID != t.WID {
 				allLocal = false
@@ -296,7 +299,7 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 			// is the DynaStar single-executor mode).
 			if l.SupplyWID == a.wid || a.singleExec {
 				a.charge(a.cost.StockSer, 1)
-				out.Writes = append(out.Writes, core.Write{OID: soid, Val: stock.updated(l, t.WID)})
+				out.Writes = append(out.Writes, core.Write{OID: soid, Val: stock.updated(ctx, l, t.WID)})
 			}
 			a.charge(a.cost.AuxInsert, 1)
 		}
@@ -324,14 +327,13 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 				return core.Outcome{Response: []byte("ERR stock")}
 			}
 			a.charge(a.cost.StockSer, 1)
-			out.Writes = append(out.Writes, core.Write{OID: soid, Val: stock.updated(l, t.WID)})
+			out.Writes = append(out.Writes, core.Write{OID: soid, Val: stock.updated(ctx, l, t.WID)})
 		}
 	}
 
-	resp := make([]byte, 0, 16)
-	resp = append(resp, byte(oid), byte(oid>>8), byte(oid>>16), byte(oid>>24))
-	resp = append(resp, byte(total), byte(total>>8), byte(total>>16), byte(total>>24),
-		byte(total>>32), byte(total>>40), byte(total>>48), byte(total>>56))
+	resp := ctx.Alloc(12)
+	binary.LittleEndian.PutUint32(resp, uint32(oid))
+	binary.LittleEndian.PutUint64(resp[4:], uint64(total))
 	out.Response = resp
 	return out
 }
@@ -378,11 +380,11 @@ func (a *App) execPayment(ctx *core.ExecContext, t *Txn) core.Outcome {
 			return core.Outcome{Response: []byte("ERR customer")}
 		}
 		var row []byte
-		row, balance = cust.paid(t)
+		row, balance = cust.paid(ctx, t)
 		a.charge(a.cost.CustSer, 1)
-		out.Writes = append(out.Writes, core.Write{OID: coid, Val: row})
+		out.Writes = append(ctx.WriteList(1), core.Write{OID: coid, Val: row})
 	}
-	out.Response = encodeI64(balance)
+	out.Response = encodeI64(ctx, balance)
 	return out
 }
 
@@ -402,14 +404,16 @@ func (a *App) execOrderStatus(ctx *core.ExecContext, t *Txn) core.Outcome {
 			a.charge(a.cost.AuxLookup, int(olCnt)+1)
 		}
 	}
-	resp := append(encodeI64(cust.balance()), byte(olCnt))
+	resp := ctx.Alloc(9)
+	binary.LittleEndian.PutUint64(resp, uint64(cust.balance()))
+	resp[8] = byte(olCnt)
 	return core.Outcome{Response: resp}
 }
 
 // execDelivery: always local; delivers the oldest undelivered order of
 // every district, crediting each order's customer.
 func (a *App) execDelivery(ctx *core.ExecContext, t *Txn) core.Outcome {
-	var out core.Outcome
+	out := core.Outcome{Writes: ctx.WriteList(a.ds.Scale.DistrictsPerWH)}
 	var delivered int
 	for did := int32(1); did <= int32(a.ds.Scale.DistrictsPerWH); did++ {
 		fifo := a.newOrders[did]
@@ -444,10 +448,11 @@ func (a *App) execDelivery(ctx *core.ExecContext, t *Txn) core.Outcome {
 			continue
 		}
 		a.charge(a.cost.CustSer, 1)
-		out.Writes = append(out.Writes, core.Write{OID: coid, Val: cust.delivered(sum)})
+		out.Writes = append(out.Writes, core.Write{OID: coid, Val: cust.delivered(ctx, sum)})
 		delivered++
 	}
-	out.Response = []byte{byte(delivered)}
+	out.Response = ctx.Alloc(1)
+	out.Response[0] = byte(delivered)
 	return out
 }
 
@@ -491,13 +496,12 @@ func (a *App) execStockLevel(ctx *core.ExecContext, t *Txn) core.Outcome {
 			low++
 		}
 	}
-	return core.Outcome{Response: encodeI64(int64(low))}
+	return core.Outcome{Response: encodeI64(ctx, int64(low))}
 }
 
-func encodeI64(v int64) []byte {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
+// encodeI64 returns v little-endian in 8 bytes of ctx's arena.
+func encodeI64(ctx *core.ExecContext, v int64) []byte {
+	b := ctx.Alloc(8)
+	binary.LittleEndian.PutUint64(b, uint64(v))
 	return b
 }

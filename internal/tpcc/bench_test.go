@@ -35,7 +35,7 @@ func BenchmarkStockRowUpdate(b *testing.B) {
 			b.Fatal(err)
 		}
 		distSink = v.dist(i % 10)
-		rowSink = v.updated(l, 1)
+		rowSink = v.updated(rowContext(), l, 1)
 	}
 }
 

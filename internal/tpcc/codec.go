@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"heron/internal/core"
 	"heron/internal/wire"
 )
 
@@ -16,7 +17,8 @@ import (
 //
 // Execution does not decode whole rows: stockView and customerView (below)
 // locate the fields a transaction reads or updates inside the serialized
-// bytes, read them there, and build an updated row by patching a copy.
+// bytes, read them there, and build an updated row by patching a copy in
+// the execution context's arena.
 // Encode*/Decode* are the reference those views must agree with byte for
 // byte; Populate and DynaStar encode with them, and CheckConsistency
 // decodes with them.
@@ -179,12 +181,13 @@ func (v stockView) dist(i int) string {
 	return string(v.raw[off+4 : skipString(v.raw, off)])
 }
 
-// updated returns a new row: this one with applyStockUpdate's New-Order
-// mutation for line l applied to S_QUANTITY, S_YTD, S_ORDER_CNT and
-// S_REMOTE_CNT.
-func (v stockView) updated(l OrderLineReq, homeWID int32) []byte {
+// updated returns a new row, built in ctx's arena: this one with
+// applyStockUpdate's New-Order mutation for line l applied to S_QUANTITY,
+// S_YTD, S_ORDER_CNT and S_REMOTE_CNT.
+func (v stockView) updated(ctx *core.ExecContext, l OrderLineReq, homeWID int32) []byte {
 	le := binary.LittleEndian
-	row := append([]byte(nil), v.raw[:v.end]...)
+	row := ctx.Alloc(v.end)
+	copy(row, v.raw)
 	s := Stock{
 		Quantity:  v.quantity(),
 		YTD:       int64(le.Uint64(row[v.ytd:])),
@@ -255,11 +258,12 @@ func (v customerView) badCredit() bool {
 	return string(v.raw[v.credit+4:skipString(v.raw, v.credit)]) == "BC"
 }
 
-// paid returns a new row with Payment t applied: C_BALANCE less the
-// amount, C_YTD_PAYMENT plus it, C_PAYMENT_CNT plus one, and for a
-// bad-credit customer the payment's ids and amount prepended to C_DATA,
-// cut to cDataMax bytes. It also returns the new balance.
-func (v customerView) paid(t *Txn) ([]byte, int64) {
+// paid returns a new row, built in ctx's arena, with Payment t applied:
+// C_BALANCE less the amount, C_YTD_PAYMENT plus it, C_PAYMENT_CNT plus
+// one, and for a bad-credit customer the payment's ids and amount
+// prepended to C_DATA, cut to cDataMax bytes. It also returns the new
+// balance.
+func (v customerView) paid(ctx *core.ExecContext, t *Txn) ([]byte, int64) {
 	dataOff := v.discount + custData
 	var row []byte
 	if v.badCredit() {
@@ -267,12 +271,13 @@ func (v customerView) paid(t *Txn) ([]byte, int64) {
 		info := appendPaymentInfo(buf[:0], t)
 		old := v.raw[dataOff+4 : v.end]
 		n := min(len(info)+len(old), cDataMax)
-		row = make([]byte, dataOff+4, v.end+len(info))
-		copy(row, v.raw)
+		row = ctx.Alloc(dataOff + 4 + n)
+		copy(row, v.raw[:dataOff])
 		binary.LittleEndian.PutUint32(row[dataOff:], uint32(n))
-		row = append(append(row, info...), old...)[:dataOff+4+n]
+		copy(row[dataOff+4+copy(row[dataOff+4:], info):], old)
 	} else {
-		row = append([]byte(nil), v.raw[:v.end]...)
+		row = ctx.Alloc(v.end)
+		copy(row, v.raw)
 	}
 	le := binary.LittleEndian
 	bal := v.balance() - t.Amount
@@ -293,11 +298,13 @@ func appendPaymentInfo(b []byte, t *Txn) []byte {
 	return append(b, '|')
 }
 
-// delivered returns a new row with Delivery's update applied: C_BALANCE
-// plus the delivered order's amount sum, C_DELIVERY_CNT plus one.
-func (v customerView) delivered(sum int64) []byte {
+// delivered returns a new row, built in ctx's arena, with Delivery's
+// update applied: C_BALANCE plus the delivered order's amount sum,
+// C_DELIVERY_CNT plus one.
+func (v customerView) delivered(ctx *core.ExecContext, sum int64) []byte {
 	le := binary.LittleEndian
-	row := append([]byte(nil), v.raw[:v.end]...)
+	row := ctx.Alloc(v.end)
+	copy(row, v.raw)
 	le.PutUint64(row[v.discount+custBalance:], uint64(v.balance()+sum))
 	le.PutUint32(row[v.discount+custDeliveryCnt:], le.Uint32(row[v.discount+custDeliveryCnt:])+1)
 	return row

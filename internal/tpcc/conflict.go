@@ -26,8 +26,8 @@ var _ core.ConflictEstimator = (*App)(nil)
 
 // ConflictSets implements core.ConflictEstimator.
 func (a *App) ConflictSets(req *core.Request) (reads, writes []store.OID, ok bool) {
-	t, err := DecodeTxn(req.Payload)
-	if err != nil {
+	t := &a.txn
+	if err := t.decode(req.Payload); err != nil {
 		return nil, nil, false
 	}
 	switch t.Kind {

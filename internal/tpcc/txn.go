@@ -96,23 +96,33 @@ func (t *Txn) Encode() []byte {
 
 // DecodeTxn parses a request payload.
 func DecodeTxn(b []byte) (*Txn, error) {
+	t := new(Txn)
+	if err := t.decode(b); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// decode parses a request payload into t, reusing the backing array of
+// t.Lines. On error t holds a partial decode.
+func (t *Txn) decode(b []byte) error {
 	r := wire.NewReader(b)
-	t := &Txn{
-		Kind: TxnKind(r.U8()),
-		WID:  int32(r.U32()),
-		DID:  int32(r.U32()),
-		CID:  int32(r.U32()),
+	*t = Txn{
+		Kind:  TxnKind(r.U8()),
+		WID:   int32(r.U32()),
+		DID:   int32(r.U32()),
+		CID:   int32(r.U32()),
+		Lines: t.Lines[:0],
 	}
 	switch t.Kind {
 	case TxnNewOrder:
 		n := int(r.U8())
-		t.Lines = make([]OrderLineReq, n)
 		for i := 0; i < n; i++ {
-			t.Lines[i] = OrderLineReq{
+			t.Lines = append(t.Lines, OrderLineReq{
 				IID:       int32(r.U32()),
 				SupplyWID: int32(r.U32()),
 				Quantity:  int32(r.U32()),
-			}
+			})
 		}
 	case TxnPayment:
 		t.CWID = int32(r.U32())
@@ -124,12 +134,9 @@ func DecodeTxn(b []byte) (*Txn, error) {
 		t.CarrierID = int32(r.U32())
 	case TxnOrderStatus:
 	default:
-		return nil, fmt.Errorf("tpcc: unknown txn kind %d", t.Kind)
+		return fmt.Errorf("tpcc: unknown txn kind %d", t.Kind)
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return r.Err()
 }
 
 // Partitions returns the partitions involved in the transaction (the

@@ -102,7 +102,7 @@ func checkStockView(t *testing.T, raw []byte, rng *rand.Rand) {
 		}
 		mut := *want
 		applyStockUpdate(&mut, l, home)
-		if got, exp := v.updated(l, home), EncodeStock(&mut); !bytes.Equal(got, exp) {
+		if got, exp := v.updated(rowContext(), l, home), EncodeStock(&mut); !bytes.Equal(got, exp) {
 			t.Fatalf("updated(%+v, home %d):\n got %x\nwant %x", l, home, got, exp)
 		}
 	}
@@ -131,7 +131,7 @@ func checkCustomerView(t *testing.T, raw []byte, rng *rand.Rand) {
 		}
 		mut := *want
 		refPayment(&mut, txn)
-		got, bal := v.paid(txn)
+		got, bal := v.paid(rowContext(), txn)
 		if exp := EncodeCustomer(&mut); !bytes.Equal(got, exp) || bal != mut.Balance {
 			t.Fatalf("paid(%d) = balance %d\n%x\nwant balance %d\n%x", amount, bal, got, mut.Balance, exp)
 		}
@@ -139,7 +139,7 @@ func checkCustomerView(t *testing.T, raw []byte, rng *rand.Rand) {
 	sum := int64(rng.Intn(1 << 20))
 	mut := *want
 	refDelivery(&mut, sum)
-	if got, exp := v.delivered(sum), EncodeCustomer(&mut); !bytes.Equal(got, exp) {
+	if got, exp := v.delivered(rowContext(), sum), EncodeCustomer(&mut); !bytes.Equal(got, exp) {
 		t.Fatalf("delivered(%d):\n got %x\nwant %x", sum, got, exp)
 	}
 }
