@@ -166,11 +166,13 @@ type openPump struct {
 	zipf  *rand.Zipf
 	group int
 	// generator state
-	opts    *OpenLoopOptions
-	rate    float64 // aggregate msgs/ns at peak for this pump
-	horizon sim.Time
-	maxQ    int
-	gen     int // arrivals generated in window
+	s        *sim.Scheduler
+	arriveFn func() // arrive, bound once
+	opts     *OpenLoopOptions
+	rate     float64 // aggregate msgs/ns at peak for this pump
+	horizon  sim.Time
+	maxQ     int
+	gen      int // arrivals generated in window
 }
 
 // interarrival draws the next gap of the pump's aggregate process, in ns.
@@ -233,32 +235,45 @@ func (pu *openPump) shapeAccept(t sim.Time) bool {
 	return pu.rng.Float64() < frac
 }
 
-// schedule generates the next arrival event; the chain sustains itself
+// start arms the pump's first arrival on s.
+func (pu *openPump) start(s *sim.Scheduler) {
+	pu.s = s
+	pu.arriveFn = pu.arrive
+	pu.schedule(pu.interarrival())
+}
+
+// schedule arms the pump's next arrival at at; the chain sustains itself
 // until the horizon.
-func (pu *openPump) schedule(s *sim.Scheduler, at sim.Time) {
-	if at >= pu.horizon {
-		return
+func (pu *openPump) schedule(at sim.Time) {
+	if at < pu.horizon {
+		pu.s.At(at, pu.arriveFn)
 	}
-	s.At(at, func() {
-		next := at + pu.interarrival()
-		if pu.shapeAccept(at) {
-			a := arrival{
-				at:     at,
-				client: uint32(pu.rng.Intn(pu.opts.Clients)),
-				key:    pu.zipf.Uint64(),
-				read:   pu.mixRead(),
-			}
-			a.dual = !a.read && pu.rng.Intn(100) < pu.opts.MultiGroupPct
-			pu.queue.Send(a)
-			if q := pu.queue.Len(); q > pu.maxQ {
-				pu.maxQ = q
-			}
-			if at >= sim.Time(pu.opts.Warmup) {
-				pu.gen++
-			}
+}
+
+// arrive generates the arrival due now and arms the next one. It runs as
+// a scheduler event through arriveFn, bound once, so an arrival allocates
+// no closure; its time is the event's, which schedule never clamps (each
+// arrival lies at least 1 ns after the one that armed it).
+func (pu *openPump) arrive() {
+	at := pu.s.Now()
+	next := at + pu.interarrival()
+	if pu.shapeAccept(at) {
+		a := arrival{
+			at:     at,
+			client: uint32(pu.rng.Intn(pu.opts.Clients)),
+			key:    pu.zipf.Uint64(),
+			read:   pu.mixRead(),
 		}
-		pu.schedule(s, next)
-	})
+		a.dual = !a.read && pu.rng.Intn(100) < pu.opts.MultiGroupPct
+		pu.queue.Send(a)
+		if q := pu.queue.Len(); q > pu.maxQ {
+			pu.maxQ = q
+		}
+		if at >= sim.Time(pu.opts.Warmup) {
+			pu.gen++
+		}
+	}
+	pu.schedule(next)
 }
 
 // openLoopHeader is the measurement header size: submit time [0:8],
@@ -403,7 +418,7 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 				horizon: horizon,
 			}
 			pumps = append(pumps, pu)
-			pu.schedule(s, pu.interarrival())
+			pu.start(s)
 			g := g
 			heat := opts.Obs.HeatPartition(g)
 			s.Spawn(fmt.Sprintf("ol-pump-g%d-%d", g, i), func(p *sim.Proc) {

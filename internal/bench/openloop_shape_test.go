@@ -40,7 +40,7 @@ func runShape(t *testing.T, shape string, seed int64) (deciles [10]int, total in
 		rate:    0.004, // peak msgs/ns: ~40k arrivals over the window
 		horizon: sim.Time(opts.Window),
 	}
-	pu.schedule(s, pu.interarrival())
+	pu.start(s)
 	s.At(sim.Time(opts.Window), func() { pu.queue.Close() })
 	s.Spawn("shape-sink", func(p *sim.Proc) {
 		for {

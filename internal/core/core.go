@@ -44,7 +44,7 @@ type PartitionID = multicast.GroupID
 type Request struct {
 	ID      multicast.MsgID
 	Ts      multicast.Timestamp
-	Dst     []multicast.GroupID
+	Dst     []multicast.GroupID // the delivery's shared list: read-only
 	Payload []byte
 }
 

@@ -12,15 +12,12 @@ import (
 // starts its ordering. Single-group messages skip the proposal round and
 // are decided immediately; multi-group messages replicate the proposal to
 // a quorum before it is sent to the other destination groups (so the
-// promise survives leader failure).
+// promise survives leader failure). m's payload is a body the process
+// keeps.
 func (pr *Process) propose(p *sim.Proc, m *clientMsg) {
 	pr.lc++
 	prop := MakeTimestamp(pr.lc, pr.group)
-	pend := &pendingMsg{
-		msg:     *m,
-		ownProp: prop,
-		props:   make(map[GroupID]Timestamp),
-	}
+	pend := pr.newPending(*m, prop)
 	pr.pending[m.id] = pend
 	pr.mergeRemoteProps(pend)
 	delete(pr.unproposed, m.id)
@@ -36,19 +33,32 @@ func (pr *Process) propose(p *sim.Proc, m *clientMsg) {
 	pr.repSeq++
 	rec := pr.rec(encodeRepProposal(pr.arena, &repProposal{view: pr.view, repSeq: pr.repSeq, msg: *m, prop: prop}))
 	pr.broadcastGroup(rec)
-	pr.addMilestone(p, pr.repSeq, func(p *sim.Proc) {
-		pend.propStable = true
-		pr.sendProposals(p, pend)
-		pr.tryDecide(p, pend)
-	})
+	pr.addMilestone(p, milestone{seq: pr.repSeq, kind: msProposal, id: m.id, dst: m.dst, prop: prop})
 }
 
-// sendProposals transmits this group's proposal for pend to every member
-// of every other destination group (members, not just leaders, so the
-// proposal survives remote leader changes).
-func (pr *Process) sendProposals(p *sim.Proc, pend *pendingMsg) {
-	rec := pr.rec(encodeProposal(pr.arena, &proposalMsg{fromGroup: pr.group, id: pend.msg.id, prop: pend.ownProp}))
-	for _, h := range pend.msg.dst {
+// proposalStable runs a msProposal milestone: this group's proposal for
+// m.id is quorum-replicated, so it goes out to the other destination
+// groups, and the message is decided if every proposal is in. The
+// message may be committed already, its pendingMsg recycled: the
+// proposal still goes out, from what the milestone carries.
+func (pr *Process) proposalStable(p *sim.Proc, m *milestone) {
+	pend := pr.pending[m.id]
+	if pend != nil {
+		pend.propStable = true
+		pend.lastSend = p.Now()
+	}
+	pr.sendProposals(m.id, m.dst, m.prop)
+	if pend != nil {
+		pr.tryDecide(p, pend)
+	}
+}
+
+// sendProposals transmits this group's proposal prop for message id to
+// every member of every other destination group in dst (members, not just
+// leaders, so the proposal survives remote leader changes).
+func (pr *Process) sendProposals(id MsgID, dst []GroupID, prop Timestamp) {
+	rec := pr.rec(encodeProposal(pr.arena, &proposalMsg{fromGroup: pr.group, id: id, prop: prop}))
+	for _, h := range dst {
 		if h == pr.group {
 			continue
 		}
@@ -56,7 +66,6 @@ func (pr *Process) sendProposals(p *sim.Proc, pend *pendingMsg) {
 			pr.send(member, rec)
 		}
 	}
-	pend.lastSend = p.Now()
 }
 
 // retryProposals retransmits proposals for messages stuck waiting on
@@ -76,7 +85,8 @@ func (pr *Process) retryProposals(p *sim.Proc, now sim.Time) {
 	}
 	sort.Slice(stuck, func(i, j int) bool { return lessMsgID(stuck[i].msg.id, stuck[j].msg.id) })
 	for _, pend := range stuck {
-		pr.sendProposals(p, pend)
+		pr.sendProposals(pend.msg.id, pend.msg.dst, pend.ownProp)
+		pend.lastSend = now
 		pr.requestMissingProps(pend)
 	}
 }
@@ -85,11 +95,8 @@ func (pr *Process) retryProposals(p *sim.Proc, now sim.Time) {
 // proposal for pend has not arrived to re-send it.
 func (pr *Process) requestMissingProps(pend *pendingMsg) {
 	rec := pr.rec(encodePropRequest(pr.arena, &propRequest{id: pend.msg.id}))
-	for _, h := range pend.msg.dst {
-		if h == pr.group {
-			continue
-		}
-		if _, ok := pend.props[h]; ok {
+	for i, h := range pend.msg.dst {
+		if h == pr.group || pend.props[i] != 0 {
 			continue
 		}
 		for _, member := range pr.cfg.Groups[h] {
@@ -136,12 +143,12 @@ func (pr *Process) tryDecide(p *sim.Proc, pend *pendingMsg) {
 		return
 	}
 	final := pend.ownProp
-	for _, h := range pend.msg.dst {
+	for i, h := range pend.msg.dst {
 		if h == pr.group {
 			continue
 		}
-		ts, ok := pend.props[h]
-		if !ok {
+		ts := pend.props[i]
+		if ts == 0 {
 			return
 		}
 		if ts > final {
@@ -187,7 +194,8 @@ func (pr *Process) tryCommit(p *sim.Proc) {
 // appendEntry commits one decided message: append to the log, replicate,
 // and register the quorum milestone that advances the leader's commit
 // index. Followers that can see the quorum themselves have committed on
-// receipt (onRepCommit) and are not told; the others are.
+// receipt (onRepCommit) and are not told; the others are. pend goes back
+// to the free list.
 func (pr *Process) appendEntry(p *sim.Proc, pend *pendingMsg) {
 	if n := len(pr.log); n > 0 && pend.final <= pr.log[n-1].ts {
 		panic(fmt.Sprintf("multicast: group %d appending ts %v after %v",
@@ -198,7 +206,7 @@ func (pr *Process) appendEntry(p *sim.Proc, pend *pendingMsg) {
 	pr.log = append(pr.log, entry)
 	pr.committed[pend.msg.id] = true
 	delete(pr.pending, pend.msg.id)
-	delete(pr.remoteProps, pend.msg.id)
+	pr.dropRemoteProps(pend.msg.id)
 
 	pr.repSeq++
 	rec := pr.rec(encodeRepCommit(pr.arena, &repCommit{
@@ -213,14 +221,8 @@ func (pr *Process) appendEntry(p *sim.Proc, pend *pendingMsg) {
 	}))
 	pr.broadcastGroup(rec)
 	pr.recordRepGseq(pr.repSeq, gseq+1)
-	pr.addMilestone(p, pr.repSeq, func(p *sim.Proc) {
-		if gseq+1 > pr.commitIdx {
-			pr.commitIdx = gseq + 1
-			pr.deliverCommitted()
-			pr.maybeTruncate()
-			pr.announceCommit()
-		}
-	})
+	pr.releasePending(pend)
+	pr.addMilestone(p, milestone{seq: pr.repSeq, kind: msCommit, upTo: gseq + 1})
 }
 
 // announceCommit tells followers that cannot see the quorum themselves how
@@ -233,10 +235,11 @@ func (pr *Process) announceCommit() {
 	pr.broadcastGroup(pr.rec(encodeCommitIdx(pr.arena, kindCommitIdx, &commitIdxMsg{view: pr.view, commitIdx: pr.commitIdx, truncate: pr.truncateTo})))
 }
 
-// addMilestone registers fn to run once a quorum of followers has acked
-// replication records up to seq, firing immediately if already satisfied.
-func (pr *Process) addMilestone(p *sim.Proc, seq uint64, fn func(p *sim.Proc)) {
-	pr.milestones = append(pr.milestones, milestone{seq: seq, fn: fn})
+// addMilestone registers m to fire once a quorum of followers has acked
+// replication records up to m.seq, firing immediately if already
+// satisfied.
+func (pr *Process) addMilestone(p *sim.Proc, m milestone) {
+	pr.milestones.push(m)
 	pr.fireMilestones(p)
 }
 
@@ -267,13 +270,32 @@ func (pr *Process) quorumAcked() uint64 {
 	return best
 }
 
-// fireMilestones runs every milestone covered by the current quorum ack.
+// fireMilestones runs every milestone covered by the current quorum ack,
+// oldest first. A milestone may register (and fire) others as it runs.
 func (pr *Process) fireMilestones(p *sim.Proc) {
 	q := pr.quorumAcked()
-	for len(pr.milestones) > 0 && pr.milestones[0].seq <= q {
-		m := pr.milestones[0]
-		pr.milestones = pr.milestones[1:]
-		m.fn(p)
+	for {
+		m, ok := pr.milestones.popDue(q)
+		if !ok {
+			return
+		}
+		switch m.kind {
+		case msProposal:
+			pr.proposalStable(p, &m)
+		case msCommit:
+			if m.upTo > pr.commitIdx {
+				pr.commitIdx = m.upTo
+				pr.deliverCommitted()
+				pr.maybeTruncate()
+				pr.announceCommit()
+			}
+		case msRereplicated:
+			if m.upTo > pr.commitIdx {
+				pr.commitIdx = m.upTo
+				pr.deliverCommitted()
+			}
+			pr.announceCommit()
+		}
 	}
 }
 

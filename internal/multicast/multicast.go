@@ -90,7 +90,9 @@ func lessMsgID(a, b MsgID) bool {
 }
 
 // Delivery is a message handed to the application, with its final
-// timestamp. Payload is owned by the receiver.
+// timestamp. Payload is owned by the receiver. Dst is the delivering
+// process's interned list, shared by every delivery to the same groups:
+// read it, never write it.
 type Delivery struct {
 	ID      MsgID
 	Ts      Timestamp

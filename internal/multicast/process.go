@@ -1,6 +1,7 @@
 package multicast
 
 import (
+	"bytes"
 	"fmt"
 
 	"heron/internal/obs"
@@ -26,21 +27,101 @@ type logEntry struct {
 }
 
 // pendingMsg tracks a message proposed by this group but not yet
-// committed to the group log.
+// committed to the group log. It comes from the process's free list
+// (newPending) and goes back to it (releasePending) once its entry is
+// appended or it is dropped wholesale; nothing may keep a pointer to it
+// past that. Its msg.payload is the process's one kept copy of the body,
+// which the log entry takes over, and msg.dst is interned.
 type pendingMsg struct {
-	msg        clientMsg
-	ownProp    Timestamp
-	props      map[GroupID]Timestamp
+	msg     clientMsg
+	ownProp Timestamp
+	// props holds the proposals heard from the other destination groups,
+	// aligned with msg.dst; 0 marks one not heard yet (a proposal is
+	// never 0). The slot of this group stays 0.
+	props      []Timestamp
 	propStable bool      // own proposal replicated to a quorum
 	final      Timestamp // 0 until decided
 	lastSend   sim.Time
 }
 
+// setProp records ts as group g's proposal in props, aligned with dst.
+func setProp(dst []GroupID, props []Timestamp, g GroupID, ts Timestamp) {
+	for i, h := range dst {
+		if h == g {
+			props[i] = ts
+		}
+	}
+}
+
+// groupProp is one group's proposal for a message.
+type groupProp struct {
+	group GroupID
+	ts    Timestamp
+}
+
+// milestoneKind says what a milestone does when it fires.
+type milestoneKind uint8
+
+const (
+	// msProposal: this group's proposal prop for message id (to dst) is
+	// quorum-replicated. Send it to the other destination groups and try
+	// to decide. The message may have been decided and appended — its
+	// pendingMsg recycled — before the milestone fires (tryDecide does not
+	// wait for propStable), so the milestone carries what it sends.
+	msProposal milestoneKind = iota + 1
+	// msCommit: the append establishing log length upTo is held by a
+	// quorum; commit up to it, deliver, truncate and announce.
+	msCommit
+	// msRereplicated: the re-replicated log up to upTo is held by a quorum
+	// (rereplicate); commit up to it and announce.
+	msRereplicated
+)
+
 // milestone is a deferred action fired once a quorum of followers has
 // acknowledged replication records up to seq.
 type milestone struct {
-	seq uint64
-	fn  func(p *sim.Proc)
+	seq  uint64
+	kind milestoneKind
+	upTo uint64 // msCommit, msRereplicated
+	id   MsgID  // msProposal
+	dst  []GroupID
+	prop Timestamp
+}
+
+// milestoneQueue holds milestones in registration order. It keeps its
+// backing array: popping advances head, and the consumed prefix is
+// dropped when the queue empties or slid down once it is half the queue.
+type milestoneQueue struct {
+	q    []milestone
+	head int
+}
+
+func (mq *milestoneQueue) push(m milestone) { mq.q = append(mq.q, m) }
+
+// popDue removes and returns the oldest milestone if a quorum ack of q
+// covers it.
+func (mq *milestoneQueue) popDue(q uint64) (milestone, bool) {
+	if mq.head == len(mq.q) || mq.q[mq.head].seq > q {
+		return milestone{}, false
+	}
+	m := mq.q[mq.head]
+	mq.q[mq.head] = milestone{}
+	mq.head++
+	switch {
+	case mq.head == len(mq.q):
+		mq.q, mq.head = mq.q[:0], 0
+	case mq.head >= 64 && 2*mq.head >= len(mq.q):
+		n := copy(mq.q, mq.q[mq.head:])
+		clear(mq.q[n:])
+		mq.q, mq.head = mq.q[:n], 0
+	}
+	return m, true
+}
+
+// reset drops every queued milestone.
+func (mq *milestoneQueue) reset() {
+	clear(mq.q)
+	mq.q, mq.head = mq.q[:0], 0
 }
 
 // outbox queues the datagrams bound for one destination until the event
@@ -90,23 +171,33 @@ type Process struct {
 	durableGate bool
 	durableTmp  Timestamp
 	truncReq    bool
-	// truncTs remembers the final timestamp of committed entries dropped
-	// by truncation, so pull-based proposal repair (kindPropRequest) can
-	// still answer from this snapshot of commit metadata. Rebuilt empty on
-	// Restore/resync, mirroring the committed map's lifecycle.
+	// truncTs remembers the final timestamp of committed multi-group
+	// entries dropped by truncation, so pull-based proposal repair
+	// (kindPropRequest, only ever about a multi-group message) can still
+	// answer from this snapshot of commit metadata.
 	truncTs map[MsgID]Timestamp
 
-	pending     map[MsgID]*pendingMsg
-	remoteProps map[MsgID]map[GroupID]Timestamp
+	pending map[MsgID]*pendingMsg
+	// remoteProps records every proposal heard from another group for a
+	// message not committed here, whether or not it is pending here yet;
+	// each list comes from, and goes back to, freeProps.
+	remoteProps map[MsgID][]groupProp
 	committed   map[MsgID]bool
 	unproposed  map[MsgID]clientMsg
+
+	// Free lists of per-message state, grown on demand: pendingMsgs and
+	// remoteProps lists whose message was appended or dropped.
+	freePend  []*pendingMsg
+	freeProps [][]groupProp
+	// dsts interns every destination list this process decodes.
+	dsts dstTable
 
 	// Leader state. repSeq doubles as follower state: the highest
 	// replication record applied contiguously in the current view.
 	repSeq        uint64
 	ackedRep      []uint64 // per follower rank, for the current view
 	lagSince      []sim.Time
-	milestones    []milestone
+	milestones    milestoneQueue
 	nextHeartbeat sim.Time
 	// reshapePending marks a leader installed by PrepareReshape whose
 	// retained state has not been pushed into the new view's replication
@@ -202,7 +293,7 @@ func NewProcess(tr Transport, cfg *Config, g GroupID, rank int) *Process {
 		sched:       sched,
 		out:         sim.NewChan[Delivery](sched),
 		pending:     make(map[MsgID]*pendingMsg),
-		remoteProps: make(map[MsgID]map[GroupID]Timestamp),
+		remoteProps: make(map[MsgID][]groupProp),
 		committed:   make(map[MsgID]bool),
 		unproposed:  make(map[MsgID]clientMsg),
 		outboxOf:    make(map[rdma.NodeID]int),
@@ -447,8 +538,9 @@ func (pr *Process) flushOutboxes(p *sim.Proc) {
 }
 
 // handle dispatches one protocol datagram. The datagram is valid only
-// until the loop's next receive: the decoders copy whatever the protocol
-// keeps of it.
+// until the loop's next receive: the client and replication kinds decode
+// to views of it, and their handlers copy a body only when they keep one
+// the process does not already hold (keepBody).
 func (pr *Process) handle(p *sim.Proc, datagram []byte, from rdma.NodeID) {
 	pr.statHandled++
 	kind, r, err := decodeKind(datagram)
@@ -457,17 +549,17 @@ func (pr *Process) handle(p *sim.Proc, datagram []byte, from rdma.NodeID) {
 	}
 	switch kind {
 	case kindClient:
-		m := decodeClient(&r)
+		m := decodeClient(&r, &pr.dsts)
 		if r.Err() == nil {
 			pr.onClient(p, &m)
 		}
 	case kindRepProposal:
-		m := decodeRepProposal(&r)
+		m := decodeRepProposal(&r, &pr.dsts)
 		if r.Err() == nil {
 			pr.onRepProposal(p, &m)
 		}
 	case kindRepCommit:
-		m := decodeRepCommit(&r)
+		m := decodeRepCommit(&r, &pr.dsts)
 		if r.Err() == nil {
 			pr.onRepCommit(p, &m)
 		}
@@ -492,12 +584,12 @@ func (pr *Process) handle(p *sim.Proc, datagram []byte, from rdma.NodeID) {
 			pr.onViewReq(p, m, from)
 		}
 	case kindViewState:
-		m := decodeViewState(&r)
+		m := decodeViewState(&r, &pr.dsts)
 		if r.Err() == nil {
 			pr.onViewState(p, m, from)
 		}
 	case kindResync:
-		m := decodeResync(&r)
+		m := decodeResync(&r, &pr.dsts)
 		if r.Err() == nil {
 			pr.onResync(p, m)
 		}
@@ -510,7 +602,8 @@ func (pr *Process) handle(p *sim.Proc, datagram []byte, from rdma.NodeID) {
 }
 
 // onClient handles a client submission: leaders propose, followers buffer
-// in case they become leader before the message is ordered.
+// in case they become leader before the message is ordered. m's payload
+// is a view of the datagram; a duplicate copies nothing.
 func (pr *Process) onClient(p *sim.Proc, m *clientMsg) {
 	if pr.committed[m.id] || pr.pending[m.id] != nil {
 		return
@@ -521,12 +614,26 @@ func (pr *Process) onClient(p *sim.Proc, m *clientMsg) {
 		}
 	}
 	if pr.role == roleLeader {
-		pr.propose(p, m)
+		kept := *m
+		kept.payload = pr.keepBody(m.id, m.payload)
+		pr.propose(p, &kept)
 		return
 	}
 	if _, ok := pr.unproposed[m.id]; !ok {
-		pr.unproposed[m.id] = *m
+		kept := *m
+		kept.payload = bytes.Clone(m.payload)
+		pr.unproposed[m.id] = kept
 	}
+}
+
+// keepBody returns the body of message id for the process to keep: the
+// copy it buffered from the client, when it has one, or else a copy of
+// view, the body a datagram carried.
+func (pr *Process) keepBody(id MsgID, view []byte) []byte {
+	if m, ok := pr.unproposed[id]; ok {
+		return m.payload
+	}
+	return bytes.Clone(view)
 }
 
 // acceptView processes a view number seen on a leader-originated record.
@@ -542,7 +649,7 @@ func (pr *Process) acceptView(v uint64) bool {
 			return false
 		}
 		pr.role = roleFollower
-		pr.milestones = nil
+		pr.milestones.reset()
 		// A new view starts a fresh replication stream at 1.
 		pr.repSeq = 0
 	}
@@ -572,7 +679,9 @@ func (pr *Process) onRepProposal(p *sim.Proc, m *repProposal) {
 	if !pr.committed[m.msg.id] {
 		pend := pr.pending[m.msg.id]
 		if pend == nil {
-			pend = &pendingMsg{msg: m.msg, props: make(map[GroupID]Timestamp)}
+			msg := m.msg
+			msg.payload = pr.keepBody(msg.id, msg.payload)
+			pend = pr.newPending(msg, 0)
 			pr.pending[m.msg.id] = pend
 		}
 		pend.ownProp = m.prop
@@ -609,31 +718,32 @@ func (pr *Process) onRepCommit(p *sim.Proc, m *repCommit) {
 		pr.needAck = true
 		return
 	}
-	entry := logEntry{id: m.id, ts: m.ts}
-	if m.hasBody {
-		entry.dst = m.dst
-		entry.payload = m.payload
-	} else {
-		pend := pr.pending[m.id]
-		if pend == nil {
-			// The body rides the repProposal, which precedes the commit in
-			// a contiguous stream; a missing body means our state predates
-			// this view's stream. Do NOT ack past it — wait for resync.
-			return
-		}
-		entry.dst = pend.msg.dst
-		entry.payload = pend.msg.payload
+	pend := pr.pending[m.id]
+	if !m.hasBody && pend == nil {
+		// The body rides the repProposal, which precedes the commit in a
+		// contiguous stream; a missing body means our state predates this
+		// view's stream. Do NOT ack past it — wait for resync.
+		return
 	}
 	if m.gseq > pr.logBase+uint64(len(pr.log)) {
 		return // log hole: wait for resync, and do not ack past it
+	}
+	entry := logEntry{id: m.id, ts: m.ts}
+	if pend != nil {
+		entry.dst, entry.payload = pend.msg.dst, pend.msg.payload
+	} else {
+		entry.dst, entry.payload = m.dst, pr.keepBody(m.id, m.payload)
 	}
 	pr.repSeq = m.repSeq
 	pr.needAck = true
 	pr.log = append(pr.log[:m.gseq-pr.logBase], entry)
 	pr.committed[m.id] = true
-	delete(pr.pending, m.id)
+	if pend != nil {
+		delete(pr.pending, m.id)
+		pr.releasePending(pend)
+	}
 	delete(pr.unproposed, m.id)
-	delete(pr.remoteProps, m.id)
+	pr.dropRemoteProps(m.id)
 	if c := m.ts.Clock(); c > pr.lc {
 		pr.lc = c
 	}
@@ -683,33 +793,99 @@ func (pr *Process) onCommitIdx(p *sim.Proc, m *commitIdxMsg) {
 }
 
 // onProposal records another group's proposal; the leader also tries to
-// decide the message.
+// decide the message. A proposal is never 0, so one that reads 0 is
+// malformed and ignored.
 func (pr *Process) onProposal(p *sim.Proc, m *proposalMsg) {
-	props := pr.remoteProps[m.id]
-	if props == nil {
+	if m.prop == 0 {
+		return
+	}
+	props, ok := pr.remoteProps[m.id]
+	if !ok {
 		if pr.committed[m.id] {
 			return
 		}
-		props = make(map[GroupID]Timestamp)
-		pr.remoteProps[m.id] = props
+		if n := len(pr.freeProps); n > 0 {
+			props = pr.freeProps[n-1]
+			pr.freeProps[n-1] = nil
+			pr.freeProps = pr.freeProps[:n-1]
+		}
 	}
-	props[m.fromGroup] = m.prop
+	pr.remoteProps[m.id] = setGroupProp(props, m.fromGroup, m.prop)
 	if pend := pr.pending[m.id]; pend != nil {
-		pend.props[m.fromGroup] = m.prop
+		setProp(pend.msg.dst, pend.props, m.fromGroup, m.prop)
 		if pr.role == roleLeader {
 			pr.tryDecide(p, pend)
 		}
 	}
 }
 
+// setGroupProp records ts as group g's proposal in props, replacing an
+// earlier one from g.
+func setGroupProp(props []groupProp, g GroupID, ts Timestamp) []groupProp {
+	for i := range props {
+		if props[i].group == g {
+			props[i].ts = ts
+			return props
+		}
+	}
+	return append(props, groupProp{group: g, ts: ts})
+}
+
+// dropRemoteProps forgets the proposals heard for a committed message and
+// returns their list to the free list.
+func (pr *Process) dropRemoteProps(id MsgID) {
+	if props, ok := pr.remoteProps[id]; ok {
+		delete(pr.remoteProps, id)
+		pr.freeProps = append(pr.freeProps, props[:0])
+	}
+}
+
 // mergeRemoteProps folds proposals that arrived before the pending entry
 // existed into it.
 func (pr *Process) mergeRemoteProps(pend *pendingMsg) {
-	if props, ok := pr.remoteProps[pend.msg.id]; ok {
-		for g, ts := range props {
-			pend.props[g] = ts
-		}
+	for _, gp := range pr.remoteProps[pend.msg.id] {
+		setProp(pend.msg.dst, pend.props, gp.group, gp.ts)
 	}
+}
+
+// newPending takes a pendingMsg from the free list, or allocates one, for
+// msg with own proposal ownProp and no other proposal heard.
+func (pr *Process) newPending(msg clientMsg, ownProp Timestamp) *pendingMsg {
+	var pend *pendingMsg
+	if n := len(pr.freePend); n > 0 {
+		pend = pr.freePend[n-1]
+		pr.freePend[n-1] = nil
+		pr.freePend = pr.freePend[:n-1]
+	} else {
+		pend = new(pendingMsg)
+	}
+	props := pend.props
+	if cap(props) < len(msg.dst) {
+		props = make([]Timestamp, len(msg.dst))
+	} else {
+		props = props[:len(msg.dst)]
+		clear(props)
+	}
+	*pend = pendingMsg{msg: msg, ownProp: ownProp, props: props}
+	return pend
+}
+
+// releasePending returns pend, already out of pr.pending, to the free
+// list. Its body now belongs to the log (or to nobody), so it lets go of
+// it.
+func (pr *Process) releasePending(pend *pendingMsg) {
+	pend.msg = clientMsg{}
+	pr.freePend = append(pr.freePend, pend)
+}
+
+// dropAllPending empties pr.pending, releasing every entry: a view
+// change, resync, recovery or reshape rebuilds it from snapshots, which
+// own copies of everything they hold.
+func (pr *Process) dropAllPending() {
+	for _, pend := range pr.pending {
+		pr.releasePending(pend)
+	}
+	clear(pr.pending)
 }
 
 // deliverCommitted hands committed-but-undelivered entries to the

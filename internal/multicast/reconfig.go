@@ -97,7 +97,7 @@ func (pr *Process) PrepareReshape(states []*RecoveryState, newView uint64) {
 		// Adopt the highest commit index and clock any member had, and
 		// union pendings freshest-first (exactly as adopt/Restore do) so a
 		// message buffered only on a removed member is not lost.
-		pr.pending = make(map[MsgID]*pendingMsg)
+		pr.dropAllPending()
 		pr.unproposed = make(map[MsgID]clientMsg)
 		for _, st := range sorted {
 			if st.commitIdx > pr.commitIdx {
@@ -117,11 +117,7 @@ func (pr *Process) PrepareReshape(states []*RecoveryState, newView uint64) {
 					}
 					continue
 				}
-				pend := &pendingMsg{msg: ps.msg, ownProp: ps.ownProp, props: make(map[GroupID]Timestamp)}
-				for g, ts := range ps.props {
-					pend.props[g] = ts
-				}
-				pr.pending[ps.msg.id] = pend
+				pr.pending[ps.msg.id] = pr.pendingFrom(ps)
 			}
 		}
 		if max := pr.logBase + uint64(len(pr.log)); pr.commitIdx > max {
@@ -151,7 +147,7 @@ func (pr *Process) PrepareReshape(states []*RecoveryState, newView uint64) {
 	pr.ackedRep = make([]uint64, n)
 	pr.lagSince = make([]sim.Time, n)
 	pr.repSeq = 0
-	pr.milestones = nil
+	pr.milestones.reset()
 	pr.repToGseq = nil
 	pr.vcStates = nil
 	pr.needAck = false
@@ -196,19 +192,14 @@ func (pr *Process) rereplicate(p *sim.Proc) {
 		pr.broadcastGroup(rec)
 		pr.recordRepGseq(pr.repSeq, pr.logBase+uint64(i)+1)
 	}
-	logLen := pr.logBase + uint64(len(pr.log))
-	pr.addMilestone(p, pr.repSeq, func(p *sim.Proc) {
-		if logLen > pr.commitIdx {
-			pr.commitIdx = logLen
-			pr.deliverCommitted()
-		}
-		pr.announceCommit()
-	})
+	pr.addMilestone(p, milestone{seq: pr.repSeq, kind: msRereplicated, upTo: pr.logBase + uint64(len(pr.log))})
 
-	// Re-replicate pending proposals and resume their ordering.
-	pendings := make([]*pendingMsg, 0, len(pr.pending))
+	// Re-replicate pending proposals and resume their ordering. The list
+	// holds copies: with f = 0 a milestone fires at once and may commit,
+	// and recycle, a pending listed earlier.
+	pendings := make([]pendingState, 0, len(pr.pending))
 	for _, pend := range pr.pending {
-		pendings = append(pendings, pend)
+		pendings = append(pendings, pendingState{msg: pend.msg, ownProp: pend.ownProp})
 	}
 	sort.Slice(pendings, func(i, j int) bool {
 		if pendings[i].ownProp != pendings[j].ownProp {
@@ -216,17 +207,15 @@ func (pr *Process) rereplicate(p *sim.Proc) {
 		}
 		return lessMsgID(pendings[i].msg.id, pendings[j].msg.id)
 	})
-	for _, pend := range pendings {
-		pend.propStable = false
+	for i := range pendings {
+		ps := &pendings[i]
+		if pend := pr.pending[ps.msg.id]; pend != nil {
+			pend.propStable = false
+		}
 		pr.repSeq++
-		rec := pr.rec(encodeRepProposal(pr.arena, &repProposal{view: pr.view, repSeq: pr.repSeq, msg: pend.msg, prop: pend.ownProp}))
+		rec := pr.rec(encodeRepProposal(pr.arena, &repProposal{view: pr.view, repSeq: pr.repSeq, msg: ps.msg, prop: ps.ownProp}))
 		pr.broadcastGroup(rec)
-		pend := pend
-		pr.addMilestone(p, pr.repSeq, func(p *sim.Proc) {
-			pend.propStable = true
-			pr.sendProposals(p, pend)
-			pr.tryDecide(p, pend)
-		})
+		pr.addMilestone(p, milestone{seq: pr.repSeq, kind: msProposal, id: ps.msg.id, dst: ps.msg.dst, prop: ps.ownProp})
 	}
 
 	// Propose every buffered client message that never got ordered, in

@@ -1,6 +1,9 @@
 package multicast
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Crash recovery for the ordering layer. A crashed member loses its
 // volatile protocol state (log, clock, pendings); a replacement process
@@ -31,22 +34,24 @@ func (pr *Process) SnapshotForRecovery() *RecoveryState {
 
 // clone deep-copies a view state so it can outlive the process it was
 // snapshotted from. Entry payloads and destination slices are shared:
-// they are immutable once appended.
+// they are immutable once appended (destination lists are interned).
 func (st *viewState) clone() *viewState {
 	c := *st
 	c.log = append([]logEntry(nil), st.log...)
 	c.pending = make([]pendingState, len(st.pending))
 	for i, ps := range st.pending {
-		cp := ps
-		if ps.props != nil {
-			cp.props = make(map[GroupID]Timestamp, len(ps.props))
-			for g, ts := range ps.props {
-				cp.props[g] = ts
-			}
-		}
-		c.pending[i] = cp
+		ps.props = slices.Clone(ps.props)
+		c.pending[i] = ps
 	}
 	return &c
+}
+
+// pendingFrom takes a pendingMsg for a snapshot's pending message, with
+// the proposals the snapshot holds.
+func (pr *Process) pendingFrom(ps *pendingState) *pendingMsg {
+	pend := pr.newPending(ps.msg, ps.ownProp)
+	copy(pend.props, ps.props)
+	return pend
 }
 
 // Restore installs the freshest of the live members' snapshots into a
@@ -85,7 +90,7 @@ func (pr *Process) Restore(states []*RecoveryState) {
 	for i := range pr.log {
 		pr.committed[pr.log[i].id] = true
 	}
-	pr.pending = make(map[MsgID]*pendingMsg)
+	pr.dropAllPending()
 	pr.unproposed = make(map[MsgID]clientMsg)
 	for _, st := range sorted {
 		if st.view > pr.votedView {
@@ -110,11 +115,7 @@ func (pr *Process) Restore(states []*RecoveryState) {
 				}
 				continue
 			}
-			pend := &pendingMsg{msg: ps.msg, ownProp: ps.ownProp, props: make(map[GroupID]Timestamp)}
-			for g, ts := range ps.props {
-				pend.props[g] = ts
-			}
-			pr.pending[ps.msg.id] = pend
+			pr.pending[ps.msg.id] = pr.pendingFrom(ps)
 		}
 	}
 

@@ -102,7 +102,7 @@ func (pr *Process) onResync(p *sim.Proc, m *resyncMsg) {
 	for i := range pr.log {
 		pr.committed[pr.log[i].id] = true
 	}
-	pr.pending = make(map[MsgID]*pendingMsg)
+	pr.dropAllPending()
 	for i := range st.pending {
 		ps := &st.pending[i]
 		if pr.committed[ps.msg.id] {
@@ -116,10 +116,7 @@ func (pr *Process) onResync(p *sim.Proc, m *resyncMsg) {
 			}
 			continue
 		}
-		pend := &pendingMsg{msg: ps.msg, ownProp: ps.ownProp, props: make(map[GroupID]Timestamp)}
-		for g, ts := range ps.props {
-			pend.props[g] = ts
-		}
+		pend := pr.pendingFrom(ps)
 		pr.mergeRemoteProps(pend)
 		pr.pending[ps.msg.id] = pend
 		delete(pr.unproposed, ps.msg.id)

@@ -133,7 +133,10 @@ func (pr *Process) maybeTruncate() {
 }
 
 // dropPrefix discards log entries below absolute index `to`, memoizing
-// each dropped entry's final timestamp for pull-based proposal repair.
+// each dropped multi-group entry's final timestamp for pull-based
+// proposal repair. Only a multi-group message is ever asked for (another
+// destination group's requestMissingProps), so a single-group entry
+// leaves nothing behind.
 func (pr *Process) dropPrefix(to uint64) {
 	if to <= pr.logBase {
 		return
@@ -142,11 +145,13 @@ func (pr *Process) dropPrefix(to uint64) {
 	if n > uint64(len(pr.log)) {
 		n = uint64(len(pr.log))
 	}
-	if pr.truncTs == nil {
-		pr.truncTs = make(map[MsgID]Timestamp)
-	}
 	for i := uint64(0); i < n; i++ {
-		pr.truncTs[pr.log[i].id] = pr.log[i].ts
+		if e := &pr.log[i]; len(e.dst) > 1 {
+			if pr.truncTs == nil {
+				pr.truncTs = make(map[MsgID]Timestamp)
+			}
+			pr.truncTs[e.id] = e.ts
+		}
 	}
 	pr.statTruncated += n
 	pr.obsTruncated.Add(n)

@@ -1,6 +1,11 @@
 package multicast
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"heron/internal/sim"
+)
 
 // truncProcess builds a bare leader with n appended log entries, all
 // committed and delivered, and every follower acked through rep record
@@ -169,6 +174,7 @@ func TestDropPrefixMemoizesTimestampsForRepair(t *testing.T) {
 	pr := truncProcess(4, 4)
 	for i := range pr.log {
 		pr.log[i].id = MsgID{Node: 1, Seq: uint64(i + 1)}
+		pr.log[i].dst = []GroupID{0, 1} // only a multi-group id is ever asked for
 	}
 	pr.dropPrefix(2)
 	// The memo answers kindPropReq for proposals whose entries are gone:
@@ -205,5 +211,63 @@ func TestMaybeTruncateDropsSafePrefix(t *testing.T) {
 	pr.maybeTruncate()
 	if pr.LogBase() != 6 || pr.LogLen() != 2 {
 		t.Fatalf("second truncate moved base: base=%d len=%d", pr.LogBase(), pr.LogLen())
+	}
+}
+
+// TestTruncationForgetsSingleGroupMessages: truncating the log of a group
+// that ordered 10 000 single-group messages leaves nothing behind in the
+// repair memo — nothing grows with run length — while a truncated
+// two-group message is still answered with its final timestamp when
+// another group asks for its proposal.
+func TestTruncationForgetsSingleGroupMessages(t *testing.T) {
+	c := newCluster(t, 2, 3)
+	defer c.s.Close()
+	c.cfg.TruncateEvery = 256
+	cl := NewClient(OverRDMA(c.tr), &c.cfg, c.addClientNode(100))
+	const n = 10_000
+	var multi []MsgID
+	c.s.Spawn("client", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			dst := []GroupID{0}
+			if i%1000 == 500 {
+				dst = []GroupID{0, 1}
+			}
+			id := cl.Multicast(p, dst, []byte("payload"))
+			if len(dst) > 1 {
+				multi = append(multi, id)
+			}
+			p.Sleep(2 * sim.Microsecond)
+		}
+	})
+	c.run(60 * sim.Millisecond)
+	leader := c.procs[0][0]
+	if got := len(c.deliveries[0][0]); got != n {
+		t.Fatalf("group 0 delivered %d messages, want %d", got, n)
+	}
+	if leader.Truncated() < n/2 {
+		t.Fatalf("group 0's leader truncated %d entries, want most of %d", leader.Truncated(), n)
+	}
+	for r, pr := range c.procs[0] {
+		for id := range pr.truncTs {
+			if !slices.Contains(multi, id) {
+				t.Fatalf("member %d memoised single-group message %v", r, id)
+			}
+		}
+	}
+	asked := multi[0]
+	want, ok := c.delivered(0, 0, asked)
+	if !ok || leader.LogBase() == 0 || leader.truncTs[asked] != want {
+		t.Fatalf("first two-group message %v: delivered %v (%v), memo %v, log base %d", asked, want, ok, leader.truncTs[asked], leader.LogBase())
+	}
+	// Ask as a member of group 1 would, then read the queued answer.
+	from := c.cfg.Groups[1][0]
+	leader.onPropRequest(&propRequest{id: asked}, from)
+	ob := leader.outboxes[leader.outboxOf[from]]
+	if len(ob.msgs) != 1 {
+		t.Fatalf("%d datagrams queued for the asker, want 1", len(ob.msgs))
+	}
+	kind, r, _ := decodeKind(ob.msgs[0])
+	if got := decodeProposal(&r); kind != kindProposal || got != (proposalMsg{fromGroup: 0, id: asked, prop: want}) {
+		t.Fatalf("answer %+v (kind %d), want group 0's final timestamp %v for %v", got, kind, want, asked)
 	}
 }

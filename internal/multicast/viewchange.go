@@ -1,6 +1,7 @@
 package multicast
 
 import (
+	"slices"
 	"sort"
 
 	"heron/internal/obs"
@@ -43,6 +44,8 @@ func (pr *Process) startCandidacy(p *sim.Proc, v uint64) {
 }
 
 // snapshotState captures this replica's protocol state for view change.
+// Each pending's proposals are copied: the pendingMsg goes back to the
+// free list once its message commits, and the snapshot may outlive that.
 func (pr *Process) snapshotState() *viewState {
 	st := &viewState{
 		view:             pr.votedView,
@@ -56,7 +59,7 @@ func (pr *Process) snapshotState() *viewState {
 		st.pending = append(st.pending, pendingState{
 			msg:     pend.msg,
 			ownProp: pend.ownProp,
-			props:   pend.props,
+			props:   slices.Clone(pend.props),
 		})
 	}
 	// Buffered-but-unordered client messages ride along as pendings with
@@ -83,7 +86,7 @@ func (pr *Process) onViewReq(p *sim.Proc, m *viewReq, from rdma.NodeID) {
 		pr.votedView = m.view
 		pr.suspectView = m.view
 		pr.role = roleFollower
-		pr.milestones = nil
+		pr.milestones.reset()
 		// Give the candidate room before suspecting this view too.
 		pr.leaderDeadline = p.Now() + 2*sim.Time(pr.cfg.LeaderTimeout)
 	}
@@ -143,7 +146,7 @@ func (pr *Process) adopt(p *sim.Proc) {
 	for i := range pr.log {
 		pr.committed[pr.log[i].id] = true
 	}
-	pr.pending = make(map[MsgID]*pendingMsg)
+	pr.dropAllPending()
 	for _, st := range states {
 		if st.commitIdx > pr.commitIdx && st.commitIdx <= pr.logBase+uint64(len(pr.log)) {
 			pr.commitIdx = st.commitIdx
@@ -164,11 +167,7 @@ func (pr *Process) adopt(p *sim.Proc) {
 				}
 				continue
 			}
-			pend := &pendingMsg{msg: ps.msg, ownProp: ps.ownProp, props: make(map[GroupID]Timestamp)}
-			for g, ts := range ps.props {
-				pend.props[g] = ts
-			}
-			pr.pending[ps.msg.id] = pend
+			pr.pending[ps.msg.id] = pr.pendingFrom(ps)
 			delete(pr.unproposed, ps.msg.id)
 		}
 	}
@@ -194,7 +193,7 @@ func (pr *Process) adopt(p *sim.Proc) {
 	for i := range pr.lagSince {
 		pr.lagSince[i] = 0
 	}
-	pr.milestones = nil
+	pr.milestones.reset()
 	pr.vcStates = nil
 	pr.repToGseq = nil
 	pr.deliverCommitted()

@@ -25,9 +25,11 @@ const (
 // Every encodeX appends one datagram to b and returns the extended slice,
 // so a sender with a reused buffer (Process's send arena, Client's
 // record) allocates only when that buffer grows. The frequent kinds decode
-// by value; what a decoded message keeps of the datagram (payloads,
-// destination lists) is copied, so the datagram need not outlive the
-// decode.
+// by value. Their payloads are views of the datagram, valid until the
+// next receive: a handler copies a body only when it keeps one it does
+// not already hold. Destination lists are interned (dstTable), so a
+// decode allocates none. A view or resync state is kept whole and decodes
+// into copies.
 
 // clientMsg is the client submission.
 type clientMsg struct {
@@ -45,8 +47,8 @@ func encodeClient(b []byte, m *clientMsg) []byte {
 	return w.Finish()
 }
 
-func decodeClient(r *wire.Reader) clientMsg {
-	return clientMsg{id: decodeMsgID(r), dst: decodeDst(r), payload: r.Bytes()}
+func decodeClient(r *wire.Reader, dsts *dstTable) clientMsg {
+	return clientMsg{id: decodeMsgID(r), dst: decodeDst(r, dsts), payload: r.BytesView()}
 }
 
 // repProposal replicates a message body plus the leader's proposal.
@@ -69,11 +71,11 @@ func encodeRepProposal(b []byte, m *repProposal) []byte {
 	return w.Finish()
 }
 
-func decodeRepProposal(r *wire.Reader) repProposal {
+func decodeRepProposal(r *wire.Reader, dsts *dstTable) repProposal {
 	return repProposal{
 		view:   r.U64(),
 		repSeq: r.U64(),
-		msg:    clientMsg{id: decodeMsgID(r), dst: decodeDst(r), payload: r.Bytes()},
+		msg:    clientMsg{id: decodeMsgID(r), dst: decodeDst(r, dsts), payload: r.BytesView()},
 		prop:   Timestamp(r.U64()),
 	}
 }
@@ -108,7 +110,7 @@ func encodeRepCommit(b []byte, m *repCommit) []byte {
 	return w.Finish()
 }
 
-func decodeRepCommit(r *wire.Reader) repCommit {
+func decodeRepCommit(r *wire.Reader, dsts *dstTable) repCommit {
 	m := repCommit{
 		view:   r.U64(),
 		repSeq: r.U64(),
@@ -118,8 +120,8 @@ func decodeRepCommit(r *wire.Reader) repCommit {
 	}
 	m.hasBody = r.Bool()
 	if m.hasBody {
-		m.dst = decodeDst(r)
-		m.payload = r.Bytes()
+		m.dst = decodeDst(r, dsts)
+		m.payload = r.BytesView()
 	}
 	return m
 }
@@ -214,11 +216,12 @@ type viewState struct {
 	pending          []pendingState
 }
 
-// pendingState is the view-change snapshot of a pending message.
+// pendingState is the view-change snapshot of a pending message. props
+// is aligned with msg.dst, as pendingMsg's is, and owned by the snapshot.
 type pendingState struct {
 	msg     clientMsg
 	ownProp Timestamp
-	props   map[GroupID]Timestamp
+	props   []Timestamp
 }
 
 func encodeViewState(b []byte, m *viewState) []byte {
@@ -249,15 +252,23 @@ func encodeViewStateBody(w *wire.Writer, m *viewState) {
 		encodeDst(w, p.msg.dst)
 		w.Bytes(p.msg.payload)
 		w.U64(uint64(p.ownProp))
-		w.U32(uint32(len(p.props)))
-		for g, ts := range p.props {
-			w.U8(uint8(g))
-			w.U64(uint64(ts))
+		n := 0
+		for _, ts := range p.props {
+			if ts != 0 {
+				n++
+			}
+		}
+		w.U32(uint32(n))
+		for i, ts := range p.props {
+			if ts != 0 {
+				w.U8(uint8(p.msg.dst[i]))
+				w.U64(uint64(ts))
+			}
 		}
 	}
 }
 
-func decodeViewState(r *wire.Reader) *viewState {
+func decodeViewState(r *wire.Reader, dsts *dstTable) *viewState {
 	m := &viewState{
 		view:             r.U64(),
 		lastAcceptedView: r.U64(),
@@ -270,21 +281,21 @@ func decodeViewState(r *wire.Reader) *viewState {
 		m.log = append(m.log, logEntry{
 			id:      decodeMsgID(r),
 			ts:      Timestamp(r.U64()),
-			dst:     decodeDst(r),
+			dst:     decodeDst(r, dsts),
 			payload: r.Bytes(),
 		})
 	}
 	nPend := int(r.U32())
 	for i := 0; i < nPend && r.Err() == nil; i++ {
 		p := pendingState{
-			msg:     clientMsg{id: decodeMsgID(r), dst: decodeDst(r), payload: r.Bytes()},
+			msg:     clientMsg{id: decodeMsgID(r), dst: decodeDst(r, dsts), payload: r.Bytes()},
 			ownProp: Timestamp(r.U64()),
-			props:   make(map[GroupID]Timestamp),
 		}
+		p.props = make([]Timestamp, len(p.msg.dst))
 		nProps := int(r.U32())
 		for j := 0; j < nProps && r.Err() == nil; j++ {
 			g := GroupID(r.U8())
-			p.props[g] = Timestamp(r.U64())
+			setProp(p.msg.dst, p.props, g, Timestamp(r.U64()))
 		}
 		m.pending = append(m.pending, p)
 	}
@@ -307,8 +318,8 @@ func encodeResync(b []byte, m *resyncMsg) []byte {
 	return w.Finish()
 }
 
-func decodeResync(r *wire.Reader) *resyncMsg {
-	return &resyncMsg{repSeq: r.U64(), st: decodeViewState(r)}
+func decodeResync(r *wire.Reader, dsts *dstTable) *resyncMsg {
+	return &resyncMsg{repSeq: r.U64(), st: decodeViewState(r, dsts)}
 }
 
 // propRequest asks a member of another destination group to re-send its
@@ -347,12 +358,37 @@ func encodeDst(w *wire.Writer, dst []GroupID) {
 	}
 }
 
-func decodeDst(r *wire.Reader) []GroupID {
-	n := int(r.U8())
-	dst := make([]GroupID, 0, n)
-	for i := 0; i < n; i++ {
-		dst = append(dst, GroupID(r.U8()))
+// decodeDst reads a destination list as dsts' interned copy of it.
+func decodeDst(r *wire.Reader, dsts *dstTable) []GroupID {
+	raw := r.Raw(int(r.U8()))
+	if r.Err() != nil {
+		return nil
 	}
+	return dsts.intern(raw)
+}
+
+// dstTable interns destination lists. A process decodes every distinct
+// list once and hands out that one slice for every message to it, so a
+// Delivery's or a Request's Dst is shared and read-only: its capacity
+// ends at its length, and no consumer writes it. A deployment has few
+// distinct lists: one per destination set in use, in each order its
+// clients list it.
+type dstTable map[string][]GroupID
+
+// intern returns the list whose encoding is raw (one byte per group),
+// making the table on first use.
+func (t *dstTable) intern(raw []byte) []GroupID {
+	if dst, ok := (*t)[string(raw)]; ok {
+		return dst
+	}
+	if *t == nil {
+		*t = make(dstTable)
+	}
+	dst := make([]GroupID, len(raw))
+	for i, g := range raw {
+		dst[i] = GroupID(g)
+	}
+	(*t)[string(raw)] = dst
 	return dst
 }
 

@@ -60,7 +60,8 @@ func TestEncodeIntoWarmArena(t *testing.T) {
 		t.Fatalf("ack decoded as kind %d %+v (err %v), want %+v", kind, gotAck, err, ack)
 	}
 	kind, r, err = decodeKind(arena[n:])
-	if gotRC := decodeRepCommit(&r); err != nil || kind != kindRepCommit || r.Err() != nil || !reflect.DeepEqual(gotRC, rc) {
+	var dsts dstTable
+	if gotRC := decodeRepCommit(&r, &dsts); err != nil || kind != kindRepCommit || r.Err() != nil || !reflect.DeepEqual(gotRC, rc) {
 		t.Fatalf("repCommit decoded as kind %d %+v (err %v, %v), want %+v", kind, gotRC, err, r.Err(), rc)
 	}
 }

@@ -3,7 +3,7 @@ package tpcc
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"heron/internal/core"
 	"heron/internal/wire"
@@ -155,7 +155,7 @@ func (t *Txn) Partitions() []core.PartitionID {
 	for p := range set {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -254,13 +254,9 @@ func (w *Workload) genNewOrder() *Txn {
 		CID:  int32(nuRandCID(w.rng, w.scale.CustomersPerDistrict)),
 	}
 	n := randRange(w.rng, 5, 15)
-	seen := make(map[int]bool, n)
+	t.Lines = make([]OrderLineReq, 0, n)
 	for i := 0; i < n; i++ {
-		iid := nuRandItem(w.rng, w.scale.Items)
-		for seen[iid] {
-			iid = nuRandItem(w.rng, w.scale.Items)
-		}
-		seen[iid] = true
+		iid := t.newItem(w.rng, w.scale.Items)
 		supply := home
 		if !w.LocalOnly && w.warehouses > 1 && w.rng.Intn(100) == 0 {
 			supply = w.remoteWH(home)
@@ -272,6 +268,17 @@ func (w *Workload) genNewOrder() *Txn {
 		})
 	}
 	return t
+}
+
+// newItem draws an item id no line of t orders yet, redrawing on a repeat.
+// A New-Order orders a handful of items, so the scan beats a set.
+func (t *Txn) newItem(rng *rand.Rand, items int) int {
+	for {
+		iid := nuRandItem(rng, items)
+		if !slices.ContainsFunc(t.Lines, func(l OrderLineReq) bool { return int(l.IID) == iid }) {
+			return iid
+		}
+	}
 }
 
 // genFixedNewOrder builds a New-Order touching exactly FixedPartitions
@@ -305,13 +312,9 @@ func (w *Workload) genFixedNewOrder() *Txn {
 	if n < k {
 		n = k
 	}
-	seen := make(map[int]bool, n)
+	t.Lines = make([]OrderLineReq, 0, n)
 	for i := 0; i < n; i++ {
-		iid := nuRandItem(w.rng, w.scale.Items)
-		for seen[iid] {
-			iid = nuRandItem(w.rng, w.scale.Items)
-		}
-		seen[iid] = true
+		iid := t.newItem(w.rng, w.scale.Items)
 		// First k lines cover the k warehouses; the rest stay home.
 		supply := home
 		if i < len(whs) {

@@ -169,6 +169,21 @@ func (r *Reader) Bytes() []byte {
 	return out
 }
 
+// BytesView reads a u32 length-prefixed byte string without copying: the
+// result aliases the reader's buffer and is valid only as long as it is.
+func (r *Reader) BytesView() []byte {
+	n := int(r.U32())
+	b := r.take(n, "bytes")
+	return b[:len(b):len(b)]
+}
+
+// Raw reads n bytes without copying; the result aliases the reader's
+// buffer, like BytesView's.
+func (r *Reader) Raw(n int) []byte {
+	b := r.take(n, "raw")
+	return b[:len(b):len(b)]
+}
+
 // String reads a u32 length-prefixed string.
 func (r *Reader) String() string {
 	n := int(r.U32())

@@ -85,6 +85,32 @@ func TestBytesCopyIsolation(t *testing.T) {
 	}
 }
 
+// TestBytesViewAliases: BytesView and Raw hand back the reader's own
+// bytes, capped so an append cannot run into what follows, and nil on a
+// truncated input.
+func TestBytesViewAliases(t *testing.T) {
+	w := NewWriter(16)
+	w.Bytes([]byte{1, 2, 3})
+	w.U8(7)
+	w.U8(8)
+	buf := w.Finish()
+	r := NewReader(buf)
+	view, raw := r.BytesView(), r.Raw(2)
+	if r.Err() != nil || !bytes.Equal(view, []byte{1, 2, 3}) || !bytes.Equal(raw, []byte{7, 8}) {
+		t.Fatalf("view %v raw %v err %v", view, raw, r.Err())
+	}
+	buf[4], buf[7] = 99, 98
+	if view[0] != 99 || raw[0] != 98 {
+		t.Fatal("views do not alias the input buffer")
+	}
+	if cap(view) != 3 || cap(raw) != 2 {
+		t.Fatalf("caps %d, %d: a view must end where its bytes do", cap(view), cap(raw))
+	}
+	if v := NewReader([]byte{9, 0, 0, 0}).BytesView(); v != nil {
+		t.Fatalf("truncated view %v, want nil", v)
+	}
+}
+
 func TestBytesTruncatedLength(t *testing.T) {
 	w := NewWriter(8)
 	w.U32(1000) // claims 1000 bytes, provides none
