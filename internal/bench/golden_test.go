@@ -102,6 +102,23 @@ func TestGoldenResults(t *testing.T) {
 			return res
 		}},
 		{"openloop", func(t *testing.T) any { return goldenOpenLoop(t) }},
+		// The ordering layer's state installs: reshapes and joiner
+		// restores (every reconfig scenario), view-change adoption and
+		// resync (one chaos schedule per profile).
+		{"reconfig", func(t *testing.T) any {
+			res, err := RunReconfig("", 1, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}},
+		{"chaos_sweep", func(t *testing.T) any {
+			res, err := RunChaos(6, 1, "", "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
