@@ -262,8 +262,6 @@ type Config struct {
 	// coordination records from all replicas after a majority is present
 	// (0 disables the heuristic). Per the paper only phase 4 needs it.
 	CutoffDelay sim.Duration
-	// CutoffPhase2 extends the heuristic to phase 2 (ablation knob).
-	CutoffPhase2 bool
 	// ExecWorkers enables multi-threaded execution of non-conflicting
 	// single-partition requests when > 1 (Section III-D.1's extension).
 	// Requires the application to implement ConflictEstimator; requests

@@ -234,7 +234,7 @@ func (r *Replica) processSerial(p *sim.Proc, es *execState, req *Request, rec Tr
 		r.writeCoordination(p, req.Ts, phaseBefore, req.Dst, nil)
 	}
 	r.readAheadFor(req)
-	r.waitCoordination(p, req, phaseBefore, r.cfg.CutoffPhase2, nil)
+	r.waitCoordination(p, req, phaseBefore, false, nil)
 	c2.End()
 	rec.CoordPhase2 = sim.Duration(p.Now() - t0)
 	r.obs.cp.Record(cpID(req.ID), obs.SegCoord2Wait, t0, p.Now())

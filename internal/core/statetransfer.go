@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -278,10 +277,4 @@ func (r *Replica) slotRanges(oids []store.OID) [][2]int {
 		merged = append(merged, rg)
 	}
 	return merged
-}
-
-// stStatusWord reads the status of this replica's own state-transfer
-// entry, for tests.
-func (r *Replica) stStatusWord() uint64 {
-	return binary.LittleEndian.Uint64(r.stMem.Bytes()[r.rank*stEntrySize+8 : r.rank*stEntrySize+16])
 }

@@ -82,9 +82,6 @@ func (f *Fabric) Connect(a, b NodeID) *QP {
 // Local returns the issuing node.
 func (q *QP) Local() *Node { return q.local }
 
-// Remote returns the target node.
-func (q *QP) Remote() *Node { return q.remote }
-
 // region resolves an address against the remote node.
 func (q *QP) region(addr Addr, length int) (*Region, error) {
 	r := q.remote.regions[addr.Key]

@@ -50,9 +50,6 @@ func (c *Chan[T]) TrySend(v T) bool {
 	return true
 }
 
-// Closed reports whether Close has been called.
-func (c *Chan[T]) Closed() bool { return c.closed }
-
 // Recv dequeues the oldest element, blocking the calling process until one
 // is available. The second result is false if the channel was closed and
 // drained.

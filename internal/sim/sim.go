@@ -342,9 +342,6 @@ func (p *Proc) Kill() {
 	}
 }
 
-// Killed reports whether Kill has been requested for this process.
-func (p *Proc) Killed() bool { return p.killed }
-
 // Close unwinds every process that has not finished, as Kill would, and
 // releases its coroutine, so a scheduler dropped with processes still
 // parked leaves no goroutine behind. Call it when done with the
