@@ -1,9 +1,6 @@
 package multicast
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Crash recovery for the ordering layer. A crashed member loses its
 // volatile protocol state (log, clock, pendings); a replacement process
@@ -46,78 +43,31 @@ func (st *viewState) clone() *viewState {
 	return &c
 }
 
-// pendingFrom takes a pendingMsg for a snapshot's pending message, with
-// the proposals the snapshot holds.
-func (pr *Process) pendingFrom(ps *pendingState) *pendingMsg {
-	pend := pr.newPending(ps.msg, ps.ownProp)
-	copy(pend.props, ps.props)
-	return pend
+// viewStates lists the snapshots' states in the caller's order.
+func viewStates(states []*RecoveryState) []*viewState {
+	out := make([]*viewState, len(states))
+	for i, rs := range states {
+		out[i] = rs.st
+	}
+	return out
 }
 
-// Restore installs the freshest of the live members' snapshots into a
-// replacement process, before Start. Selection follows the view-change
-// rule (highest lastAcceptedView, then longest log); pendings are unioned
-// across all snapshots so a later election finds every buffered message.
-// With no snapshots (no live peer) the process keeps its fresh zero state.
+// Restore installs the live members' snapshots into a replacement process
+// before Start, replacing its empty log with the freshest (see install),
+// and resumes it as a follower at the highest view any snapshot voted
+// for. With no snapshots (no live peer) it keeps its fresh zero state.
 func (pr *Process) Restore(states []*RecoveryState) {
 	if len(states) == 0 {
 		return
 	}
-	sorted := make([]*viewState, 0, len(states))
-	for _, rs := range states {
-		sorted = append(sorted, rs.st)
-	}
-	// Stable sort: ties on (lastAcceptedView, log length) fall back to the
-	// caller's (deterministic, rank-ordered) slice order.
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].lastAcceptedView != sorted[j].lastAcceptedView {
-			return sorted[i].lastAcceptedView > sorted[j].lastAcceptedView
-		}
-		return sorted[i].logBase+uint64(len(sorted[i].log)) > sorted[j].logBase+uint64(len(sorted[j].log))
-	})
-	best := sorted[0]
-
+	best := pr.install(viewStates(states), replace)
 	pr.role = roleFollower
-	pr.view = best.view
-	pr.votedView = best.view
-	pr.suspectView = best.view
 	pr.lastAcceptedView = best.lastAcceptedView
-	pr.lc = best.lc
-	pr.log = best.log
-	pr.logBase = best.logBase
-	pr.commitIdx = best.commitIdx
-	pr.committed = make(map[MsgID]bool, len(pr.log))
-	for i := range pr.log {
-		pr.committed[pr.log[i].id] = true
+	for _, rs := range states {
+		pr.view = max(pr.view, rs.st.view)
 	}
-	pr.dropAllPending()
-	pr.unproposed = make(map[MsgID]clientMsg)
-	for _, st := range sorted {
-		if st.view > pr.votedView {
-			pr.view = st.view
-			pr.votedView = st.view
-			pr.suspectView = st.view
-		}
-		if st.commitIdx > pr.commitIdx && st.commitIdx <= pr.logBase+uint64(len(pr.log)) {
-			pr.commitIdx = st.commitIdx
-		}
-		if st.lc > pr.lc {
-			pr.lc = st.lc
-		}
-		for i := range st.pending {
-			ps := &st.pending[i]
-			if pr.committed[ps.msg.id] || pr.pending[ps.msg.id] != nil {
-				continue
-			}
-			if ps.ownProp == 0 {
-				if _, queued := pr.unproposed[ps.msg.id]; !queued {
-					pr.unproposed[ps.msg.id] = ps.msg
-				}
-				continue
-			}
-			pr.pending[ps.msg.id] = pr.pendingFrom(ps)
-		}
-	}
+	pr.votedView = pr.view
+	pr.suspectView = pr.view
 
 	// Replay the whole retained log into the out channel: the hosting
 	// replica fast-forwards past whatever a state transfer covers (its
@@ -129,7 +79,5 @@ func (pr *Process) Restore(states []*RecoveryState) {
 	pr.delivered = pr.logBase
 	pr.lastDeliveredTs = 0
 	pr.repSeq = 0
-	for i := range pr.ackedRep {
-		pr.ackedRep[i] = 0
-	}
+	clear(pr.ackedRep)
 }

@@ -71,60 +71,11 @@ func (pr *Process) onResync(p *sim.Proc, m *resyncMsg) {
 		return
 	}
 
-	// Graft the snapshot log onto ours. The snapshot may start above our
-	// logBase (the leader truncated further than we have); entries below
-	// its base were acked by every member, so our prefix already holds
-	// them and delivery progress is preserved.
-	switch {
-	case st.logBase >= pr.logBase:
-		n := st.logBase - pr.logBase
-		if n > uint64(len(pr.log)) {
-			return // hole below the snapshot; impossible per the truncation invariant
-		}
-		pr.log = append(pr.log[:n], st.log...)
-	default:
-		skip := pr.logBase - st.logBase
-		if skip > uint64(len(st.log)) {
-			return // snapshot ends below our base; stale beyond use
-		}
-		pr.log = append(pr.log[:0], st.log[skip:]...)
-	}
-	if st.commitIdx > pr.commitIdx {
-		pr.commitIdx = st.commitIdx
-	}
-	if max := pr.logBase + uint64(len(pr.log)); pr.commitIdx > max {
-		pr.commitIdx = max
-	}
-	if st.lc > pr.lc {
-		pr.lc = st.lc
-	}
-	pr.committed = make(map[MsgID]bool, len(pr.log))
-	for i := range pr.log {
-		pr.committed[pr.log[i].id] = true
-	}
-	pr.dropAllPending()
-	for i := range st.pending {
-		ps := &st.pending[i]
-		if pr.committed[ps.msg.id] {
-			continue
-		}
-		if ps.ownProp == 0 {
-			// A client message the leader has buffered but not proposed
-			// yet; remember it in case we become leader.
-			if _, ok := pr.unproposed[ps.msg.id]; !ok {
-				pr.unproposed[ps.msg.id] = ps.msg
-			}
-			continue
-		}
-		pend := pr.pendingFrom(ps)
-		pr.mergeRemoteProps(pend)
-		pr.pending[ps.msg.id] = pend
-		delete(pr.unproposed, ps.msg.id)
-	}
-	for id := range pr.unproposed {
-		if pr.committed[id] {
-			delete(pr.unproposed, id)
-		}
+	// Graft the snapshot around our own logBase (see install). A snapshot
+	// that leaves a hole below its base (impossible per the truncation
+	// invariant) or ends below ours is stale beyond use.
+	if pr.install([]*viewState{st}, graft) == nil {
+		return
 	}
 	pr.repSeq = m.repSeq
 	pr.needAck = true

@@ -115,84 +115,28 @@ func (pr *Process) maybeAdopt(p *sim.Proc) {
 	pr.adopt(p)
 }
 
-// adopt installs the freshest collected state and resumes as leader of
-// vcView: the log comes from the state with the highest
-// (lastAcceptedView, log length); pendings are unioned freshest-first;
-// everything is re-replicated so all members converge.
+// adopt installs the collected states (see install), replacing the log
+// with the freshest, and resumes as leader of vcView; everything is
+// re-replicated so all members converge.
 func (pr *Process) adopt(p *sim.Proc) {
 	pr.vcSpan.Arg("won", true).End()
-	// Collect in rank order and sort stably: states tied on
-	// (lastAcceptedView, log length) then rank lowest-first, never in
-	// randomized map order — the winner decides the adopted log.
+	// Collect in rank order: install breaks ties on (lastAcceptedView, log
+	// length) by slice order, so rank lowest-first, never randomized map
+	// order, picks the adopted log.
 	states := make([]*viewState, 0, len(pr.vcStates))
 	for rank := 0; rank < len(pr.cfg.Groups[pr.group]); rank++ {
 		if st, ok := pr.vcStates[rank]; ok {
 			states = append(states, st)
 		}
 	}
-	sort.SliceStable(states, func(i, j int) bool {
-		if states[i].lastAcceptedView != states[j].lastAcceptedView {
-			return states[i].lastAcceptedView > states[j].lastAcceptedView
-		}
-		return states[i].logBase+uint64(len(states[i].log)) > states[j].logBase+uint64(len(states[j].log))
-	})
-	best := states[0]
-
-	pr.log = best.log
-	pr.logBase = best.logBase
-	pr.commitIdx = best.commitIdx
-	pr.lc = best.lc
-	pr.committed = make(map[MsgID]bool, len(pr.log))
-	for i := range pr.log {
-		pr.committed[pr.log[i].id] = true
-	}
-	pr.dropAllPending()
-	for _, st := range states {
-		if st.commitIdx > pr.commitIdx && st.commitIdx <= pr.logBase+uint64(len(pr.log)) {
-			pr.commitIdx = st.commitIdx
-		}
-		if st.lc > pr.lc {
-			pr.lc = st.lc
-		}
-		for i := range st.pending {
-			ps := &st.pending[i]
-			if pr.committed[ps.msg.id] || pr.pending[ps.msg.id] != nil {
-				continue
-			}
-			if ps.ownProp == 0 {
-				// Unordered client message carried by a member; propose it
-				// fresh once we are leader.
-				if _, queued := pr.unproposed[ps.msg.id]; !queued {
-					pr.unproposed[ps.msg.id] = ps.msg
-				}
-				continue
-			}
-			pr.pending[ps.msg.id] = pr.pendingFrom(ps)
-			delete(pr.unproposed, ps.msg.id)
-		}
-	}
-	for i := range pr.log {
-		if c := pr.log[i].ts.Clock(); c > pr.lc {
-			pr.lc = c
-		}
-	}
-	for _, pend := range pr.pending {
-		if c := pend.ownProp.Clock(); c > pr.lc {
-			pr.lc = c
-		}
-		pr.mergeRemoteProps(pend)
-	}
+	pr.install(states, replace)
 
 	pr.role = roleLeader
 	pr.view = pr.vcView
 	pr.lastAcceptedView = pr.vcView
 	pr.repSeq = 0
-	for i := range pr.ackedRep {
-		pr.ackedRep[i] = 0
-	}
-	for i := range pr.lagSince {
-		pr.lagSince[i] = 0
-	}
+	clear(pr.ackedRep)
+	clear(pr.lagSince)
 	pr.milestones.reset()
 	pr.vcStates = nil
 	pr.repToGseq = nil
