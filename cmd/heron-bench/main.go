@@ -41,6 +41,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -232,6 +233,34 @@ func (oo *obsOpts) finish(o *obs.Observer) error {
 	}
 	if *oo.metrics {
 		fmt.Fprint(os.Stderr, o.Metrics().Snapshot(0).Format())
+	}
+	return nil
+}
+
+// gated is a sweep result with a pass condition.
+type gated interface {
+	formatter
+	Gate() bool
+}
+
+// runGated is every gated sweep's tail: run it under the observer the
+// flags imply, write the observability outputs, emit the result, and
+// fail with the given message when the gate does not hold — the exit
+// code is the sweep's whole verdict.
+func (oo *obsOpts) runGated(asJSON bool, failure string, run func(o *obs.Observer) (gated, error)) error {
+	o := oo.observer()
+	res, err := run(o)
+	if err != nil {
+		return err
+	}
+	if err := oo.finish(o); err != nil {
+		return err
+	}
+	if err := emit(res, asJSON); err != nil {
+		return err
+	}
+	if !res.Gate() {
+		return errors.New(failure)
 	}
 	return nil
 }
@@ -441,21 +470,9 @@ func runChaosCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := oo.observer()
-	res, err := bench.RunChaos(*schedules, *seed, *profile, *flightDir, o)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	if err := emit(res, *asJSON); err != nil {
-		return err
-	}
-	if !res.AllLinearizable() {
-		return fmt.Errorf("a schedule failed verification (see output)")
-	}
-	return nil
+	return oo.runGated(*asJSON, "a schedule failed verification (see output)", func(o *obs.Observer) (gated, error) {
+		return bench.RunChaos(*schedules, *seed, *profile, *flightDir, o)
+	})
 }
 
 func runReconfigCmd(args []string) error {
@@ -468,21 +485,9 @@ func runReconfigCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := oo.observer()
-	res, err := bench.RunReconfig(*scenario, *runs, *seed, o)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	if err := emit(res, *asJSON); err != nil {
-		return err
-	}
-	if !res.AllConverged() {
-		return fmt.Errorf("a scenario failed verification (see output)")
-	}
-	return nil
+	return oo.runGated(*asJSON, "a scenario failed verification (see output)", func(o *obs.Observer) (gated, error) {
+		return bench.RunReconfig(*scenario, *runs, *seed, o)
+	})
 }
 
 func runRecoveryCmd(args []string) error {
@@ -505,22 +510,10 @@ func runRecoveryCmd(args []string) error {
 		}
 		opts.Keys = ks
 	}
-	o := oo.observer()
-	opts.Obs = o
-	res, err := bench.RunRecovery(opts)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	if err := emit(res, *asJSON); err != nil {
-		return err
-	}
-	if !res.Gate() {
-		return fmt.Errorf("recovery failed its gate: a leg not linearizable, checkpoint transfers not below full, write amplification or checkpoint recovery time over bound at the largest size, or the read path misbehaved (see output)")
-	}
-	return nil
+	return oo.runGated(*asJSON, "recovery failed its gate: a leg not linearizable, checkpoint transfers not below full, write amplification or checkpoint recovery time over bound at the largest size, or the read path misbehaved (see output)", func(o *obs.Observer) (gated, error) {
+		opts.Obs = o
+		return bench.RunRecovery(opts)
+	})
 }
 
 func runRebalanceCmd(args []string) error {
@@ -532,21 +525,9 @@ func runRebalanceCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := oo.observer()
-	res, err := bench.RunRebalanceSweep(*scenario, *seed, o)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	if err := emit(res, *asJSON); err != nil {
-		return err
-	}
-	if !res.Gate() {
-		return fmt.Errorf("rebalancing failed its gate: tails not improved or a history unsafe (see output)")
-	}
-	return nil
+	return oo.runGated(*asJSON, "rebalancing failed its gate: tails not improved or a history unsafe (see output)", func(o *obs.Observer) (gated, error) {
+		return bench.RunRebalanceSweep(*scenario, *seed, o)
+	})
 }
 
 func runLeaseCmd(args []string) error {
@@ -565,24 +546,13 @@ func runLeaseCmd(args []string) error {
 		return err
 	}
 	opts.Window = sim.Duration(*window)
-	// The two legs are separate simulations and cannot share an observer;
-	// the flags observe the leg the subcommand is about, leases on.
-	o := oo.observer()
-	opts.ObsOn = o
-	res, err := bench.RunLeaseBench(opts)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	if err := emit(res, *asJSON); err != nil {
-		return err
-	}
-	if !res.Gate() {
-		return fmt.Errorf("lease fast path failed its gate: local read mean/p99, hit rate or margin under the ordered-read mean out of bounds (see output)")
-	}
-	return nil
+	return oo.runGated(*asJSON, "lease fast path failed its gate: local read mean/p99, hit rate or margin under the ordered-read mean out of bounds (see output)", func(o *obs.Observer) (gated, error) {
+		// The two legs are separate simulations and cannot share an
+		// observer; the flags observe the leg the subcommand is about,
+		// leases on.
+		opts.ObsOn = o
+		return bench.RunLeaseBench(opts)
+	})
 }
 
 func runOpenLoopCmd(args []string) error {

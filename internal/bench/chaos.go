@@ -17,10 +17,10 @@ type ChaosResult struct {
 	Schedules []*chaos.Report `json:"schedules"`
 }
 
-// AllLinearizable reports whether every checked schedule passed and none
-// failed to check (excluding deliberate overload schedules, which report
-// clean degradation instead of a verdict).
-func (r *ChaosResult) AllLinearizable() bool {
+// Gate reports whether every checked schedule passed and none failed to
+// check (excluding deliberate overload schedules, which report clean
+// degradation instead of a verdict).
+func (r *ChaosResult) Gate() bool {
 	for _, rep := range r.Schedules {
 		if rep.Profile == "overload" {
 			continue
@@ -38,19 +38,24 @@ func (r *ChaosResult) Format() string {
 	fmt.Fprintf(&b, "%-6s %-12s %7s %5s %7s %8s %9s %6s %6s %10s  %s\n",
 		"seed", "profile", "events", "ops", "failed", "crashes", "recovers", "parts", "heals", "verdict", "note")
 	for _, rep := range r.Schedules {
-		verdict := "DEGRADED"
-		if rep.Checked {
-			if rep.Linearizable {
-				verdict = "LINEARIZ."
-			} else {
-				verdict = "VIOLATION"
-			}
-		}
 		fmt.Fprintf(&b, "%-6d %-12s %7d %5d %7d %8d %9d %6d %6d %10s  %s\n",
 			rep.Seed, rep.Profile, rep.Events, rep.Ops, rep.FailedOps,
-			rep.Crashes, rep.Recoveries, rep.Partitions, rep.Heals, verdict, rep.Err)
+			rep.Crashes, rep.Recoveries, rep.Partitions, rep.Heals,
+			verdict(rep.Checked, rep.Linearizable), rep.Err)
 	}
 	return b.String()
+}
+
+// verdict labels a history in a sweep table: linearizable, violating, or
+// degraded when it could not be checked.
+func verdict(checked, linearizable bool) string {
+	switch {
+	case !checked:
+		return "DEGRADED"
+	case linearizable:
+		return "LINEARIZ."
+	}
+	return "VIOLATION"
 }
 
 // RunChaos sweeps `schedules` seeded fault schedules. With profile ""

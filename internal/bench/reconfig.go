@@ -17,9 +17,9 @@ type ReconfigResult struct {
 	Scenarios []*reconfig.Report `json:"scenarios"`
 }
 
-// AllConverged reports whether every scenario converged (committed or
-// cleanly rolled back) with a checked, linearizable history.
-func (r *ReconfigResult) AllConverged() bool {
+// Gate reports whether every scenario converged (committed or cleanly
+// rolled back) with a checked, linearizable history.
+func (r *ReconfigResult) Gate() bool {
 	for _, rep := range r.Scenarios {
 		if !rep.Checked || !rep.Linearizable {
 			return false
@@ -40,20 +40,12 @@ func (r *ReconfigResult) Format() string {
 	fmt.Fprintf(&b, "%-6s %-10s %11s %9s %6s %6s %6s %7s %9s %5s %7s %10s  %s\n",
 		"seed", "scenario", "parts", "replicas", "epoch", "commit", "moved", "fenced", "refreshes", "ops", "failed", "verdict", "note")
 	for _, rep := range r.Scenarios {
-		verdict := "DEGRADED"
-		if rep.Checked {
-			if rep.Linearizable {
-				verdict = "LINEARIZ."
-			} else {
-				verdict = "VIOLATION"
-			}
-		}
 		fmt.Fprintf(&b, "%-6d %-10s %5d->%-4d %4d->%-4d %6d %6v %6d %7d %9d %5d %7d %10s  %s\n",
 			rep.Seed, rep.Scenario,
 			rep.PartitionsBefore, rep.PartitionsAfter,
 			rep.ReplicasBefore, rep.ReplicasAfter,
 			rep.EpochAfter, rep.Committed, rep.MovedObjects, rep.FencedReplicas,
-			rep.EpochRefreshes, rep.Ops, rep.FailedOps, verdict, rep.Err)
+			rep.EpochRefreshes, rep.Ops, rep.FailedOps, verdict(rep.Checked, rep.Linearizable), rep.Err)
 	}
 	return b.String()
 }
