@@ -586,7 +586,7 @@ func runOpenLoopCmd(args []string) error {
 	var heat *obs.Heat
 	if *heatPath != "" {
 		heat = obs.NewHeat(opts.Groups, 100*sim.Microsecond, 8)
-		o = obs.NewFull(o.Tracer(), o.Metrics(), o.CritPath(), heat, o.Flight())
+		o = obs.WithHeat(o, heat)
 	}
 	opts.Obs = o
 	res, err := bench.RunOpenLoop(opts)

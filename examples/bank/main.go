@@ -24,7 +24,6 @@ import (
 
 	"heron/internal/core"
 	"heron/internal/multicast"
-	"heron/internal/rdma"
 	"heron/internal/sim"
 	"heron/internal/store"
 )
@@ -110,15 +109,7 @@ func (a *bankApp) Execute(ctx *core.ExecContext) core.Outcome {
 
 func main() {
 	s := sim.NewScheduler()
-	layout := make([][]rdma.NodeID, partitions)
-	id := rdma.NodeID(1)
-	for g := range layout {
-		for r := 0; r < 3; r++ {
-			layout[g] = append(layout[g], id)
-			id++
-		}
-	}
-	cfg := core.DefaultConfig(multicast.DefaultConfig(layout))
+	cfg := core.DefaultConfig(multicast.DefaultConfig(multicast.Layout(partitions, 3)))
 	cfg.StoreCapacity = accountsPerPart * store.SlotSize(8) * 2
 
 	d, err := core.NewDeployment(s, cfg,

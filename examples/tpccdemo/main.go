@@ -17,7 +17,6 @@ import (
 
 	"heron/internal/core"
 	"heron/internal/multicast"
-	"heron/internal/rdma"
 	"heron/internal/sim"
 	"heron/internal/store"
 	"heron/internal/tpcc"
@@ -33,17 +32,9 @@ const (
 
 func main() {
 	s := sim.NewScheduler()
-	layout := make([][]rdma.NodeID, warehouses)
-	id := rdma.NodeID(1)
-	for g := range layout {
-		for r := 0; r < replicas; r++ {
-			layout[g] = append(layout[g], id)
-			id++
-		}
-	}
 	scale := tpcc.SmallScale()
 	ds := tpcc.NewDataset(7, warehouses, scale)
-	cfg := core.DefaultConfig(multicast.DefaultConfig(layout))
+	cfg := core.DefaultConfig(multicast.DefaultConfig(multicast.Layout(warehouses, replicas)))
 	cfg.StoreCapacity = scale.Items*store.SlotSize(tpcc.StockMaxBytes) +
 		scale.DistrictsPerWH*scale.CustomersPerDistrict*store.SlotSize(tpcc.CustomerMaxBytes) + 1<<16
 

@@ -57,15 +57,7 @@ func DefaultOptions(warehouses int) Options {
 
 // Layout builds the node layout for a deployment.
 func Layout(warehouses, replicas int) [][]rdma.NodeID {
-	layout := make([][]rdma.NodeID, warehouses)
-	id := rdma.NodeID(1)
-	for g := range layout {
-		for r := 0; r < replicas; r++ {
-			layout[g] = append(layout[g], id)
-			id++
-		}
-	}
-	return layout
+	return multicast.Layout(warehouses, replicas)
 }
 
 // storeCapacityFor sizes the per-replica store region for a scale.

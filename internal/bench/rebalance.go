@@ -7,9 +7,9 @@ import (
 	"strings"
 
 	"heron/internal/core"
+	"heron/internal/kvapp"
 	"heron/internal/multicast"
 	"heron/internal/obs"
-	"heron/internal/rdma"
 	"heron/internal/rebalance"
 	"heron/internal/reconfig"
 	"heron/internal/sim"
@@ -60,9 +60,6 @@ type RebalanceOptions struct {
 	OpTimeout    sim.Duration
 	FenceTimeout sim.Duration
 
-	// Policy overrides the benchmark controller policy when non-nil.
-	Policy *rebalance.Policy
-
 	Obs *obs.Observer
 }
 
@@ -87,10 +84,7 @@ func DefaultRebalanceOptions(scenario string, seed int64) RebalanceOptions {
 // benchRebalancePolicy is the controller policy the benchmark runs
 // under: decide every millisecond, shed a partition 30% above the mean
 // after two hot ticks, at most one change per 3ms.
-func benchRebalancePolicy(o RebalanceOptions) rebalance.Policy {
-	if o.Policy != nil {
-		return *o.Policy
-	}
+func benchRebalancePolicy() rebalance.Policy {
 	pol := rebalance.DefaultPolicy()
 	pol.Tick = 1 * sim.Millisecond
 	pol.Cooldown = 3 * sim.Millisecond
@@ -238,44 +232,21 @@ func RunRebalance(o RebalanceOptions) (*RebalanceResult, error) {
 // on and scores the latency series.
 func runRebalanceOnce(o RebalanceOptions, on bool) (*RebalanceRunStats, error) {
 	const maxParts, groupSize = 2, 3
-	half := store.OID(o.Keys / 2)
-	groups := [][]rdma.NodeID{{1, 2, 3}, {4, 5, 6}}
-	initial := &reconfig.Configuration{
-		Epoch:  1,
-		Groups: groups,
-		Routes: []reconfig.Range{
-			{Lo: 0, Hi: half - 1, Part: 0},
-			{Lo: half, Hi: store.OID(o.Keys) - 1, Part: 1},
-		},
-	}
+	groups := multicast.Layout(2, groupSize)
+	initial := reconfig.Halves(groups, o.Keys)
 	newApp := func(core.PartitionID, int) core.Application { return rebalApp{cost: o.ExecCost} }
 
 	s := sim.NewScheduler()
 	defer s.Close()
 	cfg := core.DefaultConfig(multicast.DefaultConfig(groups))
-	cfg.StoreCapacity = o.Keys*store.SlotSize(8) + 1<<12
+	cfg.StoreCapacity = kvapp.SlotCapacity(o.Keys, 8)
 	cfg.MaxPartitions = maxParts
 	cfg.MaxGroupSize = groupSize
 	d, err := core.NewDeployment(s, cfg, newApp, initial)
 	if err != nil {
 		return nil, err
 	}
-	err = d.PopulateAll(func(part core.PartitionID, rank int, rep *core.Replica) error {
-		for k := 0; k < o.Keys; k++ {
-			oid := store.OID(k)
-			if initial.PartitionOf(oid) != part {
-				continue
-			}
-			if err := rep.Store().Register(oid, 8); err != nil {
-				return err
-			}
-			if err := rep.Store().Init(oid, make([]byte, 8)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := kvapp.Populate(d, initial, kvapp.Keys(o.Keys), 8); err != nil {
 		return nil, err
 	}
 	d.Fabric.SetFaultSeed(o.Seed)
@@ -286,8 +257,7 @@ func runRebalanceOnce(o RebalanceOptions, on bool) (*RebalanceRunStats, error) {
 	stats := &RebalanceRunStats{Rebalance: on}
 	obsv := o.Obs
 	if on && obsv.Heat() == nil {
-		obsv = obs.NewFull(obsv.Tracer(), obsv.Metrics(), obsv.CritPath(),
-			obs.NewHeat(maxParts, 250*sim.Microsecond, 8), obsv.Flight())
+		obsv = obs.WithHeat(obsv, obs.NewHeat(maxParts, 250*sim.Microsecond, 8))
 	}
 	d.Observe(obsv)
 	mgr := reconfig.NewManager(d, initial, reconfig.ManagerOptions{
@@ -295,7 +265,7 @@ func runRebalanceOnce(o RebalanceOptions, on bool) (*RebalanceRunStats, error) {
 	})
 	var ctl *rebalance.Controller
 	if on {
-		ctl = rebalance.New(mgr, obsv.Heat(), benchRebalancePolicy(o))
+		ctl = rebalance.New(mgr, obsv.Heat(), benchRebalancePolicy())
 		ctl.Observe(obsv)
 		ctl.Until = sim.Time(o.Window)
 	}
@@ -457,9 +427,7 @@ func RunRebalanceSweep(scenario string, seed int64, o *obs.Observer) (*Rebalance
 		sweep.Bench = append(sweep.Bench, res)
 	}
 	for _, sc := range verifyScenarios {
-		vo := rebalance.DefaultOptions(sc, seed)
-		vo.Obs = o
-		rep, err := rebalance.Run(vo)
+		rep, err := rebalance.Run(rebalance.Options{Scenario: sc, Seed: seed, Obs: o})
 		if err != nil {
 			return nil, err
 		}
@@ -514,17 +482,10 @@ func (r *RebalanceSweep) Format() string {
 		fmt.Fprintf(&b, "%-14s %6s %6s %8s %8s %8s %8s  %s\n",
 			"scenario", "parts", "epoch", "changes", "crashes", "ops", "failed", "verdict")
 		for _, v := range r.Verify {
-			verdict := "linearizable"
-			switch {
-			case v.Checked && !v.Linearizable:
-				verdict = "VIOLATION"
-			case !v.Checked:
-				verdict = "degraded (unchecked)"
-			}
 			fmt.Fprintf(&b, "%-14s %2d->%-3d %2d->%-3d %8d %8d %8d %8d  %s\n",
 				v.Scenario, v.PartitionsBefore, v.PartitionsAfter,
 				v.EpochBefore, v.EpochAfter,
-				v.ChangesApplied, v.Crashes, v.Ops, v.FailedOps, verdict)
+				v.ChangesApplied, v.Crashes, v.Ops, v.FailedOps, verdict(v.Checked, v.Linearizable))
 		}
 	}
 	fmt.Fprintf(&b, "gate (tails improved, histories safe): %v\n", r.Gate())

@@ -58,9 +58,7 @@ func (r *ReconfigResult) Format() string {
 func RunReconfig(scenario string, runs int, seed int64, o *obs.Observer) (*ReconfigResult, error) {
 	res := &ReconfigResult{}
 	run := func(sc string, sd int64) error {
-		opt := reconfig.DefaultOptions(sc, sd)
-		opt.Obs = o
-		rep, err := reconfig.Run(opt)
+		rep, err := reconfig.Run(reconfig.Options{Scenario: sc, Seed: sd, Obs: o})
 		if err != nil {
 			return fmt.Errorf("scenario %s (seed %d): %w", sc, sd, err)
 		}

@@ -11,7 +11,6 @@ import (
 	"heron/internal/multicast"
 	"heron/internal/obs"
 	"heron/internal/persist"
-	"heron/internal/rdma"
 	"heron/internal/sim"
 	"heron/internal/store"
 )
@@ -50,13 +49,6 @@ type Options struct {
 	// error (e.g. deadlock). Dump filenames derive from the schedule's
 	// profile and seed, so reports stay deterministic.
 	FlightDir string
-	// Lease, when non-nil, attaches the read-lease manager: a share of
-	// the client operations become single-object reads that probe the
-	// partition's lease holder for a local answer and fall back to the
-	// ordered path on decline. All reads enter the checked history, so a
-	// stale local read fails linearizability. Run enables this
-	// automatically for the "leasecrash" profile.
-	Lease *lease.Options
 }
 
 // DefaultOptions returns a topology and workload sized for the checker:
@@ -147,30 +139,6 @@ type Report struct {
 // asserted structurally: every operation either completes or fails by
 // its timeout, so the run always terminates within the horizon.
 func Run(opt Options) (*Report, error) {
-	hist, err := kvapp.NewHistory("chaos", opt.Clients, opt.OpsPerClient)
-	if err != nil {
-		return nil, err
-	}
-	s := sim.NewScheduler()
-	defer s.Close()
-	layout := make([][]rdma.NodeID, opt.Partitions)
-	id := rdma.NodeID(1)
-	for g := range layout {
-		for r := 0; r < opt.Replicas; r++ {
-			layout[g] = append(layout[g], id)
-			id++
-		}
-	}
-	cfg := core.DefaultConfig(multicast.DefaultConfig(layout))
-	cfg.StoreCapacity = kvapp.SlotCapacity(opt.Keys, opt.ValBytes)
-	d, err := core.NewDeployment(s, cfg, kvapp.New(kvapp.Partitioner, opt.ValBytes), kvapp.Partitioner)
-	if err != nil {
-		return nil, err
-	}
-	if err := kvapp.Populate(d, kvapp.Partitioner, kvapp.PartitionKeys(opt.Partitions, opt.Keys), opt.ValBytes); err != nil {
-		return nil, err
-	}
-	d.Fabric.SetFaultSeed(opt.Schedule.Seed)
 	// The flight recorder is always armed, whether or not the caller
 	// observes the run: the ring costs a few KB and is the only record of
 	// what led up to a violation or deadlock.
@@ -178,7 +146,18 @@ func Run(opt Options) (*Report, error) {
 	if obsv.Flight() == nil {
 		obsv = obs.WithFlight(obsv, obs.NewFlightRecorder(4096))
 	}
-	d.Observe(obsv)
+	run, err := kvapp.Deploy(kvapp.Spec{
+		Harness: "chaos", Clients: opt.Clients, OpsPerClient: opt.OpsPerClient,
+		Groups: multicast.Layout(opt.Partitions, opt.Replicas),
+		Owner:  kvapp.Partitioner, StoreKeys: opt.Keys, ValBytes: opt.ValBytes,
+		OIDs: kvapp.PartitionKeys(opt.Partitions, opt.Keys),
+		Seed: opt.Schedule.Seed, Obs: obsv,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer run.Close()
+	d, hist := run.D, run.Hist
 	var pl *persist.Layer
 	if opt.Persist != nil {
 		pl = persist.Attach(d, opt.Persist)
@@ -187,20 +166,14 @@ func Run(opt Options) (*Report, error) {
 	d.Start()
 	// The leasecrash profile is pointless without leases: attach the
 	// manager with default timing (the schedule generator aimed its
-	// crashes at those instants) unless the caller configured it.
-	leaseOpt := opt.Lease
-	if leaseOpt == nil && opt.Schedule.Profile == "leasecrash" {
-		leaseOpt = &lease.Options{}
-	}
+	// crashes at those instants), and stop granting once the workload and
+	// fault window are long over, so the grant loop does not tick for the
+	// whole horizon. A share of the operations then become single-object
+	// reads that probe the lease holder; all of them enter the checked
+	// history, so a stale local read fails linearizability.
 	var mgr *lease.Manager
-	if leaseOpt != nil {
-		lo := *leaseOpt
-		if lo.Until == 0 {
-			// Stop granting once the workload and fault window are long
-			// over, so the grant loop does not tick for the whole horizon.
-			lo.Until = sim.Time(60 * sim.Millisecond)
-		}
-		mgr = lease.Attach(d, lo)
+	if opt.Schedule.Profile == "leasecrash" {
+		mgr = lease.Attach(d, lease.Options{Until: sim.Time(60 * sim.Millisecond)})
 		mgr.Start()
 	}
 	eng := Install(d, opt.Schedule, obsv)
@@ -225,62 +198,53 @@ func Run(opt Options) (*Report, error) {
 	}
 	eng.OnCrash = func(Event) { dump("crash") }
 	var readers []*lease.ReadClient
-	for ci := 0; ci < opt.Clients; ci++ {
-		ci := ci
+	think := func(rng *rand.Rand) sim.Duration { return sim.Duration(rng.Intn(300)) * sim.Microsecond }
+	err = run.Drive(opt.Horizon, think, func(int) kvapp.Op {
 		cl := d.NewClient()
 		var rc *lease.ReadClient
 		if mgr != nil {
 			rc = lease.NewReadClient(cl, mgr)
 			readers = append(readers, rc)
 		}
-		rng := rand.New(rand.NewSource(opt.Schedule.Seed*1000 + int64(ci)))
-		s.Spawn(fmt.Sprintf("chaos-client%d", ci), func(p *sim.Proc) {
-			for i := 0; i < opt.OpsPerClient; i++ {
-				if rc != nil && rng.Intn(100) < 40 {
-					// Single-object read: probe the lease holder for a
-					// local answer, fall back to the ordered path. Either
-					// way the read joins the checked history.
-					part := core.PartitionID(rng.Intn(opt.Partitions))
-					req := &kvapp.Req{Reads: []store.OID{kvapp.OID(part, uint32(rng.Intn(opt.Keys)))}}
-					if hist.Do(p, ci, req, func() (uint64, bool) {
-						if val, lok := rc.TryLocal(p, part, req.Reads[0]); lok {
-							return kvapp.DecodeVal(val), true
-						}
-						resp, sok := cl.SubmitTimeout(p, []core.PartitionID{part}, req.Encode(), opt.OpTimeout)
-						return kvapp.DecodeVal(resp[part]), sok
-					}) {
-						p.Sleep(sim.Duration(rng.Intn(300)) * sim.Microsecond)
+		return func(p *sim.Proc, rng *rand.Rand) (*kvapp.Req, func() (uint64, bool)) {
+			if rc != nil && rng.Intn(100) < 40 {
+				// Single-object read: probe the lease holder for a local
+				// answer, fall back to the ordered path. Either way the
+				// read joins the checked history.
+				part := core.PartitionID(rng.Intn(opt.Partitions))
+				req := &kvapp.Req{Reads: []store.OID{kvapp.OID(part, uint32(rng.Intn(opt.Keys)))}}
+				return req, func() (uint64, bool) {
+					if val, lok := rc.TryLocal(p, part, req.Reads[0]); lok {
+						return kvapp.DecodeVal(val), true
 					}
-					continue
-				}
-				req := &kvapp.Req{Add: uint64(rng.Intn(100))}
-				dstSet := map[core.PartitionID]bool{}
-				for j := 0; j < rng.Intn(3); j++ {
-					part := core.PartitionID(rng.Intn(opt.Partitions))
-					dstSet[part] = true
-					req.Reads = append(req.Reads, kvapp.OID(part, uint32(rng.Intn(opt.Keys))))
-				}
-				for j := 0; j < 1+rng.Intn(2); j++ {
-					part := core.PartitionID(rng.Intn(opt.Partitions))
-					dstSet[part] = true
-					req.Writes = append(req.Writes, kvapp.OID(part, uint32(rng.Intn(opt.Keys))))
-				}
-				var dst []core.PartitionID
-				for part := range dstSet {
-					dst = append(dst, part)
-				}
-				sort.Slice(dst, func(a, b int) bool { return dst[a] < dst[b] })
-				if hist.Do(p, ci, req, func() (uint64, bool) {
-					resp, ok := cl.SubmitTimeout(p, dst, req.Encode(), opt.OpTimeout)
-					return kvapp.DecodeVal(resp[dst[0]]), ok
-				}) {
-					p.Sleep(sim.Duration(rng.Intn(300)) * sim.Microsecond)
+					resp, sok := cl.SubmitTimeout(p, []core.PartitionID{part}, req.Encode(), opt.OpTimeout)
+					return kvapp.DecodeVal(resp[part]), sok
 				}
 			}
-		})
-	}
-
-	if err := s.RunUntil(sim.Time(opt.Horizon)); err != nil {
+			req := &kvapp.Req{Add: uint64(rng.Intn(100))}
+			dstSet := map[core.PartitionID]bool{}
+			for j := 0; j < rng.Intn(3); j++ {
+				part := core.PartitionID(rng.Intn(opt.Partitions))
+				dstSet[part] = true
+				req.Reads = append(req.Reads, kvapp.OID(part, uint32(rng.Intn(opt.Keys))))
+			}
+			for j := 0; j < 1+rng.Intn(2); j++ {
+				part := core.PartitionID(rng.Intn(opt.Partitions))
+				dstSet[part] = true
+				req.Writes = append(req.Writes, kvapp.OID(part, uint32(rng.Intn(opt.Keys))))
+			}
+			var dst []core.PartitionID
+			for part := range dstSet {
+				dst = append(dst, part)
+			}
+			sort.Slice(dst, func(a, b int) bool { return dst[a] < dst[b] })
+			return req, func() (uint64, bool) {
+				resp, ok := cl.SubmitTimeout(p, dst, req.Encode(), opt.OpTimeout)
+				return kvapp.DecodeVal(resp[dst[0]]), ok
+			}
+		}
+	})
+	if err != nil {
 		// Deadlocks and other simulation errors are exactly the moments
 		// the ring exists for: dump before surfacing the error.
 		dump("sim-error")

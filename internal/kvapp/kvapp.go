@@ -6,8 +6,9 @@
 // a request-supplied constant, and the response is that sum.
 //
 // The package holds the request codec, the value codec, the key layout,
-// the application, its lincheck.Model, and the History that records a
-// run's operations and decides its verdict. internal/core's tests keep a
+// the application, its lincheck.Model, the History that records a run's
+// operations and decides its verdict, and the bring-up and client loop
+// the harnesses share (Deploy, Run.Drive). internal/core's tests keep a
 // private copy of the app and model: an internal test of core cannot
 // import a package that imports core.
 package kvapp

@@ -2,9 +2,13 @@ package kvapp
 
 import (
 	"encoding/hex"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"heron/internal/lincheck"
+	"heron/internal/multicast"
+	"heron/internal/sim"
 	"heron/internal/store"
 )
 
@@ -62,5 +66,61 @@ func TestEncodePinsWireFormat(t *testing.T) {
 	if len(back.Reads) != 1 || back.Reads[0] != OID(1, 2) || len(back.Writes) != 2 ||
 		back.Writes[0] != 3 || back.Writes[1] != 4 || back.Add != 5 {
 		t.Fatalf("Decode(Encode(r)) = %+v, want %+v", back, req)
+	}
+}
+
+// TestDriveStreams pins the client loop every harness's replay depends
+// on: client ci's stream is seeded Seed*1000+ci, its operation is drawn
+// before it is submitted, and a think time is drawn only after an
+// operation that completed.
+func TestDriveStreams(t *testing.T) {
+	const seed, clients, ops = 7, 2, 4
+	run, err := Deploy(Spec{
+		Harness: "test", Clients: clients, OpsPerClient: ops,
+		Groups: multicast.Layout(1, 3), Owner: Partitioner, StoreKeys: 1,
+		OIDs: PartitionKeys(1, 1), Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Close()
+	// Every other operation completes; a think time is a negative draw.
+	var want [clients][]int
+	for ci := range want {
+		rng := rand.New(rand.NewSource(seed*1000 + int64(ci)))
+		for i := 0; i < ops; i++ {
+			want[ci] = append(want[ci], rng.Intn(1000))
+			if i%2 == 0 {
+				want[ci] = append(want[ci], -rng.Intn(1000))
+			}
+		}
+	}
+	draws := map[*rand.Rand][]int{}
+	client := map[*rand.Rand]int{}
+	think := func(rng *rand.Rand) sim.Duration {
+		draws[rng] = append(draws[rng], -rng.Intn(1000))
+		return sim.Microsecond
+	}
+	err = run.Drive(sim.Second, think, func(ci int) Op {
+		n := 0
+		return func(p *sim.Proc, rng *rand.Rand) (*Req, func() (uint64, bool)) {
+			client[rng] = ci
+			draws[rng] = append(draws[rng], rng.Intn(1000))
+			n++
+			completes := n%2 == 1
+			return &Req{}, func() (uint64, bool) { return 0, completes }
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(client) != clients || run.Hist.Ops != clients*ops || run.Hist.Failed != clients*ops/2 {
+		t.Fatalf("%d client streams ran %d operations, %d failed; want %d, %d, %d",
+			len(client), run.Hist.Ops, run.Hist.Failed, clients, clients*ops, clients*ops/2)
+	}
+	for rng, ci := range client {
+		if !slices.Equal(draws[rng], want[ci]) {
+			t.Errorf("client %d drew %v, want %v", ci, draws[rng], want[ci])
+		}
 	}
 }

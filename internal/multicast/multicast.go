@@ -129,6 +129,21 @@ type Config struct {
 	TruncateEvery int
 }
 
+// Layout numbers groups x replicas nodes from 1, group by group: the
+// group layout DefaultConfig takes for a deployment with no other nodes
+// between its groups.
+func Layout(groups, replicas int) [][]rdma.NodeID {
+	layout := make([][]rdma.NodeID, groups)
+	id := rdma.NodeID(1)
+	for g := range layout {
+		for r := 0; r < replicas; r++ {
+			layout[g] = append(layout[g], id)
+			id++
+		}
+	}
+	return layout
+}
+
 // DefaultConfig returns a deployment descriptor with the given group
 // layout and latency parameters calibrated to RamCast's testbed.
 func DefaultConfig(groups [][]rdma.NodeID) Config {

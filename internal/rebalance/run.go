@@ -3,6 +3,7 @@ package rebalance
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"heron/internal/chaos"
 	"heron/internal/core"
@@ -47,55 +48,33 @@ const (
 // Scenarios lists the built-in scenarios.
 var Scenarios = []string{ScenarioSkew, ScenarioScaleOut, ScenarioFeederCrash, ScenarioDonorCrash}
 
-// Options configure one verification run.
+// Options configure one verification run. Everything else is fixed:
+// the constants below, and per scenario by scenarioPolicy.
 type Options struct {
 	Scenario string
 	Seed     int64
-
-	Keys         int
-	Clients      int
-	OpsPerClient int // Clients*OpsPerClient must stay within lincheck's 64-op bound
-
-	OpTimeout    sim.Duration
-	FenceTimeout sim.Duration
-	Horizon      sim.Duration
-	// Active bounds the controller's decision loop (the workload and any
-	// faults land inside it); the run continues to Horizon to drain.
-	Active sim.Duration
-	// CrashAt is when ScenarioFeederCrash kills p0/r0.
-	CrashAt sim.Duration
-	// DonorCrashDelay is the offset after a change starts at which
-	// ScenarioDonorCrash kills a donor replica of the hot partition.
-	DonorCrashDelay sim.Duration
-
-	// Policy overrides the scenario's default policy when non-nil.
-	Policy *Policy
-
-	Obs *obs.Observer
+	Obs      *obs.Observer
 }
 
-// DefaultOptions sizes a scenario for the linearizability checker.
-func DefaultOptions(scenario string, seed int64) Options {
-	return Options{
-		Scenario:        scenario,
-		Seed:            seed,
-		Keys:            16,
-		Clients:         3,
-		OpsPerClient:    14,
-		OpTimeout:       200 * sim.Millisecond,
-		FenceTimeout:    100 * sim.Millisecond,
-		Horizon:         3 * sim.Second,
-		Active:          30 * sim.Millisecond,
-		CrashAt:         4 * sim.Millisecond,
-		DonorCrashDelay: 150 * sim.Microsecond,
-	}
-}
+// Every scenario runs 3 clients of 14 operations (42, within lincheck's
+// 64-op bound) over 16 keys. The controller decides until active (the
+// workload and any faults land inside it); the run continues to horizon
+// to drain. ScenarioFeederCrash kills p0/r0 at crashAt;
+// ScenarioDonorCrash kills a donor replica of the hot partition
+// donorCrashDelay after a change starts.
+const (
+	keyCount                  = 16
+	clientCount, opsPerClient = 3, 14
+	opTimeout                 = 200 * sim.Millisecond
+	fenceTimeout              = 100 * sim.Millisecond
+	horizon                   = 3 * sim.Second
+	active                    = 30 * sim.Millisecond
+	crashAt                   = 4 * sim.Millisecond
+	donorCrashDelay           = 150 * sim.Microsecond
+)
 
 // scenarioPolicy returns the controller policy a scenario runs under.
-func scenarioPolicy(o Options) Policy {
-	if o.Policy != nil {
-		return *o.Policy
-	}
+func scenarioPolicy(scenario string) Policy {
 	pol := DefaultPolicy()
 	pol.Tick = 1 * sim.Millisecond
 	pol.Cooldown = 3 * sim.Millisecond
@@ -105,7 +84,7 @@ func scenarioPolicy(o Options) Policy {
 	pol.DominantShare = 0.6
 	pol.MaxChanges = 2
 	pol.MaxPartitions = 4
-	if o.Scenario == ScenarioScaleOut {
+	if scenario == ScenarioScaleOut {
 		// Both partitions stay warm: only a fresh partition can absorb.
 		pol.HotRatio = 1.1
 		pol.ColdRatio = 0.3
@@ -147,8 +126,8 @@ type Report struct {
 
 // pickKey draws one workload key for a scenario: skewed scenarios
 // hammer partition 0's low keys, scale-out warms both partitions.
-func pickKey(scenario string, rng *rand.Rand, keys int) store.OID {
-	half := keys / 2
+func pickKey(scenario string, rng *rand.Rand) store.OID {
+	const half = keyCount / 2
 	switch scenario {
 	case ScenarioScaleOut:
 		// 60/40 over the two partitions' hot head keys.
@@ -171,63 +150,40 @@ func pickKey(scenario string, rng *rand.Rand, keys int) store.OID {
 // deployment underneath them, and the full client history is checked
 // for linearizability.
 func Run(o Options) (*Report, error) {
-	hist, err := kvapp.NewHistory("rebalance", o.Clients, o.OpsPerClient)
-	if err != nil {
-		return nil, err
-	}
-	known := false
-	for _, sc := range Scenarios {
-		known = known || sc == o.Scenario
-	}
-	if !known {
+	if !slices.Contains(Scenarios, o.Scenario) {
 		return nil, fmt.Errorf("rebalance: unknown scenario %q (have %v)", o.Scenario, Scenarios)
 	}
 
 	const maxParts, groupSize = 4, 3
-	half := store.OID(o.Keys / 2)
-	groups := [][]rdma.NodeID{{1, 2, 3}, {4, 5, 6}}
-	initial := &reconfig.Configuration{
-		Epoch:  1,
-		Groups: groups,
-		Routes: []reconfig.Range{
-			{Lo: 0, Hi: half - 1, Part: 0},
-			{Lo: half, Hi: store.OID(o.Keys) - 1, Part: 1},
-		},
-	}
-
-	s := sim.NewScheduler()
-	defer s.Close()
-	cfg := core.DefaultConfig(multicast.DefaultConfig(groups))
-	cfg.StoreCapacity = kvapp.SlotCapacity(o.Keys, 8)
-	cfg.MaxPartitions = maxParts
-	cfg.MaxGroupSize = groupSize
-	apps := kvapp.New(initial, 8)
-	d, err := core.NewDeployment(s, cfg, apps, initial)
-	if err != nil {
-		return nil, err
-	}
-	if err := kvapp.Populate(d, initial, kvapp.Keys(o.Keys), 8); err != nil {
-		return nil, err
-	}
-	d.Fabric.SetFaultSeed(o.Seed)
-
+	groups := multicast.Layout(2, groupSize)
+	initial := reconfig.Halves(groups, keyCount)
 	// The controller needs the same heat collector the replicas feed;
 	// graft one sized for the partition cap (split-created partitions
 	// must have collectors from the start) when the caller supplied
 	// none.
 	obsv := o.Obs
 	if obsv.Heat() == nil {
-		obsv = obs.NewFull(obsv.Tracer(), obsv.Metrics(), obsv.CritPath(),
-			obs.NewHeat(maxParts, 250*sim.Microsecond, 8), obsv.Flight())
+		obsv = obs.WithHeat(obsv, obs.NewHeat(maxParts, 250*sim.Microsecond, 8))
 	}
-	d.Observe(obsv)
+	run, err := kvapp.Deploy(kvapp.Spec{
+		Harness: "rebalance", Clients: clientCount, OpsPerClient: opsPerClient,
+		Groups: groups, MaxPartitions: maxParts, MaxGroupSize: groupSize,
+		Owner: initial, StoreKeys: keyCount, ValBytes: 8,
+		OIDs: kvapp.Keys(keyCount),
+		Seed: o.Seed, Obs: obsv,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer run.Close()
+	d, hist, s := run.D, run.Hist, run.D.Sched
 
 	mgr := reconfig.NewManager(d, initial, reconfig.ManagerOptions{
-		Apps: apps, FenceTimeout: o.FenceTimeout, Obs: obsv,
+		Apps: run.Apps, FenceTimeout: fenceTimeout, Obs: obsv,
 	})
-	ctl := New(mgr, obsv.Heat(), scenarioPolicy(o))
+	ctl := New(mgr, obsv.Heat(), scenarioPolicy(o.Scenario))
 	ctl.Observe(obsv)
-	ctl.Until = sim.Time(o.Active)
+	ctl.Until = sim.Time(active)
 	if o.Scenario == ScenarioScaleOut {
 		ctl.Spares = []rdma.NodeID{301, 302, 303}
 	}
@@ -246,7 +202,7 @@ func Run(o Options) (*Report, error) {
 	// after the controller's own change-start hook fires.
 	var events []chaos.Event
 	if o.Scenario == ScenarioFeederCrash {
-		events = append(events, chaos.Event{At: o.CrashAt, Kind: chaos.EvCrash, Part: 0, Rank: 0})
+		events = append(events, chaos.Event{At: crashAt, Kind: chaos.EvCrash, Part: 0, Rank: 0})
 	}
 	eng := chaos.Install(d, chaos.Schedule{Seed: o.Seed, Profile: "rebalance-" + o.Scenario, Events: events}, obsv)
 	if o.Scenario == ScenarioDonorCrash {
@@ -257,7 +213,7 @@ func Run(o Options) (*Report, error) {
 			}
 			crashed = true
 			hot := core.PartitionID(dec.Hot)
-			s.At(now+sim.Time(o.DonorCrashDelay), func() {
+			s.At(now+sim.Time(donorCrashDelay), func() {
 				// Rank 2 of the hot partition: a fence participant and
 				// migration source candidate, leaving a 2/3 majority.
 				if r := d.Replica(hot, 2); r != nil {
@@ -269,30 +225,22 @@ func Run(o Options) (*Report, error) {
 	}
 	ctl.Start(s)
 
-	routers := make([]*reconfig.ClientRouter, o.Clients)
-	for ci := 0; ci < o.Clients; ci++ {
-		ci := ci
+	think := func(rng *rand.Rand) sim.Duration { return sim.Duration(200+rng.Intn(400)) * sim.Microsecond }
+	err = run.Drive(horizon, think, func(int) kvapp.Op {
 		cr := reconfig.NewClientRouter(d.NewClient(), initial)
-		routers[ci] = cr
-		rng := rand.New(rand.NewSource(o.Seed*1000 + int64(ci)))
-		s.Spawn(fmt.Sprintf("rebalance-client%d", ci), func(p *sim.Proc) {
-			for i := 0; i < o.OpsPerClient; i++ {
-				req := &kvapp.Req{Add: uint64(rng.Intn(100))}
-				req.Writes = append(req.Writes, pickKey(o.Scenario, rng, o.Keys))
-				if rng.Intn(100) < 40 {
-					req.Reads = append(req.Reads, pickKey(o.Scenario, rng, o.Keys))
-				}
-				if hist.Do(p, ci, req, func() (uint64, bool) {
-					resp, ok := cr.SubmitTimeout(p, req.OIDs(), req.Encode(), o.OpTimeout)
-					return kvapp.DecodeVal(resp), ok
-				}) {
-					p.Sleep(sim.Duration(200+rng.Intn(400)) * sim.Microsecond)
-				}
+		return func(p *sim.Proc, rng *rand.Rand) (*kvapp.Req, func() (uint64, bool)) {
+			req := &kvapp.Req{Add: uint64(rng.Intn(100))}
+			req.Writes = append(req.Writes, pickKey(o.Scenario, rng))
+			if rng.Intn(100) < 40 {
+				req.Reads = append(req.Reads, pickKey(o.Scenario, rng))
 			}
-		})
-	}
-
-	if err := s.RunUntil(sim.Time(o.Horizon)); err != nil {
+			return req, func() (uint64, bool) {
+				resp, ok := cr.SubmitTimeout(p, req.OIDs(), req.Encode(), opTimeout)
+				return kvapp.DecodeVal(resp), ok
+			}
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	eng.Close()

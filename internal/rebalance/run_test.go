@@ -3,13 +3,15 @@ package rebalance
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestRunSkew: the controller autonomously sheds the hotspot and the
 // history stays linearizable through the epoch flips.
 func TestRunSkew(t *testing.T) {
-	rep, err := Run(DefaultOptions(ScenarioSkew, 1))
+	rep, err := Run(Options{Scenario: ScenarioSkew, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestRunSkew(t *testing.T) {
 // TestRunScaleOut: with no cold peer, the controller attaches the spare
 // partition and sheds onto it.
 func TestRunScaleOut(t *testing.T) {
-	rep, err := Run(DefaultOptions(ScenarioScaleOut, 1))
+	rep, err := Run(Options{Scenario: ScenarioScaleOut, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func TestRunScaleOut(t *testing.T) {
 // (or cleanly degraded with timed-out ops — never a violation).
 func TestRunCrashScenarios(t *testing.T) {
 	for _, sc := range []string{ScenarioFeederCrash, ScenarioDonorCrash} {
-		rep, err := Run(DefaultOptions(sc, 1))
+		rep, err := Run(Options{Scenario: sc, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
@@ -69,7 +71,7 @@ func TestRunCrashScenarios(t *testing.T) {
 // reports.
 func TestRunDeterminism(t *testing.T) {
 	mk := func() []byte {
-		rep, err := Run(DefaultOptions(ScenarioSkew, 7))
+		rep, err := Run(Options{Scenario: ScenarioSkew, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,4 +84,38 @@ func TestRunDeterminism(t *testing.T) {
 	if a, b := mk(), mk(); !bytes.Equal(a, b) {
 		t.Fatalf("same-seed reports differ:\n%s\n%s", a, b)
 	}
+}
+
+// TestRunReleasesItsProcs: a scenario's deployment — replicas, multicast
+// processes, the controller's decision loop, clients parked at the
+// horizon — is unwound when Run returns (as chaos.TestRunReleasesItsProcs
+// checks for chaos.Run), so a sweep does not accumulate parked goroutines.
+func TestRunReleasesItsProcs(t *testing.T) {
+	before := settledGoroutines()
+	rep, err := Run(Options{Scenario: ScenarioSkew, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ChangesApplied == 0 {
+		t.Fatalf("controller applied no changes: %+v", rep)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after rebalance.Run, %d before", after, before)
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once it has stopped
+// changing, so a goroutine an earlier test left winding down is not counted
+// in one reading and gone from the next.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for stable, i := 0, 0; stable < 5 && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			stable++
+		} else {
+			n, stable = m, 0
+		}
+	}
+	return n
 }

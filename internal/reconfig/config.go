@@ -52,6 +52,17 @@ type Configuration struct {
 	Routes []Range // sorted by Lo, pairwise disjoint
 }
 
+// Halves returns the epoch-1 configuration over groups that routes the
+// objects 0..keys-1 in two halves: the lower to partition 0, the upper
+// to partition 1.
+func Halves(groups [][]rdma.NodeID, keys int) *Configuration {
+	half := store.OID(keys / 2)
+	return &Configuration{Epoch: 1, Groups: groups, Routes: []Range{
+		{Lo: 0, Hi: half - 1, Part: 0},
+		{Lo: half, Hi: store.OID(keys) - 1, Part: 1},
+	}}
+}
+
 // PartitionOf implements core.Partitioner by binary search over the
 // routing table. Unrouted objects map to partition 0 (a workload bug, not
 // a protocol state — validated workloads only touch routed ranges).

@@ -100,7 +100,7 @@ func TestConfigurationCodec(t *testing.T) {
 // runScenario executes one scenario and asserts the common invariants.
 func runScenario(t *testing.T, scenario string, seed int64) *Report {
 	t.Helper()
-	rep, err := Run(DefaultOptions(scenario, seed))
+	rep, err := Run(Options{Scenario: scenario, Seed: seed})
 	if err != nil {
 		t.Fatalf("%s: %v", scenario, err)
 	}
@@ -179,11 +179,11 @@ func TestRunReleasesItsProcs(t *testing.T) {
 // seed and scenario — the determinism contract of heron-bench reconfig.
 func TestSameSeedSameReport(t *testing.T) {
 	for _, scenario := range Scenarios {
-		a, err := Run(DefaultOptions(scenario, 42))
+		a, err := Run(Options{Scenario: scenario, Seed: 42})
 		if err != nil {
 			t.Fatalf("%s: %v", scenario, err)
 		}
-		b, err := Run(DefaultOptions(scenario, 42))
+		b, err := Run(Options{Scenario: scenario, Seed: 42})
 		if err != nil {
 			t.Fatalf("%s: %v", scenario, err)
 		}

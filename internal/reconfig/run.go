@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"heron/internal/chaos"
-	"heron/internal/core"
 	"heron/internal/kvapp"
 	"heron/internal/multicast"
 	"heron/internal/obs"
@@ -32,53 +31,28 @@ const (
 // Scenarios lists the built-in scenarios.
 var Scenarios = []string{ScenarioScaleOut, ScenarioScaleIn, ScenarioSplit, ScenarioCrash}
 
-// Options configure one reconfiguration run.
+// Options configure one reconfiguration run. Everything else is fixed:
+// the constants below, and per scenario by scenarioLayout.
 type Options struct {
 	Scenario string
 	Seed     int64
-
-	Keys         int
-	Clients      int
-	OpsPerClient int // Clients*OpsPerClient must stay within lincheck's 64-op bound
-
-	OpTimeout    sim.Duration
-	FenceTimeout sim.Duration
-	Horizon      sim.Duration
-	// ReconfigAt is the virtual instant the change is initiated; the
-	// workload is tuned so client operations straddle it.
-	ReconfigAt sim.Duration
-	// CrashAt is when ScenarioCrash kills p0/r2 (defaults just after
-	// ReconfigAt, landing mid-migration).
-	CrashAt sim.Duration
-
-	Obs *obs.Observer
+	Obs      *obs.Observer
 	// Persist, when non-nil, attaches the durable checkpointing layer and
 	// wires it as the manager's JoinerSeeder: joiners bring up from a
 	// donor's checkpoint plus a delta transfer instead of the full state.
 	Persist *persist.Options
 }
 
-// DefaultOptions sizes a scenario for the linearizability checker.
-func DefaultOptions(scenario string, seed int64) Options {
-	o := Options{
-		Scenario:     scenario,
-		Seed:         seed,
-		Keys:         8,
-		Clients:      3,
-		OpsPerClient: 14,
-		OpTimeout:    200 * sim.Millisecond,
-		FenceTimeout: 100 * sim.Millisecond,
-		Horizon:      3 * sim.Second,
-		ReconfigAt:   5 * sim.Millisecond,
-	}
-	if scenario == ScenarioSplit || scenario == ScenarioCrash {
-		o.Keys = 16
-	}
-	if scenario == ScenarioCrash {
-		o.CrashAt = o.ReconfigAt + 200*sim.Microsecond
-	}
-	return o
-}
+// Every scenario runs 3 clients of 14 operations (42, within lincheck's
+// 64-op bound) and initiates its change 5 ms in, so client operations
+// straddle it.
+const (
+	clientCount, opsPerClient = 3, 14
+	opTimeout                 = 200 * sim.Millisecond
+	fenceTimeout              = 100 * sim.Millisecond
+	horizon                   = 3 * sim.Second
+	reconfigAt                = 5 * sim.Millisecond
+)
 
 // Report is the outcome of one reconfiguration run. Every field derives
 // from virtual-clock state, so the same seed and options produce a
@@ -116,52 +90,46 @@ type Report struct {
 	Err string `json:"error,omitempty"`
 }
 
-// scenarioLayout returns the initial topology and the change a scenario
-// applies.
-func scenarioLayout(o Options) (groups [][]rdma.NodeID, routes []Range, ch Change, maxParts, maxGroup int, err error) {
-	half := store.OID(o.Keys / 2)
-	routes = []Range{
-		{Lo: 0, Hi: half - 1, Part: 0},
-		{Lo: half, Hi: store.OID(o.Keys) - 1, Part: 1},
-	}
-	layout := func(parts, reps int) [][]rdma.NodeID {
-		out := make([][]rdma.NodeID, parts)
-		id := rdma.NodeID(1)
-		for g := range out {
-			for r := 0; r < reps; r++ {
-				out[g] = append(out[g], id)
-				id++
-			}
-		}
-		return out
-	}
-	switch o.Scenario {
+// layout is one scenario's fixed shape: its initial groups and key
+// count, the change it applies, the room that change needs, and, for
+// ScenarioCrash, when p0/r2 crashes (just after the change starts,
+// landing mid-migration).
+type layout struct {
+	groups             [][]rdma.NodeID
+	keys               int
+	change             Change
+	maxParts, maxGroup int
+	crashAt            sim.Duration
+}
+
+// scenarioLayout returns a scenario's shape.
+func scenarioLayout(scenario string) (layout, error) {
+	switch scenario {
 	case ScenarioScaleOut:
-		groups = layout(2, 3)
-		ch = Change{AddReplicas: []AddReplica{
-			{Part: 0, Node: 101}, {Part: 0, Node: 102},
-			{Part: 1, Node: 103}, {Part: 1, Node: 104},
-		}}
-		maxParts, maxGroup = 2, 5
+		return layout{groups: multicast.Layout(2, 3), keys: 8, maxParts: 2, maxGroup: 5,
+			change: Change{AddReplicas: []AddReplica{
+				{Part: 0, Node: 101}, {Part: 0, Node: 102},
+				{Part: 1, Node: 103}, {Part: 1, Node: 104},
+			}}}, nil
 	case ScenarioScaleIn:
-		groups = layout(2, 5)
-		ch = Change{RemoveReplicas: []RemoveReplicas{{Part: 0, Count: 2}, {Part: 1, Count: 2}}}
-		maxParts, maxGroup = 2, 5
+		return layout{groups: multicast.Layout(2, 5), keys: 8, maxParts: 2, maxGroup: 5,
+			change: Change{RemoveReplicas: []RemoveReplicas{{Part: 0, Count: 2}, {Part: 1, Count: 2}}}}, nil
 	case ScenarioSplit, ScenarioCrash:
-		groups = layout(2, 3)
-		quarter := store.OID(o.Keys / 4)
-		ch = Change{
-			AddPartitions: [][]rdma.NodeID{{201, 202, 203}, {204, 205, 206}},
-			Moves: []Move{
-				{Lo: half - quarter, Hi: half - 1, To: 2},
-				{Lo: store.OID(o.Keys) - quarter, Hi: store.OID(o.Keys) - 1, To: 3},
-			},
+		const keys, half, quarter = 16, 8, 4
+		l := layout{groups: multicast.Layout(2, 3), keys: keys, maxParts: 4, maxGroup: 3,
+			change: Change{
+				AddPartitions: [][]rdma.NodeID{{201, 202, 203}, {204, 205, 206}},
+				Moves: []Move{
+					{Lo: half - quarter, Hi: half - 1, To: 2},
+					{Lo: keys - quarter, Hi: keys - 1, To: 3},
+				},
+			}}
+		if scenario == ScenarioCrash {
+			l.crashAt = reconfigAt + 200*sim.Microsecond
 		}
-		maxParts, maxGroup = 4, 3
-	default:
-		err = fmt.Errorf("reconfig: unknown scenario %q (have %v)", o.Scenario, Scenarios)
+		return l, nil
 	}
-	return
+	return layout{}, fmt.Errorf("reconfig: unknown scenario %q (have %v)", scenario, Scenarios)
 }
 
 // Run executes one seeded reconfiguration scenario: concurrent clients
@@ -172,57 +140,48 @@ func scenarioLayout(o Options) (groups [][]rdma.NodeID, routes []Range, ch Chang
 // Configuration's routing table — the thing reconfiguration changes out
 // from under the clients.
 func Run(o Options) (*Report, error) {
-	hist, err := kvapp.NewHistory("reconfig", o.Clients, o.OpsPerClient)
+	sc, err := scenarioLayout(o.Scenario)
 	if err != nil {
 		return nil, err
 	}
-	groups, routes, change, maxParts, maxGroup, err := scenarioLayout(o)
+	initial := Halves(sc.groups, sc.keys)
+	run, err := kvapp.Deploy(kvapp.Spec{
+		Harness: "reconfig", Clients: clientCount, OpsPerClient: opsPerClient,
+		Groups: sc.groups, MaxPartitions: sc.maxParts, MaxGroupSize: sc.maxGroup,
+		Owner: initial, StoreKeys: sc.keys, ValBytes: 8,
+		OIDs: kvapp.Keys(sc.keys),
+		Seed: o.Seed, Obs: o.Obs,
+	})
 	if err != nil {
 		return nil, err
 	}
-	initial := &Configuration{Epoch: 1, Groups: groups, Routes: routes}
-
-	s := sim.NewScheduler()
-	defer s.Close()
-	cfg := core.DefaultConfig(multicast.DefaultConfig(groups))
-	cfg.StoreCapacity = kvapp.SlotCapacity(o.Keys, 8)
-	cfg.MaxPartitions = maxParts
-	cfg.MaxGroupSize = maxGroup
-	apps := kvapp.New(initial, 8)
-	d, err := core.NewDeployment(s, cfg, apps, initial)
-	if err != nil {
-		return nil, err
-	}
-	if err := kvapp.Populate(d, initial, kvapp.Keys(o.Keys), 8); err != nil {
-		return nil, err
-	}
-	d.Fabric.SetFaultSeed(o.Seed)
-	d.Observe(o.Obs)
+	defer run.Close()
+	d, hist, s := run.D, run.Hist, run.D.Sched
 	var seeder JoinerSeeder
 	if o.Persist != nil {
 		pl := persist.Attach(d, o.Persist)
 		pl.Observe(o.Obs)
 		seeder = pl
 	}
-	mgr := NewManager(d, initial, ManagerOptions{Apps: apps, FenceTimeout: o.FenceTimeout, Obs: o.Obs, Seeder: seeder})
+	mgr := NewManager(d, initial, ManagerOptions{Apps: run.Apps, FenceTimeout: fenceTimeout, Obs: o.Obs, Seeder: seeder})
 	d.Start()
 
 	rep := &Report{
 		Scenario:         o.Scenario,
 		Seed:             o.Seed,
-		PartitionsBefore: len(groups),
+		PartitionsBefore: len(sc.groups),
 		EpochBefore:      initial.Epoch,
 	}
-	for _, g := range groups {
+	for _, g := range sc.groups {
 		rep.ReplicasBefore += len(g)
 	}
 
 	// The change is initiated through the chaos engine's reconfig event,
 	// so fault and reconfiguration schedules compose; ScenarioCrash adds a
 	// crash landing mid-migration.
-	events := []chaos.Event{{At: o.ReconfigAt, Kind: chaos.EvReconfig}}
-	if o.Scenario == ScenarioCrash {
-		events = append(events, chaos.Event{At: o.CrashAt, Kind: chaos.EvCrash, Part: 0, Rank: 2})
+	events := []chaos.Event{{At: reconfigAt, Kind: chaos.EvReconfig}}
+	if sc.crashAt != 0 {
+		events = append(events, chaos.Event{At: sc.crashAt, Kind: chaos.EvCrash, Part: 0, Rank: 2})
 	}
 	eng := chaos.Install(d, chaos.Schedule{Seed: o.Seed, Profile: "reconfig-" + o.Scenario, Events: events}, o.Obs)
 	trigger := sim.NewCond(s)
@@ -235,35 +194,29 @@ func Run(o Options) (*Report, error) {
 	var execErr error
 	s.Spawn("reconfig-driver", func(p *sim.Proc) {
 		trigger.WaitUntil(p, func() bool { return fired })
-		result, execErr = mgr.Execute(p, change)
+		result, execErr = mgr.Execute(p, sc.change)
 	})
 
-	routers := make([]*ClientRouter, o.Clients)
-	for ci := 0; ci < o.Clients; ci++ {
-		ci := ci
+	var routers []*ClientRouter
+	think := func(rng *rand.Rand) sim.Duration { return sim.Duration(rng.Intn(2000)) * sim.Microsecond }
+	err = run.Drive(horizon, think, func(int) kvapp.Op {
 		cr := NewClientRouter(d.NewClient(), initial)
-		routers[ci] = cr
-		rng := rand.New(rand.NewSource(o.Seed*1000 + int64(ci)))
-		s.Spawn(fmt.Sprintf("reconfig-client%d", ci), func(p *sim.Proc) {
-			for i := 0; i < o.OpsPerClient; i++ {
-				req := &kvapp.Req{Add: uint64(rng.Intn(100))}
-				for j := 0; j < rng.Intn(3); j++ {
-					req.Reads = append(req.Reads, store.OID(rng.Intn(o.Keys)))
-				}
-				for j := 0; j < 1+rng.Intn(2); j++ {
-					req.Writes = append(req.Writes, store.OID(rng.Intn(o.Keys)))
-				}
-				if hist.Do(p, ci, req, func() (uint64, bool) {
-					resp, ok := cr.SubmitTimeout(p, req.OIDs(), req.Encode(), o.OpTimeout)
-					return kvapp.DecodeVal(resp), ok
-				}) {
-					p.Sleep(sim.Duration(rng.Intn(2000)) * sim.Microsecond)
-				}
+		routers = append(routers, cr)
+		return func(p *sim.Proc, rng *rand.Rand) (*kvapp.Req, func() (uint64, bool)) {
+			req := &kvapp.Req{Add: uint64(rng.Intn(100))}
+			for j := 0; j < rng.Intn(3); j++ {
+				req.Reads = append(req.Reads, store.OID(rng.Intn(sc.keys)))
 			}
-		})
-	}
-
-	if err := s.RunUntil(sim.Time(o.Horizon)); err != nil {
+			for j := 0; j < 1+rng.Intn(2); j++ {
+				req.Writes = append(req.Writes, store.OID(rng.Intn(sc.keys)))
+			}
+			return req, func() (uint64, bool) {
+				resp, ok := cr.SubmitTimeout(p, req.OIDs(), req.Encode(), opTimeout)
+				return kvapp.DecodeVal(resp), ok
+			}
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	eng.Close()

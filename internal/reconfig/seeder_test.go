@@ -11,9 +11,7 @@ import (
 // donor checkpoint + delta transfer (not the full-state path), and the
 // history must stay linearizable.
 func TestScaleOutCheckpointSeeded(t *testing.T) {
-	o := DefaultOptions(ScenarioScaleOut, 1)
-	o.Persist = &persist.Options{}
-	rep, err := Run(o)
+	rep, err := Run(Options{Scenario: ScenarioScaleOut, Seed: 1, Persist: &persist.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +36,11 @@ func TestScaleOutCheckpointSeeded(t *testing.T) {
 // client-visible outcome profile (commit, epochs, op counts) as the
 // unseeded one — persistence changes the bring-up path, not semantics.
 func TestScaleOutSeededMatchesPlain(t *testing.T) {
-	plain, err := Run(DefaultOptions(ScenarioScaleOut, 4))
+	plain, err := Run(Options{Scenario: ScenarioScaleOut, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := DefaultOptions(ScenarioScaleOut, 4)
-	o.Persist = &persist.Options{}
-	seeded, err := Run(o)
+	seeded, err := Run(Options{Scenario: ScenarioScaleOut, Seed: 4, Persist: &persist.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}
