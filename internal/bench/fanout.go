@@ -70,6 +70,10 @@ func RunFanout(sizes []int, targets, slotBytes int, o *obs.Observer) (*FanoutRes
 	return res, nil
 }
 
+// pipelinedRounds is how many times the pipelined leg resolves its read
+// set, on one CQ reset between rounds; it reports one round's latency.
+const pipelinedRounds = 2
+
 // fanoutRun measures one (read-set size, mode) cell on a fresh fabric.
 func fanoutRun(k, targets, slotBytes int, pipelined bool, o *obs.Observer) (sim.Duration, error) {
 	s := sim.NewScheduler()
@@ -112,10 +116,31 @@ func fanoutRun(k, targets, slotBytes int, pipelined bool, o *obs.Observer) (sim.
 		return true
 	}
 	s.Spawn("fanout-reader", func(p *sim.Proc) {
-		t0 := p.Now()
-		if pipelined {
-			cq := reader.NewCQ()
-			handles := make([]*rdma.ReadHandle, 0, k)
+		if !pipelined {
+			t0 := p.Now()
+			for i := 0; i < k; i++ {
+				sl := ref(i)
+				data, err := sl.qp.Read(p, sl.addr, slotBytes)
+				if err != nil {
+					runErr = err
+					return
+				}
+				if !check(i, data) {
+					return
+				}
+			}
+			elapsed = sim.Duration(p.Now() - t0)
+			return
+		}
+		// pipelinedRounds rounds on one CQ, reset between them: every round
+		// after the first posts into the handles and buffers the one before
+		// it recycled, and must take exactly as long.
+		cq := reader.NewCQ()
+		handles := make([]*rdma.ReadHandle, 0, k)
+		for round := 0; round < pipelinedRounds; round++ {
+			t0 := p.Now()
+			cq.Reset()
+			handles = handles[:0]
 			for i := 0; i < k; i++ {
 				sl := ref(i)
 				h, err := sl.qp.PostRead(p, cq, sl.addr, slotBytes)
@@ -135,20 +160,13 @@ func fanoutRun(k, targets, slotBytes int, pipelined bool, o *obs.Observer) (sim.
 					return
 				}
 			}
-		} else {
-			for i := 0; i < k; i++ {
-				sl := ref(i)
-				data, err := sl.qp.Read(p, sl.addr, slotBytes)
-				if err != nil {
-					runErr = err
-					return
-				}
-				if !check(i, data) {
-					return
-				}
+			took := sim.Duration(p.Now() - t0)
+			if round > 0 && took != elapsed {
+				runErr = fmt.Errorf("bench: fanout round %d on a reset CQ took %v, the first %v", round, took, elapsed)
+				return
 			}
+			elapsed = took
 		}
-		elapsed = sim.Duration(p.Now() - t0)
 	})
 	if err := s.Run(); err != nil {
 		return 0, err

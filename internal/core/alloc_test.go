@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"heron/internal/sim"
@@ -64,6 +65,49 @@ func TestWarmExecuteAllocatesOnlyTheApp(t *testing.T) {
 	t.Logf("execute: %v allocations, the kv app's own ReadSet and Execute: %v", got, own)
 	if got != own {
 		t.Fatalf("a warm execute allocates %v times, the application %v: want no more than the application", got, own)
+	}
+}
+
+// TestWarmRemoteReadsAllocateOnlyTheApp: on a warm two-partition rig, an
+// execute that resolves a remote read — the address known, the READ posted
+// into the CQ its previous execute handed back, the candidates, targets
+// and exclusions in reused scratch — allocates exactly what the
+// application's ReadSet and Execute allocate themselves.
+func TestWarmRemoteReadsAllocateOnlyTheApp(t *testing.T) {
+	s, _, r := stoppedExecutor(t, 2, nil)
+	defer s.Close()
+	// Every peer's word reads as past any request the test executes, so
+	// each is a coordinated replica to read from.
+	past := uint64(1)<<30<<2 | phaseBefore
+	for part, group := range r.peers {
+		for rank := range group {
+			off := r.coordOff(PartitionID(part), rank)
+			binary.LittleEndian.PutUint64(r.coordMem.Bytes()[off:off+8], past)
+		}
+	}
+	remote := kvOID(1, 0)
+	req := Request{Ts: 10, Dst: []PartitionID{0, 1}, Payload: encodeKVReq(&kvReq{
+		reads: []store.OID{kvOID(0, 0), remote}, writes: []store.OID{kvOID(0, 0)}, add: 1})}
+	es := r.newExecState()
+	var resp []byte
+	got := allocsPerStep(t, s, func(p *sim.Proc) {
+		req.Ts++
+		var ok bool
+		if resp, ok = r.execute(p, es, &req, nil); !ok || es.cq == nil || len(resp) == 0 {
+			t.Errorf("execute ok=%v posted READs %v, response %x", ok, es.cq != nil, resp)
+		}
+	})
+
+	values := map[store.OID][]byte{kvOID(0, 0): encodeKVVal(1), remote: encodeKVVal(2)}
+	ctx := NewExecContext(&req, 0, values, nil)
+	app := r.app
+	own := testing.AllocsPerRun(200, func() {
+		app.ReadSet(&req)
+		app.Execute(ctx)
+	})
+	t.Logf("execute with a remote read: %v allocations, the kv app's own ReadSet and Execute: %v", got, own)
+	if got != own {
+		t.Fatalf("a warm execute with a remote read allocates %v times, the application %v: want no more than the application", got, own)
 	}
 }
 

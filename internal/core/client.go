@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"heron/internal/multicast"
@@ -51,7 +52,8 @@ func (c *Client) LastMsgID() multicast.MsgID { return c.lastID }
 func (c *Client) NodeID() rdma.NodeID { return c.node.ID() }
 
 // Submit sends one request and waits for the first response from every
-// destination partition. It returns the responses keyed by partition.
+// destination partition. It returns the responses keyed by partition,
+// copies of the first reply from each; the others are never copied.
 func (c *Client) Submit(p *sim.Proc, dst []PartitionID, payload []byte) (map[PartitionID][]byte, error) {
 	t0 := p.Now()
 	id := c.mc.Multicast(p, dst, payload)
@@ -80,7 +82,7 @@ func (c *Client) Submit(p *sim.Proc, dst []PartitionID, payload []byte) (map[Par
 		}
 		if want[m.part] {
 			if _, dup := got[m.part]; !dup {
-				got[m.part] = m.payload
+				got[m.part] = bytes.Clone(m.payload) // before the next Recv reuses the datagram
 			}
 		}
 	}
@@ -162,7 +164,7 @@ func (c *Client) SubmitTimeout(p *sim.Proc, dst []PartitionID, payload []byte, d
 		}
 		if want[m.part] {
 			if _, dup := got[m.part]; !dup {
-				got[m.part] = m.payload
+				got[m.part] = bytes.Clone(m.payload) // before the next Recv reuses the datagram
 			}
 		}
 	}

@@ -13,17 +13,54 @@ import (
 
 // execState is one executing proc's reused execution state: the executor
 // and each pool worker own one. execute resets it at the start of every
-// request — values cleared, arena emptied — so a warm execution allocates
-// nothing of its own (ExecContext's lifetime rule, DESIGN §18).
+// request — values cleared, arena emptied, READ buffers recycled — so a
+// warm execution allocates nothing of its own (ExecContext's lifetime
+// rule, DESIGN §18).
 type execState struct {
 	ctx ExecContext
 	// remote lists the request's remote reads.
 	remote []remoteRead
+	// cq holds the READs of the request executed last. Its remote values
+	// alias their buffers until the reply is sent, so it goes back to the
+	// replica's pool only at the next execute.
+	cq *rdma.CQ
+
+	// The remote-read fan-out's scratch (resolveRemote), which lives
+	// across its posts' and waits' yields. deferred alternates between
+	// two buffers: the reads one attempt defers are the next one's pending.
+	posts    []postedRead
+	deferred [2][]remoteRead
+	targets  map[PartitionID]peerInfo
+	excluded []map[rdma.NodeID]bool // by partition
+
+	// Address resolution's scratch (batchQueryAddrs): the OIDs seen, the
+	// partitions with unknown addresses and those OIDs by partition, the
+	// OIDs one query asks, and the wait's predicate, bound once.
+	seen     map[store.OID]bool
+	parts    []PartitionID
+	unknown  [][]uint64
+	ask      []uint64
+	resolved func() bool
 }
 
-// newExecState builds an executing proc's state, with LocalGet bound once.
+// newExecState builds an executing proc's state, with LocalGet and the
+// address wait's predicate bound once.
 func (r *Replica) newExecState() *execState {
-	es := &execState{ctx: ExecContext{Values: make(map[store.OID][]byte)}}
+	es := &execState{
+		ctx:     ExecContext{Values: make(map[store.OID][]byte)},
+		targets: make(map[PartitionID]peerInfo),
+		seen:    make(map[store.OID]bool),
+	}
+	es.resolved = func() bool {
+		for _, h := range es.parts {
+			for _, oid := range es.unknown[h] {
+				if !r.hasAddrQuorum(storeOID(oid), h) {
+					return false
+				}
+			}
+		}
+		return true
+	}
 	ctx := &es.ctx
 	ctx.localGet = func(oid store.OID) ([]byte, bool) {
 		if r.parter.PartitionOf(oid) != r.part {
@@ -54,7 +91,11 @@ func (r *Replica) execute(p *sim.Proc, es *execState, req *Request, tk *obs.Trac
 	clear(ctx.Values)
 	ctx.arena.reset()
 	values := ctx.Values
+	if es.cq != nil {
+		r.putCQ(es.cq)
+	}
 	readSet, ahead, aheadCQ := r.takeReadAhead(req)
+	es.cq = aheadCQ
 	if readSet == nil {
 		readSet = r.app.ReadSet(req)
 	}
@@ -85,7 +126,7 @@ func (r *Replica) execute(p *sim.Proc, es *execState, req *Request, tk *obs.Trac
 	}
 	es.remote = remote
 	r.obs.cp.Record(cpID(req.ID), obs.SegLocalRead, lrT0, p.Now())
-	if len(remote) > 0 && !r.resolveRemote(p, req, remote, ahead, aheadCQ, values, tk) {
+	if len(remote) > 0 && !r.resolveRemote(p, es, req, ahead, tk) {
 		// Lagger: state transfer already ran inside resolveRemote.
 		sp.Arg("lagger", true).End()
 		return nil, false
@@ -140,31 +181,31 @@ type remoteRead struct {
 // selection and lagger detection run per OID in posting (= read-set)
 // order, which keeps collection deterministic; on the first object with
 // no version old enough, the replica runs state transfer and reports
-// ok=false (lines 23-25). ahead, when not nil, holds the READs posted
-// ahead into aheadCQ (readahead.go), aligned with reads: the first attempt
-// collects them like its own posts and posts only the rest.
-func (r *Replica) resolveRemote(p *sim.Proc, req *Request, reads []remoteRead, ahead []postedRead, aheadCQ *rdma.CQ,
-	values map[store.OID][]byte, tk *obs.Track) bool {
+// ok=false (lines 23-25). The reads are es.remote, and every attempt
+// posts to es.cq. ahead, when not nil, holds the READs posted ahead into
+// es.cq (readahead.go), aligned with the reads: the first attempt collects
+// them like its own posts and posts only the rest.
+func (r *Replica) resolveRemote(p *sim.Proc, es *execState, req *Request, ahead []postedRead, tk *obs.Track) bool {
+	reads, values := es.remote, es.ctx.Values
 	fo := tk.Begin("read_fanout").Arg("objects", len(reads))
-	r.batchQueryAddrs(p, req, reads, tk)
-
-	excluded := make(map[PartitionID]map[rdma.NodeID]bool)
-	exclude := func(h PartitionID, n rdma.NodeID) {
-		if excluded[h] == nil {
-			excluded[h] = make(map[rdma.NodeID]bool)
-		}
-		excluded[h][n] = true
+	r.batchQueryAddrs(p, es, req, reads, tk)
+	if es.cq == nil {
+		es.cq = r.takeCQ()
+	}
+	cq := es.cq
+	for len(es.excluded) < len(r.peers) {
+		es.excluded = append(es.excluded, make(map[rdma.NodeID]bool))
+	}
+	for _, ex := range es.excluded {
+		clear(ex)
 	}
 
 	pending := reads
 	for attempt := 0; attempt < 64 && len(pending) > 0; attempt++ {
-		cq := aheadCQ
-		if attempt > 0 || cq == nil {
-			cq = r.node.NewCQ()
-		}
-		targets := make(map[PartitionID]peerInfo)
-		var posts []postedRead
-		var deferred []remoteRead
+		targets := es.targets
+		clear(targets)
+		posts := es.posts[:0]
+		deferred := es.deferred[attempt%2][:0]
 		postT0 := p.Now()
 		for i, rr := range pending {
 			if attempt == 0 && ahead != nil && ahead[i].h != nil {
@@ -178,12 +219,12 @@ func (r *Replica) resolveRemote(p *sim.Proc, req *Request, reads []remoteRead, a
 				// group's target never answered for this object — so pick a
 				// coordinated replica for it.
 				var ok bool
-				info, ok = r.selectProc(rr.part, req, rr.oid, excluded[rr.part])
+				info, ok = r.selectProc(rr.part, req, rr.oid, es.excluded[rr.part])
 				if !ok {
 					// No coordinated replica with a known address yet; widen
 					// the address map and retry next round.
-					r.batchQueryAddrs(p, req, []remoteRead{rr}, tk)
-					delete(excluded, rr.part)
+					r.batchQueryAddrs(p, es, req, []remoteRead{rr}, tk)
+					clear(es.excluded[rr.part])
 					deferred = append(deferred, rr)
 					continue
 				}
@@ -199,12 +240,13 @@ func (r *Replica) resolveRemote(p *sim.Proc, req *Request, reads []remoteRead, a
 			h, err := r.qp(info.node).PostRead(p, cq, ent.addr, ent.slotLen)
 			if err != nil {
 				// Posting failed locally: choose another process next round.
-				exclude(rr.part, info.node)
+				es.excluded[rr.part][info.node] = true
 				deferred = append(deferred, rr)
 				continue
 			}
 			posts = append(posts, postedRead{rr: rr, node: info.node, slotLen: ent.slotLen, h: h})
 		}
+		es.posts = posts
 
 		// One wait for the whole batch: a crashed target fails only its own
 		// completions (after the failure timeout), never the batch.
@@ -222,7 +264,7 @@ func (r *Replica) resolveRemote(p *sim.Proc, req *Request, reads []remoteRead, a
 				// for the failed subset only (lines 20-21).
 				r.statReadRetries++
 				r.obs.readRetries.Inc()
-				exclude(po.rr.part, po.node)
+				es.excluded[po.rr.part][po.node] = true
 				pending = append(pending, po.rr)
 				continue
 			}
@@ -231,7 +273,7 @@ func (r *Replica) resolveRemote(p *sim.Proc, req *Request, reads []remoteRead, a
 			if derr != nil {
 				r.statReadRetries++
 				r.obs.readRetries.Inc()
-				exclude(po.rr.part, po.node)
+				es.excluded[po.rr.part][po.node] = true
 				pending = append(pending, po.rr)
 				continue
 			}
@@ -246,6 +288,7 @@ func (r *Replica) resolveRemote(p *sim.Proc, req *Request, reads []remoteRead, a
 			}
 			values[po.rr.oid] = v.Val
 		}
+		es.deferred[attempt%2] = pending
 		vs.End()
 		r.obs.cp.Record(cpID(req.ID), obs.SegVersionSelect, vsT0, p.Now())
 	}
@@ -266,9 +309,10 @@ func (r *Replica) missingObject(oid store.OID, h PartitionID) bool {
 
 // selectProc picks a replica of h to read from (Algorithm 2's
 // select_proc): uniformly among replicas that coordinated in phase 2 for
-// req, have a known object address, and are not excluded.
+// req, have a known object address, and are not excluded. The candidates
+// are the replica's scratch: nothing yields while they are listed.
 func (r *Replica) selectProc(h PartitionID, req *Request, oid store.OID, excluded map[rdma.NodeID]bool) (peerInfo, bool) {
-	var cands []peerInfo
+	cands := r.cands[:0]
 	for qr := range r.peers[h] {
 		info, ent, ok := r.readable(h, qr, req.Ts, oid, excluded)
 		if !ok {
@@ -281,6 +325,7 @@ func (r *Replica) selectProc(h PartitionID, req *Request, oid store.OID, exclude
 		}
 		cands = append(cands, info)
 	}
+	r.cands = cands
 	if len(cands) == 0 {
 		return peerInfo{}, false
 	}
@@ -324,13 +369,12 @@ func (r *Replica) hasAddrQuorum(oid store.OID, h PartitionID) bool {
 // (prefetchAddrs asked it ahead) and waits for that reply instead; every
 // retransmission resends all of them, so a lost prefetch costs what a lost
 // query does. Send failures are tolerated: the retransmission round
-// resends.
-func (r *Replica) batchQueryAddrs(p *sim.Proc, req *Request, reads []remoteRead, tk *obs.Track) {
-	// Group unknown OIDs per partition in read-set order (deterministic —
-	// never range over the map when sending).
-	var parts []PartitionID
-	unknown := make(map[PartitionID][]uint64)
-	seen := make(map[store.OID]bool, len(reads))
+// resends. The grouping is es's scratch.
+func (r *Replica) batchQueryAddrs(p *sim.Proc, es *execState, req *Request, reads []remoteRead, tk *obs.Track) {
+	// Group unknown OIDs per partition in read-set order (deterministic).
+	es.unknown = byPartition(es.unknown, len(r.peers))
+	clear(es.seen)
+	parts, unknown, seen := es.parts[:0], es.unknown, es.seen
 	for _, rr := range reads {
 		if seen[rr.oid] {
 			continue
@@ -339,11 +383,12 @@ func (r *Replica) batchQueryAddrs(p *sim.Proc, req *Request, reads []remoteRead,
 		if r.hasAddrQuorum(rr.oid, rr.part) {
 			continue
 		}
-		if _, ok := unknown[rr.part]; !ok {
+		if len(unknown[rr.part]) == 0 {
 			parts = append(parts, rr.part)
 		}
 		unknown[rr.part] = append(unknown[rr.part], uint64(rr.oid))
 	}
+	es.parts = parts
 	if len(parts) == 0 {
 		return
 	}
@@ -354,16 +399,6 @@ func (r *Replica) batchQueryAddrs(p *sim.Proc, req *Request, reads []remoteRead,
 		r.obs.cp.Record(cpID(req.ID), obs.SegAddrResolve, aqT0, p.Now())
 		aq.End()
 	}()
-	resolved := func() bool {
-		for _, h := range parts {
-			for _, oid := range unknown[h] {
-				if !r.hasAddrQuorum(storeOID(oid), h) {
-					return false
-				}
-			}
-		}
-		return true
-	}
 	for attempt := 0; ; attempt++ {
 		if attempt >= 10 {
 			panic(fmt.Sprintf("heron: replica p%d/r%d: no address quorum for %d objects from partitions %v",
@@ -373,7 +408,14 @@ func (r *Replica) batchQueryAddrs(p *sim.Proc, req *Request, reads []remoteRead,
 		for _, h := range parts {
 			oids := unknown[h]
 			if attempt == 0 {
-				oids = slices.DeleteFunc(slices.Clone(oids), func(oid uint64) bool { return r.addrInFlight(storeOID(oid), now) })
+				// Not the OIDs still in flight: wait for their replies.
+				oids = es.ask[:0]
+				for _, oid := range unknown[h] {
+					if !r.addrInFlight(storeOID(oid), now) {
+						oids = append(oids, oid)
+					}
+				}
+				es.ask = oids
 				if len(oids) == 0 {
 					continue
 				}
@@ -381,10 +423,22 @@ func (r *Replica) batchQueryAddrs(p *sim.Proc, req *Request, reads []remoteRead,
 			r.obs.addrQueryOIDs.Add(uint64(len(oids)))
 			r.sendAddrQuery(p, h, oids, now)
 		}
-		if r.queryCond.WaitUntilTimeout(p, r.cfg.QueryTimeout, resolved) {
+		if r.queryCond.WaitUntilTimeout(p, r.cfg.QueryTimeout, es.resolved) {
 			return
 		}
 	}
+}
+
+// byPartition empties lists, one per partition of n, each keeping its
+// capacity.
+func byPartition(lists [][]uint64, n int) [][]uint64 {
+	for len(lists) < n {
+		lists = append(lists, nil)
+	}
+	for h := range lists {
+		lists[h] = lists[h][:0]
+	}
+	return lists
 }
 
 // addrInFlight reports whether oid's address query was sent less than a
@@ -427,7 +481,8 @@ func (r *Replica) prefetchAddrs(p *sim.Proc, head multicast.Delivery) {
 	}
 	q := r.mc.Deliveries()
 	now := p.Now()
-	var ask [][]uint64 // by partition
+	ask := byPartition(r.prefetchAsk, len(r.peers))
+	r.prefetchAsk = ask
 	for i := 0; ; i++ {
 		d, ok := q.Peek(i)
 		if !ok || IsConfigCommand(d.Payload) {
@@ -448,9 +503,6 @@ func (r *Replica) prefetchAddrs(p *sim.Proc, head multicast.Delivery) {
 				continue
 			}
 			r.addrAsked[oid] = now // one ask per scan, however many requests read it
-			if ask == nil {
-				ask = make([][]uint64, len(r.peers))
-			}
 			ask[h] = append(ask[h], uint64(oid))
 		}
 	}

@@ -192,14 +192,17 @@ func (r *Replica) gatedReply(p *sim.Proc, req *Request, resp []byte) {
 
 // flushGatedReplies sends every parked reply whose gate has opened
 // (holder progressed, lease expired, or lease replaced), recording the
-// deferral as a lease_wait critical-path interval.
+// deferral as a lease_wait critical-path interval. A reply yields inside
+// Send, and an executing proc may park another reply meanwhile: the flush
+// keeps those, behind the ones it kept.
 func (r *Replica) flushGatedReplies(p *sim.Proc) {
 	if len(r.gatedQ) == 0 {
 		return
 	}
 	now := p.Now()
+	orig := len(r.gatedQ)
 	kept := r.gatedQ[:0]
-	for _, e := range r.gatedQ {
+	for _, e := range r.gatedQ[:orig] {
 		if !r.leaseGateOpen(e.req.Ts, now) {
 			kept = append(kept, e)
 			continue
@@ -207,7 +210,7 @@ func (r *Replica) flushGatedReplies(p *sim.Proc) {
 		r.obs.cp.Record(cpID(e.req.ID), obs.SegLeaseWait, e.at, now)
 		r.reply(p, &e.req, e.resp)
 	}
-	r.gatedQ = kept
+	r.gatedQ = append(kept, r.gatedQ[orig:]...)
 }
 
 // gatedReady reports whether any parked reply's gate has opened — the

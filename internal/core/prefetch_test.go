@@ -190,7 +190,7 @@ func TestPrefetchAsksOncePerPeerAndIsNotRepeated(t *testing.T) {
 		g.s.Spawn("execute", func(p *sim.Proc) {
 			t0 := p.Now()
 			reads := []remoteRead{{oid: kvOID(1, 3), part: 1}, {oid: kvOID(1, 4), part: 1}}
-			g.asker.batchQueryAddrs(p, &Request{Ts: g.ts, Dst: []PartitionID{0, 1}}, reads, nil)
+			g.asker.batchQueryAddrs(p, g.asker.newExecState(), &Request{Ts: g.ts, Dst: []PartitionID{0, 1}}, reads, nil)
 			if waited := sim.Duration(p.Now() - t0); waited >= g.asker.cfg.QueryTimeout {
 				t.Errorf("batchQueryAddrs took %v: it retransmitted instead of waiting for the prefetch", waited)
 			}
@@ -231,7 +231,7 @@ func TestLostPrefetchIsResent(t *testing.T) {
 		t0 := p.Now()
 		var took sim.Duration
 		g.s.Spawn("execute", func(p *sim.Proc) {
-			g.asker.batchQueryAddrs(p, &Request{Ts: g.ts, Dst: []PartitionID{0, 1}}, []remoteRead{{oid: kvOID(1, 0), part: 1}}, nil)
+			g.asker.batchQueryAddrs(p, g.asker.newExecState(), &Request{Ts: g.ts, Dst: []PartitionID{0, 1}}, []remoteRead{{oid: kvOID(1, 0), part: 1}}, nil)
 			took = sim.Duration(p.Now() - t0)
 		})
 		p.Sleep(10 * sim.Microsecond)

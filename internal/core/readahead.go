@@ -61,8 +61,9 @@ func (r *Replica) readAheadFor(req *Request) {
 	ra.open = len(ra.posts) > 0
 }
 
-// dropReadAhead forgets the read-ahead; completions still in flight land in
-// a CQ nobody reads.
+// dropReadAhead forgets the read-ahead. Its CQ goes back to the pool once
+// every READ has landed; with completions still in flight it is left to
+// them, and nobody reads it.
 func (r *Replica) dropReadAhead() {
 	ra := &r.ahead
 	for _, po := range ra.posts {
@@ -70,8 +71,31 @@ func (r *Replica) dropReadAhead() {
 			r.obs.readAheadDropped.Inc()
 		}
 	}
+	if ra.cq != nil && ra.cq.Outstanding() == 0 {
+		r.putCQ(ra.cq)
+	}
 	clear(ra.posts)
 	*ra = readAhead{posts: ra.posts[:0]}
+}
+
+// takeCQ returns a pooled completion queue, making one only when every
+// queue the replica has holds READs.
+func (r *Replica) takeCQ() *rdma.CQ {
+	n := len(r.cqs)
+	if n == 0 {
+		return r.node.NewCQ()
+	}
+	cq := r.cqs[n-1]
+	r.cqs[n-1] = nil
+	r.cqs = r.cqs[:n-1]
+	return cq
+}
+
+// putCQ resets cq, recycling its READs' handles and buffers, and returns it
+// to the pool. Nothing may read those buffers any more.
+func (r *Replica) putCQ(cq *rdma.CQ) {
+	cq.Reset()
+	r.cqs = append(r.cqs, cq)
 }
 
 // takeReadAhead hands execute the read set of req and the READs posted
@@ -134,7 +158,7 @@ func (r *Replica) postAhead(p *sim.Proc) {
 			return
 		}
 		if ra.cq == nil {
-			ra.cq = r.node.NewCQ()
+			ra.cq = r.takeCQ()
 		}
 		h, err := r.qp(info.node).PostRead(p, ra.cq, ent.addr, ent.slotLen)
 		if err != nil {

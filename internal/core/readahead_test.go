@@ -167,7 +167,7 @@ func newReadAheadRig(t *testing.T, head []byte) *readAheadRig {
 		}
 	}
 	s.Spawn("addresses", func(p *sim.Proc) {
-		r.batchQueryAddrs(p, &Request{Ts: rigNext, Dst: rigBoth}, []remoteRead{{oid: kvOID(1, 0), part: 1}}, nil)
+		r.batchQueryAddrs(p, r.newExecState(), &Request{Ts: rigNext, Dst: rigBoth}, []remoteRead{{oid: kvOID(1, 0), part: 1}}, nil)
 	})
 	runFor(t, s, 50*sim.Microsecond)
 	if !r.hasAddrQuorum(kvOID(1, 0), 1) {

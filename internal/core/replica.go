@@ -77,8 +77,15 @@ type Replica struct {
 	// prefetchTs is the newest queued delivery prefetchAddrs has scanned.
 	addrAsked  map[store.OID]sim.Time
 	prefetchTs multicast.Timestamp
-	// prefetchReq is the request prefetchAddrs hands ReadSet, reused.
+	// prefetchReq is the request prefetchAddrs hands ReadSet, reused, and
+	// prefetchAsk its OIDs to ask, by partition.
 	prefetchReq Request
+	prefetchAsk [][]uint64
+	// cands is selectProc's candidate list, reused.
+	cands []peerInfo
+	// cqs holds the completion queues no READ uses any more, reset
+	// (takeCQ, putCQ).
+	cqs []*rdma.CQ
 	// addrQueryBuf is the executor's encoding buffer for address queries,
 	// and ctlReply the control process's for its replies to them.
 	addrQueryBuf []byte

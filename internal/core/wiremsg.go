@@ -87,13 +87,14 @@ func encodeResponse(b []byte, m *responseMsg) []byte {
 	return append(b, m.payload...)
 }
 
-// decodeResponse decodes by value; the payload is a copy, the one
-// allocation a client's receive makes.
+// decodeResponse decodes by value, allocating nothing: the payload is a
+// view of the datagram, valid until the endpoint's next receive. A client
+// copies only the reply it keeps.
 func decodeResponse(r *wire.Reader) responseMsg {
 	return responseMsg{
 		id:      multicast.MsgID{Node: rdma.NodeID(r.U64()), Seq: r.U64()},
 		part:    PartitionID(r.U8()),
-		payload: r.Bytes(),
+		payload: r.BytesView(),
 	}
 }
 

@@ -71,6 +71,31 @@ func TestPostSteadyStateAllocatesNothing(t *testing.T) {
 			t.Fatalf("a 3-WR PostWrites allocates %v per post, want 0", n)
 		}
 	})
+	// k posted READs into one CQ, collected and reset: every handle and
+	// its buffer come back to the CQ for the next period's posts.
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("PostRead-%d", k), func(t *testing.T) {
+			s, f, a, b := testFabric(t)
+			defer s.Close()
+			reg := b.RegisterRegion(256)
+			qp := f.Connect(1, 2)
+			cq := a.NewCQ()
+			n := allocsPerPeriod(t, s, func(p *sim.Proc) {
+				for i := 0; i < k; i++ {
+					if _, err := qp.PostRead(p, cq, reg.Addr(48*i), 48); err != nil {
+						t.Error(err)
+					}
+				}
+				if done := cq.WaitAll(p); len(done) != k {
+					t.Errorf("WaitAll returned %d completions, want %d", len(done), k)
+				}
+				cq.Reset()
+			})
+			if n != 0 {
+				t.Fatalf("%d posted READs, collected and reset, allocate %v per period, want 0", k, n)
+			}
+		})
+	}
 	// Transport.Send across many laps of a 512-byte ring: wrap markers,
 	// chains split at the lap's end, and a credit READ about once a lap.
 	// That READ is not pooled (QP.Read) and averages out below one per

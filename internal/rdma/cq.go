@@ -22,14 +22,25 @@ import (
 // ReadHandle identifies one posted READ. It becomes ready when the
 // operation's completion is delivered to its CQ; Data/Err must only be
 // inspected after Done reports true (after CQ.Poll/Wait/WaitAll returned
-// the handle).
+// the handle). A handle belongs to its CQ until CQ.Reset, which recycles
+// it: it then reads as not done again, and its next post reuses its
+// buffer.
 type ReadHandle struct {
 	addr   Addr
 	length int
-	buf    []byte
+	buf    []byte // the snapshot; keeps its capacity across recycling
 	err    error
 	done   bool
 	seq    int // posting order within the CQ, for deterministic reporting
+
+	// The landing's operands, set by PostRead: the QP and region read, and
+	// the posting and completion instants.
+	q              *QP
+	cq             *CQ
+	reg            *Region
+	posted, doneAt sim.Time
+	// fire is the landing event, bound once when the handle is made.
+	fire func()
 
 	// sp is the post→completion trace span (nil when tracing is off).
 	sp *obs.Span
@@ -45,13 +56,17 @@ func (h *ReadHandle) Done() bool { return h.done }
 func (h *ReadHandle) Seq() int { return h.seq }
 
 // Data returns the snapshot of target memory as of the completion
-// instant. It panics when the completion has not been delivered yet and
-// returns nil for a failed operation.
+// instant, valid until the CQ's next Reset. It panics when the completion
+// has not been delivered yet — or the handle was recycled — and returns
+// nil for a failed operation.
 func (h *ReadHandle) Data() []byte {
 	if !h.done {
 		panic(fmt.Sprintf("rdma: Data on incomplete READ of %v", h.addr))
 	}
-	return h.buf
+	if h.err != nil {
+		return nil
+	}
+	return h.buf[:len(h.buf):len(h.buf)]
 }
 
 // Err returns the operation's completion status: nil on success,
@@ -64,32 +79,108 @@ func (h *ReadHandle) Err() error {
 	return h.err
 }
 
+// land is the handle's landing event: it copies the snapshot into the
+// handle's buffer and delivers the completion — or, when a crash or
+// partition raced the DMA, fails this operation, and only this one, as a
+// late timeout.
+func (h *ReadHandle) land() {
+	q := h.q
+	if q.pathDown() {
+		failAt := h.posted + sim.Time(q.cfg.FailureTimeout)
+		if failAt < h.doneAt {
+			failAt = h.doneAt
+		}
+		err := q.pathErr()
+		q.sched.At(failAt, func() { h.cq.complete(h, err) })
+		return
+	}
+	h.buf = append(h.buf[:0], h.reg.mem()[h.addr.Off:h.addr.Off+h.length]...)
+	h.cq.complete(h, nil)
+}
+
 // CQ is a completion queue for posted one-sided operations issued by one
 // node. Completions are delivered in completion-time order (ties broken
 // by posting order), which is deterministic under the virtual clock.
-// A CQ is cheap; create one per batch or reuse one per issuing process —
-// but do not share a CQ between processes that collect independently.
+// Do not share a CQ between processes that collect independently.
+//
+// A CQ is reused, not remade: Reset recycles every handle posted since the
+// last Reset — and with it the handle's buffer — so a CQ that is reset
+// between batches allocates nothing in steady state. What Poll, Wait and
+// WaitAll return is valid until the next of them or the next Reset; what a
+// handle holds is valid until the next Reset.
 type CQ struct {
 	node        *Node
 	sched       *sim.Scheduler
 	cond        *sim.Cond
 	outstanding int
-	completed   []*ReadHandle
-	nextSeq     int
+	// completed holds the completions since the last poll; polled is the
+	// slice the last poll returned. A poll swaps them.
+	completed, polled []*ReadHandle
+	// posted holds every handle posted since the last Reset, free the
+	// recycled ones.
+	posted, free []*ReadHandle
+	nextSeq      int
+	// ready and idle are Wait's and WaitAll's predicates, bound once.
+	ready, idle func() bool
 }
 
 // NewCQ creates a completion queue owned by the node.
 func (n *Node) NewCQ() *CQ {
-	return &CQ{node: n, sched: n.fabric.sched, cond: sim.NewCond(n.fabric.sched)}
+	cq := &CQ{node: n, sched: n.fabric.sched, cond: sim.NewCond(n.fabric.sched)}
+	cq.ready = func() bool { return len(cq.completed) > 0 }
+	cq.idle = func() bool { return cq.outstanding == 0 }
+	return cq
 }
 
 // Outstanding returns the number of posted operations whose completion
 // has not been delivered yet.
 func (cq *CQ) Outstanding() int { return cq.outstanding }
 
+// Reset recycles every handle posted since the last Reset, together with
+// its buffer, and drops completions not polled yet: the CQ is then as a
+// new one, its next post numbered 0. A recycled handle reads as not done,
+// so a stale Data or Err panics. Reset panics while an operation is
+// outstanding: its completion would land in a recycled handle.
+func (cq *CQ) Reset() {
+	if cq.outstanding != 0 {
+		panic(fmt.Sprintf("rdma: Reset of a CQ of node %d with %d READs outstanding", cq.node.id, cq.outstanding))
+	}
+	for _, h := range cq.posted {
+		h.buf = h.buf[:0]
+		h.err, h.done = nil, false
+		h.q, h.reg, h.sp = nil, nil, nil
+	}
+	cq.free = append(cq.free, cq.posted...)
+	clear(cq.posted)
+	clear(cq.completed)
+	clear(cq.polled)
+	cq.posted, cq.completed, cq.polled = cq.posted[:0], cq.completed[:0], cq.polled[:0]
+	cq.nextSeq = 0
+}
+
+// take returns a recycled handle, making one only when every handle the
+// CQ has is posted, numbers it and counts it outstanding.
+func (cq *CQ) take(q *QP, addr Addr, length int) *ReadHandle {
+	var h *ReadHandle
+	if n := len(cq.free); n > 0 {
+		h = cq.free[n-1]
+		cq.free[n-1] = nil
+		cq.free = cq.free[:n-1]
+	} else {
+		h = &ReadHandle{cq: cq}
+		h.fire = h.land
+	}
+	h.q, h.addr, h.length, h.seq = q, addr, length, cq.nextSeq
+	h.posted = q.sched.Now()
+	cq.nextSeq++
+	cq.outstanding++
+	cq.posted = append(cq.posted, h)
+	return h
+}
+
 // complete delivers one completion.
-func (cq *CQ) complete(h *ReadHandle, buf []byte, err error) {
-	h.buf, h.err, h.done = buf, err, true
+func (cq *CQ) complete(h *ReadHandle, err error) {
+	h.err, h.done = err, true
 	if err != nil {
 		h.sp.Arg("err", err.Error())
 	}
@@ -99,11 +190,17 @@ func (cq *CQ) complete(h *ReadHandle, buf []byte, err error) {
 	cq.cond.Broadcast()
 }
 
-// Poll drains and returns the completions delivered so far, in completion
-// order, without blocking. It returns nil when none are ready.
+// Poll drains and returns the completions delivered since the last poll,
+// in completion order, without blocking. It returns nil when none are
+// ready. The slice is the CQ's own: it is valid until the next Poll, Wait,
+// WaitAll or Reset.
 func (cq *CQ) Poll() []*ReadHandle {
+	if len(cq.completed) == 0 {
+		return nil
+	}
 	done := cq.completed
-	cq.completed = nil
+	clear(cq.polled)
+	cq.completed, cq.polled = cq.polled[:0], done
 	return done
 }
 
@@ -114,7 +211,7 @@ func (cq *CQ) Wait(p *sim.Proc) []*ReadHandle {
 	if len(cq.completed) == 0 && cq.outstanding == 0 {
 		return nil
 	}
-	cq.cond.WaitUntil(p, func() bool { return len(cq.completed) > 0 })
+	cq.cond.WaitUntil(p, cq.ready)
 	return cq.Poll()
 }
 
@@ -123,7 +220,7 @@ func (cq *CQ) Wait(p *sim.Proc) []*ReadHandle {
 // returned like successful ones, with their error recorded — a crashed
 // target never blocks the batch beyond its own failure timeout.
 func (cq *CQ) WaitAll(p *sim.Proc) []*ReadHandle {
-	cq.cond.WaitUntil(p, func() bool { return cq.outstanding == 0 })
+	cq.cond.WaitUntil(p, cq.idle)
 	return cq.Poll()
 }
 
@@ -135,6 +232,8 @@ func (cq *CQ) WaitAll(p *sim.Proc) []*ReadHandle {
 // on real hardware); the failure surfaces asynchronously on that
 // completion after the RC retransmission timeout. A local crash or an
 // invalid target region fails the posting itself and delivers nothing.
+// The handle is one of cq's, recycled by its Reset: a post into a CQ reset
+// before allocates nothing.
 func (q *QP) PostRead(p *sim.Proc, cq *CQ, addr Addr, length int) (*ReadHandle, error) {
 	if err := q.checkLocal(); err != nil {
 		return nil, err
@@ -142,19 +241,14 @@ func (q *QP) PostRead(p *sim.Proc, cq *CQ, addr Addr, length int) (*ReadHandle, 
 	if cq.node != q.local {
 		panic(fmt.Sprintf("rdma: PostRead on node %d with CQ of node %d", q.local.id, cq.node.id))
 	}
-	h := &ReadHandle{addr: addr, length: length, seq: cq.nextSeq}
-	posted := q.sched.Now()
 	if q.pathDown() || q.dropDrawn() {
-		cq.nextSeq++
-		cq.outstanding++
+		h := cq.take(q, addr, length)
 		if io := q.o(); io != nil {
 			io.readOps.Inc()
 			h.sp = io.track.BeginAsync("rdma", "post_read").
 				Arg("to", int(q.remote.id)).Arg("bytes", length)
 		}
-		q.sched.At(posted+sim.Time(q.cfg.FailureTimeout), func() {
-			cq.complete(h, nil, q.pathErr())
-		})
+		q.sched.At(h.posted+sim.Time(q.cfg.FailureTimeout), func() { cq.complete(h, q.pathErr()) })
 		p.Sleep(q.cfg.PostOverhead)
 		return h, nil
 	}
@@ -162,33 +256,17 @@ func (q *QP) PostRead(p *sim.Proc, cq *CQ, addr Addr, length int) (*ReadHandle, 
 	if err != nil {
 		return nil, err
 	}
-	cq.nextSeq++
-	cq.outstanding++
-	done, wait := q.completionTime(q.cfg.ReadBase, length)
+	h := cq.take(q, addr, length)
+	h.reg = reg
+	var wait sim.Duration
+	h.doneAt, wait = q.completionTime(q.cfg.ReadBase, length)
 	if io := q.o(); io != nil {
 		io.readOps.Inc()
 		io.readBytes.Add(uint64(length))
 		h.sp = io.track.BeginAsync("rdma", "post_read").
 			Arg("to", int(q.remote.id)).Arg("bytes", length).Arg("nic_wait_ns", int64(wait))
 	}
-	q.sched.At(done, func() {
-		if q.pathDown() {
-			// Crash or partition raced the DMA: this operation — and only
-			// this one — surfaces the RDMA exception as a late timeout.
-			failAt := posted + sim.Time(q.cfg.FailureTimeout)
-			if failAt < done {
-				failAt = done
-			}
-			err := q.pathErr()
-			q.sched.At(failAt, func() {
-				cq.complete(h, nil, err)
-			})
-			return
-		}
-		buf := make([]byte, length)
-		copy(buf, reg.mem()[addr.Off:addr.Off+length])
-		cq.complete(h, buf, nil)
-	})
+	q.sched.At(h.doneAt, h.fire)
 	p.Sleep(q.cfg.PostOverhead)
 	return h, nil
 }

@@ -267,3 +267,120 @@ func TestCQCompletionOrderDeterministic(t *testing.T) {
 		t.Fatalf("expected 4 completions, got %v", first)
 	}
 }
+
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestCQResetRecycles: Reset refuses a CQ with READs outstanding; once they
+// have landed it recycles their handles, which then read as not done, so
+// a stale Data or Err panics; and the next post reuses a handle.
+func TestCQResetRecycles(t *testing.T) {
+	s, f, a, b := testFabric(t)
+	defer s.Close()
+	reg := b.RegisterRegion(16)
+	copy(reg.Bytes(), "recycled")
+	qp := f.Connect(1, 2)
+	s.Spawn("reader", func(p *sim.Proc) {
+		cq := a.NewCQ()
+		h, err := qp.PostRead(p, cq, reg.Addr(0), 8)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mustPanic(t, "Reset with a READ outstanding", cq.Reset)
+		cq.WaitAll(p)
+		if string(h.Data()) != "recycled" {
+			t.Errorf("Data = %q before Reset", h.Data())
+		}
+		cq.Reset()
+		if h.Done() {
+			t.Error("a recycled handle reads as done")
+		}
+		mustPanic(t, "Data on a recycled handle", func() { h.Data() })
+		mustPanic(t, "Err on a recycled handle", func() { h.Err() })
+		again, err := qp.PostRead(p, cq, reg.Addr(8), 8)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if again != h || again.Seq() != 0 {
+			t.Errorf("the post after Reset took a new handle (%v) numbered %d, want the recycled one numbered 0", again != h, again.Seq())
+		}
+		if got := cq.Poll(); got != nil {
+			t.Errorf("Poll after Reset returned %d stale completions", len(got))
+		}
+		cq.WaitAll(p)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCQResetCompletionOrder: a CQ reset after a batch of its own yields the
+// next batch's completions in the order, with the sequence numbers and the
+// data, that a fresh CQ yields them — a failed READ among them.
+func TestCQResetCompletionOrder(t *testing.T) {
+	type completion struct {
+		seq  int
+		addr Addr
+		data string
+		err  bool
+	}
+	run := func(reuse bool) []completion {
+		s := sim.NewScheduler()
+		defer s.Close()
+		f := NewFabric(s, DefaultConfig())
+		a := f.AddNode(1)
+		var qps []*QP
+		var regs []*Region
+		for i := 0; i < 4; i++ {
+			n := f.AddNode(NodeID(10 + i))
+			reg := n.RegisterRegion(64)
+			for j := range reg.Bytes() {
+				reg.Bytes()[j] = byte(16*i + j)
+			}
+			regs = append(regs, reg)
+			qps = append(qps, f.Connect(1, n.ID()))
+		}
+		var got []completion
+		s.Spawn("reader", func(p *sim.Proc) {
+			cq := a.NewCQ()
+			batch := func(sizes []int) {
+				for i, qp := range qps {
+					if _, err := qp.PostRead(p, cq, regs[i].Addr(0), sizes[i]); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			if reuse {
+				batch([]int{8, 16, 32, 64}) // a different order: the handles change places
+				cq.WaitAll(p)
+				cq.Reset()
+			}
+			batch([]int{64, 8, 32, 16})
+			f.Node(12).Crash()
+			for _, h := range cq.WaitAll(p) {
+				got = append(got, completion{seq: h.Seq(), addr: h.Addr(), data: string(h.Data()), err: h.Err() != nil})
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	fresh, reset := run(false), run(true)
+	if len(fresh) != 4 || !fresh[len(fresh)-1].err {
+		t.Fatalf("fresh CQ completions %v: want 4, the crashed target's last and failed", fresh)
+	}
+	if fmt.Sprint(fresh) != fmt.Sprint(reset) {
+		t.Fatalf("completions of a reset CQ %v, of a fresh one %v", reset, fresh)
+	}
+}

@@ -79,18 +79,19 @@ func TestStockLevelAllocsFixed(t *testing.T) {
 	}
 }
 
-// newOrderAllocBase bounds New-Order's allocations that do not grow with
-// its lines: the order and its line slice (2), with room for the
-// amortized growth of the warehouse-local tables. The decoded request,
-// the write list, the updated rows and the reply are the app's scratch
-// and the context's.
-const newOrderAllocBase = 4
+// newOrderAllocs is a home New-Order's allocations, whatever its lines:
+// the order, its line slice and its lines' S_DIST_xx string (3), with room
+// for the amortized growth of the warehouse-local tables. The decoded
+// request, the write list, the updated rows and the reply are the app's
+// scratch and the context's.
+const newOrderAllocs = 4
 
-// TestNewOrderAllocsPerLine: a home New-Order allocates at most a
-// constant plus one per line — S_DIST_xx, which the order line keeps.
-func TestNewOrderAllocsPerLine(t *testing.T) {
+// TestNewOrderAllocsFixed: a home New-Order allocates the same count at 5
+// and at 15 lines, within newOrderAllocs — nothing per line.
+func TestNewOrderAllocsFixed(t *testing.T) {
 	a, rows := populatedApp()
-	for _, n := range []int{1, 5, 10, 15} {
+	allocs := map[int]float64{} // by lines
+	for _, n := range []int{5, 15} {
 		txn := &Txn{Kind: TxnNewOrder, WID: 1, DID: 3, CID: 7}
 		values := map[store.OID][]byte{}
 		coid := CustomerOID(1, 3, 7)
@@ -105,10 +106,40 @@ func TestNewOrderAllocsPerLine(t *testing.T) {
 		if out := a.Execute(ctx); len(out.Writes) != n {
 			t.Fatalf("%d-line New-Order wrote %d rows: %s", n, len(out.Writes), out.Response)
 		}
-		got := testing.AllocsPerRun(50, func() { a.Execute(ctx) })
-		t.Logf("%d-line New-Order: %v allocations", n, got)
-		if got > float64(newOrderAllocBase+n) {
-			t.Errorf("%d-line New-Order allocates %v times, want at most %d", n, got, newOrderAllocBase+n)
+		allocs[n] = testing.AllocsPerRun(50, func() { a.Execute(ctx) })
+	}
+	t.Logf("allocations by lines: %v", allocs)
+	if allocs[5] != allocs[15] {
+		t.Fatalf("New-Order allocates %v times at 5 lines and %v at 15, want one count", allocs[5], allocs[15])
+	}
+	if allocs[15] > newOrderAllocs {
+		t.Fatalf("New-Order allocates %v times, want at most %d", allocs[15], newOrderAllocs)
+	}
+}
+
+// TestReadSetAllocatesOnce: a New-Order's read set, home or remote, and a
+// Payment's are each one allocation, however many lines the order has.
+func TestReadSetAllocatesOnce(t *testing.T) {
+	a, _ := populatedApp()
+	var lines []OrderLineReq
+	for i := 0; i < 15; i++ {
+		lines = append(lines, OrderLineReq{IID: int32(1 + 61*i), SupplyWID: int32(1 + i%2), Quantity: 1})
+	}
+	for _, c := range []struct {
+		name string
+		txn  Txn
+		want int // read-set length
+	}{
+		{"home New-Order", Txn{Kind: TxnNewOrder, WID: 1, DID: 3, CID: 7, Lines: lines}, 16},
+		{"remote New-Order", Txn{Kind: TxnNewOrder, WID: 2, DID: 3, CID: 7, Lines: lines}, 8},
+		{"Payment", Txn{Kind: TxnPayment, WID: 1, DID: 3, CWID: 1, CDID: 3, CID: 7}, 1},
+	} {
+		req := &core.Request{Ts: 1, Payload: c.txn.Encode()}
+		if got := len(a.ReadSet(req)); got != c.want {
+			t.Fatalf("%s: read set of %d objects, want %d", c.name, got, c.want)
+		}
+		if n := testing.AllocsPerRun(50, func() { a.ReadSet(req) }); n != 1 {
+			t.Errorf("%s: ReadSet allocates %v times, want 1", c.name, n)
 		}
 	}
 }

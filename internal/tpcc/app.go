@@ -67,6 +67,10 @@ type App struct {
 	// stockLevelItems is Stock-Level's scratch list of item ids, reused
 	// across calls (Execute is not reentrant).
 	stockLevelItems []int32
+	// dists and distEnds are New-Order's scratch: its lines' S_DIST_xx,
+	// back to back, and where each ends.
+	dists    []byte
+	distEnds []int
 
 	// singleExec enables DynaStar semantics: this instance executes the
 	// whole transaction and writes all updated objects, including rows
@@ -185,7 +189,8 @@ func (a *App) charge(d sim.Duration, times int) { a.cpu += d * sim.Duration(time
 
 // ReadSet implements core.Application: the estimated objects THIS
 // partition reads for the request (partial execution — non-home
-// partitions of a New-Order only read their own stock rows).
+// partitions of a New-Order only read their own stock rows). The result is
+// allocated once, at its exact length.
 func (a *App) ReadSet(req *core.Request) []store.OID {
 	t := &a.txn
 	if err := t.decode(req.Payload); err != nil {
@@ -195,6 +200,16 @@ func (a *App) ReadSet(req *core.Request) []store.OID {
 	var oids []store.OID
 	switch t.Kind {
 	case TxnNewOrder:
+		n := 0
+		for _, l := range t.Lines {
+			if home || l.SupplyWID == a.wid {
+				n++
+			}
+		}
+		if home {
+			n++ // the customer
+		}
+		oids = make([]store.OID, 0, n)
 		for _, l := range t.Lines {
 			if home || l.SupplyWID == a.wid {
 				oids = append(oids, StockOID(int(l.SupplyWID), int(l.IID)))
@@ -269,6 +284,7 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 		allLocal := true
 		key := orderKey{did: t.DID, oid: oid}
 		lines := make([]OrderLine, 0, len(t.Lines))
+		dists, ends := a.dists[:0], a.distEnds[:0]
 		for i, l := range t.Lines {
 			if l.SupplyWID != t.WID {
 				allLocal = false
@@ -283,6 +299,8 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 			}
 			amount := int64(l.Quantity) * item.Price
 			total += amount
+			dists = append(dists, stock.dist(int(t.DID)-1)...)
+			ends = append(ends, len(dists))
 			lines = append(lines, OrderLine{
 				OID:       oid,
 				DID:       t.DID,
@@ -292,7 +310,6 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 				SupplyWID: l.SupplyWID,
 				Quantity:  l.Quantity,
 				Amount:    amount,
-				DistInfo:  stock.dist(int(t.DID) - 1),
 			})
 			// The home partition writes only its own stock rows; remote
 			// rows are updated by their hosting partitions (unless this
@@ -303,6 +320,13 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 			}
 			a.charge(a.cost.AuxInsert, 1)
 		}
+		// The lines' S_DIST_xx are one string per order, which they slice.
+		all, start := string(dists), 0
+		for i, end := range ends {
+			lines[i].DistInfo = all[start:end]
+			start = end
+		}
+		a.dists, a.distEnds = dists, ends
 		total = total * (10000 - cust.discountBP()) / 10000
 		total = total * (10000 + a.ds.WHs[t.WID-1].Tax + d.Tax) / 10000
 

@@ -34,7 +34,7 @@ func BenchmarkStockRowUpdate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		distSink = v.dist(i % 10)
+		distSink = string(v.dist(i % 10))
 		rowSink = v.updated(rowContext(), l, 1)
 	}
 }

@@ -175,10 +175,10 @@ func (v stockView) quantity() int32 {
 	return int32(binary.LittleEndian.Uint32(v.raw[stockQuantityOff:]))
 }
 
-// dist returns S_DIST_xx of district index i (0-based) as a new string.
-func (v stockView) dist(i int) string {
+// dist returns S_DIST_xx of district index i (0-based), a view of the row.
+func (v stockView) dist(i int) []byte {
 	off := v.dists[i]
-	return string(v.raw[off+4 : skipString(v.raw, off)])
+	return v.raw[off+4 : skipString(v.raw, off)]
 }
 
 // updated returns a new row, built in ctx's arena: this one with

@@ -90,7 +90,7 @@ func checkStockView(t *testing.T, raw []byte, rng *rand.Rand) {
 		t.Fatalf("quantity %d, want %d", v.quantity(), want.Quantity)
 	}
 	for i := range want.Dists {
-		if got := v.dist(i); got != want.Dists[i] {
+		if got := string(v.dist(i)); got != want.Dists[i] {
 			t.Fatalf("dist(%d) = %q, want %q", i, got, want.Dists[i])
 		}
 	}
