@@ -10,6 +10,7 @@
 //	heron-bench fig8    [-runs 5] [-full]
 //	heron-bench table1  [-window 150ms]
 //	heron-bench ablation
+//	heron-bench workers [-wh 2] [-window 150ms]
 //	heron-bench fanout  [-sizes 1,2,4,8,16,32] [-targets 4] [-slot 96]
 //	heron-bench chaos   [-schedules 5] [-seed 1] [-faults churn] [-flightdir d]
 //	heron-bench reconfig [-scenario split] [-runs 1] [-seed 1]
@@ -19,7 +20,8 @@
 //	heron-bench openloop [-groups 4] [-replicas 3] [-clients 100000]
 //	                     [-rate 10] [-arrival poisson|pareto] [-shape steady|diurnal|flash]
 //	                     [-mix update|ycsb-b|ycsb-c] [-window 20ms] [-seed 1]
-//	                     [-heat out.json] [-flightdir d] [-rebalance]
+//	                     [-heat out.json] [-flightdir d]
+//	heron-bench trace   [-wh 4] [-clients 2] [-requests 2000] [-seed 1] [-workers 1]
 //	heron-bench all     [-quick]
 //
 // Every subcommand accepts -json to emit machine-readable results instead
@@ -36,10 +38,13 @@
 // (crashes and p99.9 latency outliers auto-dump a Perfetto-loadable
 // ring of recent protocol events). Each subcommand prints the same
 // rows/series the paper reports; see EXPERIMENTS.md for
-// paper-vs-measured notes.
+// paper-vs-measured notes. trace is the raw data behind them: one CSV
+// row (a JSON array with -json) per completed TPCC request, its latency
+// split into ordering, coordination and execution.
 package main
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -94,6 +99,8 @@ func main() {
 		err = runLeaseCmd(args)
 	case "openloop":
 		err = runOpenLoopCmd(args)
+	case "trace":
+		err = runTraceCmd(args)
 	case "all":
 		err = runAll(args)
 	default:
@@ -108,7 +115,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: heron-bench {fig4|fig5|fig6|fig7|fig8|table1|ablation|workers|fanout|chaos|reconfig|recovery|rebalance|lease|openloop|all} [flags] [-json]")
+	fmt.Fprintln(os.Stderr, "usage: heron-bench {fig4|fig5|fig6|fig7|fig8|table1|ablation|workers|fanout|chaos|reconfig|recovery|rebalance|lease|openloop|trace|all} [flags] [-json]")
 }
 
 // formatter is any experiment result renderable as a text table.
@@ -573,7 +580,6 @@ func runOpenLoopCmd(args []string) error {
 	window := fs.Duration("window", time.Duration(opts.Window), "measurement window of virtual time")
 	fs.Int64Var(&opts.Seed, "seed", opts.Seed, "workload seed")
 	fs.StringVar(&opts.FlightDir, "flightdir", "", "directory for the latency-outlier flight dump (max > 8x p99.9)")
-	fs.BoolVar(&opts.Rebalance, "rebalance", false, "replay the heat series through the shadow rebalance planner (advisory decisions in the result)")
 	heatPath := fs.String("heat", "", "write the per-partition heat telemetry report to this JSON file (table printed to stderr)")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON (byte-identical across replays)")
 	oo := addObsFlags(fs).withProfile(fs)
@@ -613,6 +619,51 @@ func runOpenLoopCmd(args []string) error {
 		return err
 	}
 	return emit(res, *asJSON)
+}
+
+// traceRows is trace's result: its JSON is the bare row array, its
+// table the CSV.
+type traceRows []bench.Row
+
+func (rows traceRows) Format() string {
+	var b strings.Builder
+	out := csv.NewWriter(&b)
+	out.Write([]string{"kind", "partitions", "submit_ns", "total_ns", "ordering_ns", "coordination_ns", "execution_ns"})
+	ns := func(d sim.Duration) string { return strconv.FormatInt(int64(d), 10) }
+	for _, r := range rows {
+		out.Write([]string{r.Kind, strconv.Itoa(r.Partitions), ns(sim.Duration(r.Submit)),
+			ns(r.Total), ns(r.Ordering), ns(r.Coordination), ns(r.Execution)})
+	}
+	out.Flush()
+	return b.String()
+}
+
+func runTraceCmd(args []string) error {
+	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+	wh := fs.Int("wh", 4, "warehouses (= partitions)")
+	clients := fs.Int("clients", 2, "closed-loop clients per partition (0 = one client over every warehouse)")
+	requests := fs.Int("requests", 2000, "total requests to trace")
+	seed := fs.Int64("seed", 1, "workload seed")
+	workers := fs.Int("workers", 1, "execution workers per replica (>1 enables the parallel extension)")
+	asJSON := fs.Bool("json", false, "emit a JSON array instead of CSV")
+	oo := addObsFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	opt := bench.DefaultOptions(*wh)
+	opt.ClientsPerPartition = *clients
+	opt.Seed = *seed
+	opt.ExecWorkers = *workers
+	opt.Obs = oo.observer()
+	nClients := max(*clients**wh, 1)
+	res, err := bench.RunRequests(opt, (*requests+nClients-1)/nClients)
+	if err != nil {
+		return err
+	}
+	if err := oo.finish(opt.Obs); err != nil {
+		return err
+	}
+	return emit(traceRows(res.Rows), *asJSON)
 }
 
 func runAll(args []string) error {

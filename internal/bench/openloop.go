@@ -10,7 +10,6 @@ import (
 	"heron/internal/multicast"
 	"heron/internal/obs"
 	"heron/internal/rdma"
-	"heron/internal/rebalance"
 	"heron/internal/sim"
 )
 
@@ -76,16 +75,6 @@ type OpenLoopOptions struct {
 	// Perfetto trace if the run's maximum latency is a tail outlier
 	// (> 8x p99.9) — the open-loop analogue of a post-mortem trigger.
 	FlightDir string
-
-	// Rebalance arms the advisory shadow planner: the run's per-group
-	// heat series is replayed through the rebalance policy after the
-	// run, and the acting decisions it would have issued land in
-	// the result. The open-loop cluster has no reconfiguration plane, so
-	// nothing is executed — the flag answers "would the controller have
-	// acted on this workload, and where would it have cut".
-	Rebalance bool
-	// RebalanceTick is the shadow decision cadence (default 1ms).
-	RebalanceTick sim.Duration
 }
 
 // DefaultOpenLoopOptions returns a 100k-client configuration that a
@@ -142,11 +131,6 @@ type OpenLoopResult struct {
 	// FlightDump is the basename of the latency-outlier flight trace, when
 	// one was written (FlightDir set and max > 8x p99.9).
 	FlightDump string `json:",omitempty"`
-
-	// RebalancePlan is the shadow planner's acting decisions (Rebalance
-	// set); empty and omitted otherwise, so the off path serializes
-	// exactly as before.
-	RebalancePlan []rebalance.Decision `json:",omitempty"`
 }
 
 // arrival is one generated submission.
@@ -339,11 +323,6 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 	if opts.FlightDir != "" && opts.Obs.Flight() == nil {
 		opts.Obs = obs.WithFlight(opts.Obs, obs.NewFlightRecorder(4096))
 	}
-	// The shadow planner replays the heat series, so the feed must be
-	// armed even when the caller supplied no collector.
-	if opts.Rebalance && opts.Obs.Heat() == nil {
-		opts.Obs = obs.WithHeat(opts.Obs, obs.NewHeat(opts.Groups, 250*sim.Microsecond, 8))
-	}
 	dc.Observe(opts.Obs)
 	res := &OpenLoopResult{
 		Groups:      opts.Groups,
@@ -491,41 +470,7 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 			res.FlightDump = name
 		}
 	}
-	if opts.Rebalance {
-		tick := opts.RebalanceTick
-		if tick <= 0 {
-			tick = 1 * sim.Millisecond
-		}
-		res.RebalancePlan = shadowRebalance(opts.Obs.Heat().Report(horizon), tick, horizon)
-	}
 	return res, nil
-}
-
-// shadowRebalance replays a finished run's heat series through the
-// rebalance planner's advisory mode, tick by tick, exactly as a live
-// subscription would have delivered it: each tick scores the cadence
-// samples whose interval closed since the previous tick, plus the
-// final sketch. The run has finished by the time this runs, and the
-// series is deterministic, so the plan is too.
-func shadowRebalance(rep *obs.HeatReport, tick sim.Duration, horizon sim.Time) []rebalance.Decision {
-	pol := rebalance.DefaultPolicy()
-	pol.Tick = tick
-	pl := &rebalance.Planner{Pol: pol}
-	cursor := make([]int, len(rep.Partitions))
-	for t := sim.Time(tick); t <= horizon+sim.Time(tick); t += sim.Time(tick) {
-		win := &obs.HeatReport{CadenceNS: rep.CadenceNS}
-		for i, p := range rep.Partitions {
-			pr := obs.PartitionHeatReport{Partition: p.Partition, TopKeys: p.TopKeys}
-			for cursor[i] < len(p.Samples) &&
-				sim.Time(p.Samples[cursor[i]].AtNS+rep.CadenceNS) <= t {
-				pr.Samples = append(pr.Samples, p.Samples[cursor[i]])
-				cursor[i]++
-			}
-			win.Partitions = append(win.Partitions, pr)
-		}
-		pl.ShadowStep(t, rebalance.Score(win))
-	}
-	return pl.ActingLog()
 }
 
 func orDefault(s, d string) string {
@@ -553,12 +498,6 @@ func (r *OpenLoopResult) Format() string {
 		fmtDur(sim.Duration(r.MaxNS)))
 	if r.FlightDump != "" {
 		fmt.Fprintf(&b, "flight dump: %s (max > 8x p99.9)\n", r.FlightDump)
-	}
-	if len(r.RebalancePlan) > 0 {
-		fmt.Fprintf(&b, "shadow rebalance plan (%d acting decisions, advisory):\n", len(r.RebalancePlan))
-		for _, d := range r.RebalancePlan {
-			fmt.Fprintf(&b, "  %s\n", d)
-		}
 	}
 	return b.String()
 }

@@ -106,60 +106,3 @@ func TestRunRebalanceDeterminism(t *testing.T) {
 		t.Fatalf("same-seed results differ:\n%s\n%s", a, b)
 	}
 }
-
-// TestOpenLoopShadowRebalance: with the flag on and a skewed keyspace,
-// the advisory planner reports acting decisions; with it off the result
-// serializes without the field at all.
-func TestOpenLoopShadowRebalance(t *testing.T) {
-	opts := smallOpenLoop()
-	opts.Rebalance = true
-	// Steep Zipf concentrates the mass on key 0, so group 0 runs hot.
-	opts.ZipfS = 2.5
-	res, err := RunOpenLoop(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.RebalancePlan) == 0 {
-		t.Fatal("shadow planner issued no advisory decisions on a skewed workload")
-	}
-	for _, d := range res.RebalancePlan {
-		if d.Hot != 0 {
-			t.Fatalf("hot partition %d, want the zipf head's group 0: %v", d.Hot, d)
-		}
-	}
-
-	opts.Rebalance = false
-	off, err := RunOpenLoop(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(b, []byte("RebalancePlan")) {
-		t.Fatalf("off path serialized the shadow field: %s", b)
-	}
-}
-
-// TestOpenLoopShadowDeterminism: the advisory plan replays byte-for-byte.
-func TestOpenLoopShadowDeterminism(t *testing.T) {
-	mk := func() []byte {
-		opts := smallOpenLoop()
-		opts.Rebalance = true
-		opts.ZipfS = 2.5
-		opts.Seed = 5
-		res, err := RunOpenLoop(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	if a, b := mk(), mk(); !bytes.Equal(a, b) {
-		t.Fatalf("same-seed shadow plans differ:\n%s\n%s", a, b)
-	}
-}

@@ -241,14 +241,6 @@ type Tracer interface {
 	RequestDone(part PartitionID, rank int, id multicast.MsgID, rec TraceRecord)
 }
 
-// PostErrorTracer is an optional Tracer extension notified when posting a
-// one-sided WRITE fails locally (the write is dropped). context names the
-// posting site, e.g. "coordination" or "state-transfer". Failures are
-// also always counted in Replica.PostWriteErrors.
-type PostErrorTracer interface {
-	PostWriteError(part PartitionID, rank int, context string, err error)
-}
-
 // Config parameterizes a Heron deployment.
 type Config struct {
 	// Multicast is the ordering layer configuration; its group layout

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 
 	"heron/internal/multicast"
 	"heron/internal/obs"
@@ -188,13 +189,17 @@ func (r *Replica) gatedReply(p *sim.Proc, req *Request, resp []byte) {
 		return
 	}
 	r.gatedQ = append(r.gatedQ, gatedReplyEntry{req: *req, resp: bytes.Clone(resp), at: p.Now()})
+	r.gatedParked++
+	r.checkGatedReplies()
 }
 
 // flushGatedReplies sends every parked reply whose gate has opened
 // (holder progressed, lease expired, or lease replaced), recording the
 // deferral as a lease_wait critical-path interval. A reply yields inside
 // Send, and an executing proc may park another reply meanwhile: the flush
-// keeps those, behind the ones it kept.
+// keeps those, behind the ones it kept. The replies sent are counted when
+// the queue is rebuilt, so gatedQ's length and the counts agree at every
+// yield.
 func (r *Replica) flushGatedReplies(p *sim.Proc) {
 	if len(r.gatedQ) == 0 {
 		return
@@ -210,7 +215,21 @@ func (r *Replica) flushGatedReplies(p *sim.Proc) {
 		r.obs.cp.Record(cpID(e.req.ID), obs.SegLeaseWait, e.at, now)
 		r.reply(p, &e.req, e.resp)
 	}
+	r.gatedFlushed += uint64(orig - len(kept))
 	r.gatedQ = append(kept, r.gatedQ[orig:]...)
+	r.checkGatedReplies()
+}
+
+// checkGatedReplies enforces the lease gate's reply accounting: every
+// reply parked in gatedQ was flushed, discarded by a rejoin, or is still
+// parked. A reply that leaves the queue any other way is lost — a client
+// whose other replicas answered never notices — so it panics, naming the
+// replica and the counts.
+func (r *Replica) checkGatedReplies() {
+	if r.gatedParked != r.gatedFlushed+r.gatedDiscarded+uint64(len(r.gatedQ)) {
+		panic(fmt.Sprintf("heron: replica p%d/r%d: %d replies parked, %d flushed, %d discarded, %d still parked: a parked reply was lost",
+			r.part, r.rank, r.gatedParked, r.gatedFlushed, r.gatedDiscarded, len(r.gatedQ)))
+	}
 }
 
 // gatedReady reports whether any parked reply's gate has opened — the

@@ -40,7 +40,9 @@ func (r *Replica) rejoin(s *sim.Scheduler, mc *multicast.Process) {
 	// freshly executed grant re-enables serving. Parked replies from the
 	// pre-crash incarnation are dropped with the crash.
 	r.leaseSelfServe = false
+	r.gatedDiscarded += uint64(len(r.gatedQ))
 	r.gatedQ = nil
+	r.checkGatedReplies()
 	// Address queries of the pre-crash incarnation died with its inbox, and
 	// the replacement multicast process delivers into a fresh queue.
 	clear(r.addrAsked)
@@ -116,7 +118,7 @@ func (r *Replica) refreshCoordination(p *sim.Proc) {
 }
 
 // RecoverReplica restarts the crashed replica at (part, rank): the fabric
-// node recovers (fresh inbox, reset rings), a replacement multicast
+// node recovers (reset rings), a replacement multicast
 // process is rebuilt from the live group members' snapshots, and the
 // replica's processes restart in recovering mode — their first act is a
 // checkpoint restore + delta pull (with a persistence layer) or a full

@@ -135,9 +135,6 @@ type Replica struct {
 	// statReadRetries counts posted READ completions that failed (crashed
 	// target, torn slot) and were retried on another coordinated replica.
 	statReadRetries uint64
-	// statPostErrors counts one-sided WRITE postings that failed locally
-	// (crashed issuer, bad region) and were dropped.
-	statPostErrors uint64
 	// Recovery and transfer-volume stats (virtual-state only).
 	statRecoveries     uint64
 	statCkptRecoveries uint64
@@ -169,8 +166,10 @@ type Replica struct {
 	leaseSelfServe bool
 	// gatedQ holds replies deferred by the lease gate, flushed by the
 	// control process when the holder's frontier advances or the lease
-	// expires.
-	gatedQ []gatedReplyEntry
+	// expires. Every reply parked there is flushed, discarded by a
+	// rejoin, or still parked (checkGatedReplies).
+	gatedQ                                    []gatedReplyEntry
+	gatedParked, gatedFlushed, gatedDiscarded uint64
 }
 
 type objMapKey struct {
@@ -268,28 +267,20 @@ func (r *Replica) StateTransfers() uint64 { return r.statStateTransfer }
 // retried on another coordinated replica.
 func (r *Replica) ReadRetries() uint64 { return r.statReadRetries }
 
-// PostWriteErrors returns how many one-sided WRITE postings failed
-// locally and were dropped.
-func (r *Replica) PostWriteErrors() uint64 { return r.statPostErrors }
-
-// notePostError counts a failed one-sided WRITE posting and reports it to
-// the tracer when it implements PostErrorTracer. Posting failures are
-// local (crashed issuer, bad region): remote crashes are silent for
-// unsignaled writes, as on real hardware, and the protocol already
-// tolerates the lost write via majorities — but a failure must at least
-// be countable instead of silently discarded.
+// notePostError counts a failed one-sided WRITE posting in the
+// core/post_write_errors counters. Posting failures are local (crashed
+// issuer, bad region): remote crashes are silent for unsignaled writes,
+// as on real hardware, and the protocol already tolerates the lost
+// write via majorities — but a failure must at least be countable
+// instead of silently discarded.
 func (r *Replica) notePostError(context string, err error) {
 	if err == nil {
 		return
 	}
-	r.statPostErrors++
 	r.obs.postErrors.Inc()
 	if r.obs.o != nil {
 		// Per-context breakdown, resolved lazily: this is the error path.
 		r.obs.o.Counter("core/post_write_errors/" + context).Inc()
-	}
-	if pt, ok := r.tracer.(PostErrorTracer); ok {
-		pt.PostWriteError(r.part, r.rank, context, err)
 	}
 }
 

@@ -56,15 +56,14 @@ type PartitionHeat struct {
 
 	// Space-saving sketch state: entries plus a key index. k is small,
 	// so min-replacement is a linear scan. Counts halve every
-	// decayWindows cadence intervals (zeroed entries are evicted), so a
-	// key that stops being touched ages out of the sketch instead of
-	// shadowing the current hotspot forever: the rebalancer must never
-	// split at a boundary a past flash crowd picked.
-	k            int
-	entries      []KeyCount
-	keyIdx       map[uint64]int
-	decayWindows int
-	decayCtr     int
+	// DefaultSketchDecayWindows cadence intervals (zeroed entries are
+	// evicted), so a key that stops being touched ages out of the sketch
+	// instead of shadowing the current hotspot forever: the rebalancer
+	// must never split at a boundary a past flash crowd picked.
+	k        int
+	entries  []KeyCount
+	keyIdx   map[uint64]int
+	decayCtr int
 }
 
 // roll cuts samples for every cadence boundary passed by now.
@@ -86,15 +85,16 @@ func (ph *PartitionHeat) roll(now sim.Time) {
 	}
 }
 
-// decaySketch ages the sketch by one cadence window: every decayWindows
-// windows all counts (and error bounds) halve and entries that reach zero
-// are evicted, preserving slot order so replacement stays deterministic.
+// decaySketch ages the sketch by one cadence window: every
+// DefaultSketchDecayWindows windows all counts (and error bounds) halve
+// and entries that reach zero are evicted, preserving slot order so
+// replacement stays deterministic.
 func (ph *PartitionHeat) decaySketch() {
-	if ph.decayWindows <= 0 || len(ph.entries) == 0 {
+	if len(ph.entries) == 0 {
 		return
 	}
 	ph.decayCtr++
-	if ph.decayCtr < ph.decayWindows {
+	if ph.decayCtr < DefaultSketchDecayWindows {
 		return
 	}
 	ph.decayCtr = 0
@@ -201,15 +201,15 @@ type Heat struct {
 	parts   []*PartitionHeat
 }
 
-// DefaultSketchDecayWindows is the default sketch half-life in cadence
-// windows: counts halve every this many intervals, so a key untouched for
-// a few half-lives drops out of the sketch entirely.
+// DefaultSketchDecayWindows is the sketch half-life in cadence windows:
+// counts halve every this many intervals, so a key untouched for a few
+// half-lives drops out of the sketch entirely.
 const DefaultSketchDecayWindows = 4
 
 // NewHeat creates a heat collector with the given sampling cadence and
 // sketch width. Partitions are materialized by Partition; resolve them
-// at deployment wiring time. The hot-key
-// sketch decays with DefaultSketchDecayWindows; tune with SetSketchDecay.
+// at deployment wiring time. The hot-key sketch decays with
+// DefaultSketchDecayWindows.
 func NewHeat(partitions int, cadence sim.Duration, topK int) *Heat {
 	if partitions < 1 {
 		partitions = 1
@@ -223,25 +223,13 @@ func NewHeat(partitions int, cadence sim.Duration, topK int) *Heat {
 	h := &Heat{cadence: cadence, topK: topK, parts: make([]*PartitionHeat, partitions)}
 	for i := range h.parts {
 		h.parts[i] = &PartitionHeat{
-			cadence:      cadence,
-			nextTick:     sim.Time(cadence),
-			k:            topK,
-			keyIdx:       make(map[uint64]int, topK),
-			decayWindows: DefaultSketchDecayWindows,
+			cadence:  cadence,
+			nextTick: sim.Time(cadence),
+			k:        topK,
+			keyIdx:   make(map[uint64]int, topK),
 		}
 	}
 	return h
-}
-
-// SetSketchDecay sets the sketch half-life in cadence windows on every
-// partition (0 disables decay entirely). Call before recording starts.
-func (h *Heat) SetSketchDecay(windows int) {
-	if h == nil {
-		return
-	}
-	for _, ph := range h.parts {
-		ph.decayWindows = windows
-	}
 }
 
 // Partition returns partition i's collector (clamped into range;

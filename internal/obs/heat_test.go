@@ -112,22 +112,6 @@ func TestHeatSketchDecay(t *testing.T) {
 	}
 }
 
-// TestHeatSketchDecayDisabled: SetSketchDecay(0) restores the undecayed
-// sketch for consumers that want all-time totals.
-func TestHeatSketchDecayDisabled(t *testing.T) {
-	h := NewHeat(1, 100, 2)
-	h.SetSketchDecay(0)
-	ph := h.Partition(0)
-	for i := 0; i < 10; i++ {
-		ph.Touch(1)
-	}
-	ph.RecordQueue(10_000, 0) // 100 idle windows
-	top := ph.TopKeys()
-	if len(top) != 1 || top[0].Count != 10 {
-		t.Fatalf("decay disabled but counts changed: %+v", top)
-	}
-}
-
 // TestHeatSubscribePoll: an incremental subscription returns each cadence
 // sample exactly once, and two subscriptions keep independent cursors.
 func TestHeatSubscribePoll(t *testing.T) {

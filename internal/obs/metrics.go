@@ -9,13 +9,12 @@ import (
 	"heron/internal/sim"
 )
 
-// Metrics is a registry of named counters, gauges and latency histograms.
+// Metrics is a registry of named counters and latency histograms.
 // Instruments are deduplicated by name, so independent subsystems (or all
 // replicas of a deployment) naming the same instrument share it.
 // Snapshots iterate names in sorted order, keeping output deterministic.
 type Metrics struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -23,7 +22,6 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	return &Metrics{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -41,19 +39,6 @@ func (m *Metrics) Counter(name string) *Counter {
 		m.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns (creating on first use) the named gauge.
-func (m *Metrics) Gauge(name string) *Gauge {
-	if m == nil {
-		return nil
-	}
-	g, ok := m.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		m.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns (creating on first use) the named histogram.
@@ -92,31 +77,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is a point-in-time signed value.
-type Gauge struct{ v int64 }
-
-// Set overwrites the value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add adjusts the value by d.
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v += d
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram accumulates durations in logarithmic (power-of-two) buckets:
@@ -213,7 +173,6 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 type Snapshot struct {
 	At         sim.Time        `json:"at_ns"`
 	Counters   []CounterSnap   `json:"counters,omitempty"`
-	Gauges     []GaugeSnap     `json:"gauges,omitempty"`
 	Histograms []HistogramSnap `json:"histograms,omitempty"`
 }
 
@@ -221,12 +180,6 @@ type Snapshot struct {
 type CounterSnap struct {
 	Name  string `json:"name"`
 	Value uint64 `json:"value"`
-}
-
-// GaugeSnap is one gauge's snapshot.
-type GaugeSnap struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
 }
 
 // HistogramSnap is one histogram's snapshot with nearest-rank quantiles.
@@ -249,9 +202,6 @@ func (m *Metrics) Snapshot(at sim.Time) *Snapshot {
 	}
 	for _, name := range sortedKeys(m.counters) {
 		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: m.counters[name].v})
-	}
-	for _, name := range sortedKeys(m.gauges) {
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: m.gauges[name].v})
 	}
 	for _, name := range sortedKeys(m.hists) {
 		h := m.hists[name]
@@ -280,12 +230,6 @@ func (s *Snapshot) Format() string {
 		b.WriteString("\ncounters:\n")
 		for _, c := range s.Counters {
 			fmt.Fprintf(&b, "  %-56s %12d\n", c.Name, c.Value)
-		}
-	}
-	if len(s.Gauges) > 0 {
-		b.WriteString("\ngauges:\n")
-		for _, g := range s.Gauges {
-			fmt.Fprintf(&b, "  %-56s %12d\n", g.Name, g.Value)
 		}
 	}
 	if len(s.Histograms) > 0 {

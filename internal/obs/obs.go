@@ -7,7 +7,7 @@
 // and a latency histogram is the full population, not a sketch.
 //
 // Everything is nil-safe: every method on a nil *Observer, *Tracer,
-// *Track, *Span, *Metrics, *Counter, *Gauge or *Histogram is a no-op (or
+// *Track, *Span, *Metrics, *Counter or *Histogram is a no-op (or
 // returns nil), so instrumented code paths carry a single pointer test
 // when observability is disabled and zero allocations.
 package obs
@@ -68,7 +68,7 @@ func WithFlight(o *Observer, fr *FlightRecorder) *Observer {
 
 // WithHeat returns an observer like o but carrying h (o itself is not
 // modified; o may be nil). Harnesses that need the heat feed armed —
-// e.g. the open-loop engine's shadow rebalance planner — graft it onto
+// the rebalance runs, and heron-bench openloop -heat — graft it onto
 // whatever observer the caller supplied.
 func WithHeat(o *Observer, h *Heat) *Observer {
 	if o == nil {
@@ -156,14 +156,6 @@ func (o *Observer) Counter(name string) *Counter {
 		return nil
 	}
 	return o.metrics.Counter(o.prefix + name)
-}
-
-// Gauge returns the named gauge, applying the scope prefix.
-func (o *Observer) Gauge(name string) *Gauge {
-	if o == nil {
-		return nil
-	}
-	return o.metrics.Gauge(o.prefix + name)
 }
 
 // Histogram returns the named latency histogram, applying the scope

@@ -41,12 +41,6 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter value should be 0")
 	}
-	g := o.Gauge("g")
-	g.Set(5)
-	g.Add(-2)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge value should be 0")
-	}
 	h := o.Histogram("h")
 	h.Observe(time5())
 	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
@@ -56,9 +50,6 @@ func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	if tr.Track("p", "t", nil) != nil || tr.Events() != nil {
 		t.Fatal("nil tracer accessors should return nil")
-	}
-	if !strings.Contains(tr.Summary(), "no spans") {
-		t.Fatal("nil tracer Summary should say no spans")
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -70,11 +61,11 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var m *Metrics
-	if m.Counter("x") != nil || m.Gauge("x") != nil || m.Histogram("x") != nil {
+	if m.Counter("x") != nil || m.Histogram("x") != nil {
 		t.Fatal("nil metrics accessors should return nil")
 	}
 	snap := m.Snapshot(0)
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
+	if len(snap.Counters)+len(snap.Histograms) != 0 {
 		t.Fatal("nil metrics snapshot should be empty")
 	}
 	_ = snap.Format()
@@ -82,19 +73,13 @@ func TestNilSafety(t *testing.T) {
 
 func time5() sim.Duration { return 5 * sim.Microsecond }
 
-func TestCounterGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	m := NewMetrics()
 	c := m.Counter("reqs")
 	c.Inc()
 	c.Add(4)
 	if got := m.Counter("reqs").Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
-	}
-	g := m.Gauge("depth")
-	g.Set(10)
-	g.Add(-3)
-	if got := m.Gauge("depth").Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
 	}
 }
 
@@ -243,33 +228,17 @@ func TestWriteJSONValidAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	tr := NewTracer()
-	clk := &fakeClock{}
-	tk := tr.Track("node1", "exec", clk)
-	for i := 0; i < 3; i++ {
-		sp := tk.Begin("execute")
-		clk.t += 1000
-		sp.End()
-	}
-	s := tr.Summary()
-	if !strings.Contains(s, "node1 execute") || !strings.Contains(s, "3") {
-		t.Fatalf("summary missing span line:\n%s", s)
-	}
-}
-
 func TestSnapshotFormat(t *testing.T) {
 	m := NewMetrics()
 	m.Counter("b").Inc()
 	m.Counter("a").Add(2)
-	m.Gauge("g").Set(-1)
 	m.Histogram("h").Observe(3 * sim.Millisecond)
 	snap := m.Snapshot(sim.Time(5 * sim.Second))
 	if len(snap.Counters) != 2 || snap.Counters[0].Name != "a" || snap.Counters[1].Name != "b" {
 		t.Fatalf("counters not name-sorted: %+v", snap.Counters)
 	}
 	out := snap.Format()
-	for _, want := range []string{"counters:", "gauges:", "histograms:", "a", "h"} {
+	for _, want := range []string{"counters:", "histograms:", "a", "h"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Format missing %q:\n%s", want, out)
 		}

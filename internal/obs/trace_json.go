@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"heron/internal/sim"
 )
@@ -112,44 +111,6 @@ func writeTraceEvents(w io.Writer, out []jsonEvent) error {
 	}
 	_, err := io.WriteString(w, "]}\n")
 	return err
-}
-
-// Summary renders a plain-text flame summary: per (process, span name),
-// the call count, total, mean and max durations, ordered by total time
-// descending. It is the terminal-friendly complement to the JSON trace.
-func (t *Tracer) Summary() string {
-	if t == nil || len(t.aggKeys) == 0 {
-		return "(no spans recorded)\n"
-	}
-	keys := make([]aggKey, len(t.aggKeys))
-	copy(keys, t.aggKeys)
-	sort.SliceStable(keys, func(i, j int) bool {
-		a, b := t.agg[keys[i]], t.agg[keys[j]]
-		if a.total != b.total {
-			return a.total > b.total
-		}
-		if keys[i].process != keys[j].process {
-			return keys[i].process < keys[j].process
-		}
-		return keys[i].name < keys[j].name
-	})
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-48s  %8s  %12s  %10s  %10s\n", "span (process/name)", "count", "total", "mean", "max")
-	for _, k := range keys {
-		v := t.agg[k]
-		mean := v.total / sim.Duration(v.count)
-		fmt.Fprintf(&b, "%-48s  %8d  %12s  %10s  %10s\n",
-			truncName(k.process+" "+k.name, 48), v.count, fmtDur(v.total), fmtDur(mean), fmtDur(v.max))
-	}
-	return b.String()
-}
-
-// truncName bounds a label, keeping the tail (the discriminating part).
-func truncName(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return "…" + s[len(s)-n+1:]
 }
 
 // fmtDur renders a virtual duration compactly.

@@ -14,22 +14,9 @@ type Tracer struct {
 
 	events []Event
 	nextID uint64
-
-	// agg accumulates per-(process, span name) totals for the flame
-	// summary, filled in as spans end.
-	agg     map[aggKey]*aggVal
-	aggKeys []aggKey
 }
 
 type trackKey struct{ process, thread string }
-
-type aggKey struct{ process, name string }
-
-type aggVal struct {
-	count int
-	total sim.Duration
-	max   sim.Duration
-}
 
 // Event phases, mirroring the Chrome trace_event phase letters.
 const (
@@ -59,7 +46,6 @@ func NewTracer() *Tracer {
 		byKey: make(map[trackKey]*Track),
 		pids:  make(map[string]int),
 		tids:  make(map[int]int),
-		agg:   make(map[aggKey]*aggVal),
 	}
 }
 
@@ -96,22 +82,6 @@ func (t *Tracer) Events() []Event {
 
 // record appends one event.
 func (t *Tracer) record(ev Event) { t.events = append(t.events, ev) }
-
-// aggregate folds one finished span into the flame summary.
-func (t *Tracer) aggregate(process, name string, d sim.Duration) {
-	k := aggKey{process, name}
-	v := t.agg[k]
-	if v == nil {
-		v = &aggVal{}
-		t.agg[k] = v
-		t.aggKeys = append(t.aggKeys, k)
-	}
-	v.count++
-	v.total += d
-	if d > v.max {
-		v.max = d
-	}
-}
 
 // Track is one timeline: a (process, thread) pair in the Chrome trace
 // model. Heron maps fabric nodes to processes and the node's simulation
@@ -200,11 +170,9 @@ func (sp *Span) End() {
 	sp.ended = true
 	tk := sp.tk
 	now := tk.clock.Now()
-	dur := sim.Duration(now - sp.start)
 	if sp.id != 0 {
 		tk.t.record(Event{Phase: PhaseAsyncEnd, Name: sp.name, Cat: sp.cat, Ts: now, Pid: tk.pid, Tid: tk.tid, ID: sp.id, Args: sp.args})
 	} else {
-		tk.t.record(Event{Phase: PhaseComplete, Name: sp.name, Ts: sp.start, Dur: dur, Pid: tk.pid, Tid: tk.tid, Args: sp.args})
+		tk.t.record(Event{Phase: PhaseComplete, Name: sp.name, Ts: sp.start, Dur: sim.Duration(now - sp.start), Pid: tk.pid, Tid: tk.tid, Args: sp.args})
 	}
-	tk.t.aggregate(tk.process, sp.name, dur)
 }

@@ -1,7 +1,6 @@
 package rdma
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"heron/internal/obs"
@@ -35,10 +34,7 @@ type qpObs struct {
 	readOps, readBytes   *obs.Counter
 	writeOps, writeBytes *obs.Counter
 	doorbells            *obs.Counter // posts that carried the write_ops: verbs per doorbell
-	casOps, casFail      *obs.Counter
-	sendOps              *obs.Counter
 	writeDropped         *obs.Counter // fabric-wide "rdma/write_dropped"
-	casFailTotal         *obs.Counter // fabric-wide "rdma/cas_fail"
 	doorbellsTotal       *obs.Counter // fabric-wide "rdma/doorbells"
 	creditReads          *obs.Counter // fabric-wide "rdma/credit_reads" (see MailboxWriter.waitCredit)
 }
@@ -56,11 +52,7 @@ func (q *QP) o() *qpObs {
 			writeOps:     ob.Counter(qp + "write_ops"),
 			writeBytes:   ob.Counter(qp + "write_bytes"),
 			doorbells:    ob.Counter(qp + "doorbells"),
-			casOps:       ob.Counter(qp + "cas_ops"),
-			casFail:      ob.Counter(qp + "cas_fail"),
-			sendOps:      ob.Counter(qp + "send_ops"),
 			writeDropped: ob.Counter("rdma/write_dropped"),
-			casFailTotal: ob.Counter("rdma/cas_fail"),
 
 			doorbellsTotal: ob.Counter("rdma/doorbells"),
 			creditReads:    ob.Counter("rdma/credit_reads"),
@@ -128,8 +120,8 @@ func (q *QP) pathErr() error {
 
 // failVerb blocks the issuer for the failure timeout and surfaces the
 // RDMA exception for the current path state, modeling RC retransmission
-// exhaustion. It is the single failure path shared by Read, Write and
-// CompareAndSwap, for crashed targets and partitioned links alike.
+// exhaustion. It is the single failure path shared by Read and Write,
+// for crashed targets and partitioned links alike.
 func (q *QP) failVerb(p *sim.Proc) error {
 	p.Sleep(q.cfg.FailureTimeout)
 	// Verb failures are exactly what a post-mortem wants in the flight
@@ -151,11 +143,6 @@ func (q *QP) checkLocal() error {
 		return fmt.Errorf("%w: node %d", ErrLocalFailure, q.local.id)
 	}
 	return nil
-}
-
-// errMisaligned builds the alignment error for atomics.
-func errMisaligned(addr Addr) error {
-	return fmt.Errorf("%w: %v", ErrCASMisaligned, addr)
 }
 
 // Read performs a one-sided READ of length bytes at addr. The returned
@@ -399,86 +386,4 @@ func (q *QP) post(wrs []WR, lossy bool) (sim.Time, error) {
 	}
 	q.sched.At(done, op.fire)
 	return done, nil
-}
-
-// CompareAndSwap performs an atomic 8-byte compare-and-swap at addr
-// (little-endian). It returns the previous value; the swap happened iff
-// the returned value equals expect.
-func (q *QP) CompareAndSwap(p *sim.Proc, addr Addr, expect, swap uint64) (uint64, error) {
-	if err := q.checkLocal(); err != nil {
-		return 0, err
-	}
-	if q.pathDown() || q.dropDrawn() {
-		return 0, q.failVerb(p)
-	}
-	reg, err := q.region(addr, 8)
-	if err != nil {
-		return 0, err
-	}
-	if addr.Off%8 != 0 {
-		return 0, errMisaligned(addr)
-	}
-	done, wait := q.completionTime(q.cfg.CASBase, 8)
-	io := q.o()
-	var sp *obs.Span
-	if io != nil {
-		io.casOps.Inc()
-		sp = io.track.BeginAsync("rdma", "cas").
-			Arg("to", int(q.remote.id)).Arg("nic_wait_ns", int64(wait))
-	}
-	var prev uint64
-	failed := false
-	q.sched.At(done, func() {
-		defer sp.End()
-		if q.pathDown() {
-			failed = true
-			return
-		}
-		word := reg.mem()[addr.Off : addr.Off+8]
-		prev = binary.LittleEndian.Uint64(word)
-		if prev == expect {
-			binary.LittleEndian.PutUint64(word, swap)
-			reg.markTail(addr.Off)
-			q.remote.writeNotify.Broadcast()
-		} else if io != nil {
-			// The compare failed: another writer won the slot.
-			io.casFail.Inc()
-			io.casFailTotal.Inc()
-			sp.Arg("lost", true)
-		}
-	})
-	p.Sleep(sim.Duration(done - p.Now()))
-	if failed {
-		return 0, q.failVerb(p)
-	}
-	return prev, nil
-}
-
-// Send performs a two-sided SEND of payload to the remote node's inbox.
-// Unlike one-sided verbs, delivery involves the remote CPU: the payload
-// is handed to the receive queue after SendBase latency and must be
-// drained by a process on the remote node.
-func (q *QP) Send(p *sim.Proc, payload any) error {
-	if err := q.checkLocal(); err != nil {
-		return err
-	}
-	if q.pathDown() || q.dropDrawn() {
-		p.Sleep(q.cfg.PostOverhead)
-		return nil // silently dropped, like an unacked datagram
-	}
-	if io := q.o(); io != nil {
-		io.sendOps.Inc()
-	}
-	done, _ := q.completionTime(q.cfg.SendBase, 64)
-	msg := Message{From: q.local.id, Payload: payload}
-	inbox := q.remote.inbox
-	q.sched.At(done, func() {
-		// Deliver only into the same receive queue that existed at issue
-		// time: a crash-recovery in between replaced the inbox.
-		if !q.pathDown() && q.remote.inbox == inbox {
-			inbox.Send(msg)
-		}
-	})
-	p.Sleep(q.cfg.PostOverhead)
-	return nil
 }

@@ -2,12 +2,12 @@
 //
 // The fabric models what Heron consumes from a real RDMA NIC (Mellanox
 // ConnectX-4 in the paper): registered memory regions, reliable-connection
-// queue pairs, one-sided READ / WRITE / atomic compare-and-swap, and
-// failure semantics (operations against a crashed node fail with an RDMA
-// exception after a timeout). One-sidedness is preserved exactly: a READ
-// or WRITE never runs code on the target node; it observes or mutates the
-// target's registered memory at the operation's completion instant on the
-// virtual clock.
+// queue pairs, one-sided READ and WRITE, and failure semantics
+// (operations against a crashed node fail with an RDMA exception after a
+// timeout). One-sidedness is preserved exactly: a READ or WRITE never
+// runs code on the target node; it observes or mutates the target's
+// registered memory at the operation's completion instant on the virtual
+// clock.
 //
 // Latency follows a calibrated model: a per-verb base latency plus a
 // payload/bandwidth term, with per-NIC occupancy so that saturating a node
@@ -53,8 +53,6 @@ var (
 	ErrOutOfBounds = errors.New("rdma: access out of region bounds")
 	// ErrLocalFailure is returned when the issuing node has crashed.
 	ErrLocalFailure = errors.New("rdma: local node failure")
-	// ErrCASMisaligned is returned for atomics not on 8-byte boundaries.
-	ErrCASMisaligned = errors.New("rdma: atomic access must be 8-byte aligned")
 )
 
 // Config is the fabric latency/occupancy model.
@@ -65,12 +63,6 @@ type Config struct {
 	// payload is visible in target memory; completion at the issuer takes
 	// the same time under RC).
 	WriteBase sim.Duration
-	// CASBase is the base latency of an atomic compare-and-swap.
-	CASBase sim.Duration
-	// SendBase is the base latency of a two-sided SEND until the payload
-	// is available to the target's receive queue. Two-sided verbs involve
-	// the remote CPU, hence the higher base than WRITE.
-	SendBase sim.Duration
 	// BytesPerNS is the line rate in bytes per nanosecond
 	// (25 Gb/s = 3.125 B/ns).
 	BytesPerNS float64
@@ -91,8 +83,6 @@ func DefaultConfig() Config {
 	return Config{
 		ReadBase:       1600 * sim.Nanosecond,
 		WriteBase:      1150 * sim.Nanosecond,
-		CASBase:        1700 * sim.Nanosecond,
-		SendBase:       2600 * sim.Nanosecond,
 		BytesPerNS:     3.125,
 		VerbOverhead:   105 * sim.Nanosecond,
 		FailureTimeout: 200 * sim.Microsecond,
@@ -153,7 +143,6 @@ func (f *Fabric) AddNode(id NodeID) *Node {
 		fabric:      f,
 		regions:     make(map[RKey]*Region),
 		writeNotify: sim.NewCond(f.sched),
-		inbox:       sim.NewChan[Message](f.sched),
 	}
 	f.nodes[id] = n
 	return n
@@ -188,13 +177,10 @@ type Node struct {
 	// nicFree is when the NIC finishes the verbs admitted so far (admit).
 	nicFree sim.Time
 
-	// writeNotify is broadcast whenever a remote WRITE or CAS commits into
+	// writeNotify is broadcast whenever a remote WRITE commits into
 	// this node's memory. Replicas use it to wait on coordination memory
 	// without busy-polling the virtual clock.
 	writeNotify *sim.Cond
-
-	// inbox receives two-sided SENDs (control plane only).
-	inbox *sim.Chan[Message]
 
 	// io holds lazily resolved observability instruments; nil until the
 	// fabric has an observer and the node issues its first verb.
@@ -242,23 +228,20 @@ func (n *Node) Crash() {
 	n.crashed = true
 	// Wake local waiters so hosted processes observe the crash promptly.
 	n.writeNotify.Broadcast()
-	n.inbox.Close()
 }
 
 // Recover rejoins a crashed node to the fabric: registered memory
 // survives (the regions are re-registered with the NIC, keeping their
-// rkeys, as the paper's recovery path assumes), the two-sided inbox is
-// recreated (the old receive queue died with the node), and link-reset
-// hooks fire for every peer so transports reinitialize rings whose
-// producer and consumer cursors desynchronized while writes to the dead
-// node were dropped. The caller then runs the recovery path (state
-// transfer) to catch the hosted replica up.
+// rkeys, as the paper's recovery path assumes), and link-reset hooks
+// fire for every peer so transports reinitialize rings whose producer
+// and consumer cursors desynchronized while writes to the dead node were
+// dropped. The caller then runs the recovery path (state transfer) to
+// catch the hosted replica up.
 func (n *Node) Recover() {
 	if !n.crashed {
 		return
 	}
 	n.crashed = false
-	n.inbox = sim.NewChan[Message](n.fabric.sched)
 	n.fabric.resetNodeLinks(n.id)
 	n.writeNotify.Broadcast()
 }
@@ -320,12 +303,3 @@ func (r *Region) Addr(off int) Addr { return Addr{Node: r.node.id, Key: r.key, O
 // Bytes exposes the region's backing memory for local (same-node) access.
 // Local access is free: the host CPU reads and writes its own DRAM.
 func (r *Region) Bytes() []byte { return r.mem() }
-
-// Message is a two-sided SEND payload (control plane).
-type Message struct {
-	From    NodeID
-	Payload any
-}
-
-// Inbox returns the node's receive queue for two-sided SENDs.
-func (n *Node) Inbox() *sim.Chan[Message] { return n.inbox }

@@ -194,71 +194,6 @@ func TestOutOfBoundsAndMissingRegion(t *testing.T) {
 	}
 }
 
-func TestCompareAndSwap(t *testing.T) {
-	s, f, _, b := testFabric(t)
-	reg := b.RegisterRegion(16)
-	qp := f.Connect(1, 2)
-
-	s.Spawn("cas", func(p *sim.Proc) {
-		prev, err := qp.CompareAndSwap(p, reg.Addr(0), 0, 42)
-		if err != nil || prev != 0 {
-			t.Errorf("first CAS: prev=%d err=%v", prev, err)
-		}
-		prev, err = qp.CompareAndSwap(p, reg.Addr(0), 0, 99)
-		if err != nil || prev != 42 {
-			t.Errorf("second CAS should fail with prev=42: prev=%d err=%v", prev, err)
-		}
-		_, err = qp.CompareAndSwap(p, reg.Addr(3), 0, 1)
-		if !errors.Is(err, ErrCASMisaligned) {
-			t.Errorf("misaligned CAS err = %v", err)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if reg.Bytes()[0] != 42 {
-		t.Fatalf("memory[0] = %d, want 42", reg.Bytes()[0])
-	}
-}
-
-func TestCASContention(t *testing.T) {
-	// Two nodes CAS the same word; exactly one must win each round.
-	s := sim.NewScheduler()
-	f := NewFabric(s, DefaultConfig())
-	f.AddNode(1)
-	f.AddNode(2)
-	target := f.AddNode(3)
-	reg := target.RegisterRegion(8)
-
-	wins := map[int]int{}
-	for _, id := range []int{1, 2} {
-		id := id
-		qp := f.Connect(NodeID(id), 3)
-		s.Spawn("racer", func(p *sim.Proc) {
-			for i := 0; i < 10; i++ {
-				prev, err := qp.CompareAndSwap(p, reg.Addr(0), uint64(i), uint64(i+1))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if prev == uint64(i) {
-					wins[id]++
-				}
-				// Wait for the round to advance before retrying.
-				target.WriteNotify().WaitUntilTimeout(p, sim.Millisecond, func() bool {
-					return reg.Bytes()[0] > byte(i)
-				})
-			}
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if wins[1]+wins[2] != 10 {
-		t.Fatalf("total wins = %d, want exactly 10 (one per round); wins=%v", wins[1]+wins[2], wins)
-	}
-}
-
 func TestNICOccupancyQueues(t *testing.T) {
 	// Two large reads against the same target must serialize on the
 	// target NIC: the second completes later than it would alone.
@@ -289,46 +224,6 @@ func TestNICOccupancyQueues(t *testing.T) {
 	}
 	if t2 < t1+sim.Time(float64(512*1024)/cfg.BytesPerNS)/2 {
 		t.Fatalf("second read did not queue: t1=%d t2=%d", t1, t2)
-	}
-}
-
-func TestSendRecv(t *testing.T) {
-	s, f, _, b := testFabric(t)
-	qp := f.Connect(1, 2)
-
-	var got Message
-	var ok bool
-	s.Spawn("recv", func(p *sim.Proc) {
-		got, ok = b.Inbox().Recv(p)
-	})
-	s.Spawn("send", func(p *sim.Proc) {
-		if err := qp.Send(p, "ping"); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok || got.From != 1 || got.Payload != "ping" {
-		t.Fatalf("got %+v ok=%v", got, ok)
-	}
-}
-
-func TestSendToCrashedNodeDropped(t *testing.T) {
-	s, f, _, b := testFabric(t)
-	qp := f.Connect(1, 2)
-	b.Crash()
-
-	s.Spawn("send", func(p *sim.Proc) {
-		if err := qp.Send(p, "ping"); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Inbox().Len() != 0 {
-		t.Fatal("message delivered to crashed node")
 	}
 }
 

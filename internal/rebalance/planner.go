@@ -54,7 +54,7 @@ func (pl *Planner) Step(now sim.Time, loads []PartLoad, cfg *reconfig.Configurat
 	if n := len(cfg.Groups); len(loads) > n {
 		loads = loads[:n]
 	}
-	dec, hot, mean, ok := pl.classify(now, loads, len(cfg.Groups))
+	dec, hot, mean, ok := pl.classify(now, loads)
 	if !ok {
 		if dec.Action == ActNone {
 			if d, ch := pl.planDrain(&dec, loads, cfg, mean); ch != nil {
@@ -106,14 +106,10 @@ func (pl *Planner) Step(now sim.Time, loads []PartLoad, cfg *reconfig.Configurat
 
 // classify runs the target-independent part of a tick — feedback,
 // idle/hysteresis/cooldown/budget gates, streak bookkeeping — and
-// reports whether a shed is actionable. It is shared by Step and the
-// configuration-free ShadowStep.
-func (pl *Planner) classify(now sim.Time, loads []PartLoad, parts int) (dec Decision, hot int, mean float64, ok bool) {
+// reports whether a shed is actionable.
+func (pl *Planner) classify(now sim.Time, loads []PartLoad) (dec Decision, hot int, mean float64, ok bool) {
 	if pl.cooldown == 0 {
 		pl.cooldown = pl.Pol.Cooldown
-	}
-	if parts > 0 && len(loads) > parts {
-		loads = loads[:parts]
 	}
 	for len(pl.hotStreak) < len(loads) {
 		pl.hotStreak = append(pl.hotStreak, 0)
@@ -136,10 +132,7 @@ func (pl *Planner) classify(now sim.Time, loads []PartLoad, parts int) (dec Deci
 		fb := pl.fb
 		pl.fb = nil
 		if fb.part < len(loads) {
-			l := loads[fb.part]
-			recovered := l.Rate <= pl.Pol.HotRatio*mean &&
-				(pl.Pol.HotQueue <= 0 || l.QueueMax < pl.Pol.HotQueue)
-			if recovered {
+			if loads[fb.part].Rate <= pl.Pol.HotRatio*mean {
 				pl.cooldown = pl.Pol.Cooldown
 				dec.Note = "recovered"
 			} else {
@@ -163,9 +156,6 @@ func (pl *Planner) classify(now sim.Time, loads []PartLoad, parts int) (dec Deci
 	anyHot := false
 	for i, l := range loads {
 		isHot := l.Rate > pl.Pol.HotRatio*mean
-		if pl.Pol.HotQueue > 0 && l.QueueMax >= pl.Pol.HotQueue {
-			isHot = true
-		}
 		if isHot {
 			pl.hotStreak[i]++
 			anyHot = true
@@ -334,52 +324,6 @@ func (pl *Planner) planDrain(dec *Decision, loads []PartLoad, cfg *reconfig.Conf
 	return *dec, nil
 }
 
-// ShadowStep classifies one decision tick without a configuration: the
-// advisory mode openloop's -rebalance flag uses. The open-loop cluster
-// has no reconfiguration plane, so the planner reports what it would
-// have done — hot partition, shed boundary from the sketch's mass
-// median — under the same hysteresis and cooldown gates, without
-// synthesizing moves.
-func (pl *Planner) ShadowStep(now sim.Time, loads []PartLoad) Decision {
-	dec, hot, mean, ok := pl.classify(now, loads, len(loads))
-	if !ok {
-		return pl.emit(dec)
-	}
-	dec.Action = ActSplit
-	dec.Hot = hot
-	if t := pl.shedTarget(loads, hot, mean); t >= 0 {
-		dec.Target = t
-	} else {
-		dec.Action = ActScaleOut
-		dec.Target = len(loads)
-	}
-	if b, found := sketchMedian(loads[hot].TopKeys); found {
-		dec.BoundaryOID = b
-	}
-	pl.issued(now, &feedback{part: hot, queue: loads[hot].QueueMax})
-	return pl.emit(dec)
-}
-
-// sketchMedian returns the mass-median boundary key of a sketch.
-func sketchMedian(top []obs.KeyCount) (uint64, bool) {
-	if len(top) < 2 {
-		return 0, false
-	}
-	keys := append([]obs.KeyCount(nil), top...)
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Key < keys[j].Key })
-	var mass, left uint64
-	for _, kc := range keys {
-		mass += kc.Count
-	}
-	for i := 0; i < len(keys)-1; i++ {
-		left += keys[i].Count
-		if 2*left >= mass {
-			return keys[i+1].Key, true
-		}
-	}
-	return 0, false
-}
-
 // Outcome patches the latest acting decision with the executed change's
 // result. An abort (fence timeout, lost migration source) backs the
 // cooldown off and cancels the pending recovery check: nothing changed,
@@ -396,9 +340,6 @@ func (pl *Planner) Outcome(committed bool, epoch uint64) {
 		pl.cooldown *= sim.Duration(pl.backoff())
 	}
 }
-
-// Changes reports how many changes the planner has issued.
-func (pl *Planner) Changes() int { return pl.changes }
 
 // plannerStateVersion tags the SnapshotState encoding.
 const plannerStateVersion = 1

@@ -111,8 +111,8 @@ func TestPlannerOscillationBait(t *testing.T) {
 			t.Fatalf("tick %d = %v, want hysteresis hold", i, d)
 		}
 	}
-	if pl.Changes() != 0 {
-		t.Fatalf("changes = %d, want 0", pl.Changes())
+	if pl.changes != 0 {
+		t.Fatalf("changes = %d, want 0", pl.changes)
 	}
 }
 
@@ -353,29 +353,6 @@ func TestScore(t *testing.T) {
 	}
 	if loads[1].Rate != 0 {
 		t.Fatalf("idle p1 rate = %v", loads[1].Rate)
-	}
-}
-
-// TestShadowStep: the configuration-free classifier applies the same
-// gates and reports the sketch-median boundary.
-func TestShadowStep(t *testing.T) {
-	pl := &Planner{Pol: testPolicy()}
-	top := []obs.KeyCount{{Key: 2, Count: 50}, {Key: 11, Count: 50}}
-	d := pl.ShadowStep(sim.Time(sim.Millisecond), loads2(9000, 1000, top))
-	if d.Action != ActNoneHyst {
-		t.Fatalf("tick 1 = %v", d)
-	}
-	d = pl.ShadowStep(sim.Time(2*sim.Millisecond), loads2(9000, 1000, top))
-	if d.Action != ActSplit || d.Hot != 0 || d.Target != 1 || d.BoundaryOID != 11 {
-		t.Fatalf("tick 2 = %v, want split p0->p1 at key 11", d)
-	}
-	d = pl.ShadowStep(sim.Time(3*sim.Millisecond), loads2(9000, 1000, top))
-	if d.Action != ActNoneHyst {
-		t.Fatalf("tick 3 = %v, want hysteresis hold (streaks reset on action)", d)
-	}
-	d = pl.ShadowStep(sim.Time(4*sim.Millisecond), loads2(9000, 1000, top))
-	if d.Action != ActNoneCooldown {
-		t.Fatalf("tick 4 = %v, want cooldown", d)
 	}
 }
 

@@ -16,7 +16,7 @@
 // oscillating load signal produces no change storm. Exactly one change
 // is ever in flight: the controller drives reconfig.Manager.Execute
 // synchronously from its own process, and outcome feedback (did the
-// hot partition's rate and queue recover?) gates the next decision.
+// hot partition's rate recover?) gates the next decision.
 //
 // Everything derives from the virtual clock and the deterministic heat
 // series, so the same seed yields the same decision log, byte for
@@ -44,10 +44,6 @@ type Policy struct {
 	// MinRate is the aggregate ops/sec floor below which imbalance is
 	// noise: an idle system is never rebalanced.
 	MinRate float64
-	// HotQueue, when positive, marks a partition hot on queue depth alone
-	// (a saturated partition whose throughput has collapsed still scores
-	// hot).
-	HotQueue int64
 	// Hysteresis is the number of consecutive hot ticks required before
 	// acting; Cooldown the minimum virtual time between changes. A change
 	// that fails to recover its hot partition (or aborts) multiplies the

@@ -38,18 +38,6 @@ func (c *Chan[T]) Send(v T) {
 	c.nonEmp.Broadcast()
 }
 
-// TrySend enqueues v unless the channel is closed, reporting whether the
-// element was accepted. For senders that legitimately race a Close (e.g.
-// delivery paths of crash-injected nodes).
-func (c *Chan[T]) TrySend(v T) bool {
-	if c.closed {
-		return false
-	}
-	c.buf = append(c.buf, v)
-	c.nonEmp.Broadcast()
-	return true
-}
-
 // Recv dequeues the oldest element, blocking the calling process until one
 // is available. The second result is false if the channel was closed and
 // drained.

@@ -60,14 +60,5 @@ func (m *Mutex) Unlock(p *Proc) {
 	m.owner = nil
 }
 
-// TryLock acquires the mutex for p if free, reporting success.
-func (m *Mutex) TryLock(p *Proc) bool {
-	if m.owner != nil {
-		return false
-	}
-	m.owner = p
-	return true
-}
-
 // Locked reports whether the mutex is currently held.
 func (m *Mutex) Locked() bool { return m.owner != nil }

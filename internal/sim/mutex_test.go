@@ -90,31 +90,6 @@ func TestMutexKilledWaiter(t *testing.T) {
 	}
 }
 
-func TestMutexTryLock(t *testing.T) {
-	s := NewScheduler()
-	m := NewMutex(s)
-	s.Spawn("a", func(p *Proc) {
-		if !m.TryLock(p) {
-			t.Error("first TryLock failed")
-		}
-		p.Sleep(10 * Microsecond)
-		m.Unlock(p)
-	})
-	s.SpawnAfter(Microsecond, "b", func(p *Proc) {
-		if m.TryLock(p) {
-			t.Error("TryLock succeeded while held")
-		}
-		p.Sleep(20 * Microsecond)
-		if !m.TryLock(p) {
-			t.Error("TryLock failed after release")
-		}
-		m.Unlock(p)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMutexUnlockByNonOwnerIsNoop(t *testing.T) {
 	s := NewScheduler()
 	m := NewMutex(s)

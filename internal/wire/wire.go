@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrTruncated indicates the buffer ended before the value was complete.
@@ -51,9 +50,6 @@ func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf,
 // I64 appends a little-endian int64.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
-// F64 appends a little-endian float64.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
 // Bool appends a boolean as one byte.
 func (w *Writer) Bool(v bool) {
 	if v {
@@ -74,9 +70,6 @@ func (w *Writer) String(s string) {
 	w.U32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
 }
-
-// Raw appends b with no length prefix.
-func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
 // Reader decodes a binary message sequentially. The first decoding error
 // sticks; subsequent reads return zero values.
@@ -150,9 +143,6 @@ func (r *Reader) U64() uint64 {
 
 // I64 reads a little-endian int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// F64 reads a little-endian float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // Bool reads a one-byte boolean.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
