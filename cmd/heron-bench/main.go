@@ -1,28 +1,13 @@
 // Command heron-bench regenerates the tables and figures of the Heron
-// paper's evaluation (Section V) on the simulated RDMA fabric.
+// paper's evaluation (Section V) on the simulated RDMA fabric, and runs
+// the subsystem sweeps whose exit code is their verdict.
 //
 // Usage:
 //
-//	heron-bench fig4    [-wh 1,2,4,8,16] [-clients 6] [-window 150ms]
-//	heron-bench fig5    [-wh 1,2,4,8,16] [-window 150ms]
-//	heron-bench fig6    [-requests 400] [-workload tpcc|1WH..4WH]
-//	heron-bench fig7    [-wh 4] [-requests 400]
-//	heron-bench fig8    [-runs 5] [-full]
-//	heron-bench table1  [-window 150ms]
-//	heron-bench ablation
-//	heron-bench workers [-wh 2] [-window 150ms]
-//	heron-bench fanout  [-sizes 1,2,4,8,16,32] [-targets 4] [-slot 96]
-//	heron-bench chaos   [-schedules 5] [-seed 1] [-faults churn] [-flightdir d]
-//	heron-bench reconfig [-scenario split] [-runs 1] [-seed 1]
-//	heron-bench recovery [-seeds 2] [-seed 1] [-keys 16,64,256] [-valbytes 256] [-preset snappy|zstd|none]
-//	heron-bench rebalance [-scenario hotshift|flash|skew|scaleout|feedercrash|donorcrash] [-seed 1]
-//	heron-bench lease   [-partitions 2] [-replicas 3] [-clients 24] [-readpct 95] [-window 20ms] [-seed 1]
-//	heron-bench openloop [-groups 4] [-replicas 3] [-clients 100000]
-//	                     [-rate 10] [-arrival poisson|pareto] [-shape steady|diurnal|flash]
-//	                     [-mix update|ycsb-b|ycsb-c] [-window 20ms] [-seed 1]
-//	                     [-heat out.json] [-flightdir d]
-//	heron-bench trace   [-wh 4] [-clients 2] [-requests 2000] [-seed 1] [-workers 1]
-//	heron-bench all     [-quick]
+//	heron-bench <subcommand> [flags]
+//
+// Run it with no arguments for the list of subcommands, and
+// heron-bench <subcommand> -h for that subcommand's flags and defaults.
 //
 // Every subcommand accepts -json to emit machine-readable results instead
 // of the formatted table, for experiment runners and trajectory tracking.
@@ -49,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -60,66 +46,165 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	var name string
+	if len(os.Args) > 1 {
+		name = os.Args[1]
+	}
+	c := lookup(name)
+	if c == nil && name != "all" {
+		fmt.Fprintln(os.Stderr, usage())
 		os.Exit(2)
 	}
-	cmd := os.Args[1]
-	args := os.Args[2:]
 	start := time.Now()
 	var err error
-	switch cmd {
-	case "fig4":
-		err = runFig4(args)
-	case "fig5":
-		err = runFig5(args)
-	case "fig6":
-		err = runFig6(args)
-	case "fig7":
-		err = runFig7(args)
-	case "fig8":
-		err = runFig8(args)
-	case "table1":
-		err = runTable1(args)
-	case "ablation":
-		err = runAblation(args)
-	case "workers":
-		err = runWorkers(args)
-	case "fanout":
-		err = runFanout(args)
-	case "chaos":
-		err = runChaosCmd(args)
-	case "reconfig":
-		err = runReconfigCmd(args)
-	case "recovery":
-		err = runRecoveryCmd(args)
-	case "rebalance":
-		err = runRebalanceCmd(args)
-	case "lease":
-		err = runLeaseCmd(args)
-	case "openloop":
-		err = runOpenLoopCmd(args)
-	case "trace":
-		err = runTraceCmd(args)
-	case "all":
-		err = runAll(args)
-	default:
-		usage()
-		os.Exit(2)
+	if c != nil {
+		err = c.run(os.Args[2:])
+	} else {
+		err = runAll(os.Args[2:])
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "heron-bench %s: %v\n", cmd, err)
+		fmt.Fprintf(os.Stderr, "heron-bench %s: %v\n", name, err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "[%s completed in %v wall time]\n", cmd, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "[%s completed in %v wall time]\n", name, time.Since(start).Round(time.Millisecond))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: heron-bench {fig4|fig5|fig6|fig7|fig8|table1|ablation|workers|fanout|chaos|reconfig|recovery|rebalance|lease|openloop|trace|all} [flags] [-json]")
+// usage is the one-line synopsis printed for a missing or unknown
+// subcommand.
+func usage() string {
+	names := make([]string, 0, len(commands)+1)
+	for _, c := range commands {
+		names = append(names, c.name)
+	}
+	names = append(names, "all")
+	return "usage: heron-bench {" + strings.Join(names, "|") + "} [flags] [-json]"
+}
+
+// lookup returns the table entry named name, or nil.
+func lookup(name string) *command {
+	for i := range commands {
+		if commands[i].name == name {
+			return &commands[i]
+		}
+	}
+	return nil
 }
 
 // formatter is any experiment result renderable as a text table.
 type formatter interface{ Format() string }
+
+// gated is a sweep result with a pass condition.
+type gated interface {
+	formatter
+	Gate() bool
+}
+
+// runFunc runs a subcommand under the observer its flags imply: nil when
+// they ask for nothing, so the run stays on the zero-cost disabled path.
+type runFunc func(o *obs.Observer) (formatter, error)
+
+// command is one subcommand. Besides its own flags every subcommand takes
+// -json, -trace and -metrics; see flagSet.
+type command struct {
+	name string
+	// profile registers -profile and -slowest. Only a subcommand that
+	// runs one simulation may take them: the critical-path engine keys
+	// requests by id, and two simulations number their requests alike.
+	profile bool
+	// failure is a gated sweep's error when its result's Gate() fails,
+	// so the exit code is the sweep's whole verdict; "" when ungated.
+	failure string
+	// flags registers the subcommand's own flags and returns its run,
+	// which reads them once they are parsed.
+	flags func(fs *flag.FlagSet) runFunc
+}
+
+// shared holds the flags every subcommand takes.
+type shared struct {
+	json, metrics  bool
+	trace, profile string
+	slowest        int
+}
+
+// flagSet registers c's own flags and the shared ones.
+func (c *command) flagSet() (*flag.FlagSet, *shared, runFunc) {
+	fs := flag.NewFlagSet(c.name, flag.ExitOnError)
+	run := c.flags(fs)
+	sh := &shared{}
+	fs.BoolVar(&sh.json, "json", false, "emit machine-readable JSON")
+	fs.StringVar(&sh.trace, "trace", "", "write a Chrome trace_event JSON file (load at ui.perfetto.dev)")
+	fs.BoolVar(&sh.metrics, "metrics", false, "print a metrics snapshot after the run")
+	if c.profile {
+		fs.StringVar(&sh.profile, "profile", "", "write the critical-path latency-attribution profile to this JSON file (table printed to stderr)")
+		fs.IntVar(&sh.slowest, "slowest", 5, "slowest requests to break down in the -profile output")
+	}
+	return fs, sh, run
+}
+
+// run is every subcommand's tail: parse its flags, run it under the
+// observer they imply, write the trace file, the critical-path profile
+// and the metrics snapshot (tables to stderr, so they never corrupt -json
+// on stdout), emit the result, and fail when a gated result's gate does
+// not hold.
+func (c *command) run(args []string) error {
+	fs, sh, run := c.flagSet()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var tr *obs.Tracer
+	var m *obs.Metrics
+	var cp *obs.CritPath
+	if sh.trace != "" {
+		tr = obs.NewTracer()
+	}
+	if sh.metrics {
+		m = obs.NewMetrics()
+	}
+	if sh.profile != "" {
+		cp = obs.NewCritPath(1)
+	}
+	res, err := run(obs.NewFull(tr, m, cp, nil, nil))
+	if err != nil {
+		return err
+	}
+	if tr != nil {
+		if err := writeJSON(sh.trace, tr); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "[trace written to %s]\n", sh.trace)
+	}
+	if cp != nil {
+		p := cp.Profile(sh.slowest)
+		if err := writeJSON(sh.profile, p); err != nil {
+			return err
+		}
+		fmt.Fprint(os.Stderr, p.Format())
+		fmt.Fprintf(os.Stderr, "[profile written to %s]\n", sh.profile)
+	}
+	if m != nil {
+		fmt.Fprint(os.Stderr, m.Snapshot(0).Format())
+	}
+	if err := emit(res, sh.json); err != nil {
+		return err
+	}
+	if c.failure != "" && !res.(gated).Gate() {
+		return errors.New(c.failure)
+	}
+	return nil
+}
+
+// writeJSON writes a report to a new file at path.
+func writeJSON(path string, r interface{ WriteJSON(io.Writer) error }) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // emit prints a result as its formatted table, or as indented JSON when
 // asJSON is set (for experiment runners and BENCH_*.json tracking).
@@ -152,473 +237,195 @@ func parseInts(s, what string) ([]int, error) {
 	return out, nil
 }
 
-// parseWH parses a comma-separated warehouse list.
-func parseWH(s string) ([]int, error) { return parseInts(s, "warehouse count") }
-
-// obsOpts carries a subcommand's -trace/-metrics flags and, where it has
-// them, -profile/-slowest.
-type obsOpts struct {
-	trace   *string
-	metrics *bool
-	profile *string // nil where -profile is not registered
-	slowest *int
-}
-
-// addObsFlags registers the observability flags on a subcommand.
-func addObsFlags(fs *flag.FlagSet) *obsOpts {
-	return &obsOpts{
-		trace:   fs.String("trace", "", "write a Chrome trace_event JSON file (load at ui.perfetto.dev)"),
-		metrics: fs.Bool("metrics", false, "print a metrics snapshot after the run"),
-	}
-}
-
-// withProfile also registers -profile and -slowest. Only a subcommand
-// that runs one simulation may take them: the critical-path engine keys
-// requests by id, and two simulations number their requests alike.
-func (oo *obsOpts) withProfile(fs *flag.FlagSet) *obsOpts {
-	oo.profile = fs.String("profile", "", "write the critical-path latency-attribution profile to this JSON file (table printed to stderr)")
-	oo.slowest = fs.Int("slowest", 5, "slowest requests to break down in the -profile output")
-	return oo
-}
-
-func (oo *obsOpts) profiling() bool { return oo.profile != nil && *oo.profile != "" }
-
-// observer builds the observer the flags imply; nil when all are off, so
-// the benchmarks stay on the zero-cost disabled path.
-func (oo *obsOpts) observer() *obs.Observer {
-	var tr *obs.Tracer
-	var m *obs.Metrics
-	var cp *obs.CritPath
-	if *oo.trace != "" {
-		tr = obs.NewTracer()
-	}
-	if *oo.metrics {
-		m = obs.NewMetrics()
-	}
-	if oo.profiling() {
-		cp = obs.NewCritPath(1)
-	}
-	return obs.NewFull(tr, m, cp, nil, nil)
-}
-
-// finish writes the trace file, the critical-path profile, and the
-// metrics snapshot, as requested by the flags. Tables go to stderr so
-// they never corrupt -json output on stdout.
-func (oo *obsOpts) finish(o *obs.Observer) error {
-	if o == nil {
-		return nil
-	}
-	if *oo.trace != "" {
-		f, err := os.Create(*oo.trace)
-		if err != nil {
-			return err
+// commands is every subcommand but all, in usage order.
+var commands = []command{
+	{name: "fig4", flags: func(fs *flag.FlagSet) runFunc {
+		wh := fs.String("wh", "1,2,4,8,16", "comma-separated warehouse counts")
+		clients := fs.Int("clients", 0, "clients per partition (0 = default)")
+		window := fs.Duration("window", 0, "measurement window of virtual time (0 = default)")
+		return func(o *obs.Observer) (formatter, error) {
+			counts, err := parseInts(*wh, "warehouse count")
+			if err != nil {
+				return nil, err
+			}
+			return bench.RunFig4(counts, *clients, sim.Duration(*window), o)
 		}
-		if err := o.Tracer().WriteJSON(f); err != nil {
-			f.Close()
-			return err
+	}},
+	{name: "fig5", flags: func(fs *flag.FlagSet) runFunc {
+		wh := fs.String("wh", "1,2,4,8,16", "comma-separated warehouse counts")
+		window := fs.Duration("window", 0, "measurement window of virtual time (0 = default)")
+		return func(o *obs.Observer) (formatter, error) {
+			counts, err := parseInts(*wh, "warehouse count")
+			if err != nil {
+				return nil, err
+			}
+			return bench.RunFig5(counts, sim.Duration(*window), o)
 		}
-		if err := f.Close(); err != nil {
-			return err
+	}},
+	{name: "fig6", profile: true, flags: func(fs *flag.FlagSet) runFunc {
+		requests := fs.Int("requests", 400, "requests per workload")
+		workload := fs.String("workload", "", "run one workload: tpcc or 1WH..4WH (empty = all five)")
+		return func(o *obs.Observer) (formatter, error) {
+			if o.CritPath() != nil && *workload == "" {
+				return nil, fmt.Errorf("-profile needs -workload: each workload is its own simulation")
+			}
+			return bench.RunFig6(*workload, *requests, o)
 		}
-		fmt.Fprintf(os.Stderr, "[trace written to %s]\n", *oo.trace)
-	}
-	if oo.profiling() {
-		p := o.CritPath().Profile(*oo.slowest)
-		f, err := os.Create(*oo.profile)
-		if err != nil {
-			return err
+	}},
+	{name: "fig7", flags: func(fs *flag.FlagSet) runFunc {
+		wh := fs.Int("wh", 4, "warehouses")
+		requests := fs.Int("requests", 400, "requests per transaction type")
+		return func(o *obs.Observer) (formatter, error) { return bench.RunFig7(*wh, *requests, o) }
+	}},
+	{name: "fig8", flags: func(fs *flag.FlagSet) runFunc {
+		runs := fs.Int("runs", 5, "repetitions per configuration")
+		full := fs.Bool("full", false, "also recover a full-scale TPCC warehouse (uses ~400MB RAM)")
+		return func(o *obs.Observer) (formatter, error) { return bench.RunFig8(*runs, *full, o) }
+	}},
+	{name: "table1", flags: func(fs *flag.FlagSet) runFunc {
+		window := fs.Duration("window", 0, "measurement window of virtual time (0 = default)")
+		return func(o *obs.Observer) (formatter, error) { return bench.RunTable1(sim.Duration(*window), o) }
+	}},
+	{name: "ablation", flags: func(fs *flag.FlagSet) runFunc {
+		return func(o *obs.Observer) (formatter, error) { return bench.RunCutoffAblation(nil, 0, 0, o) }
+	}},
+	{name: "workers", flags: func(fs *flag.FlagSet) runFunc {
+		wh := fs.Int("wh", 2, "warehouses")
+		window := fs.Duration("window", 0, "measurement window of virtual time (0 = default)")
+		return func(o *obs.Observer) (formatter, error) {
+			return bench.RunWorkerAblation(nil, *wh, sim.Duration(*window), o)
 		}
-		if err := p.WriteJSON(f); err != nil {
-			f.Close()
-			return err
+	}},
+	{name: "fanout", flags: func(fs *flag.FlagSet) runFunc {
+		sizes := fs.String("sizes", "1,2,4,8,16,32", "comma-separated read-set sizes")
+		targets := fs.Int("targets", 4, "target nodes to stripe objects over")
+		slot := fs.Int("slot", 0, "slot size in bytes (0 = dual-version slot of a 32-byte object)")
+		return func(o *obs.Observer) (formatter, error) {
+			ks, err := parseInts(*sizes, "read-set size")
+			if err != nil {
+				return nil, err
+			}
+			return bench.RunFanout(ks, *targets, *slot, o)
 		}
-		if err := f.Close(); err != nil {
-			return err
+	}},
+	{name: "chaos", failure: "a schedule failed verification (see output)", flags: func(fs *flag.FlagSet) runFunc {
+		schedules := fs.Int("schedules", 5, "number of seeded fault schedules to sweep")
+		seed := fs.Int64("seed", 1, "base seed; schedule i uses seed+i")
+		profile := fs.String("faults", "", "fault profile: churn, partitions, slownic, mixed, overload (empty = rotate)")
+		flightDir := fs.String("flightdir", "", "directory for flight-recorder auto-dumps (crash, violation, sim error)")
+		return func(o *obs.Observer) (formatter, error) {
+			return bench.RunChaos(*schedules, *seed, *profile, *flightDir, o)
 		}
-		fmt.Fprint(os.Stderr, p.Format())
-		fmt.Fprintf(os.Stderr, "[profile written to %s]\n", *oo.profile)
-	}
-	if *oo.metrics {
-		fmt.Fprint(os.Stderr, o.Metrics().Snapshot(0).Format())
-	}
-	return nil
-}
-
-// gated is a sweep result with a pass condition.
-type gated interface {
-	formatter
-	Gate() bool
-}
-
-// runGated is every gated sweep's tail: run it under the observer the
-// flags imply, write the observability outputs, emit the result, and
-// fail with the given message when the gate does not hold — the exit
-// code is the sweep's whole verdict.
-func (oo *obsOpts) runGated(asJSON bool, failure string, run func(o *obs.Observer) (gated, error)) error {
-	o := oo.observer()
-	res, err := run(o)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	if err := emit(res, asJSON); err != nil {
-		return err
-	}
-	if !res.Gate() {
-		return errors.New(failure)
-	}
-	return nil
-}
-
-func runFig4(args []string) error {
-	fs := flag.NewFlagSet("fig4", flag.ExitOnError)
-	wh := fs.String("wh", "1,2,4,8,16", "comma-separated warehouse counts")
-	clients := fs.Int("clients", 0, "clients per partition (0 = default)")
-	window := fs.Duration("window", 0, "measurement window of virtual time (0 = default)")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	counts, err := parseWH(*wh)
-	if err != nil {
-		return err
-	}
-	o := oo.observer()
-	res, err := bench.RunFig4(counts, *clients, sim.Duration(*window), o)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	return emit(res, *asJSON)
-}
-
-func runFig5(args []string) error {
-	fs := flag.NewFlagSet("fig5", flag.ExitOnError)
-	wh := fs.String("wh", "1,2,4,8,16", "comma-separated warehouse counts")
-	window := fs.Duration("window", 0, "measurement window of virtual time (0 = default)")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	counts, err := parseWH(*wh)
-	if err != nil {
-		return err
-	}
-	o := oo.observer()
-	res, err := bench.RunFig5(counts, sim.Duration(*window), o)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	return emit(res, *asJSON)
-}
-
-func runFig6(args []string) error {
-	fs := flag.NewFlagSet("fig6", flag.ExitOnError)
-	requests := fs.Int("requests", 400, "requests per workload")
-	workload := fs.String("workload", "", "run one workload: tpcc or 1WH..4WH (empty = all five)")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	oo := addObsFlags(fs).withProfile(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if oo.profiling() && *workload == "" {
-		return fmt.Errorf("-profile needs -workload: each workload is its own simulation")
-	}
-	o := oo.observer()
-	res, err := bench.RunFig6(*workload, *requests, o)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	return emit(res, *asJSON)
-}
-
-func runFig7(args []string) error {
-	fs := flag.NewFlagSet("fig7", flag.ExitOnError)
-	wh := fs.Int("wh", 4, "warehouses")
-	requests := fs.Int("requests", 400, "requests per transaction type")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	o := oo.observer()
-	res, err := bench.RunFig7(*wh, *requests, o)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	return emit(res, *asJSON)
-}
-
-func runFig8(args []string) error {
-	fs := flag.NewFlagSet("fig8", flag.ExitOnError)
-	runs := fs.Int("runs", 5, "repetitions per configuration")
-	full := fs.Bool("full", false, "also recover a full-scale TPCC warehouse (uses ~400MB RAM)")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	o := oo.observer()
-	res, err := bench.RunFig8(*runs, *full, o)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	return emit(res, *asJSON)
-}
-
-func runTable1(args []string) error {
-	fs := flag.NewFlagSet("table1", flag.ExitOnError)
-	window := fs.Duration("window", 0, "measurement window of virtual time (0 = default)")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	o := oo.observer()
-	res, err := bench.RunTable1(sim.Duration(*window), o)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	return emit(res, *asJSON)
-}
-
-func runAblation(args []string) error {
-	fs := flag.NewFlagSet("ablation", flag.ExitOnError)
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	o := oo.observer()
-	res, err := bench.RunCutoffAblation(nil, 0, 0, o)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	return emit(res, *asJSON)
-}
-
-func runWorkers(args []string) error {
-	fs := flag.NewFlagSet("workers", flag.ExitOnError)
-	wh := fs.Int("wh", 2, "warehouses")
-	window := fs.Duration("window", 0, "measurement window of virtual time (0 = default)")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	o := oo.observer()
-	res, err := bench.RunWorkerAblation(nil, *wh, sim.Duration(*window), o)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	return emit(res, *asJSON)
-}
-
-func runFanout(args []string) error {
-	fs := flag.NewFlagSet("fanout", flag.ExitOnError)
-	sizes := fs.String("sizes", "1,2,4,8,16,32", "comma-separated read-set sizes")
-	targets := fs.Int("targets", 4, "target nodes to stripe objects over")
-	slot := fs.Int("slot", 0, "slot size in bytes (0 = dual-version slot of a 32-byte object)")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ks, err := parseInts(*sizes, "read-set size")
-	if err != nil {
-		return err
-	}
-	o := oo.observer()
-	res, err := bench.RunFanout(ks, *targets, *slot, o)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	return emit(res, *asJSON)
-}
-
-func runChaosCmd(args []string) error {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
-	schedules := fs.Int("schedules", 5, "number of seeded fault schedules to sweep")
-	seed := fs.Int64("seed", 1, "base seed; schedule i uses seed+i")
-	profile := fs.String("faults", "", "fault profile: churn, partitions, slownic, mixed, overload (empty = rotate)")
-	flightDir := fs.String("flightdir", "", "directory for flight-recorder auto-dumps (crash, violation, sim error)")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	return oo.runGated(*asJSON, "a schedule failed verification (see output)", func(o *obs.Observer) (gated, error) {
-		return bench.RunChaos(*schedules, *seed, *profile, *flightDir, o)
-	})
-}
-
-func runReconfigCmd(args []string) error {
-	fs := flag.NewFlagSet("reconfig", flag.ExitOnError)
-	scenario := fs.String("scenario", "", "scenario: scaleout, scalein, split, crash (empty = run all)")
-	runs := fs.Int("runs", 1, "runs of a single scenario; run i uses seed+i (ignored when -scenario is empty)")
-	seed := fs.Int64("seed", 1, "base seed")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	return oo.runGated(*asJSON, "a scenario failed verification (see output)", func(o *obs.Observer) (gated, error) {
-		return bench.RunReconfig(*scenario, *runs, *seed, o)
-	})
-}
-
-func runRecoveryCmd(args []string) error {
-	fs := flag.NewFlagSet("recovery", flag.ExitOnError)
-	opts := bench.DefaultRecoveryOptions(1)
-	fs.IntVar(&opts.Seeds, "seeds", opts.Seeds, "number of seeded crash→recover schedules; seed i uses seed+i")
-	fs.Int64Var(&opts.Seed, "seed", opts.Seed, "base seed")
-	keys := fs.String("keys", "", "comma-separated per-partition store sizes (default 16,64,256)")
-	fs.IntVar(&opts.ValBytes, "valbytes", opts.ValBytes, "value padding in bytes")
-	fs.StringVar(&opts.Preset, "preset", opts.Preset, "compression preset: snappy (default), zstd, none")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON (byte-identical across replays)")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *keys != "" {
-		ks, err := parseInts(*keys, "store size")
-		if err != nil {
-			return err
+	}},
+	{name: "reconfig", failure: "a scenario failed verification (see output)", flags: func(fs *flag.FlagSet) runFunc {
+		scenario := fs.String("scenario", "", "scenario: scaleout, scalein, split, crash (empty = run all)")
+		runs := fs.Int("runs", 1, "runs of a single scenario; run i uses seed+i (ignored when -scenario is empty)")
+		seed := fs.Int64("seed", 1, "base seed")
+		return func(o *obs.Observer) (formatter, error) { return bench.RunReconfig(*scenario, *runs, *seed, o) }
+	}},
+	{name: "recovery", failure: "recovery failed its gate: a leg not linearizable, checkpoint transfers not below full, write amplification or checkpoint recovery time over bound at the largest size, or the read path misbehaved (see output)", flags: func(fs *flag.FlagSet) runFunc {
+		opts := bench.DefaultRecoveryOptions(1)
+		fs.IntVar(&opts.Seeds, "seeds", opts.Seeds, "number of seeded crash→recover schedules; seed i uses seed+i")
+		fs.Int64Var(&opts.Seed, "seed", opts.Seed, "base seed")
+		keys := fs.String("keys", "", "comma-separated per-partition store sizes (default 16,64,256)")
+		fs.IntVar(&opts.ValBytes, "valbytes", opts.ValBytes, "value padding in bytes")
+		fs.StringVar(&opts.Preset, "preset", opts.Preset, "compression preset: snappy (default), zstd, none")
+		return func(o *obs.Observer) (formatter, error) {
+			if *keys != "" {
+				ks, err := parseInts(*keys, "store size")
+				if err != nil {
+					return nil, err
+				}
+				opts.Keys = ks
+			}
+			opts.Obs = o
+			return bench.RunRecovery(opts)
 		}
-		opts.Keys = ks
-	}
-	return oo.runGated(*asJSON, "recovery failed its gate: a leg not linearizable, checkpoint transfers not below full, write amplification or checkpoint recovery time over bound at the largest size, or the read path misbehaved (see output)", func(o *obs.Observer) (gated, error) {
-		opts.Obs = o
-		return bench.RunRecovery(opts)
-	})
-}
-
-func runRebalanceCmd(args []string) error {
-	fs := flag.NewFlagSet("rebalance", flag.ExitOnError)
-	scenario := fs.String("scenario", "", "bench scenario (hotshift, flash) or verify scenario (skew, scaleout, feedercrash, donorcrash); empty = run all")
-	seed := fs.Int64("seed", 1, "workload seed")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON (byte-identical across replays)")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	return oo.runGated(*asJSON, "rebalancing failed its gate: tails not improved or a history unsafe (see output)", func(o *obs.Observer) (gated, error) {
-		return bench.RunRebalanceSweep(*scenario, *seed, o)
-	})
-}
-
-func runLeaseCmd(args []string) error {
-	fs := flag.NewFlagSet("lease", flag.ExitOnError)
-	opts := bench.DefaultLeaseBenchOptions(1)
-	fs.IntVar(&opts.Partitions, "partitions", opts.Partitions, "partitions")
-	fs.IntVar(&opts.Replicas, "replicas", opts.Replicas, "replicas per partition")
-	fs.IntVar(&opts.Keys, "keys", opts.Keys, "keys per partition")
-	fs.IntVar(&opts.Clients, "clients", opts.Clients, "closed-loop clients")
-	fs.IntVar(&opts.ReadPct, "readpct", opts.ReadPct, "read share of the mix in percent")
-	window := fs.Duration("window", time.Duration(opts.Window), "measurement window of virtual time")
-	fs.Int64Var(&opts.Seed, "seed", opts.Seed, "workload seed")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON (byte-identical across replays)")
-	oo := addObsFlags(fs).withProfile(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opts.Window = sim.Duration(*window)
-	return oo.runGated(*asJSON, "lease fast path failed its gate: local read mean/p99, hit rate or margin under the ordered-read mean out of bounds (see output)", func(o *obs.Observer) (gated, error) {
-		// The two legs are separate simulations and cannot share an
-		// observer; the flags observe the leg the subcommand is about,
-		// leases on.
-		opts.ObsOn = o
-		return bench.RunLeaseBench(opts)
-	})
-}
-
-func runOpenLoopCmd(args []string) error {
-	fs := flag.NewFlagSet("openloop", flag.ExitOnError)
-	opts := bench.DefaultOpenLoopOptions()
-	fs.IntVar(&opts.Groups, "groups", opts.Groups, "ordering groups")
-	fs.IntVar(&opts.Replicas, "replicas", opts.Replicas, "replicas per group")
-	fs.IntVar(&opts.Clients, "clients", opts.Clients, "modeled open-loop client population")
-	fs.Float64Var(&opts.RatePerClient, "rate", opts.RatePerClient, "mean submissions per client per second")
-	fs.IntVar(&opts.PumpsPerGroup, "pumps", opts.PumpsPerGroup, "submission pumps per group")
-	fs.IntVar(&opts.PayloadBytes, "payload", opts.PayloadBytes, "payload bytes per message")
-	fs.IntVar(&opts.MultiGroupPct, "multi", opts.MultiGroupPct, "percent of submissions spanning two groups")
-	fs.Float64Var(&opts.ZipfS, "zipf", opts.ZipfS, "zipf skew of key popularity (>1)")
-	fs.StringVar(&opts.Arrival, "arrival", opts.Arrival, "interarrival law: poisson or pareto")
-	fs.StringVar(&opts.Shape, "shape", opts.Shape, "rate shape: steady, diurnal, or flash")
-	fs.StringVar(&opts.Mix, "mix", opts.Mix, "operation mix: update (default), ycsb-b (95/5 reads), ycsb-c (read-only)")
-	warmup := fs.Duration("warmup", time.Duration(opts.Warmup), "warmup of virtual time")
-	window := fs.Duration("window", time.Duration(opts.Window), "measurement window of virtual time")
-	fs.Int64Var(&opts.Seed, "seed", opts.Seed, "workload seed")
-	fs.StringVar(&opts.FlightDir, "flightdir", "", "directory for the latency-outlier flight dump (max > 8x p99.9)")
-	heatPath := fs.String("heat", "", "write the per-partition heat telemetry report to this JSON file (table printed to stderr)")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON (byte-identical across replays)")
-	oo := addObsFlags(fs).withProfile(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opts.Warmup = sim.Duration(*warmup)
-	opts.Window = sim.Duration(*window)
-	o := oo.observer()
-	var heat *obs.Heat
-	if *heatPath != "" {
-		heat = obs.NewHeat(opts.Groups, 100*sim.Microsecond, 8)
-		o = obs.WithHeat(o, heat)
-	}
-	opts.Obs = o
-	res, err := bench.RunOpenLoop(opts)
-	if err != nil {
-		return err
-	}
-	if *heatPath != "" {
-		rep := heat.Report(sim.Time(res.VirtualNS))
-		f, err := os.Create(*heatPath)
-		if err != nil {
-			return err
+	}},
+	{name: "rebalance", failure: "rebalancing failed its gate: tails not improved or a history unsafe (see output)", flags: func(fs *flag.FlagSet) runFunc {
+		scenario := fs.String("scenario", "", "bench scenario (hotshift, flash) or verify scenario (skew, scaleout, feedercrash, donorcrash); empty = run all")
+		seed := fs.Int64("seed", 1, "workload seed")
+		return func(o *obs.Observer) (formatter, error) { return bench.RunRebalanceSweep(*scenario, *seed, o) }
+	}},
+	{name: "lease", profile: true, failure: "lease fast path failed its gate: local read mean/p99, hit rate or margin under the ordered-read mean out of bounds (see output)", flags: func(fs *flag.FlagSet) runFunc {
+		opts := bench.DefaultLeaseBenchOptions(1)
+		fs.IntVar(&opts.Partitions, "partitions", opts.Partitions, "partitions")
+		fs.IntVar(&opts.Replicas, "replicas", opts.Replicas, "replicas per partition")
+		fs.IntVar(&opts.Keys, "keys", opts.Keys, "keys per partition")
+		fs.IntVar(&opts.Clients, "clients", opts.Clients, "closed-loop clients")
+		fs.IntVar(&opts.ReadPct, "readpct", opts.ReadPct, "read share of the mix in percent")
+		window := fs.Duration("window", time.Duration(opts.Window), "measurement window of virtual time")
+		fs.Int64Var(&opts.Seed, "seed", opts.Seed, "workload seed")
+		return func(o *obs.Observer) (formatter, error) {
+			opts.Window = sim.Duration(*window)
+			// The two legs are separate simulations and cannot share an
+			// observer; the flags observe the leg the subcommand is
+			// about, leases on.
+			opts.ObsOn = o
+			return bench.RunLeaseBench(opts)
 		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
+	}},
+	{name: "openloop", profile: true, flags: func(fs *flag.FlagSet) runFunc {
+		opts := bench.DefaultOpenLoopOptions()
+		fs.IntVar(&opts.Groups, "groups", opts.Groups, "ordering groups")
+		fs.IntVar(&opts.Replicas, "replicas", opts.Replicas, "replicas per group")
+		fs.IntVar(&opts.Clients, "clients", opts.Clients, "modeled open-loop client population")
+		fs.Float64Var(&opts.RatePerClient, "rate", opts.RatePerClient, "mean submissions per client per second")
+		fs.IntVar(&opts.PumpsPerGroup, "pumps", opts.PumpsPerGroup, "submission pumps per group")
+		fs.IntVar(&opts.PayloadBytes, "payload", opts.PayloadBytes, "payload bytes per message")
+		fs.IntVar(&opts.MultiGroupPct, "multi", opts.MultiGroupPct, "percent of submissions spanning two groups")
+		fs.Float64Var(&opts.ZipfS, "zipf", opts.ZipfS, "zipf skew of key popularity (>1)")
+		fs.StringVar(&opts.Arrival, "arrival", opts.Arrival, "interarrival law: poisson or pareto")
+		fs.StringVar(&opts.Shape, "shape", opts.Shape, "rate shape: steady, diurnal, or flash")
+		fs.StringVar(&opts.Mix, "mix", opts.Mix, "operation mix: update (default), ycsb-b (95/5 reads), ycsb-c (read-only)")
+		warmup := fs.Duration("warmup", time.Duration(opts.Warmup), "warmup of virtual time")
+		window := fs.Duration("window", time.Duration(opts.Window), "measurement window of virtual time")
+		fs.Int64Var(&opts.Seed, "seed", opts.Seed, "workload seed")
+		fs.StringVar(&opts.FlightDir, "flightdir", "", "directory for the latency-outlier flight dump (max > 8x p99.9)")
+		heatPath := fs.String("heat", "", "write the per-partition heat telemetry report to this JSON file (table printed to stderr)")
+		return func(o *obs.Observer) (formatter, error) {
+			opts.Warmup = sim.Duration(*warmup)
+			opts.Window = sim.Duration(*window)
+			var heat *obs.Heat
+			if *heatPath != "" {
+				// WithHeat copies o, so the tail's outputs are unchanged.
+				heat = obs.NewHeat(opts.Groups, 100*sim.Microsecond, 8)
+				o = obs.WithHeat(o, heat)
+			}
+			opts.Obs = o
+			res, err := bench.RunOpenLoop(opts)
+			if err != nil || heat == nil {
+				return res, err
+			}
+			rep := heat.Report(sim.Time(res.VirtualNS))
+			if err := writeJSON(*heatPath, rep); err != nil {
+				return nil, err
+			}
+			fmt.Fprint(os.Stderr, rep.Format())
+			fmt.Fprintf(os.Stderr, "[heat report written to %s]\n", *heatPath)
+			return res, nil
 		}
-		if err := f.Close(); err != nil {
-			return err
+	}},
+	{name: "trace", flags: func(fs *flag.FlagSet) runFunc {
+		wh := fs.Int("wh", 4, "warehouses (= partitions)")
+		clients := fs.Int("clients", 2, "closed-loop clients per partition (0 = one client over every warehouse)")
+		requests := fs.Int("requests", 2000, "total requests to trace")
+		seed := fs.Int64("seed", 1, "workload seed")
+		workers := fs.Int("workers", 1, "execution workers per replica (>1 enables the parallel extension)")
+		return func(o *obs.Observer) (formatter, error) {
+			opt := bench.DefaultOptions(*wh)
+			opt.ClientsPerPartition = *clients
+			opt.Seed = *seed
+			opt.ExecWorkers = *workers
+			opt.Obs = o
+			nClients := max(*clients**wh, 1)
+			res, err := bench.RunRequests(opt, (*requests+nClients-1)/nClients)
+			if err != nil {
+				return nil, err
+			}
+			return traceRows(res.Rows), nil
 		}
-		fmt.Fprint(os.Stderr, rep.Format())
-		fmt.Fprintf(os.Stderr, "[heat report written to %s]\n", *heatPath)
-	}
-	if err := oo.finish(o); err != nil {
-		return err
-	}
-	return emit(res, *asJSON)
+	}},
 }
 
 // traceRows is trace's result: its JSON is the bare row array, its
@@ -638,34 +445,8 @@ func (rows traceRows) Format() string {
 	return b.String()
 }
 
-func runTraceCmd(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	wh := fs.Int("wh", 4, "warehouses (= partitions)")
-	clients := fs.Int("clients", 2, "closed-loop clients per partition (0 = one client over every warehouse)")
-	requests := fs.Int("requests", 2000, "total requests to trace")
-	seed := fs.Int64("seed", 1, "workload seed")
-	workers := fs.Int("workers", 1, "execution workers per replica (>1 enables the parallel extension)")
-	asJSON := fs.Bool("json", false, "emit a JSON array instead of CSV")
-	oo := addObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opt := bench.DefaultOptions(*wh)
-	opt.ClientsPerPartition = *clients
-	opt.Seed = *seed
-	opt.ExecWorkers = *workers
-	opt.Obs = oo.observer()
-	nClients := max(*clients**wh, 1)
-	res, err := bench.RunRequests(opt, (*requests+nClients-1)/nClients)
-	if err != nil {
-		return err
-	}
-	if err := oo.finish(opt.Obs); err != nil {
-		return err
-	}
-	return emit(traceRows(res.Rows), *asJSON)
-}
-
+// runAll runs the figures and ablations back to back. It has no
+// observability flags, and its -quick sizes are no subcommand's defaults.
 func runAll(args []string) error {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
 	quick := fs.Bool("quick", false, "smaller configurations for a fast pass")

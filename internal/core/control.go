@@ -212,7 +212,7 @@ func (r *Replica) checkStateTransfers(p *sim.Proc, watches map[int]*stWatch) sim
 				w.claimSeen = now
 			}
 			idx := ((r.rank - q - 1) + n) % n
-			staleAt := w.claimSeen + sim.Time(idx+1)*2*sim.Time(r.cfg.StateTransferTimeout)
+			staleAt := w.claimSeen + sim.Time(idx+1)*2*sim.Time(stateTransferTimeout)
 			if now < staleAt {
 				if staleAt < next {
 					next = staleAt
@@ -232,7 +232,7 @@ func (r *Replica) checkStateTransfers(p *sim.Proc, watches map[int]*stWatch) sim
 		}
 		// Deterministic responder order: ranks q+1, q+2, ... (mod n).
 		idx := ((r.rank - q - 1) + n) % n
-		deadline := w.firstSeen + sim.Time(idx)*sim.Time(r.cfg.StateTransferTimeout)
+		deadline := w.firstSeen + sim.Time(idx)*sim.Time(stateTransferTimeout)
 		if now >= deadline {
 			w.done = true
 			r.performStateTransfer(p, q, ent.reqTmp)

@@ -248,8 +248,6 @@ type Config struct {
 	Multicast multicast.Config
 	// StoreCapacity is the per-replica object region size in bytes.
 	StoreCapacity int
-	// RingCap is the control-plane transport ring size.
-	RingCap int
 	// CutoffDelay is the extra time a replica tentatively waits for
 	// coordination records from all replicas after a majority is present
 	// (0 disables the heuristic). Per the paper only phase 4 needs it.
@@ -260,26 +258,9 @@ type Config struct {
 	// with unestimable conflict sets and all multi-partition requests
 	// execute serially as barriers.
 	ExecWorkers int
-	// DispatchCPU is charged per delivered request (decode, bookkeeping).
-	DispatchCPU sim.Duration
-	// LocalReadCPU / LocalWriteCPU are charged per local object access.
-	LocalReadCPU  sim.Duration
-	LocalWriteCPU sim.Duration
-	// QueryTimeout bounds one round of object-address queries before the
-	// replica retransmits them.
-	QueryTimeout sim.Duration
-	// StateTransferChunk is the RDMA write payload for state transfer.
-	StateTransferChunk int
-	// StateTransferTimeout is how long replicas wait for the designated
-	// responder before the next one takes over (Algorithm 3, timeout).
-	StateTransferTimeout sim.Duration
 	// AuxStagingCap is the staging region size for auxiliary-state
 	// transfer.
 	AuxStagingCap int
-	// SerializeBytesPerNS / DeserializeBytesPerNS model the CPU rate of
-	// (de)serializing auxiliary state (Fig. 8's second scenario).
-	SerializeBytesPerNS   float64
-	DeserializeBytesPerNS float64
 	// MaxPartitions / MaxGroupSize cap how far elastic reconfiguration may
 	// grow the deployment. They size the coordination and state-transfer
 	// regions, whose strides must be identical on every replica ever
@@ -290,23 +271,38 @@ type Config struct {
 	MaxGroupSize  int
 }
 
-// DefaultConfig returns a configuration with the paper-calibrated cost
-// model for the given multicast layout.
+// The paper-calibrated cost model and protocol timeouts, which no
+// deployment varies.
+const (
+	// ringCap is the control-plane transport ring size.
+	ringCap = 1 << 16
+	// dispatchCPU is charged per delivered request (decode, bookkeeping).
+	dispatchCPU = 300 * sim.Nanosecond
+	// localReadCPU / localWriteCPU are charged per local object access.
+	localReadCPU  = 120 * sim.Nanosecond
+	localWriteCPU = 200 * sim.Nanosecond
+	// queryTimeout bounds one round of object-address queries before the
+	// replica retransmits them.
+	queryTimeout = 500 * sim.Microsecond
+	// stateTransferChunk is the RDMA write payload for state transfer.
+	stateTransferChunk = 32 << 10
+	// stateTransferTimeout is how long replicas wait for the designated
+	// responder before the next one takes over (Algorithm 3, timeout).
+	stateTransferTimeout = 2 * sim.Millisecond
+	// serializeBytesPerNS / deserializeBytesPerNS model the CPU rate of
+	// (de)serializing auxiliary state (Fig. 8's second scenario): ~0.9
+	// GB/s and 1.2 GB/s match the paper's 32.4 MB in 72.5 ms.
+	serializeBytesPerNS   = 0.9
+	deserializeBytesPerNS = 1.2
+)
+
+// DefaultConfig returns a configuration for the given multicast layout.
 func DefaultConfig(mc multicast.Config) Config {
 	return Config{
-		Multicast:             mc,
-		StoreCapacity:         1 << 26,
-		RingCap:               1 << 16,
-		CutoffDelay:           10 * sim.Microsecond,
-		DispatchCPU:           300 * sim.Nanosecond,
-		LocalReadCPU:          120 * sim.Nanosecond,
-		LocalWriteCPU:         200 * sim.Nanosecond,
-		QueryTimeout:          500 * sim.Microsecond,
-		StateTransferChunk:    32 << 10,
-		StateTransferTimeout:  2 * sim.Millisecond,
-		AuxStagingCap:         8 << 20,
-		SerializeBytesPerNS:   0.9, // ~0.9 GB/s serialize, 1.2 GB/s deserialize:
-		DeserializeBytesPerNS: 1.2, // matches the paper's 32.4 MB in 72.5 ms
+		Multicast:     mc,
+		StoreCapacity: 1 << 26,
+		CutoffDelay:   10 * sim.Microsecond,
+		AuxStagingCap: 8 << 20,
 	}
 }
 
@@ -317,9 +313,6 @@ func (c *Config) Validate() error {
 	}
 	if c.StoreCapacity <= 0 {
 		return fmt.Errorf("core: non-positive store capacity")
-	}
-	if c.StateTransferChunk <= 0 {
-		return fmt.Errorf("core: non-positive state transfer chunk")
 	}
 	return nil
 }

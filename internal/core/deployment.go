@@ -70,8 +70,8 @@ func NewDeployment(s *sim.Scheduler, cfg Config, newApp AppFactory, parter Parti
 			d.Fabric.AddNode(id)
 		}
 	}
-	d.TrMC = rdma.NewTransport(d.Fabric, cfg.Multicast.RingCap)
-	d.TrCtl = rdma.NewTransport(d.Fabric, cfg.RingCap)
+	d.TrMC = rdma.NewTransport(d.Fabric, multicast.RingCap)
+	d.TrCtl = rdma.NewTransport(d.Fabric, ringCap)
 
 	groups := len(cfg.Multicast.Groups)
 	d.MCProcs = make([][]*multicast.Process, groups)

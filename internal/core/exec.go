@@ -109,7 +109,7 @@ func (r *Replica) execute(p *sim.Proc, es *execState, req *Request, tk *obs.Trac
 		}
 		// Local read: the newest version reflects exactly the requests
 		// executed before req, because execution is in delivery order.
-		p.Sleep(r.cfg.LocalReadCPU)
+		p.Sleep(localReadCPU)
 		val, _, ok := r.st.ViewAt(oid, uint64(req.Ts))
 		if !ok {
 			// Either the object was never initialized (treat as absent) or
@@ -136,7 +136,7 @@ func (r *Replica) execute(p *sim.Proc, es *execState, req *Request, tk *obs.Trac
 	app := tk.Begin("app_execute")
 	out := r.app.Execute(ctx)
 	if ctx.localGets > 0 {
-		p.Sleep(sim.Duration(ctx.localGets) * r.cfg.LocalReadCPU)
+		p.Sleep(sim.Duration(ctx.localGets) * localReadCPU)
 	}
 	if out.CPU > 0 {
 		p.Sleep(out.CPU)
@@ -152,7 +152,7 @@ func (r *Replica) execute(p *sim.Proc, es *execState, req *Request, tk *obs.Trac
 		if r.parter.PartitionOf(w.OID) != r.part {
 			continue // replicas update local objects only (Section III-A)
 		}
-		p.Sleep(r.cfg.LocalWriteCPU)
+		p.Sleep(localWriteCPU)
 		if err := r.st.Set(w.OID, w.Val, uint64(req.Ts)); err != nil {
 			panic(fmt.Sprintf("heron: replica p%d/r%d: write %d: %v", r.part, r.rank, w.OID, err))
 		}
@@ -423,7 +423,7 @@ func (r *Replica) batchQueryAddrs(p *sim.Proc, es *execState, req *Request, read
 			r.obs.addrQueryOIDs.Add(uint64(len(oids)))
 			r.sendAddrQuery(p, h, oids, now)
 		}
-		if r.queryCond.WaitUntilTimeout(p, r.cfg.QueryTimeout, es.resolved) {
+		if r.queryCond.WaitUntilTimeout(p, queryTimeout, es.resolved) {
 			return
 		}
 	}
@@ -442,10 +442,10 @@ func byPartition(lists [][]uint64, n int) [][]uint64 {
 }
 
 // addrInFlight reports whether oid's address query was sent less than a
-// QueryTimeout before now and no majority has answered it yet.
+// queryTimeout before now and no majority has answered it yet.
 func (r *Replica) addrInFlight(oid store.OID, now sim.Time) bool {
 	t, ok := r.addrAsked[oid]
-	return ok && now-t < sim.Time(r.cfg.QueryTimeout)
+	return ok && now-t < sim.Time(queryTimeout)
 }
 
 // sendAddrQuery records oids as asked at now and sends them in one

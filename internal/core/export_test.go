@@ -11,6 +11,10 @@ import (
 // Hooks for this directory's external tests (package core_test), which
 // run TPCC deployments and so cannot live in package core: tpcc imports it.
 
+// QueryTimeout is how long a replica waits on an address query before it
+// resends.
+const QueryTimeout = queryTimeout
+
 // AddrAskedLen returns how many OIDs have an address query in flight.
 func (r *Replica) AddrAskedLen() int { return len(r.addrAsked) }
 

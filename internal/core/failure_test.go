@@ -141,9 +141,9 @@ func TestStateTransferResponderFailover(t *testing.T) {
 		d.Replica(0, 0).Crash()
 		t0 := p.Now()
 		d.Replica(0, 4).RequestFullStateTransfer(p)
-		if took := sim.Duration(p.Now() - t0); took < d.Cfg.StateTransferTimeout {
+		if took := sim.Duration(p.Now() - t0); took < stateTransferTimeout {
 			t.Errorf("transfer completed in %v, before the failover timeout %v — wrong responder?",
-				took, d.Cfg.StateTransferTimeout)
+				took, stateTransferTimeout)
 		}
 	})
 	runFor(t, s, 500*sim.Millisecond)

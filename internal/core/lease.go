@@ -253,7 +253,7 @@ func (r *Replica) gatedReady(now sim.Time) bool {
 func (r *Replica) serveLeaseRead(p *sim.Proc, from rdma.NodeID, m leaseReadMsg) {
 	reply := leaseReadReply{token: m.token}
 	if r.leaseSelfServe && r.leaseHolder == r.rank && p.Now() < r.leaseExpire && !r.recovering {
-		p.Sleep(r.cfg.LocalReadCPU)
+		p.Sleep(localReadCPU)
 		// ViewAt observes versions strictly older than its argument, so
 		// lastExec+1 reads the state after the executed prefix through
 		// lastExec — inclusive of a write at exactly that timestamp.

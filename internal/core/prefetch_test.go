@@ -156,7 +156,7 @@ func (g *prefetchRig) expect(got map[rdma.NodeID][][]uint64, want ...[]uint64) {
 // One scan asks each peer of a partition once, for every OID the queued
 // multi-partition requests read there and nobody asked yet; a rescan of
 // the same queue asks nothing; and batchQueryAddrs does not repeat an OID
-// a prefetch asked less than a QueryTimeout ago — it waits for that reply.
+// a prefetch asked less than a queryTimeout ago — it waits for that reply.
 func TestPrefetchAsksOncePerPeerAndIsNotRepeated(t *testing.T) {
 	g := newPrefetchRig(t)
 	defer g.s.Close()
@@ -191,7 +191,7 @@ func TestPrefetchAsksOncePerPeerAndIsNotRepeated(t *testing.T) {
 			t0 := p.Now()
 			reads := []remoteRead{{oid: kvOID(1, 3), part: 1}, {oid: kvOID(1, 4), part: 1}}
 			g.asker.batchQueryAddrs(p, g.asker.newExecState(), &Request{Ts: g.ts, Dst: []PartitionID{0, 1}}, reads, nil)
-			if waited := sim.Duration(p.Now() - t0); waited >= g.asker.cfg.QueryTimeout {
+			if waited := sim.Duration(p.Now() - t0); waited >= queryTimeout {
 				t.Errorf("batchQueryAddrs took %v: it retransmitted instead of waiting for the prefetch", waited)
 			}
 			done = true
@@ -209,7 +209,7 @@ func TestPrefetchAsksOncePerPeerAndIsNotRepeated(t *testing.T) {
 
 // A prefetch that falls short of a majority — one peer crashed holding
 // it, another's copy lost — costs what a lost query does: batchQueryAddrs
-// waits one QueryTimeout for it, then resends to everyone and resolves.
+// waits one queryTimeout for it, then resends to everyone and resolves.
 func TestLostPrefetchIsResent(t *testing.T) {
 	g := newPrefetchRig(t)
 	defer g.s.Close()
@@ -238,7 +238,7 @@ func TestLostPrefetchIsResent(t *testing.T) {
 		if got := g.received(p); len(got) != 0 {
 			t.Errorf("first attempt resent a query in flight: %v", got)
 		}
-		p.Sleep(g.asker.cfg.QueryTimeout)
+		p.Sleep(queryTimeout)
 		got := g.received(p)
 		for _, rep := range []*Replica{a, g.d.Replicas[1][2]} {
 			if fmt.Sprint(got[rep.NodeID()]) != fmt.Sprint([][]uint64{{uint64(kvOID(1, 0))}}) {
@@ -247,8 +247,8 @@ func TestLostPrefetchIsResent(t *testing.T) {
 		}
 		g.answer(p)
 		p.Sleep(10 * sim.Microsecond)
-		if took < g.asker.cfg.QueryTimeout || took > g.asker.cfg.QueryTimeout+20*sim.Microsecond {
-			t.Errorf("resolution took %v, want one QueryTimeout (%v) and a round trip", took, g.asker.cfg.QueryTimeout)
+		if took < queryTimeout || took > queryTimeout+20*sim.Microsecond {
+			t.Errorf("resolution took %v, want one QueryTimeout (%v) and a round trip", took, queryTimeout)
 		}
 	})
 	runFor(t, g.s, 2*sim.Millisecond)

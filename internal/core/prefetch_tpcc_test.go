@@ -177,7 +177,7 @@ func TestPrefetchLostToCrashIsResent(t *testing.T) {
 	if l.completed-completedAtFault < 20 {
 		t.Fatalf("%d requests completed after the fault", l.completed-completedAtFault)
 	}
-	if qt := l.d.Cfg.QueryTimeout; l.maxLat < qt {
+	if qt := core.QueryTimeout; l.maxLat < qt {
 		t.Fatalf("slowest request %v: no request waited out a QueryTimeout (%v) for a lost query", l.maxLat, qt)
 	}
 	l.checkConsistency(t)

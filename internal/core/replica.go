@@ -387,7 +387,7 @@ func (r *Replica) runExecutor(p *sim.Proc) {
 		clock.charge(execIdle, p.Now())
 		r.prefetchAddrs(p, d)
 		*req = Request{ID: d.ID, Ts: d.Ts, Dst: d.Dst, Payload: d.Payload}
-		p.Sleep(r.cfg.DispatchCPU)
+		p.Sleep(dispatchCPU)
 
 		// Lines 3-4: skip requests covered by a past state transfer.
 		if req.Ts <= r.lastReq {

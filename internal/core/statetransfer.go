@@ -52,9 +52,7 @@ func (r *Replica) applyStagedAux(p *sim.Proc, e stEntry) {
 	}
 	data := make([]byte, e.auxLen)
 	copy(data, r.staging.Bytes()[:e.auxLen])
-	if r.cfg.DeserializeBytesPerNS > 0 {
-		p.Sleep(sim.Duration(float64(len(data)) / r.cfg.DeserializeBytesPerNS))
-	}
+	p.Sleep(sim.Duration(float64(len(data)) / deserializeBytesPerNS))
 	data = r.unwrapLeaseAux(data)
 	syncer, ok := r.app.(AuxSyncer)
 	if !ok || len(data) == 0 {
@@ -198,7 +196,7 @@ func (r *Replica) performStateTransfer(p *sim.Proc, laggerRank int, reqTmp uint6
 	// the lagger's symmetric object region.
 	ranges := r.slotRanges(oids)
 	qp := r.qp(lagger.node)
-	chunk := r.cfg.StateTransferChunk
+	chunk := stateTransferChunk
 	src := r.st.Region().Bytes()
 	for _, rg := range ranges {
 		for off := rg[0]; off < rg[1]; off += chunk {
@@ -218,9 +216,7 @@ func (r *Replica) performStateTransfer(p *sim.Proc, laggerRank int, reqTmp uint6
 		if len(aux) > r.cfg.AuxStagingCap {
 			panic(fmt.Sprintf("heron: aux snapshot of %d bytes exceeds staging capacity %d", len(aux), r.cfg.AuxStagingCap))
 		}
-		if r.cfg.SerializeBytesPerNS > 0 {
-			p.Sleep(sim.Duration(float64(len(aux)) / r.cfg.SerializeBytesPerNS))
-		}
+		p.Sleep(sim.Duration(float64(len(aux)) / serializeBytesPerNS))
 		for off := 0; off < len(aux); off += chunk {
 			end := off + chunk
 			if end > len(aux) {

@@ -57,7 +57,7 @@ func NewCluster(groups, replicas, clientsPerGroup int, netCfg rdma.Config) (*Dom
 		}
 	}
 
-	raw := rdma.NewTransport(fab, 1<<16)
+	raw := rdma.NewTransport(fab, RingCap)
 	cfg := DefaultConfig(layout)
 	if err := cfg.Validate(); err != nil {
 		return nil, err

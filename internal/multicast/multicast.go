@@ -100,13 +100,14 @@ type Delivery struct {
 	Payload []byte
 }
 
+// RingCap is the per-pair transport ring capacity in bytes.
+const RingCap = 1 << 16
+
 // Config describes a multicast deployment.
 type Config struct {
 	// Groups maps each group to the fabric nodes of its replicas, by
 	// rank. All groups should have the same odd size n = 2f+1.
 	Groups [][]rdma.NodeID
-	// RingCap is the per-pair transport ring capacity in bytes.
-	RingCap int
 	// HeartbeatInterval is how often a leader writes heartbeats.
 	HeartbeatInterval sim.Duration
 	// LeaderTimeout is how long a follower waits without hearing from its
@@ -115,11 +116,6 @@ type Config struct {
 	// RetryInterval is how often a leader retransmits proposals for
 	// messages stuck waiting on other groups.
 	RetryInterval sim.Duration
-	// ResyncInterval is how long a follower's cumulative replication ack
-	// may trail the leader's stream before the leader re-replicates by
-	// state snapshot (repairing records lost to fabric faults within a
-	// view). 0 = default 400µs.
-	ResyncInterval sim.Duration
 	// HandlerCPU is the CPU time charged per protocol message handled,
 	// modeling the replica's dispatch loop.
 	HandlerCPU sim.Duration
@@ -149,11 +145,9 @@ func Layout(groups, replicas int) [][]rdma.NodeID {
 func DefaultConfig(groups [][]rdma.NodeID) Config {
 	return Config{
 		Groups:            groups,
-		RingCap:           1 << 16,
 		HeartbeatInterval: 100 * sim.Microsecond,
 		LeaderTimeout:     800 * sim.Microsecond,
 		RetryInterval:     400 * sim.Microsecond,
-		ResyncInterval:    400 * sim.Microsecond,
 		HandlerCPU:        200 * sim.Nanosecond,
 	}
 }

@@ -17,20 +17,15 @@ import (
 // flowing, so no view change ever repairs the gap.
 //
 // The leader closes the loop: a follower whose cumulative ack trails the
-// replication stream for longer than ResyncInterval is shipped a full
+// replication stream for longer than resyncInterval is shipped a full
 // state snapshot (the same viewState the view-change path exchanges),
 // stamped with the stream position it covers. One delivered snapshot
 // repairs any number of lost records, so under a lossy link repair
 // simply retries until a snapshot gets through.
 
-// resyncInterval returns how long a follower's ack may trail before the
-// leader re-replicates by snapshot.
-func (pr *Process) resyncInterval() sim.Duration {
-	if pr.cfg.ResyncInterval > 0 {
-		return pr.cfg.ResyncInterval
-	}
-	return 400 * sim.Microsecond
-}
+// resyncInterval is how long a follower's cumulative replication ack may
+// trail the leader's stream before the leader re-replicates by snapshot.
+const resyncInterval = 400 * sim.Microsecond
 
 // checkResyncs runs on every leader tick: detect followers whose acks
 // have stalled behind the stream and re-replicate to them by snapshot.
@@ -47,7 +42,7 @@ func (pr *Process) checkResyncs(now sim.Time) {
 			pr.lagSince[rank] = now
 			continue
 		}
-		if now-pr.lagSince[rank] < sim.Time(pr.resyncInterval()) {
+		if now-pr.lagSince[rank] < sim.Time(resyncInterval) {
 			continue
 		}
 		pr.send(pr.members()[rank], pr.rec(encodeResync(pr.arena, &resyncMsg{repSeq: pr.repSeq, st: pr.snapshotState()})))
