@@ -103,6 +103,34 @@ func TestGoldenResults(t *testing.T) {
 			return res
 		}},
 		{"openloop", func(t *testing.T) any { return goldenOpenLoop(t) }},
+		// The message-passing baseline's cost model (Fig. 5).
+		{"dynastar", func(t *testing.T) any {
+			var runs []heronDigest
+			for _, wh := range []int{1, 2} {
+				opt := DefaultOptions(wh)
+				opt.ClientsPerPartition = 12
+				opt.Warmup = 2 * sim.Millisecond
+				opt.Window = 10 * sim.Millisecond
+				opt.Seed = 5
+				r, err := RunDynaStar(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs = append(runs, digestHeron(r))
+			}
+			return runs
+		}},
+		// Both recovery legs and the LSM read microbench.
+		{"recovery", func(t *testing.T) any {
+			o := DefaultRecoveryOptions(1)
+			o.Seeds = 1
+			o.Keys = []int{64}
+			res, err := RunRecovery(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}},
 		// The ordering layer's state installs: reshapes and joiner
 		// restores (every reconfig scenario), view-change adoption and
 		// resync (one chaos schedule per profile).
