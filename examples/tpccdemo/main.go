@@ -38,7 +38,7 @@ func main() {
 	cfg.StoreCapacity = scale.Items*store.SlotSize(tpcc.StockMaxBytes) +
 		scale.DistrictsPerWH*scale.CustomersPerDistrict*store.SlotSize(tpcc.CustomerMaxBytes) + 1<<16
 
-	d, err := core.NewDeployment(s, cfg, tpcc.NewAppFactory(ds, tpcc.DefaultCostModel()), tpcc.Partitioner)
+	d, err := core.NewDeployment(s, cfg, tpcc.NewAppFactory(ds), tpcc.Partitioner)
 	if err != nil {
 		log.Fatal(err)
 	}

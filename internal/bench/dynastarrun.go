@@ -17,7 +17,7 @@ func RunDynaStar(opt Options) (*HeronRun, error) {
 	ds := tpcc.NewDataset(opt.Seed, opt.Warehouses, opt.Scale)
 	cfg := dynastar.DefaultConfig(multicast.DefaultConfig(layout), 99999)
 	newApp := func(part core.PartitionID, rank int) core.Application {
-		app := tpcc.NewApp(part, ds, tpcc.DefaultCostModel())
+		app := tpcc.NewApp(part, ds)
 		app.SetSingleExecutor(true)
 		return app
 	}

@@ -163,7 +163,7 @@ func measureFullWarehouse() (int, sim.Duration, error) {
 	cfg := core.DefaultConfig(multicast.DefaultConfig(layout))
 	cfg.StoreCapacity = storeCapacityFor(scale)
 	cfg.AuxStagingCap = 256 << 20
-	d, err := core.NewDeployment(s, cfg, tpcc.NewAppFactory(ds, tpcc.DefaultCostModel()), tpcc.Partitioner)
+	d, err := core.NewDeployment(s, cfg, tpcc.NewAppFactory(ds), tpcc.Partitioner)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -110,7 +110,7 @@ func BuildHeron(s *sim.Scheduler, opt Options) (*core.Deployment, *tpcc.Dataset,
 	if opt.NullRequests {
 		factory = func(part core.PartitionID, rank int) core.Application { return nullApp{} }
 	} else {
-		factory = tpcc.NewAppFactory(ds, tpcc.DefaultCostModel())
+		factory = tpcc.NewAppFactory(ds)
 	}
 	d, err := core.NewDeployment(s, cfg, factory, tpcc.Partitioner)
 	if err != nil {

@@ -45,6 +45,12 @@ const (
 // mean must stay.
 var LeaseGateMargin = rdma.DefaultConfig().WriteBase
 
+// The lease bench clients' mean think time and per-operation timeout.
+const (
+	leaseThink     = 20 * sim.Microsecond
+	leaseOpTimeout = 10 * sim.Millisecond
+)
+
 // LeaseBenchOptions configure one off/on benchmark pair.
 type LeaseBenchOptions struct {
 	Partitions int
@@ -54,14 +60,10 @@ type LeaseBenchOptions struct {
 	// ReadPct is the read share of the mix in percent (the read-skewed
 	// default is 95, YCSB-B's ratio).
 	ReadPct int
-	// Think is the mean closed-loop client think time.
-	Think sim.Duration
 
 	Warmup sim.Duration
 	Window sim.Duration
 	Seed   int64
-
-	OpTimeout sim.Duration
 
 	// ObsOff and ObsOn observe the leases-off and the leases-on leg. The
 	// legs are two simulations, each starting at virtual time zero and
@@ -78,11 +80,9 @@ func DefaultLeaseBenchOptions(seed int64) LeaseBenchOptions {
 		Keys:       64,
 		Clients:    24,
 		ReadPct:    95,
-		Think:      20 * sim.Microsecond,
 		Warmup:     2 * sim.Millisecond,
 		Window:     20 * sim.Millisecond,
 		Seed:       seed,
-		OpTimeout:  10 * sim.Millisecond,
 	}
 }
 
@@ -277,13 +277,13 @@ func runLeaseBenchOnce(o LeaseBenchOptions, on bool) (*LeaseRunStats, error) {
 				ok, local := true, false
 				switch {
 				case !isRead:
-					_, ok = cl.SubmitTimeout(p, []core.PartitionID{part}, encodeLeaseBenchOp(1, oid, uint64(t0)), o.OpTimeout)
+					_, ok = cl.SubmitTimeout(p, []core.PartitionID{part}, encodeLeaseBenchOp(1, oid, uint64(t0)), leaseOpTimeout)
 				case rc != nil:
 					if _, local = rc.TryLocal(p, part, oid); !local {
-						_, ok = cl.SubmitTimeout(p, []core.PartitionID{part}, encodeLeaseBenchOp(0, oid, 0), o.OpTimeout)
+						_, ok = cl.SubmitTimeout(p, []core.PartitionID{part}, encodeLeaseBenchOp(0, oid, 0), leaseOpTimeout)
 					}
 				default:
-					_, ok = cl.SubmitTimeout(p, []core.PartitionID{part}, encodeLeaseBenchOp(0, oid, 0), o.OpTimeout)
+					_, ok = cl.SubmitTimeout(p, []core.PartitionID{part}, encodeLeaseBenchOp(0, oid, 0), leaseOpTimeout)
 				}
 				stats.Ops++
 				if !ok {
@@ -305,7 +305,7 @@ func runLeaseBenchOnce(o LeaseBenchOptions, on bool) (*LeaseRunStats, error) {
 						fallbackLat.Add(lat)
 					}
 				}
-				p.Sleep(sim.Duration(1+rng.Int63n(2*int64(o.Think))) * sim.Nanosecond)
+				p.Sleep(sim.Duration(1+rng.Int63n(2*int64(leaseThink))) * sim.Nanosecond)
 			}
 		})
 	}

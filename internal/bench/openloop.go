@@ -27,6 +27,9 @@ import (
 // is precisely the open-loop queue the population would form at an
 // overloaded front end.
 
+// openLoopKeySpace is the number of distinct keys submissions draw from.
+const openLoopKeySpace = 1 << 20
+
 // OpenLoopOptions configure an open-loop run.
 type OpenLoopOptions struct {
 	Groups   int
@@ -44,10 +47,10 @@ type OpenLoopOptions struct {
 	// PayloadBytes pads every message to this size (min 24: the
 	// measurement header carries submit time, client, home group, key).
 	PayloadBytes int
-	// KeySpace and ZipfS shape the key popularity distribution; a key's
-	// home group is key mod Groups. ZipfS must be > 1 (1.07 matches YCSB).
-	KeySpace int
-	ZipfS    float64
+	// ZipfS shapes the key popularity distribution over
+	// openLoopKeySpace keys; a key's home group is key mod Groups. ZipfS
+	// must be > 1 (1.07 matches YCSB).
+	ZipfS float64
 	// MultiGroupPct is the percentage of submissions addressed to two
 	// groups (home plus one other).
 	MultiGroupPct int
@@ -88,7 +91,6 @@ func DefaultOpenLoopOptions() OpenLoopOptions {
 		RatePerClient: 10,
 		PumpsPerGroup: 2,
 		PayloadBytes:  64,
-		KeySpace:      1 << 20,
 		ZipfS:         1.07,
 		MultiGroupPct: 10,
 		Arrival:       "poisson",
@@ -390,7 +392,7 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 				cl:      dc.NewClient(g, i),
 				queue:   sim.NewChan[arrival](s),
 				rng:     rng,
-				zipf:    rand.NewZipf(rng, opts.ZipfS, 1, uint64(opts.KeySpace-1)),
+				zipf:    rand.NewZipf(rng, opts.ZipfS, 1, uint64(openLoopKeySpace-1)),
 				group:   g,
 				opts:    &opts,
 				rate:    peakRate,

@@ -35,7 +35,7 @@ func runShape(t *testing.T, shape string, seed int64) (deciles [10]int, total in
 	pu := &openPump{
 		queue:   sim.NewChan[arrival](s),
 		rng:     rng,
-		zipf:    rand.NewZipf(rng, opts.ZipfS, 1, uint64(opts.KeySpace-1)),
+		zipf:    rand.NewZipf(rng, opts.ZipfS, 1, uint64(openLoopKeySpace-1)),
 		opts:    &opts,
 		rate:    0.004, // peak msgs/ns: ~40k arrivals over the window
 		horizon: sim.Time(opts.Window),

@@ -39,26 +39,29 @@ const (
 // RebalanceScenarios lists the benchmark scenarios.
 var RebalanceScenarios = []string{BenchHotShift, BenchFlash}
 
+// The rebalance bench's fixed workload.
+const (
+	rebalKeys = 64
+	// rebalExecCost is the modeled per-request execution CPU: the serial
+	// resource that makes a hot partition queue.
+	rebalExecCost = 2 * sim.Microsecond
+	// rebalThink is the mean closed-loop client think time.
+	rebalThink        = 20 * sim.Microsecond
+	rebalOpTimeout    = 20 * sim.Millisecond
+	rebalFenceTimeout = 10 * sim.Millisecond
+)
+
 // RebalanceOptions configure one off/on benchmark pair.
 type RebalanceOptions struct {
 	Scenario string
 	Seed     int64
 
-	Keys    int
 	Clients int
-	// ExecCost is the modeled per-request execution CPU: the serial
-	// resource that makes a hot partition queue.
-	ExecCost sim.Duration
-	// Think is the mean closed-loop client think time.
-	Think sim.Duration
 
 	Window  sim.Duration // measurement window; clients stop at the end
 	ShiftAt sim.Duration // hotspot shift instant
 	// Interval buckets completions for the per-interval p99 series.
 	Interval sim.Duration
-
-	OpTimeout    sim.Duration
-	FenceTimeout sim.Duration
 
 	Obs *obs.Observer
 }
@@ -67,17 +70,12 @@ type RebalanceOptions struct {
 // seconds of wall clock.
 func DefaultRebalanceOptions(scenario string, seed int64) RebalanceOptions {
 	return RebalanceOptions{
-		Scenario:     scenario,
-		Seed:         seed,
-		Keys:         64,
-		Clients:      32,
-		ExecCost:     2 * sim.Microsecond,
-		Think:        20 * sim.Microsecond,
-		Window:       40 * sim.Millisecond,
-		ShiftAt:      16 * sim.Millisecond,
-		Interval:     2 * sim.Millisecond,
-		OpTimeout:    20 * sim.Millisecond,
-		FenceTimeout: 10 * sim.Millisecond,
+		Scenario: scenario,
+		Seed:     seed,
+		Clients:  32,
+		Window:   40 * sim.Millisecond,
+		ShiftAt:  16 * sim.Millisecond,
+		Interval: 2 * sim.Millisecond,
 	}
 }
 
@@ -148,10 +146,10 @@ type RebalanceResult struct {
 	Improved bool `json:"improved"`
 }
 
-// rebalApp executes blind single-key writes with a modeled execution
-// cost; the payload is the 8-byte target OID. HeatKey is the OID
-// itself, so the planner's identity KeyToOID applies.
-type rebalApp struct{ cost sim.Duration }
+// rebalApp executes blind single-key writes costing rebalExecCost; the
+// payload is the 8-byte target OID. HeatKey is the OID itself, so the
+// planner's identity KeyToOID applies.
+type rebalApp struct{}
 
 func (a rebalApp) ReadSet(req *core.Request) []store.OID { return nil }
 
@@ -160,7 +158,7 @@ func (a rebalApp) Execute(ctx *core.ExecContext) core.Outcome {
 	return core.Outcome{
 		Response: []byte{1},
 		Writes:   []core.Write{{OID: oid, Val: ctx.Req.Payload[:8]}},
-		CPU:      a.cost,
+		CPU:      rebalExecCost,
 	}
 }
 
@@ -198,9 +196,6 @@ func RunRebalance(o RebalanceOptions) (*RebalanceResult, error) {
 	if !known {
 		return nil, fmt.Errorf("rebalance bench: unknown scenario %q (have %v)", o.Scenario, RebalanceScenarios)
 	}
-	if o.Keys < 8 || o.Keys%2 != 0 {
-		return nil, fmt.Errorf("rebalance bench: need an even key count >= 8, got %d", o.Keys)
-	}
 	if o.Interval <= 0 || o.Window <= 0 || o.ShiftAt <= 0 || o.ShiftAt >= o.Window {
 		return nil, fmt.Errorf("rebalance bench: need 0 < shift < window and a positive interval")
 	}
@@ -208,7 +203,7 @@ func RunRebalance(o RebalanceOptions) (*RebalanceResult, error) {
 	res := &RebalanceResult{
 		Scenario:   o.Scenario,
 		Seed:       o.Seed,
-		Keys:       o.Keys,
+		Keys:       rebalKeys,
 		Clients:    o.Clients,
 		WindowNS:   int64(o.Window),
 		ShiftNS:    int64(o.ShiftAt),
@@ -233,20 +228,21 @@ func RunRebalance(o RebalanceOptions) (*RebalanceResult, error) {
 func runRebalanceOnce(o RebalanceOptions, on bool) (*RebalanceRunStats, error) {
 	const maxParts, groupSize = 2, 3
 	groups := multicast.Layout(2, groupSize)
-	initial := reconfig.Halves(groups, o.Keys)
-	newApp := func(core.PartitionID, int) core.Application { return rebalApp{cost: o.ExecCost} }
+	initial := reconfig.Halves(groups, rebalKeys)
+	newApp := func(core.PartitionID, int) core.Application { return rebalApp{} }
 
 	s := sim.NewScheduler()
+	defer releaseMemory()
 	defer s.Close()
 	cfg := core.DefaultConfig(multicast.DefaultConfig(groups))
-	cfg.StoreCapacity = kvapp.SlotCapacity(o.Keys, 8)
+	cfg.StoreCapacity = kvapp.SlotCapacity(rebalKeys, 8)
 	cfg.MaxPartitions = maxParts
 	cfg.MaxGroupSize = groupSize
 	d, err := core.NewDeployment(s, cfg, newApp, initial)
 	if err != nil {
 		return nil, err
 	}
-	if err := kvapp.Populate(d, initial, kvapp.Keys(o.Keys), 8); err != nil {
+	if err := kvapp.Populate(d, initial, kvapp.Keys(rebalKeys), 8); err != nil {
 		return nil, err
 	}
 	d.Fabric.SetFaultSeed(o.Seed)
@@ -261,7 +257,7 @@ func runRebalanceOnce(o RebalanceOptions, on bool) (*RebalanceRunStats, error) {
 	}
 	d.Observe(obsv)
 	mgr := reconfig.NewManager(d, initial, reconfig.ManagerOptions{
-		Apps: newApp, FenceTimeout: o.FenceTimeout, Obs: obsv,
+		Apps: newApp, FenceTimeout: rebalFenceTimeout, Obs: obsv,
 	})
 	var ctl *rebalance.Controller
 	if on {
@@ -291,10 +287,10 @@ func runRebalanceOnce(o RebalanceOptions, on bool) (*RebalanceRunStats, error) {
 		s.Spawn(fmt.Sprintf("rb-client%d", ci), func(p *sim.Proc) {
 			payload := make([]byte, 8)
 			for p.Now() < horizon {
-				key := pickRebalanceKey(o.Scenario, p.Now() >= sim.Time(o.ShiftAt), rng, o.Keys)
+				key := pickRebalanceKey(o.Scenario, p.Now() >= sim.Time(o.ShiftAt), rng, rebalKeys)
 				binary.LittleEndian.PutUint64(payload, uint64(key))
 				call := p.Now()
-				_, ok := cr.SubmitTimeout(p, []store.OID{key}, payload, o.OpTimeout)
+				_, ok := cr.SubmitTimeout(p, []store.OID{key}, payload, rebalOpTimeout)
 				stats.Ops++
 				if !ok {
 					stats.FailedOps++
@@ -308,7 +304,7 @@ func runRebalanceOnce(o RebalanceOptions, on bool) (*RebalanceRunStats, error) {
 					idx = intervals - 1
 				}
 				recs[idx].Add(lat)
-				p.Sleep(sim.Duration(1+rng.Int63n(2*int64(o.Think))) * sim.Nanosecond)
+				p.Sleep(sim.Duration(1+rng.Int63n(2*int64(rebalThink))) * sim.Nanosecond)
 			}
 		})
 	}
@@ -360,7 +356,6 @@ func runRebalanceOnce(o RebalanceOptions, on bool) (*RebalanceRunStats, error) {
 		stats.Decisions = ctl.ActingLog()
 		stats.Errors = ctl.Errors
 	}
-	releaseMemory()
 	return stats, nil
 }
 

@@ -28,10 +28,6 @@ type Options struct {
 
 	Clients      int
 	OpsPerClient int // Clients*OpsPerClient must stay within lincheck's 64-op bound
-	// OpTimeout bounds each operation; a timed-out operation fails
-	// cleanly at the client and marks the run unchecked (a maybe-executed
-	// operation cannot be expressed to the checker).
-	OpTimeout sim.Duration
 	// Horizon bounds the whole run in virtual time.
 	Horizon sim.Duration
 
@@ -51,6 +47,11 @@ type Options struct {
 	FlightDir string
 }
 
+// opTimeout bounds each operation; a timed-out operation fails cleanly
+// at the client and marks the run unchecked (a maybe-executed operation
+// cannot be expressed to the checker).
+const opTimeout = 100 * sim.Millisecond
+
 // DefaultOptions returns a topology and workload sized for the checker:
 // 2 partitions of 3 replicas, 3 clients issuing 14 operations each
 // (42 ops, within the 64-op bound).
@@ -61,7 +62,6 @@ func DefaultOptions() Options {
 		Keys:         3,
 		Clients:      3,
 		OpsPerClient: 14,
-		OpTimeout:    100 * sim.Millisecond,
 		Horizon:      3 * sim.Second,
 	}
 }
@@ -217,7 +217,7 @@ func Run(opt Options) (*Report, error) {
 					if val, lok := rc.TryLocal(p, part, req.Reads[0]); lok {
 						return kvapp.DecodeVal(val), true
 					}
-					resp, sok := cl.SubmitTimeout(p, []core.PartitionID{part}, req.Encode(), opt.OpTimeout)
+					resp, sok := cl.SubmitTimeout(p, []core.PartitionID{part}, req.Encode(), opTimeout)
 					return kvapp.DecodeVal(resp[part]), sok
 				}
 			}
@@ -239,7 +239,7 @@ func Run(opt Options) (*Report, error) {
 			}
 			sort.Slice(dst, func(a, b int) bool { return dst[a] < dst[b] })
 			return req, func() (uint64, bool) {
-				resp, ok := cl.SubmitTimeout(p, dst, req.Encode(), opt.OpTimeout)
+				resp, ok := cl.SubmitTimeout(p, dst, req.Encode(), opTimeout)
 				return kvapp.DecodeVal(resp[dst[0]]), ok
 			}
 		}

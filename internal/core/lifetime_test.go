@@ -152,7 +152,7 @@ func tpccLifetimeRun(t *testing.T, workers int, wrap bool) (*lifetimeRun, []*scr
 	cfg.StoreCapacity = scale.Items*store.SlotSize(tpcc.StockMaxBytes) +
 		scale.DistrictsPerWH*scale.CustomersPerDistrict*store.SlotSize(tpcc.CustomerMaxBytes) + 4096
 	cfg.ExecWorkers = workers
-	factory := tpcc.NewAppFactory(ds, tpcc.DefaultCostModel())
+	factory := tpcc.NewAppFactory(ds)
 	var apps *[]*scribbler
 	if wrap {
 		factory, apps = scribbled(factory)

@@ -27,8 +27,8 @@
 //
 // Stack costs that the paper attributes to the baseline (Java, a
 // general-purpose serializer, URingPaxos's batching delivery) are modeled
-// by two calibrated knobs: OrderingCPU (sequencer service time per
-// request) and ExecFactor (execution cost multiplier); see
+// by two calibrated constants: orderingCPU (sequencer service time per
+// request) and execFactor (execution cost multiplier); see
 // EXPERIMENTS.md for the calibration against the published ratios.
 package dynastar
 
@@ -57,25 +57,27 @@ type Router interface {
 	Objects(payload []byte) []store.OID
 }
 
+// The baseline's calibrated stack costs; the network's are msgnet's.
+const (
+	// orderingCPU is the sequencer/stack service time charged per
+	// delivered request at each replica, modeling the Java ordering stack
+	// (URingPaxos batching, queue hops) that RDMA removes.
+	orderingCPU = 220 * sim.Microsecond
+	// execFactor multiplies application execution CPU (general-purpose
+	// serializer vs Heron's manual codecs).
+	execFactor = 3.0
+	// dispatchCPU is charged per delivered request.
+	dispatchCPU = 2 * sim.Microsecond
+	// localReadCPU is charged per LocalGet during execution.
+	localReadCPU = 300 * sim.Nanosecond
+)
+
 // Config parameterizes the baseline.
 type Config struct {
 	// Multicast holds the group layout (one group per partition).
 	Multicast multicast.Config
-	// Net is the message-passing network model.
-	Net msgnet.Config
 	// OracleNode hosts the location oracle.
 	OracleNode rdma.NodeID
-	// OrderingCPU is the sequencer/stack service time charged per
-	// delivered request at each replica, modeling the Java ordering stack
-	// (URingPaxos batching, queue hops) that RDMA removes.
-	OrderingCPU sim.Duration
-	// ExecFactor multiplies application execution CPU (general-purpose
-	// serializer vs Heron's manual codecs).
-	ExecFactor float64
-	// DispatchCPU is charged per delivered request.
-	DispatchCPU sim.Duration
-	// LocalReadCPU is charged per LocalGet during execution.
-	LocalReadCPU sim.Duration
 }
 
 // DefaultConfig returns the calibrated baseline configuration.
@@ -86,15 +88,7 @@ func DefaultConfig(mc multicast.Config, oracle rdma.NodeID) Config {
 	mc.LeaderTimeout = 40 * sim.Millisecond
 	mc.RetryInterval = 20 * sim.Millisecond
 	mc.HandlerCPU = 1500 * sim.Nanosecond
-	return Config{
-		Multicast:    mc,
-		Net:          msgnet.DefaultConfig(),
-		OracleNode:   oracle,
-		OrderingCPU:  220 * sim.Microsecond,
-		ExecFactor:   3.0,
-		DispatchCPU:  2 * sim.Microsecond,
-		LocalReadCPU: 300 * sim.Nanosecond,
-	}
+	return Config{Multicast: mc, OracleNode: oracle}
 }
 
 // Deployment is a complete DynaStar system.
@@ -125,8 +119,8 @@ func NewDeployment(s *sim.Scheduler, cfg Config, newApp AppFactory, router Route
 	d := &Deployment{
 		Sched:      s,
 		Cfg:        &cfg,
-		NetMC:      msgnet.New(s, cfg.Net),
-		NetData:    msgnet.New(s, cfg.Net),
+		NetMC:      msgnet.New(s),
+		NetData:    msgnet.New(s),
 		Router:     router,
 		nextClient: 200000,
 	}

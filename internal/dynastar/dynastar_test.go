@@ -28,7 +28,7 @@ func deploy(t *testing.T, warehouses, replicas int, scale tpcc.Scale) (*sim.Sche
 	ds := tpcc.NewDataset(42, warehouses, scale)
 	cfg := DefaultConfig(multicast.DefaultConfig(layout), 9999)
 	newApp := func(part PartitionID, rank int) core.Application {
-		app := tpcc.NewApp(part, ds, tpcc.DefaultCostModel())
+		app := tpcc.NewApp(part, ds)
 		app.SetSingleExecutor(true)
 		return app
 	}

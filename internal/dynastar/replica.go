@@ -170,7 +170,7 @@ func (r *Replica) runExecutor(p *sim.Proc) {
 		if err != nil {
 			continue
 		}
-		p.Sleep(r.d.Cfg.DispatchCPU + r.d.Cfg.OrderingCPU)
+		p.Sleep(dispatchCPU + orderingCPU)
 		if len(del.Dst) == 1 || req.executor == r.part {
 			r.execute(p, &del, req)
 		} else {
@@ -208,8 +208,8 @@ func (r *Replica) execute(p *sim.Proc, del *multicast.Delivery, req *routedReq) 
 		return v, ok
 	})
 	out := r.app.Execute(ctx)
-	cpu := sim.Duration(float64(out.CPU) * r.d.Cfg.ExecFactor)
-	cpu += sim.Duration(ctx.LocalGets()) * r.d.Cfg.LocalReadCPU
+	cpu := sim.Duration(float64(out.CPU) * execFactor)
+	cpu += sim.Duration(ctx.LocalGets()) * localReadCPU
 	p.Sleep(cpu)
 
 	// Apply all writes locally; collect remote-owned updates to migrate

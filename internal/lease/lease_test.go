@@ -317,13 +317,13 @@ func TestFenceRevokesAndResumes(t *testing.T) {
 // first grant) TryLocal must decline immediately and count a fallback.
 func TestProbeFallsBackWithoutLease(t *testing.T) {
 	s, d := build(t, 1, 3)
-	m := lease.Attach(d, lease.Options{Start: 10 * sim.Millisecond})
+	m := lease.Attach(d, lease.Options{})
 	m.Start()
 	cl := d.NewClient()
 	rc := lease.NewReadClient(cl, m)
 	done := false
 	s.Spawn("client", func(p *sim.Proc) {
-		p.Sleep(500 * sim.Microsecond) // well before the delayed first grant
+		p.Sleep(lease.DefaultStart / 2) // before the first grant
 		if _, ok := rc.TryLocal(p, 0, regOID(0, 0)); ok {
 			t.Error("local read succeeded without a lease")
 		}

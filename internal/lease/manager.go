@@ -51,30 +51,10 @@ const (
 
 // Options configure a Manager.
 type Options struct {
-	// TTL is the lease lifetime per grant (default DefaultTTL).
-	TTL sim.Duration
-	// Renew is the grant-loop cadence (default DefaultRenew).
-	Renew sim.Duration
-	// Start is the virtual delay before the first grant (default
-	// DefaultStart).
-	Start sim.Duration
 	// Until, when nonzero, stops the grant loop at that instant; leases
 	// then lapse at their absolute expiry. Zero runs the loop forever
 	// (fine under RunUntil-bounded simulations).
 	Until sim.Time
-}
-
-func (o Options) withDefaults() Options {
-	if o.TTL <= 0 {
-		o.TTL = DefaultTTL
-	}
-	if o.Renew <= 0 {
-		o.Renew = o.TTL / 2
-	}
-	if o.Start <= 0 {
-		o.Start = DefaultStart
-	}
-	return o
 }
 
 // partLease is the grantor's book-keeping for one partition.
@@ -116,7 +96,7 @@ type Manager struct {
 func Attach(d *core.Deployment, opt Options) *Manager {
 	m := &Manager{
 		d:    d,
-		opt:  opt.withDefaults(),
+		opt:  opt,
 		mc:   multicast.NewClient(multicast.OverRDMA(d.TrMC), &d.Cfg.Multicast, d.AllocClientNode()),
 		fmc:  multicast.NewClient(multicast.OverRDMA(d.TrMC), &d.Cfg.Multicast, d.AllocClientNode()),
 		cond: sim.NewCond(d.Sched),
@@ -130,14 +110,14 @@ func (m *Manager) Start() {
 }
 
 func (m *Manager) run(p *sim.Proc) {
-	p.Sleep(m.opt.Start)
+	p.Sleep(DefaultStart)
 	for {
 		if m.opt.Until > 0 && p.Now() >= m.opt.Until {
 			return
 		}
 		m.cond.WaitUntil(p, func() bool { return !m.fenced })
 		m.tick(p)
-		p.Sleep(m.opt.Renew)
+		p.Sleep(DefaultRenew)
 	}
 }
 
@@ -171,7 +151,7 @@ func (m *Manager) tick(p *sim.Proc) {
 		}
 		st.seq++
 		st.holder = next
-		st.expire = p.Now() + sim.Time(m.opt.TTL)
+		st.expire = p.Now() + sim.Time(DefaultTTL)
 		m.Grants++
 		m.mc.Multicast(p, []core.PartitionID{core.PartitionID(part)},
 			core.EncodeLeaseCommand(st.seq, core.LeaseGrant, next, st.expire))

@@ -113,7 +113,7 @@ func buildRun(t *testing.T, p *sim.Proc, dev Device, cfg Config, ents []Entry, s
 		t.Fatal(err)
 	}
 	st := &Stats{}
-	b := newBuilder(dev, cfg, codec, NewBlockCache(cfg.CacheBytes), st, runName(seq), seq)
+	b := newBuilder(dev, cfg, codec, NewBlockCache(DefaultCacheBytes), st, runName(seq), seq)
 	for _, e := range ents {
 		b.add(p, e)
 	}
@@ -168,7 +168,7 @@ func TestSSTableEncodeDecode(t *testing.T) {
 					Total: run.Total, MetaOff: run.MetaOff,
 				}
 				st := &Stats{}
-				cache := NewBlockCache(cfg.CacheBytes)
+				cache := NewBlockCache(DefaultCacheBytes)
 				for _, e := range ents {
 					got, ok := reopened.get(p, dev, codec, cache, st, e.OID)
 					if !ok || got.Tmp != e.Tmp || !bytes.Equal(got.Val, e.Val) {

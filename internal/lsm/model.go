@@ -148,42 +148,38 @@ func (c Codec) DecompressCost(raw int) sim.Duration {
 // arithmetic — the chaos durable-profile generator aims crashes at the
 // compaction cadence these imply).
 const (
-	DefaultBlockBytes  = 4 << 10
-	DefaultBloomBits   = 10
-	DefaultL0Trigger   = 4
-	DefaultLevelBase   = 64 << 10
+	DefaultBlockBytes = 4 << 10
+	// DefaultBloomBits is bloom filter bits per key (~1% FPR).
+	DefaultBloomBits = 10
+	// DefaultL0Trigger is the L0 run count that triggers compaction
+	// into L1.
+	DefaultL0Trigger = 4
+	DefaultLevelBase = 64 << 10
+	// DefaultLevelGrowth is the size ratio between adjacent levels.
 	DefaultLevelGrowth = 8
-	DefaultMaxLevels   = 4
-	DefaultCacheBytes  = 256 << 10
+	// DefaultMaxLevels bounds the tree depth (L0..L3).
+	DefaultMaxLevels = 4
+	// DefaultCacheBytes sizes the block cache.
+	DefaultCacheBytes = 256 << 10
 	// DefaultCompactionRate caps compaction I/O charging at 1 GB/s so
 	// background folding spreads over virtual time instead of landing as
 	// one burst — the rate-limited writeback every real engine applies.
 	DefaultCompactionRate = 1.0
 )
 
-// Config tunes one tree.
+// Config tunes one tree. Bloom bits, the L0 trigger, level growth,
+// depth and cache size are the Default* constants.
 type Config struct {
 	// Preset selects the compression codec (none, snappy, zstd;
 	// default snappy-class).
 	Preset string
 	// BlockBytes is the target raw data-block size (default 4KB).
 	BlockBytes int
-	// BloomBits is bloom filter bits per key (default 10, ~1% FPR).
-	BloomBits int
-	// L0Trigger is the L0 run count that triggers compaction into L1
-	// (default 4).
-	L0Trigger int
 	// LevelBase is the target byte size of L1 (default 64KB); level n
-	// targets LevelBase * LevelGrowth^(n-1).
+	// targets LevelBase * DefaultLevelGrowth^(n-1).
 	LevelBase int
-	// LevelGrowth is the size ratio between adjacent levels (default 8).
-	LevelGrowth int
-	// MaxLevels bounds the tree depth (default 4: L0..L3).
-	MaxLevels int
 	// CompactionRate caps compaction I/O charging, bytes/ns (default 1.0).
 	CompactionRate float64
-	// CacheBytes sizes the block cache (default 256KB).
-	CacheBytes int
 }
 
 // WithDefaults fills zero fields.
@@ -194,26 +190,11 @@ func (c Config) WithDefaults() Config {
 	if c.BlockBytes == 0 {
 		c.BlockBytes = DefaultBlockBytes
 	}
-	if c.BloomBits == 0 {
-		c.BloomBits = DefaultBloomBits
-	}
-	if c.L0Trigger == 0 {
-		c.L0Trigger = DefaultL0Trigger
-	}
 	if c.LevelBase == 0 {
 		c.LevelBase = DefaultLevelBase
 	}
-	if c.LevelGrowth == 0 {
-		c.LevelGrowth = DefaultLevelGrowth
-	}
-	if c.MaxLevels == 0 {
-		c.MaxLevels = DefaultMaxLevels
-	}
 	if c.CompactionRate == 0 {
 		c.CompactionRate = DefaultCompactionRate
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = DefaultCacheBytes
 	}
 	return c
 }

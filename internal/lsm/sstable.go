@@ -386,7 +386,7 @@ func (b *builder) finish(p *sim.Proc) *Run {
 		iw.U32(uint32(h.PhysLen))
 	}
 	index := iw.Finish()
-	bloom := newBloom(len(b.hashes), b.cfg.BloomBits)
+	bloom := newBloom(len(b.hashes), DefaultBloomBits)
 	for _, h := range b.hashes {
 		bloom.add(h)
 	}

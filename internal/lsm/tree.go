@@ -12,16 +12,17 @@ import (
 const manifestMagic uint64 = 0x4845524c534d0001
 
 // Tree is one replica's log-structured store: L0 holds overlapping runs
-// in flush order, levels 1..MaxLevels-1 hold key-disjoint runs sorted by
-// MinOID. All mutation happens from the owning replica's sim procs
+// in flush order, levels 1..DefaultMaxLevels-1 hold key-disjoint runs
+// sorted by MinOID. All mutation happens from the owning replica's sim procs
 // (checkpoint flush + background compaction), interleaving only at
 // virtual-time sleep points — the same single-writer discipline the rest
 // of the replica state uses under the parallel kernel.
 //
-// The in-memory Tree always mirrors the durable manifest: every mutation
-// is installed only after the device manifest swap, and aborted flushes
-// or compactions roll their output segment back. A crash therefore needs
-// no in-memory invalidation — the surviving Tree is the recovery image.
+// Flush and CompactOnce install their new run set before the device
+// manifest swap, so while a swap is in flight the in-memory Tree is one
+// step ahead of the durable manifest; aborted flushes or compactions
+// roll their output segment back. The surviving Tree is the recovery
+// image, with no in-memory invalidation after a crash.
 type Tree struct {
 	dev    Device
 	cfg    Config
@@ -65,8 +66,8 @@ func NewTree(dev Device, cfg Config) (*Tree, error) {
 		dev:    dev,
 		cfg:    cfg,
 		codec:  codec,
-		cache:  NewBlockCache(cfg.CacheBytes),
-		levels: make([][]*Run, cfg.MaxLevels),
+		cache:  NewBlockCache(DefaultCacheBytes),
+		levels: make([][]*Run, DefaultMaxLevels),
 	}
 	return t, nil
 }
@@ -132,14 +133,14 @@ func DecodeManifest(buf []byte, cfg Config) (*Tree, bool) {
 	t := &Tree{
 		cfg:         cfg,
 		codec:       codec,
-		cache:       NewBlockCache(cfg.CacheBytes),
+		cache:       NewBlockCache(DefaultCacheBytes),
 		manifestSeq: r.U64(),
 		snapTmp:     r.U64(),
 		nextSeq:     r.U64(),
 	}
 	nlevels := int(r.U32())
-	if nlevels < cfg.MaxLevels {
-		nlevels = cfg.MaxLevels
+	if nlevels < DefaultMaxLevels {
+		nlevels = DefaultMaxLevels
 	}
 	t.levels = make([][]*Run, nlevels)
 	for i := 0; i < nlevels; i++ {
@@ -256,17 +257,17 @@ func (t *Tree) Flush(p *sim.Proc, mt *Memtable, snapTmp uint64, aux, extra []byt
 func (t *Tree) levelTarget(n int) uint64 {
 	target := uint64(t.cfg.LevelBase)
 	for i := 1; i < n; i++ {
-		target *= uint64(t.cfg.LevelGrowth)
+		target *= DefaultLevelGrowth
 	}
 	return target
 }
 
 // pick chooses the next compaction: L0 when it has accumulated
-// L0Trigger runs (all of L0 plus every overlapping L1 run merges into
-// L1), otherwise the first oversized level spills its oldest run into
-// the next level. Returns dst < 0 when nothing needs compacting.
+// DefaultL0Trigger runs (all of L0 plus every overlapping L1 run merges
+// into L1), otherwise the first oversized level spills its oldest run
+// into the next level. Returns dst < 0 when nothing needs compacting.
 func (t *Tree) pick() (inputs []*Run, srcLevel, dst int) {
-	if len(t.levels[0]) >= t.cfg.L0Trigger {
+	if len(t.levels[0]) >= DefaultL0Trigger {
 		inputs = append(inputs, t.levels[0]...)
 		lo, hi := inputs[0].MinOID, inputs[0].MaxOID
 		for _, r := range inputs[1:] {

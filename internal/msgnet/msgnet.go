@@ -19,28 +19,18 @@ import (
 // NodeID aliases the fabric-wide node identifier space.
 type NodeID = rdma.NodeID
 
-// Config is the network cost model.
-type Config struct {
-	// OneWayDelay is the propagation + switching delay (half the RTT).
-	OneWayDelay sim.Duration
-	// SendCPU is charged to the sender per message (syscall, copies).
-	SendCPU sim.Duration
-	// RecvCPU is charged to the receiver per message (interrupt, wakeup,
+// The network cost model, matching the paper's testbed network.
+const (
+	// oneWayDelay is the propagation + switching delay (half the RTT).
+	oneWayDelay = 50 * sim.Microsecond
+	// sendCPU is charged to the sender per message (syscall, copies).
+	sendCPU = 2500 * sim.Nanosecond
+	// recvCPU is charged to the receiver per message (interrupt, wakeup,
 	// copies) when it dequeues.
-	RecvCPU sim.Duration
-	// BytesPerNS is the line rate (25 Gb/s = 3.125).
-	BytesPerNS float64
-}
-
-// DefaultConfig matches the paper's testbed network.
-func DefaultConfig() Config {
-	return Config{
-		OneWayDelay: 50 * sim.Microsecond,
-		SendCPU:     2500 * sim.Nanosecond,
-		RecvCPU:     2500 * sim.Nanosecond,
-		BytesPerNS:  3.125,
-	}
-}
+	recvCPU = 2500 * sim.Nanosecond
+	// bytesPerNS is the line rate (25 Gb/s).
+	bytesPerNS = 3.125
+)
 
 // Message is a delivered datagram.
 type Message struct {
@@ -51,16 +41,12 @@ type Message struct {
 // Network is a set of endpoints connected by the simulated network.
 type Network struct {
 	sched     *sim.Scheduler
-	cfg       Config
 	endpoints map[NodeID]*Endpoint
 }
 
 // New creates an empty network.
-func New(s *sim.Scheduler, cfg Config) *Network {
-	if cfg.BytesPerNS <= 0 {
-		cfg.BytesPerNS = 3.125
-	}
-	return &Network{sched: s, cfg: cfg, endpoints: make(map[NodeID]*Endpoint)}
+func New(s *sim.Scheduler) *Network {
+	return &Network{sched: s, endpoints: make(map[NodeID]*Endpoint)}
 }
 
 // Scheduler returns the underlying scheduler.
@@ -107,7 +93,7 @@ func (n *Network) Send(p *sim.Proc, from, to NodeID, payload []byte) error {
 	if src.down {
 		return fmt.Errorf("msgnet: node %d is down", from)
 	}
-	p.Sleep(n.cfg.SendCPU)
+	p.Sleep(sendCPU)
 
 	// Serialize on the sender's uplink.
 	now := p.Now()
@@ -115,13 +101,13 @@ func (n *Network) Send(p *sim.Proc, from, to NodeID, payload []byte) error {
 	if src.nextFree > start {
 		start = src.nextFree
 	}
-	wireTime := sim.Time(float64(len(payload)) / n.cfg.BytesPerNS)
+	wireTime := sim.Time(float64(len(payload)) / bytesPerNS)
 	src.nextFree = start + wireTime
 
 	dst := n.Endpoint(to)
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
-	deliverAt := start + wireTime + sim.Time(n.cfg.OneWayDelay)
+	deliverAt := start + wireTime + sim.Time(oneWayDelay)
 	n.sched.At(deliverAt, func() {
 		if !dst.down {
 			dst.inbox.Send(Message{From: from, Payload: buf})
@@ -137,7 +123,7 @@ func (e *Endpoint) Recv(p *sim.Proc) (Message, bool) {
 	if !ok {
 		return Message{}, false
 	}
-	p.Sleep(e.net.cfg.RecvCPU)
+	p.Sleep(recvCPU)
 	return m, true
 }
 
@@ -147,7 +133,7 @@ func (e *Endpoint) RecvTimeout(p *sim.Proc, d sim.Duration) (Message, bool) {
 	if !ok {
 		return Message{}, false
 	}
-	p.Sleep(e.net.cfg.RecvCPU)
+	p.Sleep(recvCPU)
 	return m, true
 }
 
@@ -158,7 +144,7 @@ func (e *Endpoint) TryRecv(p *sim.Proc) (Message, bool) {
 	if !ok {
 		return Message{}, false
 	}
-	p.Sleep(e.net.cfg.RecvCPU)
+	p.Sleep(recvCPU)
 	return m, true
 }
 

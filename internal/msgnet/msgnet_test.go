@@ -8,7 +8,7 @@ import (
 
 func TestSendRecvLatency(t *testing.T) {
 	s := sim.NewScheduler()
-	n := New(s, DefaultConfig())
+	n := New(s)
 	var recvAt sim.Time
 	s.Spawn("recv", func(p *sim.Proc) {
 		ep := n.Endpoint(2)
@@ -25,8 +25,7 @@ func TestSendRecvLatency(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	min := sim.Time(cfg.SendCPU) + sim.Time(cfg.OneWayDelay)
+	min := sim.Time(sendCPU) + sim.Time(oneWayDelay)
 	if recvAt < min {
 		t.Fatalf("received at %d, want >= %d (message passing must be slow)", recvAt, min)
 	}
@@ -34,7 +33,7 @@ func TestSendRecvLatency(t *testing.T) {
 
 func TestFIFOPerPair(t *testing.T) {
 	s := sim.NewScheduler()
-	n := New(s, DefaultConfig())
+	n := New(s)
 	var got []byte
 	s.Spawn("recv", func(p *sim.Proc) {
 		ep := n.Endpoint(2)
@@ -66,7 +65,7 @@ func TestFIFOPerPair(t *testing.T) {
 
 func TestFailedEndpointDropsMessages(t *testing.T) {
 	s := sim.NewScheduler()
-	n := New(s, DefaultConfig())
+	n := New(s)
 	ep := n.Endpoint(2)
 	ep.Fail()
 	s.Spawn("send", func(p *sim.Proc) {
@@ -81,7 +80,7 @@ func TestFailedEndpointDropsMessages(t *testing.T) {
 		t.Fatal("message delivered to failed endpoint")
 	}
 	s2 := sim.NewScheduler()
-	n2 := New(s2, DefaultConfig())
+	n2 := New(s2)
 	n2.Endpoint(1).Fail()
 	s2.Spawn("send", func(p *sim.Proc) {
 		if err := n2.Send(p, 1, 2, []byte("x")); err == nil {
@@ -95,7 +94,7 @@ func TestFailedEndpointDropsMessages(t *testing.T) {
 
 func TestRecvTimeout(t *testing.T) {
 	s := sim.NewScheduler()
-	n := New(s, DefaultConfig())
+	n := New(s)
 	var ok bool
 	s.Spawn("recv", func(p *sim.Proc) {
 		_, ok = n.Endpoint(2).RecvTimeout(p, 10*sim.Microsecond)
@@ -110,9 +109,9 @@ func TestRecvTimeout(t *testing.T) {
 
 func TestBandwidthSerialization(t *testing.T) {
 	// Two large messages from one sender must serialize on the uplink.
+	size := 1 << 20
 	s := sim.NewScheduler()
-	cfg := DefaultConfig()
-	n := New(s, cfg)
+	n := New(s)
 	var t1, t2 sim.Time
 	s.Spawn("recv", func(p *sim.Proc) {
 		ep := n.Endpoint(2)
@@ -122,14 +121,14 @@ func TestBandwidthSerialization(t *testing.T) {
 		t2 = p.Now()
 	})
 	s.Spawn("send", func(p *sim.Proc) {
-		big := make([]byte, 1<<20)
+		big := make([]byte, size)
 		_ = n.Send(p, 1, 2, big)
 		_ = n.Send(p, 1, 2, big)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	wire := sim.Time(float64(1<<20) / cfg.BytesPerNS)
+	wire := sim.Time(float64(size) / bytesPerNS)
 	if t2-t1 < wire/2 {
 		t.Fatalf("second message did not serialize behind the first: t1=%d t2=%d", t1, t2)
 	}

@@ -233,9 +233,9 @@ func (c *Checkpointer) capture(p *sim.Proc) {
 	// Bound the update log to the retention window and tell the ordering
 	// layer this member's durable floor moved (the group log prefix at or
 	// below snapTmp is now reclaimable here).
-	if n := len(c.history); n > c.layer.opt.LogRetention {
-		c.rep.Store().Log().Truncate(c.history[n-1-c.layer.opt.LogRetention])
-		c.history = c.history[n-c.layer.opt.LogRetention-1:]
+	if n := len(c.history); n > logRetention {
+		c.rep.Store().Log().Truncate(c.history[n-1-logRetention])
+		c.history = c.history[n-logRetention-1:]
 	}
 	if mc := c.layer.dep.MCProcs[c.part][c.rank]; mc != nil {
 		mc.SetDurableTmp(multicastTs(snapTmp))
@@ -281,9 +281,12 @@ func (c *Checkpointer) compactLoop(p *sim.Proc) {
 // manifest's run set from this checkpointer's disk into r (normally its
 // own replica; a reconfiguration joiner borrows a donor's checkpointer),
 // merging newest-version-per-object across runs, and return the covered
-// timestamp. The in-memory tree always mirrors the durable manifest
-// (mutations install only after the swap), so the run metadata is
-// authoritative; the manifest read is still charged for honesty.
+// timestamp. The run set comes from the in-memory tree, which is not
+// always the durable manifest: lsm.Tree.Flush and CompactOnce install
+// their new runs before writeManifest, and Disk.WriteManifest replaces
+// the manifest only after its sleep, so a restore inside that window
+// reads runs the manifest does not yet name (ROADMAP item 6). The
+// manifest read is charged all the same.
 func (c *Checkpointer) Restore(p *sim.Proc, r *core.Replica) (uint64, bool) {
 	man := c.disk.ReadManifest(p)
 	if man == nil || c.tree.ManifestSeq() == 0 {

@@ -16,9 +16,9 @@ func multicastTs(v uint64) multicast.Timestamp { return multicast.Timestamp(v) }
 // ExtraState is deployment-level control state that rides the designated
 // carrier replica's checkpoints (partition 0, rank 0): SnapshotExtra is
 // captured with each of its checkpoints, and RestoreExtra fires when
-// that replica restores from disk — the rebalance controller persists
-// its cooldown/backoff clocks this way, so a controller restarted after
-// a crash resumes its hysteresis instead of thrashing.
+// that replica restores from disk. rebalance.Controller implements it
+// for its cooldown/backoff clocks, but no run attaches one: the only
+// ExtraState ever attached is persist's own test fake.
 type ExtraState interface {
 	SnapshotExtra() []byte
 	RestoreExtra([]byte)
@@ -30,6 +30,11 @@ type ExtraState interface {
 // mirrors the flush-instant arithmetic.
 const DefaultInterval = 400 * sim.Microsecond
 
+// logRetention is how many checkpoint intervals of update-log history
+// each replica retains beyond its own newest checkpoint, so it can serve
+// delta transfers to peers whose checkpoints are a few intervals stale.
+const logRetention = 16
+
 // Options configures the persistence layer.
 type Options struct {
 	// Interval between checkpoint attempts per replica (default
@@ -39,14 +44,6 @@ type Options struct {
 	// LSM tunes each replica's log-structured tree (zero fields take lsm
 	// defaults).
 	LSM lsm.Config
-	// Disk is the medium cost model; zero fields default to the NVMe
-	// calibration.
-	Disk DiskConfig
-	// LogRetention is how many checkpoint intervals of update-log
-	// history each replica retains beyond its own newest checkpoint
-	// (default 16), so it can serve delta transfers to peers whose
-	// checkpoints are a few intervals stale.
-	LogRetention int
 	// Extra, when non-nil, is carried by the designated replica's
 	// checkpoints (see ExtraState).
 	Extra ExtraState
@@ -56,10 +53,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Interval == 0 {
 		o.Interval = DefaultInterval
-	}
-	o.Disk = o.Disk.withDefaults()
-	if o.LogRetention == 0 {
-		o.LogRetention = 16
 	}
 	return o
 }
@@ -132,7 +125,7 @@ func Attach(d *core.Deployment, opt *Options) *Layer {
 // and spawns the capture and compaction loops.
 func (l *Layer) attachOne(part core.PartitionID, rank int) *Checkpointer {
 	rep := l.dep.Replicas[part][rank]
-	disk := NewDisk(l.opt.Disk)
+	disk := NewDisk(DiskConfig{})
 	tree, err := lsm.NewTree(deviceAdapter{disk}, l.opt.LSM)
 	if err != nil {
 		panic(fmt.Sprintf("persist: %v", err))

@@ -149,7 +149,7 @@ func TestDiskConfigDefaults(t *testing.T) {
 	}
 
 	o := Options{}.withDefaults()
-	if o.Interval != 400*sim.Microsecond || o.LogRetention != 16 {
+	if o.Interval != 400*sim.Microsecond {
 		t.Fatalf("option defaults = %+v", o)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // populatedApp returns warehouse 1's app with its warehouse-local tables
 // built, and its store rows by OID.
 func populatedApp() (*App, map[store.OID][]byte) {
-	a := NewApp(0, NewDataset(42, 1, SmallScale()), DefaultCostModel())
+	a := NewApp(0, NewDataset(42, 1, SmallScale()))
 	a.PopulateAux()
 	rows := make(map[store.OID][]byte)
 	for _, o := range a.InitialObjects() {

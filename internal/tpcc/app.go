@@ -10,34 +10,19 @@ import (
 	"heron/internal/store"
 )
 
-// CostModel charges the modeled CPU time of transaction logic and manual
-// (de)serialization, calibrated so a single-partition New-Order executes
-// in the mid-teens of microseconds as in the paper (Fig. 6: ~16 us
-// execution).
-type CostModel struct {
-	TxnBase    sim.Duration // request decode + bookkeeping
-	StockDeser sim.Duration // deserialize one stock row
-	StockSer   sim.Duration // serialize one stock row
-	CustDeser  sim.Duration // deserialize one customer row (larger)
-	CustSer    sim.Duration
-	AuxInsert  sim.Duration // insert into a warehouse-local map table
-	AuxLookup  sim.Duration
-	ItemLookup sim.Duration
-}
-
-// DefaultCostModel returns the calibrated cost model.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		TxnBase:    1500 * sim.Nanosecond,
-		StockDeser: 260 * sim.Nanosecond,
-		StockSer:   300 * sim.Nanosecond,
-		CustDeser:  520 * sim.Nanosecond,
-		CustSer:    600 * sim.Nanosecond,
-		AuxInsert:  130 * sim.Nanosecond,
-		AuxLookup:  70 * sim.Nanosecond,
-		ItemLookup: 60 * sim.Nanosecond,
-	}
-}
+// The modeled CPU time of transaction logic and manual (de)serialization,
+// calibrated so a single-partition New-Order executes in the mid-teens of
+// microseconds as in the paper (Fig. 6: ~16 us execution).
+const (
+	costTxnBase    = 1500 * sim.Nanosecond // request decode + bookkeeping
+	costStockDeser = 260 * sim.Nanosecond  // deserialize one stock row
+	costStockSer   = 300 * sim.Nanosecond  // serialize one stock row
+	costCustDeser  = 520 * sim.Nanosecond  // deserialize one customer row (larger)
+	costCustSer    = 600 * sim.Nanosecond
+	costAuxInsert  = 130 * sim.Nanosecond // insert into a warehouse-local map table
+	costAuxLookup  = 70 * sim.Nanosecond
+	costItemLookup = 60 * sim.Nanosecond
+)
 
 type orderKey struct{ did, oid int32 }
 type custKey struct{ did, cid int32 }
@@ -49,7 +34,6 @@ type App struct {
 	part core.PartitionID
 	wid  int32
 	ds   *Dataset
-	cost CostModel
 
 	// Warehouse-local tables (the paper's HashMap tables).
 	districts   map[int32]*District
@@ -83,19 +67,18 @@ var _ core.AuxSyncer = (*App)(nil)
 
 // NewAppFactory returns a core.AppFactory producing TPCC app instances
 // over a shared dataset.
-func NewAppFactory(ds *Dataset, cost CostModel) core.AppFactory {
+func NewAppFactory(ds *Dataset) core.AppFactory {
 	return func(part core.PartitionID, rank int) core.Application {
-		return NewApp(part, ds, cost)
+		return NewApp(part, ds)
 	}
 }
 
 // NewApp creates the application instance for one replica of `part`.
-func NewApp(part core.PartitionID, ds *Dataset, cost CostModel) *App {
+func NewApp(part core.PartitionID, ds *Dataset) *App {
 	return &App{
 		part:        part,
 		wid:         int32(part) + 1,
 		ds:          ds,
-		cost:        cost,
 		districts:   make(map[int32]*District),
 		orders:      make(map[orderKey]*Order),
 		orderLines:  make(map[orderKey][]OrderLine),
@@ -234,7 +217,7 @@ func (a *App) ReadSet(req *core.Request) []store.OID {
 // Execute implements core.Application.
 func (a *App) Execute(ctx *core.ExecContext) core.Outcome {
 	a.cpu = 0
-	a.charge(a.cost.TxnBase, 1)
+	a.charge(costTxnBase, 1)
 	t := &a.txn
 	if err := t.decode(ctx.Req.Payload); err != nil {
 		return core.Outcome{Response: []byte("ERR decode"), CPU: a.cpu}
@@ -271,12 +254,12 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 		if d == nil {
 			return core.Outcome{Response: []byte("ERR district")}
 		}
-		a.charge(a.cost.AuxLookup, 1)
+		a.charge(costAuxLookup, 1)
 		oid = d.NextOID
 		d.NextOID++
 
 		cust, err := parseCustomer(ctx.Values[CustomerOID(int(t.WID), int(t.DID), int(t.CID))])
-		a.charge(a.cost.CustDeser, 1)
+		a.charge(costCustDeser, 1)
 		if err != nil {
 			return core.Outcome{Response: []byte("ERR customer")}
 		}
@@ -290,10 +273,10 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 				allLocal = false
 			}
 			item := &a.ds.Items[l.IID-1]
-			a.charge(a.cost.ItemLookup, 1)
+			a.charge(costItemLookup, 1)
 			soid := StockOID(int(l.SupplyWID), int(l.IID))
 			stock, serr := parseStock(ctx.Values[soid])
-			a.charge(a.cost.StockDeser, 1)
+			a.charge(costStockDeser, 1)
 			if serr != nil {
 				return core.Outcome{Response: []byte("ERR stock")}
 			}
@@ -315,10 +298,10 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 			// rows are updated by their hosting partitions (unless this
 			// is the DynaStar single-executor mode).
 			if l.SupplyWID == a.wid || a.singleExec {
-				a.charge(a.cost.StockSer, 1)
+				a.charge(costStockSer, 1)
 				out.Writes = append(out.Writes, core.Write{OID: soid, Val: stock.updated(ctx, l, t.WID)})
 			}
-			a.charge(a.cost.AuxInsert, 1)
+			a.charge(costAuxInsert, 1)
 		}
 		// The lines' S_DIST_xx are one string per order, which they slice.
 		all, start := string(dists), 0
@@ -337,7 +320,7 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 		a.orderLines[key] = lines
 		a.newOrders[t.DID] = append(a.newOrders[t.DID], oid)
 		a.lastOrderOf[custKey{did: t.DID, cid: t.CID}] = oid
-		a.charge(a.cost.AuxInsert, 3)
+		a.charge(costAuxInsert, 3)
 	} else {
 		// Partial execution: update only this warehouse's stock rows.
 		for _, l := range t.Lines {
@@ -346,11 +329,11 @@ func (a *App) execNewOrder(ctx *core.ExecContext, t *Txn) core.Outcome {
 			}
 			soid := StockOID(int(l.SupplyWID), int(l.IID))
 			stock, serr := parseStock(ctx.Values[soid])
-			a.charge(a.cost.StockDeser, 1)
+			a.charge(costStockDeser, 1)
 			if serr != nil {
 				return core.Outcome{Response: []byte("ERR stock")}
 			}
-			a.charge(a.cost.StockSer, 1)
+			a.charge(costStockSer, 1)
 			out.Writes = append(out.Writes, core.Write{OID: soid, Val: stock.updated(ctx, l, t.WID)})
 		}
 	}
@@ -393,19 +376,19 @@ func (a *App) execPayment(ctx *core.ExecContext, t *Txn) core.Outcome {
 			Date: int64(ctx.Req.Ts), Amount: t.Amount,
 			Data: d.Name,
 		})
-		a.charge(a.cost.AuxLookup, 1)
-		a.charge(a.cost.AuxInsert, 1)
+		a.charge(costAuxLookup, 1)
+		a.charge(costAuxInsert, 1)
 	}
 	if t.CWID == a.wid || (a.singleExec && t.WID == a.wid) {
 		coid := CustomerOID(int(t.CWID), int(t.CDID), int(t.CID))
 		cust, err := parseCustomer(ctx.Values[coid])
-		a.charge(a.cost.CustDeser, 1)
+		a.charge(costCustDeser, 1)
 		if err != nil {
 			return core.Outcome{Response: []byte("ERR customer")}
 		}
 		var row []byte
 		row, balance = cust.paid(ctx, t)
-		a.charge(a.cost.CustSer, 1)
+		a.charge(costCustSer, 1)
 		out.Writes = append(ctx.WriteList(1), core.Write{OID: coid, Val: row})
 	}
 	out.Response = encodeI64(ctx, balance)
@@ -415,17 +398,17 @@ func (a *App) execPayment(ctx *core.ExecContext, t *Txn) core.Outcome {
 // execOrderStatus: read-only, always local.
 func (a *App) execOrderStatus(ctx *core.ExecContext, t *Txn) core.Outcome {
 	cust, err := parseCustomer(ctx.Values[CustomerOID(int(t.WID), int(t.DID), int(t.CID))])
-	a.charge(a.cost.CustDeser, 1)
+	a.charge(costCustDeser, 1)
 	if err != nil {
 		return core.Outcome{Response: []byte("ERR customer")}
 	}
 	last, ok := a.lastOrderOf[custKey{did: t.DID, cid: t.CID}]
-	a.charge(a.cost.AuxLookup, 1)
+	a.charge(costAuxLookup, 1)
 	var olCnt int32
 	if ok {
 		if ord := a.orders[orderKey{did: t.DID, oid: last}]; ord != nil {
 			olCnt = ord.OLCnt
-			a.charge(a.cost.AuxLookup, int(olCnt)+1)
+			a.charge(costAuxLookup, int(olCnt)+1)
 		}
 	}
 	resp := ctx.Alloc(9)
@@ -441,7 +424,7 @@ func (a *App) execDelivery(ctx *core.ExecContext, t *Txn) core.Outcome {
 	var delivered int
 	for did := int32(1); did <= int32(a.ds.Scale.DistrictsPerWH); did++ {
 		fifo := a.newOrders[did]
-		a.charge(a.cost.AuxLookup, 1)
+		a.charge(costAuxLookup, 1)
 		if len(fifo) == 0 {
 			continue
 		}
@@ -459,7 +442,7 @@ func (a *App) execDelivery(ctx *core.ExecContext, t *Txn) core.Outcome {
 			lines[i].DeliveryD = int64(ctx.Req.Ts)
 			sum += lines[i].Amount
 		}
-		a.charge(a.cost.AuxLookup, len(lines)+2)
+		a.charge(costAuxLookup, len(lines)+2)
 
 		coid := CustomerOID(int(a.wid), int(did), int(ord.CID))
 		raw, ok := ctx.LocalGet(coid)
@@ -467,11 +450,11 @@ func (a *App) execDelivery(ctx *core.ExecContext, t *Txn) core.Outcome {
 			continue
 		}
 		cust, err := parseCustomer(raw)
-		a.charge(a.cost.CustDeser, 1)
+		a.charge(costCustDeser, 1)
 		if err != nil {
 			continue
 		}
-		a.charge(a.cost.CustSer, 1)
+		a.charge(costCustSer, 1)
 		out.Writes = append(out.Writes, core.Write{OID: coid, Val: cust.delivered(ctx, sum)})
 		delivered++
 	}
@@ -488,7 +471,7 @@ func (a *App) execStockLevel(ctx *core.ExecContext, t *Txn) core.Outcome {
 	if d == nil {
 		return core.Outcome{Response: []byte("ERR district")}
 	}
-	a.charge(a.cost.AuxLookup, 1)
+	a.charge(costAuxLookup, 1)
 	lo := d.NextOID - 20
 	if lo < 1 {
 		lo = 1
@@ -498,7 +481,7 @@ func (a *App) execStockLevel(ctx *core.ExecContext, t *Txn) core.Outcome {
 		for _, line := range a.orderLines[orderKey{did: t.DID, oid: o}] {
 			items = append(items, line.IID)
 		}
-		a.charge(a.cost.AuxLookup, 1)
+		a.charge(costAuxLookup, 1)
 	}
 	// Distinct items in ascending order, for reproducibility.
 	slices.Sort(items)
@@ -512,7 +495,7 @@ func (a *App) execStockLevel(ctx *core.ExecContext, t *Txn) core.Outcome {
 			continue
 		}
 		stock, err := parseStock(raw)
-		a.charge(a.cost.StockDeser, 1)
+		a.charge(costStockDeser, 1)
 		if err != nil {
 			continue
 		}

@@ -28,7 +28,7 @@ func deployTPCC(t *testing.T, warehouses, replicas int, scale Scale) (*sim.Sched
 	cfg := core.DefaultConfig(multicast.DefaultConfig(layout))
 	cfg.StoreCapacity = scale.Items*storeSlot(StockMaxBytes) +
 		scale.DistrictsPerWH*scale.CustomersPerDistrict*storeSlot(CustomerMaxBytes) + 4096
-	d, err := core.NewDeployment(s, cfg, NewAppFactory(ds, DefaultCostModel()), Partitioner)
+	d, err := core.NewDeployment(s, cfg, NewAppFactory(ds), Partitioner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestTPCCParallelExecution(t *testing.T) {
 	cfg.StoreCapacity = scale.Items*storeSlot(StockMaxBytes) +
 		scale.DistrictsPerWH*scale.CustomersPerDistrict*storeSlot(CustomerMaxBytes) + 4096
 	cfg.ExecWorkers = 4
-	d, err := core.NewDeployment(s, cfg, NewAppFactory(ds, DefaultCostModel()), Partitioner)
+	d, err := core.NewDeployment(s, cfg, NewAppFactory(ds), Partitioner)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,7 +237,7 @@ func TestOIDEncoding(t *testing.T) {
 
 func TestAuxSnapshotRoundTrip(t *testing.T) {
 	ds := NewDataset(1, 2, SmallScale())
-	a := NewApp(0, ds, DefaultCostModel())
+	a := NewApp(0, ds)
 	for did := 1; did <= ds.Scale.DistrictsPerWH; did++ {
 		a.districts[int32(did)] = ds.GenDistrict(1, did)
 		a.populateOrders(int32(did))
@@ -245,7 +245,7 @@ func TestAuxSnapshotRoundTrip(t *testing.T) {
 	a.history = append(a.history, History{CID: 1, DID: 2, WID: 1, Amount: 500, Data: "x"})
 
 	snap := a.SnapshotAux(0, 0)
-	b := NewApp(0, ds, DefaultCostModel())
+	b := NewApp(0, ds)
 	b.ApplyAux(snap)
 
 	if !reflect.DeepEqual(a.districts, b.districts) {
