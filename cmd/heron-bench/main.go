@@ -375,9 +375,6 @@ var commands = []command{
 		fs.IntVar(&opts.PayloadBytes, "payload", opts.PayloadBytes, "payload bytes per message")
 		fs.IntVar(&opts.MultiGroupPct, "multi", opts.MultiGroupPct, "percent of submissions spanning two groups")
 		fs.Float64Var(&opts.ZipfS, "zipf", opts.ZipfS, "zipf skew of key popularity (>1)")
-		fs.StringVar(&opts.Arrival, "arrival", opts.Arrival, "interarrival law: poisson or pareto")
-		fs.StringVar(&opts.Shape, "shape", opts.Shape, "rate shape: steady, diurnal, or flash")
-		fs.StringVar(&opts.Mix, "mix", opts.Mix, "operation mix: update (default), ycsb-b (95/5 reads), ycsb-c (read-only)")
 		warmup := fs.Duration("warmup", time.Duration(opts.Warmup), "warmup of virtual time")
 		window := fs.Duration("window", time.Duration(opts.Window), "measurement window of virtual time")
 		fs.Int64Var(&opts.Seed, "seed", opts.Seed, "workload seed")

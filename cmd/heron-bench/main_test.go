@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -27,9 +28,9 @@ func TestCommandFlags(t *testing.T) {
 		"rebalance": {"json", "metrics", "scenario", "seed", "trace"},
 		"lease": {"clients", "json", "keys", "metrics", "partitions", "profile", "readpct",
 			"replicas", "seed", "slowest", "trace", "window"},
-		"openloop": {"arrival", "clients", "flightdir", "groups", "heat", "json", "metrics", "mix",
-			"multi", "payload", "profile", "pumps", "rate", "replicas", "seed", "shape", "slowest",
-			"trace", "warmup", "window", "zipf"},
+		"openloop": {"clients", "flightdir", "groups", "heat", "json", "metrics", "multi",
+			"payload", "profile", "pumps", "rate", "replicas", "seed", "slowest", "trace",
+			"warmup", "window", "zipf"},
 		"trace": {"clients", "json", "metrics", "requests", "seed", "trace", "wh", "workers"},
 	}
 	if len(commands) != len(want) {
@@ -60,4 +61,48 @@ func TestCommandFlags(t *testing.T) {
 	if want := []string{"fig6", "lease", "openloop"}; !slices.Equal(profiled, want) {
 		t.Errorf("commands taking -profile/-slowest = %v, want %v", profiled, want)
 	}
+}
+
+// TestReadmeFlags checks every flag of every `go run ./cmd/heron-bench
+// <sub> ...` line in README.md against that subcommand's flag set, so a
+// flag removal cannot leave a documented invocation behind. Text after
+// `#` is a comment; `all` takes the figures' flags and is skipped.
+func TestReadmeFlags(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "go run ./cmd/heron-bench "
+	checked := 0
+	for i, line := range strings.Split(string(readme), "\n") {
+		line, _, _ = strings.Cut(line, "#")
+		rest, ok := strings.CutPrefix(strings.TrimSpace(line), prefix)
+		if !ok {
+			continue
+		}
+		args := strings.Fields(rest)
+		if len(args) == 0 || args[0] == "all" {
+			continue
+		}
+		c := lookup(args[0])
+		if c == nil {
+			t.Errorf("README.md:%d: unknown subcommand %q", i+1, args[0])
+			continue
+		}
+		fs, _, _ := c.flagSet()
+		for _, a := range args[1:] {
+			if !strings.HasPrefix(a, "-") {
+				continue
+			}
+			name, _, _ := strings.Cut(strings.TrimLeft(a, "-"), "=")
+			if fs.Lookup(name) == nil {
+				t.Errorf("README.md:%d: %s has no flag -%s", i+1, c.name, name)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Error("no heron-bench flags found in README.md")
+	}
+	t.Logf("%d README flags checked", checked)
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 
@@ -21,11 +20,10 @@ import (
 // population — hundreds of thousands — whose submission times do not
 // depend on the system's responses. Clients are NOT simulated as
 // processes; their aggregate arrival process is generated as a chain of
-// scheduled events (superposed Poisson or heavy-tailed renewal arrivals,
-// optionally shaped over time), and a small number of pump processes per
-// group post the submissions into the replicas' rings. Backlog in a pump
-// is precisely the open-loop queue the population would form at an
-// overloaded front end.
+// scheduled events (superposed Poisson arrivals at a steady rate), and a
+// small number of pump processes per group post the submissions into the
+// replicas' rings. Backlog in a pump is precisely the open-loop queue the
+// population would form at an overloaded front end.
 
 // openLoopKeySpace is the number of distinct keys submissions draw from.
 const openLoopKeySpace = 1 << 20
@@ -54,23 +52,9 @@ type OpenLoopOptions struct {
 	// MultiGroupPct is the percentage of submissions addressed to two
 	// groups (home plus one other).
 	MultiGroupPct int
-	// Mix selects the operation mix: "" or "update" keeps every
-	// submission an update (the historical behavior), "ycsb-b" is the
-	// read-skewed 95/5 read/update mix, "ycsb-c" is read-only. Reads are
-	// single-object and therefore always single-group; only updates can
-	// be multi-group. The op kind rides the measurement header, so sinks
-	// attribute reads and updates separately.
-	Mix string
-	// Arrival is the interarrival law of the aggregate process per pump:
-	// "poisson" (exponential) or "pareto" (heavy-tailed, alpha=1.5,
-	// bursty).
-	Arrival string
-	// Shape modulates the rate over the run: "steady", "diurnal" (a slow
-	// sinusoidal ramp), or "flash" (a 5x crowd in a 10%-of-window spike).
-	Shape  string
-	Warmup sim.Duration
-	Window sim.Duration
-	Seed   int64
+	Warmup        sim.Duration
+	Window        sim.Duration
+	Seed          int64
 
 	// Obs optionally attaches the observability layer.
 	Obs *obs.Observer
@@ -93,8 +77,6 @@ func DefaultOpenLoopOptions() OpenLoopOptions {
 		PayloadBytes:  64,
 		ZipfS:         1.07,
 		MultiGroupPct: 10,
-		Arrival:       "poisson",
-		Shape:         "steady",
 		Warmup:        5 * sim.Millisecond,
 		Window:        20 * sim.Millisecond,
 		Seed:          1,
@@ -108,16 +90,9 @@ type OpenLoopResult struct {
 	Groups, Replicas int
 	Clients          int
 	OfferedRate      float64 // aggregate msgs/sec
-	Arrival, Shape   string
-
-	// Mix echoes the operation mix; Reads/Updates split Delivered by op
-	// kind (both zero split on the historical update-only mix).
-	Mix string `json:",omitempty"`
 
 	Submitted  int    // arrivals generated inside the window
 	Delivered  int    // window submissions delivered at their home group
-	Reads      int    `json:",omitempty"` // delivered read operations
-	Updates    int    `json:",omitempty"` // delivered update operations
 	Backlogged int    // arrivals still queued in pumps at the horizon
 	MaxBacklog int    // peak pump queue length (open-loop overload signal)
 	Events     uint64 // simulation events executed
@@ -141,7 +116,6 @@ type arrival struct {
 	client uint32
 	key    uint64
 	dual   bool // multicast to two groups
-	read   bool // read operation (mix-dependent; never dual)
 }
 
 // openPump is one submission pump: a client node plus its arrival queue.
@@ -155,70 +129,17 @@ type openPump struct {
 	s        *sim.Scheduler
 	arriveFn func() // arrive, bound once
 	opts     *OpenLoopOptions
-	rate     float64 // aggregate msgs/ns at peak for this pump
+	rate     float64 // aggregate msgs/ns for this pump
 	horizon  sim.Time
 	maxQ     int
 	gen      int // arrivals generated in window
 }
 
-// interarrival draws the next gap of the pump's aggregate process, in ns.
+// interarrival draws the next gap of the pump's Poisson arrival process,
+// in ns.
 func (pu *openPump) interarrival() sim.Time {
-	mean := 1 / pu.rate // ns between arrivals at peak rate
-	switch pu.opts.Arrival {
-	case "pareto":
-		// Pareto with alpha = 1.5, scaled so the mean matches: heavy
-		// tails produce the bursts a memoryless process never shows.
-		const alpha = 1.5
-		xm := mean * (alpha - 1) / alpha
-		g := xm / math.Pow(pu.rng.Float64(), 1/alpha)
-		if g > 1000*mean {
-			g = 1000 * mean // clip the unbounded tail to keep horizons finite
-		}
-		return sim.Time(g) + 1
-	default: // poisson
-		return sim.Time(pu.rng.ExpFloat64()*mean) + 1
-	}
-}
-
-// mixRead draws whether the next submission is a read under the
-// configured mix. The default update-only mix consumes no randomness, so
-// historical arrival streams stay bit-identical.
-func (pu *openPump) mixRead() bool {
-	switch pu.opts.Mix {
-	case "ycsb-b":
-		return pu.rng.Intn(100) < 95
-	case "ycsb-c":
-		return true
-	default:
-		return false
-	}
-}
-
-// shapeAccept thins the peak-rate arrival stream down to the shaped rate
-// at time t (thinning keeps the draws deterministic and cheap).
-func (pu *openPump) shapeAccept(t sim.Time) bool {
-	w := float64(pu.opts.Warmup)
-	span := float64(pu.opts.Window)
-	x := (float64(t) - w) / span // 0..1 inside the window
-	var frac float64
-	switch pu.opts.Shape {
-	case "diurnal":
-		// Half-sine between 40% and 100% of peak across the window.
-		frac = 0.4 + 0.6*math.Sin(math.Pi*math.Min(math.Max(x, 0), 1))
-		if frac > 1 {
-			frac = 1
-		}
-	case "flash":
-		// Baseline 20% of peak with a full-rate flash crowd in
-		// [40%, 50%) of the window.
-		frac = 0.2
-		if x >= 0.4 && x < 0.5 {
-			frac = 1
-		}
-	default:
-		return true
-	}
-	return pu.rng.Float64() < frac
+	mean := 1 / pu.rate // ns between arrivals
+	return sim.Time(pu.rng.ExpFloat64()*mean) + 1
 }
 
 // start arms the pump's first arrival on s.
@@ -243,42 +164,34 @@ func (pu *openPump) schedule(at sim.Time) {
 func (pu *openPump) arrive() {
 	at := pu.s.Now()
 	next := at + pu.interarrival()
-	if pu.shapeAccept(at) {
-		a := arrival{
-			at:     at,
-			client: uint32(pu.rng.Intn(pu.opts.Clients)),
-			key:    pu.zipf.Uint64(),
-			read:   pu.mixRead(),
-		}
-		a.dual = !a.read && pu.rng.Intn(100) < pu.opts.MultiGroupPct
-		pu.queue.Send(a)
-		if q := pu.queue.Len(); q > pu.maxQ {
-			pu.maxQ = q
-		}
-		if at >= sim.Time(pu.opts.Warmup) {
-			pu.gen++
-		}
+	a := arrival{
+		at:     at,
+		client: uint32(pu.rng.Intn(pu.opts.Clients)),
+		key:    pu.zipf.Uint64(),
+		dual:   pu.rng.Intn(100) < pu.opts.MultiGroupPct,
+	}
+	pu.queue.Send(a)
+	if q := pu.queue.Len(); q > pu.maxQ {
+		pu.maxQ = q
+	}
+	if at >= sim.Time(pu.opts.Warmup) {
+		pu.gen++
 	}
 	pu.schedule(next)
 }
 
 // openLoopHeader is the measurement header size: submit time [0:8],
-// modeled client [8:12], home group [12:14], key [14:22], op kind [22]
-// (0 update, 1 read).
-const openLoopHeader = 23
+// modeled client [8:12], home group [12:14], key [14:22].
+const openLoopHeader = 22
 
 // encodeOpenLoop packs the measurement header into a payload: submit
-// time, modeled client, home group, the accessed key (the sink feeds it
-// into the home partition's heat sketch), and the op kind.
-func encodeOpenLoop(buf []byte, at sim.Time, client uint32, home uint16, key uint64, read bool) {
+// time, modeled client, home group, and the accessed key (the sink feeds
+// it into the home partition's heat sketch).
+func encodeOpenLoop(buf []byte, at sim.Time, client uint32, home uint16, key uint64) {
 	binary.LittleEndian.PutUint64(buf[0:8], uint64(at))
 	binary.LittleEndian.PutUint32(buf[8:12], client)
 	binary.LittleEndian.PutUint16(buf[12:14], home)
 	binary.LittleEndian.PutUint64(buf[14:22], key)
-	buf[22] = 0
-	if read {
-		buf[22] = 1
-	}
 }
 
 // RunOpenLoop executes one open-loop measurement.
@@ -295,21 +208,6 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 	}
 	if opts.ZipfS <= 1 {
 		opts.ZipfS = 1.07
-	}
-	switch opts.Arrival {
-	case "", "poisson", "pareto":
-	default:
-		return nil, fmt.Errorf("openloop: unknown arrival law %q", opts.Arrival)
-	}
-	switch opts.Shape {
-	case "", "steady", "diurnal", "flash":
-	default:
-		return nil, fmt.Errorf("openloop: unknown shape %q", opts.Shape)
-	}
-	switch opts.Mix {
-	case "", "update", "ycsb-b", "ycsb-c":
-	default:
-		return nil, fmt.Errorf("openloop: unknown mix %q (have update, ycsb-b, ycsb-c)", opts.Mix)
 	}
 
 	dc, err := multicast.NewDomainCluster(opts.Groups, opts.Replicas, max(opts.Domains, 1), opts.PumpsPerGroup, rdma.DefaultConfig())
@@ -331,9 +229,6 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 		Replicas:    opts.Replicas,
 		Clients:     opts.Clients,
 		OfferedRate: float64(opts.Clients) * opts.RatePerClient,
-		Arrival:     orDefault(opts.Arrival, "poisson"),
-		Shape:       orDefault(opts.Shape, "steady"),
-		Mix:         opts.Mix,
 	}
 	horizon := sim.Time(opts.Warmup) + sim.Time(opts.Window)
 
@@ -341,7 +236,6 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 	cp := opts.Obs.CritPath()
 	lats := make([]*LatencyRecorder, opts.Groups)
 	delivered := make([]int, opts.Groups)
-	readsAt := make([]int, opts.Groups)
 	for g := 0; g < opts.Groups; g++ {
 		g := g
 		lats[g] = &LatencyRecorder{}
@@ -363,9 +257,6 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 					continue // counted at its home group, inside the window only
 				}
 				delivered[g]++
-				if d.Payload[22] == 1 {
-					readsAt[g]++
-				}
 				lats[g].Add(sim.Duration(p.Now() - at))
 				id := obs.ReqID{Node: uint64(d.ID.Node), Seq: d.ID.Seq}
 				cp.Mark(id, obs.SegDelivered, p.Now())
@@ -380,8 +271,8 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 	// pump generates its share of the aggregate arrival process and posts
 	// submissions in arrival order.
 	nPumps := opts.Groups * opts.PumpsPerGroup
-	peakRate := res.OfferedRate / 1e9 / float64(nPumps) // msgs per ns per pump
-	if peakRate <= 0 {
+	rate := res.OfferedRate / 1e9 / float64(nPumps) // msgs per ns per pump
+	if rate <= 0 {
 		return nil, fmt.Errorf("openloop: non-positive offered rate")
 	}
 	pumps := make([]*openPump, 0, nPumps)
@@ -395,7 +286,7 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 				zipf:    rand.NewZipf(rng, opts.ZipfS, 1, uint64(openLoopKeySpace-1)),
 				group:   g,
 				opts:    &opts,
-				rate:    peakRate,
+				rate:    rate,
 				horizon: horizon,
 			}
 			pumps = append(pumps, pu)
@@ -416,7 +307,7 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 						other := (home + 1 + int(a.key>>32)%(opts.Groups-1)) % opts.Groups
 						dst = append(dst, multicast.GroupID(other))
 					}
-					encodeOpenLoop(payload, a.at, a.client, uint16(home), a.key, a.read)
+					encodeOpenLoop(payload, a.at, a.client, uint16(home), a.key)
 					t0 := p.Now()
 					mid := pu.cl.Multicast(p, dst, payload)
 					id := obs.ReqID{Node: uint64(mid.Node), Seq: mid.Seq}
@@ -439,13 +330,9 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 	merged := &LatencyRecorder{}
 	for g := 0; g < opts.Groups; g++ {
 		res.Delivered += delivered[g]
-		res.Reads += readsAt[g]
 		for _, sample := range lats[g].Samples() {
 			merged.Add(sample)
 		}
-	}
-	if opts.Mix == "ycsb-b" || opts.Mix == "ycsb-c" {
-		res.Updates = res.Delivered - res.Reads
 	}
 	for _, pu := range pumps {
 		res.Submitted += pu.gen
@@ -475,21 +362,11 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 	return res, nil
 }
 
-func orDefault(s, d string) string {
-	if s == "" {
-		return d
-	}
-	return s
-}
-
 // Format renders the result as a table.
 func (r *OpenLoopResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Open-loop workload: %d clients @ %.0f msg/s aggregate (%s arrivals, %s shape)\n",
-		r.Clients, r.OfferedRate, r.Arrival, r.Shape)
-	if r.Mix != "" && r.Mix != "update" {
-		fmt.Fprintf(&b, "mix: %s (%d reads / %d updates delivered)\n", r.Mix, r.Reads, r.Updates)
-	}
+	fmt.Fprintf(&b, "Open-loop workload: %d clients @ %.0f msg/s aggregate (poisson arrivals, steady shape)\n",
+		r.Clients, r.OfferedRate)
 	fmt.Fprintf(&b, "topology: %d groups x %d replicas\n", r.Groups, r.Replicas)
 	fmt.Fprintf(&b, "%-12s %-12s %-12s %-12s %-12s\n", "submitted", "delivered", "backlog", "max_backlog", "events")
 	fmt.Fprintf(&b, "%-12d %-12d %-12d %-12d %-12d\n", r.Submitted, r.Delivered, r.Backlogged, r.MaxBacklog, r.Events)

@@ -147,8 +147,8 @@ type RebalanceResult struct {
 }
 
 // rebalApp executes blind single-key writes costing rebalExecCost; the
-// payload is the 8-byte target OID. HeatKey is the OID itself, so the
-// planner's identity KeyToOID applies.
+// payload is the 8-byte target OID. HeatKey is the OID itself, as the
+// planner's split boundaries require (core.HeatKeyer).
 type rebalApp struct{}
 
 func (a rebalApp) ReadSet(req *core.Request) []store.OID { return nil }

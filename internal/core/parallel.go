@@ -294,7 +294,9 @@ func (r *Replica) noteDone(req *Request, rec TraceRecord) {
 
 // HeatKeyer is an optional Application extension feeding the per-
 // partition key-skew sketch: it maps a request to the hot-key identity
-// that should be charged for it (e.g. TPCC's warehouse id).
+// that should be charged for it. That key must be a store.OID the
+// request accesses: the rebalance planner draws split boundaries and
+// isolates dominant keys at the sketch keys, read as object ids.
 type HeatKeyer interface {
 	HeatKey(req *Request) uint64
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"heron/internal/core"
 	"heron/internal/lincheck"
 	"heron/internal/multicast"
 	"heron/internal/sim"
@@ -121,6 +122,25 @@ func TestDriveStreams(t *testing.T) {
 	for rng, ci := range client {
 		if !slices.Equal(draws[rng], want[ci]) {
 			t.Errorf("client %d drew %v, want %v", ci, draws[rng], want[ci])
+		}
+	}
+}
+
+// TestHeatKeyIsAnOID: HeatKey is the first written object id, else the
+// first read one, else 0 — the rebalance planner reads sketch keys as
+// object ids (core.HeatKeyer).
+func TestHeatKeyIsAnOID(t *testing.T) {
+	a := New(nil, 8)(0, 0).(core.HeatKeyer)
+	for _, tc := range []struct {
+		req  Req
+		want store.OID
+	}{
+		{Req{Reads: []store.OID{OID(1, 2)}, Writes: []store.OID{OID(0, 7), OID(1, 9)}}, OID(0, 7)},
+		{Req{Reads: []store.OID{OID(1, 2), OID(0, 3)}}, OID(1, 2)},
+		{Req{Add: 5}, 0},
+	} {
+		if got := a.HeatKey(&core.Request{Payload: tc.req.Encode()}); got != uint64(tc.want) {
+			t.Errorf("HeatKey(%+v) = %d, want %d", tc.req, got, tc.want)
 		}
 	}
 }

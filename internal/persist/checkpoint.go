@@ -43,11 +43,6 @@ type Checkpointer struct {
 	lastTmp uint64   // snapTmp of the newest manifested checkpoint
 	history []uint64 // snapTmps of recent checkpoints, for log retention
 
-	// extra is the deployment-level control state carried by this
-	// checkpointer (set on the designated replica only, see
-	// Options.Extra).
-	extra ExtraState
-
 	stats CkptStats
 
 	track      *obs.Track
@@ -199,13 +194,8 @@ func (c *Checkpointer) capture(p *sim.Proc) {
 	}
 	st.EndSnapshot()
 
-	var extra []byte
-	if c.extra != nil {
-		extra = c.extra.SnapshotExtra()
-	}
-
 	c.stats.DirtyBytes += uint64(mt.RawBytes())
-	res, ok := c.tree.Flush(p, mt, snapTmp, aux, extra, c.rep.Crashed)
+	res, ok := c.tree.Flush(p, mt, snapTmp, aux, nil, c.rep.Crashed)
 	if !ok {
 		c.stats.Aborted++
 		sp.Arg("aborted", true)
@@ -309,12 +299,6 @@ func (c *Checkpointer) Restore(p *sim.Proc, r *core.Replica) (uint64, bool) {
 		if syncer, ok := r.App().(core.AuxSyncer); ok {
 			syncer.ApplyAux(aux)
 		}
-	}
-	// Deployment-level extra state is re-installed only when the carrier
-	// replica itself restores — a donor restore into a joiner must not
-	// clobber the live controller's state.
-	if extra := c.tree.Extra(); c.extra != nil && len(extra) > 0 && r == c.rep {
-		c.extra.RestoreExtra(extra)
 	}
 	read := c.tree.Stats().RestoreBytes - before.RestoreBytes
 	c.stats.Restores++

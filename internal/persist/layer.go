@@ -13,17 +13,6 @@ import (
 // multicastTs narrows a store timestamp to the ordering layer's type.
 func multicastTs(v uint64) multicast.Timestamp { return multicast.Timestamp(v) }
 
-// ExtraState is deployment-level control state that rides the designated
-// carrier replica's checkpoints (partition 0, rank 0): SnapshotExtra is
-// captured with each of its checkpoints, and RestoreExtra fires when
-// that replica restores from disk. rebalance.Controller implements it
-// for its cooldown/backoff clocks, but no run attaches one: the only
-// ExtraState ever attached is persist's own test fake.
-type ExtraState interface {
-	SnapshotExtra() []byte
-	RestoreExtra([]byte)
-}
-
 // DefaultInterval is the default spacing between checkpoint attempts per
 // replica — a few thousand requests of progress per checkpoint at
 // simulated throughputs. Exported because the chaos durable profile
@@ -44,9 +33,6 @@ type Options struct {
 	// LSM tunes each replica's log-structured tree (zero fields take lsm
 	// defaults).
 	LSM lsm.Config
-	// Extra, when non-nil, is carried by the designated replica's
-	// checkpoints (see ExtraState).
-	Extra ExtraState
 }
 
 // withDefaults fills zero fields.
@@ -113,9 +99,6 @@ func Attach(d *core.Deployment, opt *Options) *Layer {
 		for rank := range d.Replicas[part] {
 			l.attachOne(core.PartitionID(part), rank)
 		}
-	}
-	if l.opt.Extra != nil && len(l.cps) > 0 && len(l.cps[0]) > 0 {
-		l.cps[0][0].extra = l.opt.Extra
 	}
 	return l
 }

@@ -70,17 +70,6 @@ func (c *Controller) Start(s *sim.Scheduler) {
 	})
 }
 
-// SnapshotExtra / RestoreExtra implement persist.ExtraState
-// structurally: attached via persist.Options.Extra, the controller's
-// cooldown/backoff clocks and hysteresis streaks ride the designated
-// replica's checkpoints, so a controller restarted after a crash
-// resumes its pacing (a doubled cooldown stays doubled) instead of
-// re-entering the thrash the backoff had just suppressed.
-func (c *Controller) SnapshotExtra() []byte { return c.SnapshotState() }
-
-// RestoreExtra installs a persisted planner state.
-func (c *Controller) RestoreExtra(b []byte) { c.RestoreState(b) }
-
 // tick runs one decision.
 func (c *Controller) tick(p *sim.Proc) {
 	c.o.Counter("rebalance/ticks").Inc()

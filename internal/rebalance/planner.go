@@ -10,7 +10,6 @@ import (
 	"heron/internal/reconfig"
 	"heron/internal/sim"
 	"heron/internal/store"
-	"heron/internal/wire"
 )
 
 // Planner is the pure decision core: thresholds plus the mutable
@@ -19,10 +18,6 @@ import (
 // synthetic loads and assert the exact decision sequence.
 type Planner struct {
 	Pol Policy
-	// KeyToOID maps a hot-key sketch key back to the object id it was
-	// derived from (identity when nil). Split boundaries come from the
-	// sketch, so the mapping must invert the application's HeatKey.
-	KeyToOID func(uint64) store.OID
 
 	// Log records every decision, acting or not, in tick order.
 	Log []Decision
@@ -208,7 +203,8 @@ func (pl *Planner) shedTarget(loads []PartLoad, hot int, mean float64) int {
 }
 
 // shedMoves synthesizes the moves that shed the hot partition's load
-// onto the target, picking the boundary from the hot-key sketch:
+// onto the target, picking the boundary from the hot-key sketch, whose
+// keys are object ids (the core.HeatKeyer contract):
 //
 //   - a dominant key (DominantShare of the sketch mass) is isolated by
 //     itself — splitting cannot spread a single key, but giving it a
@@ -224,7 +220,7 @@ func (pl *Planner) shedMoves(cfg *reconfig.Configuration, hot core.PartitionID, 
 	var keys []obs.KeyCount
 	var mass uint64
 	for _, kc := range top {
-		oid := pl.keyToOID(kc.Key)
+		oid := store.OID(kc.Key)
 		if cfg.PartitionOf(oid) != hot {
 			continue
 		}
@@ -236,7 +232,7 @@ func (pl *Planner) shedMoves(cfg *reconfig.Configuration, hot core.PartitionID, 
 		// Dominant key: isolate it. keys comes sorted by count
 		// descending (TopKeys order), so keys[0] is the candidate.
 		if float64(keys[0].Count) >= pl.Pol.DominantShare*float64(mass) && len(keys) > 1 {
-			oid := pl.keyToOID(keys[0].Key)
+			oid := store.OID(keys[0].Key)
 			return []reconfig.Move{{Lo: oid, Hi: oid, To: to}}, oid, ActIsolate
 		}
 		if len(keys) > 1 {
@@ -246,7 +242,7 @@ func (pl *Planner) shedMoves(cfg *reconfig.Configuration, hot core.PartitionID, 
 			for i := 0; i < len(keys)-1; i++ {
 				left += keys[i].Count
 				if 2*left >= mass {
-					at := pl.keyToOID(keys[i+1].Key)
+					at := store.OID(keys[i+1].Key)
 					if moves := cfg.SplitMoves(hot, at, to); len(moves) > 0 {
 						return moves, at, ActSplit
 					}
@@ -341,76 +337,6 @@ func (pl *Planner) Outcome(committed bool, epoch uint64) {
 	}
 }
 
-// plannerStateVersion tags the SnapshotState encoding.
-const plannerStateVersion = 1
-
-// SnapshotState serializes the planner's mutable control state — the
-// hysteresis streaks, the cooldown/backoff clocks, the last-change
-// instant, the pending feedback probe, and the change budget — so a
-// controller replica can persist it alongside a checkpoint and a
-// restarted controller resumes exactly where the crashed one left off
-// (instead of forgetting a doubled cooldown and thrashing). The decision
-// log is deliberately excluded: it is telemetry, not control state.
-func (pl *Planner) SnapshotState() []byte {
-	w := wire.NewWriter(64 + 8*len(pl.hotStreak))
-	w.U32(plannerStateVersion)
-	w.U32(uint32(len(pl.hotStreak)))
-	for _, v := range pl.hotStreak {
-		w.U32(uint32(v))
-	}
-	w.U32(uint32(len(pl.coldStreak)))
-	for _, v := range pl.coldStreak {
-		w.U32(uint32(v))
-	}
-	w.U64(uint64(pl.lastAt))
-	w.Bool(pl.changed)
-	w.I64(int64(pl.cooldown))
-	w.Bool(pl.fb != nil)
-	if pl.fb != nil {
-		w.U32(uint32(pl.fb.part))
-		w.I64(pl.fb.queue)
-	}
-	w.U32(uint32(pl.changes))
-	return w.Finish()
-}
-
-// RestoreState installs a SnapshotState blob, replacing the planner's
-// mutable control state. Unknown versions and truncated blobs are
-// ignored (the planner keeps its fresh-start state — the safe default
-// for a controller restored from a pre-upgrade checkpoint).
-func (pl *Planner) RestoreState(b []byte) {
-	r := wire.NewReader(b)
-	if r.U32() != plannerStateVersion {
-		return
-	}
-	hot := make([]int, r.U32())
-	for i := range hot {
-		hot[i] = int(r.U32())
-	}
-	cold := make([]int, r.U32())
-	for i := range cold {
-		cold[i] = int(r.U32())
-	}
-	lastAt := sim.Time(r.U64())
-	changed := r.Bool()
-	cooldown := sim.Duration(r.I64())
-	var fb *feedback
-	if r.Bool() {
-		fb = &feedback{part: int(r.U32()), queue: r.I64()}
-	}
-	changes := int(r.U32())
-	if r.Err() != nil {
-		return
-	}
-	pl.hotStreak = hot
-	pl.coldStreak = cold
-	pl.lastAt = lastAt
-	pl.changed = changed
-	pl.cooldown = cooldown
-	pl.fb = fb
-	pl.changes = changes
-}
-
 // issued records that a change left the planner this tick.
 func (pl *Planner) issued(now sim.Time, fb *feedback) {
 	pl.changes++
@@ -427,13 +353,6 @@ func (pl *Planner) issued(now sim.Time, fb *feedback) {
 func (pl *Planner) emit(d Decision) Decision {
 	pl.Log = append(pl.Log, d)
 	return d
-}
-
-func (pl *Planner) keyToOID(key uint64) store.OID {
-	if pl.KeyToOID == nil {
-		return store.OID(key)
-	}
-	return pl.KeyToOID(key)
 }
 
 func (pl *Planner) groupSize() int {

@@ -1,7 +1,6 @@
 package rebalance
 
 import (
-	"bytes"
 	"testing"
 
 	"heron/internal/core"
@@ -357,51 +356,3 @@ func TestScore(t *testing.T) {
 }
 
 var _ = store.OID(0)
-
-// TestPlannerStateRoundtrip: SnapshotState captures the full mutable
-// control state — a restored planner re-encodes to identical bytes and
-// keeps honoring the backoff-doubled cooldown the original had entered.
-func TestPlannerStateRoundtrip(t *testing.T) {
-	pl := &Planner{Pol: testPolicy()}
-	cfg := testConfig()
-	hot := loads2(9000, 1000, nil)
-	ms := sim.Time(sim.Millisecond)
-
-	// Drive into the doubled-cooldown state: shed at 2ms, stay hot so
-	// the next tick doubles the cooldown to 6ms (cooled until 8ms).
-	pl.Step(1*ms, hot, cfg, nil)
-	if _, ch := pl.Step(2*ms, hot, cfg, nil); ch == nil {
-		t.Fatal("no change issued")
-	}
-	pl.Outcome(true, 2)
-	if d, _ := pl.Step(3*ms, hot, cfg, nil); d.Note != "no-recovery-backoff" {
-		t.Fatalf("tick 3 note = %q, want backoff", d.Note)
-	}
-
-	blob := pl.SnapshotState()
-	if len(blob) == 0 {
-		t.Fatal("empty snapshot")
-	}
-	pl2 := &Planner{Pol: testPolicy()}
-	pl2.RestoreState(blob)
-	if got := pl2.SnapshotState(); !bytes.Equal(got, blob) {
-		t.Fatalf("roundtrip re-encode diverged:\n%x\n%x", blob, got)
-	}
-
-	// Behavioral check: the restored planner is still inside the doubled
-	// cooldown at 7ms and acts again once it expires.
-	if d, ch := pl2.Step(7*ms, hot, cfg, nil); d.Action != ActNoneCooldown || ch != nil {
-		t.Fatalf("restored tick @7ms = %v, want cooldown hold", d)
-	}
-	if _, ch := pl2.Step(9*ms, hot, cfg, nil); ch == nil {
-		t.Fatal("restored planner did not act after backoff expiry")
-	}
-
-	// A fresh planner fed garbage or an unknown version keeps its
-	// fresh-start state instead of installing a torn decode.
-	pl3 := &Planner{Pol: testPolicy()}
-	pl3.RestoreState([]byte{9, 9, 9})
-	if got := pl3.SnapshotState(); bytes.Equal(got, blob) {
-		t.Fatal("garbage blob installed state")
-	}
-}
