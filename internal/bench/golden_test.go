@@ -148,6 +148,9 @@ func TestGoldenResults(t *testing.T) {
 			}
 			return res
 		}},
+		// Every profile at two seeds, plus the faults-durable shape, so
+		// that where a run stops is pinned by what it reports.
+		{"chaos_profiles", func(t *testing.T) any { return goldenChaosProfiles(t) }},
 		// The rebalance bench pair and every verification scenario.
 		{"rebalance", func(t *testing.T) any {
 			res, err := RunRebalance(smallRebalance(BenchHotShift))
@@ -191,6 +194,35 @@ func TestGoldenResults(t *testing.T) {
 			}
 		})
 	}
+}
+
+// goldenChaosProfiles runs chaos.Run for every profile at seeds 2 and
+// 12, sized as RunChaos sizes them, then the durable profile at seed 1
+// over 256 keys of 256 B (the faults-durable workload's store).
+func goldenChaosProfiles(t *testing.T) []*chaos.Report {
+	var reps []*chaos.Report
+	for _, seed := range []int64{2, 12} {
+		for _, prof := range chaos.Profiles {
+			res, err := RunChaos(1, seed, prof, "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps = append(reps, res.Schedules...)
+		}
+	}
+	opt := chaos.DefaultOptions()
+	opt.Keys, opt.ValBytes = 256, 256
+	opt.Persist = &persist.Options{}
+	sc, err := chaos.Generate("durable", 1, opt.Partitions, opt.Replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Schedule = sc
+	rep, err := chaos.Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(reps, rep)
 }
 
 // goldenOpenLoop blanks the kernel's own counters: how many events a run
