@@ -112,6 +112,9 @@ type Engine struct {
 	Partitions int
 	Heals      int
 
+	// unfired counts the schedule's events still to fire.
+	unfired int
+
 	// Errors collects event application failures (e.g. recovering a
 	// replica that is not crashed), for the report.
 	Errors []string
@@ -147,13 +150,20 @@ func Install(d *core.Deployment, sc Schedule, o *obs.Observer) *Engine {
 		cReconfig:  o.Counter("chaos/reconfig"),
 		openParts:  make(map[[4]int]*obs.Span),
 		flight:     o.Flight(),
+		unfired:    len(sc.Events),
 	}
 	for _, ev := range sc.Events {
 		ev := ev
-		d.Sched.At(sim.Time(ev.At), func() { e.apply(ev) })
+		d.Sched.At(sim.Time(ev.At), func() {
+			e.unfired--
+			e.apply(ev)
+		})
 	}
 	return e
 }
+
+// Fired reports whether every event of the schedule has fired.
+func (e *Engine) Fired() bool { return e.unfired == 0 }
 
 // node resolves a (partition, rank) pair to its fabric node.
 func (e *Engine) node(part, rank int) rdma.NodeID {

@@ -28,7 +28,10 @@ type Options struct {
 
 	Clients      int
 	OpsPerClient int // Clients*OpsPerClient must stay within lincheck's 64-op bound
-	// Horizon bounds the whole run in virtual time.
+	// Horizon bounds the run in virtual time: it ends earlier, once the
+	// workload is done and the deployment has settled (see Run), and a
+	// run that never settles ends here with its unfinished operations
+	// still in flight.
 	Horizon sim.Duration
 
 	Schedule Schedule
@@ -138,6 +141,13 @@ type Report struct {
 // virtual-time intervals and checked for linearizability. Liveness is
 // asserted structurally: every operation either completes or fails by
 // its timeout, so the run always terminates within the horizon.
+//
+// The run stops at the first millisecond boundary (kvapp.Run.Drive)
+// where the workload is done and nothing the report counts can change
+// any more: every event has fired, the lease grant loop has passed its
+// Until, the deployment has settled (core.Deployment.Settled) and the
+// persistence layer is idle (persist.Layer.Idle). The report is then
+// what the horizon would have shown.
 func Run(opt Options) (*Report, error) {
 	// The flight recorder is always armed, whether or not the caller
 	// observes the run: the ring costs a few KB and is the only record of
@@ -167,8 +177,7 @@ func Run(opt Options) (*Report, error) {
 	// The leasecrash profile is pointless without leases: attach the
 	// manager with default timing (the schedule generator aimed its
 	// crashes at those instants), and stop granting once the workload and
-	// fault window are long over, so the grant loop does not tick for the
-	// whole horizon. A share of the operations then become single-object
+	// fault window are long over, so the run can settle. A share of the operations then become single-object
 	// reads that probe the lease holder; all of them enter the checked
 	// history, so a stale local read fails linearizability.
 	var mgr *lease.Manager
@@ -199,7 +208,10 @@ func Run(opt Options) (*Report, error) {
 	eng.OnCrash = func(Event) { dump("crash") }
 	var readers []*lease.ReadClient
 	think := func(rng *rand.Rand) sim.Duration { return sim.Duration(rng.Intn(300)) * sim.Microsecond }
-	err = run.Drive(opt.Horizon, think, func(int) kvapp.Op {
+	settled := func() bool {
+		return eng.Fired() && (mgr == nil || mgr.Stopped()) && d.Settled() && (pl == nil || pl.Idle())
+	}
+	err = run.Drive(opt.Horizon, settled, think, func(int) kvapp.Op {
 		cl := d.NewClient()
 		var rc *lease.ReadClient
 		if mgr != nil {

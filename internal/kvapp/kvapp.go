@@ -318,6 +318,9 @@ func (h *History) Do(p *sim.Proc, client int, req *Req, submit func() (uint64, b
 	return true
 }
 
+// Done reports whether every operation reached an outcome.
+func (h *History) Done() bool { return h.Ops == h.want }
+
 // Verdict decides the run. It leaves the history unchecked, with err
 // set, when an operation was still in flight at the horizon, when some
 // timed out (a maybe-executed operation cannot be expressed to the

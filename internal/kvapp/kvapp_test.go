@@ -102,7 +102,7 @@ func TestDriveStreams(t *testing.T) {
 		draws[rng] = append(draws[rng], -rng.Intn(1000))
 		return sim.Microsecond
 	}
-	err = run.Drive(sim.Second, think, func(ci int) Op {
+	err = run.Drive(sim.Second, func() bool { return true }, think, func(ci int) Op {
 		n := 0
 		return func(p *sim.Proc, rng *rand.Rand) (*Req, func() (uint64, bool)) {
 			client[rng] = ci

@@ -80,12 +80,23 @@ func (r *Run) Close() { r.D.Sched.Close() }
 // observed sum or false on a timeout.
 type Op func(p *sim.Proc, rng *rand.Rand) (*Req, func() (uint64, bool))
 
-// Drive spawns the clients and runs the scheduler to horizon. For each
-// client ci in turn, newClient(ci) builds its state and returns its Op;
-// then the client's stream is seeded with Seed*1000+ci and its proc,
-// "<harness>-client<ci>", runs OpsPerClient operations through the
-// history, sleeping think(stream) after each one that completed.
-func (r *Run) Drive(horizon sim.Duration, think func(*rand.Rand) sim.Duration, newClient func(ci int) Op) error {
+// settleSlice is how often Drive asks whether a run has settled.
+const settleSlice = sim.Millisecond
+
+// Drive spawns the clients and runs the scheduler until the run has
+// settled or reached horizon. For each client ci in turn, newClient(ci)
+// builds its state and returns its Op; then the client's stream is seeded
+// with Seed*1000+ci and its proc, "<harness>-client<ci>", runs
+// OpsPerClient operations through the history, sleeping think(stream)
+// after each one that completed.
+//
+// The scheduler advances in settleSlice steps. Drive returns at the first
+// step boundary where every client has run its operations and settled()
+// holds: the harness's statement that nothing it reports can change any
+// more, so the idle tail up to horizon would only repeat heartbeats and
+// ticks. horizon stays the liveness bound: a run that never settles ends
+// there, its unfinished operations still in flight.
+func (r *Run) Drive(horizon sim.Duration, settled func() bool, think func(*rand.Rand) sim.Duration, newClient func(ci int) Op) error {
 	for ci := 0; ci < r.spec.Clients; ci++ {
 		op := newClient(ci)
 		rng := rand.New(rand.NewSource(r.spec.Seed*1000 + int64(ci)))
@@ -97,5 +108,14 @@ func (r *Run) Drive(horizon sim.Duration, think func(*rand.Rand) sim.Duration, n
 			}
 		})
 	}
-	return r.D.Sched.RunUntil(sim.Time(horizon))
+	end := sim.Time(horizon)
+	for t := sim.Time(0); ; {
+		t = min(t+sim.Time(settleSlice), end)
+		if err := r.D.Sched.RunUntil(t); err != nil {
+			return err
+		}
+		if t == end || r.Hist.Done() && settled() {
+			return nil
+		}
+	}
 }

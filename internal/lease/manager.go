@@ -84,6 +84,8 @@ type Manager struct {
 	parts  []partLease
 	fenced bool
 	cond   *sim.Cond // wakes the grant loop when fencing ends
+	// stopped is set once the grant loop has passed Until.
+	stopped bool
 
 	// Grants and Revokes count commands submitted by this manager
 	// (virtual-time deterministic).
@@ -109,10 +111,15 @@ func (m *Manager) Start() {
 	m.d.Sched.Spawn("lease-manager", m.run)
 }
 
+// Stopped reports whether the grant loop has passed Until: the manager
+// submits nothing more.
+func (m *Manager) Stopped() bool { return m.stopped }
+
 func (m *Manager) run(p *sim.Proc) {
 	p.Sleep(DefaultStart)
 	for {
 		if m.opt.Until > 0 && p.Now() >= m.opt.Until {
+			m.stopped = true
 			return
 		}
 		m.cond.WaitUntil(p, func() bool { return !m.fenced })

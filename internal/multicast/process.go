@@ -774,21 +774,10 @@ func (pr *Process) onCommitIdx(p *sim.Proc, m *commitIdxMsg) {
 		pr.commitIdx = idx
 		pr.deliverCommitted()
 	}
-	// Apply the leader's advertised truncation point, never beyond what
-	// we have delivered ourselves nor beyond our own durable checkpoint
-	// when the durable gate is on (the leader clamps to ITS checkpoint;
-	// ours may lag).
+	// Apply the leader's advertised truncation point as far as this
+	// member may (followerTruncation).
 	if m.truncate > 0 {
-		safe := m.truncate
-		if safe > pr.delivered {
-			safe = pr.delivered
-		}
-		if pr.durableGate {
-			if dp := pr.posForTs(pr.durableTmp); dp < safe {
-				safe = dp
-			}
-		}
-		pr.dropPrefix(safe)
+		pr.dropPrefix(pr.followerTruncation(m.truncate))
 	}
 }
 

@@ -132,6 +132,47 @@ func (pr *Process) maybeTruncate() {
 	pr.truncateTo = safe
 }
 
+// followerTruncation clamps a leader's advertised truncation point to
+// what this member may discard: never beyond what it has delivered
+// itself, nor, when the durable gate is on, beyond its own durable
+// checkpoint (the leader clamps to its checkpoint; ours may lag).
+func (pr *Process) followerTruncation(advertised uint64) uint64 {
+	safe := min(advertised, pr.delivered)
+	if pr.durableGate {
+		safe = min(safe, pr.posForTs(pr.durableTmp))
+	}
+	return safe
+}
+
+// Settled reports whether a group's ordering has nothing left to do once
+// no one submits: no live member holds a message it has not ordered, no
+// leader has a truncation request pending, and every live follower
+// has dropped what its view's leader advertised, as far as it may.
+// members are the group's processes; a crashed one is skipped.
+func Settled(members []*Process) bool {
+	for _, pr := range members {
+		if pr.tr.Crashed(pr.id) {
+			continue
+		}
+		if len(pr.pending) > 0 || len(pr.unproposed) > 0 {
+			return false
+		}
+		if pr.role == roleLeader && pr.truncReq {
+			return false
+		}
+		if pr.role != roleFollower {
+			continue
+		}
+		for _, l := range members {
+			if l.role == roleLeader && l.view == pr.view && !l.tr.Crashed(l.id) &&
+				pr.followerTruncation(l.truncateTo) > pr.logBase {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // dropPrefix discards log entries below absolute index `to`, memoizing
 // each dropped multi-group entry's final timestamp for pull-based
 // proposal repair. Only a multi-group message is ever asked for (another

@@ -42,6 +42,10 @@ type Checkpointer struct {
 
 	lastTmp uint64   // snapTmp of the newest manifested checkpoint
 	history []uint64 // snapTmps of recent checkpoints, for log retention
+	// running counts the flushes and compactions in flight: the tree
+	// installs new runs before the manifest write's sleep, so it shows no
+	// pending work while one is still running.
+	running int
 
 	stats CkptStats
 
@@ -147,6 +151,8 @@ func (c *Checkpointer) capture(p *sim.Proc) {
 	st := c.rep.Store()
 	sp := c.track.BeginAsync("persist", "memtable_flush").Arg("snap_tmp", snapTmp)
 	defer sp.End()
+	c.running++
+	defer func() { c.running-- }()
 
 	full := c.lastTmp == 0 || !st.Log().Covers(c.lastTmp+1)
 	var dirty []store.OID
@@ -232,6 +238,20 @@ func (c *Checkpointer) capture(p *sim.Proc) {
 	}
 }
 
+// idle reports whether the checkpointer has nothing due or in flight:
+// no flush or compaction runs, and a live replica's newest checkpoint
+// covers its last executed request and needs no compaction.
+func (c *Checkpointer) idle() bool {
+	if c.running > 0 {
+		return false
+	}
+	if c.rep.Crashed() || c.rep.Recovering() {
+		return true
+	}
+	last := uint64(c.rep.LastExecuted())
+	return (last == 0 || last == c.lastTmp) && !c.tree.NeedsCompaction()
+}
+
 // compactLoop is the background compaction proc: absolute ticks offset
 // half an interval from the member's flush instants, so flush and
 // compaction I/O interleave instead of colliding, and the chaos engine
@@ -251,7 +271,9 @@ func (c *Checkpointer) compactLoop(p *sim.Proc) {
 			continue
 		}
 		sp := c.track.BeginAsync("persist", "compaction")
+		c.running++
 		res, ok := c.tree.CompactOnce(p, c.rep.Crashed)
+		c.running--
 		if ok {
 			c.cComps.Inc()
 			c.cCompIn.Add(res.BytesIn)

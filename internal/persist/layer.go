@@ -154,6 +154,20 @@ func (l *Layer) Checkpointer(part core.PartitionID, rank int) *Checkpointer {
 	return l.cps[part][rank]
 }
 
+// Idle reports whether no checkpointer has a flush or a compaction due
+// or in flight: every live replica's newest checkpoint covers its last
+// executed request, so the ticks that follow change nothing.
+func (l *Layer) Idle() bool {
+	for part := range l.cps {
+		for _, c := range l.cps[part] {
+			if c != nil && !c.idle() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Stats sums every checkpointer's counters.
 func (l *Layer) Stats() LayerStats {
 	var s LayerStats

@@ -37,6 +37,9 @@ type Controller struct {
 	// mid-migration at a deterministic offset from the decision.
 	OnChangeStart func(now sim.Time, dec Decision)
 
+	// stopped is set once the decision loop has passed Until.
+	stopped bool
+
 	// Outcome tallies (virtual-state only).
 	Applied int
 	Aborted int
@@ -63,12 +66,18 @@ func (c *Controller) Start(s *sim.Scheduler) {
 		for {
 			p.Sleep(c.Pol.Tick)
 			if c.Until > 0 && p.Now() > c.Until {
+				c.stopped = true
 				return
 			}
 			c.tick(p)
 		}
 	})
 }
+
+// Stopped reports whether the decision loop has passed Until. The loop
+// runs each change to its end before it looks at the clock, so no change
+// is in flight then.
+func (c *Controller) Stopped() bool { return c.stopped }
 
 // tick runs one decision.
 func (c *Controller) tick(p *sim.Proc) {

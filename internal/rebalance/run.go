@@ -58,10 +58,11 @@ type Options struct {
 
 // Every scenario runs 3 clients of 14 operations (42, within lincheck's
 // 64-op bound) over 16 keys. The controller decides until active (the
-// workload and any faults land inside it); the run continues to horizon
-// to drain. ScenarioFeederCrash kills p0/r0 at crashAt;
-// ScenarioDonorCrash kills a donor replica of the hot partition
-// donorCrashDelay after a change starts.
+// workload and any faults land inside it); the run then ends once the
+// deployment has settled, or at horizon when it never does (a replica
+// left crashed keeps it unsettled). ScenarioFeederCrash kills p0/r0 at
+// crashAt; ScenarioDonorCrash kills a donor replica of the hot
+// partition donorCrashDelay after a change starts.
 const (
 	keyCount                  = 16
 	clientCount, opsPerClient = 3, 14
@@ -226,7 +227,8 @@ func Run(o Options) (*Report, error) {
 	ctl.Start(s)
 
 	think := func(rng *rand.Rand) sim.Duration { return sim.Duration(200+rng.Intn(400)) * sim.Microsecond }
-	err = run.Drive(horizon, think, func(int) kvapp.Op {
+	settled := func() bool { return ctl.Stopped() && eng.Fired() && d.Settled() }
+	err = run.Drive(horizon, settled, think, func(int) kvapp.Op {
 		cr := reconfig.NewClientRouter(d.NewClient(), initial)
 		return func(p *sim.Proc, rng *rand.Rand) (*kvapp.Req, func() (uint64, bool)) {
 			req := &kvapp.Req{Add: uint64(rng.Intn(100))}

@@ -158,8 +158,9 @@ func Run(o Options) (*Report, error) {
 	defer run.Close()
 	d, hist, s := run.D, run.Hist, run.D.Sched
 	var seeder JoinerSeeder
+	var pl *persist.Layer
 	if o.Persist != nil {
-		pl := persist.Attach(d, o.Persist)
+		pl = persist.Attach(d, o.Persist)
 		pl.Observe(o.Obs)
 		seeder = pl
 	}
@@ -192,14 +193,19 @@ func Run(o Options) (*Report, error) {
 	}
 	var result *Result
 	var execErr error
+	executed := false
 	s.Spawn("reconfig-driver", func(p *sim.Proc) {
 		trigger.WaitUntil(p, func() bool { return fired })
 		result, execErr = mgr.Execute(p, sc.change)
+		executed = true
 	})
+	settled := func() bool {
+		return executed && eng.Fired() && d.Settled() && (pl == nil || pl.Idle())
+	}
 
 	var routers []*ClientRouter
 	think := func(rng *rand.Rand) sim.Duration { return sim.Duration(rng.Intn(2000)) * sim.Microsecond }
-	err = run.Drive(horizon, think, func(int) kvapp.Op {
+	err = run.Drive(horizon, settled, think, func(int) kvapp.Op {
 		cr := NewClientRouter(d.NewClient(), initial)
 		routers = append(routers, cr)
 		return func(p *sim.Proc, rng *rand.Rand) (*kvapp.Req, func() (uint64, bool)) {
