@@ -22,7 +22,11 @@ type stEntry struct {
 
 // readStEntry decodes the entry for rank q from local memory.
 func (r *Replica) readStEntry(q int) stEntry {
-	buf := r.stMem.Bytes()[q*stEntrySize : (q+1)*stEntrySize]
+	return decodeStEntry(r.stMem.Bytes()[q*stEntrySize : (q+1)*stEntrySize])
+}
+
+// decodeStEntry parses a state-transfer memory entry.
+func decodeStEntry(buf []byte) stEntry {
 	return stEntry{
 		reqTmp: binary.LittleEndian.Uint64(buf[0:8]),
 		status: binary.LittleEndian.Uint64(buf[8:16]),
@@ -233,12 +237,62 @@ func (r *Replica) checkStateTransfers(p *sim.Proc, watches map[int]*stWatch) sim
 		// Deterministic responder order: ranks q+1, q+2, ... (mod n).
 		idx := ((r.rank - q - 1) + n) % n
 		deadline := w.firstSeen + sim.Time(idx)*sim.Time(stateTransferTimeout)
-		if now >= deadline {
-			w.done = true
-			r.performStateTransfer(p, q, ent.reqTmp)
-		} else if deadline < next {
-			next = deadline
+		if now < deadline {
+			if deadline < next {
+				next = deadline
+			}
+			continue
 		}
+		onTime := idx == 0 && ent.status == stRequested && now < w.firstSeen+sim.Time(stateTransferTimeout)
+		if !onTime {
+			switch r.confirmStRequest(p, q, ent) {
+			case stStale:
+				delete(watches, q)
+				continue
+			case stUnconfirmed:
+				if retry := p.Now() + sim.Time(stateTransferTimeout); retry < next {
+					next = retry
+				}
+				continue
+			}
+		}
+		w.done = true
+		r.performStateTransfer(p, q, ent.reqTmp)
 	}
 	return next
+}
+
+// Outcomes of confirmStRequest.
+const (
+	stOutstanding = iota
+	stStale
+	stUnconfirmed
+)
+
+// confirmStRequest checks, with one READ of the lagger's own entry, that
+// the request in this replica's copy of it (ent) is still outstanding
+// before a backup or takeover serve. The copy can be stale: a slow link
+// that drops the completion record to this replica leaves it claimed,
+// and serving it streams this replica's slots into a replica that is
+// live and waits for nothing — rolling it back if this replica is the
+// one behind. The lagger's own entry is authoritative: when it is idle
+// or carries another request, this replica adopts it and reports
+// stStale. An unreachable lagger leaves the request stUnconfirmed.
+func (r *Replica) confirmStRequest(p *sim.Proc, q int, ent stEntry) int {
+	info := r.peers[r.part][q]
+	addr := info.stAddr
+	addr.Off += q * stEntrySize
+	buf, err := r.qp(info.node).Read(p, addr, stEntrySize)
+	if err != nil {
+		return stUnconfirmed
+	}
+	own := decodeStEntry(buf)
+	if own.status != stIdle && own.reqTmp == ent.reqTmp {
+		return stOutstanding
+	}
+	// Adopt it unless a newer record landed here during the READ.
+	if r.readStEntry(q) == ent {
+		copy(r.stMem.Bytes()[q*stEntrySize:], encodeStEntry(own))
+	}
+	return stStale
 }

@@ -155,6 +155,43 @@ func TestStateTransferResponderFailover(t *testing.T) {
 	}
 }
 
+// TestStaleTransferCopyServesNothing: a watcher whose copy of a finished
+// state transfer stays claimed (a slow link lost the completion record to
+// it) must not take the request over later and stream its slots into the
+// lagger, which is live and waits for nothing. It confirms against the
+// lagger's own entry and adopts it instead.
+func TestStaleTransferCopyServesNothing(t *testing.T) {
+	s, d := testDeployment(t, 1, 3, 4)
+	cl := d.NewClient()
+	transferred := false
+	s.Spawn("load", func(p *sim.Proc) {
+		for i := 0; i < 10; i++ {
+			req := &kvReq{writes: []store.OID{kvOID(0, 0)}, add: uint64(i + 1)}
+			if _, err := cl.Submit(p, []PartitionID{0}, encodeKVReq(req)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		// Rank 2's first responder in ring order is rank 0; rank 1 watches.
+		d.Replica(0, 2).RequestFullStateTransfer(p)
+		transferred = true
+	})
+	runFor(t, s, 10*sim.Millisecond)
+	watcher := d.Replica(0, 1)
+	if !transferred || watcher.FullBytesOut() != 0 {
+		t.Fatalf("transfer done %v, rank 1 served %d bytes; want a transfer served by rank 0",
+			transferred, watcher.FullBytesOut())
+	}
+	copy(watcher.stMem.Bytes()[2*stEntrySize:], encodeStEntry(stEntry{status: stClaimed}))
+	runFor(t, s, 10*stateTransferTimeout)
+	if n := watcher.FullBytesOut(); n != 0 {
+		t.Fatalf("rank 1 took the finished transfer over: %d bytes streamed into a live replica", n)
+	}
+	if e := watcher.readStEntry(2); e.status != stIdle {
+		t.Fatalf("rank 1's copy of rank 2's entry is %+v, want it idle", e)
+	}
+}
+
 // TestFiveReplicaMajorities: phase coordination with n=5 must require 3
 // (not all) replicas — crash two followers and throughput must continue.
 func TestFiveReplicaMajorities(t *testing.T) {
