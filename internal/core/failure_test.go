@@ -192,6 +192,45 @@ func TestStaleTransferCopyServesNothing(t *testing.T) {
 	}
 }
 
+// TestDeploymentSettled: a quiet deployment is settled, and each of a
+// replica behind its group, a peer's state-transfer entry in use in some
+// replica's copy, and a crashed replica keeps it unsettled.
+func TestDeploymentSettled(t *testing.T) {
+	s, d := testDeployment(t, 2, 3, 4)
+	cl := d.NewClient()
+	s.Spawn("load", func(p *sim.Proc) {
+		for part := PartitionID(0); part < 2; part++ {
+			req := &kvReq{writes: []store.OID{kvOID(part, 0)}, add: 1}
+			if _, err := cl.Submit(p, []PartitionID{part}, encodeKVReq(req)); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	runFor(t, s, 2*sim.Millisecond)
+	if !d.Settled() {
+		t.Fatal("a quiet deployment is not settled")
+	}
+	behind := d.Replica(1, 2)
+	behind.lastExec--
+	if d.Settled() {
+		t.Fatal("settled with a replica behind its group")
+	}
+	behind.lastExec++
+	watcher := d.Replica(1, 1).stMem.Bytes()
+	copy(watcher, encodeStEntry(stEntry{status: stRequested}))
+	if d.Settled() {
+		t.Fatal("settled with a copy of rank 0's state-transfer entry in use")
+	}
+	copy(watcher, encodeStEntry(stEntry{}))
+	if !d.Settled() {
+		t.Fatal("not settled once the entry is idle again")
+	}
+	behind.Crash()
+	if d.Settled() {
+		t.Fatal("settled with a replica crashed")
+	}
+}
+
 // TestFiveReplicaMajorities: phase coordination with n=5 must require 3
 // (not all) replicas — crash two followers and throughput must continue.
 func TestFiveReplicaMajorities(t *testing.T) {

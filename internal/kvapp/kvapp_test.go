@@ -2,8 +2,10 @@ package kvapp
 
 import (
 	"encoding/hex"
+	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"heron/internal/core"
@@ -124,6 +126,76 @@ func TestDriveStreams(t *testing.T) {
 			t.Errorf("client %d drew %v, want %v", ci, draws[rng], want[ci])
 		}
 	}
+}
+
+// TestDriveBound pins where Drive stops: at the first slice boundary
+// once the clients are done and the run has settled, at exactly the
+// horizon when a client never finishes, and wherever the scheduler fails.
+func TestDriveBound(t *testing.T) {
+	const horizon = 10 * sim.Millisecond
+	// drive runs clients whose every operation takes opTime and then, if
+	// block is set, waits forever, next to a proc ticking every 100 µs
+	// when tick is set. It returns the run, where the scheduler stopped
+	// and Drive's error.
+	drive := func(clients int, opTime sim.Duration, block, tick bool) (*Run, sim.Time, error) {
+		run, err := Deploy(Spec{
+			Harness: "test", Clients: clients, OpsPerClient: 2,
+			Groups: multicast.Layout(1, 3), Owner: Partitioner, StoreKeys: 1,
+			OIDs: PartitionKeys(1, 1), Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(run.Close)
+		s := run.D.Sched
+		if tick {
+			s.Spawn("ticker", func(p *sim.Proc) {
+				for {
+					p.Sleep(100 * sim.Microsecond)
+				}
+			})
+		}
+		never := sim.NewCond(s)
+		err = run.Drive(horizon, func() bool { return true },
+			func(*rand.Rand) sim.Duration { return 0 },
+			func(int) Op {
+				return func(p *sim.Proc, _ *rand.Rand) (*Req, func() (uint64, bool)) {
+					return &Req{}, func() (uint64, bool) {
+						p.Sleep(opTime)
+						if block {
+							never.WaitUntil(p, func() bool { return false })
+						}
+						return 0, true
+					}
+				}
+			})
+		return run, s.Now(), err
+	}
+
+	t.Run("settles", func(t *testing.T) {
+		// Two operations of 600 µs finish at 1.2 ms: the 2 ms boundary.
+		run, now, err := drive(2, 600*sim.Microsecond, false, true)
+		if err != nil || !run.Hist.Done() || now != sim.Time(2*sim.Millisecond) {
+			t.Fatalf("Drive = %v, done %v, stopped at %v; want nil, true, 2ms", err, run.Hist.Done(), now)
+		}
+	})
+	t.Run("never settles", func(t *testing.T) {
+		run, now, err := drive(1, 0, true, true)
+		if err != nil || now != sim.Time(horizon) {
+			t.Fatalf("Drive = %v, stopped at %v; want nil at the horizon %v", err, now, horizon)
+		}
+		if checked, _, verr := run.Hist.Verdict(); checked || !strings.Contains(verr, "still in flight at the horizon") {
+			t.Fatalf("Verdict = checked %v, %q; want the operation in flight at the horizon", checked, verr)
+		}
+	})
+	t.Run("scheduler error", func(t *testing.T) {
+		// The only proc blocks for good at 2.5 ms: the scheduler reports a
+		// deadlock inside the third slice, and Drive passes it on.
+		_, now, err := drive(1, 2500*sim.Microsecond, true, false)
+		if !errors.Is(err, sim.ErrDeadlock) || now != sim.Time(2500*sim.Microsecond) {
+			t.Fatalf("Drive = %v at %v, want %v at 2.5ms", err, now, sim.ErrDeadlock)
+		}
+	})
 }
 
 // TestHeatKeyIsAnOID: HeatKey is the first written object id, else the

@@ -271,3 +271,56 @@ func TestTruncationForgetsSingleGroupMessages(t *testing.T) {
 		t.Fatalf("answer %+v (kind %d), want group 0's final timestamp %v for %v", got, kind, want, asked)
 	}
 }
+
+// TestSettledWaitsForTruncation: after a fresh durable checkpoint a
+// group is not settled until the leader has truncated and every follower
+// has dropped the advertised prefix, and once settled no member
+// truncates any more.
+func TestSettledWaitsForTruncation(t *testing.T) {
+	c := newCluster(t, 1, 3)
+	defer c.s.Close()
+	group := c.procs[0]
+	for _, pr := range group {
+		pr.EnableDurableGate()
+	}
+	cl := NewClient(OverRDMA(c.tr), &c.cfg, c.addClientNode(100))
+	const n = 8
+	c.s.Spawn("client", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			cl.Multicast(p, []GroupID{0}, []byte("payload"))
+		}
+	})
+	c.run(2 * sim.Millisecond)
+	if len(c.deliveries[0][2]) != n || !Settled(group) {
+		t.Fatalf("%d of %d delivered, settled %v; want all, settled", len(c.deliveries[0][2]), n, Settled(group))
+	}
+	for _, pr := range group {
+		pr.SetDurableTmp(c.deliveries[0][0][n-1].Ts)
+	}
+	if Settled(group) {
+		t.Fatal("settled with a truncation request pending")
+	}
+	truncated := func() (sum uint64) {
+		for _, pr := range group {
+			sum += pr.Truncated()
+		}
+		return sum
+	}
+	now := c.s.Now()
+	for ; !Settled(group); now += sim.Time(sim.Microsecond) {
+		if now > sim.Time(10*sim.Millisecond) {
+			t.Fatal("never settled")
+		}
+		c.run(sim.Duration(now))
+	}
+	settledWith := truncated()
+	c.run(sim.Duration(now) + 5*sim.Millisecond)
+	for r, pr := range group {
+		if pr.LogBase() != n {
+			t.Errorf("member %d kept its log from %d, want it dropped through %d", r, pr.LogBase(), n)
+		}
+	}
+	if got := truncated(); got != settledWith || got != 3*n {
+		t.Fatalf("settled with %d entries truncated, %d later; want %d both times", settledWith, got, 3*n)
+	}
+}

@@ -106,3 +106,84 @@ func TestCheckpointRestore(t *testing.T) {
 		t.Fatal("driver did not finish")
 	}
 }
+
+// TestIdleMeansNothingMoves: once the layer reports Idle with no client
+// writing, no later flush, compaction or manifest write changes its
+// counters. Stepping through flushes and compactions also covers the
+// window where the tree has installed a compaction's runs but is still
+// writing the manifest, in which the tree alone shows no pending work.
+// Each write dirties one more run, so across the write counts the last
+// flush leaves every number of level-0 runs, a due compaction included.
+func TestIdleMeansNothingMoves(t *testing.T) {
+	for writes := uint64(13); writes <= 16; writes++ {
+		idleAt, st := idleAfterWrites(t, writes)
+		if idleAt == 0 || st.Compactions == 0 {
+			t.Fatalf("%d writes: idle at %v after %d compactions; want idle after some compaction",
+				writes, idleAt, st.Compactions)
+		}
+	}
+}
+
+// idleAfterWrites writes 1..writes into as many objects of one partition,
+// one every 2.5 ms, checkpointed every 2 ms so that a compaction falls
+// due well before its tick, and steps the scheduler 5 µs at a time. It returns
+// when the layer first reported Idle after the last write and its
+// counters then, failing t if they moved later.
+func idleAfterWrites(t *testing.T, writes uint64) (sim.Time, LayerStats) {
+	t.Helper()
+	s := sim.NewScheduler()
+	defer s.Close()
+	cfg := core.DefaultConfig(multicast.DefaultConfig([][]rdma.NodeID{{1, 2, 3}}))
+	cfg.StoreCapacity = int(writes)*store.SlotSize(8) + 1<<12
+	d, err := core.NewDeployment(s, cfg, newCkptApp, ckptParter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = d.PopulateAll(func(_ core.PartitionID, _ int, rep *core.Replica) error {
+		for oid := store.OID(0); oid < store.OID(writes); oid++ {
+			if err := rep.Store().Register(oid, 8); err != nil {
+				return err
+			}
+			if err := rep.Store().Init(oid, make([]byte, 8)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := Attach(d, &Options{Interval: 2 * sim.Millisecond})
+	d.Start()
+	written := false
+	s.Spawn("writer", func(p *sim.Proc) {
+		cl := d.NewClient()
+		defer func() { written = true }()
+		for i := uint64(0); i < writes; i++ {
+			p.Sleep(2500 * sim.Microsecond)
+			w := wire.NewWriter(16)
+			w.U64(i)
+			w.U64(i + 1)
+			if _, err := cl.Submit(p, []core.PartitionID{0}, w.Finish()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	const step = 5 * sim.Microsecond
+	end := sim.Time(writes)*sim.Time(2500*sim.Microsecond) + sim.Time(10*sim.Millisecond)
+	var idleAt sim.Time
+	var idleStats LayerStats
+	for now := sim.Time(step); now <= end; now += sim.Time(step) {
+		if err := s.RunUntil(now); err != nil {
+			t.Fatal(err)
+		}
+		switch st := l.Stats(); {
+		case idleAt != 0 && st != idleStats:
+			t.Fatalf("%d writes: idle at %v with %+v, yet at %v: %+v", writes, idleAt, idleStats, now, st)
+		case idleAt == 0 && written && l.Idle():
+			idleAt, idleStats = now, st
+		}
+	}
+	return idleAt, idleStats
+}
