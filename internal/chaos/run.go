@@ -177,9 +177,10 @@ func Run(opt Options) (*Report, error) {
 	// The leasecrash profile is pointless without leases: attach the
 	// manager with default timing (the schedule generator aimed its
 	// crashes at those instants), and stop granting once the workload and
-	// fault window are long over, so the run can settle. A share of the operations then become single-object
-	// reads that probe the lease holder; all of them enter the checked
-	// history, so a stale local read fails linearizability.
+	// fault window are long over, so the run can settle. A share of the
+	// operations then become single-object reads that probe the lease
+	// holder; all of them enter the checked history, so a stale local read
+	// fails linearizability.
 	var mgr *lease.Manager
 	if opt.Schedule.Profile == "leasecrash" {
 		mgr = lease.Attach(d, lease.Options{Until: sim.Time(60 * sim.Millisecond)})

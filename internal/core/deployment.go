@@ -144,10 +144,10 @@ func (d *Deployment) Start() {
 // client submitting, would stay as it is: every replica is live and not
 // recovering, every replica has executed the same last request as the
 // rest of its group, no replica's copy of a peer's state-transfer entry
-// is in use (a watcher holding a stale one still serves it), and every
-// group's ordering is settled (multicast.Settled). A replica's own entry
-// is left out: no one acts on it, and a claim that lands after the
-// completion record stays there.
+// is in use (its control loop still acts on one), and every group's
+// ordering is settled (multicast.Settled). A replica's own entry is left
+// out: no one acts on it, and a claim that lands after the completion
+// record stays there.
 func (d *Deployment) Settled() bool {
 	for g, reps := range d.Replicas {
 		for _, r := range reps {

@@ -145,22 +145,23 @@ func (pr *Process) followerTruncation(advertised uint64) uint64 {
 }
 
 // Settled reports whether a group's ordering has nothing left to do once
-// no one submits: no live member holds a message it has not ordered, no
-// leader has a truncation request pending, and every live follower
-// has dropped what its view's leader advertised, as far as it may.
-// members are the group's processes; a crashed one is skipped.
+// no one submits: no live member holds a message it has not ordered or
+// stands for election, no leader has a truncation request pending, and
+// every live follower has dropped what its view's leader advertised, as
+// far as it may. members are the group's processes; a crashed one is
+// skipped.
 func Settled(members []*Process) bool {
 	for _, pr := range members {
 		if pr.tr.Crashed(pr.id) {
 			continue
 		}
-		if len(pr.pending) > 0 || len(pr.unproposed) > 0 {
+		if len(pr.pending) > 0 || len(pr.unproposed) > 0 || pr.role == roleCandidate {
 			return false
 		}
-		if pr.role == roleLeader && pr.truncReq {
-			return false
-		}
-		if pr.role != roleFollower {
+		if pr.role == roleLeader {
+			if pr.truncReq {
+				return false
+			}
 			continue
 		}
 		for _, l := range members {

@@ -272,10 +272,10 @@ func TestTruncationForgetsSingleGroupMessages(t *testing.T) {
 	}
 }
 
-// TestSettledWaitsForTruncation: after a fresh durable checkpoint a
-// group is not settled until the leader has truncated and every follower
-// has dropped the advertised prefix, and once settled no member
-// truncates any more.
+// TestSettledWaitsForTruncation: a group holding a message it has not
+// ordered is not settled; after a fresh durable checkpoint it is not
+// settled until the leader has truncated and every follower has dropped
+// the advertised prefix, and once settled no member truncates any more.
 func TestSettledWaitsForTruncation(t *testing.T) {
 	c := newCluster(t, 1, 3)
 	defer c.s.Close()
@@ -294,6 +294,12 @@ func TestSettledWaitsForTruncation(t *testing.T) {
 	if len(c.deliveries[0][2]) != n || !Settled(group) {
 		t.Fatalf("%d of %d delivered, settled %v; want all, settled", len(c.deliveries[0][2]), n, Settled(group))
 	}
+	waiting := MsgID{Node: 9, Seq: 1}
+	group[1].unproposed[waiting] = clientMsg{id: waiting}
+	if Settled(group) {
+		t.Fatal("settled with a message waiting to be ordered")
+	}
+	delete(group[1].unproposed, waiting)
 	for _, pr := range group {
 		pr.SetDurableTmp(c.deliveries[0][0][n-1].Ts)
 	}
