@@ -51,7 +51,7 @@ func (r *Replica) applyStagedAux(p *sim.Proc, e stEntry) {
 		return
 	}
 	data := make([]byte, e.auxLen)
-	copy(data, r.staging.Bytes()[:e.auxLen])
+	copy(data, r.staging.BytesTo(int(e.auxLen)))
 	p.Sleep(sim.Duration(float64(len(data)) / deserializeBytesPerNS))
 	data = r.unwrapLeaseAux(data)
 	syncer, ok := r.app.(AuxSyncer)

@@ -306,7 +306,7 @@ func TestLossyLinkTearsABurst(t *testing.T) {
 			f.SetLinkDrop(1, 2, 0.5)
 			send(warm)
 			f.SetLinkDrop(1, 2, 0)
-			recsLanded = bytes.Equal(mb.reg.mem()[off+4:off+4+len(first)], first)
+			recsLanded = bytes.Equal(mb.reg.mem(off + 4 + len(first))[off+4:], first)
 			tailLanded = mb.tailShadow() == w.tail
 			for i := warm + 1; i <= warm+after; i++ {
 				send(i)

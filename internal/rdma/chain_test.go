@@ -83,7 +83,7 @@ func (c *chainProbe) run(s *sim.Scheduler, qp *QP, t *testing.T) {
 	s.Spawn("poller", func(p *sim.Proc) {
 		for c.reg.node.writeNotify.WaitTimeout(p, 100*sim.Microsecond) {
 			c.wakes = append(c.wakes, p.Now())
-			c.seen = append(c.seen, append([]byte(nil), c.reg.mem()[:8]...))
+			c.seen = append(c.seen, append([]byte(nil), c.reg.mem(8)...))
 		}
 	})
 	s.Spawn("issuer", func(p *sim.Proc) {
@@ -168,8 +168,8 @@ func TestPostWritesBadAddressSendsNothing(t *testing.T) {
 	if !errors.Is(err, ErrOutOfBounds) {
 		t.Fatalf("err = %v, want ErrOutOfBounds", err)
 	}
-	if w := counter(m, "rdma/qp/n1->n2/write_ops"); w != 0 || !bytes.Equal(reg.mem()[:2], []byte{0, 0}) {
-		t.Fatalf("a failed post sent %d verbs, memory %q", w, reg.mem()[:2])
+	if w := counter(m, "rdma/qp/n1->n2/write_ops"); w != 0 || !bytes.Equal(reg.mem(2), []byte{0, 0}) {
+		t.Fatalf("a failed post sent %d verbs, memory %q", w, reg.mem(2))
 	}
 }
 
@@ -269,7 +269,7 @@ func TestLossyLinkTearsAChain(t *testing.T) {
 			f.SetLinkDrop(1, 2, 0.5)
 			send(warm)
 			f.SetLinkDrop(1, 2, 0)
-			recLanded = bytes.Equal(mb.reg.mem()[off+4:off+4+len(lossyPayload(warm))], lossyPayload(warm))
+			recLanded = bytes.Equal(mb.reg.mem(off + 4 + len(lossyPayload(warm)))[off+4:], lossyPayload(warm))
 			tailLanded = mb.tailShadow() == w.tail
 			for i := warm + 1; i <= warm+after; i++ {
 				send(i)
@@ -392,7 +392,7 @@ func TestCreditOnDemand(t *testing.T) {
 	if w.head == 0 || w.head > mb.head {
 		t.Errorf("shadow head %d, consumer head %d", w.head, mb.head)
 	}
-	if pub := binary.LittleEndian.Uint64(mb.reg.mem()[mailboxHead:]); pub != mb.head {
+	if pub := binary.LittleEndian.Uint64(mb.reg.mem(mailboxHdr)[mailboxHead:]); pub != mb.head {
 		t.Errorf("published head %d, consumer head %d", pub, mb.head)
 	}
 }
@@ -451,13 +451,13 @@ func TestLinkResetZeroesHeadAndShadow(t *testing.T) {
 				t.Errorf("datagram %d not delivered", i)
 			}
 		}
-		pub := binary.LittleEndian.Uint64(mb.reg.mem()[mailboxHead:])
+		pub := binary.LittleEndian.Uint64(mb.reg.mem(mailboxHdr)[mailboxHead:])
 		if w.head == 0 || mb.head == 0 || pub != mb.head {
 			t.Errorf("before the reset: shadow %d, head %d, published %d", w.head, mb.head, pub)
 		}
 		f.PartitionLink(1, 2)
 		f.HealLink(1, 2)
-		pub = binary.LittleEndian.Uint64(mb.reg.mem()[mailboxHead:])
+		pub = binary.LittleEndian.Uint64(mb.reg.mem(mailboxHdr)[mailboxHead:])
 		if w.head != 0 || w.tail != 0 || mb.head != 0 || pub != 0 || mb.tailShadow() != 0 {
 			t.Errorf("after the reset: shadow %d, producer tail %d, head %d, published %d, tail %d; want zeros",
 				w.head, w.tail, mb.head, pub, mb.tailShadow())

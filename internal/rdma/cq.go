@@ -94,7 +94,7 @@ func (h *ReadHandle) land() {
 		q.sched.At(failAt, func() { h.cq.complete(h, err) })
 		return
 	}
-	h.buf = append(h.buf[:0], h.reg.mem()[h.addr.Off:h.addr.Off+h.length]...)
+	h.buf = append(h.buf[:0], h.reg.mem(h.addr.Off + h.length)[h.addr.Off:]...)
 	h.cq.complete(h, nil)
 }
 

@@ -285,7 +285,7 @@ func TestMailboxScratchReuse(t *testing.T) {
 		// The padding after the short record "b" (bytes 5..8 of its span)
 		// must be zero, not the tail of the long record framed before it.
 		off := mailboxHdr + recordSpan(len(payloads[0]))
-		if pad := mb.reg.mem()[off+4+1 : off+recordSpan(1)]; string(pad) != "\x00\x00\x00" {
+		if pad := mb.reg.mem(off + recordSpan(1))[off+4+1:]; string(pad) != "\x00\x00\x00" {
 			t.Errorf("padding carries stale bytes: %q", pad)
 		}
 	})

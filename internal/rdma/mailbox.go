@@ -103,13 +103,13 @@ func (m *Mailbox) Connect(f *Fabric, producer NodeID) *MailboxWriter {
 
 // tailShadow reads the remotely-written tail from local memory.
 func (m *Mailbox) tailShadow() uint64 {
-	return binary.LittleEndian.Uint64(m.reg.mem()[0:8])
+	return binary.LittleEndian.Uint64(m.reg.mem(8))
 }
 
 // advance moves the head and publishes it for the producer's credit READ.
 func (m *Mailbox) advance(head uint64) {
 	m.head = head
-	binary.LittleEndian.PutUint64(m.reg.mem()[mailboxHead:], head)
+	binary.LittleEndian.PutUint64(m.reg.mem(mailboxHdr)[mailboxHead:], head)
 }
 
 // recordSpan returns the ring bytes a payload occupies.
@@ -268,7 +268,7 @@ func (m *Mailbox) TryRecv() ([]byte, bool) {
 			return nil, false
 		}
 		off := int(m.head % uint64(m.cap))
-		length := binary.LittleEndian.Uint32(m.reg.mem()[mailboxHdr+off : mailboxHdr+off+4])
+		length := binary.LittleEndian.Uint32(m.reg.mem(mailboxHdr + off + 4)[mailboxHdr+off:])
 		if length == wrapMarker {
 			m.advance(m.head + uint64(m.cap-off))
 			continue
@@ -280,7 +280,7 @@ func (m *Mailbox) TryRecv() ([]byte, bool) {
 			m.advance(tail)
 			return nil, false
 		}
-		m.rec = append(m.rec[:0], m.reg.mem()[mailboxHdr+off+4:mailboxHdr+off+4+int(length)]...)
+		m.rec = append(m.rec[:0], m.reg.mem(mailboxHdr + off + 4 + int(length))[mailboxHdr+off+4:]...)
 		m.advance(m.head + uint64(span))
 		return m.rec, true
 	}
@@ -313,7 +313,7 @@ func (m *Mailbox) stirred() bool { return m.tailShadow() != m.head }
 // and the head cursor return to zero, discarding whatever the ring holds.
 // Called when the link to the producer is re-established after faults.
 func (m *Mailbox) reset() {
-	clear(m.reg.mem()[:mailboxHdr])
+	clear(m.reg.mem(mailboxHdr))
 	m.head = 0
 }
 

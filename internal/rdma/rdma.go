@@ -250,8 +250,9 @@ func (n *Node) Recover() {
 // into this node's memory.
 func (n *Node) WriteNotify() *sim.Cond { return n.writeNotify }
 
-// RegisterRegion allocates and registers size bytes of RDMA-accessible
-// memory and returns the region.
+// RegisterRegion registers size bytes of RDMA-accessible memory and
+// returns the region. Nothing is allocated yet: a region materializes as
+// far as it is touched (Region.mem).
 func (n *Node) RegisterRegion(size int) *Region {
 	n.nextKey++
 	r := &Region{node: n, key: n.nextKey, size: size}
@@ -264,7 +265,8 @@ type Region struct {
 	node *Node
 	key  RKey
 	size int
-	// buf is nil until the region is first touched; use mem().
+	// buf is the materialized prefix [0, len(buf)): bytes past it were
+	// never touched and read as zero. Use mem.
 	buf []byte
 	// ep is the transport endpoint whose ring number ring this region
 	// carries (Transport.writer), nil for any other region.
@@ -280,15 +282,31 @@ func (r *Region) markTail(off int) {
 	}
 }
 
-// mem returns the region's bytes, materializing them on first touch:
-// registered memory is demand-zeroed, so a large region that nobody
-// writes (a replica's 8 MB aux staging area outside a state transfer)
-// costs nothing to set up or to keep.
-func (r *Region) mem() []byte {
-	if r.buf == nil {
-		r.buf = make([]byte, r.size)
+// pageSize is the granule registered memory materializes in, as an
+// operating system backs a demand-zeroed mapping page by page.
+const pageSize = 4096
+
+// mem returns the region's first end bytes, materializing them on demand.
+// Registered memory is demand-zeroed, and a region costs only the prefix
+// its accesses reached, in whole pages: a replica's 8 MB aux staging area
+// after a transfer of a few hundred bytes, or a ring that carried a few
+// records, holds a page, not its size. The prefix at least quadruples as
+// it grows, and takes the whole region once it would cover half of it, so
+// a ring that fills grows a handful of times and copies each byte O(1)
+// times amortized. A growth moves the prefix: what mem returns is valid
+// until the next call that grows the region, and only Bytes, which
+// materializes all of it, hands out memory that never moves.
+func (r *Region) mem(end int) []byte {
+	if end > len(r.buf) {
+		n := max((end+pageSize-1)&^(pageSize-1), 4*len(r.buf))
+		if n >= r.size/2 {
+			n = r.size
+		}
+		buf := make([]byte, n)
+		copy(buf, r.buf)
+		r.buf = buf
 	}
-	return r.buf
+	return r.buf[:end]
 }
 
 // Key returns the region's rkey.
@@ -300,6 +318,14 @@ func (r *Region) Len() int { return r.size }
 // Addr returns the fabric-wide address of offset off within the region.
 func (r *Region) Addr(off int) Addr { return Addr{Node: r.node.id, Key: r.key, Off: off} }
 
-// Bytes exposes the region's backing memory for local (same-node) access.
-// Local access is free: the host CPU reads and writes its own DRAM.
-func (r *Region) Bytes() []byte { return r.mem() }
+// Bytes exposes the region's backing memory for local (same-node) access:
+// the full-length slice, materialized at once, which never moves
+// afterwards, so a caller may keep it. Local access is free: the host CPU
+// reads and writes its own DRAM.
+func (r *Region) Bytes() []byte { return r.mem(r.size) }
+
+// BytesTo exposes the region's first n bytes for local access,
+// materializing only those. The slice is valid until an access past the
+// materialized prefix grows the region; a caller that keeps the bytes
+// copies them, or holds Bytes instead.
+func (r *Region) BytesTo(n int) []byte { return r.mem(n) }

@@ -142,7 +142,7 @@ func runReady(t *testing.T, seed int64, sc scanner) readyRun {
 					// bursts posted as one chain from where the tail stood.
 					if int(w.tail%ringCap) > off && off+recordSpan(8+len(first)) <= ringCap {
 						at := mailboxHdr + off + 4 + 8
-						recs := bytes.Equal(mb.reg.mem()[at:at+len(first)], first)
+						recs := bytes.Equal(mb.reg.mem(at + len(first))[at:], first)
 						tail := mb.tailShadow() == w.tail
 						switch {
 						case recs && !tail:
