@@ -1,8 +1,10 @@
 package rdma
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"heron/internal/sim"
@@ -85,6 +87,38 @@ func TestLinkDelaySlowsCompletion(t *testing.T) {
 // TestLinkDropDeterministic: with a seeded fault RNG, the set of dropped
 // operations is identical across two runs, and a nonzero fraction of
 // operations both fail and succeed.
+// TestJitteredWritesLandInPostOrder: on a jittered link each WRITE draws
+// its own extra delay, yet RC places a QP's WRITEs in post order, so a
+// later WRITE never lands before an earlier one.
+func TestJitteredWritesLandInPostOrder(t *testing.T) {
+	s, f, _, b := testFabric(t)
+	reg := b.RegisterRegion(8)
+	qp := f.Connect(1, 2)
+	f.SetLinkDelay(1, 2, 0, 20*sim.Microsecond)
+	const n = 32
+	s.Spawn("writer", func(p *sim.Proc) {
+		var word [8]byte
+		for i := 1; i <= n; i++ {
+			binary.LittleEndian.PutUint64(word[:], uint64(i))
+			if err := qp.PostWrite(p, reg.Addr(0), word[:]); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	var seen []uint64
+	s.Spawn("watcher", func(p *sim.Proc) {
+		for b.WriteNotify().WaitTimeout(p, 100*sim.Microsecond) {
+			seen = append(seen, binary.LittleEndian.Uint64(reg.Bytes()))
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.IsSorted(seen) || len(seen) == 0 || seen[len(seen)-1] != n {
+		t.Fatalf("WRITEs landed out of post order: memory went %v, want a rise to %d", seen, n)
+	}
+}
+
 func TestLinkDropDeterministic(t *testing.T) {
 	run := func() string {
 		s := sim.NewScheduler()
