@@ -38,9 +38,11 @@ func (s *Store) BeginSnapshot(snapTmp uint64) {
 
 // SnapshotSlot returns the raw slot bytes of oid as of the snapshot
 // instant — the aside copy if a post-snapshot write preserved one, the
-// live slot otherwise — and marks the object captured so later writes
-// stop copying for it. The snapshot-visible version is recovered with
-// DecodeSlot + ChooseVersion(a, b, snapTmp+1).
+// live slot in place otherwise — and marks the object captured so later
+// writes stop copying for it. The snapshot-visible version is recovered
+// with DecodeSlot + ChooseVersion(a, b, snapTmp+1). The bytes are valid
+// until the next write to the store: a caller that keeps them, or yields
+// before it is done with them, copies them.
 func (s *Store) SnapshotSlot(oid OID) ([]byte, bool) {
 	if s.snap == nil {
 		return nil, false
@@ -50,7 +52,7 @@ func (s *Store) SnapshotSlot(oid OID) ([]byte, bool) {
 		delete(s.snap.cow, oid)
 		return raw, true
 	}
-	return s.CopySlot(oid)
+	return s.slot(oid)
 }
 
 // EndSnapshot closes the snapshot and drops any remaining aside copies.

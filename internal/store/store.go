@@ -17,6 +17,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -246,17 +247,24 @@ func (s *Store) Addr(oid OID) (rdma.Addr, int, bool) {
 	return s.region.Addr(m.off), SlotSize(m.max), true
 }
 
-// CopySlot returns the raw bytes of an object's slot (both versions), the
-// unit of Heron's state transfer.
+// CopySlot returns a copy of the raw bytes of an object's slot (both
+// versions), the unit of Heron's state transfer.
 func (s *Store) CopySlot(oid OID) ([]byte, bool) {
+	raw, ok := s.slot(oid)
+	if !ok {
+		return nil, false
+	}
+	return bytes.Clone(raw), true
+}
+
+// slot returns the raw bytes of an object's slot in place: they alias the
+// region, so the next write to the object changes them.
+func (s *Store) slot(oid OID) ([]byte, bool) {
 	m, ok := s.meta[oid]
 	if !ok {
 		return nil, false
 	}
-	size := SlotSize(m.max)
-	out := make([]byte, size)
-	copy(out, s.region.Bytes()[m.off:m.off+size])
-	return out, true
+	return s.region.Bytes()[m.off : m.off+SlotSize(m.max)], true
 }
 
 // Registered reports whether oid has a slot.
