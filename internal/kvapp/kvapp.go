@@ -16,7 +16,9 @@ package kvapp
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strconv"
 
 	"heron/internal/core"
 	"heron/internal/lincheck"
@@ -259,16 +261,15 @@ func Model() lincheck.Model {
 		},
 		Hash: func(st any) string {
 			s := st.(state)
-			keys := make([]store.OID, 0, len(s))
-			for k := range s {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			out := ""
+			keys := slices.Sorted(maps.Keys(s))
+			var out []byte
 			for _, k := range keys {
-				out += fmt.Sprintf("%d=%d;", k, s[k])
+				out = strconv.AppendUint(out, uint64(k), 10)
+				out = append(out, '=')
+				out = strconv.AppendUint(out, s[k], 10)
+				out = append(out, ';')
 			}
-			return out
+			return string(out)
 		},
 		EqualOutput: func(observed, model any) bool {
 			return observed.(uint64) == model.(uint64)

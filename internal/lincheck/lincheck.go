@@ -13,6 +13,7 @@ package lincheck
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Operation is one invocation/response pair observed by a client.
@@ -92,17 +93,20 @@ func Check(m Model, history []Operation) (bool, error) {
 		state any
 	}
 	seen := make(map[string]bool)
+	var key []byte // dfs's scratch for the memo key: used before it recurses
 	var dfs func(f frame) bool
 	full := uint64(1)<<n - 1
 	dfs = func(f frame) bool {
 		if f.done == full {
 			return true
 		}
-		key := fmt.Sprintf("%x|%s", f.done, m.hashState(f.state))
-		if seen[key] {
+		key = strconv.AppendUint(key[:0], f.done, 16)
+		key = append(key, '|')
+		key = append(key, m.hashState(f.state)...)
+		if seen[string(key)] {
 			return false
 		}
-		seen[key] = true
+		seen[string(key)] = true
 
 		// The next linearized operation must not violate real time: it
 		// cannot be one whose invocation happens after some pending
