@@ -311,7 +311,7 @@ var commands = []command{
 	{name: "chaos", failure: "a schedule failed verification (see output)", flags: func(fs *flag.FlagSet) runFunc {
 		schedules := fs.Int("schedules", 5, "number of seeded fault schedules to sweep")
 		seed := fs.Int64("seed", 1, "base seed; schedule i uses seed+i")
-		profile := fs.String("faults", "", "fault profile: churn, partitions, slownic, mixed, overload (empty = rotate)")
+		profile := fs.String("faults", "", "fault profile: churn, partitions, slownic, mixed, durable, leasecrash, overload (empty = rotate)")
 		flightDir := fs.String("flightdir", "", "directory for flight-recorder auto-dumps (crash, violation, sim error)")
 		return func(o *obs.Observer) (formatter, error) {
 			return bench.RunChaos(*schedules, *seed, *profile, *flightDir, o)

@@ -59,8 +59,9 @@ func verdict(checked, linearizable bool) string {
 }
 
 // RunChaos sweeps `schedules` seeded fault schedules. With profile ""
-// the sweep rotates through the generator profiles (churn, partitions,
-// slownic, mixed); otherwise every schedule uses the given profile.
+// the sweep rotates through the generator profiles, chaos.Profiles
+// (churn, partitions, slownic, mixed, durable, leasecrash); otherwise
+// every schedule uses the given profile, overload included.
 // Schedule i uses seed base+i, so a failing schedule replays standalone
 // with its printed seed and profile. A non-empty flightDir enables the
 // flight recorder's auto-dumps (crash, violation, sim error) into that
