@@ -27,11 +27,7 @@ func RunDynaStar(opt Options) (*HeronRun, error) {
 	}
 	for g := range d.Replicas {
 		for _, rep := range d.Replicas[g] {
-			app := rep.App().(*tpcc.App)
-			for _, obj := range app.InitialObjects() {
-				rep.LoadObject(obj.OID, obj.Val)
-			}
-			app.PopulateAux()
+			rep.App().(*tpcc.App).PopulateObjects(rep.LoadObject)
 		}
 	}
 	d.Start()

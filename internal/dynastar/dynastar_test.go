@@ -9,6 +9,7 @@ import (
 	"heron/internal/multicast"
 	"heron/internal/rdma"
 	"heron/internal/sim"
+	"heron/internal/store"
 	"heron/internal/tpcc"
 )
 
@@ -38,11 +39,7 @@ func deploy(t *testing.T, warehouses, replicas int, scale tpcc.Scale) (*sim.Sche
 	}
 	for g := range d.Replicas {
 		for _, rep := range d.Replicas[g] {
-			app := rep.App().(*tpcc.App)
-			for _, obj := range app.InitialObjects() {
-				rep.LoadObject(obj.OID, obj.Val)
-			}
-			app.PopulateAux()
+			rep.App().(*tpcc.App).PopulateObjects(rep.LoadObject)
 		}
 	}
 	d.Start()
@@ -159,6 +156,26 @@ func TestDynaStarWorkloadConverges(t *testing.T) {
 				}
 			}
 		}
+	}
+	// Every replica of a partition was loaded with the same shared rows:
+	// the mix replaced objects' values but wrote into none of those rows.
+	fresh := tpcc.NewDataset(42, 2, tpcc.SmallScale())
+	changed := 0
+	for g := 0; g < 2; g++ {
+		part := PartitionID(g)
+		want := make(map[store.OID][]byte)
+		tpcc.NewApp(part, fresh).PopulateObjects(func(oid store.OID, val []byte) { want[oid] = val })
+		tpcc.NewApp(part, ds).PopulateObjects(func(oid store.OID, val []byte) {
+			if !bytes.Equal(val, want[oid]) {
+				t.Fatalf("partition %d: the shared initial row of object %#x was written", g, oid)
+			}
+			if v, _ := d.Replica(part, 0).Object(oid); !bytes.Equal(v, val) {
+				changed++
+			}
+		})
+	}
+	if changed == 0 {
+		t.Fatal("the mix changed no object, so the check above shows nothing")
 	}
 }
 

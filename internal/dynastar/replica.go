@@ -104,7 +104,10 @@ func newReplica(d *Deployment, mc *multicast.Process, part PartitionID, rank int
 // App returns the replica's application instance.
 func (r *Replica) App() core.Application { return r.app }
 
-// LoadObject installs an initial object value.
+// LoadObject installs an initial object value. The replica keeps val and
+// never writes into it: execution replaces an object's value (with bytes
+// from the request's own context) and migration installs decoded copies,
+// so one value may be loaded into every replica of a partition.
 func (r *Replica) LoadObject(oid store.OID, val []byte) { r.objs[oid] = val }
 
 // Object returns the current value of an object, for tests.

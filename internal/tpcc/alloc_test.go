@@ -13,11 +13,8 @@ import (
 // built, and its store rows by OID.
 func populatedApp() (*App, map[store.OID][]byte) {
 	a := NewApp(0, NewDataset(42, 1, SmallScale()))
-	a.PopulateAux()
 	rows := make(map[store.OID][]byte)
-	for _, o := range a.InitialObjects() {
-		rows[o.OID] = o.Val
-	}
+	a.PopulateObjects(func(oid store.OID, val []byte) { rows[oid] = val })
 	return a, rows
 }
 

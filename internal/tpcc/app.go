@@ -2,7 +2,6 @@ package tpcc
 
 import (
 	"encoding/binary"
-	"math/rand"
 	"slices"
 
 	"heron/internal/core"
@@ -36,12 +35,7 @@ type App struct {
 	ds   *Dataset
 
 	// Warehouse-local tables (the paper's HashMap tables).
-	districts   map[int32]*District
-	orders      map[orderKey]*Order
-	orderLines  map[orderKey][]OrderLine
-	newOrders   map[int32][]int32 // district -> FIFO of undelivered order ids
-	history     []History
-	lastOrderOf map[custKey]int32
+	auxTables
 
 	// cpu accumulates modeled time during one Execute call.
 	cpu sim.Duration
@@ -76,95 +70,29 @@ func NewAppFactory(ds *Dataset) core.AppFactory {
 // NewApp creates the application instance for one replica of `part`.
 func NewApp(part core.PartitionID, ds *Dataset) *App {
 	return &App{
-		part:        part,
-		wid:         int32(part) + 1,
-		ds:          ds,
-		districts:   make(map[int32]*District),
-		orders:      make(map[orderKey]*Order),
-		orderLines:  make(map[orderKey][]OrderLine),
-		newOrders:   make(map[int32][]int32),
-		lastOrderOf: make(map[custKey]int32),
+		part:      part,
+		wid:       int32(part) + 1,
+		ds:        ds,
+		auxTables: emptyAux(),
 	}
 }
 
 // Populate registers and initializes this warehouse's store objects and
-// builds the initial warehouse-local tables. Deterministic, so all
-// replicas of the partition start identical.
+// installs a copy of its initial warehouse-local tables, both from the
+// Dataset's image of the warehouse, so all replicas of the partition start
+// identical.
 func (a *App) Populate(st *store.Store) error {
-	wid := int(a.wid)
-	for iid := 1; iid <= a.ds.Scale.Items; iid++ {
-		oid := StockOID(wid, iid)
-		if err := st.Register(oid, StockMaxBytes); err != nil {
+	img := a.ds.image(a.wid)
+	for _, r := range img.rows {
+		if err := st.Register(r.oid, r.max); err != nil {
 			return err
 		}
-		if err := st.Init(oid, EncodeStock(a.ds.GenStock(wid, iid))); err != nil {
+		if err := st.Init(r.oid, r.val); err != nil {
 			return err
 		}
 	}
-	for did := 1; did <= a.ds.Scale.DistrictsPerWH; did++ {
-		for cid := 1; cid <= a.ds.Scale.CustomersPerDistrict; cid++ {
-			oid := CustomerOID(wid, did, cid)
-			if err := st.Register(oid, CustomerMaxBytes); err != nil {
-				return err
-			}
-			if err := st.Init(oid, EncodeCustomer(a.ds.GenCustomer(wid, did, cid))); err != nil {
-				return err
-			}
-		}
-	}
-	a.PopulateAux()
+	a.auxTables = img.aux.clone()
 	return nil
-}
-
-// populateOrders primes Order/Order-Line/New-Order for one district: the
-// newest third of the initial orders is undelivered (clause 4.3.3.1 uses
-// the last 900 of 3000).
-func (a *App) populateOrders(did int32) {
-	n := a.ds.Scale.InitialOrders
-	undeliveredFrom := n - n/3 + 1
-	for o := 1; o <= n; o++ {
-		rng := rand.New(rand.NewSource(int64(a.wid)<<40 | int64(did)<<32 | int64(o)))
-		cid := int32((o-1)%a.ds.Scale.CustomersPerDistrict + 1)
-		ord := &Order{
-			ID:       int32(o),
-			DID:      did,
-			WID:      a.wid,
-			CID:      cid,
-			EntryD:   int64(o),
-			OLCnt:    int32(randRange(rng, 5, 15)),
-			AllLocal: true,
-		}
-		if o < undeliveredFrom {
-			ord.CarrierID = int32(randRange(rng, 1, 10))
-		}
-		key := orderKey{did: did, oid: int32(o)}
-		a.orders[key] = ord
-		lines := make([]OrderLine, ord.OLCnt)
-		for i := range lines {
-			lines[i] = OrderLine{
-				OID:       int32(o),
-				DID:       did,
-				WID:       a.wid,
-				Number:    int32(i + 1),
-				IID:       int32(randRange(rng, 1, a.ds.Scale.Items)),
-				SupplyWID: a.wid,
-				Quantity:  5,
-				DistInfo:  "initial",
-			}
-			if ord.CarrierID != 0 {
-				// Delivered initial orders carry zero amounts (clause
-				// 4.3.3.1), keeping customer balances consistent (C4).
-				lines[i].DeliveryD = ord.EntryD
-			} else {
-				lines[i].Amount = int64(randRange(rng, 1, 999999))
-			}
-		}
-		a.orderLines[key] = lines
-		a.lastOrderOf[custKey{did: did, cid: cid}] = int32(o)
-		if ord.CarrierID == 0 {
-			a.newOrders[did] = append(a.newOrders[did], int32(o))
-		}
-	}
 }
 
 // charge accumulates modeled CPU.

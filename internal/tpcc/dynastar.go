@@ -65,35 +65,14 @@ func (Router) Objects(payload []byte) []store.OID {
 	return t.FullReadSet()
 }
 
-// ObjectInit is one initial object of a warehouse.
-type ObjectInit struct {
-	OID store.OID
-	Val []byte
-}
-
-// InitialObjects generates this warehouse's store rows (stock and
-// customer), for substrates that keep objects outside Heron's store.
-func (a *App) InitialObjects() []ObjectInit {
-	wid := int(a.wid)
-	out := make([]ObjectInit, 0, a.ds.Scale.Items+a.ds.Scale.DistrictsPerWH*a.ds.Scale.CustomersPerDistrict)
-	for iid := 1; iid <= a.ds.Scale.Items; iid++ {
-		out = append(out, ObjectInit{OID: StockOID(wid, iid), Val: EncodeStock(a.ds.GenStock(wid, iid))})
+// PopulateObjects is Populate for substrates that keep objects outside
+// Heron's store: it passes each initial store row to load, in Populate's
+// order. The rows are the image's own, shared by every replica of the
+// warehouse: load may keep them but must never write them.
+func (a *App) PopulateObjects(load func(oid store.OID, val []byte)) {
+	img := a.ds.image(a.wid)
+	for _, r := range img.rows {
+		load(r.oid, r.val)
 	}
-	for did := 1; did <= a.ds.Scale.DistrictsPerWH; did++ {
-		for cid := 1; cid <= a.ds.Scale.CustomersPerDistrict; cid++ {
-			out = append(out, ObjectInit{
-				OID: CustomerOID(wid, did, cid),
-				Val: EncodeCustomer(a.ds.GenCustomer(wid, did, cid)),
-			})
-		}
-	}
-	return out
-}
-
-// PopulateAux builds only the warehouse-local map tables (no store).
-func (a *App) PopulateAux() {
-	for did := 1; did <= a.ds.Scale.DistrictsPerWH; did++ {
-		a.districts[int32(did)] = a.ds.GenDistrict(int(a.wid), did)
-		a.populateOrders(int32(did))
-	}
+	a.auxTables = img.aux.clone()
 }

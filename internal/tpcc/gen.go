@@ -76,19 +76,23 @@ func randZip(rng *rand.Rand) string { return randNString(rng, 4, 4) + "11111" }
 
 // Dataset is the generated initial database for a deployment: the
 // replicated read-only tables plus per-warehouse rows. Generation is
-// deterministic in the seed, so every replica (and the DynaStar baseline)
-// builds identical state.
+// deterministic in the seed, and each warehouse's rows and local tables
+// are generated once, on first use, into an image that every replica of
+// its partition (and of the DynaStar baseline) installs. Safe for
+// concurrent use.
 type Dataset struct {
 	Scale      Scale
 	Warehouses int
 	Items      []Item      // replicated, read-only; index = item id - 1
 	WHs        []Warehouse // replicated, read-only; index = warehouse id - 1
+
+	images []lazyImage // index = warehouse id - 1
 }
 
 // NewDataset generates the read-only tables for the given scale.
 func NewDataset(seed int64, warehouses int, scale Scale) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
-	d := &Dataset{Scale: scale, Warehouses: warehouses}
+	d := &Dataset{Scale: scale, Warehouses: warehouses, images: make([]lazyImage, warehouses)}
 	d.Items = make([]Item, scale.Items)
 	for i := range d.Items {
 		data := randAString(rng, 26, 50)
@@ -119,10 +123,28 @@ func NewDataset(seed int64, warehouses int, scale Scale) *Dataset {
 	return d
 }
 
-// GenStock builds the initial stock row for (wid, iid). Deterministic in
-// (wid, iid) so all replicas of a partition agree.
-func (d *Dataset) GenStock(wid, iid int) *Stock {
-	rng := rand.New(rand.NewSource(int64(wid)<<32 | int64(iid)))
+// GenStock builds the initial stock row for (wid, iid). Deterministic,
+// but not distinct, in (wid, iid): math/rand reduces its seed wid<<32|iid
+// mod 2^31-1, so every row with the same 2*wid+iid draws the same random
+// fields (stock (1,3) and (2,1) carry identical Quantity, Data and
+// S_DIST_xx).
+func (d *Dataset) GenStock(wid, iid int) *Stock { return genStock(nil, wid, iid) }
+
+// reseed returns rng seeded with seed, or a new generator so seeded when
+// rng is nil. Reseeding gives the stream a new source would, without
+// allocating one: generating a warehouse reuses one generator for all its
+// rows.
+func reseed(rng *rand.Rand, seed int64) *rand.Rand {
+	if rng == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	rng.Seed(seed)
+	return rng
+}
+
+// genStock is GenStock drawing from rng, reseeded (see reseed).
+func genStock(rng *rand.Rand, wid, iid int) *Stock {
+	rng = reseed(rng, int64(wid)<<32|int64(iid))
 	s := &Stock{
 		IID:      int32(iid),
 		WID:      int32(wid),
@@ -136,8 +158,16 @@ func (d *Dataset) GenStock(wid, iid int) *Stock {
 }
 
 // GenCustomer builds the initial customer row for (wid, did, cid).
+// Deterministic, but not distinct: math/rand reduces its seed
+// wid<<40|did<<32|cid mod 2^31-1, so every row with the same
+// 512*wid+2*did+cid draws the same random fields.
 func (d *Dataset) GenCustomer(wid, did, cid int) *Customer {
-	rng := rand.New(rand.NewSource(int64(wid)<<40 | int64(did)<<32 | int64(cid)))
+	return genCustomer(nil, wid, did, cid)
+}
+
+// genCustomer is GenCustomer drawing from rng, reseeded (see reseed).
+func genCustomer(rng *rand.Rand, wid, did, cid int) *Customer {
+	rng = reseed(rng, int64(wid)<<40|int64(did)<<32|int64(cid))
 	lastNum := cid - 1
 	if lastNum > 999 {
 		lastNum = nuRand(rng, 255, cLast, 0, 999)
