@@ -54,20 +54,19 @@ func (r *LatencyRecorder) sortSamples() {
 // nearest-rank rule: the smallest sample such that at least p percent of
 // the samples are <= it, i.e. index ceil(p/100*n)-1. (A truncating index
 // would, e.g., report the 50th percentile of 10 samples as samples[4]
-// with only 40% of the mass below it.)
+// with only 40% of the mass below it.) The rank is computed in integers,
+// with p read to a millionth of a percent, as CDF computes its own: in
+// floats, 99.9/100*1000 is 999.0000000000001 and ceil takes one rank high.
 func (r *LatencyRecorder) Percentile(p float64) sim.Duration {
 	if len(r.samples) == 0 {
 		return 0
 	}
 	r.sortSamples()
-	idx := int(math.Ceil(p/100*float64(len(r.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(r.samples) {
-		idx = len(r.samples) - 1
-	}
-	return r.samples[idx]
+	const scale = 100 * 1_000_000
+	n := len(r.samples)
+	k := int(math.Round(p * 1_000_000))
+	idx := (k*n+scale-1)/scale - 1
+	return r.samples[max(0, min(idx, n-1))]
 }
 
 // Max returns the largest sample.

@@ -8,7 +8,8 @@ import (
 )
 
 // TestPercentileNearestRank pins the nearest-rank rule:
-// index = ceil(p/100*n) - 1 over the sorted samples.
+// index = ceil(p/100*n) - 1 over the sorted samples, exact at ranks
+// where p/100*n is an integer but its float product is not.
 func TestPercentileNearestRank(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -30,6 +31,10 @@ func TestPercentileNearestRank(t *testing.T) {
 		{"p99 of 100 is the 99th", seq(100), 99, 99},
 		{"p99 of 200 is the 198th", seq(200), 99, 198},
 		{"near-zero percentile is the min", seq(100), 0.0001, 1},
+		{"p99.9 of 1000 is the 999th", seq(1000), 99.9, 999},
+		{"p99.9 of 2000 is the 1998th", seq(2000), 99.9, 1998},
+		{"p99.9 of 1001 rounds up to the 1000th", seq(1001), 99.9, 1000},
+		{"p99.99 of 10000 is the 9999th", seq(10000), 99.99, 9999},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
