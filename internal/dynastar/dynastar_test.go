@@ -219,6 +219,11 @@ func TestDynaStarPaymentRemoteCustomer(t *testing.T) {
 	s, d, ds := deploy(t, 2, 3, tpcc.SmallScale())
 	cl := d.NewClient()
 	before := ds.GenCustomer(2, 3, 7)
+	var ytd0 [3]int64
+	var history0 [3]int
+	for rank := range ytd0 {
+		ytd0[rank], history0[rank] = d.Replica(0, rank).App().(*tpcc.App).PaymentState(1)
+	}
 	txn := &tpcc.Txn{
 		Kind: tpcc.TxnPayment,
 		WID:  1, DID: 1,
@@ -246,9 +251,14 @@ func TestDynaStarPaymentRemoteCustomer(t *testing.T) {
 			t.Fatalf("replica %d balance %d, want %d", rank, cust.Balance, before.Balance-777)
 		}
 	}
-	// The home partition recorded district YTD + history.
-	app0 := d.Replica(0, 0).App().(*tpcc.App)
-	_ = app0
+	// Every replica of the home partition recorded district YTD + history.
+	for rank := 0; rank < 3; rank++ {
+		ytd, history := d.Replica(0, rank).App().(*tpcc.App).PaymentState(1)
+		if ytd != ytd0[rank]+777 || history != history0[rank]+1 {
+			t.Fatalf("home replica %d: district 1 YTD %d and %d history rows, want %d and %d",
+				rank, ytd, history, ytd0[rank]+777, history0[rank]+1)
+		}
+	}
 }
 
 // TestDynaStarStaleResponsesIgnored: the client must not confuse a late

@@ -95,6 +95,15 @@ func (a *App) Populate(st *store.Store) error {
 	return nil
 }
 
+// PaymentState returns what Payments leave at this warehouse: district
+// did's year-to-date total (0 if it is not here) and the history's rows.
+func (a *App) PaymentState(did int32) (ytd int64, history int) {
+	if d := a.districts[did]; d != nil {
+		ytd = d.YTD
+	}
+	return ytd, len(a.history)
+}
+
 // charge accumulates modeled CPU.
 func (a *App) charge(d sim.Duration, times int) { a.cpu += d * sim.Duration(times) }
 
