@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 
 	"heron/internal/multicast"
 	"heron/internal/obs"
@@ -55,39 +57,7 @@ func (c *Client) NodeID() rdma.NodeID { return c.node.ID() }
 // destination partition. It returns the responses keyed by partition,
 // copies of the first reply from each; the others are never copied.
 func (c *Client) Submit(p *sim.Proc, dst []PartitionID, payload []byte) (map[PartitionID][]byte, error) {
-	t0 := p.Now()
-	id := c.mc.Multicast(p, dst, payload)
-	c.lastID = id
-	c.cp.Mark(cpID(id), obs.SegSubmit, t0)
-	c.cp.Mark(cpID(id), obs.SegSent, p.Now())
-	want := make(map[PartitionID]bool, len(dst))
-	for _, h := range dst {
-		want[h] = true
-	}
-	got := make(map[PartitionID][]byte, len(dst))
-	for len(got) < len(want) {
-		datagram, _, err := c.ep.Recv(p)
-		if err != nil {
-			return nil, fmt.Errorf("heron client: %w", err)
-		}
-		kind, r, kerr := ctlKind(datagram)
-		if kerr != nil || kind != ctlResponse {
-			c.dropped.Inc()
-			continue
-		}
-		m := decodeResponse(&r)
-		if r.Err() != nil || m.id != id {
-			c.dropped.Inc()
-			continue // stale response from an earlier request
-		}
-		if want[m.part] {
-			if _, dup := got[m.part]; !dup {
-				got[m.part] = bytes.Clone(m.payload) // before the next Recv reuses the datagram
-			}
-		}
-	}
-	c.cp.Mark(cpID(id), obs.SegComplete, p.Now())
-	return got, nil
+	return c.submit(p, dst, payload, forever)
 }
 
 // LeaseRead probes a lease holder for a local single-object read: one
@@ -132,6 +102,21 @@ func (c *Client) LeaseRead(p *sim.Proc, holder rdma.NodeID, oid uint64, d sim.Du
 // SubmitTimeout is Submit with a deadline; ok=false means the responses
 // did not all arrive in time (e.g. too many replica failures).
 func (c *Client) SubmitTimeout(p *sim.Proc, dst []PartitionID, payload []byte, d sim.Duration) (map[PartitionID][]byte, bool) {
+	got, err := c.submit(p, dst, payload, d)
+	return got, err == nil
+}
+
+// forever is the timeout of a wait that has none: submit then receives
+// with Recv, which arms no timer event.
+const forever = sim.Duration(math.MaxInt64)
+
+// errTimedOut is submit's error when its timeout passes first.
+var errTimedOut = errors.New("heron client: timed out")
+
+// submit multicasts one request and collects the first response from
+// every partition in dst, waiting at most d once it has been sent. On a
+// timeout it returns the responses that have arrived.
+func (c *Client) submit(p *sim.Proc, dst []PartitionID, payload []byte, d sim.Duration) (map[PartitionID][]byte, error) {
 	t0 := p.Now()
 	id := c.mc.Multicast(p, dst, payload)
 	c.lastID = id
@@ -144,13 +129,21 @@ func (c *Client) SubmitTimeout(p *sim.Proc, dst []PartitionID, payload []byte, d
 	}
 	got := make(map[PartitionID][]byte, len(dst))
 	for len(got) < len(want) {
-		remaining := sim.Duration(deadline - p.Now())
-		if remaining <= 0 {
-			return got, false
-		}
-		datagram, _, ok := c.ep.RecvTimeout(p, remaining)
-		if !ok {
-			return got, false
+		var datagram []byte
+		if d == forever {
+			var err error
+			if datagram, _, err = c.ep.Recv(p); err != nil {
+				return nil, fmt.Errorf("heron client: %w", err)
+			}
+		} else {
+			remaining := sim.Duration(deadline - p.Now())
+			if remaining <= 0 {
+				return got, errTimedOut
+			}
+			var ok bool
+			if datagram, _, ok = c.ep.RecvTimeout(p, remaining); !ok {
+				return got, errTimedOut
+			}
 		}
 		kind, r, kerr := ctlKind(datagram)
 		if kerr != nil || kind != ctlResponse {
@@ -160,14 +153,12 @@ func (c *Client) SubmitTimeout(p *sim.Proc, dst []PartitionID, payload []byte, d
 		m := decodeResponse(&r)
 		if r.Err() != nil || m.id != id {
 			c.dropped.Inc()
-			continue
+			continue // stale response from an earlier request
 		}
-		if want[m.part] {
-			if _, dup := got[m.part]; !dup {
-				got[m.part] = bytes.Clone(m.payload) // before the next Recv reuses the datagram
-			}
+		if _, dup := got[m.part]; want[m.part] && !dup {
+			got[m.part] = bytes.Clone(m.payload) // before the next Recv reuses the datagram
 		}
 	}
 	c.cp.Mark(cpID(id), obs.SegComplete, p.Now())
-	return got, true
+	return got, nil
 }
