@@ -183,13 +183,24 @@ func TestGoldenResults(t *testing.T) {
 		// Every profile at two seeds, plus the faults-durable shape, so
 		// that where a run stops is pinned by what it reports.
 		{"chaos_profiles", func(t *testing.T) any { return goldenChaosProfiles(t) }},
-		// The rebalance bench pair and every verification scenario.
-		{"rebalance", func(t *testing.T) any {
-			res, err := RunRebalance(smallRebalance(BenchHotShift))
+		// Fig. 8's transfer sizes: a full state transfer per row.
+		{"fig8", func(t *testing.T) any {
+			res, err := RunFig8(1, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sweep := &RebalanceSweep{Bench: []*RebalanceResult{res}}
+			return res
+		}},
+		// Both rebalance bench pairs and every verification scenario.
+		{"rebalance", func(t *testing.T) any {
+			sweep := &RebalanceSweep{}
+			for _, sc := range RebalanceScenarios {
+				res, err := RunRebalance(smallRebalance(sc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sweep.Bench = append(sweep.Bench, res)
+			}
 			for _, sc := range rebalance.Scenarios {
 				rep, err := rebalance.Run(rebalance.Options{Scenario: sc, Seed: 1})
 				if err != nil {
