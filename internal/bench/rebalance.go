@@ -80,19 +80,13 @@ func DefaultRebalanceOptions(scenario string, seed int64) RebalanceOptions {
 }
 
 // benchRebalancePolicy is the controller policy the benchmark runs
-// under: decide every millisecond, shed a partition 30% above the mean
-// after two hot ticks, at most one change per 3ms.
+// under: shed a partition 30% above the mean onto one below 85% of it,
+// at most 8 changes, and never beyond two partitions (moves and splits
+// only: no spare nodes here). The cadence, hysteresis and cooldown are
+// the rebalancer's own: decide every millisecond, act after two hot
+// ticks, at most one change per 3ms.
 func benchRebalancePolicy() rebalance.Policy {
-	pol := rebalance.DefaultPolicy()
-	pol.Tick = 1 * sim.Millisecond
-	pol.Cooldown = 3 * sim.Millisecond
-	pol.HotRatio = 1.3
-	pol.ColdRatio = 0.85
-	pol.MinRate = 1000
-	pol.DominantShare = 0.6
-	pol.MaxChanges = 8
-	pol.MaxPartitions = 2 // moves and splits only: no spare nodes here
-	return pol
+	return rebalance.Policy{HotRatio: 1.3, ColdRatio: 0.85, MinRate: 1000, MaxChanges: 8, MaxPartitions: 2}
 }
 
 // RebalanceRunStats is the outcome of one run (controller off or on).

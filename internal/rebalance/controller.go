@@ -24,7 +24,7 @@ type Controller struct {
 	o   *obs.Observer
 
 	// Spares is the joiner node pool scale-out draws from; committed
-	// scale-outs consume GroupSize nodes from the front.
+	// scale-outs consume groupSize nodes from the front.
 	Spares []rdma.NodeID
 
 	// Until stops the decision loop at a virtual instant (0 = run until
@@ -64,7 +64,7 @@ func (c *Controller) Observe(o *obs.Observer) { c.o = o }
 func (c *Controller) Start(s *sim.Scheduler) {
 	s.Spawn("rebalance-controller", func(p *sim.Proc) {
 		for {
-			p.Sleep(c.Pol.Tick)
+			p.Sleep(tick)
 			if c.Until > 0 && p.Now() > c.Until {
 				c.stopped = true
 				return
@@ -107,7 +107,7 @@ func (c *Controller) tick(p *sim.Proc) {
 		c.Applied++
 		c.o.Counter("rebalance/commits").Inc()
 		if dec.Action == ActScaleOut {
-			c.Spares = c.Spares[c.groupSize():]
+			c.Spares = c.Spares[groupSize:]
 		}
 	} else {
 		c.Aborted++

@@ -22,20 +22,17 @@ type Planner struct {
 	// Log records every decision, acting or not, in tick order.
 	Log []Decision
 
-	hotStreak  []int
-	coldStreak []int
-	lastAt     sim.Time
-	changed    bool
-	cooldown   sim.Duration // effective cooldown, backoff-scaled
-	fb         *feedback
-	changes    int
+	hotStreak []int
+	lastAt    sim.Time
+	cooldown  sim.Duration // effective cooldown, backoff-scaled
+	fb        *feedback
+	changes   int
 }
 
 // feedback is the outcome check pending from the last shed: on the next
-// tick the planner asks whether the hot partition actually recovered.
+// tick the planner asks whether the hot partition's rate recovered.
 type feedback struct {
-	part  int
-	queue int64
+	part int
 }
 
 // Step runs one decision tick: score-derived loads in, at most one
@@ -51,11 +48,6 @@ func (pl *Planner) Step(now sim.Time, loads []PartLoad, cfg *reconfig.Configurat
 	}
 	dec, hot, mean, ok := pl.classify(now, loads)
 	if !ok {
-		if dec.Action == ActNone {
-			if d, ch := pl.planDrain(&dec, loads, cfg, mean); ch != nil {
-				return d, ch
-			}
-		}
 		return pl.emit(dec), nil
 	}
 
@@ -65,7 +57,7 @@ func (pl *Planner) Step(now sim.Time, loads []PartLoad, cfg *reconfig.Configurat
 	scaleOut := false
 	if target < 0 {
 		n := len(cfg.Groups)
-		if len(spares) >= pl.groupSize() && (pl.Pol.MaxPartitions == 0 || n < pl.Pol.MaxPartitions) {
+		if len(spares) >= groupSize && (pl.Pol.MaxPartitions == 0 || n < pl.Pol.MaxPartitions) {
 			target = n
 			scaleOut = true
 		} else {
@@ -93,9 +85,9 @@ func (pl *Planner) Step(now sim.Time, loads []PartLoad, cfg *reconfig.Configurat
 
 	ch := &reconfig.Change{Moves: moves}
 	if scaleOut {
-		ch.AddPartitions = [][]rdma.NodeID{append([]rdma.NodeID(nil), spares[:pl.groupSize()]...)}
+		ch.AddPartitions = [][]rdma.NodeID{append([]rdma.NodeID(nil), spares[:groupSize]...)}
 	}
-	pl.issued(now, &feedback{part: hot, queue: loads[hot].QueueMax})
+	pl.issued(now, hot)
 	return pl.emit(dec), ch
 }
 
@@ -104,11 +96,10 @@ func (pl *Planner) Step(now sim.Time, loads []PartLoad, cfg *reconfig.Configurat
 // reports whether a shed is actionable.
 func (pl *Planner) classify(now sim.Time, loads []PartLoad) (dec Decision, hot int, mean float64, ok bool) {
 	if pl.cooldown == 0 {
-		pl.cooldown = pl.Pol.Cooldown
+		pl.cooldown = cooldown
 	}
 	for len(pl.hotStreak) < len(loads) {
 		pl.hotStreak = append(pl.hotStreak, 0)
-		pl.coldStreak = append(pl.coldStreak, 0)
 	}
 	dec = Decision{AtNS: int64(now)}
 	hot = -1
@@ -128,19 +119,17 @@ func (pl *Planner) classify(now sim.Time, loads []PartLoad) (dec Decision, hot i
 		pl.fb = nil
 		if fb.part < len(loads) {
 			if loads[fb.part].Rate <= pl.Pol.HotRatio*mean {
-				pl.cooldown = pl.Pol.Cooldown
+				pl.cooldown = cooldown
 				dec.Note = "recovered"
 			} else {
-				pl.cooldown *= sim.Duration(pl.backoff())
+				pl.cooldown *= backoffFactor
 				dec.Note = "no-recovery-backoff"
 			}
 		}
 	}
 
 	if total < pl.Pol.MinRate || len(loads) == 0 {
-		for i := range pl.hotStreak {
-			pl.hotStreak[i], pl.coldStreak[i] = 0, 0
-		}
+		clear(pl.hotStreak)
 		dec.Action = ActNoneIdle
 		return dec, hot, mean, false
 	}
@@ -157,12 +146,7 @@ func (pl *Planner) classify(now sim.Time, loads []PartLoad) (dec Decision, hot i
 		} else {
 			pl.hotStreak[i] = 0
 		}
-		if pl.Pol.MergeBelow > 0 && l.Rate < pl.Pol.MergeBelow*mean {
-			pl.coldStreak[i]++
-		} else {
-			pl.coldStreak[i] = 0
-		}
-		if isHot && pl.hotStreak[i] >= pl.Pol.Hysteresis && l.Rate > hottest {
+		if isHot && pl.hotStreak[i] >= hysteresis && l.Rate > hottest {
 			hottest = l.Rate
 			hot = i
 		}
@@ -179,7 +163,7 @@ func (pl *Planner) classify(now sim.Time, loads []PartLoad) (dec Decision, hot i
 		dec.Action = ActNoneBudget
 		dec.Hot = hot
 		return dec, hot, mean, false
-	case pl.changed && sim.Duration(now-pl.lastAt) < pl.cooldown:
+	case pl.changes > 0 && sim.Duration(now-pl.lastAt) < pl.cooldown:
 		dec.Action = ActNoneCooldown
 		dec.Hot = hot
 		return dec, hot, mean, false
@@ -206,7 +190,7 @@ func (pl *Planner) shedTarget(loads []PartLoad, hot int, mean float64) int {
 // onto the target, picking the boundary from the hot-key sketch, whose
 // keys are object ids (the core.HeatKeyer contract):
 //
-//   - a dominant key (DominantShare of the sketch mass) is isolated by
+//   - a dominant key (dominantShare of the sketch mass) is isolated by
 //     itself — splitting cannot spread a single key, but giving it a
 //     partition of its own removes it from everything else's path;
 //   - otherwise the boundary is the sketch's mass median: the smallest
@@ -231,7 +215,7 @@ func (pl *Planner) shedMoves(cfg *reconfig.Configuration, hot core.PartitionID, 
 	if mass > 0 && len(keys) > 0 {
 		// Dominant key: isolate it. keys comes sorted by count
 		// descending (TopKeys order), so keys[0] is the candidate.
-		if float64(keys[0].Count) >= pl.Pol.DominantShare*float64(mass) && len(keys) > 1 {
+		if float64(keys[0].Count) >= dominantShare*float64(mass) && len(keys) > 1 {
 			oid := store.OID(keys[0].Key)
 			return []reconfig.Move{{Lo: oid, Hi: oid, To: to}}, oid, ActIsolate
 		}
@@ -273,53 +257,6 @@ func (pl *Planner) shedMoves(cfg *reconfig.Configuration, hot core.PartitionID, 
 	return nil, 0, ActNone
 }
 
-// planDrain checks for a scale-in opportunity: a partition idle for
-// Hysteresis ticks drains into the least-loaded peer, provided the
-// merged load stays under the hot threshold.
-func (pl *Planner) planDrain(dec *Decision, loads []PartLoad, cfg *reconfig.Configuration, mean float64) (Decision, *reconfig.Change) {
-	if pl.Pol.MergeBelow <= 0 || len(cfg.Groups) < 2 {
-		return *dec, nil
-	}
-	if pl.Pol.MaxChanges > 0 && pl.changes >= pl.Pol.MaxChanges {
-		return *dec, nil
-	}
-	if pl.changed && sim.Duration(sim.Time(dec.AtNS)-pl.lastAt) < pl.cooldown {
-		return *dec, nil
-	}
-	for i, l := range loads {
-		if i >= len(pl.coldStreak) || pl.coldStreak[i] < pl.Pol.Hysteresis {
-			continue
-		}
-		moves := cfg.DrainMoves(core.PartitionID(i), 0)
-		if len(moves) == 0 {
-			continue // already drained: nothing routed here
-		}
-		// Least-loaded peer that can absorb the idle partition's load.
-		target, best := -1, 0.0
-		for j, t := range loads {
-			if j == i {
-				continue
-			}
-			if t.Rate+l.Rate > pl.Pol.HotRatio*mean {
-				continue
-			}
-			if target < 0 || t.Rate < best {
-				target, best = j, t.Rate
-			}
-		}
-		if target < 0 {
-			continue
-		}
-		moves = cfg.DrainMoves(core.PartitionID(i), core.PartitionID(target))
-		dec.Action = ActDrain
-		dec.Hot = i
-		dec.Target = target
-		pl.issued(sim.Time(dec.AtNS), nil)
-		return pl.emit(*dec), &reconfig.Change{Moves: moves}
-	}
-	return *dec, nil
-}
-
 // Outcome patches the latest acting decision with the executed change's
 // result. An abort (fence timeout, lost migration source) backs the
 // cooldown off and cancels the pending recovery check: nothing changed,
@@ -333,40 +270,23 @@ func (pl *Planner) Outcome(committed bool, epoch uint64) {
 	d.Epoch = epoch
 	if !committed {
 		pl.fb = nil
-		pl.cooldown *= sim.Duration(pl.backoff())
+		pl.cooldown *= backoffFactor
 	}
 }
 
-// issued records that a change left the planner this tick.
-func (pl *Planner) issued(now sim.Time, fb *feedback) {
+// issued records that a change shedding hot left the planner this tick.
+func (pl *Planner) issued(now sim.Time, hot int) {
 	pl.changes++
 	pl.lastAt = now
-	pl.changed = true
-	pl.fb = fb
+	pl.fb = &feedback{part: hot}
 	// Telemetry accumulated under the old layout says nothing about the
 	// new one: restart every hysteresis clock.
-	for i := range pl.hotStreak {
-		pl.hotStreak[i], pl.coldStreak[i] = 0, 0
-	}
+	clear(pl.hotStreak)
 }
 
 func (pl *Planner) emit(d Decision) Decision {
 	pl.Log = append(pl.Log, d)
 	return d
-}
-
-func (pl *Planner) groupSize() int {
-	if pl.Pol.GroupSize <= 0 {
-		return 3
-	}
-	return pl.Pol.GroupSize
-}
-
-func (pl *Planner) backoff() int {
-	if pl.Pol.BackoffFactor < 2 {
-		return 2
-	}
-	return pl.Pol.BackoffFactor
 }
 
 // ActingLog filters the log down to acting decisions — the compact

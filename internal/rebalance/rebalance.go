@@ -1,13 +1,12 @@
 // Package rebalance closes the loop from heat telemetry to elastic
 // reconfiguration: a deterministic controller runs as a simulation
 // process on a virtual-time cadence, consumes obs.Heat reports
-// (per-partition throughput, queue depth, hot-key sketches), scores
-// imbalance against configurable thresholds, and synthesizes
-// reconfig.Changes — range splits of hot partitions at hot-key
-// boundaries taken from the sketch, moves of routed ranges from
-// overloaded to underloaded partitions, scale-out onto a spare-node
-// pool when no partition can absorb the shed load, and (optionally)
-// drains of idle partitions for scale-in.
+// (per-partition throughput and hot-key sketches), scores imbalance
+// against the policy's thresholds, and synthesizes reconfig.Changes —
+// range splits of hot partitions at hot-key boundaries taken from the
+// sketch, moves of routed ranges from overloaded to underloaded
+// partitions, and scale-out onto a spare-node pool when no partition
+// can absorb the shed load.
 //
 // Stability discipline: decisions pass hysteresis (a partition must
 // stay hot for consecutive ticks before anything happens) and cooldown
@@ -24,18 +23,15 @@
 package rebalance
 
 import (
-	"heron/internal/core"
 	"heron/internal/obs"
 	"heron/internal/sim"
 )
 
-// Policy is the controller's decision surface. The ratios are relative
-// to the mean per-partition rate over the scored window, so the policy
-// needs no absolute capacity model.
+// Policy is the controller's decision surface: the thresholds its
+// harnesses set differently. The ratios are relative to the mean
+// per-partition rate over the scored window, so the policy needs no
+// absolute capacity model.
 type Policy struct {
-	// Tick is the decision cadence: the controller wakes, polls the heat
-	// subscription, and decides once per tick.
-	Tick sim.Duration
 	// HotRatio marks a partition hot when its rate exceeds
 	// HotRatio * mean; ColdRatio qualifies a shed target when its rate is
 	// below ColdRatio * mean.
@@ -44,55 +40,38 @@ type Policy struct {
 	// MinRate is the aggregate ops/sec floor below which imbalance is
 	// noise: an idle system is never rebalanced.
 	MinRate float64
-	// Hysteresis is the number of consecutive hot ticks required before
-	// acting; Cooldown the minimum virtual time between changes. A change
-	// that fails to recover its hot partition (or aborts) multiplies the
-	// effective cooldown by BackoffFactor (min 2) until one recovers.
-	Hysteresis    int
-	Cooldown      sim.Duration
-	BackoffFactor int
-	// DominantShare is the sketch-mass share above which the single
-	// hottest key is isolated onto the target by itself instead of
-	// splitting at a boundary (splitting cannot spread one key).
-	DominantShare float64
-	// MergeBelow, when positive, drains a partition whose rate stays
-	// under MergeBelow * mean for Hysteresis ticks into the least-loaded
-	// peer (scale-in). Zero disables merging.
-	MergeBelow float64
 	// MaxChanges bounds the total changes one controller may issue
 	// (0 = unlimited).
 	MaxChanges int
-	// GroupSize is the replica count of a scale-out partition;
 	// MaxPartitions caps the partition count scale-out may reach
 	// (0 = no cap beyond the deployment's own).
-	GroupSize     int
 	MaxPartitions int
 }
 
-// DefaultPolicy returns thresholds tuned for the millisecond-scale
-// harness deployments: act after 2 hot ticks, never more than one
-// change per 4ms, shed when a partition runs 50% above the mean.
-func DefaultPolicy() Policy {
-	return Policy{
-		Tick:          2 * sim.Millisecond,
-		HotRatio:      1.5,
-		ColdRatio:     0.75,
-		MinRate:       100,
-		Hysteresis:    2,
-		Cooldown:      4 * sim.Millisecond,
-		BackoffFactor: 2,
-		DominantShare: 0.5,
-		GroupSize:     3,
-	}
-}
+// The rest of the decision discipline is fixed.
+const (
+	// tick is the decision cadence: the controller wakes, polls the heat
+	// subscription, and decides once per tick.
+	tick = 1 * sim.Millisecond
+	// hysteresis is the number of consecutive hot ticks required before
+	// acting; cooldown the minimum virtual time between changes. A change
+	// that fails to recover its hot partition (or aborts) multiplies the
+	// effective cooldown by backoffFactor until one recovers.
+	hysteresis    = 2
+	cooldown      = 3 * sim.Millisecond
+	backoffFactor = 2
+	// dominantShare is the sketch-mass share above which the single
+	// hottest key is isolated onto the target by itself instead of
+	// splitting at a boundary (splitting cannot spread one key).
+	dominantShare = 0.6
+	// groupSize is the replica count of a scale-out partition.
+	groupSize = 3
+)
 
 // PartLoad is one partition's scored load over a decision window.
 type PartLoad struct {
-	Part      core.PartitionID
-	Rate      float64 // executed requests/sec over the window
-	QueueMax  int64   // peak queue depth observed in the window
-	MeanLatNS int64   // executed-weighted mean service latency
-	TopKeys   []obs.KeyCount
+	Rate    float64 // executed requests/sec over the window
+	TopKeys []obs.KeyCount
 }
 
 // Score reduces the samples of one heat report (typically a HeatSub
@@ -102,21 +81,13 @@ type PartLoad struct {
 func Score(rep *obs.HeatReport) []PartLoad {
 	out := make([]PartLoad, 0, len(rep.Partitions))
 	for _, p := range rep.Partitions {
-		l := PartLoad{Part: core.PartitionID(p.Partition), TopKeys: p.TopKeys}
+		l := PartLoad{TopKeys: p.TopKeys}
 		var exec uint64
-		var latSum int64
 		for _, s := range p.Samples {
 			exec += s.Executed
-			latSum += s.MeanLatNS * int64(s.Executed)
-			if s.QueueMax > l.QueueMax {
-				l.QueueMax = s.QueueMax
-			}
 		}
 		if span := float64(len(p.Samples)) * float64(rep.CadenceNS); span > 0 {
 			l.Rate = float64(exec) / (span / 1e9)
-		}
-		if exec > 0 {
-			l.MeanLatNS = latSum / int64(exec)
 		}
 		out = append(out, l)
 	}
@@ -152,13 +123,12 @@ const (
 	ActIsolate      = "isolate"         // move the single dominant hot key by itself
 	ActMove         = "move"            // shed half the routed space (no usable sketch)
 	ActScaleOut     = "scale-out"       // attach a spare-node partition and shed onto it
-	ActDrain        = "drain"           // merge an idle partition into a peer (scale-in)
 )
 
 // acting reports whether an action issues a change.
 func acting(action string) bool {
 	switch action {
-	case ActSplit, ActIsolate, ActMove, ActScaleOut, ActDrain:
+	case ActSplit, ActIsolate, ActMove, ActScaleOut:
 		return true
 	}
 	return false

@@ -76,19 +76,10 @@ const (
 
 // scenarioPolicy returns the controller policy a scenario runs under.
 func scenarioPolicy(scenario string) Policy {
-	pol := DefaultPolicy()
-	pol.Tick = 1 * sim.Millisecond
-	pol.Cooldown = 3 * sim.Millisecond
-	pol.HotRatio = 1.4
-	pol.ColdRatio = 0.8
-	pol.MinRate = 500
-	pol.DominantShare = 0.6
-	pol.MaxChanges = 2
-	pol.MaxPartitions = 4
+	pol := Policy{HotRatio: 1.4, ColdRatio: 0.8, MinRate: 500, MaxChanges: 2, MaxPartitions: 4}
 	if scenario == ScenarioScaleOut {
 		// Both partitions stay warm: only a fresh partition can absorb.
-		pol.HotRatio = 1.1
-		pol.ColdRatio = 0.3
+		pol.HotRatio, pol.ColdRatio = 1.1, 0.3
 	}
 	return pol
 }
@@ -155,7 +146,7 @@ func Run(o Options) (*Report, error) {
 		return nil, fmt.Errorf("rebalance: unknown scenario %q (have %v)", o.Scenario, Scenarios)
 	}
 
-	const maxParts, groupSize = 4, 3
+	const maxParts = 4
 	groups := multicast.Layout(2, groupSize)
 	initial := reconfig.Halves(groups, keyCount)
 	// The controller needs the same heat collector the replicas feed;

@@ -322,17 +322,6 @@ func (c *Configuration) SplitMoves(part core.PartitionID, at store.OID, to core.
 	return out
 }
 
-// DrainMoves builds the moves that reroute everything part routes to
-// partition `to` — the merge/scale-in primitive: the drained partition
-// stays a member of the deployment but serves no objects.
-func (c *Configuration) DrainMoves(part, to core.PartitionID) []Move {
-	var out []Move
-	for _, r := range c.RangesOf(part) {
-		out = append(out, Move{Lo: r.Lo, Hi: r.Hi, To: to})
-	}
-	return out
-}
-
 // movedRanges lists the ranges a change migrates, keyed by source
 // partition under the OLD routing, in deterministic (Lo) order.
 func movedRanges(cur *Configuration, ch Change) []Move {
