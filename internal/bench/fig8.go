@@ -89,7 +89,7 @@ func measureTransfer(slots, auxBytes, runs int, o *obs.Observer) (Fig8Row, error
 		seed := sim.Duration(run) * 17 * sim.Microsecond // desynchronize control loops
 		s.SpawnAfter(sim.Duration(sim.Millisecond)+seed, "lagger", func(p *sim.Proc) {
 			t0 := p.Now()
-			d.Replica(0, 2).RequestFullStateTransfer(p)
+			d.Replica(0, 2).RequestStateTransferFrom(p, 0)
 			lat = sim.Duration(p.Now() - t0)
 			done = true
 		})
@@ -179,7 +179,7 @@ func measureFullWarehouse() (int, sim.Duration, error) {
 	done := false
 	s.SpawnAfter(sim.Duration(sim.Millisecond), "lagger", func(p *sim.Proc) {
 		t0 := p.Now()
-		d.Replica(0, 2).RequestFullStateTransfer(p)
+		d.Replica(0, 2).RequestStateTransferFrom(p, 0)
 		lat = sim.Duration(p.Now() - t0)
 		done = true
 	})

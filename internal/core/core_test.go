@@ -385,7 +385,7 @@ func TestFullStateTransfer(t *testing.T) {
 		// Simulate a recovering replica: wipe-ish by full transfer onto
 		// rank 2 (its state is already current, but the full path must
 		// still produce identical bytes).
-		d.Replica(0, 2).RequestFullStateTransfer(p)
+		d.Replica(0, 2).RequestStateTransferFrom(p, 0)
 	})
 	runFor(t, s, 100*sim.Millisecond)
 	a := d.Replica(0, 0).Store()

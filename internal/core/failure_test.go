@@ -140,7 +140,7 @@ func TestStateTransferResponderFailover(t *testing.T) {
 		// Crash rank 0 so rank 1 must take over after the timeout.
 		d.Replica(0, 0).Crash()
 		t0 := p.Now()
-		d.Replica(0, 4).RequestFullStateTransfer(p)
+		d.Replica(0, 4).RequestStateTransferFrom(p, 0)
 		if took := sim.Duration(p.Now() - t0); took < stateTransferTimeout {
 			t.Errorf("transfer completed in %v, before the failover timeout %v — wrong responder?",
 				took, stateTransferTimeout)
@@ -173,7 +173,7 @@ func TestStaleTransferCopyServesNothing(t *testing.T) {
 			}
 		}
 		// Rank 2's first responder in ring order is rank 0; rank 1 watches.
-		d.Replica(0, 2).RequestFullStateTransfer(p)
+		d.Replica(0, 2).RequestStateTransferFrom(p, 0)
 		transferred = true
 	})
 	runFor(t, s, 10*sim.Millisecond)

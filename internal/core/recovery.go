@@ -74,14 +74,10 @@ func (r *Replica) recoverIfNeeded(p *sim.Proc) {
 			r.obs.ckptRecoveries.Inc()
 		}
 	}
-	if from > 0 {
-		r.RequestStateTransferFrom(p, from)
-	} else {
-		r.RequestFullStateTransfer(p)
-	}
-	// The pre-crash update-log tail is separated from the transferred
-	// suffix by an unrecorded gap: only [lastExec+1, ...) is complete.
-	r.st.Log().Reset(uint64(r.lastExec) + 1)
+	// The transfer also rebuilds the update log from its rid on: the
+	// pre-crash tail is separated from the transferred suffix by an
+	// unrecorded gap.
+	r.RequestStateTransferFrom(p, from)
 	r.refreshCoordination(p)
 	r.recovering = false
 	r.statRecoveries++

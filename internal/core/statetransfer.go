@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"heron/internal/multicast"
+	"heron/internal/obs"
 	"heron/internal/sim"
 	"heron/internal/store"
 )
@@ -12,34 +13,44 @@ import (
 // storeOID narrows a wire u64 to a store OID.
 func storeOID(v uint64) store.OID { return store.OID(v) }
 
-// invokeStateTransfer is the lagger side of Algorithm 3 (lines 1-6): the
-// replica writes a state-transfer request into the state-transfer memory
-// of every replica in its partition, waits for a responder to clear the
-// status, then fast-forwards last_req to the synchronized request id and
-// applies any auxiliary state left in its staging region.
+// invokeStateTransfer is the execute path's way out when both versions
+// of a remote object are newer than req (lines 23-25): the partition has
+// moved on without this replica, which synchronizes from req.Ts on.
 func (r *Replica) invokeStateTransfer(p *sim.Proc, req *Request) {
-	r.statStateTransfer++
-	r.obs.stateTransfers.Inc()
 	// Async span: the lagger may invoke this from a worker process while
 	// other spans are open, so it must not require strict nesting.
 	sp := r.obs.exec.BeginAsync("st", "state_transfer").Arg("ts", uint64(req.Ts))
 	defer sp.End()
-	rec := encodeStEntry(stEntry{reqTmp: uint64(req.Ts), status: stRequested})
-	off := r.rank * stEntrySize
-	r.writeStRecord(p, off, rec)
+	r.requestTransfer(p, uint64(req.Ts))
+}
 
-	// Wait for the responder's completion record (line 5).
+// requestTransfer is the lagger side of Algorithm 3 (lines 1-6): the
+// replica writes a state-transfer request for reqTmp into the
+// state-transfer memory of every replica in its partition, waits for a
+// responder's completion record covering reqTmp, then fast-forwards
+// last_req to the synchronized request id and applies any auxiliary
+// state left in its staging region.
+func (r *Replica) requestTransfer(p *sim.Proc, reqTmp uint64) {
+	r.statStateTransfer++
+	r.obs.stateTransfers.Inc()
+	rec := encodeStEntry(stEntry{reqTmp: reqTmp, status: stRequested})
+	r.writeStRecord(p, r.rank*stEntrySize, rec)
+	// writeStRecord set our own entry's status to 1 synchronously, so
+	// status 0 here can only come from a responder's completion record
+	// (line 5).
 	r.node.WriteNotify().WaitUntil(p, func() bool {
 		e := r.readStEntry(r.rank)
-		return e.status == 0 && e.rid >= uint64(req.Ts)
+		return e.status == 0 && e.rid >= reqTmp
 	})
 	e := r.readStEntry(r.rank)
 	r.lastReq = multicast.Timestamp(e.rid)
 	r.lastExec = multicast.Timestamp(e.rid)
-	// The fast-forward from req.Ts to rid leaves an unrecorded gap in the
-	// update log; raise its floor so this replica never serves a delta it
-	// cannot actually cover.
-	r.st.Log().Truncate(e.rid + 1)
+	// The update log's own records and rid are separated by an
+	// unrecorded gap: rebuild it from rid+1 on, so this replica never
+	// serves a delta it cannot actually cover. On the execute path no
+	// record lies past rid: multi-partition requests run behind the
+	// pool's barrier, so every record predates req.Ts <= rid.
+	r.st.Log().Reset(e.rid + 1)
 	r.applyStagedAux(p, e)
 }
 
@@ -61,30 +72,6 @@ func (r *Replica) applyStagedAux(p *sim.Proc, e stEntry) {
 	syncer.ApplyAux(data)
 }
 
-// RequestFullStateTransfer synchronizes the replica's complete state from
-// a peer — the recovery path after a crash (Section V-E2's worst case:
-// a whole TPCC warehouse in about a tenth of a second). reqTmp 0 asks the
-// responder for every registered slot and a full auxiliary snapshot.
-func (r *Replica) RequestFullStateTransfer(p *sim.Proc) {
-	r.statStateTransfer++
-	r.obs.stateTransfers.Inc()
-	sp := r.obs.exec.BeginAsync("st", "full_state_transfer")
-	defer sp.End()
-	rec := encodeStEntry(stEntry{reqTmp: 0, status: stRequested})
-	off := r.rank * stEntrySize
-	r.writeStRecord(p, off, rec)
-	// writeStRecord set our own entry's status to 1 synchronously, so
-	// status 0 here can only come from a responder's completion record.
-	r.node.WriteNotify().WaitUntil(p, func() bool {
-		return r.readStEntry(r.rank).status == 0
-	})
-	e := r.readStEntry(r.rank)
-	r.lastReq = multicast.Timestamp(e.rid)
-	r.lastExec = multicast.Timestamp(e.rid)
-	r.st.Log().Reset(e.rid + 1)
-	r.applyStagedAux(p, e)
-}
-
 // RequestStateTransferFrom synchronizes state from a peer starting at
 // fromTmp — the checkpoint + delta recovery path. The replica already
 // holds a consistent image covering every request with Ts <= fromTmp
@@ -93,28 +80,19 @@ func (r *Replica) RequestFullStateTransfer(p *sim.Proc) {
 // execution reaches fromTmp (the request carries it as req_tmp), which
 // some live replica is guaranteed to have done: the crashed replica
 // itself executed fromTmp before checkpointing it, so the multicast
-// delivered it group-wide. fromTmp 0 degrades to a full transfer.
+// delivered it group-wide. fromTmp 0 asks the responder for every
+// registered slot and a full auxiliary snapshot: the full recovery path
+// after a crash (Section V-E2's worst case: a whole TPCC warehouse in
+// about a tenth of a second).
 func (r *Replica) RequestStateTransferFrom(p *sim.Proc, fromTmp uint64) {
+	var sp *obs.Span
 	if fromTmp == 0 {
-		r.RequestFullStateTransfer(p)
-		return
+		sp = r.obs.exec.BeginAsync("st", "full_state_transfer")
+	} else {
+		sp = r.obs.exec.BeginAsync("st", "delta_state_transfer").Arg("from", fromTmp)
 	}
-	r.statStateTransfer++
-	r.obs.stateTransfers.Inc()
-	sp := r.obs.exec.BeginAsync("st", "delta_state_transfer").Arg("from", fromTmp)
 	defer sp.End()
-	rec := encodeStEntry(stEntry{reqTmp: fromTmp, status: stRequested})
-	off := r.rank * stEntrySize
-	r.writeStRecord(p, off, rec)
-	r.node.WriteNotify().WaitUntil(p, func() bool {
-		e := r.readStEntry(r.rank)
-		return e.status == 0 && e.rid >= fromTmp
-	})
-	e := r.readStEntry(r.rank)
-	r.lastReq = multicast.Timestamp(e.rid)
-	r.lastExec = multicast.Timestamp(e.rid)
-	r.st.Log().Reset(e.rid + 1)
-	r.applyStagedAux(p, e)
+	r.requestTransfer(p, fromTmp)
 }
 
 // writeStRecord writes a state-transfer memory record at the given offset
