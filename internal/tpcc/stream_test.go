@@ -43,3 +43,32 @@ func TestWorkloadStreamPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestStreamPinned: the request streams the benchmark's TPCC
+// closed loops draw — the standard mix and every New-Order spanning all
+// four warehouses, each at two seeds — hash to fixed values over their
+// first 2 000 encoded transactions. The initial dataset draws from streams
+// of its own, so a change to it cannot move these.
+func TestRequestStreamPinned(t *testing.T) {
+	cases := []struct {
+		seed  int64
+		fixed int
+		want  string
+	}{
+		{1, 0, "7199c3013187dba9240cea1737e5fca1a03c4e1e8e6ed2ea92a2149393547c33"},
+		{2, 0, "b54d0f454ffa6821fb794ac01b9f884e7d3dc155f5c08a68cd4e8ca373fee353"},
+		{1, 4, "219c5d34149e4508d88e876fe0070bc82a23e881622511e13200affb6298af40"},
+		{2, 4, "7017f11bfb7ff646b7833fbec1fb51243d1b15d8b39e9505f70bd8cc7cecdc31"},
+	}
+	for _, c := range cases {
+		w := NewWorkload(c.seed, 4, SmallScale())
+		w.FixedPartitions = c.fixed
+		h := sha256.New()
+		for i := 0; i < 2_000; i++ {
+			h.Write(w.Next().Encode())
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("seed %d, FixedPartitions %d: stream hash %s, want %s", c.seed, c.fixed, got, c.want)
+		}
+	}
+}
