@@ -2,7 +2,6 @@ package tpcc
 
 import (
 	"maps"
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -77,24 +76,25 @@ func (t *auxTables) clone() auxTables {
 }
 
 // genAux generates warehouse wid's initial local tables, every district
-// with its initial orders, drawing from rng (see reseed).
-func (d *Dataset) genAux(rng *rand.Rand, wid int32) auxTables {
+// with its initial orders.
+func (d *Dataset) genAux(wid int32) auxTables {
 	t := emptyAux()
 	for did := int32(1); did <= int32(d.Scale.DistrictsPerWH); did++ {
 		t.districts[did] = d.GenDistrict(int(wid), int(did))
-		t.populateOrders(rng, d.Scale, wid, did)
+		t.populateOrders(d.Scale, wid, did)
 	}
 	return t
 }
 
 // populateOrders primes Order/Order-Line/New-Order for one district: the
 // newest third of the initial orders is undelivered (clause 4.3.3.1 uses
-// the last 900 of 3000). Each order draws from rng, reseeded (see reseed).
-func (t *auxTables) populateOrders(rng *rand.Rand, sc Scale, wid, did int32) {
+// the last 900 of 3000). Order o and its lines draw from the order's own
+// stream, keyed by (wid, did, o) (see rowRand).
+func (t *auxTables) populateOrders(sc Scale, wid, did int32) {
 	n := sc.InitialOrders
 	undeliveredFrom := n - n/3 + 1
 	for o := 1; o <= n; o++ {
-		rng = reseed(rng, int64(wid)<<40|int64(did)<<32|int64(o))
+		rng := rowRand(orderStream, int(wid), int(did), o)
 		cid := int32((o-1)%sc.CustomersPerDistrict + 1)
 		ord := &Order{
 			ID:       int32(o),
@@ -170,17 +170,16 @@ func (d *Dataset) image(wid int32) *warehouseImage {
 // them, and its local tables.
 func (d *Dataset) genImage(wid int32) *warehouseImage {
 	w := int(wid)
-	rng := rand.New(rand.NewSource(0))
 	img := &warehouseImage{
 		rows: make([]imageRow, 0, d.Scale.Items+d.Scale.DistrictsPerWH*d.Scale.CustomersPerDistrict),
-		aux:  d.genAux(rng, wid),
+		aux:  d.genAux(wid),
 	}
 	for iid := 1; iid <= d.Scale.Items; iid++ {
-		img.rows = append(img.rows, imageRow{StockOID(w, iid), StockMaxBytes, EncodeStock(genStock(rng, w, iid))})
+		img.rows = append(img.rows, imageRow{StockOID(w, iid), StockMaxBytes, EncodeStock(d.GenStock(w, iid))})
 	}
 	for did := 1; did <= d.Scale.DistrictsPerWH; did++ {
 		for cid := 1; cid <= d.Scale.CustomersPerDistrict; cid++ {
-			img.rows = append(img.rows, imageRow{CustomerOID(w, did, cid), CustomerMaxBytes, EncodeCustomer(genCustomer(rng, w, did, cid))})
+			img.rows = append(img.rows, imageRow{CustomerOID(w, did, cid), CustomerMaxBytes, EncodeCustomer(d.GenCustomer(w, did, cid))})
 		}
 	}
 	return img

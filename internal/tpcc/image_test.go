@@ -78,15 +78,14 @@ func TestImageRowsAreGeneratedRows(t *testing.T) {
 }
 
 // TestImageAuxIsGeneratedAux: the image's warehouse-local tables, and a
-// populated replica's, deep-equal freshly generated ones (a new source
-// per order, where the image reseeds one generator).
+// populated replica's, deep-equal freshly generated ones.
 func TestImageAuxIsGeneratedAux(t *testing.T) {
 	ds := NewDataset(42, 4, SmallScale())
 	fresh := NewDataset(42, 4, SmallScale())
 	for part := core.PartitionID(0); part < 4; part++ {
 		wid := int32(part) + 1
 		a, _ := populated(t, ds, part)
-		want := fresh.genAux(nil, wid)
+		want := fresh.genAux(wid)
 		if !reflect.DeepEqual(ds.image(wid).aux, want) {
 			t.Fatalf("warehouse %d: the image's local tables differ from generated ones", wid)
 		}
@@ -127,7 +126,7 @@ func execOn(t *testing.T, a *App, st *store.Store, txn *Txn, ts uint64) {
 // as generated.
 func TestReplicasDoNotShareState(t *testing.T) {
 	ds := NewDataset(42, 1, SmallScale())
-	want := NewDataset(42, 1, SmallScale()).genAux(nil, 1)
+	want := NewDataset(42, 1, SmallScale()).genAux(1)
 	a0, st0 := populated(t, ds, 0)
 	a1, st1 := populated(t, ds, 0)
 
@@ -168,7 +167,7 @@ func TestConcurrentPopulate(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	want := NewDataset(42, 2, SmallScale()).genAux(nil, 2)
+	want := NewDataset(42, 2, SmallScale()).genAux(2)
 	for i := range apps {
 		if errs[i] != nil {
 			t.Fatal(errs[i])

@@ -109,6 +109,50 @@ func TestDatasetDeterminism(t *testing.T) {
 	}
 }
 
+// TestDatasetRowsDistinct: every initial row draws a stream of its own.
+// A 4-warehouse dataset holds as many distinct stock and customer payloads
+// as rows, ids (and the customer's id-derived Last) left out, and initial
+// orders whose packed ids agree mod 2^31-1, such as (1,1,3) and (1,2,1),
+// draw different order lines.
+func TestDatasetRowsDistinct(t *testing.T) {
+	ds := NewDataset(1, 4, SmallScale())
+	sc := ds.Scale
+	stock, cust := map[string]bool{}, map[string]bool{}
+	for wid := 1; wid <= 4; wid++ {
+		for iid := 1; iid <= sc.Items; iid++ {
+			s := ds.GenStock(wid, iid)
+			s.WID, s.IID = 0, 0
+			stock[string(EncodeStock(s))] = true
+		}
+		for did := 1; did <= sc.DistrictsPerWH; did++ {
+			for cid := 1; cid <= sc.CustomersPerDistrict; cid++ {
+				c := ds.GenCustomer(wid, did, cid)
+				c.WID, c.DID, c.ID, c.Last = 0, 0, 0, ""
+				cust[string(EncodeCustomer(c))] = true
+			}
+		}
+	}
+	if want := 4 * sc.Items; len(stock) != want {
+		t.Errorf("%d distinct stock payloads, want %d", len(stock), want)
+	}
+	if want := 4 * sc.DistrictsPerWH * sc.CustomersPerDistrict; len(cust) != want {
+		t.Errorf("%d distinct customer payloads, want %d", len(cust), want)
+	}
+	aux := ds.image(1).aux
+	a, b := orderKey{did: 1, oid: 3}, orderKey{did: 2, oid: 1}
+	oa, ob := aux.orders[a], aux.orders[b]
+	if oa.OLCnt == ob.OLCnt && oa.CarrierID == ob.CarrierID {
+		t.Errorf("orders (1,1,3) and (1,2,1) both draw OLCnt %d, carrier %d", oa.OLCnt, oa.CarrierID)
+	}
+	sameLines := len(aux.orderLines[a]) == len(aux.orderLines[b])
+	for i := 0; sameLines && i < len(aux.orderLines[a]); i++ {
+		sameLines = aux.orderLines[a][i].IID == aux.orderLines[b][i].IID
+	}
+	if sameLines {
+		t.Errorf("orders (1,1,3) and (1,2,1) draw the same items %v", aux.orderLines[a])
+	}
+}
+
 func TestWorkloadMix(t *testing.T) {
 	w := NewWorkload(11, 4, SmallScale())
 	counts := map[TxnKind]int{}
@@ -238,7 +282,7 @@ func TestOIDEncoding(t *testing.T) {
 func TestAuxSnapshotRoundTrip(t *testing.T) {
 	ds := NewDataset(1, 2, SmallScale())
 	a := NewApp(0, ds)
-	a.auxTables = ds.genAux(nil, 1)
+	a.auxTables = ds.genAux(1)
 	a.history = append(a.history, History{CID: 1, DID: 2, WID: 1, Amount: 500, Data: "x"})
 
 	snap := a.SnapshotAux(0, 0)
