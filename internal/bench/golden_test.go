@@ -321,13 +321,14 @@ func diffJSON(path string, w, g any, moved *[]string) {
 	}
 }
 
-// goldenChaosProfiles runs chaos.Run for every profile at seeds 2 and
-// 12, sized as RunChaos sizes them, then the durable profile at seed 1
-// over 256 keys of 256 B (the faults-durable workload's store).
+// goldenChaosProfiles runs chaos.Run for every profile, overload
+// included, at seeds 2 and 12, sized as RunChaos sizes them, then the
+// durable profile at seed 1 over 256 keys of 256 B (the faults-durable
+// workload's store).
 func goldenChaosProfiles(t *testing.T) []*chaos.Report {
 	var reps []*chaos.Report
 	for _, seed := range []int64{2, 12} {
-		for _, prof := range chaos.Profiles {
+		for _, prof := range append(chaos.Profiles[:len(chaos.Profiles):len(chaos.Profiles)], "overload") {
 			res, err := RunChaos(1, seed, prof, "", nil)
 			if err != nil {
 				t.Fatal(err)
