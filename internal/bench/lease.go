@@ -43,7 +43,7 @@ const (
 
 // LeaseGateMargin is how far below the ordered-read mean the local-read
 // mean must stay.
-var LeaseGateMargin = rdma.DefaultConfig().WriteBase
+const LeaseGateMargin = rdma.WriteBase
 
 // The lease bench clients' mean think time and per-operation timeout.
 const (

@@ -7,6 +7,7 @@ import (
 
 	"heron/internal/multicast"
 	"heron/internal/obs"
+	"heron/internal/rdma"
 	"heron/internal/sim"
 	"heron/internal/store"
 )
@@ -226,7 +227,7 @@ func TestMergedWordReachesBothDestinationSets(t *testing.T) {
 		}
 	})
 	runFor(t, s, 160*sim.Microsecond)
-	if want := 8 * d.Fabric.Config().PostOverhead; took != want {
+	if want := 8 * rdma.PostOverhead; took != want {
 		t.Errorf("posting took %v, want 8 posts (%v)", took, want)
 	}
 	for _, rep := range d.Replicas[1] {

@@ -92,7 +92,7 @@ func TestQueuedRequestReadsAhead(t *testing.T) {
 			fanouts[k] = append(fanouts[k], ev)
 		}
 	}
-	read := d.Fabric.Config().ReadBase
+	read := rdma.ReadBase
 	for k, evs := range fanouts {
 		if len(evs) != 2 {
 			t.Fatalf("track %v: %d read fan-outs, want 2", k, len(evs))

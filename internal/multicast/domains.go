@@ -8,10 +8,9 @@ import (
 	"heron/internal/sim"
 )
 
-// DomainCluster is a groups x replicas multicast deployment over an RDMA
+// Cluster is a groups x replicas multicast deployment over an RDMA
 // fabric on one scheduler, with client nodes collocated with each group.
-// It keeps its name because benchmark/workloads.go calls NewDomainCluster.
-type DomainCluster struct {
+type Cluster struct {
 	Sched *sim.Scheduler
 	Fab   *rdma.Fabric
 	Raw   *rdma.Transport
@@ -25,21 +24,22 @@ type DomainCluster struct {
 }
 
 // NewDomainCluster is NewCluster behind a domains argument that must be
-// 1; benchmark/workloads.go (openLoopSetup) still passes it.
-func NewDomainCluster(groups, replicas, domains, clientsPerGroup int, netCfg rdma.Config) (*DomainCluster, error) {
+// 1 and an empty rdma.Config; it exists only because
+// benchmark/workloads.go (openLoopSetup) calls it.
+func NewDomainCluster(groups, replicas, domains, clientsPerGroup int, _ rdma.Config) (*Cluster, error) {
 	if domains != 1 {
 		return nil, fmt.Errorf("multicast: %d simulation domains requested; the cluster runs on one scheduler", domains)
 	}
-	return NewCluster(groups, replicas, clientsPerGroup, netCfg)
+	return NewCluster(groups, replicas, clientsPerGroup)
 }
 
 // NewCluster builds and starts a groups x replicas multicast deployment
-// over an RDMA fabric with the given config, with clientsPerGroup client
-// nodes collocated with each group. Every node pair the protocol or the
-// clients can ever use is prewired.
-func NewCluster(groups, replicas, clientsPerGroup int, netCfg rdma.Config) (*DomainCluster, error) {
+// over an RDMA fabric, with clientsPerGroup client nodes collocated with
+// each group. Every node pair the protocol or the clients can ever use is
+// prewired.
+func NewCluster(groups, replicas, clientsPerGroup int) (*Cluster, error) {
 	s := sim.NewScheduler()
-	fab := rdma.NewFabric(s, netCfg)
+	fab := rdma.NewFabric(s, rdma.Config{})
 
 	layout := make([][]rdma.NodeID, groups)
 	clients := make([][]rdma.NodeID, groups)
@@ -88,7 +88,7 @@ func NewCluster(groups, replicas, clientsPerGroup int, netCfg rdma.Config) (*Dom
 	}
 	raw.Prewire(pairs)
 
-	dc := &DomainCluster{
+	dc := &Cluster{
 		Sched:       s,
 		Fab:         fab,
 		Raw:         raw,
@@ -110,7 +110,7 @@ func NewCluster(groups, replicas, clientsPerGroup int, netCfg rdma.Config) (*Dom
 
 // Observe attaches an observability layer to the cluster's fabric and
 // every replica process.
-func (dc *DomainCluster) Observe(o *obs.Observer) {
+func (dc *Cluster) Observe(o *obs.Observer) {
 	if o == nil {
 		return
 	}
@@ -124,6 +124,6 @@ func (dc *DomainCluster) Observe(o *obs.Observer) {
 
 // NewClient creates a multicast client on the i'th client node collocated
 // with group g.
-func (dc *DomainCluster) NewClient(g, i int) *Client {
+func (dc *Cluster) NewClient(g, i int) *Client {
 	return NewClient(dc.Tr, &dc.Cfg, dc.ClientNodes[g][i])
 }

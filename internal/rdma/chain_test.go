@@ -98,10 +98,10 @@ func (c *chainProbe) run(s *sim.Scheduler, qp *QP, t *testing.T) {
 	})
 }
 
-func (c *chainProbe) check(t *testing.T, cfg Config) {
+func (c *chainProbe) check(t *testing.T) {
 	t.Helper()
-	if c.posted != sim.Time(cfg.PostOverhead) {
-		t.Errorf("the post cost the issuer %d ns, want one PostOverhead (%d)", c.posted, cfg.PostOverhead)
+	if c.posted != sim.Time(PostOverhead) {
+		t.Errorf("the post cost the issuer %d ns, want one PostOverhead (%d)", c.posted, PostOverhead)
 	}
 	if len(c.wakes) != 1 {
 		t.Fatalf("the chain woke the target's pollers %d times at %v, want once", len(c.wakes), c.wakes)
@@ -111,7 +111,7 @@ func (c *chainProbe) check(t *testing.T, cfg Config) {
 	}
 	// Nothing lands before the last WR could have: three verbs' occupancy
 	// on a NIC, then the base latency.
-	if min := sim.Time(2*cfg.VerbOverhead + cfg.WriteBase/2); c.wakes[0] < min {
+	if min := sim.Time(2*VerbOverhead + WriteBase/2); c.wakes[0] < min {
 		t.Fatalf("the chain landed at %d, before its last WR could complete (%d)", c.wakes[0], min)
 	}
 }
@@ -130,12 +130,12 @@ func TestChainLandsInOrderInOneEvent(t *testing.T) {
 	if err := s.RunUntil(sim.Time(sim.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	c.check(t, f.Config())
+	c.check(t)
 	// The chain's completion is the completion of a 2-byte WRITE admitted
 	// behind an 8- and a 4-byte one on both NICs.
-	cfg := f.Config()
-	occ := func(n int) sim.Time { return sim.Time(cfg.VerbOverhead) + sim.Time(float64(n)/cfg.BytesPerNS) }
-	want := occ(8) + occ(4) + sim.Time(cfg.WriteBase) + sim.Time(2/cfg.BytesPerNS)
+	line := func(n int) sim.Time { return sim.Time(float64(n) / BytesPerNS) }
+	occ := func(n int) sim.Time { return sim.Time(VerbOverhead) + line(n) }
+	want := occ(8) + occ(4) + sim.Time(WriteBase) + line(2)
 	if c.wakes[0] != want {
 		t.Errorf("the chain landed at %d, want the last WR's completion %d", c.wakes[0], want)
 	}
@@ -427,8 +427,8 @@ func TestCrashedConsumerIsMailboxFull(t *testing.T) {
 	if sent != 128/32+1 {
 		t.Errorf("send %d failed, want the first one past a full ring (%d)", sent, 128/32+1)
 	}
-	if took != f.Config().FailureTimeout {
-		t.Errorf("the failing send took %d ns, want FailureTimeout (%d)", took, f.Config().FailureTimeout)
+	if took != FailureTimeout {
+		t.Errorf("the failing send took %d ns, want FailureTimeout (%d)", took, FailureTimeout)
 	}
 }
 

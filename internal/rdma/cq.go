@@ -86,7 +86,7 @@ func (h *ReadHandle) Err() error {
 func (h *ReadHandle) land() {
 	q := h.q
 	if q.pathDown() {
-		failAt := h.posted + sim.Time(q.cfg.FailureTimeout)
+		failAt := h.posted + sim.Time(FailureTimeout)
 		if failAt < h.doneAt {
 			failAt = h.doneAt
 		}
@@ -248,8 +248,8 @@ func (q *QP) PostRead(p *sim.Proc, cq *CQ, addr Addr, length int) (*ReadHandle, 
 			h.sp = io.track.BeginAsync("rdma", "post_read").
 				Arg("to", int(q.remote.id)).Arg("bytes", length)
 		}
-		q.sched.At(h.posted+sim.Time(q.cfg.FailureTimeout), func() { cq.complete(h, q.pathErr()) })
-		p.Sleep(q.cfg.PostOverhead)
+		q.sched.At(h.posted+sim.Time(FailureTimeout), func() { cq.complete(h, q.pathErr()) })
+		p.Sleep(PostOverhead)
 		return h, nil
 	}
 	reg, err := q.region(addr, length)
@@ -259,7 +259,7 @@ func (q *QP) PostRead(p *sim.Proc, cq *CQ, addr Addr, length int) (*ReadHandle, 
 	h := cq.take(q, addr, length)
 	h.reg = reg
 	var wait sim.Duration
-	h.doneAt, wait = q.completionTime(q.cfg.ReadBase, length)
+	h.doneAt, wait = q.completionTime(ReadBase, length)
 	if io := q.o(); io != nil {
 		io.readOps.Inc()
 		io.readBytes.Add(uint64(length))
@@ -267,6 +267,6 @@ func (q *QP) PostRead(p *sim.Proc, cq *CQ, addr Addr, length int) (*ReadHandle, 
 			Arg("to", int(q.remote.id)).Arg("bytes", length).Arg("nic_wait_ns", int64(wait))
 	}
 	q.sched.At(h.doneAt, h.fire)
-	p.Sleep(q.cfg.PostOverhead)
+	p.Sleep(PostOverhead)
 	return h, nil
 }

@@ -14,8 +14,7 @@ func TestPostReadBatchPipelines(t *testing.T) {
 	// occupancies — far less than k sequential blocking reads.
 	const k = 16
 	s := sim.NewScheduler()
-	cfg := DefaultConfig()
-	f := NewFabric(s, cfg)
+	f := NewFabric(s, DefaultConfig())
 	a := f.AddNode(1)
 	b := f.AddNode(2)
 	reg := b.RegisterRegion(k * 8)
@@ -59,13 +58,13 @@ func TestPostReadBatchPipelines(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	syncCost := k * cfg.ReadBase // lower bound on k blocking reads
+	syncCost := k * ReadBase // lower bound on k blocking reads
 	if elapsed >= syncCost/2 {
 		t.Fatalf("pipelined batch took %v, not much better than sync %v", elapsed, syncCost)
 	}
 	// Occupancy must still be charged: strictly more than one lone read.
-	if elapsed <= cfg.ReadBase {
-		t.Fatalf("pipelined batch took %v, below a single read's base %v — occupancy lost", elapsed, cfg.ReadBase)
+	if elapsed <= ReadBase {
+		t.Fatalf("pipelined batch took %v, below a single read's base %v — occupancy lost", elapsed, ReadBase)
 	}
 }
 
@@ -74,8 +73,7 @@ func TestPostReadCrashBetweenPostAndCompletionFailsOnlyThatOp(t *testing.T) {
 	// before its DMA completes. Only that completion fails, after the RC
 	// failure timeout; the other succeeds with correct data.
 	s := sim.NewScheduler()
-	cfg := DefaultConfig()
-	f := NewFabric(s, cfg)
+	f := NewFabric(s, DefaultConfig())
 	a := f.AddNode(1)
 	b := f.AddNode(2)
 	c := f.AddNode(3)
@@ -86,7 +84,7 @@ func TestPostReadCrashBetweenPostAndCompletionFailsOnlyThatOp(t *testing.T) {
 	qc := f.Connect(1, 3)
 
 	// Crash c strictly between posting (t≈0) and completion (t≈ReadBase).
-	s.After(cfg.ReadBase/2, func() { c.Crash() })
+	s.After(ReadBase/2, func() { c.Crash() })
 
 	var took sim.Duration
 	s.Spawn("reader", func(p *sim.Proc) {
@@ -120,8 +118,8 @@ func TestPostReadCrashBetweenPostAndCompletionFailsOnlyThatOp(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if took < cfg.FailureTimeout {
-		t.Fatalf("batch completed in %v, before the failure timeout %v", took, cfg.FailureTimeout)
+	if took < FailureTimeout {
+		t.Fatalf("batch completed in %v, before the failure timeout %v", took, FailureTimeout)
 	}
 }
 
@@ -129,8 +127,7 @@ func TestPostReadToAlreadyCrashedTarget(t *testing.T) {
 	// Posting to a crashed target succeeds (the WQE is accepted); the
 	// failure surfaces asynchronously after the failure timeout.
 	s := sim.NewScheduler()
-	cfg := DefaultConfig()
-	f := NewFabric(s, cfg)
+	f := NewFabric(s, DefaultConfig())
 	a := f.AddNode(1)
 	b := f.AddNode(2)
 	reg := b.RegisterRegion(8)
@@ -146,15 +143,15 @@ func TestPostReadToAlreadyCrashedTarget(t *testing.T) {
 			return
 		}
 		postCost := sim.Duration(p.Now() - t0)
-		if postCost > 10*cfg.PostOverhead {
+		if postCost > 10*PostOverhead {
 			t.Errorf("posting blocked for %v, want ~PostOverhead", postCost)
 		}
 		cq.WaitAll(p)
 		if !errors.Is(h.Err(), ErrRemoteFailure) {
 			t.Errorf("err = %v, want ErrRemoteFailure", h.Err())
 		}
-		if waited := sim.Duration(p.Now() - t0); waited < cfg.FailureTimeout {
-			t.Errorf("failure surfaced after %v, before the timeout %v", waited, cfg.FailureTimeout)
+		if waited := sim.Duration(p.Now() - t0); waited < FailureTimeout {
+			t.Errorf("failure surfaced after %v, before the timeout %v", waited, FailureTimeout)
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -190,8 +187,7 @@ func TestPostReadLocalCrashAndBadRegion(t *testing.T) {
 
 func TestCQPollAndWaitSemantics(t *testing.T) {
 	s := sim.NewScheduler()
-	cfg := DefaultConfig()
-	f := NewFabric(s, cfg)
+	f := NewFabric(s, DefaultConfig())
 	a := f.AddNode(1)
 	b := f.AddNode(2)
 	reg := b.RegisterRegion(16)

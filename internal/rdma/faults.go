@@ -23,7 +23,7 @@ import (
 
 // ErrLinkDown is the RDMA exception surfaced when the path to the target
 // is partitioned while the target itself is alive. Like ErrRemoteFailure
-// it is reported after Config.FailureTimeout (RC retransmission
+// it is reported after FailureTimeout (RC retransmission
 // exhaustion); callers that match on ErrRemoteFailure for failover should
 // usually treat both identically.
 var ErrLinkDown = errors.New("rdma: link partitioned")

@@ -23,7 +23,7 @@ func TestPartitionLinkFailsVerbs(t *testing.T) {
 	s.Spawn("driver", func(p *sim.Proc) {
 		t0 := p.Now()
 		_, errRead = qp.Read(p, reg.Addr(0), 8)
-		if took := sim.Duration(p.Now() - t0); took < f.cfg.FailureTimeout {
+		if took := sim.Duration(p.Now() - t0); took < FailureTimeout {
 			t.Errorf("partitioned read failed after %v, before the failure timeout", took)
 		}
 		errWrite = qp.Write(p, reg.Addr(0), []byte("x"))

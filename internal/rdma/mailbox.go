@@ -224,7 +224,7 @@ func (w *MailboxWriter) addAddr(off int) Addr {
 // up but stuck keeps the ring full, for the failure timeout.
 func (w *MailboxWriter) waitCredit(p *sim.Proc, need int) error {
 	full := func() error { return fmt.Errorf("%w (consumer node %d)", ErrMailboxFull, w.qp.remote.id) }
-	deadline := p.Now() + sim.Time(w.qp.cfg.FailureTimeout)
+	deadline := p.Now() + sim.Time(FailureTimeout)
 	for int(w.tail-w.head)+need > w.cap {
 		if p.Now() >= deadline {
 			return full()

@@ -151,10 +151,9 @@ func TestNICBusyTime(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := f.Config()
 	var busy uint64
 	for _, size := range []int{25, 8, 50} {
-		busy += uint64(cfg.VerbOverhead) + uint64(float64(size)/cfg.BytesPerNS)
+		busy += uint64(VerbOverhead) + uint64(float64(size)/BytesPerNS)
 	}
 	for _, node := range []string{"n1", "n2"} {
 		if v := counter(m, "rdma/"+node+"/nic_verbs"); v != 3 {

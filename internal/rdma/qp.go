@@ -13,7 +13,6 @@ import (
 type QP struct {
 	local  *Node
 	remote *Node
-	cfg    *Config
 	sched  *sim.Scheduler
 
 	// io holds lazily resolved per-QP instruments; nil while disabled.
@@ -73,7 +72,7 @@ func (f *Fabric) Connect(a, b NodeID) *QP {
 	if la == nil || lb == nil {
 		panic(fmt.Sprintf("rdma: connect %d->%d: unknown node", a, b))
 	}
-	return &QP{local: la, remote: lb, cfg: &f.cfg, sched: f.sched}
+	return &QP{local: la, remote: lb, sched: f.sched}
 }
 
 // Local returns the issuing node.
@@ -105,7 +104,7 @@ func (q *QP) completionTime(base sim.Duration, size int) (sim.Time, sim.Duration
 	if io := q.local.o(); io != nil {
 		io.nicWait.Observe(wait)
 	}
-	return start + sim.Time(base) + sim.Time(float64(size)/q.cfg.BytesPerNS), wait
+	return start + sim.Time(base) + sim.Time(float64(size)/BytesPerNS), wait
 }
 
 // pathDown reports whether verbs on this QP cannot currently reach the
@@ -128,7 +127,7 @@ func (q *QP) pathErr() error {
 // exhaustion. It is the single failure path shared by Read and Write,
 // for crashed targets and partitioned links alike.
 func (q *QP) failVerb(p *sim.Proc) error {
-	p.Sleep(q.cfg.FailureTimeout)
+	p.Sleep(FailureTimeout)
 	// Verb failures are exactly what a post-mortem wants in the flight
 	// ring; this is the error path, so the lookup cost is irrelevant.
 	q.local.fabric.obs.Flight().Record(
@@ -165,7 +164,7 @@ func (q *QP) Read(p *sim.Proc, addr Addr, length int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	done, wait := q.completionTime(q.cfg.ReadBase, length)
+	done, wait := q.completionTime(ReadBase, length)
 	var sp *obs.Span
 	if io := q.o(); io != nil {
 		io.readOps.Inc()
@@ -313,7 +312,7 @@ func (q *QP) PostWrites(p *sim.Proc, wrs ...WR) error {
 	if _, err := q.post(wrs, true); err != nil {
 		return err
 	}
-	p.Sleep(q.cfg.PostOverhead)
+	p.Sleep(PostOverhead)
 	return nil
 }
 
@@ -379,7 +378,7 @@ func (q *QP) post(wrs []WR, lossy bool) (sim.Time, error) {
 			continue
 		}
 		var wait sim.Duration
-		done, wait = q.completionTime(q.cfg.WriteBase, len(l.data))
+		done, wait = q.completionTime(WriteBase, len(l.data))
 		done = max(done, q.lastWrite)
 		q.lastWrite = done
 		if io != nil {

@@ -11,7 +11,7 @@
 //
 // Latency follows a calibrated model: a per-verb base latency plus a
 // payload/bandwidth term, with per-NIC occupancy so that saturating a node
-// queues operations and throughput caps realistically. Defaults are
+// queues operations and throughput caps realistically. The constants are
 // calibrated to published ConnectX-4 numbers (~1.6 us small READ, 25 Gb/s
 // line rate, ~10 M verbs/s per NIC).
 package rdma
@@ -45,7 +45,7 @@ func (a Addr) String() string { return fmt.Sprintf("n%d/r%d+%d", a.Node, a.Key, 
 // Fabric errors.
 var (
 	// ErrRemoteFailure is the RDMA exception surfaced when the target node
-	// has crashed; it is reported after Config.FailureTimeout.
+	// has crashed; it is reported after FailureTimeout.
 	ErrRemoteFailure = errors.New("rdma: remote node failure")
 	// ErrNoSuchRegion is returned when the target rkey is not registered.
 	ErrNoSuchRegion = errors.New("rdma: no such memory region")
@@ -55,45 +55,41 @@ var (
 	ErrLocalFailure = errors.New("rdma: local node failure")
 )
 
-// Config is the fabric latency/occupancy model.
-type Config struct {
+// The fabric's latency and occupancy model, calibrated to the paper's
+// testbed (Mellanox ConnectX-4, 25 Gb/s; DESIGN §1 lists each value with
+// its source). It is a fact of the simulated hardware, not a setting.
+const (
 	// ReadBase is the base latency of a small one-sided READ.
-	ReadBase sim.Duration
+	ReadBase = 1600 * sim.Nanosecond
 	// WriteBase is the base latency of a small one-sided WRITE (until the
 	// payload is visible in target memory; completion at the issuer takes
 	// the same time under RC).
-	WriteBase sim.Duration
+	WriteBase = 1150 * sim.Nanosecond
 	// BytesPerNS is the line rate in bytes per nanosecond
 	// (25 Gb/s = 3.125 B/ns).
-	BytesPerNS float64
+	BytesPerNS = 3.125
 	// VerbOverhead is the per-operation NIC occupancy, bounding verb rate
 	// (~105 ns = 9.5 M verbs/s).
-	VerbOverhead sim.Duration
+	VerbOverhead = 105 * sim.Nanosecond
 	// FailureTimeout is how long an operation against a crashed node takes
 	// to surface ErrRemoteFailure (RC retransmission timeout).
-	FailureTimeout sim.Duration
+	FailureTimeout = 200 * sim.Microsecond
 	// PostOverhead is the CPU cost at the issuer to post a work request
 	// without waiting for completion.
-	PostOverhead sim.Duration
-}
+	PostOverhead = 90 * sim.Nanosecond
+)
 
-// DefaultConfig returns latency parameters calibrated to the paper's
-// testbed (ConnectX-4, 25 Gb/s).
-func DefaultConfig() Config {
-	return Config{
-		ReadBase:       1600 * sim.Nanosecond,
-		WriteBase:      1150 * sim.Nanosecond,
-		BytesPerNS:     3.125,
-		VerbOverhead:   105 * sim.Nanosecond,
-		FailureTimeout: 200 * sim.Microsecond,
-		PostOverhead:   90 * sim.Nanosecond,
-	}
-}
+// Config is empty: the latency model is the constants above. It exists
+// only because benchmark/ passes DefaultConfig() to NewFabric and
+// multicast.NewDomainCluster.
+type Config struct{}
+
+// DefaultConfig returns the empty Config; see Config.
+func DefaultConfig() Config { return Config{} }
 
 // Fabric is a set of nodes connected by simulated RDMA.
 type Fabric struct {
 	sched *sim.Scheduler
-	cfg   Config
 	nodes map[NodeID]*Node
 	obs   *obs.Observer
 
@@ -106,14 +102,11 @@ type Fabric struct {
 	resetHooks []func(a, b NodeID)
 }
 
-// NewFabric creates a fabric over the given scheduler.
-func NewFabric(s *sim.Scheduler, cfg Config) *Fabric {
-	if cfg.BytesPerNS <= 0 {
-		cfg.BytesPerNS = 3.125
-	}
+// NewFabric creates a fabric over the given scheduler. Its Config
+// argument is empty (see Config).
+func NewFabric(s *sim.Scheduler, _ Config) *Fabric {
 	return &Fabric{
 		sched:  s,
-		cfg:    cfg,
 		nodes:  make(map[NodeID]*Node),
 		faults: make(map[linkKey]*linkFault),
 	}
@@ -121,9 +114,6 @@ func NewFabric(s *sim.Scheduler, cfg Config) *Fabric {
 
 // Scheduler returns the underlying virtual-time scheduler.
 func (f *Fabric) Scheduler() *sim.Scheduler { return f.sched }
-
-// Config returns the fabric's latency model.
-func (f *Fabric) Config() Config { return f.cfg }
 
 // Observe attaches an observability layer to the fabric. Instruments are
 // resolved lazily per node and per QP on first use, so Observe may be
@@ -156,9 +146,8 @@ func (f *Fabric) Node(id NodeID) *Node { return f.nodes[id] }
 // horizon: a verb occupies the NIC for VerbOverhead + payload/line-rate,
 // and while it is busy later verbs queue.
 func (n *Node) admit(now sim.Time, size int) sim.Time {
-	cfg := &n.fabric.cfg
 	start := max(now, n.nicFree)
-	occ := sim.Time(cfg.VerbOverhead) + sim.Time(float64(size)/cfg.BytesPerNS)
+	occ := sim.Time(VerbOverhead) + sim.Time(float64(size)/BytesPerNS)
 	n.nicFree = start + occ
 	if io := n.o(); io != nil {
 		io.nicBusy.Add(uint64(occ))

@@ -36,7 +36,7 @@ func TestReadRemoteMemory(t *testing.T) {
 	if !bytes.Equal(got, []byte("hello")) {
 		t.Fatalf("read %q", got)
 	}
-	if s.Now() < sim.Time(DefaultConfig().ReadBase) {
+	if s.Now() < sim.Time(ReadBase) {
 		t.Fatalf("read completed too fast: %d", s.Now())
 	}
 }
@@ -150,7 +150,7 @@ func TestReadCrashedNodeFails(t *testing.T) {
 	if !errors.Is(err, ErrRemoteFailure) {
 		t.Fatalf("err = %v, want ErrRemoteFailure", err)
 	}
-	if elapsed < sim.Time(DefaultConfig().FailureTimeout) {
+	if elapsed < sim.Time(FailureTimeout) {
 		t.Fatalf("failure surfaced at %d, before timeout", elapsed)
 	}
 }
@@ -199,18 +199,18 @@ func TestNICOccupancyQueues(t *testing.T) {
 	// target NIC: the second completes later than it would alone.
 	s, f, _, b := testFabric(t)
 	reg := b.RegisterRegion(1 << 20)
-	cfg := DefaultConfig()
+	size := 512 * 1024
 
 	var t1, t2 sim.Time
 	qpA := f.Connect(1, 2)
 	s.Spawn("r1", func(p *sim.Proc) {
-		if _, err := qpA.Read(p, reg.Addr(0), 512*1024); err != nil {
+		if _, err := qpA.Read(p, reg.Addr(0), size); err != nil {
 			t.Error(err)
 		}
 		t1 = p.Now()
 	})
 	s.Spawn("r2", func(p *sim.Proc) {
-		if _, err := qpA.Read(p, reg.Addr(0), 512*1024); err != nil {
+		if _, err := qpA.Read(p, reg.Addr(0), size); err != nil {
 			t.Error(err)
 		}
 		t2 = p.Now()
@@ -218,11 +218,11 @@ func TestNICOccupancyQueues(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	alone := sim.Time(cfg.ReadBase) + sim.Time(float64(512*1024)/cfg.BytesPerNS)
+	alone := sim.Time(ReadBase) + sim.Time(float64(size)/BytesPerNS)
 	if t1 < alone {
 		t.Fatalf("first read too fast: %d < %d", t1, alone)
 	}
-	if t2 < t1+sim.Time(float64(512*1024)/cfg.BytesPerNS)/2 {
+	if t2 < t1+sim.Time(float64(size)/BytesPerNS)/2 {
 		t.Fatalf("second read did not queue: t1=%d t2=%d", t1, t2)
 	}
 }
