@@ -126,7 +126,7 @@ func (r *RecoveryResult) Gate() bool {
 	for _, row := range r.Rows {
 		largest = max(largest, row.Keys)
 	}
-	coldReads := 2 * persist.DefaultDiskConfig().ReadLatency
+	coldReads := 2 * persist.ReadLatency
 	for _, row := range r.Rows {
 		if !row.CkptLinearizable || !row.FullLinearizable || row.CkptRecoveries == 0 {
 			return false

@@ -159,7 +159,7 @@ func genSlowNIC(rng *rand.Rand, partitions, replicas int) []Event {
 //
 // The rounds aim at the durable engine's exact virtual instants, whose
 // arithmetic the persist layer exports: member flushes tick at
-// StaggerOffset + k*Interval and compactions half an interval later.
+// StaggerOffset + k*DefaultInterval and compactions half an interval later.
 // Round one lands a few microseconds into a memtable flush (inside the
 // append+sync window, so the flush aborts and its partial run is
 // discarded); round two lands just after a compaction tick — on a
@@ -179,7 +179,7 @@ func genDurable(rng *rand.Rand, partitions, f int) []Event {
 	replicas := 2*f + 1
 	interval := persist.DefaultInterval
 	flushAt := func(rank int, k int64) sim.Duration {
-		return persist.StaggerOffset(interval, rank, replicas) + sim.Duration(k)*interval
+		return persist.StaggerOffset(rank, replicas) + sim.Duration(k)*interval
 	}
 	compactAt := func(rank int, k int64) sim.Duration {
 		return flushAt(rank, k) + interval/2

@@ -105,27 +105,26 @@ func (c *Checkpointer) syncCacheCounters() {
 }
 
 // StaggerOffset spreads the flush instants of a partition's members
-// evenly across one interval, so the group's durable truncation floor
-// advances smoothly instead of in lockstep. Exported because the chaos
-// durable profile mirrors this arithmetic to aim crashes at exact
+// evenly across one DefaultInterval, so the group's durable truncation
+// floor advances smoothly instead of in lockstep. Exported because the
+// chaos durable profile mirrors this arithmetic to aim crashes at exact
 // mid-flush virtual instants.
-func StaggerOffset(interval sim.Duration, rank, members int) sim.Duration {
+func StaggerOffset(rank, members int) sim.Duration {
 	if members <= 0 {
 		return 0
 	}
-	return interval * sim.Duration(rank%members) / sim.Duration(members)
+	return DefaultInterval * sim.Duration(rank%members) / sim.Duration(members)
 }
 
 // run is the capture loop: one checkpoint attempt per interval, on an
 // absolute staggered schedule — tick k fires at exactly
-// base + StaggerOffset + k*Interval regardless of how long captures
+// base + StaggerOffset + k*DefaultInterval regardless of how long captures
 // take, so flush instants are predictable virtual times (the chaos
 // engine depends on this to land crashes mid-flush).
 func (c *Checkpointer) run(p *sim.Proc) {
-	interval := c.layer.opt.Interval
-	base := int64(p.Now()) + int64(StaggerOffset(interval, c.rank, c.members))
+	base := int64(p.Now()) + int64(StaggerOffset(c.rank, c.members))
 	for k := int64(1); ; k++ {
-		next := sim.Time(base + k*int64(interval))
+		next := sim.Time(base + k*int64(DefaultInterval))
 		if d := sim.Duration(next - p.Now()); d > 0 {
 			p.Sleep(d)
 		}
@@ -257,10 +256,9 @@ func (c *Checkpointer) idle() bool {
 // compaction I/O interleave instead of colliding, and the chaos engine
 // can aim crashes mid-compaction at exact virtual times.
 func (c *Checkpointer) compactLoop(p *sim.Proc) {
-	interval := c.layer.opt.Interval
-	base := int64(p.Now()) + int64(StaggerOffset(interval, c.rank, c.members)) + int64(interval/2)
+	base := int64(p.Now()) + int64(StaggerOffset(c.rank, c.members)) + int64(DefaultInterval/2)
 	for k := int64(1); ; k++ {
-		next := sim.Time(base + k*int64(interval))
+		next := sim.Time(base + k*int64(DefaultInterval))
 		if d := sim.Duration(next - p.Now()); d > 0 {
 			p.Sleep(d)
 		}

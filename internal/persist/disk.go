@@ -19,57 +19,28 @@ import (
 	"heron/internal/sim"
 )
 
-// DiskConfig is the cost model of the simulated medium, calibrated to a
-// datacenter NVMe SSD: tens of microseconds to make a write durable,
-// multi-GB/s streaming bandwidth. Bandwidths are bytes per nanosecond
-// (i.e. GB/s).
-type DiskConfig struct {
+// The cost model of the simulated medium, calibrated to a datacenter
+// NVMe SSD: tens of microseconds to make a write durable, multi-GB/s
+// streaming bandwidth (DESIGN §10 derives it; DESIGN §1 lists each value
+// with its source). Bandwidths are bytes per nanosecond (i.e. GB/s).
+const (
 	// WriteLatency is the base cost of landing a write in the device
 	// (charged once per Sync and per manifest swap, not per Append —
 	// appends coalesce in the device write buffer).
-	WriteLatency sim.Duration
+	WriteLatency = 16 * sim.Microsecond
 	// FsyncLatency is the flush cost making buffered writes durable.
-	FsyncLatency sim.Duration
+	FsyncLatency = 30 * sim.Microsecond
 	// ReadLatency is the first-byte cost of a cold read.
-	ReadLatency sim.Duration
-	// WriteBandwidth and ReadBandwidth stream costs, in bytes/ns.
-	WriteBandwidth float64
+	ReadLatency = 80 * sim.Microsecond
+	// WriteBandwidth is the sequential write bandwidth, in bytes/ns.
+	WriteBandwidth = 2.2
 	// ReadBandwidth is the sequential read bandwidth, in bytes/ns.
-	ReadBandwidth float64
-}
+	ReadBandwidth = 3.2
+)
 
-// DefaultDiskConfig returns the NVMe-class calibration used throughout
-// the benchmarks (see DESIGN.md §10 for the derivation).
-func DefaultDiskConfig() DiskConfig {
-	return DiskConfig{
-		WriteLatency:   16 * sim.Microsecond,
-		FsyncLatency:   30 * sim.Microsecond,
-		ReadLatency:    80 * sim.Microsecond,
-		WriteBandwidth: 2.2,
-		ReadBandwidth:  3.2,
-	}
-}
-
-// withDefaults fills zero fields from the default calibration.
-func (c DiskConfig) withDefaults() DiskConfig {
-	def := DefaultDiskConfig()
-	if c.WriteLatency == 0 {
-		c.WriteLatency = def.WriteLatency
-	}
-	if c.FsyncLatency == 0 {
-		c.FsyncLatency = def.FsyncLatency
-	}
-	if c.ReadLatency == 0 {
-		c.ReadLatency = def.ReadLatency
-	}
-	if c.WriteBandwidth == 0 {
-		c.WriteBandwidth = def.WriteBandwidth
-	}
-	if c.ReadBandwidth == 0 {
-		c.ReadBandwidth = def.ReadBandwidth
-	}
-	return c
-}
+// DiskConfig is empty: the cost model is the constants above. It exists
+// only because benchmark/probes.go calls NewDisk(DiskConfig{}).
+type DiskConfig struct{}
 
 // DiskStats aggregates a disk's lifetime activity.
 type DiskStats struct {
@@ -84,16 +55,15 @@ type DiskStats struct {
 // Disk object deliberately lives outside the Replica so it survives
 // Replica.Crash — it models the state that persists across a crash.
 type Disk struct {
-	cfg      DiskConfig
 	segments map[string]*Segment
 	manifest []byte
 	stats    DiskStats
 }
 
-// NewDisk creates an empty medium with the given cost model (zero fields
-// default to the NVMe calibration).
-func NewDisk(cfg DiskConfig) *Disk {
-	return &Disk{cfg: cfg.withDefaults(), segments: make(map[string]*Segment)}
+// NewDisk creates an empty medium. Its DiskConfig argument is empty (see
+// DiskConfig).
+func NewDisk(DiskConfig) *Disk {
+	return &Disk{segments: make(map[string]*Segment)}
 }
 
 // CreateSegment opens a fresh append-only segment. Creating a name that
@@ -121,8 +91,8 @@ func (d *Disk) Segments() int { return len(d.segments) }
 // latency, the streaming cost of the (small) manifest, and two flushes.
 // The swap itself is atomic — a crash mid-write leaves the old manifest.
 func (d *Disk) WriteManifest(p *sim.Proc, data []byte) {
-	cost := d.cfg.WriteLatency + 2*d.cfg.FsyncLatency +
-		sim.Duration(float64(len(data))/d.cfg.WriteBandwidth)
+	cost := WriteLatency + 2*FsyncLatency +
+		sim.Duration(float64(len(data))/WriteBandwidth)
 	p.Sleep(cost)
 	d.manifest = append([]byte(nil), data...)
 	d.stats.ManifestWrites++
@@ -138,7 +108,7 @@ func (d *Disk) ReadManifest(p *sim.Proc) []byte {
 	if d.manifest == nil {
 		return nil
 	}
-	p.Sleep(d.cfg.ReadLatency + sim.Duration(float64(len(d.manifest))/d.cfg.ReadBandwidth))
+	p.Sleep(ReadLatency + sim.Duration(float64(len(d.manifest))/ReadBandwidth))
 	return append([]byte(nil), d.manifest...)
 }
 
@@ -177,7 +147,7 @@ func (s *Segment) AppendCharged(p *sim.Proc, data []byte, charged int) {
 	if charged <= 0 {
 		charged = len(data)
 	}
-	p.Sleep(sim.Duration(float64(charged) / s.disk.cfg.WriteBandwidth))
+	p.Sleep(sim.Duration(float64(charged) / WriteBandwidth))
 	s.buf = append(s.buf, data...)
 	s.disk.stats.AppendedBytes += uint64(charged)
 }
@@ -185,7 +155,7 @@ func (s *Segment) AppendCharged(p *sim.Proc, data []byte, charged int) {
 // Sync makes every appended byte durable, charging the write + flush
 // latency.
 func (s *Segment) Sync(p *sim.Proc) {
-	p.Sleep(s.disk.cfg.WriteLatency + s.disk.cfg.FsyncLatency)
+	p.Sleep(WriteLatency + FsyncLatency)
 	s.synced = len(s.buf)
 	s.disk.stats.Syncs++
 }
@@ -207,7 +177,7 @@ func (s *Segment) ReadAt(p *sim.Proc, off, n, charged int) ([]byte, bool) {
 	if charged <= 0 {
 		charged = n
 	}
-	p.Sleep(s.disk.cfg.ReadLatency + sim.Duration(float64(charged)/s.disk.cfg.ReadBandwidth))
+	p.Sleep(ReadLatency + sim.Duration(float64(charged)/ReadBandwidth))
 	s.disk.stats.ReadBytes += uint64(charged)
 	return append([]byte(nil), s.buf[off:off+n]...), true
 }
@@ -223,7 +193,7 @@ func (s *Segment) ReadAtQueued(p *sim.Proc, off, n, charged int) ([]byte, bool) 
 	if charged <= 0 {
 		charged = n
 	}
-	p.Sleep(sim.Duration(float64(charged) / s.disk.cfg.ReadBandwidth))
+	p.Sleep(sim.Duration(float64(charged) / ReadBandwidth))
 	s.disk.stats.ReadBytes += uint64(charged)
 	return append([]byte(nil), s.buf[off:off+n]...), true
 }

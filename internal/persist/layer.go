@@ -13,10 +13,11 @@ import (
 // multicastTs narrows a store timestamp to the ordering layer's type.
 func multicastTs(v uint64) multicast.Timestamp { return multicast.Timestamp(v) }
 
-// DefaultInterval is the default spacing between checkpoint attempts per
-// replica — a few thousand requests of progress per checkpoint at
-// simulated throughputs. Exported because the chaos durable profile
-// mirrors the flush-instant arithmetic.
+// DefaultInterval is the spacing between checkpoint attempts per replica
+// — a few thousand requests of progress per checkpoint at simulated
+// throughputs. Members of a partition are staggered across it (see
+// StaggerOffset). Exported because the chaos durable profile mirrors the
+// flush-instant arithmetic.
 const DefaultInterval = 400 * sim.Microsecond
 
 // logRetention is how many checkpoint intervals of update-log history
@@ -26,21 +27,8 @@ const logRetention = 16
 
 // Options configures the persistence layer.
 type Options struct {
-	// Interval between checkpoint attempts per replica (default
-	// DefaultInterval). Members of a partition are staggered across the
-	// interval (see StaggerOffset).
-	Interval sim.Duration
-	// LSM tunes each replica's log-structured tree (zero fields take lsm
-	// defaults).
+	// LSM selects each replica's log-structured tree codec.
 	LSM lsm.Config
-}
-
-// withDefaults fills zero fields.
-func (o Options) withDefaults() Options {
-	if o.Interval == 0 {
-		o.Interval = DefaultInterval
-	}
-	return o
 }
 
 // LayerStats aggregates the whole deployment's persistence activity.
@@ -92,7 +80,7 @@ func Attach(d *core.Deployment, opt *Options) *Layer {
 	if opt != nil {
 		o = *opt
 	}
-	l := &Layer{dep: d, opt: o.withDefaults()}
+	l := &Layer{dep: d, opt: o}
 	l.cps = make([][]*Checkpointer, len(d.Replicas))
 	for part := range d.Replicas {
 		l.cps[part] = make([]*Checkpointer, len(d.Replicas[part]))

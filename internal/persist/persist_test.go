@@ -135,21 +135,3 @@ func TestSegmentLifecycle(t *testing.T) {
 		d.CreateSegment("b")
 	})
 }
-
-func TestDiskConfigDefaults(t *testing.T) {
-	// Zero fields fill from the NVMe calibration; set fields survive.
-	c := DiskConfig{ReadLatency: 5 * sim.Microsecond}.withDefaults()
-	def := DefaultDiskConfig()
-	if c.ReadLatency != 5*sim.Microsecond {
-		t.Fatalf("explicit field overwritten: %v", c.ReadLatency)
-	}
-	if c.WriteLatency != def.WriteLatency || c.FsyncLatency != def.FsyncLatency ||
-		c.WriteBandwidth != def.WriteBandwidth || c.ReadBandwidth != def.ReadBandwidth {
-		t.Fatalf("defaults not applied: %+v", c)
-	}
-
-	o := Options{}.withDefaults()
-	if o.Interval != 400*sim.Microsecond {
-		t.Fatalf("option defaults = %+v", o)
-	}
-}

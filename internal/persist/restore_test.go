@@ -63,7 +63,7 @@ func TestCheckpointRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := Attach(d, &Options{Interval: 200 * sim.Microsecond})
+	l := Attach(d, nil)
 	d.Start()
 
 	done := false
@@ -125,12 +125,14 @@ func TestIdleMeansNothingMoves(t *testing.T) {
 }
 
 // idleAfterWrites writes 1..writes into as many objects of one partition,
-// one every 2.5 ms, checkpointed every 2 ms so that a compaction falls
-// due well before its tick, and steps the scheduler 5 µs at a time. It returns
+// one every 500 µs, checkpointed every DefaultInterval (400 µs) so that a
+// compaction falls due well before its tick, and steps the scheduler 1 µs
+// at a time. It returns
 // when the layer first reported Idle after the last write and its
 // counters then, failing t if they moved later.
 func idleAfterWrites(t *testing.T, writes uint64) (sim.Time, LayerStats) {
 	t.Helper()
+	const writeEvery = 500 * sim.Microsecond
 	s := sim.NewScheduler()
 	defer s.Close()
 	cfg := core.DefaultConfig(multicast.DefaultConfig([][]rdma.NodeID{{1, 2, 3}}))
@@ -153,14 +155,14 @@ func idleAfterWrites(t *testing.T, writes uint64) (sim.Time, LayerStats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := Attach(d, &Options{Interval: 2 * sim.Millisecond})
+	l := Attach(d, nil)
 	d.Start()
 	written := false
 	s.Spawn("writer", func(p *sim.Proc) {
 		cl := d.NewClient()
 		defer func() { written = true }()
 		for i := uint64(0); i < writes; i++ {
-			p.Sleep(2500 * sim.Microsecond)
+			p.Sleep(writeEvery)
 			w := wire.NewWriter(16)
 			w.U64(i)
 			w.U64(i + 1)
@@ -170,8 +172,8 @@ func idleAfterWrites(t *testing.T, writes uint64) (sim.Time, LayerStats) {
 			}
 		}
 	})
-	const step = 5 * sim.Microsecond
-	end := sim.Time(writes)*sim.Time(2500*sim.Microsecond) + sim.Time(10*sim.Millisecond)
+	const step = sim.Microsecond
+	end := sim.Time(writes)*sim.Time(writeEvery) + sim.Time(2*sim.Millisecond)
 	var idleAt sim.Time
 	var idleStats LayerStats
 	for now := sim.Time(step); now <= end; now += sim.Time(step) {
