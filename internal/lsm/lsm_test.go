@@ -105,15 +105,10 @@ func val(oid, tmp uint64) []byte {
 }
 
 // buildRun flushes ents (must be pre-sorted by OID) through the builder.
-func buildRun(t *testing.T, p *sim.Proc, dev Device, cfg Config, ents []Entry, seq uint64) (*Run, *Stats) {
+func buildRun(t *testing.T, p *sim.Proc, dev Device, codec Codec, ents []Entry, seq uint64) (*Run, *Stats) {
 	t.Helper()
-	cfg = cfg.WithDefaults()
-	codec, err := CodecFor(cfg.Preset)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := &Stats{}
-	b := newBuilder(dev, cfg, codec, NewBlockCache(DefaultCacheBytes), st, runName(seq), seq)
+	b := newBuilder(dev, codec, NewBlockCache(DefaultCacheBytes), st, runName(seq), seq)
 	for _, e := range ents {
 		b.add(p, e)
 	}
@@ -125,26 +120,27 @@ func buildRun(t *testing.T, p *sim.Proc, dev Device, cfg Config, ents []Entry, s
 }
 
 // TestSSTableEncodeDecode drives the block format through build → reopen
-// → point-get → scan across block-size and value-size shapes.
+// → point-get → scan across value sizes that fill one DefaultBlockBytes
+// block, several entries per block, one entry per block, and entries
+// several blocks long.
 func TestSSTableEncodeDecode(t *testing.T) {
 	cases := []struct {
-		name       string
-		blockBytes int
-		entries    int
-		valBytes   int
+		name     string
+		entries  int
+		valBytes int
+		blocks   int
 	}{
-		{"single-block", 4 << 10, 10, 16},
-		{"multi-block", 128, 64, 24},
-		{"block-per-entry", 8, 16, 40},
-		{"large-values", 256, 32, 300},
-		{"one-entry", 4 << 10, 1, 8},
+		{"single-block", 10, 16, 1},
+		{"multi-block", 64, 1200, 20},
+		{"block-per-entry", 16, 4700, 16},
+		{"large-values", 32, 16000, 32},
+		{"one-entry", 1, 8, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			runSim(t, func(p *sim.Proc) {
 				dev := newMemDevice()
-				cfg := Config{BlockBytes: tc.blockBytes, Preset: PresetNone}.WithDefaults()
-				codec, _ := CodecFor(cfg.Preset)
+				codec, _ := CodecFor(PresetNone)
 				var ents []Entry
 				for i := 0; i < tc.entries; i++ {
 					oid := uint64(i * 7)
@@ -153,9 +149,12 @@ func TestSSTableEncodeDecode(t *testing.T) {
 						Val: bytes.Repeat(val(oid, uint64(100+i)), 1+tc.valBytes/8),
 					})
 				}
-				run, _ := buildRun(t, p, dev, cfg, ents, 1)
+				run, _ := buildRun(t, p, dev, codec, ents, 1)
 				if run.Records != uint64(tc.entries) {
 					t.Fatalf("records = %d, want %d", run.Records, tc.entries)
+				}
+				if len(run.handles) != tc.blocks {
+					t.Fatalf("blocks = %d, want %d", len(run.handles), tc.blocks)
 				}
 
 				// Reopen from manifest-level metadata only: the index and
@@ -201,10 +200,9 @@ func TestSSTableEncodeDecode(t *testing.T) {
 func TestSSTableMetaCrossChecks(t *testing.T) {
 	runSim(t, func(p *sim.Proc) {
 		dev := newMemDevice()
-		cfg := Config{Preset: PresetNone}.WithDefaults()
-		codec, _ := CodecFor(cfg.Preset)
+		codec, _ := CodecFor(PresetNone)
 		ents := []Entry{{OID: 1, Tmp: 5, Val: val(1, 5)}, {OID: 9, Tmp: 6, Val: val(9, 6)}}
-		run, _ := buildRun(t, p, dev, cfg, ents, 1)
+		run, _ := buildRun(t, p, dev, codec, ents, 1)
 		bad := *run
 		bad.handles, bad.bloom = nil, nil
 		bad.Records = run.Records + 1 // metadata lies about the record count
@@ -362,11 +360,12 @@ func TestTreeFlushGetScan(t *testing.T) {
 func TestTreeCompaction(t *testing.T) {
 	runSim(t, func(p *sim.Proc) {
 		dev := newMemDevice()
-		// Tiny L1 target so the second compaction spills to L2.
-		tr, err := NewTree(dev, Config{Preset: PresetNone, LevelBase: 256})
+		tr, err := NewTree(dev, Config{Preset: PresetNone})
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Tiny L1 target so the second compaction spills to L2.
+		tr.levelBase = 256
 		var tmp uint64
 		fill := func() {
 			for i := 0; i < DefaultL0Trigger; i++ {
@@ -398,7 +397,7 @@ func TestTreeCompaction(t *testing.T) {
 			t.Fatalf("segments after compaction = %d, want 1", len(dev.segs))
 		}
 
-		// Refill L0 and fold again; L1 (now oversized vs LevelBase=256)
+		// Refill L0 and fold again; L1 (now oversized vs levelBase=256)
 		// spills its oldest run into L2 on a further compaction.
 		fill()
 		if _, ok := tr.CompactOnce(p, nil); !ok {
@@ -569,12 +568,13 @@ func TestManifestRoundtrip(t *testing.T) {
 func TestFlushDuringCompactionSurvives(t *testing.T) {
 	s := sim.NewScheduler()
 	dev := newMemDevice()
-	// A very low compaction rate stretches writeback over ~100ns per
-	// physical byte, giving the flusher a wide window to land inside.
-	tr, err := NewTree(dev, Config{Preset: PresetNone, CompactionRate: 0.01})
+	tr, err := NewTree(dev, Config{Preset: PresetNone})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A very low compaction rate stretches writeback over ~100ns per
+	// physical byte, giving the flusher a wide window to land inside.
+	tr.compactionRate = 0.01
 	var compRes CompactResult
 	var compOK bool
 	s.Spawn("flusher", func(p *sim.Proc) {

@@ -144,16 +144,19 @@ func (c Codec) DecompressCost(raw int) sim.Duration {
 	return sim.Duration(float64(raw) / c.DecompressBW)
 }
 
-// Default tuning constants (exported where other layers mirror the
-// arithmetic — the chaos durable-profile generator aims crashes at the
-// compaction cadence these imply).
+// Tuning constants (exported where other layers mirror the arithmetic —
+// the chaos durable-profile generator aims crashes at the compaction
+// cadence these imply).
 const (
+	// DefaultBlockBytes is the target raw data-block size.
 	DefaultBlockBytes = 4 << 10
 	// DefaultBloomBits is bloom filter bits per key (~1% FPR).
 	DefaultBloomBits = 10
 	// DefaultL0Trigger is the L0 run count that triggers compaction
 	// into L1.
 	DefaultL0Trigger = 4
+	// DefaultLevelBase is the target byte size of L1; level n targets
+	// DefaultLevelBase * DefaultLevelGrowth^(n-1).
 	DefaultLevelBase = 64 << 10
 	// DefaultLevelGrowth is the size ratio between adjacent levels.
 	DefaultLevelGrowth = 8
@@ -167,36 +170,13 @@ const (
 	DefaultCompactionRate = 1.0
 )
 
-// Config tunes one tree. Bloom bits, the L0 trigger, level growth,
-// depth and cache size are the Default* constants.
+// Config tunes one tree: its codec. Block size, bloom bits, the L0
+// trigger, level sizes, depth, cache size and the compaction rate are the
+// Default* constants.
 type Config struct {
-	// Preset selects the compression codec (none, snappy, zstd;
-	// default snappy-class).
+	// Preset selects the compression codec (none, snappy, zstd; ""
+	// means snappy-class).
 	Preset string
-	// BlockBytes is the target raw data-block size (default 4KB).
-	BlockBytes int
-	// LevelBase is the target byte size of L1 (default 64KB); level n
-	// targets LevelBase * DefaultLevelGrowth^(n-1).
-	LevelBase int
-	// CompactionRate caps compaction I/O charging, bytes/ns (default 1.0).
-	CompactionRate float64
-}
-
-// WithDefaults fills zero fields.
-func (c Config) WithDefaults() Config {
-	if c.Preset == "" {
-		c.Preset = PresetSnappy
-	}
-	if c.BlockBytes == 0 {
-		c.BlockBytes = DefaultBlockBytes
-	}
-	if c.LevelBase == 0 {
-		c.LevelBase = DefaultLevelBase
-	}
-	if c.CompactionRate == 0 {
-		c.CompactionRate = DefaultCompactionRate
-	}
-	return c
 }
 
 // Stats aggregates one tree's lifetime activity. The CPU/IO split is

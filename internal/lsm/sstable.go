@@ -263,7 +263,6 @@ func (r *Run) scan(p *sim.Proc, dev Device, codec Codec, st *Stats, fn func(Entr
 // between blocks (each block boundary is a virtual-time yield point).
 type builder struct {
 	dev     Device
-	cfg     Config
 	codec   Codec
 	cache   *BlockCache
 	st      *Stats
@@ -283,12 +282,12 @@ type builder struct {
 	rate float64
 }
 
-func newBuilder(dev Device, cfg Config, codec Codec, cache *BlockCache, st *Stats, name string, seq uint64) *builder {
+func newBuilder(dev Device, codec Codec, cache *BlockCache, st *Stats, name string, seq uint64) *builder {
 	return &builder{
-		dev: dev, cfg: cfg, codec: codec, cache: cache, st: st,
+		dev: dev, codec: codec, cache: cache, st: st,
 		name: name, seq: seq,
 		seg: dev.CreateSegment(name),
-		blk: wire.NewWriter(cfg.BlockBytes + 256),
+		blk: wire.NewWriter(DefaultBlockBytes + 256),
 		run: &Run{Name: name, Seq: seq},
 	}
 }
@@ -315,7 +314,7 @@ func (b *builder) add(p *sim.Proc, e Entry) bool {
 	b.blkN++
 	b.run.Records++
 	b.hashes = append(b.hashes, oidHash(e.OID))
-	if b.blk.Len() >= b.cfg.BlockBytes {
+	if b.blk.Len() >= DefaultBlockBytes {
 		b.flushBlock(p)
 		return true
 	}
@@ -345,7 +344,7 @@ func (b *builder) flushBlock(p *sim.Proc) {
 	b.handles = append(b.handles, blockHandle{First: b.first, Off: b.off, RawLen: len(raw), PhysLen: phys})
 	b.off += len(raw)
 	b.phys += phys
-	b.blk = wire.NewWriter(b.cfg.BlockBytes + 256)
+	b.blk = wire.NewWriter(DefaultBlockBytes + 256)
 	b.blkN = 0
 }
 

@@ -25,10 +25,13 @@ const manifestMagic uint64 = 0x4845524c534d0001
 // image, with no in-memory invalidation after a crash.
 type Tree struct {
 	dev    Device
-	cfg    Config
 	codec  Codec
 	cache  *BlockCache
 	levels [][]*Run
+	// levelBase and compactionRate are DefaultLevelBase and
+	// DefaultCompactionRate (tests lower them).
+	levelBase      uint64
+	compactionRate float64
 
 	manifestSeq uint64
 	nextSeq     uint64
@@ -57,17 +60,17 @@ type CompactResult struct {
 
 // NewTree creates an empty tree on dev.
 func NewTree(dev Device, cfg Config) (*Tree, error) {
-	cfg = cfg.WithDefaults()
 	codec, err := CodecFor(cfg.Preset)
 	if err != nil {
 		return nil, err
 	}
 	t := &Tree{
-		dev:    dev,
-		cfg:    cfg,
-		codec:  codec,
-		cache:  NewBlockCache(DefaultCacheBytes),
-		levels: make([][]*Run, DefaultMaxLevels),
+		dev:            dev,
+		codec:          codec,
+		cache:          NewBlockCache(DefaultCacheBytes),
+		levels:         make([][]*Run, DefaultMaxLevels),
+		levelBase:      DefaultLevelBase,
+		compactionRate: DefaultCompactionRate,
 	}
 	return t, nil
 }
@@ -121,7 +124,6 @@ func (t *Tree) encodeManifest() []byte {
 // DecodeManifest parses manifest bytes into run metadata. Exposed for
 // recovery-path tests; LoadTree is the charged entry point.
 func DecodeManifest(buf []byte, cfg Config) (*Tree, bool) {
-	cfg = cfg.WithDefaults()
 	r := wire.NewReader(buf)
 	if r.U64() != manifestMagic {
 		return nil, false
@@ -131,12 +133,13 @@ func DecodeManifest(buf []byte, cfg Config) (*Tree, bool) {
 		return nil, false
 	}
 	t := &Tree{
-		cfg:         cfg,
-		codec:       codec,
-		cache:       NewBlockCache(DefaultCacheBytes),
-		manifestSeq: r.U64(),
-		snapTmp:     r.U64(),
-		nextSeq:     r.U64(),
+		codec:          codec,
+		cache:          NewBlockCache(DefaultCacheBytes),
+		levelBase:      DefaultLevelBase,
+		compactionRate: DefaultCompactionRate,
+		manifestSeq:    r.U64(),
+		snapTmp:        r.U64(),
+		nextSeq:        r.U64(),
 	}
 	nlevels := int(r.U32())
 	if nlevels < DefaultMaxLevels {
@@ -215,7 +218,7 @@ func (t *Tree) Flush(p *sim.Proc, mt *Memtable, snapTmp uint64, aux, extra []byt
 		return FlushResult{ManifestOnly: true}, true
 	}
 	seq := t.nextSeq + 1
-	b := newBuilder(t.dev, t.cfg, t.codec, t.cache, &t.stats, runName(seq), seq)
+	b := newBuilder(t.dev, t.codec, t.cache, &t.stats, runName(seq), seq)
 	for _, e := range mt.Sorted() {
 		if b.add(p, e) && abort != nil && abort() {
 			b.abandon()
@@ -255,7 +258,7 @@ func (t *Tree) Flush(p *sim.Proc, mt *Memtable, snapTmp uint64, aux, extra []byt
 
 // levelTarget is the size threshold above which level n spills into n+1.
 func (t *Tree) levelTarget(n int) uint64 {
-	target := uint64(t.cfg.LevelBase)
+	target := t.levelBase
 	for i := 1; i < n; i++ {
 		target *= DefaultLevelGrowth
 	}
@@ -324,7 +327,7 @@ func (t *Tree) NeedsCompaction() bool {
 // read through the block cache (freshly flushed L0 blocks hit; cold
 // lower-level blocks miss and charge reads), the merged output keeps
 // only the newest version of each object (run Seq breaks tmp ties), and
-// writeback is rate-limited to CompactionRate. Concurrent flushes may
+// writeback is rate-limited to DefaultCompactionRate. Concurrent flushes may
 // append new L0 runs during the compaction's sleeps; installation
 // removes exactly the consumed inputs, so those survive. ok=false when
 // no compaction was due or the abort signal fired (partial output
@@ -380,8 +383,8 @@ func (t *Tree) CompactOnce(p *sim.Proc, abort func() bool) (CompactResult, bool)
 	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
 
 	seq := t.nextSeq + 1
-	b := newBuilder(t.dev, t.cfg, t.codec, t.cache, &t.stats, runName(seq), seq)
-	b.rate = t.cfg.CompactionRate
+	b := newBuilder(t.dev, t.codec, t.cache, &t.stats, runName(seq), seq)
+	b.rate = t.compactionRate
 	for _, oid := range oids {
 		if b.add(p, best[oid]) && abort != nil && abort() {
 			b.abandon()
