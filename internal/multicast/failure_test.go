@@ -237,7 +237,7 @@ func TestManyClientsInterleave(t *testing.T) {
 // the stream continues correct.
 func TestLogTruncation(t *testing.T) {
 	c := newCluster(t, 1, 3)
-	c.cfg.TruncateEvery = 16
+	c.truncateAt(16)
 	cl := NewClient(OverRDMA(c.tr), &c.cfg, c.addClientNode(100))
 	const n = 200
 	c.s.Spawn("client", func(p *sim.Proc) {
@@ -269,7 +269,7 @@ func TestLogTruncation(t *testing.T) {
 // post-crash — a silent member legitimately freezes the safe point.
 func TestLogTruncationSurvivesLeaderChange(t *testing.T) {
 	c := newCluster(t, 1, 3)
-	c.cfg.TruncateEvery = 16
+	c.truncateAt(16)
 	cl := NewClient(OverRDMA(c.tr), &c.cfg, c.addClientNode(100))
 	const n = 150
 	c.s.Spawn("client", func(p *sim.Proc) {

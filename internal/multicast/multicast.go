@@ -119,10 +119,6 @@ type Config struct {
 	// HandlerCPU is the CPU time charged per protocol message handled,
 	// modeling the replica's dispatch loop.
 	HandlerCPU sim.Duration
-	// TruncateEvery is the retained-log length that triggers group-log
-	// truncation at the leader (0 = default 4096). Truncation discards
-	// prefixes every member has delivered, bounding replica memory.
-	TruncateEvery int
 }
 
 // Layout numbers groups x replicas nodes from 1, group by group: the

@@ -76,6 +76,16 @@ func (c *cluster) attach(g, r int, pr *Process) {
 	})
 }
 
+// truncateAt lowers every member's retained-entry truncation threshold
+// to n, before the run starts.
+func (c *cluster) truncateAt(n uint64) {
+	for _, grp := range c.procs {
+		for _, pr := range grp {
+			pr.truncateAt = n
+		}
+	}
+}
+
 // addClientNode registers a fabric node for a client and returns its id.
 func (c *cluster) addClientNode(i int) rdma.NodeID {
 	id := rdma.NodeID(1000 + i)

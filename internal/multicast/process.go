@@ -171,6 +171,9 @@ type Process struct {
 	durableGate bool
 	durableTmp  Timestamp
 	truncReq    bool
+	// truncateAt is the retained-entry threshold, truncateEvery (tests
+	// lower it).
+	truncateAt uint64
 	// truncTs remembers the final timestamp of committed multi-group
 	// entries dropped by truncation, so pull-based proposal repair
 	// (kindPropRequest, only ever about a multi-group message) can still
@@ -299,6 +302,7 @@ func NewProcess(tr Transport, cfg *Config, g GroupID, rank int) *Process {
 		outboxOf:    make(map[rdma.NodeID]int),
 		ackedRep:    make([]uint64, len(cfg.Groups[g])),
 		lagSince:    make([]sim.Time, len(cfg.Groups[g])),
+		truncateAt:  truncateEvery,
 	}
 	if rank == 0 {
 		pr.role = roleLeader

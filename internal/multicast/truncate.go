@@ -22,14 +22,9 @@ import "sort"
 // Truncation keeps logical indices stable: the log slice drops a prefix
 // but gseq/commitIdx/delivered remain absolute, offset by logBase.
 
-// truncateThreshold returns the retained-entry count that triggers a
-// truncation attempt.
-func (pr *Process) truncateThreshold() uint64 {
-	if pr.cfg.TruncateEvery > 0 {
-		return uint64(pr.cfg.TruncateEvery)
-	}
-	return 4096
-}
+// truncateEvery is the retained-entry count that triggers a truncation
+// attempt at the leader.
+const truncateEvery = 4096
 
 // EnableDurableGate arms durability gating before the first checkpoint
 // exists: until SetDurableTmp reports one, nothing may be truncated on
@@ -119,7 +114,7 @@ func (pr *Process) safeTruncationPoint() uint64 {
 func (pr *Process) maybeTruncate() {
 	if pr.truncReq {
 		pr.truncReq = false
-	} else if pr.commitIdx-pr.logBase < pr.truncateThreshold() {
+	} else if pr.commitIdx-pr.logBase < pr.truncateAt {
 		return
 	}
 	safe := pr.safeTruncationPoint()

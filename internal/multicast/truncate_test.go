@@ -12,10 +12,11 @@ import (
 // `acked`. Only the fields truncation reads are populated.
 func truncProcess(n int, acked uint64) *Process {
 	pr := &Process{
-		cfg:      &Config{},
-		role:     roleLeader,
-		rank:     0,
-		ackedRep: []uint64{0, acked, acked},
+		cfg:        &Config{},
+		role:       roleLeader,
+		rank:       0,
+		ackedRep:   []uint64{0, acked, acked},
+		truncateAt: truncateEvery,
 	}
 	for i := 0; i < n; i++ {
 		pr.log = append(pr.log, logEntry{ts: Timestamp(i + 1)})
@@ -28,13 +29,12 @@ func truncProcess(n int, acked uint64) *Process {
 }
 
 func TestTruncateThresholdDefault(t *testing.T) {
-	pr := &Process{cfg: &Config{}}
-	if got := pr.truncateThreshold(); got != 4096 {
-		t.Fatalf("default threshold = %d, want 4096", got)
-	}
-	pr.cfg.TruncateEvery = 16
-	if got := pr.truncateThreshold(); got != 16 {
-		t.Fatalf("configured threshold = %d, want 16", got)
+	c := newCluster(t, 1, 3)
+	defer c.s.Close()
+	for _, pr := range c.procs[0] {
+		if pr.truncateAt != 4096 {
+			t.Fatalf("rank %d threshold = %d, want 4096", pr.Rank(), pr.truncateAt)
+		}
 	}
 }
 
@@ -98,7 +98,7 @@ func TestDropPrefixKeepsAbsoluteIndices(t *testing.T) {
 
 func TestMaybeTruncateBelowThresholdIsNoop(t *testing.T) {
 	pr := truncProcess(8, 8)
-	pr.cfg.TruncateEvery = 100
+	pr.truncateAt = 100
 	pr.maybeTruncate()
 	if pr.LogBase() != 0 || pr.LogLen() != 8 {
 		t.Fatalf("truncated below threshold: base=%d len=%d", pr.LogBase(), pr.LogLen())
@@ -107,7 +107,7 @@ func TestMaybeTruncateBelowThresholdIsNoop(t *testing.T) {
 
 func TestDurableGateBlocksUntilFirstCheckpoint(t *testing.T) {
 	pr := truncProcess(8, 8)
-	pr.cfg.TruncateEvery = 4
+	pr.truncateAt = 4
 	// Gate armed, but no checkpoint reported yet: nothing may go.
 	pr.EnableDurableGate()
 	pr.maybeTruncate()
@@ -198,7 +198,7 @@ func TestDropPrefixMemoizesTimestampsForRepair(t *testing.T) {
 
 func TestMaybeTruncateDropsSafePrefix(t *testing.T) {
 	pr := truncProcess(8, 8)
-	pr.cfg.TruncateEvery = 4
+	pr.truncateAt = 4
 	pr.ackedRep[1] = 6 // slowest follower acked rep record 6
 	pr.maybeTruncate()
 	if pr.LogBase() != 6 || pr.LogLen() != 2 {
@@ -222,7 +222,7 @@ func TestMaybeTruncateDropsSafePrefix(t *testing.T) {
 func TestTruncationForgetsSingleGroupMessages(t *testing.T) {
 	c := newCluster(t, 2, 3)
 	defer c.s.Close()
-	c.cfg.TruncateEvery = 256
+	c.truncateAt(256)
 	cl := NewClient(OverRDMA(c.tr), &c.cfg, c.addClientNode(100))
 	const n = 10_000
 	var multi []MsgID

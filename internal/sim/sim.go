@@ -64,12 +64,8 @@ type Scheduler struct {
 	running  bool
 	fatalErr error
 
-	// eventCount counts executed events, for the runaway guard.
+	// eventCount counts executed events (EventCount).
 	eventCount uint64
-	// MaxEvents aborts Run with an error after this many events when
-	// non-zero. It is a backstop against accidental infinite event loops
-	// in tests.
-	MaxEvents uint64
 }
 
 // NewScheduler returns an empty scheduler with the clock at zero.
@@ -416,9 +412,6 @@ func (s *Scheduler) execNext(end Time) (bool, error) {
 	}
 	s.now = at
 	s.eventCount++
-	if s.MaxEvents != 0 && s.eventCount > s.MaxEvents {
-		return false, fmt.Errorf("sim: exceeded MaxEvents=%d at t=%v", s.MaxEvents, s.now)
-	}
 	if t != nil {
 		// The wait timed out: nothing released it, so it is still queued.
 		s.timers.cancel(t)

@@ -289,17 +289,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestMaxEventsGuard(t *testing.T) {
-	s := NewScheduler()
-	s.MaxEvents = 100
-	var loop func()
-	loop = func() { s.After(Microsecond, loop) }
-	s.After(Microsecond, loop)
-	if err := s.Run(); err == nil {
-		t.Fatal("want MaxEvents error for infinite event loop")
-	}
-}
-
 func TestChanSendRecv(t *testing.T) {
 	s := NewScheduler()
 	ch := NewChan[int](s)
