@@ -43,6 +43,7 @@ func (r *Replica) requestTransfer(p *sim.Proc, reqTmp uint64) {
 		return e.status == 0 && e.rid >= reqTmp
 	})
 	e := r.readStEntry(r.rank)
+	r.obs.flight.Record(p.Now(), obs.FltStateTransfer, uint32(r.node.ID()), reqTmp, e.rid)
 	r.lastReq = multicast.Timestamp(e.rid)
 	r.lastExec = multicast.Timestamp(e.rid)
 	// The update log's own records and rid are separated by an

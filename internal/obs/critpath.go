@@ -59,7 +59,6 @@ const (
 	SegAppExecute    // application execute (compute + local gets)
 	SegWriteApply    // applying the write set to the local store
 	SegCoord4Wait    // phase-4 coordination write + quorum wait (incl. cut-off delay)
-	SegDurableGate   // wait on the durable-persistence gate
 	SegLeaseWait     // reply deferred behind the partition lease gate
 
 	// Synthesized by Profile.
@@ -74,7 +73,7 @@ var segNames = [segCount]string{
 	"submit", "sent", "delivered", "done", "complete",
 	"pump_wait", "coord2_wait", "addr_resolve", "read_post", "nic_wait",
 	"version_select", "local_read", "app_execute", "write_apply",
-	"coord4_wait", "durable_gate", "lease_wait",
+	"coord4_wait", "lease_wait",
 	"ordering", "reply", "other",
 }
 

@@ -23,12 +23,10 @@ import (
 type FlightKind uint8
 
 const (
-	FltSubmit        FlightKind = iota // client/pump handed a request to the multicast
-	FltDeliver                         // atomic multicast delivered a message
-	FltCommit                          // proposal committed at a group leader
+	FltDeliver       FlightKind = iota // atomic multicast delivered a message
 	FltViewChange                      // multicast view change
 	FltExec                            // replica finished executing a request
-	FltStateTransfer                   // replica ran a state transfer
+	FltStateTransfer                   // a lagger's state transfer completed
 	FltCrash                           // fault injection: node crash
 	FltRecover                         // fault injection: node recovery
 	FltPartition                       // fault injection: link partition
@@ -44,7 +42,7 @@ const (
 )
 
 var fltNames = [fltCount]string{
-	"submit", "deliver", "commit", "view_change", "exec", "state_transfer",
+	"deliver", "view_change", "exec", "state_transfer",
 	"crash", "recover", "partition", "heal", "slow_link", "reconfig",
 	"checkpoint", "verb_error", "outlier", "compaction",
 }
