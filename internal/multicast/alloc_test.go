@@ -67,7 +67,7 @@ func steadyBurst(t *testing.T, groups, n int, dsts [][]GroupID) (allocs, bodies 
 // list per message — in one group of three, and in two groups of three
 // under a mix of single- and two-group messages. What the burst may add
 // beyond the bodies is a constant: the amortised growth of the log and of
-// the committed set (ROADMAP item 8), and the client proc's first run.
+// its index, and the client proc's first run.
 func TestSteadyStateAllocatesOnlyBodies(t *testing.T) {
 	const n, slack = 1000, 64
 	for _, tc := range []struct {

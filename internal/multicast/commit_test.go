@@ -9,8 +9,9 @@ import (
 )
 
 // The commit rule and the outbox, seen from the wire: a tap between the
-// processes and the substrate logs every datagram of every Send and drops
-// the ones a test wants withheld.
+// processes and the substrate logs every datagram of every Send, drops
+// the ones a test wants withheld and sends twice the ones it wants
+// replayed.
 
 // tapped is one datagram handed to the substrate.
 type tapped struct {
@@ -21,8 +22,9 @@ type tapped struct {
 
 type tap struct {
 	Transport
-	log  []tapped
-	drop func(d tapped) bool // nil: drop nothing
+	log    []tapped
+	drop   func(d tapped) bool // nil: drop nothing
+	replay func(d tapped) bool // nil: replay nothing
 }
 
 func (tp *tap) Send(p *sim.Proc, from, to rdma.NodeID, payloads ...[]byte) error {
@@ -32,6 +34,9 @@ func (tp *tap) Send(p *sim.Proc, from, to rdma.NodeID, payloads ...[]byte) error
 		d := tapped{at: tp.Scheduler().Now(), from: from, to: to, kind: kind}
 		tp.log = append(tp.log, d)
 		if tp.drop == nil || !tp.drop(d) {
+			kept = append(kept, pl)
+		}
+		if tp.replay != nil && tp.replay(d) {
 			kept = append(kept, pl)
 		}
 	}

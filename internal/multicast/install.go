@@ -59,9 +59,9 @@ func (pr *Process) install(states []*viewState, mode placement) *viewState {
 		}
 		pr.log = append(pr.log[:0], best.log[skip:]...)
 	}
-	pr.committed = make(map[MsgID]bool, len(pr.log))
+	clear(pr.logIdx)
 	for i := range pr.log {
-		pr.committed[pr.log[i].id] = true
+		pr.logIdx[pr.log[i].id] = pr.logBase + uint64(i)
 		pr.lc = max(pr.lc, pr.log[i].ts.Clock())
 	}
 
@@ -75,7 +75,7 @@ func (pr *Process) install(states []*viewState, mode placement) *viewState {
 		for i := range st.pending {
 			ps := &st.pending[i]
 			switch _, queued := pr.unproposed[ps.msg.id]; {
-			case pr.committed[ps.msg.id] || pr.pending[ps.msg.id] != nil:
+			case pr.isCommitted(ps.msg.id) || pr.pending[ps.msg.id] != nil:
 			case ps.ownProp != 0:
 				pend := pr.newPending(ps.msg, ps.ownProp)
 				copy(pend.props, ps.props)
@@ -87,7 +87,7 @@ func (pr *Process) install(states []*viewState, mode placement) *viewState {
 	}
 	pr.commitIdx = min(pr.commitIdx, pr.logBase+uint64(len(pr.log)))
 	for id := range pr.unproposed {
-		if pr.committed[id] || pr.pending[id] != nil {
+		if pr.isCommitted(id) || pr.pending[id] != nil {
 			delete(pr.unproposed, id)
 		}
 	}
@@ -109,15 +109,15 @@ func (pr *Process) checkInstalled() {
 		panic(fmt.Sprintf("multicast: group %d rank %d after install: ", pr.group, pr.rank) + fmt.Sprintf(format, args...))
 	}
 	for id, pend := range pr.pending {
-		if _, queued := pr.unproposed[id]; queued || pr.committed[id] {
-			fail("%v pending and also unproposed (%v) or committed (%v)", id, queued, pr.committed[id])
+		if _, queued := pr.unproposed[id]; queued || pr.isCommitted(id) {
+			fail("%v pending and also unproposed (%v) or committed (%v)", id, queued, pr.isCommitted(id))
 		}
 		if c := pend.ownProp.Clock(); c > pr.lc {
 			fail("%v proposed at clock %d, past the clock %d", id, c, pr.lc)
 		}
 	}
 	for id := range pr.unproposed {
-		if pr.committed[id] {
+		if pr.isCommitted(id) {
 			fail("%v committed and unproposed", id)
 		}
 	}

@@ -172,7 +172,7 @@ func TestInstall(t *testing.T) {
 				if tc.wantLogNode != 0 && e.id.Node != tc.wantLogNode {
 					t.Fatalf("log entry %v, want every entry from node %d", e.id, tc.wantLogNode)
 				}
-				if !tc.misaligned && !pr.committed[e.id] {
+				if !tc.misaligned && !pr.isCommitted(e.id) {
 					t.Fatalf("%v logged but not committed", e.id)
 				}
 			}
@@ -221,7 +221,7 @@ func TestAdoptDropsCommittedUnproposed(t *testing.T) {
 	c.procs[0][0].Crash()
 	tp.drop = nil
 	c.run(10 * sim.Millisecond)
-	if !nl.IsLeader() || !nl.committed[id] {
+	if !nl.IsLeader() || !nl.isCommitted(id) {
 		t.Fatal("the next leader did not adopt the follower's log")
 	}
 	if _, ok := nl.unproposed[id]; ok {

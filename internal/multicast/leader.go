@@ -113,19 +113,16 @@ func (pr *Process) requestMissingProps(pend *pendingMsg) {
 // bar sendProposals enforces — so the promise still survives leader
 // failure. Anything else stays unanswered; the requester retries.
 func (pr *Process) onPropRequest(m *propRequest, from rdma.NodeID) {
-	if pr.committed[m.id] {
-		for i := range pr.log {
-			if pr.log[i].id == m.id {
-				pr.send(from, pr.rec(encodeProposal(pr.arena, &proposalMsg{fromGroup: pr.group, id: m.id, prop: pr.log[i].ts})))
-				return
-			}
-		}
-		// Truncated here: fall back to the snapshot of commit metadata
-		// dropPrefix retained. A memo miss (state restored after the
-		// truncation) stays unanswered; another member or retry covers it.
-		if ts, ok := pr.truncTs[m.id]; ok {
-			pr.send(from, pr.rec(encodeProposal(pr.arena, &proposalMsg{fromGroup: pr.group, id: m.id, prop: ts})))
-		}
+	if gseq, ok := pr.logIdx[m.id]; ok {
+		pr.send(from, pr.rec(encodeProposal(pr.arena, &proposalMsg{fromGroup: pr.group, id: m.id, prop: pr.log[gseq-pr.logBase].ts})))
+		return
+	}
+	// Truncated here: fall back to the snapshot of commit metadata
+	// dropPrefix retained. A message truncated before this member's state
+	// was restored has no memo and stays unanswered; another member or a
+	// retry covers it.
+	if ts, ok := pr.truncTs[m.id]; ok {
+		pr.send(from, pr.rec(encodeProposal(pr.arena, &proposalMsg{fromGroup: pr.group, id: m.id, prop: ts})))
 		return
 	}
 	if pr.role != roleLeader {
@@ -204,7 +201,7 @@ func (pr *Process) appendEntry(p *sim.Proc, pend *pendingMsg) {
 	gseq := pr.logBase + uint64(len(pr.log))
 	entry := logEntry{id: pend.msg.id, ts: pend.final, dst: pend.msg.dst, payload: pend.msg.payload}
 	pr.log = append(pr.log, entry)
-	pr.committed[pend.msg.id] = true
+	pr.logIdx[pend.msg.id] = gseq
 	delete(pr.pending, pend.msg.id)
 	pr.dropRemoteProps(pend.msg.id)
 

@@ -174,18 +174,30 @@ type Process struct {
 	// truncateAt is the retained-entry threshold, truncateEvery (tests
 	// lower it).
 	truncateAt uint64
+	// What this member knows to be committed is the union of logIdx,
+	// truncTs and owed (committed.go).
+	//
+	// logIdx maps the id of every retained log entry to its absolute
+	// index: filled on append, pruned by dropPrefix, rebuilt by install.
+	logIdx map[MsgID]uint64
 	// truncTs remembers the final timestamp of committed multi-group
 	// entries dropped by truncation, so pull-based proposal repair
 	// (kindPropRequest, only ever about a multi-group message) can still
 	// answer from this snapshot of commit metadata.
 	truncTs map[MsgID]Timestamp
+	// owed lists, per client node and in ascending order, the sequence
+	// numbers of the single-group entries this member dropped before their
+	// client copy reached it (owe, payOwed).
+	owed map[rdma.NodeID][]uint64
+	// clientHigh is, per client node, the highest sequence number of a
+	// client copy this member has received.
+	clientHigh map[rdma.NodeID]uint64
 
 	pending map[MsgID]*pendingMsg
 	// remoteProps records every proposal heard from another group for a
 	// message not committed here, whether or not it is pending here yet;
 	// each list comes from, and goes back to, freeProps.
 	remoteProps map[MsgID][]groupProp
-	committed   map[MsgID]bool
 	unproposed  map[MsgID]clientMsg
 
 	// Free lists of per-message state, grown on demand: pendingMsgs and
@@ -297,7 +309,8 @@ func NewProcess(tr Transport, cfg *Config, g GroupID, rank int) *Process {
 		out:         sim.NewChan[Delivery](sched),
 		pending:     make(map[MsgID]*pendingMsg),
 		remoteProps: make(map[MsgID][]groupProp),
-		committed:   make(map[MsgID]bool),
+		logIdx:      make(map[MsgID]uint64),
+		clientHigh:  make(map[rdma.NodeID]uint64),
 		unproposed:  make(map[MsgID]clientMsg),
 		outboxOf:    make(map[rdma.NodeID]int),
 		ackedRep:    make([]uint64, len(cfg.Groups[g])),
@@ -609,7 +622,10 @@ func (pr *Process) handle(p *sim.Proc, datagram []byte, from rdma.NodeID) {
 // in case they become leader before the message is ordered. m's payload
 // is a view of the datagram; a duplicate copies nothing.
 func (pr *Process) onClient(p *sim.Proc, m *clientMsg) {
-	if pr.committed[m.id] || pr.pending[m.id] != nil {
+	pr.checkClientOrder(m.id)
+	committed := pr.isCommitted(m.id)
+	pr.payOwed(m.id)
+	if committed || pr.pending[m.id] != nil {
 		return
 	}
 	if pr.obsFirstSeen != nil {
@@ -680,7 +696,7 @@ func (pr *Process) onRepProposal(p *sim.Proc, m *repProposal) {
 		}
 		return
 	}
-	if !pr.committed[m.msg.id] {
+	if !pr.isCommitted(m.msg.id) {
 		pend := pr.pending[m.msg.id]
 		if pend == nil {
 			msg := m.msg
@@ -740,8 +756,9 @@ func (pr *Process) onRepCommit(p *sim.Proc, m *repCommit) {
 	}
 	pr.repSeq = m.repSeq
 	pr.needAck = true
+	pr.unindex(m.gseq)
 	pr.log = append(pr.log[:m.gseq-pr.logBase], entry)
-	pr.committed[m.id] = true
+	pr.logIdx[m.id] = m.gseq
 	if pend != nil {
 		delete(pr.pending, m.id)
 		pr.releasePending(pend)
@@ -794,7 +811,7 @@ func (pr *Process) onProposal(p *sim.Proc, m *proposalMsg) {
 	}
 	props, ok := pr.remoteProps[m.id]
 	if !ok {
-		if pr.committed[m.id] {
+		if pr.isCommitted(m.id) {
 			return
 		}
 		if n := len(pr.freeProps); n > 0 {

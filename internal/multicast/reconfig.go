@@ -151,7 +151,7 @@ func (pr *Process) rereplicate(p *sim.Proc) {
 	}
 	sort.Slice(ids, func(i, j int) bool { return lessMsgID(ids[i], ids[j]) })
 	for _, id := range ids {
-		if m, ok := pr.unproposed[id]; ok && !pr.committed[id] && pr.pending[id] == nil {
+		if m, ok := pr.unproposed[id]; ok && !pr.isCommitted(id) && pr.pending[id] == nil {
 			pr.propose(p, &m)
 		}
 	}

@@ -173,7 +173,7 @@ func Settled(members []*Process) bool {
 // each dropped multi-group entry's final timestamp for pull-based
 // proposal repair. Only a multi-group message is ever asked for (another
 // destination group's requestMissingProps), so a single-group entry
-// leaves nothing behind.
+// leaves nothing behind unless its client copy is still owed (owe).
 func (pr *Process) dropPrefix(to uint64) {
 	if to <= pr.logBase {
 		return
@@ -183,12 +183,16 @@ func (pr *Process) dropPrefix(to uint64) {
 		n = uint64(len(pr.log))
 	}
 	for i := uint64(0); i < n; i++ {
-		if e := &pr.log[i]; len(e.dst) > 1 {
-			if pr.truncTs == nil {
-				pr.truncTs = make(map[MsgID]Timestamp)
-			}
-			pr.truncTs[e.id] = e.ts
+		e := &pr.log[i]
+		delete(pr.logIdx, e.id)
+		if len(e.dst) == 1 {
+			pr.owe(e.id)
+			continue
 		}
+		if pr.truncTs == nil {
+			pr.truncTs = make(map[MsgID]Timestamp)
+		}
+		pr.truncTs[e.id] = e.ts
 	}
 	pr.statTruncated += n
 	pr.obsTruncated.Add(n)
