@@ -265,16 +265,17 @@ func TestBurstDroppedWhole(t *testing.T) {
 
 // TestLossyLinkTearsABurst: a lossy link draws per WR, so it can take a
 // burst's tail and leave its records, or the reverse. A lost tail is made
-// good by the next burst's: nothing is lost. Lost records leave a stale lap
-// under the published tail, which the consumer parses as old records or
-// drops as garbage — never past the tail, never anything torn, never a
-// record of the burst that did not land — and the ring is back in step for
-// what follows. Seeds are scanned until both tears have happened.
+// good by the next burst's: nothing is lost. Lost records leave a hole of
+// zeros under the published tail, which the consumer skips as empty
+// records — never an earlier lap's record, never past the tail, never
+// anything torn, never a record of the burst that did not land — and the
+// ring is back in step for what follows. Seeds are scanned until both
+// tears have happened.
 func TestLossyLinkTearsABurst(t *testing.T) {
 	const (
 		ringCap  = 512
 		perBurst = 3
-		warm     = 8 // bursts before the loss: more than a lap, so stale bytes are old records
+		warm     = 8 // bursts before the loss: more than a lap, so earlier laps' records were under the hole
 		after    = 4 // bursts after it
 	)
 	burst := func(b int) [][]byte {
@@ -284,6 +285,8 @@ func TestLossyLinkTearsABurst(t *testing.T) {
 	for seed := int64(1); seed <= 64 && (tornTail == 0 || tornRecords == 0); seed++ {
 		s, f, _, b := testFabric(t)
 		f.SetFaultSeed(seed)
+		m := obs.NewMetrics()
+		f.Observe(obs.New(nil, m))
 		mb := NewMailbox(b, ringCap)
 		w := mb.Connect(f, 1)
 		var got []int
@@ -303,11 +306,12 @@ func TestLossyLinkTearsABurst(t *testing.T) {
 			if off+3*recordSpan(len(first)+10) > mailboxHdr+ringCap {
 				t.Errorf("seed %d: the lossy burst wraps; pick another warm-up count", seed)
 			}
+			dropped := counter(m, "rdma/write_dropped")
 			f.SetLinkDrop(1, 2, 0.5)
 			send(warm)
 			f.SetLinkDrop(1, 2, 0)
-			recsLanded = bytes.Equal(mb.reg.mem(off + 4 + len(first))[off+4:], first)
 			tailLanded = mb.tailShadow() == w.tail
+			recsLanded = recordLanded(counter(m, "rdma/write_dropped")-dropped, tailLanded)
 			for i := warm + 1; i <= warm+after; i++ {
 				send(i)
 			}
@@ -336,17 +340,16 @@ func TestLossyLinkTearsABurst(t *testing.T) {
 		if mb.head != w.tail || mb.Pending() {
 			t.Fatalf("seed %d: ring out of step after the loss: head %d, producer tail %d", seed, mb.head, w.tail)
 		}
-		// Back in step: what follows the loss arrives, in order. Only the
-		// first burst after lost records may go with them, when the consumer
-		// drops the stale lap up to the tail that covers both.
-		sure := perBurst * (after - 1)
+		// Back in step: everything that follows the loss arrives, in order,
+		// since lost records leave zeros, not a stale lap to drop.
+		sure := perBurst * after
 		if len(got) < sure {
 			t.Fatalf("seed %d: delivered %v", seed, got)
 		}
 		for k, i := range got[len(got)-sure:] {
-			if i != perBurst*(warm+2)+k {
+			if i != perBurst*(warm+1)+k {
 				t.Fatalf("seed %d (records landed %v, tail landed %v): delivered %v, want it to end with %d..%d",
-					seed, recsLanded, tailLanded, got, perBurst*(warm+2), perBurst*(warm+after+1)-1)
+					seed, recsLanded, tailLanded, got, perBurst*(warm+1), perBurst*(warm+after+1)-1)
 			}
 		}
 		switch {
@@ -362,6 +365,10 @@ func TestLossyLinkTearsABurst(t *testing.T) {
 				if i/perBurst == warm {
 					t.Fatalf("seed %d: delivered datagram %d of the burst whose records never landed", seed, i)
 				}
+			}
+			// Exactly the hole is skipped: every other record, once.
+			if want := perBurst * (warm + after); len(got) != want {
+				t.Fatalf("seed %d: lost records: delivered %v, want the %d others", seed, got, want)
 			}
 		}
 	}

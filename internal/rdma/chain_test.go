@@ -231,23 +231,33 @@ func validLossyPayload(rec []byte) (int, bool) {
 	return i, bytes.Equal(rec, lossyPayload(i))
 }
 
+// recordLanded reports whether a lossy chain of one record WRITE and its
+// tail placed the record, from how many WRITEs the fabric dropped while
+// the chain was posted and whether its tail landed. Memory cannot tell
+// afterwards: the consumer zeroes what it drains (Mailbox.pass).
+func recordLanded(dropped uint64, tailLanded bool) bool {
+	return dropped == 0 || dropped == 1 && !tailLanded
+}
+
 // TestLossyLinkTearsAChain: a lossy link draws per WR, so it can take a
 // chain's tail and leave its record, or the reverse. Either way the ring
 // must deliver nothing torn and come back into step: a lost tail is made
-// good by the next datagram's, and a lost record leaves a stale lap under
-// the published tail, which the consumer parses as old records or drops as
-// garbage up to the tail (TryRecv). Seeds are scanned until both tears
-// have happened.
+// good by the next datagram's, and a lost record leaves a hole of zeros
+// under the published tail, which the consumer skips as empty records
+// (TryRecv) — though the ring has been lapped, it never parses an earlier
+// lap's records there. Seeds are scanned until both tears have happened.
 func TestLossyLinkTearsAChain(t *testing.T) {
 	const (
 		ringCap = 256
-		warm    = 14 // datagrams before the loss: more than a lap, so stale bytes are old records
+		warm    = 14 // datagrams before the loss: more than a lap, so earlier laps' records were under the hole
 		after   = 6  // datagrams after it
 	)
 	tornTail, tornRecord := 0, 0
 	for seed := int64(1); seed <= 64 && (tornTail == 0 || tornRecord == 0); seed++ {
 		s, f, _, b := testFabric(t)
 		f.SetFaultSeed(seed)
+		m := obs.NewMetrics()
+		f.Observe(obs.New(nil, m))
 		mb := NewMailbox(b, ringCap)
 		w := mb.Connect(f, 1)
 		var got []int
@@ -266,11 +276,12 @@ func TestLossyLinkTearsAChain(t *testing.T) {
 			if off+recordSpan(len(lossyPayload(warm))) > mailboxHdr+ringCap {
 				t.Errorf("seed %d: the lossy datagram wraps; pick another warm-up count", seed)
 			}
+			dropped := counter(m, "rdma/write_dropped")
 			f.SetLinkDrop(1, 2, 0.5)
 			send(warm)
 			f.SetLinkDrop(1, 2, 0)
-			recLanded = bytes.Equal(mb.reg.mem(off + 4 + len(lossyPayload(warm)))[off+4:], lossyPayload(warm))
 			tailLanded = mb.tailShadow() == w.tail
+			recLanded = recordLanded(counter(m, "rdma/write_dropped")-dropped, tailLanded)
 			for i := warm + 1; i <= warm+after; i++ {
 				send(i)
 			}
@@ -296,17 +307,17 @@ func TestLossyLinkTearsAChain(t *testing.T) {
 		if mb.head != w.tail || mb.Pending() {
 			t.Fatalf("seed %d: ring out of step after the loss: head %d, producer tail %d", seed, mb.head, w.tail)
 		}
-		// The ring is back in step: what follows the loss arrives, in order.
-		// Only the first datagram after a lost record may go with it, when
-		// the consumer drops the stale lap up to the tail that covers both.
-		sure := after - 1
+		// The ring is back in step: everything that follows the loss
+		// arrives, in order, since a lost record leaves zeros, not a stale
+		// lap to drop.
+		sure := after
 		if len(got) < sure {
 			t.Fatalf("seed %d: delivered %v", seed, got)
 		}
 		for k, i := range got[len(got)-sure:] {
-			if i != warm+2+k {
+			if i != warm+1+k {
 				t.Fatalf("seed %d (record landed %v, tail landed %v): delivered %v, want it to end with %d..%d",
-					seed, recLanded, tailLanded, got, warm+2, warm+after)
+					seed, recLanded, tailLanded, got, warm+1, warm+after)
 			}
 		}
 		switch {
@@ -322,6 +333,10 @@ func TestLossyLinkTearsAChain(t *testing.T) {
 				if i == warm {
 					t.Fatalf("seed %d: delivered datagram %d, whose record never landed", seed, warm)
 				}
+			}
+			// Exactly the hole is skipped: every other datagram, once.
+			if len(got) != warm+after {
+				t.Fatalf("seed %d: lost record: delivered %v, want the %d others", seed, got, warm+after)
 			}
 		}
 	}
@@ -392,7 +407,7 @@ func TestCreditOnDemand(t *testing.T) {
 	if w.head == 0 || w.head > mb.head {
 		t.Errorf("shadow head %d, consumer head %d", w.head, mb.head)
 	}
-	if pub := binary.LittleEndian.Uint64(mb.reg.mem(mailboxHdr)[mailboxHead:]); pub != mb.head {
+	if pub := binary.LittleEndian.Uint64(mb.hdr[mailboxHead:]); pub != mb.head {
 		t.Errorf("published head %d, consumer head %d", pub, mb.head)
 	}
 }
@@ -451,13 +466,13 @@ func TestLinkResetZeroesHeadAndShadow(t *testing.T) {
 				t.Errorf("datagram %d not delivered", i)
 			}
 		}
-		pub := binary.LittleEndian.Uint64(mb.reg.mem(mailboxHdr)[mailboxHead:])
+		pub := binary.LittleEndian.Uint64(mb.hdr[mailboxHead:])
 		if w.head == 0 || mb.head == 0 || pub != mb.head {
 			t.Errorf("before the reset: shadow %d, head %d, published %d", w.head, mb.head, pub)
 		}
 		f.PartitionLink(1, 2)
 		f.HealLink(1, 2)
-		pub = binary.LittleEndian.Uint64(mb.reg.mem(mailboxHdr)[mailboxHead:])
+		pub = binary.LittleEndian.Uint64(mb.hdr[mailboxHead:])
 		if w.head != 0 || w.tail != 0 || mb.head != 0 || pub != 0 || mb.tailShadow() != 0 {
 			t.Errorf("after the reset: shadow %d, producer tail %d, head %d, published %d, tail %d; want zeros",
 				w.head, w.tail, mb.head, pub, mb.tailShadow())

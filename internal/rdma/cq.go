@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"fmt"
+	"slices"
 
 	"heron/internal/obs"
 	"heron/internal/sim"
@@ -94,7 +95,8 @@ func (h *ReadHandle) land() {
 		q.sched.At(failAt, func() { h.cq.complete(h, err) })
 		return
 	}
-	h.buf = append(h.buf[:0], h.reg.mem(h.addr.Off + h.length)[h.addr.Off:]...)
+	h.buf = slices.Grow(h.buf[:0], h.length)[:h.length]
+	h.reg.read(h.buf, h.addr.Off)
 	h.cq.complete(h, nil)
 }
 

@@ -274,6 +274,14 @@ func TestMailboxScratchReuse(t *testing.T) {
 		}
 	})
 	s.Spawn("consumer", func(p *sim.Proc) {
+		// Everything has landed; nothing is drained yet, which would zero it.
+		p.Sleep(20 * sim.Microsecond)
+		// The padding after the short record "b" (bytes 5..8 of its span)
+		// must be zero, not the tail of the long record framed before it.
+		off := mailboxHdr + recordSpan(len(payloads[0]))
+		if pad := regionBytes(mb.reg, off+4+1, recordSpan(1)-4-1); string(pad) != "\x00\x00\x00" {
+			t.Errorf("padding carries stale bytes: %q", pad)
+		}
 		for range payloads {
 			rec, err := mb.Recv(p)
 			if err != nil {
@@ -281,12 +289,6 @@ func TestMailboxScratchReuse(t *testing.T) {
 				return
 			}
 			got = append(got, bytes.Clone(rec)) // valid until the next receive
-		}
-		// The padding after the short record "b" (bytes 5..8 of its span)
-		// must be zero, not the tail of the long record framed before it.
-		off := mailboxHdr + recordSpan(len(payloads[0]))
-		if pad := mb.reg.mem(off + recordSpan(1))[off+4+1:]; string(pad) != "\x00\x00\x00" {
-			t.Errorf("padding carries stale bytes: %q", pad)
 		}
 	})
 	if err := s.Run(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"heron/internal/sim"
 )
@@ -28,17 +29,46 @@ import (
 // Records are [u32 length][payload] padded to 8 bytes; a length of
 // 0xFFFFFFFF is a wrap marker telling the consumer to skip to the next
 // ring lap.
+//
+// The ring's memory holds only the bytes in flight (DESIGN §18 "Ring
+// pages"): the two words live apart, and the data ring in pageSize pages,
+// each materialized when a WRITE first reaches it in a lap and handed back
+// to the fabric's free list once the head has passed its end. A byte of a
+// page that is not materialized reads as zero, and so does every byte the
+// head has passed until a later lap writes it: a record WRITE that was
+// lost under a tail that landed leaves a hole of zeros, which the consumer
+// reads as empty records, in every lap as in the first.
 type Mailbox struct {
 	node *Node
 	reg  *Region
 	cap  int
 	head uint64 // absolute bytes consumed; moved only by advance
+	// lap and off are the head's lap and ring offset: head = lap*cap + off.
+	lap uint64
+	off int
+	// hdr is region bytes [0, mailboxHdr): the tail and head words.
+	hdr [mailboxHdr]byte
+	// pages is the data ring, page i holding ring bytes [i*pageSize,
+	// (i+1)*pageSize); nil until the first WRITE into it.
+	pages []ringPage
+	// ep is the transport endpoint whose ring number ring this mailbox is
+	// (Transport.writer), nil for a mailbox of its own.
+	ep   *Endpoint
+	ring int
 	// ready is Recv's wake filter, built once.
 	ready func() bool
 	// rec is what TryRecv returns: the last record received, copied out of
 	// the ring into this one reused buffer, which grows to the largest
 	// record seen.
 	rec []byte
+}
+
+// ringPage is one page of a ring's data area.
+type ringPage struct {
+	buf *[pageSize]byte // nil while not materialized
+	// lap is the latest lap a WRITE into the page belonged to: the page is
+	// freed when the head passes its end in that lap, not before.
+	lap uint64
 }
 
 // MailboxWriter is the producer half of a Mailbox. The ring is single
@@ -86,6 +116,7 @@ func NewMailbox(consumer *Node, capacity int) *Mailbox {
 		reg:  consumer.RegisterRegion(mailboxHdr + capacity),
 		cap:  capacity,
 	}
+	m.reg.mb = m
 	m.ready = func() bool { return m.node.crashed || m.stirred() }
 	return m
 }
@@ -103,13 +134,119 @@ func (m *Mailbox) Connect(f *Fabric, producer NodeID) *MailboxWriter {
 
 // tailShadow reads the remotely-written tail from local memory.
 func (m *Mailbox) tailShadow() uint64 {
-	return binary.LittleEndian.Uint64(m.reg.mem(8))
+	return binary.LittleEndian.Uint64(m.hdr[:mailboxHead])
 }
 
-// advance moves the head and publishes it for the producer's credit READ.
+// place lands a WRITE of data at region offset off: into the words, where
+// one that covers the tail marks the ring in its endpoint's ready set
+// (Endpoint.landed), and into the data pages, taking each page it reaches
+// that is not materialized from the fabric's free list. A byte ahead of
+// the head in the ring belongs to the head's lap, one behind it to the
+// next lap.
+func (m *Mailbox) place(off int, data []byte) {
+	if off < mailboxHdr {
+		if off < mailboxHead && m.ep != nil {
+			m.ep.mark(m.ring)
+		}
+		n := copy(m.hdr[off:], data)
+		off, data = mailboxHdr, data[n:]
+	}
+	if len(data) == 0 {
+		return
+	}
+	if m.pages == nil {
+		m.pages = m.node.fabric.pageTable((m.cap + pageSize - 1) / pageSize)
+	}
+	for x := off - mailboxHdr; len(data) > 0; {
+		lap := m.lap
+		if x < m.off {
+			lap++
+		}
+		pg := &m.pages[x/pageSize]
+		if pg.buf == nil {
+			pg.buf = m.node.fabric.takePage()
+		}
+		pg.lap = max(pg.lap, lap)
+		n := copy(pg.buf[x%pageSize:], data)
+		x, data = x+n, data[n:]
+	}
+}
+
+// read copies the ring's bytes at region offset off into dst.
+func (m *Mailbox) read(dst []byte, off int) {
+	if off < mailboxHdr {
+		n := copy(dst, m.hdr[off:])
+		off, dst = mailboxHdr, dst[n:]
+	}
+	for x := off - mailboxHdr; len(dst) > 0; {
+		var n int
+		if pg := m.page(x); pg != nil {
+			n = copy(dst, pg[x%pageSize:])
+		} else {
+			n = min(len(dst), pageSize-x%pageSize)
+			clear(dst[:n])
+		}
+		x, dst = x+n, dst[n:]
+	}
+}
+
+// page returns the materialized page holding ring byte x, or nil.
+func (m *Mailbox) page(x int) *[pageSize]byte {
+	if m.pages == nil {
+		return nil
+	}
+	return m.pages[x/pageSize].buf
+}
+
+// advance moves the head, publishes it for the producer's credit READ and
+// gives up the ring bytes the head passed (pass). A head that moves back,
+// or by more than a lap, is a resynchronization (TryRecv): nothing in the
+// ring is the consumer's any more, and every page goes back (release).
 func (m *Mailbox) advance(head uint64) {
+	if head < m.head || head-m.head > uint64(m.cap) {
+		m.release()
+		m.lap, m.off = head/uint64(m.cap), int(head%uint64(m.cap))
+	} else {
+		m.pass(head - m.head)
+	}
 	m.head = head
-	binary.LittleEndian.PutUint64(m.reg.mem(mailboxHdr)[mailboxHead:], head)
+	binary.LittleEndian.PutUint64(m.hdr[mailboxHead:], head)
+}
+
+// pass moves the head's lap and offset n ring bytes on, zeroing the bytes
+// it passes where they are materialized and freeing each page whose end it
+// reaches unless a WRITE of a later lap has landed in it. A freed page is
+// all zero: the head passed every byte of it that its lap wrote.
+func (m *Mailbox) pass(n uint64) {
+	for n > 0 {
+		end := min(m.off&^(pageSize-1)+pageSize, m.cap)
+		k := int(min(uint64(end-m.off), n))
+		if m.pages != nil {
+			if pg := &m.pages[m.off/pageSize]; pg.buf != nil {
+				clear(pg.buf[m.off%pageSize : m.off%pageSize+k])
+				if m.off+k == end && pg.lap <= m.lap {
+					m.node.fabric.putPage(pg.buf)
+					*pg = ringPage{}
+				}
+			}
+		}
+		m.off += k
+		n -= uint64(k)
+		if m.off == m.cap {
+			m.lap, m.off = m.lap+1, 0
+		}
+	}
+}
+
+// release zeroes every materialized data page and frees it.
+func (m *Mailbox) release() {
+	for i := range m.pages {
+		if pg := &m.pages[i]; pg.buf != nil {
+			clear(pg.buf[:])
+			m.node.fabric.putPage(pg.buf)
+			*pg = ringPage{}
+		}
+	}
 }
 
 // recordSpan returns the ring bytes a payload occupies.
@@ -250,11 +387,12 @@ func (w *MailboxWriter) waitCredit(p *sim.Proc, need int) error {
 // Under fault injection the ring can desynchronize: writes from the
 // producer are dropped while its tail bookkeeping advances (crashed or
 // partitioned consumer), or a link reset rewinds the producer while a
-// stale tail value is still in flight. Both surface here as a tail behind
-// the head or as a record that cannot be parsed; the consumer resynchronizes
-// by jumping its head to the published tail, dropping the unparseable lap.
-// Lost records are protocol messages, which the retry and view-change
-// machinery already covers.
+// stale tail value is still in flight. A lost record under a tail that
+// landed reads as zeros, which parse as empty records (Mailbox); a tail
+// behind the head, or a record that cannot be parsed, makes the consumer
+// resynchronize by jumping its head to the published tail. Lost records
+// are protocol messages, which the retry and view-change machinery already
+// covers.
 func (m *Mailbox) TryRecv() ([]byte, bool) {
 	for {
 		tail := m.tailShadow()
@@ -267,20 +405,24 @@ func (m *Mailbox) TryRecv() ([]byte, bool) {
 			m.advance(tail)
 			return nil, false
 		}
-		off := int(m.head % uint64(m.cap))
-		length := binary.LittleEndian.Uint32(m.reg.mem(mailboxHdr + off + 4)[mailboxHdr+off:])
+		off := m.off
+		var length uint32 // a record starts 8-aligned: its length word is in one page
+		if pg := m.page(off); pg != nil {
+			length = binary.LittleEndian.Uint32(pg[off%pageSize:])
+		}
 		if length == wrapMarker {
 			m.advance(m.head + uint64(m.cap-off))
 			continue
 		}
 		span := recordSpan(int(length))
 		if int(length) > maxRecordLen || off+span > m.cap || uint64(span) > tail-m.head {
-			// Garbage record: dropped writes left a stale lap under the
+			// Garbage record: a desynchronized producer wrote under the
 			// published tail. Skip to the tail and resynchronize.
 			m.advance(tail)
 			return nil, false
 		}
-		m.rec = append(m.rec[:0], m.reg.mem(mailboxHdr + off + 4 + int(length))[mailboxHdr+off+4:]...)
+		m.rec = slices.Grow(m.rec[:0], int(length))[:length]
+		m.read(m.rec, mailboxHdr+off+4)
 		m.advance(m.head + uint64(span))
 		return m.rec, true
 	}
@@ -310,11 +452,13 @@ func (m *Mailbox) Pending() bool { return m.tailShadow() > m.head }
 func (m *Mailbox) stirred() bool { return m.tailShadow() != m.head }
 
 // reset reinitializes the consumer half: the tail cell, the published head
-// and the head cursor return to zero, discarding whatever the ring holds.
-// Called when the link to the producer is re-established after faults.
+// and the head cursor return to zero, and every data page goes back to the
+// free list, discarding whatever the ring holds. Called when the link to
+// the producer is re-established after faults.
 func (m *Mailbox) reset() {
-	clear(m.reg.mem(mailboxHdr))
-	m.head = 0
+	m.hdr = [mailboxHdr]byte{}
+	m.head, m.lap, m.off = 0, 0, 0
+	m.release()
 }
 
 // reset reinitializes the producer half: the tail bookkeeping and the

@@ -182,7 +182,7 @@ func (q *QP) Read(p *sim.Proc, addr Addr, length int) ([]byte, error) {
 			failed = true
 			return
 		}
-		copy(buf, reg.mem(addr.Off + length)[addr.Off:])
+		reg.read(buf, addr.Off)
 	})
 	p.Sleep(sim.Duration(done - p.Now()))
 	if failed {
@@ -279,14 +279,12 @@ func (op *postOp) land() {
 	q.putOp(op)
 }
 
-// place lands the chain in target memory, in order, marks every ring whose
-// tail word it wrote in its endpoint's ready set, and wakes the target's
-// pollers once.
+// place lands the chain in target memory, in order — a ring marks itself
+// in its endpoint's ready set when its tail word lands (Mailbox.place) —
+// and wakes the target's pollers once.
 func (q *QP) place(chain []landing) {
 	for i := range chain {
-		l := &chain[i]
-		copy(l.reg.mem(l.off + len(l.data))[l.off:], l.data)
-		l.reg.markTail(l.off)
+		chain[i].reg.write(chain[i].off, chain[i].data)
 	}
 	q.remote.writeNotify.Broadcast()
 }

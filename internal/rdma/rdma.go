@@ -100,7 +100,48 @@ type Fabric struct {
 	// resetHooks fire when a path is re-established (heal, node recovery)
 	// so transports can reinitialize desynchronized ring state.
 	resetHooks []func(a, b NodeID)
+
+	// pages is the free list of ring pages (Mailbox.place), every one
+	// zeroed: a page the head has passed comes back here for any ring of
+	// the fabric, so the list holds at most what the rings once held
+	// together.
+	pages []*[pageSize]byte
+	// tables is what is left of the slab the rings' page tables are cut
+	// from (pageTable).
+	tables []ringPage
 }
+
+// tableSlab is how many page-table entries the fabric allocates at once:
+// the tables of 64 rings of 64 KiB, the transports' size.
+const tableSlab = 1024
+
+// pageTable returns n zeroed page-table entries for a ring's first data
+// WRITE (Mailbox.place), cut from a slab: a ring that carries nothing
+// costs no table, and one that does costs no allocation of its own.
+func (f *Fabric) pageTable(n int) []ringPage {
+	if len(f.tables) < n {
+		f.tables = make([]ringPage, max(n, tableSlab))
+	}
+	t := f.tables[:n:n]
+	f.tables = f.tables[n:]
+	return t
+}
+
+// takePage returns a zeroed ring page, allocating one only when the free
+// list is empty.
+func (f *Fabric) takePage() *[pageSize]byte {
+	n := len(f.pages)
+	if n == 0 {
+		return new([pageSize]byte)
+	}
+	pg := f.pages[n-1]
+	f.pages[n-1] = nil
+	f.pages = f.pages[:n-1]
+	return pg
+}
+
+// putPage returns a zeroed ring page to the free list.
+func (f *Fabric) putPage(pg *[pageSize]byte) { f.pages = append(f.pages, pg) }
 
 // NewFabric creates a fabric over the given scheduler. Its Config
 // argument is empty (see Config).
@@ -257,18 +298,11 @@ type Region struct {
 	// buf is the materialized prefix [0, len(buf)): bytes past it were
 	// never touched and read as zero. Use mem.
 	buf []byte
-	// ep is the transport endpoint whose ring number ring this region
-	// carries (Transport.writer), nil for any other region.
-	ep   *Endpoint
-	ring int
-}
-
-// markTail marks the region's ring in its endpoint's ready set when a
-// remote write at off covers the ring's tail word (Endpoint.landed).
-func (r *Region) markTail(off int) {
-	if r.ep != nil && off < mailboxHead {
-		r.ep.mark(r.ring)
-	}
+	// mb is the mailbox whose ring this region carries, nil for any other
+	// region. A ring keeps its memory in the mailbox (Mailbox.place), never
+	// in buf, and no caller outside rdma gets its region: Bytes and
+	// BytesTo are for the others.
+	mb *Mailbox
 }
 
 // pageSize is the granule registered memory materializes in, as an
@@ -278,13 +312,13 @@ const pageSize = 4096
 // mem returns the region's first end bytes, materializing them on demand.
 // Registered memory is demand-zeroed, and a region costs only the prefix
 // its accesses reached, in whole pages: a replica's 8 MB aux staging area
-// after a transfer of a few hundred bytes, or a ring that carried a few
-// records, holds a page, not its size. The prefix at least quadruples as
-// it grows, and takes the whole region once it would cover half of it, so
-// a ring that fills grows a handful of times and copies each byte O(1)
-// times amortized. A growth moves the prefix: what mem returns is valid
-// until the next call that grows the region, and only Bytes, which
-// materializes all of it, hands out memory that never moves.
+// after a transfer of a few hundred bytes holds a page, not its size. The
+// prefix at least quadruples as it grows, and takes the whole region once
+// it would cover half of it, so a region that fills grows a handful of
+// times and copies each byte O(1) times amortized. A growth moves the
+// prefix: what mem returns is valid until the next call that grows the
+// region, and only Bytes, which materializes all of it, hands out memory
+// that never moves. A ring region has no prefix (Mailbox.place).
 func (r *Region) mem(end int) []byte {
 	if end > len(r.buf) {
 		n := max((end+pageSize-1)&^(pageSize-1), 4*len(r.buf))
@@ -296,6 +330,24 @@ func (r *Region) mem(end int) []byte {
 		r.buf = buf
 	}
 	return r.buf[:end]
+}
+
+// write lands data at off, as a WRITE's DMA does.
+func (r *Region) write(off int, data []byte) {
+	if r.mb != nil {
+		r.mb.place(off, data)
+		return
+	}
+	copy(r.mem(off + len(data))[off:], data)
+}
+
+// read copies the bytes at off into dst, as a READ's DMA does.
+func (r *Region) read(dst []byte, off int) {
+	if r.mb != nil {
+		r.mb.read(dst, off)
+		return
+	}
+	copy(dst, r.mem(off + len(dst))[off:])
 }
 
 // Key returns the region's rkey.

@@ -1,7 +1,6 @@
 package rdma
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -10,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"heron/internal/obs"
 	"heron/internal/sim"
 )
 
@@ -108,6 +108,8 @@ func runReady(t *testing.T, seed int64, sc scanner) readyRun {
 		f.AddNode(id)
 	}
 	f.SetFaultSeed(seed)
+	m := obs.NewMetrics()
+	f.Observe(obs.New(nil, m))
 	tr := NewTransport(f, ringCap)
 	tr.Prewire([][2]NodeID{{3, 4}, {1, 4}, {2, 4}})
 	ep := tr.Endpoint(4)
@@ -132,17 +134,19 @@ func runReady(t *testing.T, seed int64, sc scanner) readyRun {
 				}
 				off := int(w.tail % ringCap)
 				first := burst[0]
+				posted := counter(m, "rdma/qp/n2->n4/write_bytes")
 				if err := tr.Send(p, id, 4, burst...); err != nil {
 					logf("producer %d burst %d: %v", id, b, err)
 				}
 				if lossy {
 					f.SetLinkDrop(2, 4, 0)
 					p.Sleep(5 * sim.Microsecond) // landed, if it was going to
-					// Classify the tear as TestLossyLinkTearsABurst does, for
-					// bursts posted as one chain from where the tail stood.
+					// Classify the tear, for bursts posted as one chain from
+					// where the tail stood: the bytes the QP posted are the
+					// records' WRITE, the 8-byte tail's, both or neither.
 					if int(w.tail%ringCap) > off && off+recordSpan(8+len(first)) <= ringCap {
-						at := mailboxHdr + off + 4 + 8
-						recs := bytes.Equal(mb.reg.mem(at + len(first))[at:], first)
+						sent := counter(m, "rdma/qp/n2->n4/write_bytes") - posted
+						recs := sent != 0 && sent != 8
 						tail := mb.tailShadow() == w.tail
 						switch {
 						case recs && !tail:

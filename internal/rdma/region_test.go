@@ -17,6 +17,14 @@ func run(t *testing.T, s *sim.Scheduler, fn func(p *sim.Proc)) {
 	}
 }
 
+// regionBytes returns a copy of reg's n bytes at off, as a READ's DMA
+// sees them.
+func regionBytes(reg *Region, off, n int) []byte {
+	b := make([]byte, n)
+	reg.read(b, off)
+	return b
+}
+
 // readBack READs length bytes at off of reg over qp, synchronously and
 // through a posted READ, and fails unless both return want.
 func readBack(t *testing.T, s *sim.Scheduler, qp *QP, reg *Region, off int, want []byte) {

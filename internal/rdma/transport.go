@@ -46,7 +46,7 @@ type Endpoint struct {
 	from  []NodeID
 	next  int // round-robin cursor for fairness across rings
 	// landed is the ready set, one bit per ring of boxes: a landing that
-	// writes a ring's tail word marks it (Region.markTail), and a scan that
+	// writes a ring's tail word marks it (Mailbox.place), and a scan that
 	// finds the ring with its tail on its head unmarks it. Invariant: an
 	// unmarked ring has tail == head, so TryRecv, Stirred and Pending look
 	// at marked rings only; an extra mark costs one look.
@@ -94,7 +94,7 @@ func (t *Transport) writer(a, b NodeID) *MailboxWriter {
 	ep := t.Endpoint(b)
 	mb := NewMailbox(ep.node, t.ringCap)
 	w := mb.Connect(t.fabric, a)
-	mb.reg.ep, mb.reg.ring = ep, len(ep.boxes)
+	mb.ep, mb.ring = ep, len(ep.boxes)
 	if len(ep.boxes)%64 == 0 {
 		ep.landed = append(ep.landed, 0)
 	}
