@@ -30,6 +30,7 @@ func RunDynaStar(opt Options) (*HeronRun, error) {
 			rep.App().(*tpcc.App).PopulateObjects(rep.LoadObject)
 		}
 	}
+	ds.DropImages()
 	d.Start()
 	return runClosedLoop(s, opt, 0, func(int) submitFunc {
 		cl := d.NewClient()

@@ -173,6 +173,7 @@ func measureFullWarehouse() (int, sim.Duration, error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	ds.DropImages()
 	d.Start()
 
 	var lat sim.Duration

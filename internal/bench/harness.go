@@ -123,6 +123,7 @@ func BuildHeron(s *sim.Scheduler, opt Options) (*core.Deployment, *tpcc.Dataset,
 		if err != nil {
 			return nil, nil, err
 		}
+		ds.DropImages()
 	}
 	d.Observe(opt.Obs)
 	d.Start()

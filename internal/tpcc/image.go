@@ -166,6 +166,13 @@ func (d *Dataset) image(wid int32) *warehouseImage {
 	return l.img
 }
 
+// DropImages lets go of every warehouse image generated so far, once
+// each replica has installed its copy: a later Populate or
+// PopulateObjects generates the image again, identical. Rows that
+// PopulateObjects handed out stay with whoever keeps them. Not safe
+// concurrently with Populate or PopulateObjects.
+func (d *Dataset) DropImages() { clear(d.images) }
+
 // genImage generates warehouse wid's rows, in the order replicas register
 // them, and its local tables.
 func (d *Dataset) genImage(wid int32) *warehouseImage {

@@ -77,6 +77,28 @@ func TestImageRowsAreGeneratedRows(t *testing.T) {
 	}
 }
 
+// TestDropImagesRegenerates: DropImages lets go of every image, and a
+// replica populated after it still gets its warehouse's generated rows and
+// local tables.
+func TestDropImagesRegenerates(t *testing.T) {
+	ds := NewDataset(42, 2, SmallScale())
+	before, _ := populated(t, ds, 1)
+	ds.DropImages()
+	for i := range ds.images {
+		if ds.images[i].img != nil {
+			t.Fatalf("warehouse %d's image outlived DropImages", i+1)
+		}
+	}
+	after, st := populated(t, ds, 1)
+	checkGeneratedRows(t, ds, 2, st)
+	if !reflect.DeepEqual(after.auxTables, before.auxTables) {
+		t.Fatal("the regenerated image's local tables differ from the first")
+	}
+	if ds.images[1].img == nil || ds.images[0].img != nil {
+		t.Fatal("Populate after DropImages did not regenerate exactly its own image")
+	}
+}
+
 // TestImageAuxIsGeneratedAux: the image's warehouse-local tables, and a
 // populated replica's, deep-equal freshly generated ones.
 func TestImageAuxIsGeneratedAux(t *testing.T) {
