@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"heron/internal/sim"
@@ -84,9 +85,6 @@ func TestLinkDelaySlowsCompletion(t *testing.T) {
 	}
 }
 
-// TestLinkDropDeterministic: with a seeded fault RNG, the set of dropped
-// operations is identical across two runs, and a nonzero fraction of
-// operations both fail and succeed.
 // TestJitteredWritesLandInPostOrder: on a jittered link each WRITE draws
 // its own extra delay, yet RC places a QP's WRITEs in post order, so a
 // later WRITE never lands before an earlier one.
@@ -119,6 +117,9 @@ func TestJitteredWritesLandInPostOrder(t *testing.T) {
 	}
 }
 
+// TestLinkDropDeterministic: with a seeded fault RNG, which READs a lossy
+// link retransmits, and how often, is identical across two runs; some are
+// and some are not, and none fails.
 func TestLinkDropDeterministic(t *testing.T) {
 	run := func() string {
 		s := sim.NewScheduler()
@@ -132,10 +133,12 @@ func TestLinkDropDeterministic(t *testing.T) {
 		outcome := ""
 		s.Spawn("r", func(p *sim.Proc) {
 			for i := 0; i < 40; i++ {
+				t0 := p.Now()
 				if _, err := qp.Read(p, reg.Addr(0), 8); err != nil {
 					outcome += "x"
 				} else {
-					outcome += "."
+					// Each retransmit adds one timeout to the READ.
+					outcome += fmt.Sprint(sim.Duration(p.Now()-t0) / RetransmitTimeout)
 				}
 			}
 		})
@@ -148,14 +151,11 @@ func TestLinkDropDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("same fault seed produced different drop patterns:\n%s\n%s", a, b)
 	}
-	var drops int
-	for _, c := range a {
-		if c == 'x' {
-			drops++
-		}
+	if strings.Contains(a, "x") {
+		t.Fatalf("a lossy link failed READs: %s", a)
 	}
-	if drops == 0 || drops == len(a) {
-		t.Fatalf("drop fraction 0.3 produced %d/%d failures", drops, len(a))
+	if late := len(a) - strings.Count(a, "0"); late == 0 || late == len(a) {
+		t.Fatalf("drop fraction 0.3 delayed %d/%d READs: %s", late, len(a), a)
 	}
 }
 
