@@ -65,7 +65,7 @@ func (r *Replica) runControl(p *sim.Proc) {
 	// would find nothing — no ring to drain, no parked reply, no
 	// state-transfer request to watch or serve.
 	busy := func() bool {
-		return r.node.Crashed() || ep.Stirred() || len(r.gatedQ) > 0 || len(watches) > 0 || r.stActive()
+		return r.node.Crashed() || ep.Pending() || len(r.gatedQ) > 0 || len(watches) > 0 || r.stActive()
 	}
 	for !r.node.Crashed() {
 		for {

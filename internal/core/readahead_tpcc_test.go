@@ -19,7 +19,7 @@ func TestReadAheadTargetCrashes(t *testing.T) {
 	l.runUntil(t, sim.Time(sim.Millisecond))
 	var reader, victim *core.Replica
 	for at := l.s.Now(); victim == nil; {
-		if at > sim.Time(2*sim.Millisecond) {
+		if at > sim.Time(5*sim.Millisecond) {
 			t.Fatal("no READ posted ahead was ever in flight to a replica other than a multicast leader")
 		}
 		at += sim.Time(100 * sim.Nanosecond)

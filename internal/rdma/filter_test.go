@@ -276,10 +276,11 @@ func TestMailboxScratchReuse(t *testing.T) {
 	s.Spawn("consumer", func(p *sim.Proc) {
 		// Everything has landed; nothing is drained yet, which would zero it.
 		p.Sleep(20 * sim.Microsecond)
-		// The padding after the short record "b" (bytes 5..8 of its span)
-		// must be zero, not the tail of the long record framed before it.
+		// The padding after the short record "b" (bytes 5..12 of its span,
+		// before its stamp) must be zero, not the long record framed before
+		// it.
 		off := mailboxHdr + recordSpan(len(payloads[0]))
-		if pad := regionBytes(mb.reg, off+4+1, recordSpan(1)-4-1); string(pad) != "\x00\x00\x00" {
+		if pad := regionBytes(mb.reg, off+4+1, recordSpan(1)-8-1); string(pad) != string(make([]byte, 7)) {
 			t.Errorf("padding carries stale bytes: %q", pad)
 		}
 		for range payloads {
