@@ -86,3 +86,34 @@ func TestSteadyStateAllocatesOnlyBodies(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterSetupAllocatesNoMore pins what building the open-loop
+// benchmark's deployment costs: NewCluster(4, 3, 2) prewires 182 rings, and
+// anything a ring needs to carry records is made at its first WRITE, never
+// at registration. The bounds are the cost before records validated
+// themselves, 2 082–2 083 allocations and 185.2–185.8 kB over runs of this
+// test, with room for that run-to-run variation.
+func TestClusterSetupAllocatesNoMore(t *testing.T) {
+	const (
+		builds   = 10
+		maxAlloc = 2090
+		maxBytes = 187_000
+	)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range builds {
+		c, err := NewCluster(4, 3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Sched.Close()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / builds
+	bytes := (after.TotalAlloc - before.TotalAlloc) / builds
+	t.Logf("NewCluster(4, 3, 2): %d allocations, %d bytes", allocs, bytes)
+	if allocs > maxAlloc || bytes > maxBytes {
+		t.Fatalf("NewCluster(4, 3, 2) allocates %d times, %d bytes; want at most %d and %d", allocs, bytes, maxAlloc, maxBytes)
+	}
+}
