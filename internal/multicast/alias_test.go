@@ -127,7 +127,8 @@ func (e *scribbled) RecvTimeout(p *sim.Proc, d sim.Duration) ([]byte, rdma.NodeI
 // aliasScript runs two groups of three through a window in which group
 // 0's leader hears no ack (so it decides, appends and recycles messages
 // whose proposals are not quorum-replicated yet), a lossy window on group
-// 1's leader (resync), a crash of group 0's leader (view change) and
+// 1's leader whose link resets lose records (resync), a crash of group 0's
+// leader (view change) and
 // mixed single- and two-group traffic, and returns every member's
 // deliveries.
 func aliasScript(t *testing.T, sc *scribbler) [][][]Delivery {
@@ -155,7 +156,7 @@ func aliasScript(t *testing.T, sc *scribbler) [][][]Delivery {
 	}
 	c.s.After(300*sim.Microsecond, func() { deaf(1) })
 	c.s.After(700*sim.Microsecond, func() { deaf(0) })
-	c.s.After(1000*sim.Microsecond, func() { setDrop(0.3) })
+	c.s.After(1000*sim.Microsecond, func() { setDrop(0.7) })
 	c.s.After(4*sim.Millisecond, func() { setDrop(0) })
 	c.s.After(6*sim.Millisecond, func() { c.procs[0][0].Crash() })
 	cl := NewClient(OverRDMA(c.tr), &c.cfg, c.addClientNode(100))
