@@ -94,6 +94,7 @@ func (pr *Process) retryProposals(p *sim.Proc, now sim.Time) {
 // requestMissingProps asks the members of every destination group whose
 // proposal for pend has not arrived to re-send it.
 func (pr *Process) requestMissingProps(pend *pendingMsg) {
+	pr.obsPropPulls.Inc()
 	rec := pr.rec(encodePropRequest(pr.arena, &propRequest{id: pend.msg.id}))
 	for i, h := range pend.msg.dst {
 		if h == pr.group || pend.props[i] != 0 {
@@ -307,7 +308,9 @@ func (pr *Process) onAck(p *sim.Proc, m *ackMsg, from rdma.NodeID) {
 	}
 	if m.repSeq > pr.ackedRep[rank] {
 		pr.ackedRep[rank] = m.repSeq
-		pr.lagSince[rank] = 0 // progress: disarm the resync timer
 		pr.fireMilestones(p)
+	}
+	if m.repSeq < pr.repSeq {
+		pr.repair(rank, from)
 	}
 }

@@ -31,6 +31,12 @@ func newCluster(t *testing.T, groups, n int) *cluster {
 // tap that logs or drops datagrams); c.over is what they were given.
 func newClusterOver(t *testing.T, groups, n int, wrap func(Transport) Transport) *cluster {
 	t.Helper()
+	return newClusterRing(t, groups, n, 1<<20, wrap)
+}
+
+// newClusterRing is newClusterOver with rings of ringCap bytes.
+func newClusterRing(t *testing.T, groups, n, ringCap int, wrap func(Transport) Transport) *cluster {
+	t.Helper()
 	s := sim.NewScheduler()
 	fab := rdma.NewFabric(s, rdma.DefaultConfig())
 	layout := make([][]rdma.NodeID, groups)
@@ -42,7 +48,7 @@ func newClusterOver(t *testing.T, groups, n int, wrap func(Transport) Transport)
 			id++
 		}
 	}
-	tr := rdma.NewTransport(fab, 1<<20)
+	tr := rdma.NewTransport(fab, ringCap)
 	cfg := DefaultConfig(layout)
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)

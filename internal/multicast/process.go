@@ -211,7 +211,7 @@ type Process struct {
 	// replication record applied contiguously in the current view.
 	repSeq        uint64
 	ackedRep      []uint64 // per follower rank, for the current view
-	lagSince      []sim.Time
+	linkInc       []uint64 // per rank: the link incarnation last repaired, or owedInc (resync.go)
 	milestones    milestoneQueue
 	nextHeartbeat sim.Time
 	// reshapePending marks a leader installed by PrepareReshape whose
@@ -269,6 +269,8 @@ type Process struct {
 	// series from the pending-ordering backlog.
 	obsFlight *obs.FlightRecorder
 	obsHeat   *obs.PartitionHeat
+	// Repair traffic: resyncs sent, their bytes, and proposal pulls.
+	obsResyncs, obsResyncBytes, obsPropPulls *obs.Counter
 }
 
 // Observe attaches observability instruments: the ordering-latency
@@ -284,6 +286,9 @@ func (pr *Process) Observe(o *obs.Observer) {
 	pr.obsDelivered = o.Counter(fmt.Sprintf("mc/g%d/delivered", pr.group))
 	pr.obsViewChanges = o.Counter(fmt.Sprintf("mc/g%d/view_changes", pr.group))
 	pr.obsTruncated = o.Counter(fmt.Sprintf("mc/g%d/truncated", pr.group))
+	pr.obsResyncs = o.Counter(fmt.Sprintf("mc/g%d/resyncs", pr.group))
+	pr.obsResyncBytes = o.Counter(fmt.Sprintf("mc/g%d/resync_bytes", pr.group))
+	pr.obsPropPulls = o.Counter(fmt.Sprintf("mc/g%d/prop_pulls", pr.group))
 	pr.obsBusy = o.Counter(fmt.Sprintf("mc/g%d/r%d/busy_ns", pr.group, pr.rank))
 	pr.obsFirstSeen = make(map[MsgID]sim.Time)
 	pr.obsFlight = o.Flight()
@@ -314,9 +319,9 @@ func NewProcess(tr Transport, cfg *Config, g GroupID, rank int) *Process {
 		unproposed:  make(map[MsgID]clientMsg),
 		outboxOf:    make(map[rdma.NodeID]int),
 		ackedRep:    make([]uint64, len(cfg.Groups[g])),
-		lagSince:    make([]sim.Time, len(cfg.Groups[g])),
 		truncateAt:  truncateEvery,
 	}
+	pr.seeLinks()
 	if rank == 0 {
 		pr.role = roleLeader
 	} else {
@@ -472,7 +477,6 @@ func (pr *Process) tick(p *sim.Proc) {
 			pr.nextHeartbeat = now + sim.Time(pr.cfg.HeartbeatInterval)
 		}
 		pr.retryProposals(p, now)
-		pr.checkResyncs(now)
 	case roleFollower:
 		if now >= pr.leaderDeadline {
 			pr.suspectNext(p)
@@ -540,13 +544,14 @@ func (pr *Process) broadcastGroup(payload []byte) {
 
 // flushOutboxes transmits every queued datagram, one Send per destination
 // in first-use order, each destination's datagrams in the order they were
-// queued. Ring backpressure errors from dead peers are tolerated: they
-// surface as dropped protocol messages, which the retry/view-change
-// machinery already covers.
+// queued. A failed Send may leave a hole in a member's replication stream
+// (resync.go); other losses are covered by retries and view changes.
 func (pr *Process) flushOutboxes(p *sim.Proc) {
 	for _, i := range pr.outOrder {
 		ob := &pr.outboxes[i]
-		_ = pr.tr.Send(p, pr.id, ob.to, ob.msgs...)
+		if err := pr.tr.Send(p, pr.id, ob.to, ob.msgs...); err != nil && pr.rankOf(ob.to) >= 0 {
+			pr.linkInc[pr.rankOf(ob.to)] = owedInc
+		}
 		clear(ob.msgs) // the queue outlives the flush; the datagrams need not
 		ob.msgs = ob.msgs[:0]
 	}
@@ -687,13 +692,10 @@ func (pr *Process) onRepProposal(p *sim.Proc, m *repProposal) {
 	pr.lastAcceptedView = m.view
 	pr.leaderDeadline = p.Now() + sim.Time(pr.cfg.LeaderTimeout)
 	if m.repSeq != pr.repSeq+1 {
-		// Out-of-order replication record: a preceding record was lost on
-		// the fabric. Applying (or acking) past the hole would let the
-		// leader count us toward a quorum for state we do not hold; skip
-		// and let the leader's resync repair us.
-		if m.repSeq <= pr.repSeq {
-			pr.needAck = true // stale duplicate; refresh the leader's view of us
-		}
+		// Past a hole (resync.go) or stale. Acking past a hole would count
+		// us toward a quorum for state we do not hold: ack where we are,
+		// which tells the leader we trail, and wait for its resync.
+		pr.needAck = true
 		return
 	}
 	if !pr.isCommitted(m.msg.id) {
@@ -724,12 +726,7 @@ func (pr *Process) onRepCommit(p *sim.Proc, m *repCommit) {
 	pr.leaderDeadline = p.Now() + sim.Time(pr.cfg.LeaderTimeout)
 
 	if m.repSeq != pr.repSeq+1 {
-		// Out-of-order record (a predecessor was dropped in the fabric):
-		// do not apply or ack past the hole; the leader's resync repairs
-		// us with a full snapshot.
-		if m.repSeq <= pr.repSeq {
-			pr.needAck = true
-		}
+		pr.needAck = true // past a hole, or stale: as in onRepProposal
 		return
 	}
 	if m.gseq < pr.commitIdx {
@@ -739,14 +736,11 @@ func (pr *Process) onRepCommit(p *sim.Proc, m *repCommit) {
 		return
 	}
 	pend := pr.pending[m.id]
-	if !m.hasBody && pend == nil {
-		// The body rides the repProposal, which precedes the commit in a
-		// contiguous stream; a missing body means our state predates this
-		// view's stream. Do NOT ack past it — wait for resync.
+	if !m.hasBody && pend == nil || m.gseq > pr.logBase+uint64(len(pr.log)) {
+		// A missing body (it rides an earlier repProposal) or a log hole in
+		// a contiguous stream: no event leads here (DESIGN §23).
+		pr.needAck = true
 		return
-	}
-	if m.gseq > pr.logBase+uint64(len(pr.log)) {
-		return // log hole: wait for resync, and do not ack past it
 	}
 	entry := logEntry{id: m.id, ts: m.ts}
 	if pend != nil {
@@ -795,6 +789,7 @@ func (pr *Process) onCommitIdx(p *sim.Proc, m *commitIdxMsg) {
 		pr.commitIdx = idx
 		pr.deliverCommitted()
 	}
+	pr.needAck = pr.needAck || m.commitIdx > idx // committed entries we lack: say we trail
 	// Apply the leader's advertised truncation point as far as this
 	// member may (followerTruncation).
 	if m.truncate > 0 {

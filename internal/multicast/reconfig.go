@@ -71,7 +71,7 @@ func (pr *Process) PrepareReshape(states []*RecoveryState, newView uint64) {
 	pr.AlignView(newView)
 	n := pr.n()
 	pr.ackedRep = make([]uint64, n)
-	pr.lagSince = make([]sim.Time, n)
+	pr.seeLinks()
 	pr.repSeq = 0
 	pr.milestones.reset()
 	pr.repToGseq = nil

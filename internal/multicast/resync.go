@@ -1,53 +1,41 @@
 package multicast
 
 import (
+	"heron/internal/rdma"
 	"heron/internal/sim"
 )
 
-// Intra-view gap repair.
-//
-// Replication records (repProposal, repCommit) carry a per-view sequence
-// number and followers apply them strictly in order: a record whose
-// predecessor was lost on the fabric (dropped one-sided write, desynced
-// ring) is ignored and never acknowledged. That keeps acks truthful —
-// the leader never counts a follower toward a quorum for state it does
-// not hold — but it also means a single lost record stalls the
-// follower's ack stream for the rest of the view, and if enough
-// followers stall, commit stalls with them while heartbeats keep
-// flowing, so no view change ever repairs the gap.
-//
-// The leader closes the loop: a follower whose cumulative ack trails the
-// replication stream for longer than resyncInterval is shipped a full
-// state snapshot (the same viewState the view-change path exchanges),
-// stamped with the stream position it covers. One delivered snapshot
-// repairs any number of lost records, so under a lossy link repair
-// simply retries until a snapshot gets through.
+// Intra-view gap repair. Followers never apply or ack past a hole in the
+// replication stream. Over RC one follows only an event the leader sees
+// (DESIGN §23): a reset of its link to the member, or a failed Send to
+// it. Either makes the leader owe the member one resync, a full state
+// snapshot stamped with the stream position it covers, paid at the
+// member's first ack that trails the stream. A member that stays down
+// never acks, so it is sent nothing.
 
-// resyncInterval is how long a follower's cumulative replication ack may
-// trail the leader's stream before the leader re-replicates by snapshot.
-const resyncInterval = 400 * sim.Microsecond
+// owedInc marks a rank whose Send failed: no link incarnation equals it.
+const owedInc = ^uint64(0)
 
-// checkResyncs runs on every leader tick: detect followers whose acks
-// have stalled behind the stream and re-replicate to them by snapshot.
-func (pr *Process) checkResyncs(now sim.Time) {
-	for rank := range pr.ackedRep {
-		if rank == pr.rank {
-			continue
-		}
-		if pr.ackedRep[rank] >= pr.repSeq {
-			pr.lagSince[rank] = 0
-			continue
-		}
-		if pr.lagSince[rank] == 0 {
-			pr.lagSince[rank] = now
-			continue
-		}
-		if now-pr.lagSince[rank] < sim.Time(resyncInterval) {
-			continue
-		}
-		pr.send(pr.members()[rank], pr.rec(encodeResync(pr.arena, &resyncMsg{repSeq: pr.repSeq, st: pr.snapshotState()})))
-		pr.lagSince[rank] = now // wait a full interval before retrying
+// seeLinks starts a replication stream, which owes no member a resync.
+func (pr *Process) seeLinks() {
+	pr.linkInc = pr.linkInc[:0]
+	for _, m := range pr.members() {
+		pr.linkInc = append(pr.linkInc, pr.tr.Incarnation(pr.id, m))
 	}
+}
+
+// repair runs at an ack from rank (node to) that trails the stream, and
+// pays the resync the leader owes it, if any.
+func (pr *Process) repair(rank int, to rdma.NodeID) {
+	inc := pr.tr.Incarnation(pr.id, to)
+	if inc == pr.linkInc[rank] {
+		return
+	}
+	pr.linkInc[rank] = inc
+	rec := pr.rec(encodeResync(pr.arena, &resyncMsg{repSeq: pr.repSeq, st: pr.snapshotState()}))
+	pr.send(to, rec)
+	pr.obsResyncs.Inc()
+	pr.obsResyncBytes.Add(uint64(len(rec)))
 }
 
 // onResync installs a leader state snapshot, repairing every replication
@@ -60,8 +48,8 @@ func (pr *Process) onResync(p *sim.Proc, m *resyncMsg) {
 	pr.lastAcceptedView = st.view
 	pr.leaderDeadline = p.Now() + sim.Time(pr.cfg.LeaderTimeout)
 	if m.repSeq <= pr.repSeq {
-		// We already hold everything the snapshot covers (the leader acted
-		// on a stale ack); just refresh our position with it.
+		// We already hold everything the snapshot covers (the reset lost
+		// nothing of the stream); just refresh our position with it.
 		pr.needAck = true
 		return
 	}

@@ -26,6 +26,8 @@ type Transport interface {
 	Crashed(id rdma.NodeID) bool
 	// Crash fails a node.
 	Crash(id rdma.NodeID)
+	// Incarnation counts the resets of the a–b link (rdma.Fabric.Incarnation).
+	Incarnation(a, b rdma.NodeID) uint64
 }
 
 // Endpoint is a node's receive side. A received payload is valid until
@@ -63,6 +65,8 @@ func (a *rdmaTransport) Endpoint(id rdma.NodeID) Endpoint {
 func (a *rdmaTransport) Crashed(id rdma.NodeID) bool { return a.t.Fabric().Node(id).Crashed() }
 
 func (a *rdmaTransport) Crash(id rdma.NodeID) { a.t.Fabric().Node(id).Crash() }
+
+func (a *rdmaTransport) Incarnation(x, y rdma.NodeID) uint64 { return a.t.Fabric().Incarnation(x, y) }
 
 type rdmaEndpoint struct {
 	ep *rdma.Endpoint
@@ -103,6 +107,8 @@ func (a *msgnetTransport) Endpoint(id rdma.NodeID) Endpoint {
 func (a *msgnetTransport) Crashed(id rdma.NodeID) bool { return a.n.Endpoint(id).Down() }
 
 func (a *msgnetTransport) Crash(id rdma.NodeID) { a.n.Endpoint(id).Fail() }
+
+func (a *msgnetTransport) Incarnation(rdma.NodeID, rdma.NodeID) uint64 { return 0 } // no resets
 
 type msgnetEndpoint struct {
 	ep *msgnet.Endpoint

@@ -136,7 +136,7 @@ func (pr *Process) adopt(p *sim.Proc) {
 	pr.lastAcceptedView = pr.vcView
 	pr.repSeq = 0
 	clear(pr.ackedRep)
-	clear(pr.lagSince)
+	pr.seeLinks()
 	pr.milestones.reset()
 	pr.vcStates = nil
 	pr.repToGseq = nil

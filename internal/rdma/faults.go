@@ -139,6 +139,10 @@ func (f *Fabric) resetLink(a, b NodeID) {
 	}
 }
 
+// Incarnation returns how many times the link between a and b has been
+// reset: a heal, a recovery of either node, or exhausted retries.
+func (f *Fabric) Incarnation(a, b NodeID) uint64 { return f.resets[pairKey(a, b)] }
+
 // pairKey names the node pair {a, b}, whichever direction.
 func pairKey(a, b NodeID) linkKey { return linkKey{min(a, b), max(a, b)} }
 

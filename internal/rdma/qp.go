@@ -140,27 +140,31 @@ func (q *QP) failVerb(p *sim.Proc) error {
 	return q.pathErr()
 }
 
-// incarnation returns how many times the link between the QP's nodes has
-// been reset (Fabric.resetLink). A WR carries the incarnation it was
-// posted in and lands only in the same one.
+// incarnation returns the link's (Fabric.Incarnation). A WR carries the
+// incarnation it was posted in and lands only in the same one.
 func (q *QP) incarnation() uint64 {
-	return q.local.fabric.resets[pairKey(q.local.id, q.remote.id)]
+	return q.local.fabric.Incarnation(q.local.id, q.remote.id)
 }
 
 // transmit returns when a WR whose first transmission completes at done
 // lands. RC loses no verb on a live link: each transmission a lossy link
 // loses costs one RetransmitTimeout, and, go-back-N, every later WR of the
 // QP lands after it (retx). A WR lost RetryCount+1 times errors the QP:
-// the link resets FailureTimeout from now, and it and every WR behind it
-// land at the reset, in the old incarnation, so they place nothing.
+// the link resets FailureTimeout from now, unless something reset it
+// meanwhile, and it and every WR behind it land at the reset, in the old
+// incarnation, so they place nothing.
 func (q *QP) transmit(done sim.Time) sim.Time {
 	f := q.local.fabric
 	for lost := 0; f.dropDraw(q.local.id, q.remote.id); lost++ {
 		if lost == RetryCount {
 			errAt := q.sched.Now() + sim.Time(FailureTimeout)
 			q.retx = max(q.retx, errAt)
-			a, b := q.local.id, q.remote.id
-			q.sched.At(errAt, func() { f.resetLink(a, b) })
+			a, b, inc := q.local.id, q.remote.id, q.incarnation()
+			q.sched.At(errAt, func() {
+				if f.Incarnation(a, b) == inc {
+					f.resetLink(a, b)
+				}
+			})
 			return q.retx
 		}
 		done += sim.Time(RetransmitTimeout)

@@ -170,8 +170,9 @@ func TestDroppedReadIsDelayed(t *testing.T) {
 // its first try and on all RetryCount retries errors the QP. A WRITE
 // reports ErrLinkDown after the failure timeout, and the link resets: both
 // rings between the pair restart from zero, and what the QP was given
-// meanwhile never lands. Once the link is clean the rings carry traffic
-// again.
+// meanwhile never lands. The ring's QP and the test's exhaust theirs in
+// the same incarnation, so the link resets once. Once the link is clean
+// the rings carry traffic again.
 func TestExhaustedRetriesResetTheLink(t *testing.T) {
 	s, f, _, b := testFabric(t)
 	defer s.Close()
@@ -215,8 +216,8 @@ func TestExhaustedRetriesResetTheLink(t *testing.T) {
 		if took := sim.Duration(p.Now() - t0); took < FailureTimeout {
 			t.Errorf("the WRITE failed after %d ns, before the failure timeout", took)
 		}
-		if resets == 0 {
-			t.Error("exhausted retries did not reset the link")
+		if resets != 1 {
+			t.Errorf("two QPs that exhausted their retries together reset the link %d times, want 1", resets)
 		}
 		if w, x := tr.writer(1, 2), tr.writer(2, 1); w.tail != 0 || x.tail != 0 {
 			t.Errorf("after the reset the producers' tails are %d and %d, want 0", w.tail, x.tail)
